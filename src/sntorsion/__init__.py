@@ -8,7 +8,7 @@ augmentations, and decides the resulting integer feasibility systems with a
 self-contained lattice/Fourier-Motzkin enumerator.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .characters import NamedCharacter, character_value, degree
 from .luthar_passi import (

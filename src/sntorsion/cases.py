@@ -182,7 +182,8 @@ def case_s7_3x5(threads: int = 1) -> CaseReport:
     hook = ordinary_row("hook4", n, p * q)
     c31, c32, c51 = ClassLabel(3, 1, n), ClassLabel(3, 2, n), ClassLabel(5, 1, n)
     values = [hook.degree, hook.value(c31), hook.value(c32), hook.value(c51)]
-    assert hook.value(c31) == hook.value(c32) and hook.value(c51) == 0
+    if hook.value(c31) != hook.value(c32) or hook.value(c51) != 0:
+        raise RuntimeError(f"hook4 values {values} are not power-independent")
     q_rep = AugVector.make(q, n, {c31: 1})
     verdict, results = solve_order_pq(
         n, "S", p, q, [q_rep], [forced_vector(n, p)], [
@@ -306,7 +307,8 @@ def case_lemma43_grid(threads: int = 1) -> CaseReport:
         count = len(rep.solutions)
         # every solver solution must also pass the standalone predicate
         for aug in report_aug_vectors(rep, 2, p):
-            assert filter_lemma_4_3(p, aug)
+            if not filter_lemma_4_3(p, aug):
+                raise RuntimeError(f"solver solution {aug} fails the lemma 4.3 predicate")
         grid[str(p)] = {
             "variables": [format_class(ct) for ct, _ in system.variables],
             "status": rep.status,

@@ -18,7 +18,6 @@ import sys
 from .cases import (
     CASES,
     list_cases,
-    load_golden,
     ordinary_row,
     run_case,
     run_exclusion,
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p_):
         p_.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker count (1 is the byte-identical reference mode)")
+                        help="accepted for compatibility; the search runs on one thread")
         p_.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
     p_chart = sub.add_parser("chartable", help="write an ordinary character table file")

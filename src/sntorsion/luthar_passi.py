@@ -279,13 +279,6 @@ class AffineForm:
     def evaluate(self, point: dict[VarKey, int]) -> Fraction:
         return self.constant + sum(c * point.get(v, 0) for v, c in self.coeffs)
 
-    def substitute(self, assignment: dict[VarKey, int]) -> "AffineForm":
-        coeffs = {v: c for v, c in self.coeffs if v not in assignment}
-        const = self.constant + sum(
-            c * assignment[v] for v, c in self.coeffs if v in assignment
-        )
-        return AffineForm.make(coeffs, const)
-
     def eliminate(self, var: VarKey, equality: "AffineForm", target: Fraction | int) -> "AffineForm":
         """Substitute var using `equality = target` (which must involve var)."""
         pivot = equality.coeff(var)

@@ -99,12 +99,14 @@ def power_cycle_type(mu: Partition, d: int) -> Partition:
     return tuple(sorted(parts, reverse=True))
 
 
+@cache
 def element_order(mu: Partition) -> int:
     """Order of a permutation of cycle type mu: the lcm of the parts."""
     check_partition(mu)
     return lcm(*mu)
 
 
+@cache
 def parity(mu: Partition) -> int:
     """Sign of a permutation of cycle type mu, +1 or -1."""
     check_partition(mu)

@@ -21,7 +21,6 @@ which is how the order-pq systems with few character rows are settled.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -44,6 +43,55 @@ from .partitions import Partition, is_prime, parity
 # integer linear algebra
 
 
+def _column_hermite(rows: list[list[int]], ncols: int):
+    """Column-style Hermite elimination of a row-major matrix.
+
+    Returns (a, u, pivots): a = rows . u is in column echelon form with its
+    pivot columns first, u is unimodular, and pivots lists the (row, column)
+    pivot positions of a.
+    """
+    m = len(rows)
+    a = [list(r) for r in rows]
+    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def col_op(dst: int, src: int, factor: int) -> None:
+        for i in range(m):
+            a[i][dst] += factor * a[i][src]
+        for i in range(ncols):
+            u[i][dst] += factor * u[i][src]
+
+    def col_swap(c1: int, c2: int) -> None:
+        for i in range(m):
+            a[i][c1], a[i][c2] = a[i][c2], a[i][c1]
+        for i in range(ncols):
+            u[i][c1], u[i][c2] = u[i][c2], u[i][c1]
+
+    pivots: list[tuple[int, int]] = []
+    pc = 0
+    for row in range(m):
+        if pc >= ncols:
+            break
+        while True:
+            nz = [c for c in range(pc, ncols) if a[row][c]]
+            if not nz:
+                break
+            c0 = min(nz, key=lambda c: abs(a[row][c]))
+            if c0 != pc:
+                col_swap(pc, c0)
+            done = True
+            for c in range(pc + 1, ncols):
+                if a[row][c]:
+                    col_op(c, pc, -(a[row][c] // a[row][pc]))
+                    if a[row][c]:
+                        done = False
+            if done:
+                break
+        if a[row][pc]:
+            pivots.append((row, pc))
+            pc += 1
+    return a, u, pivots
+
+
 def solve_integer_system(
     rows: list[list[int]], rhs: list[int], nvar: int
 ) -> tuple[list[int], list[list[int]]] | None:
@@ -52,51 +100,13 @@ def solve_integer_system(
     Returns (x0, basis) with basis a list of column vectors spanning the
     integer kernel, or None when no integer solution exists.
     """
-    m = len(rows)
-    a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(nvar)] for i in range(nvar)]
-
-    def col_op(dst: int, src: int, factor: int) -> None:
-        for i in range(m):
-            a[i][dst] += factor * a[i][src]
-        for i in range(nvar):
-            u[i][dst] += factor * u[i][src]
-
-    def col_swap(c1: int, c2: int) -> None:
-        for i in range(m):
-            a[i][c1], a[i][c2] = a[i][c2], a[i][c1]
-        for i in range(nvar):
-            u[i][c1], u[i][c2] = u[i][c2], u[i][c1]
-
-    pivots: list[tuple[int, int]] = []
-    pc = 0
-    for row in range(m):
-        if pc >= nvar:
-            break
-        while True:
-            nz = [c for c in range(pc, nvar) if a[row][c]]
-            if not nz:
-                break
-            c0 = min(nz, key=lambda c: abs(a[row][c]))
-            if c0 != pc:
-                col_swap(pc, c0)
-            done = True
-            for c in range(pc + 1, nvar):
-                if a[row][c]:
-                    col_op(c, pc, -(a[row][c] // a[row][pc]))
-                    if a[row][c]:
-                        done = False
-            if done:
-                break
-        if pc < nvar and a[row][pc]:
-            pivots.append((row, pc))
-            pc += 1
+    a, u, pivots = _column_hermite(rows, nvar)
 
     # forward solve in the echelon basis
     y = [0] * nvar
     known_cols: list[int] = []
     pivot_of_row = dict(pivots)
-    for row in range(m):
+    for row in range(len(rows)):
         s = rhs[row] - sum(a[row][c] * y[c] for c in known_cols)
         col = pivot_of_row.get(row)
         if col is not None:
@@ -316,35 +326,51 @@ class SolveReport:
         }
 
 
-def _integer_rows(system: FeasibilitySystem):
-    """Clear denominators: equality and slack-link rows over (vars, slacks)."""
+def _integer_rows(system: FeasibilitySystem) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators: the equality rows, then one slack-link row per
+    form, over the columns (variables, one slack per form)."""
     nvar = len(system.variables)
     nform = len(system.nonneg_integral)
     rows: list[list[int]] = []
     rhs: list[int] = []
+
+    def cleared(f: AffineForm) -> tuple[int, list[int]]:
+        coeffs = dict(f.coeffs)
+        den = lcm(f.constant.denominator, *(c.denominator for c in coeffs.values()))
+        return den, [int(den * coeffs.get(v, 0)) for v in system.variables] + [0] * nform
+
     for f, target, _ in system.equalities:
-        den = lcm(f.constant.denominator, *(c.denominator for _, c in f.coeffs)) if f.coeffs else f.constant.denominator
-        row = [int(den * f.coeff(v)) for v in system.variables] + [0] * nform
+        den, row = cleared(f)
         rows.append(row)
         rhs.append(int(den * (target - f.constant)))
     for i, (f, _) in enumerate(system.nonneg_integral):
-        den = lcm(f.constant.denominator, *(c.denominator for _, c in f.coeffs)) if f.coeffs else f.constant.denominator
-        row = [int(den * f.coeff(v)) for v in system.variables] + [0] * nform
+        den, row = cleared(f)
         row[nvar + i] = -den
         rows.append(row)
         rhs.append(int(-den * f.constant))
-    return rows, rhs, nvar, nform
+    return rows, rhs
 
 
 def _solve(
-    system: FeasibilitySystem, threads: int = 1, find_one: bool = False
+    rows: list[list[int]],
+    rhs: list[int],
+    variables: tuple[VarKey, ...],
+    nform: int,
+    find_one: bool = False,
 ) -> SolveReport:
+    """Decide the integer rows of a system with `nform` forms, built by
+    _integer_rows.
+
+    With find_one only the status is decided: the search stops at the first
+    integer point, and the recession ray and the solution list, which only
+    reporting reads, are not built.
+    """
+    nvar = len(variables)
     nodes = 0
-    rows, rhs, nvar, nform = _integer_rows(system)
+    report = SolveReport(status="infeasible", variables=variables)
+    report.stats["nodes"] = 0
     sol = solve_integer_system(rows, rhs, nvar + nform)
-    report = SolveReport(status="infeasible", variables=system.variables)
     if sol is None:
-        report.stats["nodes"] = 0
         return report
     z0, basis = sol
     tdim = len(basis)
@@ -361,15 +387,12 @@ def _solve(
         report.stats["nodes"] = 1
         return report
 
-    # split off lattice directions that leave every slack unchanged
-    quot = solve_integer_system(slack_rows, [0] * nform, tdim)
-    assert quot is not None  # homogeneous
-    _, free_basis = quot
-    nfree = len(free_basis)
-
-    # complement coordinates: column echelon of the slack matrix
-    elim = _echelon_split(slack_rows, tdim)
-    wdim, transform = elim  # t = transform . (w, v), first wdim coords hit slacks
+    # column echelon of the slack matrix: t = transform . (w, v), where the
+    # first wdim coordinates w move the slacks and the directions v leave
+    # every slack unchanged (they can only produce infinite solution families)
+    _, transform, pivots = _column_hermite(slack_rows, tdim)
+    wdim = len(pivots)
+    nfree = tdim - wdim
     w_rows = [
         tuple(
             sum(slack_rows[i][t] * transform[t][c] for t in range(tdim))
@@ -383,51 +406,53 @@ def _solve(
             ineqs.add(_normalize(w_rows[i], slack_const[i]))
     for coeffs, const in list(ineqs):
         if not any(coeffs) and const < 0:
-            report.stats["nodes"] = 0
             return report
 
+    def free_ray() -> tuple[int, ...]:
+        return _x_ray([row[wdim] for row in transform], basis, nvar)
+
     if wdim == 0:
-        # all slacks are constant on the lattice
-        if all(c >= 0 for c in slack_const):
-            report.status = "unbounded" if nfree else "solutions"
-            if nfree:
-                report.ray = _x_ray(free_basis[0], basis, nvar)
-            else:
-                report.solutions = [tuple(z0[:nvar])]
+        # every slack is constant on the lattice, and none is negative
+        report.status = "unbounded"
+        report.ray = free_ray()
         report.stats["nodes"] = 1
         return report
 
     if not _fm_feasible(ineqs, wdim):
-        report.stats["nodes"] = 0
         return report
 
     bounds = [_fm_bounds(ineqs, wdim, var) for var in range(wdim)]
     if any(b == "infeasible" for b in bounds):
-        report.stats["nodes"] = 0
         return report
     unbounded_vars = [v for v, b in enumerate(bounds) if b[0] is None or b[1] is None]
     if unbounded_vars:
-        ray_w = _recession_ray(ineqs, wdim, unbounded_vars[0])
         report.status = "unbounded"
-        report.ray = _x_ray(
-            _t_from_w(ray_w, transform, tdim, wdim), basis, nvar
-        )
-        report.stats["nodes"] = 0
+        if not find_one:
+            ray_w = _recession_ray(ineqs, wdim, unbounded_vars[0])
+            report.ray = _x_ray(_t_from_w(ray_w, transform, tdim, wdim), basis, nvar)
         return report
 
-    def x_of_w(wvec: tuple[int, ...]) -> tuple[int, ...]:
-        t = _t_from_w(wvec, transform, tdim, wdim)
-        return tuple(z0[i] + sum(basis[c][i] * t[c] for c in range(tdim)) for i in range(nvar))
-
+    if not find_one:
+        # x = z0 + x_map . w on the slack-moving coordinates
+        x_map = [
+            [sum(basis[t][i] * transform[t][c] for t in range(tdim)) for c in range(wdim)]
+            for i in range(nvar)
+        ]
     solutions: list[tuple[int, ...]] = []
 
-    def dfs(current: set[Ineq], depth: int, prefix: tuple[int, ...]):
+    def dfs(current: set[Ineq], depth: int, prefix: tuple[int, ...]) -> bool:
+        """Search below one node; False stops the search (find_one, at the
+        first point)."""
         nonlocal nodes
         nodes += 1
         if depth == wdim:
-            solutions.append(x_of_w(prefix))
-            return not find_one
-        b = _fm_bounds(current, wdim, depth)
+            if find_one:
+                return False
+            solutions.append(tuple(
+                z0[i] + sum(m * w for m, w in zip(x_map[i], prefix)) for i in range(nvar)
+            ))
+            return True
+        b = bounds[0] if depth == 0 else _fm_bounds(current, wdim, depth)
         if b == "infeasible" or b[0] is None or b[1] is None:
             return True
         for value in range(b[0], b[1] + 1):
@@ -438,90 +463,15 @@ def _solve(
                 return False
         return True
 
-    if threads > 1 and not find_one:
-        top = _fm_bounds(ineqs, wdim, 0)
-        if top != "infeasible" and top[0] is not None and top[1] is not None:
-            def branch(value: int) -> list[tuple[int, ...]]:
-                sub = _substitute(ineqs, 0, value)
-                if sub is None:
-                    return []
-                local: list[tuple[int, ...]] = []
-
-                def bdfs(current, depth, prefix):
-                    if depth == wdim:
-                        local.append(x_of_w(prefix))
-                        return
-                    bb = _fm_bounds(current, wdim, depth)
-                    if bb == "infeasible" or bb[0] is None or bb[1] is None:
-                        return
-                    for v in range(bb[0], bb[1] + 1):
-                        nxt = _substitute(current, depth, v)
-                        if nxt is not None:
-                            bdfs(nxt, depth + 1, prefix + (v,))
-
-                bdfs(sub, 1, (value,))
-                return local
-
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                for chunk in pool.map(branch, range(top[0], top[1] + 1)):
-                    solutions.extend(chunk)
-            nodes = -1  # node counts are not tracked across workers
-    else:
-        dfs(ineqs, 0, ())
-
-    if solutions:
-        solutions = sorted(set(solutions))
-        if nfree:
-            report.status = "unbounded"
-            report.ray = _x_ray(free_basis[0], basis, nvar)
-        else:
-            report.status = "solutions"
-            report.solutions = solutions
+    found = not dfs(ineqs, 0, ())
+    if found or solutions:
+        report.status = "unbounded" if nfree else "solutions"
+        if not nfree:
+            report.solutions = sorted(set(solutions))
+        elif not find_one:
+            report.ray = free_ray()
     report.stats["nodes"] = nodes
     return report
-
-
-def _echelon_split(rows: list[list[int]], ncols: int):
-    """Column echelon of a row-major matrix: returns (rank, transform) with
-    matrix . transform having its nonzero columns first."""
-    m = len(rows)
-    a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_op(dst, src, factor):
-        for i in range(m):
-            a[i][dst] += factor * a[i][src]
-        for i in range(ncols):
-            u[i][dst] += factor * u[i][src]
-
-    def col_swap(c1, c2):
-        for i in range(m):
-            a[i][c1], a[i][c2] = a[i][c2], a[i][c1]
-        for i in range(ncols):
-            u[i][c1], u[i][c2] = u[i][c2], u[i][c1]
-
-    pc = 0
-    for row in range(m):
-        if pc >= ncols:
-            break
-        while True:
-            nz = [c for c in range(pc, ncols) if a[row][c]]
-            if not nz:
-                break
-            c0 = min(nz, key=lambda c: abs(a[row][c]))
-            if c0 != pc:
-                col_swap(pc, c0)
-            done = True
-            for c in range(pc + 1, ncols):
-                if a[row][c]:
-                    col_op(c, pc, -(a[row][c] // a[row][pc]))
-                    if a[row][c]:
-                        done = False
-            if done:
-                break
-        if a[row][pc] if pc < ncols else False:
-            pc += 1
-    return pc, u
 
 
 def _t_from_w(wvec, transform, tdim, wdim) -> list[int]:
@@ -553,34 +503,51 @@ def _recession_ray(ineqs: set[Ineq], wdim: int, var: int) -> tuple[int, ...]:
 
 
 def enumerate_system(system: FeasibilitySystem, threads: int = 1) -> SolveReport:
-    """Exhaustive, deterministic enumeration of all integer points."""
-    report = _solve(system, threads=threads)
+    """Exhaustive, deterministic enumeration of all integer points.
+
+    `threads` is accepted for compatibility; the search runs on one thread.
+    """
+    rows, rhs = _integer_rows(system)
+    report = _solve(rows, rhs, system.variables, len(system.nonneg_integral))
     if report.status == "solutions":
         # defensive re-check against the original forms
         for sol in report.solutions:
             point = dict(zip(system.variables, sol))
             for f, target, name in system.equalities:
-                assert f.evaluate(point) == target, f"equality {name} violated"
+                if f.evaluate(point) != target:
+                    raise RuntimeError(f"solver point {sol} violates equality {name}")
             for f, name in system.nonneg_integral:
                 value = f.evaluate(point)
-                assert value.denominator == 1 and value >= 0, f"form {name} violated"
+                if value.denominator != 1 or value < 0:
+                    raise RuntimeError(f"solver point {sol} violates form {name}")
     elif report.status == "infeasible":
-        report.certificate = _infeasible_core(system, threads)
+        report.certificate = _infeasible_core(system, rows, rhs)
         report.eliminated_by = {name: 1 for name in report.certificate}
     return report
 
 
-def _infeasible_core(system: FeasibilitySystem, threads: int) -> list[str]:
+def _infeasible_core(
+    system: FeasibilitySystem, rows: list[list[int]], rhs: list[int]
+) -> list[str]:
     """Greedy minimal subset of the non-negative-integer forms that already
-    makes the system infeasible (with all equalities kept)."""
-    forms = list(system.nonneg_integral)
-    core = forms[:]
+    makes the system infeasible (with all equalities kept).
+
+    Each trial re-solves the system's integer rows without the dropped
+    form's slack-link row and slack column, which are exactly the integer
+    rows of the smaller system.
+    """
+    forms = system.nonneg_integral
+    nvar, neq = len(system.variables), len(system.equalities)
+    core = list(range(len(forms)))
     for f in forms:
-        trial = [g for g in core if g is not f]
-        sub = FeasibilitySystem(system.variables, system.equalities, tuple(trial))
-        if _solve(sub, find_one=True).status == "infeasible":
+        trial = [j for j in core if forms[j] is not f]
+        keep = list(range(neq)) + [neq + j for j in trial]
+        cols = list(range(nvar)) + [nvar + j for j in trial]
+        sub = [[rows[r][c] for c in cols] for r in keep]
+        sub_rhs = [rhs[r] for r in keep]
+        if _solve(sub, sub_rhs, system.variables, len(trial), find_one=True).status == "infeasible":
             core = trial
-    return [name for _, name in core]
+    return [forms[j][1] for j in core]
 
 
 def spot_check_infeasible(
@@ -589,7 +556,8 @@ def spot_check_infeasible(
     """Independent soundness pass: sample integer points satisfying the
     equalities and confirm each violates a core form (negative value or a
     non-integral rational)."""
-    rows, rhs, nvar, nform = _integer_rows(system)
+    rows, rhs = _integer_rows(system)
+    nvar = len(system.variables)
     # keep only the equality rows; slack links are dropped so the samples are
     # constrained by nothing but the equalities
     eq_rows = [r[:nvar] for r in rows[: len(system.equalities)]]
@@ -675,11 +643,15 @@ def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
     return vectors
 
 
-def has_element_of_order(n: int, k: int) -> bool:
-    """Whether S_n has an element of order exactly k, for k in {q, 2p, pq}."""
+def has_element_of_order(n: int, k: int, kind: str = "S") -> bool:
+    """Whether S_n (kind "S") or A_n (kind "A") has an element of order
+    exactly k, for k in {q, 2p, pq}."""
     from .partitions import all_partitions, element_order
 
-    return any(element_order(mu) == k for mu in all_partitions(n))
+    return any(
+        element_order(mu) == k and (kind == "S" or parity(mu) == 1)
+        for mu in all_partitions(n)
+    )
 
 
 @dataclass
@@ -712,8 +684,8 @@ def solve_order_pq(
 
     Verdict: "excluded" iff every pair is infeasible.
     """
-    if has_element_of_order(n, p * q):
-        raise ValueError(f"S_{n} has elements of order {p * q}; nothing to exclude")
+    if has_element_of_order(n, p * q, kind):
+        raise ValueError(f"{kind}_{n} has elements of order {p * q}; nothing to exclude")
     classes = allowed_support(n, p * q)
     if kind == "A":
         classes = [ct for ct in classes if parity(ct) == 1]

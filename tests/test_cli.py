@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output formats, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,30 @@ def test_solve_input_errors(capsys):
         rc, _, err = run(capsys, *argv)
         assert rc == EXIT_INPUT, argv
         assert err.startswith("error:"), argv
+
+
+def test_solve_judges_alternating_groups_by_their_own_element_orders(capsys):
+    # S_7 has elements of order 10 (a 5-cycle times a transposition), but
+    # they are odd, so A_7 has none and the run goes ahead
+    rc, out, _ = run(capsys, "solve", "--group", "A7", "--order", "2x5", "--rows", "pi")
+    assert rc == EXIT_OK
+    assert "verdict: candidates-survive" in out
+    # a 5-cycle times a 3-cycle is even, so A_8 has elements of order 15
+    rc, _, err = run(capsys, "solve", "--group", "A8", "--order", "3x5", "--rows", "pi")
+    assert rc == EXIT_INPUT
+    assert "A_8" in err
+
+
+def test_verify_paper_passes_with_asserts_stripped():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "sntorsion.cli", "verify-paper"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert proc.stdout.count(": pass") == len(list_cases())
 
 
 def test_solve_with_a_table_file_round_trips(tmp_path, capsys):

@@ -49,6 +49,14 @@ def test_check_partition_rejects_bad_input():
         check_partition(())
 
 
+def test_cached_order_and_parity_reject_bad_partitions_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            element_order((1, 2))
+        with pytest.raises(ValueError):
+            parity((3, 0))
+
+
 def test_identity_partition():
     assert identity_partition(5) == (1, 1, 1, 1, 1)
     assert element_order(identity_partition(5)) == 1

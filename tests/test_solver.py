@@ -16,6 +16,8 @@ from sntorsion.luthar_passi import (
     forced_vector,
     parse_class,
 )
+from sntorsion import solver
+from sntorsion.cases import run_case
 from sntorsion.partitions import ClassLabel
 from sntorsion.solver import (
     FeasibilitySystem,
@@ -195,6 +197,69 @@ def test_determinism_across_thread_counts():
         assert r1.status == r8.status
         assert r1.solutions == r8.solutions
         assert r1.certificate == r8.certificate
+
+
+def public_deletion_filter(system):
+    """The greedy infeasible core, re-solving every trial through the public
+    API: drop one form at a time and keep it dropped while the rest stays
+    infeasible."""
+    core = list(system.nonneg_integral)
+    for form in system.nonneg_integral:
+        trial = [g for g in core if g is not form]
+        sub = FeasibilitySystem(system.variables, system.equalities, tuple(trial))
+        if enumerate_system(sub).status == "infeasible":
+            core = trial
+    return [name for _, name in core]
+
+
+def test_infeasible_core_matches_the_public_deletion_filter_on_the_corpus():
+    infeasible = 0
+    for builder in CORPUS:
+        system = builder()
+        report = enumerate_system(system)
+        if report.status == "infeasible":
+            infeasible += 1
+            assert report.certificate == public_deletion_filter(system)
+    assert infeasible >= 2
+
+
+@pytest.mark.parametrize("case_id", ["thm32-11-7-5", "s7-3x5"])
+def test_infeasible_core_matches_the_public_deletion_filter_on_a_case(case_id, monkeypatch):
+    seen = []
+    real = solver.enumerate_system
+
+    def recording(system, threads=1):
+        report = real(system, threads)
+        seen.append((system, report))
+        return report
+
+    # every system the case enumerates: its order-q system and every pair system
+    monkeypatch.setattr(solver, "enumerate_system", recording)
+    run_case(case_id)
+    monkeypatch.undo()
+    infeasible = [(system, rep) for system, rep in seen if rep.status == "infeasible"]
+    assert infeasible
+    for system, report in infeasible:
+        assert report.certificate == public_deletion_filter(system)
+
+
+@pytest.mark.parametrize("builder, point, broken", [
+    (unique_point_system, (2,), "equality"),
+    (three_var_system, (100, -99, 0), "form"),
+])
+def test_enumerate_system_rejects_a_solution_that_violates_the_system(
+    builder, point, broken, monkeypatch
+):
+    real = solver._solve
+
+    def tampered(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.solutions = [point]
+        return report
+
+    monkeypatch.setattr(solver, "_solve", tampered)
+    with pytest.raises(RuntimeError, match=f"violates {broken}"):
+        enumerate_system(builder())
 
 
 def test_solutions_are_sorted_and_unique():
