@@ -25,6 +25,7 @@ from .partitions import ClassLabel, parity
 from .reports import CaseReport, first_divergence, report_from_json
 from .solver import (
     FeasibilitySystem,
+    PairResult,
     enumerate_system,
     report_aug_vectors,
     solve_order_pq,
@@ -61,6 +62,22 @@ def _aug_to_json(aug: AugVector) -> dict[str, int]:
     return {format_class(ct): eps for ct, eps in aug.entries}
 
 
+def _pair_json(result: PairResult) -> dict:
+    """One order-pq pair of a report: its power candidates, status and
+    certificate, plus its solutions or ray when it has them."""
+    entry = {
+        "q_candidate": _aug_to_json(result.q_candidate),
+        "p_candidate": _aug_to_json(result.p_candidate),
+        "status": result.report.status,
+        "certificate": sorted(result.report.certificate),
+    }
+    if result.report.status == "solutions":
+        entry["solutions"] = [list(sol) for sol in result.report.solutions]
+    if result.report.status == "unbounded":
+        entry["ray"] = list(result.report.ray)
+    return entry
+
+
 def _rows_json(rows_and_ells: list[tuple[CharacterRow, list[int]]]) -> list[dict]:
     return [{"name": row.name, "ells": list(ells)} for row, ells in rows_and_ells]
 
@@ -79,7 +96,6 @@ def run_exclusion(
     stage_pq_groups: list[dict],
     filters: list[str],
     use_pi_equalities: bool = False,
-    threads: int = 1,
     case_id: str = "custom",
 ) -> CaseReport:
     """The staged pipeline: enumerate order-q power candidates, filter them,
@@ -92,7 +108,7 @@ def run_exclusion(
     report = CaseReport(case_id=case_id, kind=kind, n=n, p=p, q=q)
 
     pairs = [(row, ell) for row, ells in stage_q_rows for ell in ells]
-    s1 = solve_prime_order(n, kind, q, pairs, threads=threads)
+    s1 = solve_prime_order(n, kind, q, pairs)
     if s1.status == "unbounded":
         report.verdict = "undecided-unbounded"
         report.stage_q = {
@@ -134,21 +150,11 @@ def run_exclusion(
     ]
     pi_row = ordinary_row("pi", n, p * q, kind) if use_pi_equalities else None
     verdict, results = solve_order_pq(
-        n, kind, p, q, candidates, p_candidates, groups, pi_row=pi_row, threads=threads
+        n, kind, p, q, candidates, p_candidates, groups, pi_row=pi_row
     )
     grouped: dict[str, list] = {grp["name"]: [] for grp in stage_pq_groups}
     for r in results:
-        entry = {
-            "q_candidate": _aug_to_json(r.q_candidate),
-            "p_candidate": _aug_to_json(r.p_candidate),
-            "status": r.report.status,
-            "certificate": sorted(r.report.certificate),
-        }
-        if r.report.status == "solutions":
-            entry["solutions"] = [list(sol) for sol in r.report.solutions]
-        if r.report.status == "unbounded":
-            entry["ray"] = list(r.report.ray)
-        grouped[r.group].append(entry)
+        grouped[r.group].append(_pair_json(r))
     report.stage_pq = {
         "groups": [
             {
@@ -169,7 +175,7 @@ def run_exclusion(
 # built-in cases
 
 
-def case_s7_3x5(threads: int = 1) -> CaseReport:
+def case_s7_3x5() -> CaseReport:
     """No normalized unit of order 15 in Z S_7.
 
     The distinguished degree-20 hook character takes the same value on both
@@ -188,7 +194,7 @@ def case_s7_3x5(threads: int = 1) -> CaseReport:
     verdict, results = solve_order_pq(
         n, "S", p, q, [q_rep], [forced_vector(n, p)], [
             {"name": "main", "members": None, "rows_and_ells": [(hook, 0), (hook, 5)]}
-        ], threads=threads,
+        ],
     )
     report = CaseReport(case_id="s7-3x5", kind="S", n=n, p=p, q=q, verdict=verdict)
     report.stage_pq = {
@@ -196,15 +202,7 @@ def case_s7_3x5(threads: int = 1) -> CaseReport:
             {
                 "name": "main",
                 "rows": _rows_json([(hook, [0, 5])]),
-                "pairs": [
-                    {
-                        "q_candidate": _aug_to_json(r.q_candidate),
-                        "p_candidate": _aug_to_json(r.p_candidate),
-                        "status": r.report.status,
-                        "certificate": sorted(r.report.certificate),
-                    }
-                    for r in results
-                ],
+                "pairs": [_pair_json(r) for r in results],
             }
         ]
     }
@@ -235,7 +233,7 @@ def _s13_vec(t: tuple[int, int, int, int]) -> AugVector:
     )
 
 
-def case_s13_3x11(threads: int = 1) -> CaseReport:
+def case_s13_3x11() -> CaseReport:
     """No normalized unit of order 33 in Z S_13, from the bundled 2-modular
     fixture rows."""
     t3 = load_bundled_table("s13-mod2-order3.tbl")
@@ -256,7 +254,7 @@ def case_s13_3x11(threads: int = 1) -> CaseReport:
     ]
     report = run_exclusion(
         "S", 13, 11, 3, stage_q_rows, groups,
-        filters=["q-power-weighted-sum"], threads=threads, case_id="s13-3x11",
+        filters=["q-power-weighted-sum"], case_id="s13-3x11",
     )
     report.extras["reference_count_note"] = (
         "a published tally lists 128 order-3 candidates for this case using a "
@@ -265,7 +263,7 @@ def case_s13_3x11(threads: int = 1) -> CaseReport:
     return report
 
 
-def _case_thm32(n: int, p: int, q: int, threads: int = 1) -> CaseReport:
+def _case_thm32(n: int, p: int, q: int) -> CaseReport:
     """Order-pq exclusion from the three distinguished ordinary characters."""
     names = ("pi", "rho", "tau")
     stage_q_rows = [(ordinary_row(nm, n, q), orbit_residues(q)) for nm in names]
@@ -274,11 +272,11 @@ def _case_thm32(n: int, p: int, q: int, threads: int = 1) -> CaseReport:
         "S", n, p, q, stage_q_rows,
         [{"name": "main", "members": None, "rows_and_ells": pq_rows}],
         filters=["q-power-weighted-sum"], use_pi_equalities=True,
-        threads=threads, case_id=f"thm32-{n}-{p}-{q}",
+        case_id=f"thm32-{n}-{p}-{q}",
     )
 
 
-def case_lemma43_grid(threads: int = 1) -> CaseReport:
+def case_lemma43_grid() -> CaseReport:
     """Involution parts of order-2p units in Z S_p: both weighted sums of the
     involution augmentations vanish.  For p in {5, 7} no normalized integer
     vector satisfies them at all; for p in {11, 13} solutions exist and are
@@ -303,7 +301,7 @@ def case_lemma43_grid(threads: int = 1) -> CaseReport:
             [(odd, 0, "odd-weighted-sum"), (even, 0, "even-weighted-sum")],
             forms,
         )
-        rep = enumerate_system(system, threads=threads)
+        rep = enumerate_system(system)
         count = len(rep.solutions)
         # every solver solution must also pass the standalone predicate
         for aug in report_aug_vectors(rep, 2, p):
@@ -328,10 +326,10 @@ def case_lemma43_grid(threads: int = 1) -> CaseReport:
 CASES = {
     "s7-3x5": case_s7_3x5,
     "s13-3x11": case_s13_3x11,
-    "thm32-11-7-5": lambda threads=1: _case_thm32(11, 7, 5, threads),
-    "thm32-13-11-7": lambda threads=1: _case_thm32(13, 11, 7, threads),
-    "thm32-17-11-7": lambda threads=1: _case_thm32(17, 11, 7, threads),
-    "thm32-17-13-11": lambda threads=1: _case_thm32(17, 13, 11, threads),
+    "thm32-11-7-5": lambda: _case_thm32(11, 7, 5),
+    "thm32-13-11-7": lambda: _case_thm32(13, 11, 7),
+    "thm32-17-11-7": lambda: _case_thm32(17, 11, 7),
+    "thm32-17-13-11": lambda: _case_thm32(17, 13, 11),
     "lemma43-grid": case_lemma43_grid,
 }
 
@@ -340,15 +338,15 @@ def list_cases() -> list[str]:
     return list(CASES)
 
 
-def run_case(case_id: str, threads: int = 1) -> CaseReport:
+def run_case(case_id: str) -> CaseReport:
     if case_id not in CASES:
         raise KeyError(f"unknown case {case_id!r}; known: {', '.join(CASES)}")
-    return CASES[case_id](threads=threads)
+    return CASES[case_id]()
 
 
-def verify_case(case_id: str, threads: int = 1) -> str | None:
+def verify_case(case_id: str) -> str | None:
     """Run a case and compare to its golden fixture; None if they match,
     otherwise the first divergent field."""
-    report = run_case(case_id, threads=threads)
+    report = run_case(case_id)
     golden = load_golden(case_id)
     return first_divergence(golden, report.to_dict())

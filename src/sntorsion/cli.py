@@ -179,7 +179,7 @@ def cmd_solve(args) -> int:
             kind, n, p, q, stage_q_rows,
             [{"name": "main", "members": None, "rows_and_ells": pq_rows}],
             filters=filters, use_pi_equalities=use_pi,
-            threads=args.threads, case_id=f"{kind.lower()}{n}-{q}x{p}",
+            case_id=f"{kind.lower()}{n}-{q}x{p}",
         )
     except (ValueError, KeyError) as exc:
         raise InputError(str(exc)) from None
@@ -204,7 +204,7 @@ def cmd_verify_paper(args) -> int:
     status = EXIT_OK
     lines = []
     for cid in ids:
-        diff = verify_case(cid, threads=args.threads)
+        diff = verify_case(cid)
         if diff is None:
             lines.append(f"{cid}: pass")
         else:
@@ -228,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p_):
-        p_.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted for compatibility; the search runs on one thread")
         p_.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
     p_chart = sub.add_parser("chartable", help="write an ordinary character table file")

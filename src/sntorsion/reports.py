@@ -4,7 +4,7 @@ A CaseReport is the audit trail of one exclusion run: which rows constrained
 each stage, how many candidates survived each named filter, the per-pair
 verdicts of the top-level systems, and the overall verdict.  The canonical
 JSON form deliberately omits wall-clock time and search statistics so that
-reports are byte-comparable across runs and thread counts.
+reports are byte-comparable across runs.
 """
 
 from __future__ import annotations

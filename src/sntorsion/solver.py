@@ -12,8 +12,10 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    solution plus a lattice of homogeneous solutions;
 3. lattice directions that leave every slack unchanged are split off (they
    can only produce infinite solution families);
-4. the remaining coordinates are bounded by exact Fourier-Motzkin
-   elimination of the slack inequalities and enumerated depth-first.
+4. exact Fourier-Motzkin elimination of the slack inequalities, from the
+   last remaining coordinate down, gives one projection chain; the
+   depth-first enumeration fixes the coordinates from the first up and
+   reads the range of each from the chain.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -168,99 +170,43 @@ def _fm_eliminate(ineqs: set[Ineq], var: int) -> set[Ineq] | None:
     return out
 
 
-def _fm_bounds_frac(
-    ineqs: set[Ineq], nvars: int, var: int
-) -> tuple[Fraction | None, Fraction | None] | str:
-    """Rational bounds of one variable over the relaxation, after eliminating
-    all the others.  Returns 'infeasible', or (lo, hi) with None marking an
-    unbounded side."""
-    rows = ineqs
-    for other in range(nvars):
-        if other == var:
-            continue
-        rows = _fm_eliminate(rows, other)
+def _fm_chain(ineqs: set[Ineq], nvars: int) -> list[set[Ineq]] | None:
+    """One Fourier-Motzkin projection chain: chain[d] holds the rows over
+    variables 0..d of the projection of the relaxation, eliminating from the
+    last variable down.  None when the relaxation is empty."""
+    chain = [ineqs]
+    for var in range(nvars - 1, -1, -1):
+        rows = _fm_eliminate(chain[-1], var)
         if rows is None:
-            return "infeasible"
+            return None
+        chain.append(rows)
+    return chain[-2::-1]
+
+
+def _interval(
+    rows: set[Ineq], d: int, prefix
+) -> tuple[Fraction | None, Fraction | None]:
+    """Exact rational range (lo, hi) of variable d over rows = chain[d], with
+    variables 0..d-1 pinned to prefix; None marks an unbounded side.
+
+    Rows without variable d are not checked: they are rows of chain[d - 1],
+    which a prefix read off the earlier intervals of the chain satisfies.
+    """
     lo: Fraction | None = None
     hi: Fraction | None = None
     for coeffs, const in rows:
-        c = coeffs[var]
-        if c > 0:
-            bound = Fraction(-const, c)
-            lo = bound if lo is None else max(lo, bound)
-        elif c < 0:
-            bound = Fraction(const, -c)
-            hi = bound if hi is None else min(hi, bound)
-        elif const < 0:
-            return "infeasible"
-    return lo, hi
-
-
-def _fm_bounds(ineqs: set[Ineq], nvars: int, var: int) -> tuple[int | None, int | None] | str:
-    """Integer bounds of one variable over the rational relaxation."""
-    res = _fm_bounds_frac(ineqs, nvars, var)
-    if res == "infeasible":
-        return "infeasible"
-    lo, hi = res
-    return (None if lo is None else ceil(lo), None if hi is None else floor(hi))
-
-
-def _fm_feasible(ineqs: set[Ineq], nvars: int) -> bool:
-    rows = ineqs
-    for var in range(nvars):
-        rows = _fm_eliminate(rows, var)
-        if rows is None:
-            return False
-    return all(const >= 0 for _, const in rows)
-
-
-def _substitute(ineqs: set[Ineq], var: int, value: int) -> set[Ineq] | None:
-    out: set[Ineq] = set()
-    for coeffs, const in ineqs:
-        if coeffs[var]:
-            const = const + coeffs[var] * value
-            coeffs = coeffs[:var] + (0,) + coeffs[var + 1 :]
-        if any(coeffs):
-            out.add(_normalize(coeffs, const))
-        elif const < 0:
-            return None
-    return out
-
-
-def _substitute_exact(ineqs: set[Ineq], var: int, value: Fraction) -> set[Ineq] | None:
-    """Pin a variable to a rational value, rescaling rows to stay integral."""
-    num, den = value.numerator, value.denominator
-    out: set[Ineq] = set()
-    for coeffs, const in ineqs:
-        c = coeffs[var]
+        c = coeffs[d]
         if c:
-            const = den * const + c * num
-            coeffs = tuple(0 if i == var else den * x for i, x in enumerate(coeffs))
-        if any(coeffs):
-            out.add(_normalize(coeffs, const))
-        elif const < 0:
-            return None
-    return out
-
-
-def _fm_rational_point(ineqs: set[Ineq], nvars: int) -> list[Fraction] | None:
-    """One rational point of the relaxation, by back-substitution."""
-    point: list[Fraction] = []
-    current = ineqs
-    for var in range(nvars):
-        res = _fm_bounds_frac(current, nvars, var)
-        if res == "infeasible":
-            return None
-        lo, hi = res
-        if lo is not None and hi is not None and lo > hi:
-            return None
-        value = lo if lo is not None else (hi if hi is not None else Fraction(0))
-        point.append(Fraction(value))
-        nxt = _substitute_exact(current, var, Fraction(value))
-        if nxt is None:
-            return None
-        current = nxt
-    return point
+            s = const + sum(a * x for a, x in zip(coeffs, prefix))
+            if c > 0:
+                bound = Fraction(-s, c)
+                if lo is None or bound > lo:
+                    lo = bound
+            else:
+                bound = Fraction(s, -c)
+                if hi is None or bound < hi:
+                    hi = bound
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +254,7 @@ class SolveReport:
     solutions: list[tuple[int, ...]] = field(default_factory=list)
     certificate: list[str] = field(default_factory=list)
     ray: tuple[int, ...] | None = None
-    eliminated_by: dict[str, int] = field(default_factory=dict)
     stats: dict[str, int | float] = field(default_factory=dict)
-
-    def solution_dicts(self) -> list[dict[VarKey, int]]:
-        return [dict(zip(self.variables, sol)) for sol in self.solutions]
 
     def to_dict(self) -> dict:
         return {
@@ -321,7 +263,6 @@ class SolveReport:
             "solutions": [list(s) for s in self.solutions],
             "certificate": list(self.certificate),
             "ray": list(self.ray) if self.ray is not None else None,
-            "eliminated_by": dict(self.eliminated_by),
             "stats": dict(self.stats),
         }
 
@@ -408,29 +349,33 @@ def _solve(
         if not any(coeffs) and const < 0:
             return report
 
-    def free_ray() -> tuple[int, ...]:
-        return _x_ray([row[wdim] for row in transform], basis, nvar)
+    def x_ray(w_dir) -> tuple[int, ...]:
+        """The primitive direction in the variables of a direction given in
+        the transform's coordinates (w, v)."""
+        t_dir = [sum(r * w for r, w in zip(row, w_dir)) for row in transform]
+        ray = [sum(basis[t][i] * t_dir[t] for t in range(tdim)) for i in range(nvar)]
+        g = gcd(*ray)
+        return tuple(c // g for c in ray) if g > 1 else tuple(ray)
 
+    free_dir = (0,) * wdim + (1,)
     if wdim == 0:
         # every slack is constant on the lattice, and none is negative
         report.status = "unbounded"
-        report.ray = free_ray()
+        report.ray = x_ray(free_dir)
         report.stats["nodes"] = 1
         return report
 
-    if not _fm_feasible(ineqs, wdim):
+    chain = _fm_chain(ineqs, wdim)
+    if chain is None:
         return report
-
-    bounds = [_fm_bounds(ineqs, wdim, var) for var in range(wdim)]
-    if any(b == "infeasible" for b in bounds):
-        return report
-    unbounded_vars = [v for v, b in enumerate(bounds) if b[0] is None or b[1] is None]
-    if unbounded_vars:
-        report.status = "unbounded"
-        if not find_one:
-            ray_w = _recession_ray(ineqs, wdim, unbounded_vars[0])
-            report.ray = _x_ray(_t_from_w(ray_w, transform, tdim, wdim), basis, nvar)
-        return report
+    # the first variable that chain[d] leaves open on one side; every earlier
+    # one is bounded, so the relaxation is unbounded along it
+    for d, rows in enumerate(chain):
+        if len({coeffs[d] > 0 for coeffs, _ in rows if coeffs[d]}) < 2:
+            report.status = "unbounded"
+            if not find_one:
+                report.ray = x_ray(_recession_ray(ineqs, wdim, d))
+            return report
 
     if not find_one:
         # x = z0 + x_map . w on the slack-moving coordinates
@@ -440,7 +385,7 @@ def _solve(
         ]
     solutions: list[tuple[int, ...]] = []
 
-    def dfs(current: set[Ineq], depth: int, prefix: tuple[int, ...]) -> bool:
+    def dfs(depth: int, prefix: tuple[int, ...]) -> bool:
         """Search below one node; False stops the search (find_one, at the
         first point)."""
         nonlocal nodes
@@ -452,61 +397,44 @@ def _solve(
                 z0[i] + sum(m * w for m, w in zip(x_map[i], prefix)) for i in range(nvar)
             ))
             return True
-        b = bounds[0] if depth == 0 else _fm_bounds(current, wdim, depth)
-        if b == "infeasible" or b[0] is None or b[1] is None:
-            return True
-        for value in range(b[0], b[1] + 1):
-            nxt = _substitute(current, depth, value)
-            if nxt is None:
-                continue
-            if not dfs(nxt, depth + 1, prefix + (value,)):
+        lo, hi = _interval(chain[depth], depth, prefix)
+        for value in range(ceil(lo), floor(hi) + 1):
+            if not dfs(depth + 1, prefix + (value,)):
                 return False
         return True
 
-    found = not dfs(ineqs, 0, ())
+    found = not dfs(0, ())
     if found or solutions:
         report.status = "unbounded" if nfree else "solutions"
         if not nfree:
             report.solutions = sorted(set(solutions))
         elif not find_one:
-            report.ray = free_ray()
+            report.ray = x_ray(free_dir)
     report.stats["nodes"] = nodes
     return report
 
 
-def _t_from_w(wvec, transform, tdim, wdim) -> list[int]:
-    return [sum(transform[t][c] * wvec[c] for c in range(wdim)) for t in range(tdim)]
-
-
-def _x_ray(t_dir: list[int], basis: list[list[int]], nvar: int) -> tuple[int, ...]:
-    ray = tuple(
-        sum(basis[c][i] * t_dir[c] for c in range(len(basis))) for i in range(nvar)
-    )
-    g = 0
-    for c in ray:
-        g = gcd(g, c)
-    if g > 1:
-        ray = tuple(c // g for c in ray)
-    return ray
-
-
 def _recession_ray(ineqs: set[Ineq], wdim: int, var: int) -> tuple[int, ...]:
-    """A nonzero integer direction keeping all inequalities satisfiable."""
+    """A nonzero integer direction of the relaxation's recession cone that
+    moves variable `var`: one rational point of the homogeneous rows with
+    var pinned to +1 or -1, read off their projection chain."""
+    hom = {_normalize(coeffs, 0) for coeffs, _ in ineqs}
     for sign in (1, -1):
-        hom = {_normalize(coeffs, 0) for coeffs, _ in ineqs}
-        pin_pos = (tuple(sign if i == var else 0 for i in range(wdim)), -1)
-        point = _fm_rational_point(hom | {pin_pos}, wdim)
-        if point is not None:
-            den = lcm(*(f.denominator for f in point))
-            return tuple(int(f * den) for f in point)
+        pin = (tuple(sign if i == var else 0 for i in range(wdim)), -1)
+        chain = _fm_chain(hom | {pin}, wdim)
+        if chain is None:
+            continue
+        point: list[Fraction] = []
+        for d, rows in enumerate(chain):
+            lo, hi = _interval(rows, d, point)
+            point.append(lo if lo is not None else hi if hi is not None else Fraction(0))
+        den = lcm(*(f.denominator for f in point))
+        return tuple(int(f * den) for f in point)
     raise RuntimeError("no recession ray found for an unbounded variable")
 
 
-def enumerate_system(system: FeasibilitySystem, threads: int = 1) -> SolveReport:
-    """Exhaustive, deterministic enumeration of all integer points.
-
-    `threads` is accepted for compatibility; the search runs on one thread.
-    """
+def enumerate_system(system: FeasibilitySystem) -> SolveReport:
+    """Exhaustive, deterministic enumeration of all integer points."""
     rows, rhs = _integer_rows(system)
     report = _solve(rows, rhs, system.variables, len(system.nonneg_integral))
     if report.status == "solutions":
@@ -522,7 +450,6 @@ def enumerate_system(system: FeasibilitySystem, threads: int = 1) -> SolveReport
                     raise RuntimeError(f"solver point {sol} violates form {name}")
     elif report.status == "infeasible":
         report.certificate = _infeasible_core(system, rows, rhs)
-        report.eliminated_by = {name: 1 for name in report.certificate}
     return report
 
 
@@ -620,7 +547,6 @@ def solve_prime_order(
     kind: str,
     q: int,
     rows_and_ells: list[tuple[CharacterRow, int]],
-    threads: int = 1,
 ) -> SolveReport:
     """All augmentation vectors of order q consistent with the requested
     multiplicity constraints."""
@@ -630,7 +556,7 @@ def solve_prime_order(
         if row.mode == "brauer" and row.modulus == q:
             raise ValueError(f"row {row.name} is a brauer({q}) row; it cannot constrain order {q}")
     system = prime_order_system(n, kind, q, rows_and_ells)
-    return enumerate_system(system, threads=threads)
+    return enumerate_system(system)
 
 
 def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
@@ -671,7 +597,6 @@ def solve_order_pq(
     p_candidates: list[AugVector],
     row_groups: list[dict],
     pi_row: CharacterRow | None = None,
-    threads: int = 1,
 ) -> tuple[str, list[PairResult]]:
     """Build and enumerate the top-level order-pq system for every pair of
     power candidates.
@@ -722,7 +647,7 @@ def solve_order_pq(
                 equalities.append((f1, 0, f"mu_1({pi_row.name}) = 0"))
                 equalities.append((fq, 1, f"mu_{q}({pi_row.name}) = 1"))
             system = FeasibilitySystem.build(variables, equalities, forms)
-            report = enumerate_system(system, threads=threads)
+            report = enumerate_system(system)
             results.append(PairResult(q_cand, p_cand, grp["name"], report))
 
     if any(r.report.status == "unbounded" for r in results):

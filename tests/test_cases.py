@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from sntorsion.cases import CASES, list_cases, load_golden, run_case, verify_case
+import sntorsion.cases as cases_mod
+from sntorsion.cases import CASES, _case_thm32, list_cases, load_golden, run_case, verify_case
 from sntorsion.reports import report_from_json
 
 
@@ -69,9 +70,43 @@ def test_lemma43_grid_counts():
     }
 
 
-def test_run_case_is_deterministic_across_thread_counts():
-    a = run_case("s13-3x11", threads=1)
-    b = run_case("s13-3x11", threads=8)
+def test_lemma43_grid_dfs_node_counts(monkeypatch):
+    nodes = []
+    real = cases_mod.enumerate_system
+
+    def recording(system):
+        report = real(system)
+        nodes.append(report.stats["nodes"])
+        return report
+
+    monkeypatch.setattr(cases_mod, "enumerate_system", recording)
+    run_case("lemma43-grid")
+    assert nodes == [0, 0, 83, 999]  # p = 5, 7, 11, 13
+
+
+@pytest.mark.parametrize("n, p, q, ray", [
+    (15, 13, 3, [1, -4, 6, -4, 1]),
+    (18, 17, 3, [4, -15, 20, -10, 0, 1]),
+])
+def test_thm32_order3_stage_reports_its_recession_ray(n, p, q, ray):
+    rep = _case_thm32(n, p, q)
+    assert rep.verdict == "undecided-unbounded"
+    assert rep.stage_q["unbounded_ray"] == ray
+
+
+def test_thm32_12_11_3_unbounded_pairs_share_one_ray():
+    rep = _case_thm32(12, 11, 3)
+    pairs = rep.stage_pq["groups"][0]["pairs"]
+    assert len(pairs) == 90
+    assert sum(pair["status"] == "infeasible" for pair in pairs) == 76
+    unbounded = [pair for pair in pairs if pair["status"] == "unbounded"]
+    assert len(unbounded) == 14
+    assert all(pair["ray"] == [54, -7, 27, -51, -23] for pair in unbounded)
+
+
+def test_run_case_is_deterministic():
+    a = run_case("s13-3x11")
+    b = run_case("s13-3x11")
     assert a.canonical_json() == b.canonical_json()
 
 

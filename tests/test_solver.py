@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_solutions
 
@@ -184,19 +185,32 @@ def test_unbounded_systems_report_a_ray():
     assert sum(report.ray) == 0
 
 
+def test_recession_ray_moves_the_first_open_coordinate():
+    # the relaxation is open along several coordinates; the ray is the one
+    # read off the first of them
+    a, b, c = var("3.1", 13), var("3.2", 13), var("3.3", 13)
+    forms = [
+        (AffineForm.make({a: 1, b: Fraction(1, 2), c: Fraction(-1, 3)}, 2), "f1"),
+        (AffineForm.make({a: Fraction(1, 4), b: 1, c: 1}, 2), "f2"),
+    ]
+    report = enumerate_system(FeasibilitySystem.build([a, b, c], [], forms))
+    assert report.status == "unbounded"
+    assert report.ray == (0, 1, -1)
+
+
 def test_infeasible_core_is_minimal_for_the_order15_system():
     report = enumerate_system(example_order15_system())
     assert report.status == "infeasible"
     assert sorted(report.certificate) == ["mu_0(hook4)", "mu_5(hook4)"]
 
 
-def test_determinism_across_thread_counts():
+def test_enumeration_is_deterministic():
     for builder in CORPUS:
-        r1 = enumerate_system(builder(), threads=1)
-        r8 = enumerate_system(builder(), threads=8)
-        assert r1.status == r8.status
-        assert r1.solutions == r8.solutions
-        assert r1.certificate == r8.certificate
+        r1 = enumerate_system(builder())
+        r2 = enumerate_system(builder())
+        assert r1.status == r2.status
+        assert r1.solutions == r2.solutions
+        assert r1.certificate == r2.certificate
 
 
 def public_deletion_filter(system):
@@ -228,8 +242,8 @@ def test_infeasible_core_matches_the_public_deletion_filter_on_a_case(case_id, m
     seen = []
     real = solver.enumerate_system
 
-    def recording(system, threads=1):
-        report = real(system, threads)
+    def recording(system):
+        report = real(system)
         seen.append((system, report))
         return report
 
@@ -260,6 +274,68 @@ def test_enumerate_system_rejects_a_solution_that_violates_the_system(
     monkeypatch.setattr(solver, "_solve", tampered)
     with pytest.raises(RuntimeError, match=f"violates {broken}"):
         enumerate_system(builder())
+
+
+# ---------------------------------------------------------------------------
+# property tests on random systems
+
+PROPERTY_VARS = [var(token, 13) for token in ("3.1", "3.2", "3.3", "3.4")]
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+
+
+@st.composite
+def random_systems(draw, max_vars, box):
+    """Random forms with denominators <= 5 over 1..max_vars variables.  With
+    box, every variable also gets the forms x + B and -x + B, B <= 6, and
+    the draw is (system, B); without, one extra equality may be added and
+    the draw is (system, None)."""
+    variables = PROPERTY_VARS[: draw(st.integers(1, max_vars))]
+
+    def form():
+        coeffs = {v: draw(small_fractions) for v in variables}
+        return AffineForm.make(coeffs, draw(small_fractions))
+
+    forms = [(form(), f"f{j}") for j in range(draw(st.integers(1, 3)))]
+    equalities = []
+    bound = None
+    if box:
+        bound = draw(st.integers(0, 6))
+        for k, v in enumerate(variables):
+            forms.append((AffineForm.make({v: 1}, bound), f"x{k} >= -B"))
+            forms.append((AffineForm.make({v: -1}, bound), f"x{k} <= B"))
+    elif draw(st.booleans()):
+        equalities.append((form(), draw(st.integers(-3, 3)), "extra"))
+    return FeasibilitySystem.build(variables, equalities, forms), bound
+
+
+def linear_part(form, system, ray):
+    return sum(form.coeff(v) * r for v, r in zip(system.variables, ray))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(random_systems(max_vars=3, box=True))
+def test_boxed_random_systems_match_brute_force(drawn):
+    system, bound = drawn
+    report = enumerate_system(system)
+    expected = brute_force_solutions(system, bound)
+    assert report.status in ("infeasible", "solutions")
+    assert report.solutions == expected
+    assert (report.status == "infeasible") == (expected == [])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(random_systems(max_vars=4, box=False))
+def test_unbounded_random_systems_report_a_recession_ray(drawn):
+    system, _ = drawn
+    report = enumerate_system(system)
+    if report.status != "unbounded":
+        return
+    ray = report.ray
+    assert any(ray)
+    for f, _, _ in system.equalities:
+        assert linear_part(f, system, ray) == 0
+    for f, _ in system.nonneg_integral:
+        assert linear_part(f, system, ray) >= 0
 
 
 def test_solutions_are_sorted_and_unique():
