@@ -22,7 +22,7 @@ from .luthar_passi import (
     orbit_residues,
 )
 from .partitions import ClassLabel, parity
-from .reports import CaseReport, first_divergence, report_from_json
+from .reports import CaseReport, first_divergence
 from .solver import (
     FeasibilitySystem,
     PairResult,

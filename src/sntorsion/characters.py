@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .partitions import ClassLabel, Partition, check_partition, parity
+from .partitions import ClassLabel, Partition, check_partition
 
 
 @cache

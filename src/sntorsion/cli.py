@@ -19,7 +19,6 @@ from .cases import (
     CASES,
     list_cases,
     ordinary_row,
-    run_case,
     run_exclusion,
     verify_case,
 )

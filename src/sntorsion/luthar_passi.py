@@ -23,7 +23,6 @@ from .partitions import (
     element_order,
     identity_partition,
     is_prime,
-    parity,
 )
 
 ClassKey = Partition  # canonical class key: the cycle type
@@ -189,6 +188,7 @@ class CharacterRow:
     mode: str = "ordinary"  # "ordinary" | "brauer"
     modulus: int | None = None
     values: tuple[tuple[Partition, int], ...] = ()
+    _by_class: dict[Partition, int] = field(init=False, compare=False, repr=False)
 
     @staticmethod
     def make(
@@ -220,8 +220,15 @@ class CharacterRow:
                 raise ValueError(
                     f"class {format_class(ct)} is {self.modulus}-singular in a brauer({self.modulus}) row"
                 )
+        # the first entry of a class wins, as in the scan below
+        object.__setattr__(self, "_by_class", dict(reversed(self.values)))
 
     def value(self, cls: ClassLabel | Partition) -> int:
+        # the keys of values are validated cycle types, so a hit needs no check
+        if isinstance(cls, tuple):
+            v = self._by_class.get(cls)
+            if v is not None:
+                return v
         ct = as_cycle_type(cls)
         if element_order(ct) == 1:
             return self.degree

@@ -7,15 +7,22 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
 
 1. every "form is an integer" condition becomes a linear Diophantine
    equation by introducing an integer slack for the form's value;
-2. the equation system is solved over the integers (column-style Hermite
-   elimination), yielding either an immediate contradiction or a particular
-   solution plus a lattice of homogeneous solutions;
+2. the equation matrix is brought to column echelon form (column-style
+   Hermite elimination), which gives the lattice of homogeneous integer
+   solutions; forward substitution of the right-hand side then gives either
+   a contradiction or a particular solution;
 3. lattice directions that leave every slack unchanged are split off (they
    can only produce infinite solution families);
 4. exact Fourier-Motzkin elimination of the slack inequalities, from the
    last remaining coordinate down, gives one projection chain; the
    depth-first enumeration fixes the coordinates from the first up and
    reads the range of each from the chain.
+
+The elimination of step 2 and the split of step 3 depend only on the
+integer matrix, not on the right-hand side (_lattice).  The power-candidate
+pairs of one solve_order_pq call have the same linear parts and differ in
+their constants, so the pairs and their infeasible-core trials share one
+memo of lattices, which lives as long as the call.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -26,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
+from typing import NamedTuple
 
 from .luthar_passi import (
     AffineForm,
@@ -36,10 +44,8 @@ from .luthar_passi import (
     allowed_support,
     class_sort_key,
     format_class,
-    forced_vector,
-    orbit_residues,
 )
-from .partitions import Partition, is_prime, parity
+from .partitions import is_prime, parity
 
 # ---------------------------------------------------------------------------
 # integer linear algebra
@@ -94,6 +100,67 @@ def _column_hermite(rows: list[list[int]], ncols: int):
     return a, u, pivots
 
 
+class _Lattice(NamedTuple):
+    """The part of a solve that depends only on the integer matrix, not on
+    its right-hand side (see _lattice)."""
+
+    pivot_col: tuple[int | None, ...]  # the pivot column of each row
+    echelon: tuple[tuple[int, ...], ...]  # rows . u on the pivot columns
+    u_pivot: tuple[tuple[int, ...], ...]  # u on the pivot columns
+    basis: tuple[tuple[int, ...], ...]  # the integer kernel, one vector each
+    transform: tuple[tuple[int, ...], ...]  # lattice coordinates t = transform . (w, v)
+    wdim: int  # the number of slack-moving coordinates w
+    w_rows: tuple[tuple[int, ...], ...]  # each slack as a linear form in w
+
+
+def _lattice(rows, nvar: int, nform: int) -> _Lattice:
+    """Hermite elimination of integer rows over nvar variables and nform
+    slacks, the kernel basis, and the split of the kernel coordinates into
+    the slack-moving ones and the directions that leave every slack fixed."""
+    ncols = nvar + nform
+    a, u, pivots = _column_hermite(rows, ncols)
+    rank = len(pivots)
+    pivot_of_row = dict(pivots)
+    basis = tuple(tuple(u[i][c] for i in range(ncols)) for c in range(rank, ncols))
+    tdim = len(basis)
+    transform: tuple[tuple[int, ...], ...] = ()
+    w_rows: tuple[tuple[int, ...], ...] = ()
+    wdim = 0
+    if tdim:
+        # column echelon of the slack matrix: the first wdim coordinates w
+        # move the slacks, the rest (directions v) leave every slack unchanged
+        slack_rows = [[basis[t][nvar + i] for t in range(tdim)] for i in range(nform)]
+        _, tr, split = _column_hermite(slack_rows, tdim)
+        transform = tuple(map(tuple, tr))
+        wdim = len(split)
+        w_rows = tuple(
+            tuple(sum(r[t] * tr[t][c] for t in range(tdim)) for c in range(wdim))
+            for r in slack_rows
+        )
+    return _Lattice(
+        tuple(pivot_of_row.get(r) for r in range(len(rows))),
+        tuple(tuple(r[:rank]) for r in a),
+        tuple(tuple(r[:rank]) for r in u),
+        basis, transform, wdim, w_rows,
+    )
+
+
+def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
+    """One integer solution of rows . z = rhs by forward substitution in the
+    echelon basis, or None when there is none."""
+    y: list[int] = []
+    for row, col in enumerate(lat.pivot_col):
+        s = rhs[row] - sum(a * c for a, c in zip(lat.echelon[row], y))
+        if col is None:
+            if s:
+                return None
+        elif s % lat.echelon[row][col]:
+            return None
+        else:
+            y.append(s // lat.echelon[row][col])
+    return [sum(a * c for a, c in zip(r, y)) for r in lat.u_pivot]
+
+
 def solve_integer_system(
     rows: list[list[int]], rhs: list[int], nvar: int
 ) -> tuple[list[int], list[list[int]]] | None:
@@ -102,26 +169,11 @@ def solve_integer_system(
     Returns (x0, basis) with basis a list of column vectors spanning the
     integer kernel, or None when no integer solution exists.
     """
-    a, u, pivots = _column_hermite(rows, nvar)
-
-    # forward solve in the echelon basis
-    y = [0] * nvar
-    known_cols: list[int] = []
-    pivot_of_row = dict(pivots)
-    for row in range(len(rows)):
-        s = rhs[row] - sum(a[row][c] * y[c] for c in known_cols)
-        col = pivot_of_row.get(row)
-        if col is not None:
-            if s % a[row][col]:
-                return None
-            y[col] = s // a[row][col]
-            known_cols.append(col)
-        elif s != 0:
-            return None
-
-    x0 = [sum(u[i][c] * y[c] for c in range(nvar)) for i in range(nvar)]
-    basis = [[u[i][c] for i in range(nvar)] for c in range(len(pivots), nvar)]
-    return x0, basis
+    lat = _lattice(rows, nvar, 0)
+    x0 = _particular(lat, rhs)
+    if x0 is None:
+        return None
+    return x0, [list(b) for b in lat.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +319,9 @@ class SolveReport:
         }
 
 
-def _integer_rows(system: FeasibilitySystem) -> tuple[list[list[int]], list[int]]:
+def _integer_rows(
+    system: FeasibilitySystem,
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Clear denominators: the equality rows, then one slack-link row per
     form, over the columns (variables, one slack per form)."""
     nvar = len(system.variables)
@@ -289,18 +343,22 @@ def _integer_rows(system: FeasibilitySystem) -> tuple[list[list[int]], list[int]
         row[nvar + i] = -den
         rows.append(row)
         rhs.append(int(-den * f.constant))
-    return rows, rhs
+    return tuple(map(tuple, rows)), rhs
 
 
 def _solve(
-    rows: list[list[int]],
+    rows: tuple[tuple[int, ...], ...],
     rhs: list[int],
     variables: tuple[VarKey, ...],
     nform: int,
+    lattices: dict,
     find_one: bool = False,
 ) -> SolveReport:
     """Decide the integer rows of a system with `nform` forms, built by
     _integer_rows.
+
+    The _lattice of the rows is taken from, or added to, the memo
+    `lattices`, keyed by the rows and nform.
 
     With find_one only the status is decided: the search stops at the first
     integer point, and the recession ray and the solution list, which only
@@ -310,15 +368,16 @@ def _solve(
     nodes = 0
     report = SolveReport(status="infeasible", variables=variables)
     report.stats["nodes"] = 0
-    sol = solve_integer_system(rows, rhs, nvar + nform)
-    if sol is None:
+    key = (rows, nform)
+    lat = lattices.get(key)
+    if lat is None:
+        lat = lattices[key] = _lattice(rows, nvar, nform)
+    z0 = _particular(lat, rhs)
+    if z0 is None:
         return report
-    z0, basis = sol
+    basis, transform, wdim = lat.basis, lat.transform, lat.wdim
     tdim = len(basis)
-
-    # inequality rows (slacks >= 0) in lattice coordinates
-    slack_rows = [[basis[t][nvar + i] for t in range(tdim)] for i in range(nform)]
-    slack_const = [z0[nvar + i] for i in range(nform)]
+    slack_const = z0[nvar:]
 
     if tdim == 0:
         ok = all(c >= 0 for c in slack_const)
@@ -328,23 +387,13 @@ def _solve(
         report.stats["nodes"] = 1
         return report
 
-    # column echelon of the slack matrix: t = transform . (w, v), where the
-    # first wdim coordinates w move the slacks and the directions v leave
-    # every slack unchanged (they can only produce infinite solution families)
-    _, transform, pivots = _column_hermite(slack_rows, tdim)
-    wdim = len(pivots)
+    # slack inequalities in the slack-moving coordinates w; the other
+    # coordinates can only produce infinite solution families
     nfree = tdim - wdim
-    w_rows = [
-        tuple(
-            sum(slack_rows[i][t] * transform[t][c] for t in range(tdim))
-            for c in range(wdim)
-        )
-        for i in range(nform)
-    ]
     ineqs: set[Ineq] = set()
-    for i in range(nform):
-        if any(w_rows[i]) or slack_const[i] < 0:
-            ineqs.add(_normalize(w_rows[i], slack_const[i]))
+    for w_row, const in zip(lat.w_rows, slack_const):
+        if any(w_row) or const < 0:
+            ineqs.add(_normalize(w_row, const))
     for coeffs, const in list(ineqs):
         if not any(coeffs) and const < 0:
             return report
@@ -404,6 +453,9 @@ def _solve(
         return True
 
     found = not dfs(0, ())
+    # dfs reaches itself through its closure; without this the cycle keeps
+    # the chain alive until the next cyclic garbage collection
+    del dfs
     if found or solutions:
         report.status = "unbounded" if nfree else "solutions"
         if not nfree:
@@ -433,10 +485,19 @@ def _recession_ray(ineqs: set[Ineq], wdim: int, var: int) -> tuple[int, ...]:
     raise RuntimeError("no recession ray found for an unbounded variable")
 
 
-def enumerate_system(system: FeasibilitySystem) -> SolveReport:
-    """Exhaustive, deterministic enumeration of all integer points."""
+def enumerate_system(
+    system: FeasibilitySystem, lattices: dict | None = None
+) -> SolveReport:
+    """Exhaustive, deterministic enumeration of all integer points.
+
+    `lattices` is a memo of the right-hand-side-free part of each solve,
+    keyed by the integer matrix, that systems with the same linear parts
+    may share; by default the system and its core trials get a fresh one.
+    """
+    if lattices is None:
+        lattices = {}
     rows, rhs = _integer_rows(system)
-    report = _solve(rows, rhs, system.variables, len(system.nonneg_integral))
+    report = _solve(rows, rhs, system.variables, len(system.nonneg_integral), lattices)
     if report.status == "solutions":
         # defensive re-check against the original forms
         for sol in report.solutions:
@@ -449,12 +510,15 @@ def enumerate_system(system: FeasibilitySystem) -> SolveReport:
                 if value.denominator != 1 or value < 0:
                     raise RuntimeError(f"solver point {sol} violates form {name}")
     elif report.status == "infeasible":
-        report.certificate = _infeasible_core(system, rows, rhs)
+        report.certificate = _infeasible_core(system, rows, rhs, lattices)
     return report
 
 
 def _infeasible_core(
-    system: FeasibilitySystem, rows: list[list[int]], rhs: list[int]
+    system: FeasibilitySystem,
+    rows: tuple[tuple[int, ...], ...],
+    rhs: list[int],
+    lattices: dict,
 ) -> list[str]:
     """Greedy minimal subset of the non-negative-integer forms that already
     makes the system infeasible (with all equalities kept).
@@ -470,9 +534,10 @@ def _infeasible_core(
         trial = [j for j in core if forms[j] is not f]
         keep = list(range(neq)) + [neq + j for j in trial]
         cols = list(range(nvar)) + [nvar + j for j in trial]
-        sub = [[rows[r][c] for c in cols] for r in keep]
+        sub = tuple(tuple(rows[r][c] for c in cols) for r in keep)
         sub_rhs = [rhs[r] for r in keep]
-        if _solve(sub, sub_rhs, system.variables, len(trial), find_one=True).status == "infeasible":
+        report = _solve(sub, sub_rhs, system.variables, len(trial), lattices, find_one=True)
+        if report.status == "infeasible":
             core = trial
     return [forms[j][1] for j in core]
 
@@ -631,6 +696,9 @@ def solve_order_pq(
             raise ValueError("candidate not covered by any row group")
         return fallback
 
+    # the pair systems share their linear parts, so one memo of lattices
+    # serves every pair and core trial of this call
+    lattices: dict = {}
     results: list[PairResult] = []
     for q_cand in q_candidates:
         grp = group_of(q_cand)
@@ -647,7 +715,7 @@ def solve_order_pq(
                 equalities.append((f1, 0, f"mu_1({pi_row.name}) = 0"))
                 equalities.append((fq, 1, f"mu_{q}({pi_row.name}) = 1"))
             system = FeasibilitySystem.build(variables, equalities, forms)
-            report = enumerate_system(system)
+            report = enumerate_system(system, lattices)
             results.append(PairResult(q_cand, p_cand, grp["name"], report))
 
     if any(r.report.status == "unbounded" for r in results):

@@ -85,6 +85,24 @@ def test_character_row_validation():
         CharacterRow.make("bad", 5, {(3,): 1}, mode="brauer", modulus=4)
 
 
+def test_character_row_value_lookups():
+    row = CharacterRow.make("r", 6, {(3, 1, 1, 1): 3, ClassLabel(3, 2, 6): 0})
+    assert row.value((3, 1, 1, 1)) == 3
+    assert row.value((3, 3)) == 0
+    assert row.value(ClassLabel(3, 1, 6)) == 3
+    assert row.value(ClassLabel(3, 2, 6)) == 0
+    assert row.value((1,) * 6) == 6  # the identity gives the degree
+    assert row == CharacterRow.make("r", 6, {(3, 3): 0, (3, 1, 1, 1): 3})
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        row.value((1, 3, 1, 1))
+    with pytest.raises(ValueError, match="part < 1"):
+        row.value((3, 3, 0))
+    with pytest.raises(KeyError, match="no value at class 2.1"):
+        row.value((2, 1, 1, 1, 1))
+    with pytest.raises(KeyError, match="no value at class 5.1"):
+        row.value(ClassLabel(5, 1, 6))
+
+
 def test_char_value_on_unit_is_linear():
     row = ordinary_row("pi", 7, 3)
     v = AugVector.make(3, 7, {ClassLabel(3, 1, 7): 2, ClassLabel(3, 2, 7): -1})

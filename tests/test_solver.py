@@ -1,5 +1,6 @@
 """Exact integer enumeration: oracle equivalence, determinism, verdicts."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from sntorsion.luthar_passi import (
     forced_vector,
     parse_class,
 )
-from sntorsion import solver
-from sntorsion.cases import run_case
+from sntorsion import cases as cases_mod, solver
+from sntorsion.cases import _case_thm32, run_case
 from sntorsion.partitions import ClassLabel
 from sntorsion.solver import (
     FeasibilitySystem,
@@ -242,8 +243,8 @@ def test_infeasible_core_matches_the_public_deletion_filter_on_a_case(case_id, m
     seen = []
     real = solver.enumerate_system
 
-    def recording(system):
-        report = real(system)
+    def recording(system, lattices=None):
+        report = real(system, lattices)
         seen.append((system, report))
         return report
 
@@ -255,6 +256,68 @@ def test_infeasible_core_matches_the_public_deletion_filter_on_a_case(case_id, m
     assert infeasible
     for system, report in infeasible:
         assert report.certificate == public_deletion_filter(system)
+
+
+PAIR_CASES = {
+    "thm32-12-11-3": lambda: _case_thm32(12, 11, 3),
+    "thm32-11-7-5": lambda: run_case("thm32-11-7-5"),
+    "s7-3x5": lambda: run_case("s7-3x5"),
+}
+
+
+@pytest.mark.parametrize("case_id, statuses", [
+    ("thm32-12-11-3", {"infeasible": 76, "unbounded": 14}),
+    ("thm32-11-7-5", {"infeasible": 2}),
+    ("s7-3x5", {"infeasible": 1}),
+])
+def test_pairs_sharing_lattices_report_like_fresh_solves(case_id, statuses, monkeypatch):
+    seen = []
+    real = solver.enumerate_system
+
+    def recording(system, lattices=None):
+        report = real(system, lattices)
+        if lattices is not None:  # a pair system of solve_order_pq
+            seen.append((system, report))
+        return report
+
+    monkeypatch.setattr(solver, "enumerate_system", recording)
+    PAIR_CASES[case_id]()
+    monkeypatch.undo()
+    assert Counter(report.status for _, report in seen) == statuses
+    for system, report in seen:
+        assert report.to_dict() == enumerate_system(system).to_dict()
+
+
+def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
+    hermite_calls = 0
+    matrices = set()
+    per_call = []
+    real_hermite, real_solve, real_pq = solver._column_hermite, solver._solve, cases_mod.solve_order_pq
+
+    def counting(*args):
+        nonlocal hermite_calls
+        hermite_calls += 1
+        return real_hermite(*args)
+
+    def recording(rows, rhs, variables, nform, *args, **kwargs):
+        matrices.add((rows, nform))
+        return real_solve(rows, rhs, variables, nform, *args, **kwargs)
+
+    def measured(*args, **kwargs):
+        matrices.clear()
+        before = hermite_calls
+        out = real_pq(*args, **kwargs)
+        per_call.append((hermite_calls - before, len(matrices)))
+        return out
+
+    monkeypatch.setattr(solver, "_column_hermite", counting)
+    monkeypatch.setattr(solver, "_solve", recording)
+    monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
+    _case_thm32(12, 11, 3)
+    _case_thm32(12, 11, 3)
+    (calls, distinct), again = per_call
+    assert 0 < calls <= 2 * distinct
+    assert again == (calls, distinct)
 
 
 @pytest.mark.parametrize("builder, point, broken", [
