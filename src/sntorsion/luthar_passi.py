@@ -220,21 +220,18 @@ class CharacterRow:
                 raise ValueError(
                     f"class {format_class(ct)} is {self.modulus}-singular in a brauer({self.modulus}) row"
                 )
-        # the first entry of a class wins, as in the scan below
+        # the first entry of a class wins
         object.__setattr__(self, "_by_class", dict(reversed(self.values)))
 
     def value(self, cls: ClassLabel | Partition) -> int:
-        # the keys of values are validated cycle types, so a hit needs no check
-        if isinstance(cls, tuple):
-            v = self._by_class.get(cls)
-            if v is not None:
-                return v
-        ct = as_cycle_type(cls)
+        # the keys of values are validated cycle types, so a hit needs no
+        # check; element_order validates a miss (ValueError on a bad key)
+        ct = cls.cycle_type() if isinstance(cls, ClassLabel) else cls
+        v = self._by_class.get(ct)
+        if v is not None:
+            return v
         if element_order(ct) == 1:
             return self.degree
-        for c, v in self.values:
-            if c == ct:
-                return v
         raise KeyError(f"row {self.name} has no value at class {format_class(ct)}")
 
 
