@@ -21,7 +21,7 @@ from .luthar_passi import (
     format_class,
     orbit_residues,
 )
-from .partitions import ClassLabel, parity
+from .partitions import ClassLabel
 from .reports import CaseReport, first_divergence
 from .solver import (
     FeasibilitySystem,
@@ -50,9 +50,7 @@ def ordinary_row(name: str, n: int, k: int, kind: str = "S") -> CharacterRow:
     """A distinguished ordinary character restricted to the support classes
     of a unit of order k."""
     lam = NamedCharacter(name, n).partition
-    classes = allowed_support(n, k)
-    if kind == "A":
-        classes = [ct for ct in classes if parity(ct) == 1]
+    classes = allowed_support(n, k, kind)
     return CharacterRow.make(
         name, degree(lam), {ct: character_value(lam, ct) for ct in classes}
     )

@@ -23,8 +23,9 @@ from .cases import (
     verify_case,
 )
 from .characters import NAMED_CHARACTERS
-from .luthar_passi import orbit_residues
-from .partitions import is_prime
+from .lemma_filters import spectral_hypotheses
+from .luthar_passi import allowed_support, orbit_residues
+from .partitions import element_order, is_prime
 from .table_io import TableError, ordinary_table, parse_table, serialize_table
 
 EXIT_OK = 0
@@ -111,12 +112,7 @@ def cmd_solve(args) -> int:
         tables.append(table)
 
     def covers(row, k: int) -> bool:
-        from .luthar_passi import allowed_support
-        from .partitions import element_order, parity
-
-        for ct in allowed_support(n, k):
-            if kind == "A" and parity(ct) != 1:
-                continue
+        for ct in allowed_support(n, k, kind):
             if row.mode == "brauer" and element_order(ct) % row.modulus == 0:
                 continue
             try:
@@ -162,17 +158,13 @@ def cmd_solve(args) -> int:
             f"none of the selected rows covers the order-{p * q} support classes"
         )
 
-    filters = []
+    hypotheses = spectral_hypotheses(n, p, q)
     if args.filters is None:
-        if n >= 7 and 2 * p > n and q >= 3:
-            filters = ["q-power-weighted-sum"]
-    elif args.filters:
+        filters = ["q-power-weighted-sum"] if hypotheses else []
+    else:
         filters = [tok for tok in args.filters.split(",") if tok]
 
-    use_pi = (
-        any(name == "pi" for name, _ in row_specs)
-        and n >= 7 and 2 * p > n and q >= 3
-    )
+    use_pi = hypotheses and any(name == "pi" for name, _ in row_specs)
     try:
         report = run_exclusion(
             kind, n, p, q, stage_q_rows,

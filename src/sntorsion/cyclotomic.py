@@ -8,10 +8,7 @@ closed form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-
-Rational = Fraction
 
 
 def _factorize(k: int) -> dict[int, int]:

@@ -1,46 +1,26 @@
 """Structural constraints on torsion units, as standalone predicates.
 
 Each filter encodes one proved statement about units of composite order:
-the eigenvalue-block bookkeeping for the natural (deleted permutation)
-character, the weighted-sum condition on the order-q part of an order-pq
-unit, and the even/odd augmentation constraints for units of order 2p.
+the hypotheses of Theorem 3.2, the primitive-root multiplicity of the
+natural (deleted permutation) character, the weighted-sum condition on the
+order-q part of an order-pq unit, and the even/odd augmentation
+constraints for units of order 2p.
 Keeping them as named predicates lets reports attribute every elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import ClassLabel, is_prime, parity
 from .luthar_passi import AugVector, UnitProfile
 
 
-@dataclass(frozen=True)
-class SpectrumProfile:
-    """Eigenvalue-block multiplicities of a rational matrix of order dividing
-    pq: fixed ones, primitive q-th, p-th and pq-th root blocks."""
-
-    m1: int
-    mq: int
-    mp: int
-    mpq: int
-    p: int
-    q: int
-
-    def degree(self) -> int:
-        p, q = self.p, self.q
-        return self.m1 + (q - 1) * self.mq + (p - 1) * self.mp + (p - 1) * (q - 1) * self.mpq
-
-
-def power_spectrum(s: SpectrumProfile, which: str) -> tuple[int, int]:
-    """Block profile of the q-th (or p-th) power: (ones, primitive blocks of
-    the surviving prime)."""
-    if which == "q":
-        return (s.m1 + (s.q - 1) * s.mq, s.mp + (s.q - 1) * s.mpq)
-    if which == "p":
-        return (s.m1 + (s.p - 1) * s.mp, s.mq + (s.p - 1) * s.mpq)
-    raise ValueError("which must be 'q' or 'p'")
+def spectral_hypotheses(n: int, p: int, q: int) -> bool:
+    """The hypotheses n >= 7, p > n/2, q >= 3 of Theorem 3.2, under which the
+    q-power weighted sum and the natural character's spectral equalities
+    mu_1(u, pi) = 0, mu_q(u, pi) = 1 hold for an order-pq unit."""
+    return n >= 7 and 2 * p > n and q >= 3
 
 
 def mu1_pi_closed_form_pq(profile: UnitProfile, n: int, p: int, q: int) -> Fraction:
@@ -70,7 +50,7 @@ def filter_order_q_powers(
     """Keep the order-q vectors that can be the p-th power of an order-pq
     unit: the weighted sum sum_j j*eps_{q.j} must be 0, or 1 when
     p + q is n or n + 1."""
-    if not (n >= 7 and 2 * p > n and q >= 3):
+    if not spectral_hypotheses(n, p, q):
         raise ValueError(f"hypotheses n >= 7, p > n/2, q >= 3 fail for ({n}, {p}, {q})")
     if not (is_prime(p) and is_prime(q)):
         raise ValueError("p and q must be prime")

@@ -23,6 +23,7 @@ from .partitions import (
     element_order,
     identity_partition,
     is_prime,
+    parity,
 )
 
 ClassKey = Partition  # canonical class key: the cycle type
@@ -35,19 +36,47 @@ def as_cycle_type(cls: ClassLabel | Partition) -> Partition:
     return check_partition(cls)
 
 
-def format_class(ct: Partition) -> str:
-    """Short name of a class: 'r.j' when it is j disjoint r-cycles, '1' for
-    the identity, otherwise the cycle type with '+' and '^'."""
-    distinct = sorted(set(ct), reverse=True)
-    if distinct == [1]:
-        return "1"
-    if (distinct == [distinct[0]] or distinct[1:] == [1]) and is_prime(distinct[0]):
-        return f"{distinct[0]}.{ct.count(distinct[0])}"
+def format_cycle_type(ct: Partition) -> str:
+    """The cycle type as text: each distinct cycle length c, repeated m
+    times, as 'c^m' ('c' when m = 1), longest first, joined by '+'."""
     pieces = []
-    for c in distinct:
+    for c in sorted(set(ct), reverse=True):
         m = ct.count(c)
         pieces.append(f"{c}^{m}" if m > 1 else f"{c}")
     return "+".join(pieces)
+
+
+def parse_cycle_type(token: str) -> Partition:
+    """Inverse of format_cycle_type; ValueError on unreadable text or parts
+    that do not form a partition."""
+    parts: list[int] = []
+    try:
+        for piece in token.split("+"):
+            if "^" in piece:
+                c_s, m_s = piece.split("^", 1)
+                parts.extend([int(c_s)] * int(m_s))
+            else:
+                parts.append(int(piece))
+    except ValueError:
+        raise ValueError(f"unreadable cycle type {token!r}") from None
+    return check_partition(tuple(sorted(parts, reverse=True)))
+
+
+def _prime_cycles(ct: Partition) -> tuple[int, int] | None:
+    """(r, j) when ct is j disjoint r-cycles with r prime, else None."""
+    r = max(ct)
+    if is_prime(r) and set(ct) <= {r, 1}:
+        return r, ct.count(r)
+    return None
+
+
+def format_class(ct: Partition) -> str:
+    """Short name of a class: 'r.j' when it is j disjoint r-cycles, '1' for
+    the identity, otherwise the cycle type with '+' and '^'."""
+    rj = _prime_cycles(ct)
+    if rj is not None:
+        return f"{rj[0]}.{rj[1]}"
+    return "1" if max(ct) == 1 else format_cycle_type(ct)
 
 
 def parse_class(token: str, n: int) -> Partition:
@@ -57,44 +86,40 @@ def parse_class(token: str, n: int) -> Partition:
     if "." in token and "+" not in token and "^" not in token:
         r_s, j_s = token.split(".", 1)
         return ClassLabel(int(r_s), int(j_s), n).cycle_type()
-    parts: list[int] = []
-    for piece in token.split("+"):
-        if "^" in piece:
-            c_s, m_s = piece.split("^", 1)
-            parts.extend([int(c_s)] * int(m_s))
-        else:
-            parts.append(int(piece))
-    ct = tuple(sorted(parts, reverse=True))
+    ct = parse_cycle_type(token)
     if sum(ct) != n:
         raise ValueError(f"cycle type {token} is not a partition of {n}")
-    return check_partition(ct)
+    return ct
 
 
 def class_sort_key(ct: Partition):
     """Canonical variable order: classes r.j by (r descending, j ascending),
     composite cycle types afterwards."""
-    distinct = sorted(set(ct), reverse=True)
-    if (distinct == [distinct[0]] or distinct[1:] == [1]) and is_prime(distinct[0]):
-        return (0, -distinct[0], ct.count(distinct[0]))
+    rj = _prime_cycles(ct)
+    if rj is not None:
+        return (0, -rj[0], rj[1])
     return (1, tuple(-p for p in ct))
 
 
 @cache
-def _allowed_support(n: int, k: int) -> tuple[Partition, ...]:
+def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
     support = [
         mu
         for mu in all_partitions(n)
-        if element_order(mu) != 1 and k % element_order(mu) == 0
+        if element_order(mu) != 1
+        and k % element_order(mu) == 0
+        and (kind != "A" or parity(mu) == 1)
     ]
     return tuple(sorted(support, key=class_sort_key))
 
 
-def allowed_support(n: int, k: int) -> list[Partition]:
-    """Classes on which a normalized unit of order k can have a non-zero
-    partial augmentation: element order divides k, identity excluded."""
+def allowed_support(n: int, k: int, kind: str = "S") -> list[Partition]:
+    """Classes on which a normalized unit of order k in Z S_n (kind "S") or
+    Z A_n (kind "A") can have a non-zero partial augmentation: element order
+    divides k, identity excluded, and only even classes for A_n."""
     if k < 2:
         raise ValueError("unit order must be >= 2")
-    return list(_allowed_support(n, k))
+    return list(_allowed_support(n, k, kind))
 
 
 @dataclass(frozen=True)
@@ -282,20 +307,6 @@ class AffineForm:
 
     def evaluate(self, point: dict[VarKey, int]) -> Fraction:
         return self.constant + sum(c * point.get(v, 0) for v, c in self.coeffs)
-
-    def eliminate(self, var: VarKey, equality: "AffineForm", target: Fraction | int) -> "AffineForm":
-        """Substitute var using `equality = target` (which must involve var)."""
-        pivot = equality.coeff(var)
-        if pivot == 0:
-            raise ValueError("equality does not involve the eliminated variable")
-        # var = (target - constant - sum_other) / pivot
-        factor = self.coeff(var) / pivot
-        coeffs = {v: c for v, c in self.coeffs if v != var}
-        for v, c in equality.coeffs:
-            if v != var:
-                coeffs[v] = coeffs.get(v, Fraction(0)) - factor * c
-        const = self.constant + factor * (Fraction(target) - equality.constant)
-        return AffineForm.make(coeffs, const)
 
 
 def affine_form(

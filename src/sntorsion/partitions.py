@@ -121,12 +121,3 @@ def class_size(mu: Partition) -> int:
         m = mu.count(c)
         z *= c**m * factorial(m)
     return factorial(sum(mu)) // z
-
-
-def prime_order_classes(n: int, r: int) -> list[ClassLabel]:
-    """The classes r.1, ..., r.floor(n/r) of order-r elements of S_n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not is_prime(r):
-        raise ValueError(f"{r} is not prime")
-    return [ClassLabel(r, j, n) for j in range(1, n // r + 1)]

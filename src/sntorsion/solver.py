@@ -45,7 +45,8 @@ from .luthar_passi import (
     class_sort_key,
     format_class,
 )
-from .partitions import is_prime, parity
+from .lemma_filters import spectral_hypotheses
+from .partitions import all_partitions, element_order, is_prime, parity
 
 # ---------------------------------------------------------------------------
 # integer linear algebra
@@ -289,10 +290,9 @@ class FeasibilitySystem:
                 aug = AffineForm.make({v: 1 for v in variables if v[1] == d}, 0)
                 eqs.append((aug, 1, name))
         sys_ = FeasibilitySystem(tuple(variables), tuple(eqs), tuple(nonneg_integral))
+        used = {v for f, *_ in sys_.equalities + sys_.nonneg_integral for v, c in f.coeffs if c}
         for v in variables:
-            if all(f.coeff(v) == 0 for f, _, _ in sys_.equalities) and all(
-                f.coeff(v) == 0 for f, _ in sys_.nonneg_integral
-            ):
+            if v not in used:
                 raise ValueError(f"variable {format_class(v[0])}@{v[1]} appears in no constraint")
         return sys_
 
@@ -589,24 +589,6 @@ def spot_check_infeasible(
 # the layered strategy
 
 
-def prime_order_system(
-    n: int,
-    kind: str,
-    q: int,
-    rows_and_ells: list[tuple[CharacterRow, int]],
-    extra_equalities: list[tuple[AffineForm, int, str]] | None = None,
-) -> FeasibilitySystem:
-    classes = allowed_support(n, q)
-    if kind == "A":
-        classes = [ct for ct in classes if parity(ct) == 1]
-    variables = [(ct, 1) for ct in classes]
-    forms = []
-    for row, ell in rows_and_ells:
-        f = affine_form(row, q, ell, {}, classes)
-        forms.append((f, f"mu_{ell}({row.name})"))
-    return FeasibilitySystem.build(variables, list(extra_equalities or []), forms)
-
-
 def solve_prime_order(
     n: int,
     kind: str,
@@ -620,8 +602,12 @@ def solve_prime_order(
     for row, _ in rows_and_ells:
         if row.mode == "brauer" and row.modulus == q:
             raise ValueError(f"row {row.name} is a brauer({q}) row; it cannot constrain order {q}")
-    system = prime_order_system(n, kind, q, rows_and_ells)
-    return enumerate_system(system)
+    classes = allowed_support(n, q, kind)
+    forms = [
+        (affine_form(row, q, ell, {}, classes), f"mu_{ell}({row.name})")
+        for row, ell in rows_and_ells
+    ]
+    return enumerate_system(FeasibilitySystem.build([(ct, 1) for ct in classes], [], forms))
 
 
 def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
@@ -637,8 +623,6 @@ def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
 def has_element_of_order(n: int, k: int, kind: str = "S") -> bool:
     """Whether S_n (kind "S") or A_n (kind "A") has an element of order
     exactly k, for k in {q, 2p, pq}."""
-    from .partitions import all_partitions, element_order
-
     return any(
         element_order(mu) == k and (kind == "S" or parity(mu) == 1)
         for mu in all_partitions(n)
@@ -676,13 +660,11 @@ def solve_order_pq(
     """
     if has_element_of_order(n, p * q, kind):
         raise ValueError(f"{kind}_{n} has elements of order {p * q}; nothing to exclude")
-    classes = allowed_support(n, p * q)
-    if kind == "A":
-        classes = [ct for ct in classes if parity(ct) == 1]
+    classes = allowed_support(n, p * q, kind)
     variables = [(ct, 1) for ct in classes]
 
     use_pi = pi_row is not None
-    if use_pi and not (n >= 7 and 2 * p > n and q >= 3):
+    if use_pi and not spectral_hypotheses(n, p, q):
         raise ValueError("spectral equalities need n >= 7, p > n/2, q >= 3")
 
     def group_of(cand: AugVector) -> dict:

@@ -30,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import NAMED_CHARACTERS, NamedCharacter, character_value, degree
-from .luthar_passi import CharacterRow, class_sort_key, format_class
-from .partitions import Partition, all_partitions, check_partition, element_order, is_prime
+from . import luthar_passi
+from .luthar_passi import CharacterRow, class_sort_key, format_class, format_cycle_type
+from .partitions import Partition, all_partitions, element_order, is_prime
 
 
 class TableError(ValueError):
@@ -67,28 +68,9 @@ class TableFile:
         raise KeyError(f"table has no class labelled {label!r}")
 
 
-def format_cycle_type(ct: Partition) -> str:
-    pieces = []
-    for c in sorted(set(ct), reverse=True):
-        m = ct.count(c)
-        pieces.append(f"{c}^{m}" if m > 1 else f"{c}")
-    return "+".join(pieces)
-
-
 def parse_cycle_type(token: str, line: int) -> Partition:
-    parts: list[int] = []
     try:
-        for piece in token.split("+"):
-            if "^" in piece:
-                c_s, m_s = piece.split("^", 1)
-                parts.extend([int(c_s)] * int(m_s))
-            else:
-                parts.append(int(piece))
-    except ValueError:
-        raise TableError("bad-class", line, f"unreadable cycle type {token!r}") from None
-    ct = tuple(sorted(parts, reverse=True))
-    try:
-        return check_partition(ct)
+        return luthar_passi.parse_cycle_type(token)
     except ValueError as exc:
         raise TableError("bad-class", line, str(exc)) from None
 
@@ -242,16 +224,14 @@ def canonicalize(table: TableFile) -> TableFile:
     return parse_table(serialize_table(table))
 
 
-def ordinary_table(n: int, names: list[str] | None = None, classes: list[Partition] | None = None) -> TableFile:
-    """Generate an ordinary TableFile for the distinguished characters (or an
-    explicit partition list) with exact computed values on all classes."""
+def ordinary_table(n: int, names: list[str] | None = None) -> TableFile:
+    """Generate an ordinary TableFile for the distinguished characters (or
+    the named ones) with exact computed values on all classes."""
     if names is None:
         names = [name for name in NAMED_CHARACTERS if name != "hook4" or n == 7]
-    if classes is None:
-        classes = all_partitions(n)
     chars = [(name, NamedCharacter(name, n).partition) for name in names]
     class_list = tuple(
-        (format_class(ct), ct) for ct in sorted(classes, key=class_sort_key)
+        (format_class(ct), ct) for ct in sorted(all_partitions(n), key=class_sort_key)
     )
     rows = tuple(
         CharacterRow.make(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from sntorsion.cases import load_bundled_table
-from sntorsion.luthar_passi import format_class
+from sntorsion.luthar_passi import AffineForm, VarKey, format_class
 from sntorsion.solver import FeasibilitySystem
 
 
@@ -64,6 +64,24 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
+
+
+def eliminate(
+    form: AffineForm, var: VarKey, equality: AffineForm, target: Fraction | int
+) -> AffineForm:
+    """Substitute var in form using `equality = target` (which must involve
+    var), as the paper does with the augmentation when it prints a form."""
+    pivot = equality.coeff(var)
+    if pivot == 0:
+        raise ValueError("equality does not involve the eliminated variable")
+    # var = (target - constant - sum_other) / pivot
+    factor = form.coeff(var) / pivot
+    coeffs = {v: c for v, c in form.coeffs if v != var}
+    for v, c in equality.coeffs:
+        if v != var:
+            coeffs[v] = coeffs.get(v, Fraction(0)) - factor * c
+    const = form.constant + factor * (Fraction(target) - equality.constant)
+    return AffineForm.make(coeffs, const)
 
 
 def var_names(system: FeasibilitySystem) -> list[str]:

@@ -38,7 +38,7 @@ from sntorsion.partitions import (
 )
 from sntorsion.solver import enumerate_system
 
-from conftest import brute_force_solutions
+from conftest import brute_force_solutions, eliminate
 
 
 @contextmanager
@@ -107,7 +107,7 @@ def test_criterion_2_order15_example():
         aug = AffineForm.make({(ct, 1): 1 for ct in classes}, 0)
         expected = {0: ({(c51, 1): F(-16, 15)}, F(8, 3)), 5: ({(c51, 1): F(8, 15)}, F(2, 3))}
         for ell, (coeffs, const) in expected.items():
-            form = affine_form(row, 15, ell, lower, classes).eliminate((c31, 1), aug, 1)
+            form = eliminate(affine_form(row, 15, ell, lower, classes), (c31, 1), aug, 1)
             assert form.constant == const
             for ct in classes:
                 assert form.coeff((ct, 1)) == coeffs.get((ct, 1), 0)

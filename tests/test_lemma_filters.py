@@ -7,13 +7,11 @@ import pytest
 
 from sntorsion.characters import NamedCharacter, character_value, degree
 from sntorsion.lemma_filters import (
-    SpectrumProfile,
     epsilon_subset,
     filter_lemma_4_2,
     filter_lemma_4_3,
     filter_order_q_powers,
     mu1_pi_closed_form_pq,
-    power_spectrum,
 )
 from sntorsion.luthar_passi import (
     AugVector,
@@ -71,17 +69,6 @@ def test_closed_form_rejects_groups_with_order_pq_elements():
     profile = random_profile(random.Random(1), 13, 11, 3)
     with pytest.raises(ValueError):
         mu1_pi_closed_form_pq(profile, 14, 11, 3)
-
-
-def test_power_spectrum_bookkeeping():
-    s = SpectrumProfile(m1=2, mq=1, mp=3, mpq=1, p=5, q=3)
-    assert s.degree() == 2 + 2 * 1 + 4 * 3 + 8 * 1
-    ones, prim = power_spectrum(s, "q")
-    assert (ones, prim) == (2 + 2 * 1, 3 + 2 * 1)
-    ones, prim = power_spectrum(s, "p")
-    assert (ones, prim) == (2 + 4 * 3, 1 + 4 * 1)
-    with pytest.raises(ValueError):
-        power_spectrum(s, "pq")
 
 
 def vec(n, q, entries):

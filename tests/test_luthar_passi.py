@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import eliminate
+
 from sntorsion.characters import NamedCharacter, character_value, degree
 from sntorsion.luthar_passi import (
     AffineForm,
@@ -17,11 +19,20 @@ from sntorsion.luthar_passi import (
     class_sort_key,
     forced_vector,
     format_class,
+    format_cycle_type,
     multiplicity,
     orbit_residues,
     parse_class,
+    parse_cycle_type,
 )
-from sntorsion.partitions import ClassLabel, all_partitions, element_order, power_cycle_type
+from sntorsion.partitions import (
+    ClassLabel,
+    all_partitions,
+    element_order,
+    is_prime,
+    parity,
+    power_cycle_type,
+)
 
 
 def ordinary_row(name, n, k):
@@ -53,10 +64,21 @@ def test_allowed_support_excludes_identity_and_respects_divisibility():
     assert orders == {3, 5, 15}  # includes the composite 5+3 class of order 15
 
 
+def test_allowed_support_in_a_n_is_the_even_part_of_the_s_n_support():
+    primes = [r for r in range(2, 14) if is_prime(r)]
+    orders = set(primes) | {2 * p for p in primes if p > 2}
+    orders |= {p * q for p in primes for q in primes if q < p}
+    for n in range(1, 14):
+        for k in sorted(orders):
+            even = [ct for ct in allowed_support(n, k) if parity(ct) == 1]
+            assert allowed_support(n, k, "A") == even
+
+
 def test_format_and_parse_class_round_trip():
-    for n in range(2, 11):
+    for n in range(1, 13):
         for ct in all_partitions(n):
             assert parse_class(format_class(ct), n) == ct
+            assert parse_cycle_type(format_cycle_type(ct)) == ct
 
 
 def test_aug_vector_validation():
@@ -161,7 +183,7 @@ def test_affine_form_eliminate_by_the_augmentation():
     b = (parse_class("3.2", 7), 1)
     aug = AffineForm.make({a: 1, b: 1}, 0)
     f = AffineForm.make({a: Fraction(1, 2), b: Fraction(3, 2)}, 1)
-    g = f.eliminate(a, aug, 1)
+    g = eliminate(f, a, aug, 1)
     assert g.coeff(a) == 0
     assert g.coeff(b) == 1
     assert g.constant == Fraction(3, 2)

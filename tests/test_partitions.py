@@ -15,7 +15,6 @@ from sntorsion.partitions import (
     is_prime,
     parity,
     power_cycle_type,
-    prime_order_classes,
 )
 
 # number of partitions of n, for 1 <= n <= 20
@@ -103,14 +102,6 @@ def test_class_size_examples():
     assert class_size((2, 1, 1)) == 6  # transpositions in S_4
     assert class_size((3, 1)) == 8  # 3-cycles in S_4
     assert class_size((13,)) == factorial(12)
-
-
-def test_prime_order_classes():
-    labels = prime_order_classes(13, 3)
-    assert [lab.j for lab in labels] == [1, 2, 3, 4]
-    assert all(lab.r == 3 for lab in labels)
-    assert prime_order_classes(13, 11) == [ClassLabel(11, 1, 13)]
-    assert prime_order_classes(7, 11) == []
 
 
 def test_class_label_round_trip():

@@ -413,6 +413,10 @@ def test_build_rejects_variables_outside_every_constraint():
     eq = (AffineForm.make({a: 1}, 0), 1, "augmentation(level 1)")
     with pytest.raises(ValueError):
         FeasibilitySystem.build([a, b], [eq], [(AffineForm.make({a: 1}, 0), "only a")])
+    # a zero coefficient does not count as an appearance
+    zero_b = AffineForm(((a, Fraction(1)), (b, Fraction(0))), Fraction(0))
+    with pytest.raises(ValueError, match="appears in no constraint"):
+        FeasibilitySystem.build([a, b], [eq], [(zero_b, "zero b")])
 
 
 def test_build_always_adds_the_augmentation_equality():

@@ -27,6 +27,16 @@ def test_unused_from_imports_are_found():
     assert unused_from_imports(source) == ["lcm"]
 
 
+def test_modules_have_no_assert_statements():
+    # runtime checks must stay in force under python -O
+    asserts = {
+        path.name: [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Assert)]
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {name: lines for name, lines in asserts.items() if lines} == {}
+
+
 def test_modules_have_no_unused_from_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules

@@ -3,7 +3,7 @@
 import pytest
 
 from sntorsion.luthar_passi import allowed_support
-from sntorsion.partitions import element_order
+from sntorsion.partitions import all_partitions, element_order
 from sntorsion.solver import report_aug_vectors, solve_prime_order
 from sntorsion.table_io import (
     TableError,
@@ -49,8 +49,9 @@ def test_parse_a_well_formed_table():
 
 
 def test_cycle_type_round_trip():
-    for ct in [(7,), (3, 3, 1), (5, 1, 1), (2, 2, 2, 1), (1, 1, 1)]:
-        assert parse_cycle_type(format_cycle_type(ct), 1) == ct
+    for n in range(1, 13):
+        for ct in all_partitions(n):
+            assert parse_cycle_type(format_cycle_type(ct), 1) == ct
     assert format_cycle_type((3, 1, 1, 1, 1)) == "3+1^4"
     assert parse_cycle_type("1^7", 1) == (1,) * 7
 
@@ -118,6 +119,9 @@ def test_error_carries_the_line_number():
         parse_table("table-v1\ngroup S 7\nmode ordinary\nclass 3.1 3+1^4 5\n")
     assert exc.value.line == 4
     assert "[order-mismatch]" in str(exc.value)
+    with pytest.raises(TableError) as exc:
+        parse_table("table-v1\ngroup S 7\nmode ordinary\nclass 3.1 3+x 3\n")
+    assert str(exc.value) == "line 4: [bad-class] unreadable cycle type '3+x'"
 
 
 def test_generated_ordinary_tables_round_trip_for_small_degrees():
