@@ -26,6 +26,7 @@ from .reports import CaseReport, first_divergence
 from .solver import (
     FeasibilitySystem,
     PairResult,
+    _require_no_order_pq,
     enumerate_system,
     report_aug_vectors,
     solve_order_pq,
@@ -101,8 +102,12 @@ def run_exclusion(
 
     stage_pq_groups entries: {"name", "members": list[AugVector] | None,
     "rows_and_ells": list[(CharacterRow, list of ells)]}.
+    The group is checked before any stage (no element of order pq, a forced
+    order-p power), so its rejection does not depend on the rows.
     """
     t0 = time.monotonic()
+    _require_no_order_pq(n, kind, p, q)
+    p_candidates = [forced_vector(n, p)]
     report = CaseReport(case_id=case_id, kind=kind, n=n, p=p, q=q)
 
     pairs = [(row, ell) for row, ells in stage_q_rows for ell in ells]
@@ -129,12 +134,6 @@ def run_exclusion(
         stage_q["filters"].append({"name": fname, "count_after": len(candidates)})
     stage_q["survivors"] = [_aug_to_json(c) for c in candidates]
     report.stage_q = stage_q
-
-    if n // p != 1:
-        raise ValueError(
-            f"S_{n} has several classes of order {p}; supply the order-{p} stage explicitly"
-        )
-    p_candidates = [forced_vector(n, p)]
 
     groups = [
         {
@@ -283,17 +282,13 @@ def case_lemma43_grid() -> CaseReport:
     box = 10
     grid = {}
     for p in (5, 7, 11, 13):
-        variables = [(ClassLabel(2, j, p).cycle_type(), 1) for j in range(1, p // 2 + 1)]
-        odd = AffineForm.make(
-            {(ClassLabel(2, j, p).cycle_type(), 1): j for j in range(1, p // 2 + 1, 2)}, 0
-        )
-        even = AffineForm.make(
-            {(ClassLabel(2, j, p).cycle_type(), 1): j for j in range(2, p // 2 + 1, 2)}, 0
-        )
+        variables = [ClassLabel(2, j, p).cycle_type() for j in range(1, p // 2 + 1)]
+        odd = AffineForm.make({v: j for j, v in enumerate(variables, 1) if j % 2}, 0)
+        even = AffineForm.make({v: j for j, v in enumerate(variables, 1) if not j % 2}, 0)
         forms = []
         for v in variables:
-            forms.append((AffineForm.make({v: 1}, box), f"box lower {format_class(v[0])}"))
-            forms.append((AffineForm.make({v: -1}, box), f"box upper {format_class(v[0])}"))
+            forms.append((AffineForm.make({v: 1}, box), f"box lower {format_class(v)}"))
+            forms.append((AffineForm.make({v: -1}, box), f"box upper {format_class(v)}"))
         system = FeasibilitySystem.build(
             variables,
             [(odd, 0, "odd-weighted-sum"), (even, 0, "even-weighted-sum")],
@@ -306,7 +301,7 @@ def case_lemma43_grid() -> CaseReport:
             if not filter_lemma_4_3(p, aug):
                 raise RuntimeError(f"solver solution {aug} fails the lemma 4.3 predicate")
         grid[str(p)] = {
-            "variables": [format_class(ct) for ct, _ in system.variables],
+            "variables": [format_class(ct) for ct in system.variables],
             "status": rep.status,
             "solutions_in_box": count,
         }

@@ -26,9 +26,6 @@ from .partitions import (
     parity,
 )
 
-ClassKey = Partition  # canonical class key: the cycle type
-VarKey = tuple[Partition, int]  # (cycle type, level d); the variable eps_C(u^d)
-
 
 def as_cycle_type(cls: ClassLabel | Partition) -> Partition:
     if isinstance(cls, ClassLabel):
@@ -103,6 +100,8 @@ def class_sort_key(ct: Partition):
 
 @cache
 def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
+    if kind not in ("S", "A"):
+        raise ValueError(f"unknown group kind {kind!r}; expected 'S' or 'A'")
     support = [
         mu
         for mu in all_partitions(n)
@@ -116,7 +115,15 @@ def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
 def allowed_support(n: int, k: int, kind: str = "S") -> list[Partition]:
     """Classes on which a normalized unit of order k in Z S_n (kind "S") or
     Z A_n (kind "A") can have a non-zero partial augmentation: element order
-    divides k, identity excluded, and only even classes for A_n."""
+    divides k, identity excluded, and only even classes for A_n.  Any other
+    kind is a ValueError; this is the one place that reads the kind.
+
+    Each class is one S_n cycle type, which is sound for A_n too: a cycle
+    type with distinct odd parts (the 11-cycles in A_12, say) splits into
+    two A_n classes, but a row restricted from S_n (ordinary_row) takes the
+    same value on both halves, so every form depends only on the sum of the
+    two partial augmentations, which the one variable stands for.
+    """
     if k < 2:
         raise ValueError("unit order must be >= 2")
     return list(_allowed_support(n, k, kind))
@@ -285,27 +292,27 @@ def multiplicity(profile: UnitProfile, row: CharacterRow, ell: int) -> Fraction:
 
 @dataclass(frozen=True)
 class AffineForm:
-    """Rational affine expression in augmentation variables, carried around
-    with the contract that it must evaluate to a non-negative integer."""
+    """Rational affine expression in augmentation variables, one per class
+    (cycle type), that must evaluate to a non-negative integer."""
 
-    coeffs: tuple[tuple[VarKey, Fraction], ...]
+    coeffs: tuple[tuple[Partition, Fraction], ...]
     constant: Fraction
 
     @staticmethod
-    def make(coeffs: dict[VarKey, Fraction | int], constant: Fraction | int) -> "AffineForm":
+    def make(coeffs: dict[Partition, Fraction | int], constant: Fraction | int) -> "AffineForm":
         items = {v: Fraction(c) for v, c in coeffs.items() if c}
         return AffineForm(
-            tuple(sorted(items.items(), key=lambda kv: (kv[0][1], class_sort_key(kv[0][0])))),
+            tuple(sorted(items.items(), key=lambda kv: class_sort_key(kv[0]))),
             Fraction(constant),
         )
 
-    def coeff(self, var: VarKey) -> Fraction:
+    def coeff(self, var: Partition) -> Fraction:
         for v, c in self.coeffs:
             if v == var:
                 return c
         return Fraction(0)
 
-    def evaluate(self, point: dict[VarKey, int]) -> Fraction:
+    def evaluate(self, point: dict[Partition, int]) -> Fraction:
         return self.constant + sum(c * point.get(v, 0) for v, c in self.coeffs)
 
 
@@ -328,10 +335,8 @@ def affine_form(
         raise ValueError(
             f"brauer({row.modulus}) rows cannot constrain units of order {k}"
         )
-    coeffs: dict[VarKey, Fraction] = {}
     top_trace = Fraction(ramanujan_sum(k, ell), k)
-    for ct in variables:
-        coeffs[(ct, 1)] = top_trace * row.value(ct)
+    coeffs = {ct: top_trace * row.value(ct) for ct in variables}
     constant = Fraction(row.degree, k)
     for d in range(2, k):
         if k % d:

@@ -12,17 +12,20 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    solutions; forward substitution of the right-hand side then gives either
    a contradiction or a particular solution;
 3. lattice directions that leave every slack unchanged are split off (they
-   can only produce infinite solution families);
+   can only produce infinite solution families), and each variable is
+   written as a linear form in the resulting lattice coordinates;
 4. exact Fourier-Motzkin elimination of the slack inequalities, from the
    last remaining coordinate down, gives one projection chain; the
    depth-first enumeration fixes the coordinates from the first up and
    reads the range of each from the chain.
 
-The elimination of step 2 and the split of step 3 depend only on the
-integer matrix, not on the right-hand side (_lattice).  The power-candidate
-pairs of one solve_order_pq call have the same linear parts and differ in
-their constants, so the pairs and their infeasible-core trials share one
-memo of lattices, which lives as long as the call.
+One path decides every lattice, a one-point lattice included: its chain is
+empty and its search visits the one leaf.  The elimination of step 2 and the
+split and variable map of step 3 depend only on the integer matrix, not on
+the right-hand side (_lattice).  The power-candidate pairs of one
+solve_order_pq call have the same linear parts and differ in their
+constants, so the pairs and their infeasible-core trials share one memo of
+lattices, which lives as long as the call.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -39,14 +42,13 @@ from .luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
-    VarKey,
     affine_form,
     allowed_support,
     class_sort_key,
     format_class,
 )
 from .lemma_filters import spectral_hypotheses
-from .partitions import all_partitions, element_order, is_prime, parity
+from .partitions import Partition, element_order, is_prime
 
 # ---------------------------------------------------------------------------
 # integer linear algebra
@@ -109,9 +111,9 @@ class _Lattice(NamedTuple):
     echelon: tuple[tuple[int, ...], ...]  # rows . u on the pivot columns
     u_pivot: tuple[tuple[int, ...], ...]  # u on the pivot columns
     basis: tuple[tuple[int, ...], ...]  # the integer kernel, one vector each
-    transform: tuple[tuple[int, ...], ...]  # lattice coordinates t = transform . (w, v)
     wdim: int  # the number of slack-moving coordinates w
     w_rows: tuple[tuple[int, ...], ...]  # each slack as a linear form in w
+    x_map: tuple[tuple[int, ...], ...]  # each variable as a linear form in (w, v)
 
 
 def _lattice(rows, nvar: int, nform: int) -> _Lattice:
@@ -124,25 +126,22 @@ def _lattice(rows, nvar: int, nform: int) -> _Lattice:
     pivot_of_row = dict(pivots)
     basis = tuple(tuple(u[i][c] for i in range(ncols)) for c in range(rank, ncols))
     tdim = len(basis)
-    transform: tuple[tuple[int, ...], ...] = ()
-    w_rows: tuple[tuple[int, ...], ...] = ()
-    wdim = 0
-    if tdim:
-        # column echelon of the slack matrix: the first wdim coordinates w
-        # move the slacks, the rest (directions v) leave every slack unchanged
-        slack_rows = [[basis[t][nvar + i] for t in range(tdim)] for i in range(nform)]
-        _, tr, split = _column_hermite(slack_rows, tdim)
-        transform = tuple(map(tuple, tr))
-        wdim = len(split)
-        w_rows = tuple(
-            tuple(sum(r[t] * tr[t][c] for t in range(tdim)) for c in range(wdim))
-            for r in slack_rows
-        )
+    # column echelon of the slack matrix: the first wdim coordinates w move
+    # the slacks, the rest (directions v) leave every slack unchanged
+    slack_rows = [[basis[t][nvar + i] for t in range(tdim)] for i in range(nform)]
+    _, tr, split = _column_hermite(slack_rows, tdim)
+    wdim = len(split)
+
+    def in_wv(vec) -> tuple[int, ...]:
+        return tuple(sum(vec[t] * tr[t][c] for t in range(tdim)) for c in range(tdim))
+
     return _Lattice(
         tuple(pivot_of_row.get(r) for r in range(len(rows))),
         tuple(tuple(r[:rank]) for r in a),
         tuple(tuple(r[:rank]) for r in u),
-        basis, transform, wdim, w_rows,
+        basis, wdim,
+        tuple(in_wv(r)[:wdim] for r in slack_rows),
+        tuple(in_wv([b[i] for b in basis]) for i in range(nvar)),
     )
 
 
@@ -270,30 +269,28 @@ def _interval(
 class FeasibilitySystem:
     """Affine-form constraints over an ordered set of augmentation variables."""
 
-    variables: tuple[VarKey, ...]
+    variables: tuple[Partition, ...]
     equalities: tuple[tuple[AffineForm, int, str], ...]
     nonneg_integral: tuple[tuple[AffineForm, str], ...]
 
     @staticmethod
     def build(
-        variables: list[VarKey],
+        variables: list[Partition],
         equalities: list[tuple[AffineForm, int, str]],
         nonneg_integral: list[tuple[AffineForm, str]],
     ) -> "FeasibilitySystem":
-        variables = sorted(variables, key=lambda v: (v[1], class_sort_key(v[0])))
-        levels = {d for _, d in variables}
-        names = {name for _, _, name in equalities}
+        """The system over the classes `variables`, with the augmentation
+        equality (the partial augmentations sum to 1) added unless the
+        caller passed an equality named "augmentation"."""
+        variables = sorted(variables, key=class_sort_key)
         eqs = list(equalities)
-        for d in sorted(levels):
-            name = f"augmentation(level {d})"
-            if name not in names:
-                aug = AffineForm.make({v: 1 for v in variables if v[1] == d}, 0)
-                eqs.append((aug, 1, name))
+        if "augmentation" not in {name for _, _, name in equalities}:
+            eqs.append((AffineForm.make(dict.fromkeys(variables, 1), 0), 1, "augmentation"))
         sys_ = FeasibilitySystem(tuple(variables), tuple(eqs), tuple(nonneg_integral))
         used = {v for f, *_ in sys_.equalities + sys_.nonneg_integral for v, c in f.coeffs if c}
         for v in variables:
             if v not in used:
-                raise ValueError(f"variable {format_class(v[0])}@{v[1]} appears in no constraint")
+                raise ValueError(f"variable {format_class(v)} appears in no constraint")
         return sys_
 
 
@@ -302,7 +299,7 @@ class SolveReport:
     """Outcome of an exact enumeration."""
 
     status: str  # "infeasible" | "solutions" | "unbounded"
-    variables: tuple[VarKey, ...]
+    variables: tuple[Partition, ...]
     solutions: list[tuple[int, ...]] = field(default_factory=list)
     certificate: list[str] = field(default_factory=list)
     ray: tuple[int, ...] | None = None
@@ -311,7 +308,7 @@ class SolveReport:
     def to_dict(self) -> dict:
         return {
             "status": self.status,
-            "variables": [f"{format_class(ct)}@{d}" for ct, d in self.variables],
+            "variables": [format_class(ct) for ct in self.variables],
             "solutions": [list(s) for s in self.solutions],
             "certificate": list(self.certificate),
             "ray": list(self.ray) if self.ray is not None else None,
@@ -349,7 +346,7 @@ def _integer_rows(
 def _solve(
     rows: tuple[tuple[int, ...], ...],
     rhs: list[int],
-    variables: tuple[VarKey, ...],
+    variables: tuple[Partition, ...],
     nform: int,
     lattices: dict,
     find_one: bool = False,
@@ -375,44 +372,24 @@ def _solve(
     z0 = _particular(lat, rhs)
     if z0 is None:
         return report
-    basis, transform, wdim = lat.basis, lat.transform, lat.wdim
-    tdim = len(basis)
-    slack_const = z0[nvar:]
-
-    if tdim == 0:
-        ok = all(c >= 0 for c in slack_const)
-        if ok:
-            report.status = "solutions"
-            report.solutions = [tuple(z0[:nvar])]
-        report.stats["nodes"] = 1
-        return report
+    wdim, x_map = lat.wdim, lat.x_map
 
     # slack inequalities in the slack-moving coordinates w; the other
     # coordinates can only produce infinite solution families
-    nfree = tdim - wdim
+    nfree = len(lat.basis) - wdim
     ineqs: set[Ineq] = set()
-    for w_row, const in zip(lat.w_rows, slack_const):
-        if any(w_row) or const < 0:
+    for w_row, const in zip(lat.w_rows, z0[nvar:]):
+        if any(w_row):
             ineqs.add(_normalize(w_row, const))
-    for coeffs, const in list(ineqs):
-        if not any(coeffs) and const < 0:
+        elif const < 0:
             return report
 
-    def x_ray(w_dir) -> tuple[int, ...]:
+    def x_ray(direction) -> tuple[int, ...]:
         """The primitive direction in the variables of a direction given in
-        the transform's coordinates (w, v)."""
-        t_dir = [sum(r * w for r, w in zip(row, w_dir)) for row in transform]
-        ray = [sum(basis[t][i] * t_dir[t] for t in range(tdim)) for i in range(nvar)]
+        the lattice coordinates (w, v)."""
+        ray = [sum(m * d for m, d in zip(row, direction)) for row in x_map]
         g = gcd(*ray)
         return tuple(c // g for c in ray) if g > 1 else tuple(ray)
-
-    free_dir = (0,) * wdim + (1,)
-    if wdim == 0:
-        # every slack is constant on the lattice, and none is negative
-        report.status = "unbounded"
-        report.ray = x_ray(free_dir)
-        report.stats["nodes"] = 1
-        return report
 
     chain = _fm_chain(ineqs, wdim)
     if chain is None:
@@ -426,12 +403,6 @@ def _solve(
                 report.ray = x_ray(_recession_ray(ineqs, wdim, d))
             return report
 
-    if not find_one:
-        # x = z0 + x_map . w on the slack-moving coordinates
-        x_map = [
-            [sum(basis[t][i] * transform[t][c] for t in range(tdim)) for c in range(wdim)]
-            for i in range(nvar)
-        ]
     solutions: list[tuple[int, ...]] = []
 
     def dfs(depth: int, prefix: tuple[int, ...]) -> bool:
@@ -442,6 +413,7 @@ def _solve(
         if depth == wdim:
             if find_one:
                 return False
+            # x = z0 + x_map . w: prefix holds the w coordinates, v = 0
             solutions.append(tuple(
                 z0[i] + sum(m * w for m, w in zip(x_map[i], prefix)) for i in range(nvar)
             ))
@@ -461,7 +433,7 @@ def _solve(
         if not nfree:
             report.solutions = sorted(set(solutions))
         elif not find_one:
-            report.ray = x_ray(free_dir)
+            report.ray = x_ray((0,) * wdim + (1,))
     report.stats["nodes"] = nodes
     return report
 
@@ -607,26 +579,23 @@ def solve_prime_order(
         (affine_form(row, q, ell, {}, classes), f"mu_{ell}({row.name})")
         for row, ell in rows_and_ells
     ]
-    return enumerate_system(FeasibilitySystem.build([(ct, 1) for ct in classes], [], forms))
+    return enumerate_system(FeasibilitySystem.build(classes, [], forms))
 
 
 def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
-    vectors = []
-    for sol in report.solutions:
-        entries = {
-            ct: value for (ct, _), value in zip(report.variables, sol) if value
-        }
-        vectors.append(AugVector.make(k, n, entries))
-    return vectors
+    return [AugVector.make(k, n, dict(zip(report.variables, sol))) for sol in report.solutions]
 
 
 def has_element_of_order(n: int, k: int, kind: str = "S") -> bool:
     """Whether S_n (kind "S") or A_n (kind "A") has an element of order
     exactly k, for k in {q, 2p, pq}."""
-    return any(
-        element_order(mu) == k and (kind == "S" or parity(mu) == 1)
-        for mu in all_partitions(n)
-    )
+    return any(element_order(ct) == k for ct in allowed_support(n, k, kind))
+
+
+def _require_no_order_pq(n: int, kind: str, p: int, q: int) -> None:
+    """An order-pq run needs a group without elements of order pq."""
+    if has_element_of_order(n, p * q, kind):
+        raise ValueError(f"{kind}_{n} has elements of order {p * q}; nothing to exclude")
 
 
 @dataclass
@@ -658,10 +627,8 @@ def solve_order_pq(
 
     Verdict: "excluded" iff every pair is infeasible.
     """
-    if has_element_of_order(n, p * q, kind):
-        raise ValueError(f"{kind}_{n} has elements of order {p * q}; nothing to exclude")
+    _require_no_order_pq(n, kind, p, q)
     classes = allowed_support(n, p * q, kind)
-    variables = [(ct, 1) for ct in classes]
 
     use_pi = pi_row is not None
     if use_pi and not spectral_hypotheses(n, p, q):
@@ -696,7 +663,7 @@ def solve_order_pq(
                 fq = affine_form(pi_row, p * q, q, lower, classes)
                 equalities.append((f1, 0, f"mu_1({pi_row.name}) = 0"))
                 equalities.append((fq, 1, f"mu_{q}({pi_row.name}) = 1"))
-            system = FeasibilitySystem.build(variables, equalities, forms)
+            system = FeasibilitySystem.build(classes, equalities, forms)
             report = enumerate_system(system, lattices)
             results.append(PairResult(q_cand, p_cand, grp["name"], report))
 

@@ -19,7 +19,10 @@ Grammar (one directive per line; blank lines and ``#`` comments ignored)::
     part       := c | c "^" m           (a cycle length, optionally repeated)
 
 Class labels are written in the ``r.j`` shorthand where possible; row names
-are free-form opaque labels.  Every row must provide a value for every
+are free-form opaque labels.  Classes are S_n cycle types for ``group A`` as
+well, so a row there must take the same value on both halves of a cycle
+type that splits in A_n (distinct odd parts): the solver has one variable
+per cycle type (see luthar_passi.allowed_support).  Every row must provide a value for every
 listed class; the identity class is implicit (its value is the degree).
 Serialization is canonical: classes in the standard class order, rows by
 name, and parse(serialize(t)) == t whenever t is already in that order.

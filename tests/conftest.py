@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from sntorsion.cases import load_bundled_table
-from sntorsion.luthar_passi import AffineForm, VarKey, format_class
+from sntorsion.luthar_passi import AffineForm
+from sntorsion.partitions import Partition
 from sntorsion.solver import FeasibilitySystem
 
 
@@ -67,7 +68,7 @@ def _gcd(a: int, b: int) -> int:
 
 
 def eliminate(
-    form: AffineForm, var: VarKey, equality: AffineForm, target: Fraction | int
+    form: AffineForm, var: Partition, equality: AffineForm, target: Fraction | int
 ) -> AffineForm:
     """Substitute var in form using `equality = target` (which must involve
     var), as the paper does with the augmentation when it prints a form."""
@@ -82,7 +83,3 @@ def eliminate(
             coeffs[v] = coeffs.get(v, Fraction(0)) - factor * c
     const = form.constant + factor * (Fraction(target) - equality.constant)
     return AffineForm.make(coeffs, const)
-
-
-def var_names(system: FeasibilitySystem) -> list[str]:
-    return [f"{format_class(ct)}@{d}" for ct, d in system.variables]

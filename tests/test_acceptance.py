@@ -104,13 +104,13 @@ def test_criterion_2_order15_example():
 
         row = CharacterRow.make("hook4", 20, {ct: character_value(lam, ct) for ct in classes})
         lower = {3: forced_vector(n, 5), 5: AugVector.make(3, n, {ClassLabel(3, 1, n): 1})}
-        aug = AffineForm.make({(ct, 1): 1 for ct in classes}, 0)
-        expected = {0: ({(c51, 1): F(-16, 15)}, F(8, 3)), 5: ({(c51, 1): F(8, 15)}, F(2, 3))}
+        aug = AffineForm.make({ct: 1 for ct in classes}, 0)
+        expected = {0: ({c51: F(-16, 15)}, F(8, 3)), 5: ({c51: F(8, 15)}, F(2, 3))}
         for ell, (coeffs, const) in expected.items():
-            form = eliminate(affine_form(row, 15, ell, lower, classes), (c31, 1), aug, 1)
+            form = eliminate(affine_form(row, 15, ell, lower, classes), c31, aug, 1)
             assert form.constant == const
             for ct in classes:
-                assert form.coeff((ct, 1)) == coeffs.get((ct, 1), 0)
+                assert form.coeff(ct) == coeffs.get(ct, 0)
 
         report = run_case("s7-3x5")
         assert report.verdict == "excluded"
@@ -184,7 +184,7 @@ def test_criterion_3_s13_order33_tables():
         for (name, ell), (coeffs, const) in S13_ORDER3.items():
             form = affine_form(t3.row(name), 3, ell, {}, q_classes)
             assert form.constant == const, (name, ell)
-            assert [form.coeff((ct, 1)) for ct in q_classes] == coeffs, (name, ell)
+            assert [form.coeff(ct) for ct in q_classes] == coeffs, (name, ell)
 
         classes = allowed_support(n, 33)  # 11.1 first, then 3.1 .. 3.4
         threes = [parse_class(f"3.{j}", n) for j in range(1, 5)]
@@ -204,8 +204,8 @@ def test_criterion_3_s13_order33_tables():
                     form = top_form(name, ell, cand)
                     assert form.constant == b, (cand, name, ell)
                     a3, a11 = S13_ORDER33_A[(name, ell)]
-                    assert [form.coeff((ct, 1)) for ct in threes] == a3, (name, ell)
-                    assert form.coeff((eleven, 1)) == a11, (name, ell)
+                    assert [form.coeff(ct) for ct in threes] == a3, (name, ell)
+                    assert form.coeff(eleven) == a11, (name, ell)
 
         # the two published constants corrected above genuinely differ from
         # their printed form

@@ -123,6 +123,19 @@ def test_solve_judges_alternating_groups_by_their_own_element_orders(capsys):
     assert "A_8" in err
 
 
+def test_solve_checks_the_order_pq_preconditions_before_any_stage(capsys):
+    # with pi alone the order-q stage is unbounded, which must not hide that
+    # S_10 has elements of order 21 and S_11 elements of order 15
+    for group, order, pq in (("S10", "3x7", 21), ("S11", "3x5", 15)):
+        rc, out, err = run(capsys, "solve", "--group", group, "--order", order, "--rows", "pi")
+        assert rc == EXIT_INPUT and out == ""
+        assert f"has elements of order {pq}; nothing to exclude" in err
+    # A_6 has two classes of order 3, so its order-3 power is not forced
+    rc, out, err = run(capsys, "solve", "--group", "A6", "--order", "2x3", "--rows", "pi")
+    assert rc == EXIT_INPUT and out == ""
+    assert "unique class of order 3" in err
+
+
 def test_verify_paper_passes_with_asserts_stripped():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -167,7 +167,7 @@ def test_affine_form_evaluates_to_the_multiplicity():
     lower = {d: profile.level(d) for d in (3, 5)}
     for ell in orbit_residues(k):
         form = affine_form(row, k, ell, lower, classes)
-        point = {(ct, 1): profile.level(1).value(ct) for ct in classes}
+        point = {ct: profile.level(1).value(ct) for ct in classes}
         assert form.evaluate(point) == multiplicity(profile, row, ell)
 
 
@@ -179,8 +179,8 @@ def test_affine_form_rejects_brauer_rows_of_dividing_modulus():
 
 
 def test_affine_form_eliminate_by_the_augmentation():
-    a = (parse_class("3.1", 7), 1)
-    b = (parse_class("3.2", 7), 1)
+    a = parse_class("3.1", 7)
+    b = parse_class("3.2", 7)
     aug = AffineForm.make({a: 1, b: 1}, 0)
     f = AffineForm.make({a: Fraction(1, 2), b: Fraction(3, 2)}, 1)
     g = eliminate(f, a, aug, 1)

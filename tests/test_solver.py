@@ -24,6 +24,7 @@ from sntorsion.partitions import ClassLabel
 from sntorsion.solver import (
     FeasibilitySystem,
     enumerate_system,
+    has_element_of_order,
     report_aug_vectors,
     solve_integer_system,
     solve_order_pq,
@@ -39,8 +40,8 @@ def ordinary_row(name, n, k):
     )
 
 
-def var(token, n, level=1):
-    return (parse_class(token, n), level)
+def var(token, n):
+    return parse_class(token, n)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,6 @@ def example_order15_system():
         {ClassLabel(3, 1, n): 2, ClassLabel(3, 2, n): 2, ClassLabel(5, 1, n): 0},
     )
     classes = allowed_support(n, 15)
-    variables = [(ct, 1) for ct in classes]
     from sntorsion.luthar_passi import affine_form
 
     lower = {
@@ -90,12 +90,12 @@ def example_order15_system():
     forms = [
         (affine_form(hook, 15, ell, lower, classes), f"mu_{ell}(hook4)") for ell in (0, 5)
     ]
-    return FeasibilitySystem.build(variables, [], forms)
+    return FeasibilitySystem.build(classes, [], forms)
 
 
 def unique_point_system():
     v = var("5.1", 7)
-    eq = (AffineForm.make({v: 1}, 0), 1, "augmentation(level 1)")
+    eq = (AffineForm.make({v: 1}, 0), 1, "augmentation")
     forms = [
         (AffineForm.make({v: 1}, -1), "eps - 1"),
         (AffineForm.make({v: -1}, 1), "1 - eps"),
@@ -112,7 +112,7 @@ def congruence_infeasible_system():
         (AffineForm.make({v: 1}, 10), "box low"),
         (AffineForm.make({v: -1}, 10), "box high"),
     ]
-    eq = (AffineForm.make({v: 1}, 0), 1, "augmentation(level 1)")
+    eq = (AffineForm.make({v: 1}, 0), 1, "augmentation")
     return FeasibilitySystem.build([v], [eq], forms)
 
 
@@ -184,6 +184,45 @@ def test_unbounded_systems_report_a_ray():
     assert report.ray is not None and any(report.ray)
     # the ray keeps the augmentation equality homogeneously satisfied
     assert sum(report.ray) == 0
+
+
+def one_point_violating_system():
+    # the augmentation pins eps = 1, which the form eps - 2 >= 0 rules out
+    v = var("5.1", 7)
+    forms = [
+        (AffineForm.make({v: 1}, 0), "eps"),
+        (AffineForm.make({v: 1}, -2), "eps - 2"),
+    ]
+    return FeasibilitySystem.build([v], [], forms)
+
+
+def constant_slack_system():
+    # on the augmentation line a + b = 1 the form a + b + 2 is 3 everywhere
+    a, b = var("3.1", 7), var("3.2", 7)
+    return FeasibilitySystem.build([a, b], [], [(AffineForm.make({a: 1, b: 1}, 2), "a + b + 2")])
+
+
+@pytest.mark.parametrize("builder, tdim, wdim, status, solutions, certificate, ray, nodes", [
+    (unique_point_system, 0, 0, "solutions", [(1,)], [], None, 1),
+    (one_point_violating_system, 0, 0, "infeasible", [], ["eps - 2"], None, 0),
+    (constant_slack_system, 1, 0, "unbounded", [], [], (-1, 1), 1),
+])
+def test_degenerate_lattices_take_the_one_search_path(
+    builder, tdim, wdim, status, solutions, certificate, ray, nodes
+):
+    # no slack moves on these lattices: the projection chain is empty and
+    # the search has one leaf, the particular point, unless a constant
+    # slack is already negative
+    system = builder()
+    rows, _ = solver._integer_rows(system)
+    lat = solver._lattice(rows, len(system.variables), len(system.nonneg_integral))
+    assert (len(lat.basis), lat.wdim) == (tdim, wdim)
+    report = enumerate_system(system)
+    assert report.status == status
+    assert report.solutions == solutions
+    assert report.certificate == certificate
+    assert report.ray == ray
+    assert report.stats["nodes"] == nodes
 
 
 def test_recession_ray_moves_the_first_open_coordinate():
@@ -410,7 +449,7 @@ def test_build_rejects_variables_outside_every_constraint():
     # a caller-supplied augmentation equality that forgets a variable leaves
     # that variable unconstrained, which build refuses
     a, b = var("3.1", 7), var("3.2", 7)
-    eq = (AffineForm.make({a: 1}, 0), 1, "augmentation(level 1)")
+    eq = (AffineForm.make({a: 1}, 0), 1, "augmentation")
     with pytest.raises(ValueError):
         FeasibilitySystem.build([a, b], [eq], [(AffineForm.make({a: 1}, 0), "only a")])
     # a zero coefficient does not count as an appearance
@@ -423,7 +462,7 @@ def test_build_always_adds_the_augmentation_equality():
     a, b = var("3.1", 7), var("3.2", 7)
     system = FeasibilitySystem.build([a, b], [], [(AffineForm.make({a: 1, b: 1}, 0), "f")])
     names = [name for _, _, name in system.equalities]
-    assert "augmentation(level 1)" in names
+    assert "augmentation" in names
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +497,28 @@ def test_solve_prime_order_restricts_to_even_classes_for_alternating_groups():
     assert set(rep_a.variables) <= set(rep_s.variables)
     from sntorsion.partitions import parity
 
-    assert all(parity(ct) == 1 for ct, _ in rep_a.variables)
+    assert all(parity(ct) == 1 for ct in rep_a.variables)
 
 
 def test_solve_order_pq_rejects_groups_with_elements_of_that_order():
     with pytest.raises(ValueError):
         solve_order_pq(8, "S", 5, 3, [], [], [])
+
+
+def test_every_entry_point_rejects_an_unknown_group_kind():
+    # "a" is neither "S" nor "A"; it must not pass as A_n in one check and
+    # as S_n in the next
+    row = ordinary_row("pi", 11, 5)
+    calls = [
+        lambda: allowed_support(7, 10, "a"),
+        lambda: has_element_of_order(7, 10, "a"),
+        lambda: cases_mod.ordinary_row("pi", 11, 35, "a"),
+        lambda: cases_mod.run_exclusion("a", 11, 7, 5, [(row, [0, 1])], [], []),
+        lambda: solve_order_pq(7, "a", 5, 2, [], [], []),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown group kind 'a'"):
+            call()
 
 
 def test_solve_order_pq_excludes_s7_order_15():

@@ -22,6 +22,42 @@ def unused_from_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def kind_comparisons(source: str) -> list[int]:
+    """Lines that compare a name `kind` against a string constant or a
+    literal of string constants."""
+
+    def is_text(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return all(map(is_text, node.elts))
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Name) and o.id == "kind" for o in operands) and any(
+                map(is_text, operands)
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_kind_comparisons_are_found():
+    source = 'a = kind == "S"\nb = kind is None\nc = "A" in (kind,)\nd = kind not in ("S", "A")\n'
+    assert kind_comparisons(source) == [1, 4]
+
+
+def test_only_luthar_passi_reads_the_group_kind():
+    # allowed_support is the one rule for what "S" and "A" mean; every other
+    # module asks it instead of testing the kind itself
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "luthar_passi.py" and (lines := kind_comparisons(path.read_text()))
+    }
+    assert found == {}
+
+
 def test_unused_from_imports_are_found():
     source = "from math import gcd, lcm\nfrom os import path as p\nprint(gcd, p)\n"
     assert unused_from_imports(source) == ["lcm"]
