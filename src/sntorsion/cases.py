@@ -102,11 +102,15 @@ def run_exclusion(
 
     stage_pq_groups entries: {"name", "members": list[AugVector] | None,
     "rows_and_ells": list[(CharacterRow, list of ells)]}.
-    The group is checked before any stage (no element of order pq, a forced
-    order-p power), so its rejection does not depend on the rows.
+    The group (no element of order pq, a forced order-p power) and the
+    filter names are checked before any stage, so their rejection does not
+    depend on the rows.
     """
     t0 = time.monotonic()
     _require_no_order_pq(n, kind, p, q)
+    for fname in filters:
+        if fname not in FILTERS:
+            raise ValueError(f"unknown filter {fname!r}; known: {', '.join(FILTERS)}")
     p_candidates = [forced_vector(n, p)]
     report = CaseReport(case_id=case_id, kind=kind, n=n, p=p, q=q)
 

@@ -132,7 +132,10 @@ def cmd_solve(args) -> int:
             if covers(row, k):
                 return row
         if name in NAMED_CHARACTERS:
-            return ordinary_row(name, n, k, kind)
+            try:
+                return ordinary_row(name, n, k, kind)
+            except ValueError as exc:
+                raise InputError(f"built-in row {name!r} does not exist in S_{n}: {exc}") from None
         if found:
             raise InputError(
                 f"no table provides row {name!r} on every class of order dividing {k}"

@@ -172,7 +172,7 @@ def forced_vector(n: int, s: int) -> AugVector:
     """The unique possible augmentation vector when S_n has a single class
     of order s (s prime with floor(n/s) = 1): eps = 1 there."""
     if not is_prime(s) or n // s != 1:
-        raise ValueError(f"S_{n} does not have a unique class of order {s}")
+        raise ValueError(f"no unique class of order {s} in degree {n}")
     return AugVector.make(s, n, {ClassLabel(s, 1, n): 1})
 
 
@@ -333,7 +333,8 @@ def affine_form(
     """
     if row.mode == "brauer" and k % row.modulus == 0:
         raise ValueError(
-            f"brauer({row.modulus}) rows cannot constrain units of order {k}"
+            f"row {row.name} is a brauer({row.modulus}) row; it cannot constrain "
+            f"units of order {k}"
         )
     top_trace = Fraction(ramanujan_sum(k, ell), k)
     coeffs = {ct: top_trace * row.value(ct) for ct in variables}

@@ -7,25 +7,24 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
 
 1. every "form is an integer" condition becomes a linear Diophantine
    equation by introducing an integer slack for the form's value;
-2. the equation matrix is brought to column echelon form (column-style
-   Hermite elimination), which gives the lattice of homogeneous integer
-   solutions; forward substitution of the right-hand side then gives either
-   a contradiction or a particular solution;
-3. lattice directions that leave every slack unchanged are split off (they
-   can only produce infinite solution families), and each variable is
-   written as a linear form in the resulting lattice coordinates;
-4. exact Fourier-Motzkin elimination of the slack inequalities, from the
-   last remaining coordinate down, gives one projection chain; the
-   depth-first enumeration fixes the coordinates from the first up and
-   reads the range of each from the chain.
+2. one column-style Hermite elimination of the equation matrix, followed by
+   one unit row per slack, gives the lattice of homogeneous integer
+   solutions, already split into the coordinates w that move the slacks and
+   the directions v that leave every slack unchanged (they can only produce
+   infinite solution families); forward substitution of the right-hand side
+   in the echelon rows then gives either a contradiction or a particular
+   solution, and each variable is read as a linear form in (w, v);
+3. exact Fourier-Motzkin elimination of the slack inequalities, from the
+   last w coordinate down, gives one projection chain; the depth-first
+   enumeration fixes the coordinates from the first up and reads the range
+   of each from the chain.
 
 One path decides every lattice, a one-point lattice included: its chain is
-empty and its search visits the one leaf.  The elimination of step 2 and the
-split and variable map of step 3 depend only on the integer matrix, not on
-the right-hand side (_lattice).  The power-candidate pairs of one
-solve_order_pq call have the same linear parts and differ in their
-constants, so the pairs and their infeasible-core trials share one memo of
-lattices, which lives as long as the call.
+empty and its search visits the one leaf.  The elimination of step 2
+depends only on the integer matrix, not on the right-hand side (_lattice).
+The power-candidate pairs of one solve_order_pq call have the same linear
+parts and differ in their constants, so the pairs and their infeasible-core
+trials share one memo of lattices, which lives as long as the call.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -110,38 +109,35 @@ class _Lattice(NamedTuple):
     pivot_col: tuple[int | None, ...]  # the pivot column of each row
     echelon: tuple[tuple[int, ...], ...]  # rows . u on the pivot columns
     u_pivot: tuple[tuple[int, ...], ...]  # u on the pivot columns
-    basis: tuple[tuple[int, ...], ...]  # the integer kernel, one vector each
+    nfree: int  # the number of directions v that leave every slack fixed
     wdim: int  # the number of slack-moving coordinates w
     w_rows: tuple[tuple[int, ...], ...]  # each slack as a linear form in w
     x_map: tuple[tuple[int, ...], ...]  # each variable as a linear form in (w, v)
 
 
 def _lattice(rows, nvar: int, nform: int) -> _Lattice:
-    """Hermite elimination of integer rows over nvar variables and nform
-    slacks, the kernel basis, and the split of the kernel coordinates into
-    the slack-moving ones and the directions that leave every slack fixed."""
-    ncols = nvar + nform
-    a, u, pivots = _column_hermite(rows, ncols)
-    rank = len(pivots)
+    """One Hermite elimination of the integer rows over nvar variables and
+    nform slacks, followed by one unit row per slack.
+
+    The pivots in the integer rows give the rank and the echelon data of
+    _particular; the columns past the rank span the integer kernel.  The
+    unit rows only combine those kernel columns, where the integer rows are
+    already zero, and their pivots are the slack-moving coordinates w; the
+    remaining kernel columns are the directions v.
+    """
+    m, ncols = len(rows), nvar + nform
+    units = [[int(c == nvar + i) for c in range(ncols)] for i in range(nform)]
+    a, u, pivots = _column_hermite(list(rows) + units, ncols)
+    rank = sum(row < m for row, _ in pivots)
+    wdim = len(pivots) - rank
     pivot_of_row = dict(pivots)
-    basis = tuple(tuple(u[i][c] for i in range(ncols)) for c in range(rank, ncols))
-    tdim = len(basis)
-    # column echelon of the slack matrix: the first wdim coordinates w move
-    # the slacks, the rest (directions v) leave every slack unchanged
-    slack_rows = [[basis[t][nvar + i] for t in range(tdim)] for i in range(nform)]
-    _, tr, split = _column_hermite(slack_rows, tdim)
-    wdim = len(split)
-
-    def in_wv(vec) -> tuple[int, ...]:
-        return tuple(sum(vec[t] * tr[t][c] for t in range(tdim)) for c in range(tdim))
-
     return _Lattice(
-        tuple(pivot_of_row.get(r) for r in range(len(rows))),
-        tuple(tuple(r[:rank]) for r in a),
+        tuple(pivot_of_row.get(r) for r in range(m)),
+        tuple(tuple(r[:rank]) for r in a[:m]),
         tuple(tuple(r[:rank]) for r in u),
-        basis, wdim,
-        tuple(in_wv(r)[:wdim] for r in slack_rows),
-        tuple(in_wv([b[i] for b in basis]) for i in range(nvar)),
+        ncols - rank - wdim, wdim,
+        tuple(tuple(r[rank:rank + wdim]) for r in u[nvar:]),
+        tuple(tuple(r[rank:]) for r in u[:nvar]),
     )
 
 
@@ -159,21 +155,6 @@ def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
         else:
             y.append(s // lat.echelon[row][col])
     return [sum(a * c for a, c in zip(r, y)) for r in lat.u_pivot]
-
-
-def solve_integer_system(
-    rows: list[list[int]], rhs: list[int], nvar: int
-) -> tuple[list[int], list[list[int]]] | None:
-    """All integer solutions of A x = b as x0 + lattice combinations.
-
-    Returns (x0, basis) with basis a list of column vectors spanning the
-    integer kernel, or None when no integer solution exists.
-    """
-    lat = _lattice(rows, nvar, 0)
-    x0 = _particular(lat, rhs)
-    if x0 is None:
-        return None
-    return x0, [list(b) for b in lat.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +261,12 @@ class FeasibilitySystem:
         nonneg_integral: list[tuple[AffineForm, str]],
     ) -> "FeasibilitySystem":
         """The system over the classes `variables`, with the augmentation
-        equality (the partial augmentations sum to 1) added unless the
-        caller passed an equality named "augmentation"."""
+        equality (the partial augmentations sum to 1) appended."""
         variables = sorted(variables, key=class_sort_key)
-        eqs = list(equalities)
-        if "augmentation" not in {name for _, _, name in equalities}:
-            eqs.append((AffineForm.make(dict.fromkeys(variables, 1), 0), 1, "augmentation"))
-        sys_ = FeasibilitySystem(tuple(variables), tuple(eqs), tuple(nonneg_integral))
-        used = {v for f, *_ in sys_.equalities + sys_.nonneg_integral for v, c in f.coeffs if c}
-        for v in variables:
-            if v not in used:
-                raise ValueError(f"variable {format_class(v)} appears in no constraint")
-        return sys_
+        augmentation = (AffineForm.make(dict.fromkeys(variables, 1), 0), 1, "augmentation")
+        return FeasibilitySystem(
+            tuple(variables), (*equalities, augmentation), tuple(nonneg_integral)
+        )
 
 
 @dataclass
@@ -372,11 +347,10 @@ def _solve(
     z0 = _particular(lat, rhs)
     if z0 is None:
         return report
-    wdim, x_map = lat.wdim, lat.x_map
+    wdim, nfree, x_map = lat.wdim, lat.nfree, lat.x_map
 
-    # slack inequalities in the slack-moving coordinates w; the other
-    # coordinates can only produce infinite solution families
-    nfree = len(lat.basis) - wdim
+    # slack inequalities in the slack-moving coordinates w; the directions
+    # v can only produce infinite solution families
     ineqs: set[Ineq] = set()
     for w_row, const in zip(lat.w_rows, z0[nvar:]):
         if any(w_row):
@@ -514,49 +488,6 @@ def _infeasible_core(
     return [forms[j][1] for j in core]
 
 
-def spot_check_infeasible(
-    system: FeasibilitySystem, core: list[str], samples: int = 200
-) -> bool:
-    """Independent soundness pass: sample integer points satisfying the
-    equalities and confirm each violates a core form (negative value or a
-    non-integral rational)."""
-    rows, rhs = _integer_rows(system)
-    nvar = len(system.variables)
-    # keep only the equality rows; slack links are dropped so the samples are
-    # constrained by nothing but the equalities
-    eq_rows = [r[:nvar] for r in rows[: len(system.equalities)]]
-    eq_rhs = rhs[: len(system.equalities)]
-    sol = solve_integer_system(eq_rows, eq_rhs, nvar)
-    if sol is None:
-        return True
-    z0, basis = sol
-    core_forms = [
-        (f, name) for f, name in system.nonneg_integral if name in set(core)
-    ]
-    checked = 0
-    span = 3
-    import itertools
-
-    for t in itertools.product(range(-span, span + 1), repeat=len(basis)):
-        if checked >= samples:
-            break
-        point_vals = [
-            z0[i] + sum(basis[c][i] * t[c] for c in range(len(basis)))
-            for i in range(nvar)
-        ]
-        point = dict(zip(system.variables, point_vals))
-        ok = False
-        for f, _ in core_forms:
-            value = f.evaluate(point)
-            if value < 0 or value.denominator != 1:
-                ok = True
-                break
-        if not ok:
-            return False
-        checked += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the layered strategy
 
@@ -571,9 +502,6 @@ def solve_prime_order(
     multiplicity constraints."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    for row, _ in rows_and_ells:
-        if row.mode == "brauer" and row.modulus == q:
-            raise ValueError(f"row {row.name} is a brauer({q}) row; it cannot constrain order {q}")
     classes = allowed_support(n, q, kind)
     forms = [
         (affine_form(row, q, ell, {}, classes), f"mu_{ell}({row.name})")

@@ -104,6 +104,10 @@ def test_solve_input_errors(capsys):
          "--table", "/nonexistent/path.tbl"],
         # S8 contains elements of order 15, so the run is rejected
         ["solve", "--group", "S8", "--order", "3x5", "--rows", "pi"],
+        # built-in rows whose partition does not exist in S_n
+        ["solve", "--group", "S4", "--order", "2x3", "--rows", "tau"],
+        ["solve", "--group", "S1", "--order", "2x3", "--rows", "pi"],
+        ["solve", "--group", "S0", "--order", "3x5", "--rows", "pi"],
     ]
     for argv in bad:
         rc, _, err = run(capsys, *argv)
@@ -133,7 +137,19 @@ def test_solve_checks_the_order_pq_preconditions_before_any_stage(capsys):
     # A_6 has two classes of order 3, so its order-3 power is not forced
     rc, out, err = run(capsys, "solve", "--group", "A6", "--order", "2x3", "--rows", "pi")
     assert rc == EXIT_INPUT and out == ""
-    assert "unique class of order 3" in err
+    assert "unique class of order 3" in err and "S_6" not in err
+
+
+def test_solve_rejects_unknown_filter_names_before_any_stage(capsys):
+    # the S7 order-3 stage is unbounded, so a late check would never see
+    # the name; the S11 one is bounded
+    for argv in (
+        ["--group", "S11", "--order", "5x7", "--rows", "pi", "--rows", "rho", "--rows", "tau"],
+        ["--group", "S7", "--order", "3x5", "--rows", "hook4:0,5"],
+    ):
+        rc, out, err = run(capsys, "solve", *argv, "--filters", "bogus")
+        assert rc == EXIT_INPUT and out == "", argv
+        assert "unknown filter 'bogus'; known: q-power-weighted-sum" in err
 
 
 def test_verify_paper_passes_with_asserts_stripped():

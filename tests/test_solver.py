@@ -26,10 +26,8 @@ from sntorsion.solver import (
     enumerate_system,
     has_element_of_order,
     report_aug_vectors,
-    solve_integer_system,
     solve_order_pq,
     solve_prime_order,
-    spot_check_infeasible,
 )
 
 
@@ -46,6 +44,16 @@ def var(token, n):
 
 # ---------------------------------------------------------------------------
 # integer linear algebra
+
+
+def solve_integer_system(rows, rhs, nvar):
+    """All integer solutions of rows . x = rhs as (x0, kernel basis), or None,
+    read off the solver's lattice with no slack columns."""
+    lat = solver._lattice(tuple(map(tuple, rows)), nvar, 0)
+    x0 = solver._particular(lat, rhs)
+    if x0 is None:
+        return None
+    return x0, [list(col) for col in zip(*lat.x_map)]
 
 
 def test_solve_integer_system_parametrizes_all_solutions():
@@ -95,12 +103,11 @@ def example_order15_system():
 
 def unique_point_system():
     v = var("5.1", 7)
-    eq = (AffineForm.make({v: 1}, 0), 1, "augmentation")
     forms = [
         (AffineForm.make({v: 1}, -1), "eps - 1"),
         (AffineForm.make({v: -1}, 1), "1 - eps"),
     ]
-    return FeasibilitySystem.build([v], [eq], forms)
+    return FeasibilitySystem.build([v], [], forms)
 
 
 def congruence_infeasible_system():
@@ -112,8 +119,7 @@ def congruence_infeasible_system():
         (AffineForm.make({v: 1}, 10), "box low"),
         (AffineForm.make({v: -1}, 10), "box high"),
     ]
-    eq = (AffineForm.make({v: 1}, 0), 1, "augmentation")
-    return FeasibilitySystem.build([v], [eq], forms)
+    return FeasibilitySystem.build([v], [], forms)
 
 
 def two_var_box_system():
@@ -159,7 +165,14 @@ def test_enumeration_matches_box_brute_force(builder):
     if report.status == "infeasible":
         assert expected == []
         assert report.certificate  # at least one named form
-        assert spot_check_infeasible(system, report.certificate)
+        # the certificate forms alone, with the other equalities, already
+        # leave the box empty
+        core = FeasibilitySystem.build(
+            list(system.variables),
+            [eq for eq in system.equalities if eq[2] != "augmentation"],
+            [form for form in system.nonneg_integral if form[1] in report.certificate],
+        )
+        assert brute_force_solutions(core, 50) == []
 
 
 def test_unique_point_system_solves_to_one():
@@ -202,13 +215,13 @@ def constant_slack_system():
     return FeasibilitySystem.build([a, b], [], [(AffineForm.make({a: 1, b: 1}, 2), "a + b + 2")])
 
 
-@pytest.mark.parametrize("builder, tdim, wdim, status, solutions, certificate, ray, nodes", [
+@pytest.mark.parametrize("builder, nfree, wdim, status, solutions, certificate, ray, nodes", [
     (unique_point_system, 0, 0, "solutions", [(1,)], [], None, 1),
     (one_point_violating_system, 0, 0, "infeasible", [], ["eps - 2"], None, 0),
     (constant_slack_system, 1, 0, "unbounded", [], [], (-1, 1), 1),
 ])
 def test_degenerate_lattices_take_the_one_search_path(
-    builder, tdim, wdim, status, solutions, certificate, ray, nodes
+    builder, nfree, wdim, status, solutions, certificate, ray, nodes
 ):
     # no slack moves on these lattices: the projection chain is empty and
     # the search has one leaf, the particular point, unless a constant
@@ -216,7 +229,7 @@ def test_degenerate_lattices_take_the_one_search_path(
     system = builder()
     rows, _ = solver._integer_rows(system)
     lat = solver._lattice(rows, len(system.variables), len(system.nonneg_integral))
-    assert (len(lat.basis), lat.wdim) == (tdim, wdim)
+    assert (lat.nfree, lat.wdim) == (nfree, wdim)
     report = enumerate_system(system)
     assert report.status == status
     assert report.solutions == solutions
@@ -355,7 +368,7 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
     _case_thm32(12, 11, 3)
     _case_thm32(12, 11, 3)
     (calls, distinct), again = per_call
-    assert 0 < calls <= 2 * distinct
+    assert 0 < calls == distinct
     assert again == (calls, distinct)
 
 
@@ -445,24 +458,11 @@ def test_solutions_are_sorted_and_unique():
     assert report.solutions == sorted(set(report.solutions))
 
 
-def test_build_rejects_variables_outside_every_constraint():
-    # a caller-supplied augmentation equality that forgets a variable leaves
-    # that variable unconstrained, which build refuses
-    a, b = var("3.1", 7), var("3.2", 7)
-    eq = (AffineForm.make({a: 1}, 0), 1, "augmentation")
-    with pytest.raises(ValueError):
-        FeasibilitySystem.build([a, b], [eq], [(AffineForm.make({a: 1}, 0), "only a")])
-    # a zero coefficient does not count as an appearance
-    zero_b = AffineForm(((a, Fraction(1)), (b, Fraction(0))), Fraction(0))
-    with pytest.raises(ValueError, match="appears in no constraint"):
-        FeasibilitySystem.build([a, b], [eq], [(zero_b, "zero b")])
-
-
 def test_build_always_adds_the_augmentation_equality():
     a, b = var("3.1", 7), var("3.2", 7)
     system = FeasibilitySystem.build([a, b], [], [(AffineForm.make({a: 1, b: 1}, 0), "f")])
-    names = [name for _, _, name in system.equalities]
-    assert "augmentation" in names
+    aug, target, name = system.equalities[-1]
+    assert (dict(aug.coeffs), aug.constant, target, name) == ({a: 1, b: 1}, 0, 1, "augmentation")
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +488,23 @@ def test_solve_prime_order_rejects_brauer_rows_of_the_same_modulus():
     )
     with pytest.raises(ValueError):
         solve_prime_order(7, "S", 3, [(row, 0)])
+
+
+def test_one_brauer_check_names_the_row_at_every_order():
+    # affine_form is the one check; a brauer(3) row constrains neither the
+    # order-3 stage nor the order-15 systems
+    row = CharacterRow.make(
+        "b", 4, {ClassLabel(2, 1, 7).cycle_type(): 2}, mode="brauer", modulus=3
+    )
+    message = r"row b is a brauer\(3\) row; it cannot constrain units of order "
+    with pytest.raises(ValueError, match=message + "3$"):
+        solve_prime_order(7, "S", 3, [(row, 0)])
+    q_rep = AugVector.make(3, 7, {ClassLabel(3, 1, 7): 1})
+    with pytest.raises(ValueError, match=message + "15$"):
+        solve_order_pq(
+            7, "S", 5, 3, [q_rep], [forced_vector(7, 5)],
+            [{"name": "main", "members": None, "rows_and_ells": [(row, 0)]}],
+        )
 
 
 def test_solve_prime_order_restricts_to_even_classes_for_alternating_groups():

@@ -42,6 +42,72 @@ def kind_comparisons(source: str) -> list[int]:
     return lines
 
 
+def identifiers(tree, skip=()) -> set[str]:
+    """Every name, attribute and imported name read in tree, outside the
+    subtrees in skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if any(node is s for s in skip):
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreferenced_public_names(source: str, other_sources: list[str]) -> list[str]:
+    """Public top-level functions, classes and assignments of a module that
+    no code outside their own definitions names, in the module or in
+    other_sources.  A name used only by such unreferenced definitions is
+    unreferenced too."""
+    tree = ast.parse(source)
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    elsewhere = set().union(*(identifiers(ast.parse(s)) for s in other_sources))
+    dead: set[str] = set()
+    while True:
+        skipped = [defs[name] for name in dead]
+        new = {
+            name for name, node in defs.items()
+            if not name.startswith("_") and name not in dead and name not in elsewhere
+            and name not in identifiers(tree, skipped + [node])
+        }
+        if not new:
+            return sorted(dead)
+        dead |= new
+
+
+def test_unreferenced_public_names_are_found():
+    source = (
+        "Ineq = int\n"
+        "def used(x: Ineq):\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def recursive():\n    return recursive()\n"
+        "def only_by_dead():\n    return 2\n"
+        "def dead():\n    return only_by_dead()\n"
+        "class Kept:\n    pass\n"
+    )
+    other = "from m import used\nimport m\nm.Kept()\n"
+    assert unreferenced_public_names(source, [other]) == ["dead", "only_by_dead", "recursive"]
+
+
+def test_every_public_solver_name_is_used_by_the_package():
+    # library surface that only tests use belongs in the tests
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+    solver_source = sources.pop("solver.py")
+    assert unreferenced_public_names(solver_source, list(sources.values())) == []
+
+
 def test_kind_comparisons_are_found():
     source = 'a = kind == "S"\nb = kind is None\nc = "A" in (kind,)\nd = kind not in ("S", "A")\n'
     assert kind_comparisons(source) == [1, 4]
