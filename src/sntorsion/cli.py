@@ -43,7 +43,10 @@ class InputError(Exception):
 def _parse_group(spec: str) -> tuple[str, int]:
     if not spec or spec[0] not in ("S", "A") or not spec[1:].isdigit():
         raise InputError(f"bad --group {spec!r}; expected e.g. S13 or A13")
-    return spec[0], int(spec[1:])
+    n = int(spec[1:])
+    if n < 2:
+        raise InputError(f"bad --group {spec!r}; the degree must be at least 2")
+    return spec[0], n
 
 
 def _parse_order(spec: str) -> tuple[int, int]:

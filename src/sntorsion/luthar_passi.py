@@ -306,14 +306,41 @@ class AffineForm:
             Fraction(constant),
         )
 
-    def coeff(self, var: Partition) -> Fraction:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return Fraction(0)
 
-    def evaluate(self, point: dict[Partition, int]) -> Fraction:
-        return self.constant + sum(c * point.get(v, 0) for v, c in self.coeffs)
+def top_coeffs(
+    row: CharacterRow, k: int, ell: int, variables: list[Partition]
+) -> tuple[tuple[Partition, Fraction], ...]:
+    """The linear part of affine_form: the coefficient ramanujan_sum(k, ell)/k
+    * row(C) of each top-level variable C, zeros dropped, in class order.
+
+    A brauer row whose modulus divides k is a ValueError: it cannot
+    constrain units of order k.
+    """
+    if row.mode == "brauer" and k % row.modulus == 0:
+        raise ValueError(
+            f"row {row.name} is a brauer({row.modulus}) row; it cannot constrain "
+            f"units of order {k}"
+        )
+    top_trace = Fraction(ramanujan_sum(k, ell), k)
+    coeffs = {ct: top_trace * row.value(ct) for ct in variables}
+    return tuple(sorted(
+        ((ct, c) for ct, c in coeffs.items() if c), key=lambda kv: class_sort_key(kv[0])
+    ))
+
+
+def lower_constant(
+    row: CharacterRow, k: int, ell: int, lower_levels: dict[int, AugVector]
+) -> Fraction:
+    """The constant of affine_form: the identity's share row.degree/k plus
+    the share of every proper power level d > 1, fixed by `lower_levels`."""
+    total = row.degree
+    for d in range(2, k):
+        if k % d:
+            continue
+        if d not in lower_levels:
+            raise ValueError(f"level {d} of the unit is not fixed")
+        total += char_value_on_unit(row, lower_levels[d]) * ramanujan_sum(k // d, ell)
+    return Fraction(total, k)
 
 
 def affine_form(
@@ -325,28 +352,16 @@ def affine_form(
 ) -> AffineForm:
     """Multiplicity of zeta^ell for a unit of order k as an affine form in
     the top-level augmentation variables, with all proper power levels d > 1
-    fixed by `lower_levels`.
+    fixed by `lower_levels`: the linear part top_coeffs, which does not read
+    the lower levels, plus the constant lower_constant.
 
     Works verbatim for Brauer rows with modulus coprime to k: the eigenvalue
     multiplicity formula has the same shape, restricted to modulus-regular
     classes.
     """
-    if row.mode == "brauer" and k % row.modulus == 0:
-        raise ValueError(
-            f"row {row.name} is a brauer({row.modulus}) row; it cannot constrain "
-            f"units of order {k}"
-        )
-    top_trace = Fraction(ramanujan_sum(k, ell), k)
-    coeffs = {ct: top_trace * row.value(ct) for ct in variables}
-    constant = Fraction(row.degree, k)
-    for d in range(2, k):
-        if k % d:
-            continue
-        if d not in lower_levels:
-            raise ValueError(f"level {d} of the unit is not fixed")
-        chi = char_value_on_unit(row, lower_levels[d])
-        constant += Fraction(chi * ramanujan_sum(k // d, ell), k)
-    return AffineForm.make(coeffs, constant)
+    return AffineForm(
+        top_coeffs(row, k, ell, variables), lower_constant(row, k, ell, lower_levels)
+    )
 
 
 def orbit_residues(k: int) -> list[int]:

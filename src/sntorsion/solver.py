@@ -23,8 +23,12 @@ One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  The elimination of step 2
 depends only on the integer matrix, not on the right-hand side (_lattice).
 The power-candidate pairs of one solve_order_pq call have the same linear
-parts and differ in their constants, so the pairs and their infeasible-core
-trials share one memo of lattices, which lives as long as the call.
+parts and differ in their constants, so the call builds the linear part of
+each (row, ell) once (top_coeffs) and only the constant per pair
+(lower_constant), and the pairs and their infeasible-core trials share one
+memo of lattices; both live as long as the call.  Every reported solution is
+re-checked against the system's original forms in integer arithmetic, each
+form cleared by its own denominator, independently of the solved rows.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -45,6 +49,8 @@ from .luthar_passi import (
     allowed_support,
     class_sort_key,
     format_class,
+    lower_constant,
+    top_coeffs,
 )
 from .lemma_filters import spectral_hypotheses
 from .partitions import Partition, element_order, is_prime
@@ -301,20 +307,22 @@ def _integer_rows(
     rows: list[list[int]] = []
     rhs: list[int] = []
 
-    def cleared(f: AffineForm) -> tuple[int, list[int]]:
-        coeffs = dict(f.coeffs)
-        den = lcm(f.constant.denominator, *(c.denominator for c in coeffs.values()))
-        return den, [int(den * coeffs.get(v, 0)) for v in system.variables] + [0] * nform
+    def cleared(f: AffineForm) -> tuple[int, list[int], int]:
+        """den, the row and the constant of den * f, in integers."""
+        den = lcm(f.constant.denominator, *(c.denominator for _, c in f.coeffs))
+        coeffs = {v: c.numerator * (den // c.denominator) for v, c in f.coeffs}
+        row = [coeffs.get(v, 0) for v in system.variables] + [0] * nform
+        return den, row, f.constant.numerator * (den // f.constant.denominator)
 
     for f, target, _ in system.equalities:
-        den, row = cleared(f)
+        den, row, const = cleared(f)
         rows.append(row)
-        rhs.append(int(den * (target - f.constant)))
+        rhs.append(den * target - const)
     for i, (f, _) in enumerate(system.nonneg_integral):
-        den, row = cleared(f)
+        den, row, const = cleared(f)
         row[nvar + i] = -den
         rows.append(row)
-        rhs.append(int(-den * f.constant))
+        rhs.append(-const)
     return tuple(map(tuple, rows)), rhs
 
 
@@ -445,19 +453,36 @@ def enumerate_system(
     rows, rhs = _integer_rows(system)
     report = _solve(rows, rhs, system.variables, len(system.nonneg_integral), lattices)
     if report.status == "solutions":
-        # defensive re-check against the original forms
-        for sol in report.solutions:
-            point = dict(zip(system.variables, sol))
-            for f, target, name in system.equalities:
-                if f.evaluate(point) != target:
-                    raise RuntimeError(f"solver point {sol} violates equality {name}")
-            for f, name in system.nonneg_integral:
-                value = f.evaluate(point)
-                if value.denominator != 1 or value < 0:
-                    raise RuntimeError(f"solver point {sol} violates form {name}")
+        _recheck(system, report.solutions)
     elif report.status == "infeasible":
         report.certificate = _infeasible_core(system, rows, rhs, lattices)
     return report
+
+
+def _recheck(system: FeasibilitySystem, solutions: list[tuple[int, ...]]) -> None:
+    """Defensive re-check of every solution against the system's original
+    forms, independent of the rows the solver solved: each form is cleared
+    by its own denominator lcm den, so at a point x an equality needs
+    den * (f(x) - target) == 0 and a form needs den * f(x) >= 0 and
+    den * f(x) = 0 (mod den)."""
+    index = {v: i for i, v in enumerate(system.variables)}
+
+    def cleared(f: AffineForm, target: int = 0) -> tuple[int, list[tuple[int, int]], int]:
+        """den, and the terms and constant of den * (f - target)."""
+        den = lcm(f.constant.denominator, *(c.denominator for _, c in f.coeffs))
+        terms = [(index[v], c.numerator * (den // c.denominator)) for v, c in f.coeffs]
+        return den, terms, f.constant.numerator * (den // f.constant.denominator) - den * target
+
+    equalities = [(*cleared(f, target), name) for f, target, name in system.equalities]
+    forms = [(*cleared(f), name) for f, name in system.nonneg_integral]
+    for sol in solutions:
+        for _, terms, const, name in equalities:
+            if const + sum(c * sol[i] for i, c in terms):
+                raise RuntimeError(f"solver point {sol} violates equality {name}")
+        for den, terms, const, name in forms:
+            value = const + sum(c * sol[i] for i, c in terms)
+            if value < 0 or value % den:
+                raise RuntimeError(f"solver point {sol} violates form {name}")
 
 
 def _infeasible_core(
@@ -573,24 +598,31 @@ def solve_order_pq(
             raise ValueError("candidate not covered by any row group")
         return fallback
 
-    # the pair systems share their linear parts, so one memo of lattices
-    # serves every pair and core trial of this call
+    # the pair systems differ only in their constants, which read the power
+    # candidates: each (row, ell) gets its linear part once per call, and one
+    # memo of lattices serves every pair and core trial of this call
+    k = p * q
+    linear: dict[tuple[CharacterRow, int], tuple] = {}
+
+    def form(row: CharacterRow, ell: int, lower: dict[int, AugVector]) -> AffineForm:
+        if (row, ell) not in linear:
+            linear[row, ell] = top_coeffs(row, k, ell, classes)
+        return AffineForm(linear[row, ell], lower_constant(row, k, ell, lower))
+
     lattices: dict = {}
     results: list[PairResult] = []
     for q_cand in q_candidates:
         grp = group_of(q_cand)
         for p_cand in p_candidates:
             lower = {p: q_cand, q: p_cand}
-            forms = []
-            for row, ell in grp["rows_and_ells"]:
-                f = affine_form(row, p * q, ell, lower, classes)
-                forms.append((f, f"mu_{ell}({row.name})"))
+            forms = [
+                (form(row, ell, lower), f"mu_{ell}({row.name})")
+                for row, ell in grp["rows_and_ells"]
+            ]
             equalities = []
             if use_pi:
-                f1 = affine_form(pi_row, p * q, 1, lower, classes)
-                fq = affine_form(pi_row, p * q, q, lower, classes)
-                equalities.append((f1, 0, f"mu_1({pi_row.name}) = 0"))
-                equalities.append((fq, 1, f"mu_{q}({pi_row.name}) = 1"))
+                equalities.append((form(pi_row, 1, lower), 0, f"mu_1({pi_row.name}) = 0"))
+                equalities.append((form(pi_row, q, lower), 1, f"mu_{q}({pi_row.name}) = 1"))
             system = FeasibilitySystem.build(classes, equalities, forms)
             report = enumerate_system(system, lattices)
             results.append(PairResult(q_cand, p_cand, grp["name"], report))

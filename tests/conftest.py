@@ -33,14 +33,14 @@ def brute_force_solutions(system: FeasibilitySystem, bound: int) -> list[tuple[i
         for _, c in f.coeffs:
             den = den * c.denominator // _gcd(den, c.denominator)
         den = den * f.constant.denominator // _gcd(den, f.constant.denominator)
-        coeffs = [int(den * f.coeff(v)) for v in system.variables]
+        coeffs = [int(den * coeff(f, v)) for v in system.variables]
         constraints.append((coeffs, int(den * f.constant), "eq", den * target))
     for f, _ in system.nonneg_integral:
         den = 1
         for _, c in f.coeffs:
             den = den * c.denominator // _gcd(den, c.denominator)
         den = den * f.constant.denominator // _gcd(den, f.constant.denominator)
-        coeffs = [int(den * f.coeff(v)) for v in system.variables]
+        coeffs = [int(den * coeff(f, v)) for v in system.variables]
         constraints.append((coeffs, int(den * f.constant), "nonneg-int", den))
     found = []
     for point in itertools.product(range(-bound, bound + 1), repeat=nvar):
@@ -67,16 +67,29 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+def coeff(form: AffineForm, var: Partition) -> Fraction:
+    """The coefficient of var in form (0 when absent)."""
+    for v, c in form.coeffs:
+        if v == var:
+            return c
+    return Fraction(0)
+
+
+def evaluate(form: AffineForm, point: dict[Partition, int]) -> Fraction:
+    """The exact value of form at point (absent variables count as 0)."""
+    return form.constant + sum(c * point.get(v, 0) for v, c in form.coeffs)
+
+
 def eliminate(
     form: AffineForm, var: Partition, equality: AffineForm, target: Fraction | int
 ) -> AffineForm:
     """Substitute var in form using `equality = target` (which must involve
     var), as the paper does with the augmentation when it prints a form."""
-    pivot = equality.coeff(var)
+    pivot = coeff(equality, var)
     if pivot == 0:
         raise ValueError("equality does not involve the eliminated variable")
     # var = (target - constant - sum_other) / pivot
-    factor = form.coeff(var) / pivot
+    factor = coeff(form, var) / pivot
     coeffs = {v: c for v, c in form.coeffs if v != var}
     for v, c in equality.coeffs:
         if v != var:

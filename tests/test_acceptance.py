@@ -38,7 +38,7 @@ from sntorsion.partitions import (
 )
 from sntorsion.solver import enumerate_system
 
-from conftest import brute_force_solutions, eliminate
+from conftest import brute_force_solutions, coeff, eliminate
 
 
 @contextmanager
@@ -110,7 +110,7 @@ def test_criterion_2_order15_example():
             form = eliminate(affine_form(row, 15, ell, lower, classes), c31, aug, 1)
             assert form.constant == const
             for ct in classes:
-                assert form.coeff(ct) == coeffs.get(ct, 0)
+                assert coeff(form, ct) == coeffs.get(ct, 0)
 
         report = run_case("s7-3x5")
         assert report.verdict == "excluded"
@@ -184,7 +184,7 @@ def test_criterion_3_s13_order33_tables():
         for (name, ell), (coeffs, const) in S13_ORDER3.items():
             form = affine_form(t3.row(name), 3, ell, {}, q_classes)
             assert form.constant == const, (name, ell)
-            assert [form.coeff(ct) for ct in q_classes] == coeffs, (name, ell)
+            assert [coeff(form, ct) for ct in q_classes] == coeffs, (name, ell)
 
         classes = allowed_support(n, 33)  # 11.1 first, then 3.1 .. 3.4
         threes = [parse_class(f"3.{j}", n) for j in range(1, 5)]
@@ -204,8 +204,8 @@ def test_criterion_3_s13_order33_tables():
                     form = top_form(name, ell, cand)
                     assert form.constant == b, (cand, name, ell)
                     a3, a11 = S13_ORDER33_A[(name, ell)]
-                    assert [form.coeff(ct) for ct in threes] == a3, (name, ell)
-                    assert form.coeff(eleven) == a11, (name, ell)
+                    assert [coeff(form, ct) for ct in threes] == a3, (name, ell)
+                    assert coeff(form, eleven) == a11, (name, ell)
 
         # the two published constants corrected above genuinely differ from
         # their printed form

@@ -5,7 +5,18 @@ import json
 import pytest
 
 import sntorsion.cases as cases_mod
-from sntorsion.cases import CASES, _case_thm32, list_cases, load_golden, run_case, verify_case
+from sntorsion.cases import (
+    CASES,
+    _case_thm32,
+    list_cases,
+    load_golden,
+    ordinary_row,
+    run_case,
+    run_exclusion,
+    verify_case,
+)
+from sntorsion.luthar_passi import orbit_residues
+from sntorsion.partitions import is_prime
 from sntorsion.reports import report_from_json
 
 
@@ -102,6 +113,36 @@ def test_thm32_12_11_3_unbounded_pairs_share_one_ray():
     unbounded = [pair for pair in pairs if pair["status"] == "unbounded"]
     assert len(unbounded) == 14
     assert all(pair["ray"] == [54, -7, 27, -51, -23] for pair in unbounded)
+
+
+def test_alternating_thm32_instances_take_the_order_pq_path():
+    # the Theorem-3.2 instances with n <= 13, each run for A_n with pi, rho
+    # and tau on the even classes, like the sweep runs them for S_n
+    instances = [
+        (n, p, q)
+        for n in range(7, 14)
+        for p in range(3, n + 1)
+        for q in range(3, p)
+        if is_prime(p) and is_prime(q) and 2 * p > n and p + q > n
+    ]
+    verdicts, pairs = {}, 0
+    for n, p, q in instances:
+        def rows(k):
+            return [(ordinary_row(nm, n, k, "A"), orbit_residues(k)) for nm in ("pi", "rho", "tau")]
+
+        rep = run_exclusion(
+            "A", n, p, q, rows(q),
+            [{"name": "main", "members": None, "rows_and_ells": rows(p * q)}],
+            filters=["q-power-weighted-sum"], use_pi_equalities=True,
+        )
+        verdicts[n, p, q] = rep.verdict
+        pairs += sum(len(g["pairs"]) for g in rep.stage_pq["groups"])
+    undecided = {(12, 11, 3), (13, 11, 3), (13, 13, 3)}
+    assert len(instances) == 22
+    assert verdicts == {
+        inst: "undecided-unbounded" if inst in undecided else "excluded" for inst in instances
+    }
+    assert pairs == 537
 
 
 def test_run_case_is_deterministic():

@@ -115,6 +115,14 @@ def test_solve_input_errors(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_solve_rejects_groups_of_degree_below_two(capsys):
+    for group in ("S0", "S1", "A1"):
+        rc, out, err = run(capsys, "solve", "--group", group, "--order", "3x5", "--rows", "pi")
+        assert rc == EXIT_INPUT, group
+        assert out == ""
+        assert err.startswith(f"error: bad --group '{group}'"), err
+
+
 def test_solve_judges_alternating_groups_by_their_own_element_orders(capsys):
     # S_7 has elements of order 10 (a 5-cycle times a transposition), but
     # they are odd, so A_7 has none and the run goes ahead

@@ -1,12 +1,13 @@
 """Exact integer enumeration: oracle equivalence, determinism, verdicts."""
 
+import inspect
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_solutions
+from conftest import brute_force_solutions, coeff
 
 from sntorsion.characters import NamedCharacter, character_value, degree
 from sntorsion.lemma_filters import filter_order_q_powers
@@ -14,6 +15,7 @@ from sntorsion.luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
+    affine_form,
     allowed_support,
     forced_vector,
     parse_class,
@@ -89,7 +91,6 @@ def example_order15_system():
         {ClassLabel(3, 1, n): 2, ClassLabel(3, 2, n): 2, ClassLabel(5, 1, n): 0},
     )
     classes = allowed_support(n, 15)
-    from sntorsion.luthar_passi import affine_form
 
     lower = {
         3: forced_vector(n, 5),
@@ -340,6 +341,74 @@ def test_pairs_sharing_lattices_report_like_fresh_solves(case_id, statuses, monk
         assert report.to_dict() == enumerate_system(system).to_dict()
 
 
+@pytest.mark.parametrize("case_id", sorted(PAIR_CASES))
+def test_pair_systems_have_the_forms_of_fresh_affine_forms(case_id, monkeypatch):
+    systems, calls = [], []
+    real_enumerate, real_pq = solver.enumerate_system, cases_mod.solve_order_pq
+
+    def recording(system, lattices=None):
+        if lattices is not None:  # a pair system of solve_order_pq
+            systems.append(system)
+        return real_enumerate(system, lattices)
+
+    def captured(*args, **kwargs):
+        out = real_pq(*args, **kwargs)
+        bound = inspect.signature(real_pq).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments, out[1]))
+        return out
+
+    monkeypatch.setattr(solver, "enumerate_system", recording)
+    monkeypatch.setattr(cases_mod, "solve_order_pq", captured)
+    PAIR_CASES[case_id]()
+    monkeypatch.undo()
+    expected = []
+    for args, results in calls:
+        p, q, pi_row = args["p"], args["q"], args["pi_row"]
+        classes = allowed_support(args["n"], p * q, args["kind"])
+        groups = {grp["name"]: grp for grp in args["row_groups"]}
+        for result in results:
+            lower = {p: result.q_candidate, q: result.p_candidate}
+            forms = [
+                affine_form(row, p * q, ell, lower, classes)
+                for row, ell in groups[result.group]["rows_and_ells"]
+            ]
+            pi_forms = [] if pi_row is None else [
+                affine_form(pi_row, p * q, ell, lower, classes) for ell in (1, q)
+            ]
+            expected.append((forms, pi_forms))
+    assert len(systems) == len(expected) > 0
+    for system, (forms, pi_forms) in zip(systems, expected):
+        assert [f for f, _ in system.nonneg_integral] == forms
+        assert [f for f, _, _ in system.equalities[:-1]] == pi_forms
+
+
+def test_linear_parts_are_built_once_per_row_and_ell_per_solve_order_pq_call(monkeypatch):
+    built = Counter()
+    per_call = []
+    real_top, real_pq = solver.top_coeffs, cases_mod.solve_order_pq
+
+    def counting(row, k, ell, variables):
+        built[row.name, ell] += 1
+        return real_top(row, k, ell, variables)
+
+    def measured(*args, **kwargs):
+        built.clear()
+        out = real_pq(*args, **kwargs)
+        per_call.append(dict(built))
+        return out
+
+    monkeypatch.setattr(solver, "top_coeffs", counting)
+    monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
+    _case_thm32(12, 11, 3)
+    _case_thm32(12, 11, 3)
+    first, again = per_call
+    # pi, rho and tau at the residues of orbit_residues(33); the pi
+    # equalities read (pi, 1) and (pi, 3), which the rows already have
+    assert first == {(name, ell): 1 for name in ("pi", "rho", "tau") for ell in (0, 1, 3, 11)}
+    assert again == first
+
+
 def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
     hermite_calls = 0
     matrices = set()
@@ -372,9 +441,26 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
     assert again == (calls, distinct)
 
 
+def half_equality_system():
+    # a/2 + 1/2 = 1 with the augmentation: the one point is a = 1, b = 0
+    a, b = var("3.1", 7), var("3.2", 7)
+    equalities = [(AffineForm.make({a: Fraction(1, 2)}, Fraction(1, 2)), 1, "half")]
+    forms = [
+        (AffineForm.make({b: 1}, 5), "b low"),
+        (AffineForm.make({b: -1}, 5), "b high"),
+    ]
+    return FeasibilitySystem.build([a, b], equalities, forms)
+
+
 @pytest.mark.parametrize("builder, point, broken", [
     (unique_point_system, (2,), "equality"),
     (three_var_system, (100, -99, 0), "form"),
+    # f1 = 2a/3 - b/3 + c + 2 is 8/3 at (1, 0, 0), where every other form
+    # is a non-negative integer and the augmentation holds
+    (three_var_system, (1, 0, 0), "form f1"),
+    # a/2 + 1/2 is 3/2 at (2, -1): it misses 1 by a half, and the
+    # augmentation holds
+    (half_equality_system, (2, -1), "equality half"),
 ])
 def test_enumerate_system_rejects_a_solution_that_violates_the_system(
     builder, point, broken, monkeypatch
@@ -424,7 +510,7 @@ def random_systems(draw, max_vars, box):
 
 
 def linear_part(form, system, ray):
-    return sum(form.coeff(v) * r for v, r in zip(system.variables, ray))
+    return sum(coeff(form, v) * r for v, r in zip(system.variables, ray))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
