@@ -15,10 +15,8 @@ from .luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
-    UnitProfile,
     affine_form,
     allowed_support,
-    multiplicity,
     orbit_residues,
 )
 from .solver import (
@@ -38,13 +36,11 @@ __all__ = [
     "NamedCharacter",
     "SolveReport",
     "TableFile",
-    "UnitProfile",
     "affine_form",
     "allowed_support",
     "character_value",
     "degree",
     "enumerate_system",
-    "multiplicity",
     "orbit_residues",
     "parse_table",
     "serialize_table",

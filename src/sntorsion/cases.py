@@ -81,6 +81,46 @@ def _rows_json(rows_and_ells: list[tuple[CharacterRow, list[int]]]) -> list[dict
     return [{"name": row.name, "ells": list(ells)} for row, ells in rows_and_ells]
 
 
+def _stage_pq(
+    n: int,
+    kind: str,
+    p: int,
+    q: int,
+    candidates: list[AugVector],
+    p_candidates: list[AugVector],
+    stage_pq_groups: list[dict],
+    pi_row: CharacterRow | None = None,
+) -> tuple[str, dict]:
+    """Solve every order-pq pair of the groups (entries as in run_exclusion)
+    and return the verdict and the report's stage_pq section."""
+    groups = [
+        {
+            "name": grp["name"],
+            "members": grp.get("members"),
+            "rows_and_ells": [
+                (row, ell) for row, ells in grp["rows_and_ells"] for ell in ells
+            ],
+        }
+        for grp in stage_pq_groups
+    ]
+    verdict, results = solve_order_pq(
+        n, kind, p, q, candidates, p_candidates, groups, pi_row=pi_row
+    )
+    grouped: dict[str, list] = {grp["name"]: [] for grp in stage_pq_groups}
+    for r in results:
+        grouped[r.group].append(_pair_json(r))
+    return verdict, {
+        "groups": [
+            {
+                "name": grp["name"],
+                "rows": _rows_json(grp["rows_and_ells"]),
+                "pairs": grouped[grp["name"]],
+            }
+            for grp in stage_pq_groups
+        ]
+    }
+
+
 FILTERS = {
     "q-power-weighted-sum": filter_order_q_powers,
 }
@@ -139,34 +179,10 @@ def run_exclusion(
     stage_q["survivors"] = [_aug_to_json(c) for c in candidates]
     report.stage_q = stage_q
 
-    groups = [
-        {
-            "name": grp["name"],
-            "members": grp.get("members"),
-            "rows_and_ells": [
-                (row, ell) for row, ells in grp["rows_and_ells"] for ell in ells
-            ],
-        }
-        for grp in stage_pq_groups
-    ]
     pi_row = ordinary_row("pi", n, p * q, kind) if use_pi_equalities else None
-    verdict, results = solve_order_pq(
-        n, kind, p, q, candidates, p_candidates, groups, pi_row=pi_row
+    report.verdict, report.stage_pq = _stage_pq(
+        n, kind, p, q, candidates, p_candidates, stage_pq_groups, pi_row
     )
-    grouped: dict[str, list] = {grp["name"]: [] for grp in stage_pq_groups}
-    for r in results:
-        grouped[r.group].append(_pair_json(r))
-    report.stage_pq = {
-        "groups": [
-            {
-                "name": grp["name"],
-                "rows": _rows_json(grp["rows_and_ells"]),
-                "pairs": grouped[grp["name"]],
-            }
-            for grp in stage_pq_groups
-        ]
-    }
-    report.verdict = verdict
     report.elapsed_s = time.monotonic() - t0
     report.validate()
     return report
@@ -192,21 +208,11 @@ def case_s7_3x5() -> CaseReport:
     if hook.value(c31) != hook.value(c32) or hook.value(c51) != 0:
         raise RuntimeError(f"hook4 values {values} are not power-independent")
     q_rep = AugVector.make(q, n, {c31: 1})
-    verdict, results = solve_order_pq(
-        n, "S", p, q, [q_rep], [forced_vector(n, p)], [
-            {"name": "main", "members": None, "rows_and_ells": [(hook, 0), (hook, 5)]}
-        ],
+    report = CaseReport(case_id="s7-3x5", kind="S", n=n, p=p, q=q)
+    report.verdict, report.stage_pq = _stage_pq(
+        n, "S", p, q, [q_rep], [forced_vector(n, p)],
+        [{"name": "main", "members": None, "rows_and_ells": [(hook, [0, 5])]}],
     )
-    report = CaseReport(case_id="s7-3x5", kind="S", n=n, p=p, q=q, verdict=verdict)
-    report.stage_pq = {
-        "groups": [
-            {
-                "name": "main",
-                "rows": _rows_json([(hook, [0, 5])]),
-                "pairs": [_pair_json(r) for r in results],
-            }
-        ]
-    }
     report.extras = {
         "hook4_values": values,
         "power_independent": True,

@@ -3,9 +3,9 @@
 The canonical evaluator is the Murnaghan-Nakayama border-strip recursion,
 implemented on beta-numbers (first-column hook lengths).  Degrees come from
 the hook-length formula, which doubles as an independent cross-check of the
-recursion at the identity.  A handful of distinguished characters have
-closed-form values on the classes ``r.j``; those closed forms serve as
-oracles for the recursion, never the other way around.
+recursion at the identity.  The closed-form values of the distinguished
+characters on the classes ``r.j`` are oracles for the recursion, never the
+other way around; they live with the tests (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .partitions import ClassLabel, Partition, check_partition
+from .partitions import Partition, check_partition
 
 
 @cache
@@ -97,51 +97,3 @@ class NamedCharacter:
             "pi_sgn": (2,) + (1,) * (n - 2),
             "hook4": (4, 1, 1, 1),
         }[self.name]
-
-
-class UnsupportedClosedForm(ValueError):
-    """Raised for a (character, class) pair without a stated closed form."""
-
-
-def closed_form_value(char: NamedCharacter, cls: ClassLabel | None) -> int:
-    """Closed-form value of a named character at the identity (cls=None) or
-    at a class r.j, exactly the patterns with a stated formula.
-    """
-    n = char.n
-    if cls is not None and cls.n != n:
-        raise ValueError(f"class {cls} lives in S_{cls.n}, character in S_{n}")
-    name = char.name
-    if name == "pi":
-        if cls is None:
-            return n - 1
-        return n - 1 - cls.r * cls.j
-    if name == "pi_sgn":
-        if cls is None:
-            return n - 1
-        sign = (-1) ** cls.j if cls.r == 2 else 1
-        return sign * (n - 1 - cls.r * cls.j)
-    if name == "rho":
-        if cls is None:
-            return (n - 1) * (n - 2) // 2
-        r, j = cls.r, cls.j
-        if r == 2:
-            # the 2-cycles contribute beyond the fixed-point count
-            raise UnsupportedClosedForm(f"rho has no stated closed form at {cls}")
-        if j == 1:
-            return (n - 1) * (n - 2) // 2 - r * (2 * n - r - 3) // 2
-        if j == 2:
-            return (n - 1) * (n - 2) // 2 - r * (2 * n - 2 * r - 3)
-        raise UnsupportedClosedForm(f"rho has no stated closed form at {cls}")
-    if name == "tau":
-        if cls is not None and cls.r == 3:
-            # the 3-cycles contribute beyond the fixed-point count
-            raise UnsupportedClosedForm(f"tau has no stated closed form at {cls}")
-        if cls is None:
-            num = n * (n - 2) * (n - 4)
-        else:
-            f = n - cls.r * cls.j
-            num = f * ((f - 1) * (f - 5) + 3)
-        if num % 3:
-            raise UnsupportedClosedForm(f"tau formula is not integral at {cls}")
-        return num // 3
-    raise UnsupportedClosedForm(f"{name} has no closed-form table")

@@ -49,11 +49,15 @@ def _parse_group(spec: str) -> tuple[str, int]:
     return spec[0], n
 
 
-def _parse_order(spec: str) -> tuple[int, int]:
+def _parse_order(spec: str, n: int) -> tuple[int, int]:
     parts = spec.lower().split("x")
     if len(parts) != 2 or not all(s.isdigit() for s in parts):
         raise InputError(f"bad --order {spec!r}; expected e.g. 3x11")
     a, b = sorted(int(s) for s in parts)
+    # checked before the primality test, whose cost grows with the factor:
+    # a factor above the degree is no element order of the group
+    if b > n:
+        raise InputError(f"bad --order {spec!r}; the factor {b} exceeds the degree {n}")
     if a == b or not (is_prime(a) and is_prime(b)):
         raise InputError(f"--order {spec!r} must name two distinct primes")
     return b, a  # (p, q) with p > q
@@ -102,11 +106,14 @@ def cmd_chartable(args) -> int:
 
 def cmd_solve(args) -> int:
     kind, n = _parse_group(args.group)
-    p, q = _parse_order(args.order)
+    p, q = _parse_order(args.order, n)
     tables = []
     for path in args.table or []:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"table {path} is not UTF-8 text: {exc}") from None
         table = parse_table(text)
         if (table.kind, table.n) != (kind, n):
             raise InputError(

@@ -18,10 +18,8 @@ from .cyclotomic import ramanujan_sum
 from .partitions import (
     ClassLabel,
     Partition,
-    all_partitions,
     check_partition,
     element_order,
-    identity_partition,
     is_prime,
     parity,
 )
@@ -76,19 +74,6 @@ def format_class(ct: Partition) -> str:
     return "1" if max(ct) == 1 else format_cycle_type(ct)
 
 
-def parse_class(token: str, n: int) -> Partition:
-    """Inverse of format_class for degree n."""
-    if token == "1":
-        return identity_partition(n)
-    if "." in token and "+" not in token and "^" not in token:
-        r_s, j_s = token.split(".", 1)
-        return ClassLabel(int(r_s), int(j_s), n).cycle_type()
-    ct = parse_cycle_type(token)
-    if sum(ct) != n:
-        raise ValueError(f"cycle type {token} is not a partition of {n}")
-    return ct
-
-
 def class_sort_key(ct: Partition):
     """Canonical variable order: classes r.j by (r descending, j ascending),
     composite cycle types afterwards."""
@@ -102,13 +87,21 @@ def class_sort_key(ct: Partition):
 def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
     if kind not in ("S", "A"):
         raise ValueError(f"unknown group kind {kind!r}; expected 'S' or 'A'")
-    support = [
-        mu
-        for mu in all_partitions(n)
-        if element_order(mu) != 1
-        and k % element_order(mu) == 0
-        and (kind != "A" or parity(mu) == 1)
-    ]
+    # the order divides k exactly when every cycle length does, so only the
+    # partitions of n into such lengths are built (not all p(n) of them):
+    # each is a non-increasing choice of cycles longer than 1, padded with
+    # fixed points; the empty choice is the identity
+    cycles = [c for c in range(min(n, k), 1, -1) if k % c == 0]
+    support = []
+    stack = [((), n, 0)]
+    while stack:
+        longer, rest, i = stack.pop()
+        mu = longer + (1,) * rest
+        if longer and (kind != "A" or parity(mu) == 1):
+            support.append(mu)
+        stack.extend(
+            (longer + (c,), rest - c, j) for j, c in enumerate(cycles[i:], i) if c <= rest
+        )
     return tuple(sorted(support, key=class_sort_key))
 
 
@@ -177,40 +170,6 @@ def forced_vector(n: int, s: int) -> AugVector:
 
 
 @dataclass(frozen=True)
-class UnitProfile:
-    """Augmentation vectors of u^d for every proper divisor d of the order k
-    (d = 1 is u itself)."""
-
-    k: int
-    n: int
-    levels: tuple[tuple[int, AugVector], ...]
-
-    @staticmethod
-    def make(k: int, n: int, levels: dict[int, AugVector]) -> "UnitProfile":
-        return UnitProfile(k, n, tuple(sorted(levels.items())))
-
-    def __post_init__(self) -> None:
-        for d, aug in self.levels:
-            if d < 1 or d >= self.k or self.k % d != 0:
-                raise ValueError(f"{d} is not a proper divisor of {self.k}")
-            if aug.k != self.k // d:
-                raise ValueError(f"level {d} must have order {self.k // d}, got {aug.k}")
-            if aug.n != self.n:
-                raise ValueError("degree mismatch inside profile")
-
-    def level(self, d: int) -> AugVector:
-        for dd, aug in self.levels:
-            if dd == d:
-                return aug
-        raise KeyError(f"profile has no level {d}")
-
-    @property
-    def complete(self) -> bool:
-        present = {d for d, _ in self.levels}
-        return all(d in present for d in range(1, self.k) if self.k % d == 0)
-
-
-@dataclass(frozen=True)
 class CharacterRow:
     """Exact integer values of a rational-valued (ordinary or Brauer)
     character on a list of classes."""
@@ -271,23 +230,6 @@ def char_value_on_unit(row: CharacterRow, aug: AugVector) -> int:
     """Linear extension of the character to the group ring: sum of
     eps_C * row(C) over the support."""
     return sum(eps * row.value(ct) for ct, eps in aug.entries)
-
-
-def multiplicity(profile: UnitProfile, row: CharacterRow, ell: int) -> Fraction:
-    """Multiplicity of zeta^ell as an eigenvalue of the unit under a
-    representation affording the (ordinary, rational-valued) row."""
-    if row.mode != "ordinary":
-        raise ValueError("multiplicity requires an ordinary character row")
-    if not profile.complete:
-        raise ValueError("profile is missing a divisor level")
-    k = profile.k
-    total = Fraction(0)
-    for d in range(1, k + 1):
-        if k % d:
-            continue
-        chi = row.degree if d == k else char_value_on_unit(row, profile.level(d))
-        total += chi * ramanujan_sum(k // d, ell)
-    return total / k
 
 
 @dataclass(frozen=True)

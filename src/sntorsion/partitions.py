@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial, gcd, lcm
+from math import lcm
 
 Partition = tuple[int, ...]
 
@@ -24,12 +24,6 @@ def check_partition(mu: Partition) -> Partition:
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
         raise ValueError(f"partition {mu} is not weakly decreasing")
     return mu
-
-
-def identity_partition(n: int) -> Partition:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (1,) * n
 
 
 def is_prime(k: int) -> bool:
@@ -83,22 +77,6 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n))
 
 
-def power_cycle_type(mu: Partition, d: int) -> Partition:
-    """Cycle type of sigma^d for sigma of cycle type mu.
-
-    Each cycle of length c falls apart into gcd(c, d) cycles of length
-    c / gcd(c, d).
-    """
-    check_partition(mu)
-    if d < 1:
-        raise ValueError("exponent must be >= 1")
-    parts: list[int] = []
-    for c in mu:
-        g = gcd(c, d)
-        parts.extend([c // g] * g)
-    return tuple(sorted(parts, reverse=True))
-
-
 @cache
 def element_order(mu: Partition) -> int:
     """Order of a permutation of cycle type mu: the lcm of the parts."""
@@ -111,13 +89,3 @@ def parity(mu: Partition) -> int:
     """Sign of a permutation of cycle type mu, +1 or -1."""
     check_partition(mu)
     return -1 if (sum(mu) - len(mu)) % 2 else 1
-
-
-def class_size(mu: Partition) -> int:
-    """Number of permutations of cycle type mu in S_n, n = sum(mu)."""
-    check_partition(mu)
-    z = 1
-    for c in set(mu):
-        m = mu.count(c)
-        z *= c**m * factorial(m)
-    return factorial(sum(mu)) // z

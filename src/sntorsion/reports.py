@@ -103,28 +103,6 @@ class CaseReport:
         return "\n".join(lines) + "\n"
 
 
-def report_from_json(text: str) -> CaseReport:
-    data = json.loads(text)
-    if data.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported report schema {data.get('schema')!r}")
-    group = data["group"]
-    kind, n = group[0], int(group[1:])
-    rep = CaseReport(
-        case_id=data["case_id"],
-        kind=kind,
-        n=n,
-        p=data.get("p"),
-        q=data.get("q"),
-        verdict=data.get("verdict", ""),
-        stage_q=data.get("stage_q"),
-        stage_pq=data.get("stage_pq"),
-        extras=data.get("extras", {}),
-        elapsed_s=data.get("elapsed_s", 0.0),
-    )
-    rep.validate()
-    return rep
-
-
 def first_divergence(expected: dict, actual: dict, path: str = "$") -> str | None:
     """Locate the first differing field between two report dicts."""
     if isinstance(expected, dict) and isinstance(actual, dict):

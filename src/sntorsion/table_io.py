@@ -64,12 +64,6 @@ class TableFile:
                 return r
         raise KeyError(f"table has no row named {name!r}")
 
-    def class_by_label(self, label: str) -> Partition:
-        for lab, ct in self.classes:
-            if lab == label:
-                return ct
-        raise KeyError(f"table has no class labelled {label!r}")
-
 
 def parse_cycle_type(token: str, line: int) -> Partition:
     try:
@@ -220,11 +214,6 @@ def serialize_table(table: TableFile) -> str:
                 continue
             lines.append(f"value {row.name} {label} {row.value(ct)}")
     return "\n".join(lines) + "\n"
-
-
-def canonicalize(table: TableFile) -> TableFile:
-    """The table as serialization will order it."""
-    return parse_table(serialize_table(table))
 
 
 def ordinary_table(n: int, names: list[str] | None = None) -> TableFile:

@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 
 from sntorsion.cases import load_bundled_table
-from sntorsion.luthar_passi import AffineForm
-from sntorsion.partitions import Partition
+from sntorsion.characters import NamedCharacter
+from sntorsion.cyclotomic import ramanujan_sum
+from sntorsion.luthar_passi import (
+    AffineForm,
+    AugVector,
+    CharacterRow,
+    char_value_on_unit,
+    parse_cycle_type,
+)
+from sntorsion.partitions import ClassLabel, Partition, check_partition
 from sntorsion.solver import FeasibilitySystem
 
 
@@ -96,3 +106,173 @@ def eliminate(
             coeffs[v] = coeffs.get(v, Fraction(0)) - factor * c
     const = form.constant + factor * (Fraction(target) - equality.constant)
     return AffineForm.make(coeffs, const)
+
+
+# ---------------------------------------------------------------------------
+# oracles: closed forms and whole-unit formulas that the tests compare the
+# package's recursions and affine forms against
+
+
+def identity_partition(n: int) -> Partition:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return (1,) * n
+
+
+def power_cycle_type(mu: Partition, d: int) -> Partition:
+    """Cycle type of sigma^d for sigma of cycle type mu.
+
+    Each cycle of length c falls apart into gcd(c, d) cycles of length
+    c / gcd(c, d).
+    """
+    check_partition(mu)
+    if d < 1:
+        raise ValueError("exponent must be >= 1")
+    parts: list[int] = []
+    for c in mu:
+        g = gcd(c, d)
+        parts.extend([c // g] * g)
+    return tuple(sorted(parts, reverse=True))
+
+
+def class_size(mu: Partition) -> int:
+    """Number of permutations of cycle type mu in S_n, n = sum(mu)."""
+    check_partition(mu)
+    z = 1
+    for c in set(mu):
+        m = mu.count(c)
+        z *= c**m * factorial(m)
+    return factorial(sum(mu)) // z
+
+
+def parse_class(token: str, n: int) -> Partition:
+    """Inverse of luthar_passi.format_class for degree n."""
+    if token == "1":
+        return identity_partition(n)
+    if "." in token and "+" not in token and "^" not in token:
+        r_s, j_s = token.split(".", 1)
+        return ClassLabel(int(r_s), int(j_s), n).cycle_type()
+    ct = parse_cycle_type(token)
+    if sum(ct) != n:
+        raise ValueError(f"cycle type {token} is not a partition of {n}")
+    return ct
+
+
+class UnsupportedClosedForm(ValueError):
+    """Raised for a (character, class) pair without a stated closed form."""
+
+
+def closed_form_value(char: NamedCharacter, cls: ClassLabel | None) -> int:
+    """Closed-form value of a named character at the identity (cls=None) or
+    at a class r.j, exactly the patterns with a stated formula.
+    """
+    n = char.n
+    if cls is not None and cls.n != n:
+        raise ValueError(f"class {cls} lives in S_{cls.n}, character in S_{n}")
+    name = char.name
+    if name == "pi":
+        if cls is None:
+            return n - 1
+        return n - 1 - cls.r * cls.j
+    if name == "pi_sgn":
+        if cls is None:
+            return n - 1
+        sign = (-1) ** cls.j if cls.r == 2 else 1
+        return sign * (n - 1 - cls.r * cls.j)
+    if name == "rho":
+        if cls is None:
+            return (n - 1) * (n - 2) // 2
+        r, j = cls.r, cls.j
+        if r == 2:
+            # the 2-cycles contribute beyond the fixed-point count
+            raise UnsupportedClosedForm(f"rho has no stated closed form at {cls}")
+        if j == 1:
+            return (n - 1) * (n - 2) // 2 - r * (2 * n - r - 3) // 2
+        if j == 2:
+            return (n - 1) * (n - 2) // 2 - r * (2 * n - 2 * r - 3)
+        raise UnsupportedClosedForm(f"rho has no stated closed form at {cls}")
+    if name == "tau":
+        if cls is not None and cls.r == 3:
+            # the 3-cycles contribute beyond the fixed-point count
+            raise UnsupportedClosedForm(f"tau has no stated closed form at {cls}")
+        if cls is None:
+            num = n * (n - 2) * (n - 4)
+        else:
+            f = n - cls.r * cls.j
+            num = f * ((f - 1) * (f - 5) + 3)
+        if num % 3:
+            raise UnsupportedClosedForm(f"tau formula is not integral at {cls}")
+        return num // 3
+    raise UnsupportedClosedForm(f"{name} has no closed-form table")
+
+
+@dataclass(frozen=True)
+class UnitProfile:
+    """Augmentation vectors of u^d for every proper divisor d of the order k
+    (d = 1 is u itself)."""
+
+    k: int
+    n: int
+    levels: tuple[tuple[int, AugVector], ...]
+
+    @staticmethod
+    def make(k: int, n: int, levels: dict[int, AugVector]) -> "UnitProfile":
+        return UnitProfile(k, n, tuple(sorted(levels.items())))
+
+    def __post_init__(self) -> None:
+        for d, aug in self.levels:
+            if d < 1 or d >= self.k or self.k % d != 0:
+                raise ValueError(f"{d} is not a proper divisor of {self.k}")
+            if aug.k != self.k // d:
+                raise ValueError(f"level {d} must have order {self.k // d}, got {aug.k}")
+            if aug.n != self.n:
+                raise ValueError("degree mismatch inside profile")
+
+    def level(self, d: int) -> AugVector:
+        for dd, aug in self.levels:
+            if dd == d:
+                return aug
+        raise KeyError(f"profile has no level {d}")
+
+    @property
+    def complete(self) -> bool:
+        present = {d for d, _ in self.levels}
+        return all(d in present for d in range(1, self.k) if self.k % d == 0)
+
+
+def multiplicity(profile: UnitProfile, row: CharacterRow, ell: int) -> Fraction:
+    """Multiplicity of zeta^ell as an eigenvalue of the unit under a
+    representation affording the (ordinary, rational-valued) row."""
+    if row.mode != "ordinary":
+        raise ValueError("multiplicity requires an ordinary character row")
+    if not profile.complete:
+        raise ValueError("profile is missing a divisor level")
+    k = profile.k
+    total = Fraction(0)
+    for d in range(1, k + 1):
+        if k % d:
+            continue
+        chi = row.degree if d == k else char_value_on_unit(row, profile.level(d))
+        total += chi * ramanujan_sum(k // d, ell)
+    return total / k
+
+
+def mu1_pi_closed_form_pq(profile: UnitProfile, n: int, p: int, q: int) -> Fraction:
+    """Multiplicity of a primitive pq-th root of unity under the natural
+    character, for an order-pq unit when S_n has no element of order pq:
+
+        (1/pq) [ q sum_j j (eps_{q.j}(u^p) - eps_{q.j}(u))
+               + p sum_k k (eps_{p.k}(u^q) - eps_{p.k}(u)) ]
+    """
+    if p + q <= n:
+        raise ValueError(f"S_{n} has elements of order {p * q}; formula does not apply")
+    if profile.k != p * q or profile.n != n:
+        raise ValueError("profile does not describe an order-pq unit in S_n")
+    top = profile.level(1)
+    total = Fraction(0)
+    for r, power in ((q, p), (p, q)):
+        lower = profile.level(power)
+        for j in range(1, n // r + 1):
+            cls = ClassLabel(r, j, n)
+            total += Fraction(r * j) * (lower.value(cls) - top.value(cls))
+    return total / (p * q)

@@ -17,7 +17,7 @@ from test_solver import CORPUS
 
 from sntorsion.cases import load_bundled_table, load_golden, run_case
 from sntorsion.characters import NamedCharacter, character_value, degree
-from sntorsion.lemma_filters import filter_lemma_4_3, mu1_pi_closed_form_pq
+from sntorsion.lemma_filters import filter_lemma_4_3
 from sntorsion.luthar_passi import (
     AffineForm,
     AugVector,
@@ -25,20 +25,21 @@ from sntorsion.luthar_passi import (
     affine_form,
     allowed_support,
     forced_vector,
-    multiplicity,
-    parse_class,
 )
-from sntorsion.partitions import (
-    ClassLabel,
-    all_partitions,
-    class_size,
-    element_order,
-    is_prime,
-    power_cycle_type,
-)
+from sntorsion.partitions import ClassLabel, all_partitions, element_order, is_prime
 from sntorsion.solver import enumerate_system
 
-from conftest import brute_force_solutions, coeff, eliminate
+from conftest import (
+    UnitProfile,
+    brute_force_solutions,
+    class_size,
+    coeff,
+    eliminate,
+    mu1_pi_closed_form_pq,
+    multiplicity,
+    parse_class,
+    power_cycle_type,
+)
 
 
 @contextmanager
@@ -261,8 +262,6 @@ def test_criterion_5_multiplicity_oracle():
                     d: AugVector.make(k // d, n, {power_cycle_type(mu, d): 1})
                     for d in range(1, k) if k % d == 0
                 }
-                from sntorsion.luthar_passi import UnitProfile
-
                 profile = UnitProfile.make(k, n, levels)
                 support = allowed_support(n, k)
                 for lam in partitions:

@@ -5,22 +5,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sntorsion.characters import (
-    NamedCharacter,
-    UnsupportedClosedForm,
-    character_value,
-    closed_form_value,
-    conjugate_partition,
-    degree,
-)
-from sntorsion.partitions import (
-    ClassLabel,
-    all_partitions,
-    class_size,
-    identity_partition,
-    is_prime,
-    parity,
-)
+from conftest import UnsupportedClosedForm, class_size, closed_form_value, identity_partition
+
+from sntorsion.characters import NamedCharacter, character_value, conjugate_partition, degree
+from sntorsion.partitions import ClassLabel, all_partitions, is_prime, parity
 
 pairs = st.integers(min_value=1, max_value=9).flatmap(
     lambda n: st.tuples(

@@ -160,16 +160,44 @@ def test_solve_rejects_unknown_filter_names_before_any_stage(capsys):
         assert "unknown filter 'bogus'; known: q-power-weighted-sum" in err
 
 
-def test_verify_paper_passes_with_asserts_stripped():
+def run_process(*argv, timeout, python_flags=()):
+    """The CLI in a fresh interpreter; TimeoutExpired fails the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "sntorsion.cli", "verify-paper"],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "sntorsion.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_verify_paper_passes_with_asserts_stripped():
+    proc = run_process("verify-paper", timeout=120, python_flags=["-O"])
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
     assert proc.stdout.count(": pass") == len(list_cases())
+
+
+def test_solve_builds_the_support_of_a_large_degree_without_every_partition():
+    # S_70 has 4 * 10^6 partitions; only the two with a 67- or 61-cycle and
+    # fixed points can support a unit of order 4087
+    proc = run_process(
+        "solve", "--group", "S70", "--order", "67x61",
+        "--rows", "pi", "--rows", "rho", "--rows", "tau", timeout=10,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "verdict: excluded" in proc.stdout
+
+
+def test_solve_rejects_order_factors_above_the_degree_before_testing_primality():
+    proc = run_process(
+        "solve", "--group", "S13", "--order", "3x1000000000000000003", "--rows", "pi",
+        timeout=5,
+    )
+    assert proc.returncode == EXIT_INPUT and proc.stdout == ""
+    assert proc.stderr == (
+        "error: bad --order '3x1000000000000000003'; "
+        "the factor 1000000000000000003 exceeds the degree 13\n"
+    )
 
 
 def test_solve_with_a_table_file_round_trips(tmp_path, capsys):
@@ -182,6 +210,17 @@ def test_solve_with_a_table_file_round_trips(tmp_path, capsys):
     )
     assert rc == EXIT_OK
     assert "verdict: excluded" in out
+
+
+def test_solve_rejects_a_table_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.tbl"
+    path.write_bytes("table-v1\n# caf\u00e9\n".encode("latin-1"))
+    rc, out, err = run(
+        capsys, "solve", "--group", "S7", "--order", "3x5",
+        "--table", str(path), "--rows", "pi",
+    )
+    assert rc == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: table {path} is not UTF-8 text"), err
 
 
 def test_solve_rejects_tables_for_the_wrong_group(tmp_path, capsys):

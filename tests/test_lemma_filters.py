@@ -6,21 +6,10 @@ import random
 import pytest
 
 from sntorsion.characters import NamedCharacter, character_value, degree
-from sntorsion.lemma_filters import (
-    epsilon_subset,
-    filter_lemma_4_2,
-    filter_lemma_4_3,
-    filter_order_q_powers,
-    mu1_pi_closed_form_pq,
-)
-from sntorsion.luthar_passi import (
-    AugVector,
-    CharacterRow,
-    UnitProfile,
-    allowed_support,
-    forced_vector,
-    multiplicity,
-)
+from conftest import UnitProfile, mu1_pi_closed_form_pq, multiplicity
+
+from sntorsion.lemma_filters import filter_lemma_4_3, filter_order_q_powers
+from sntorsion.luthar_passi import AugVector, CharacterRow, allowed_support, forced_vector
 from sntorsion.partitions import ClassLabel, is_prime
 
 
@@ -99,28 +88,6 @@ def test_filter_order_q_powers_checks_its_hypotheses():
         filter_order_q_powers(13, 5, 3, [])  # p <= n/2
     with pytest.raises(ValueError):
         filter_order_q_powers(6, 5, 3, [])  # n < 7
-
-
-def test_epsilon_subset_splits_by_parity():
-    # 2.1 is odd, 2.2 is even
-    v = AugVector.make(2, 5, {ClassLabel(2, 1, 5): 3, ClassLabel(2, 2, 5): -2})
-    assert epsilon_subset(v, "odd") == 3
-    assert epsilon_subset(v, "even") == -2
-    with pytest.raises(ValueError):
-        epsilon_subset(v, "both")
-
-
-def test_filter_lemma_4_2():
-    n, p = 7, 5
-    v2 = AugVector.make(2, n, {ClassLabel(2, 2, n): 1})  # even-part augmentation 1
-    top_same = AugVector.make(10, n, {ClassLabel(2, 2, n): 1})
-    top_diff = AugVector.make(10, n, {ClassLabel(2, 1, n): 1})  # even part 0
-    assert filter_lemma_4_2(UnitProfile.make(10, n, {1: top_same, p: v2, 2: forced_vector(n, 5)}))
-    assert not filter_lemma_4_2(
-        UnitProfile.make(10, n, {1: top_diff, p: v2, 2: forced_vector(n, 5)})
-    )
-    with pytest.raises(ValueError):
-        filter_lemma_4_2(UnitProfile.make(15, 8, {}))
 
 
 def test_filter_lemma_4_3_examples():

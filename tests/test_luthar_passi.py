@@ -5,14 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import coeff, eliminate, evaluate
+from conftest import (
+    UnitProfile,
+    coeff,
+    eliminate,
+    evaluate,
+    multiplicity,
+    parse_class,
+    power_cycle_type,
+)
 
 from sntorsion.characters import NamedCharacter, character_value, degree
 from sntorsion.luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
-    UnitProfile,
     affine_form,
     allowed_support,
     char_value_on_unit,
@@ -20,9 +27,7 @@ from sntorsion.luthar_passi import (
     forced_vector,
     format_class,
     format_cycle_type,
-    multiplicity,
     orbit_residues,
-    parse_class,
     parse_cycle_type,
 )
 from sntorsion.partitions import (
@@ -31,7 +36,6 @@ from sntorsion.partitions import (
     element_order,
     is_prime,
     parity,
-    power_cycle_type,
 )
 
 
@@ -72,6 +76,23 @@ def test_allowed_support_in_a_n_is_the_even_part_of_the_s_n_support():
         for k in sorted(orders):
             even = [ct for ct in allowed_support(n, k) if parity(ct) == 1]
             assert allowed_support(n, k, "A") == even
+
+
+def test_allowed_support_matches_the_filter_over_all_partitions():
+    # allowed_support builds only the partitions into cycle lengths dividing
+    # k; the oracle filters every partition of n by element order and parity
+    for n in range(1, 15):
+        for k in range(2, 201):
+            for kind in ("S", "A"):
+                expected = sorted(
+                    (
+                        mu for mu in all_partitions(n)
+                        if element_order(mu) != 1 and k % element_order(mu) == 0
+                        and (kind == "S" or parity(mu) == 1)
+                    ),
+                    key=class_sort_key,
+                )
+                assert allowed_support(n, k, kind) == expected, (n, k, kind)
 
 
 def test_format_and_parse_class_round_trip():

@@ -5,16 +5,15 @@ from math import factorial, lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import class_size, identity_partition, power_cycle_type
+
 from sntorsion.partitions import (
     ClassLabel,
     all_partitions,
     check_partition,
-    class_size,
     element_order,
-    identity_partition,
     is_prime,
     parity,
-    power_cycle_type,
 )
 
 # number of partitions of n, for 1 <= n <= 20

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sntorsion.reports import CaseReport, first_divergence, report_from_json
+from sntorsion.reports import CaseReport, first_divergence
 
 
 def small_report():
@@ -72,19 +72,6 @@ def test_canonical_json_is_independent_of_elapsed_time():
     a, b = small_report(), small_report()
     b.elapsed_s = 99.0
     assert a.canonical_json() == b.canonical_json()
-
-
-def test_json_round_trip():
-    rep = small_report()
-    back = report_from_json(rep.canonical_json())
-    assert back.to_dict() == rep.to_dict()
-    assert back.elapsed_s == 0.0  # timing is not serialized
-
-
-def test_report_from_json_rejects_other_schemas():
-    bad = json.dumps({"schema": "report-v0", "case_id": "x", "group": "S7"})
-    with pytest.raises(ValueError):
-        report_from_json(bad)
 
 
 def test_render_text_mentions_the_load_bearing_numbers():

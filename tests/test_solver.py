@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_solutions, coeff
+from conftest import brute_force_solutions, coeff, parse_class
 
 from sntorsion.characters import NamedCharacter, character_value, degree
 from sntorsion.lemma_filters import filter_order_q_powers
@@ -18,7 +18,6 @@ from sntorsion.luthar_passi import (
     affine_form,
     allowed_support,
     forced_vector,
-    parse_class,
 )
 from sntorsion import cases as cases_mod, solver
 from sntorsion.cases import _case_thm32, run_case
