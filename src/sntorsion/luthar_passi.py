@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
 from .cyclotomic import ramanujan_sum
 from .partitions import (
@@ -275,10 +276,11 @@ def lower_constant(
 ) -> Fraction:
     """The constant of affine_form: the identity's share row.degree/k plus
     the share of every proper power level d > 1, fixed by `lower_levels`."""
+    # the proper divisors d > 1 of k, in increasing order, read off those
+    # up to sqrt(k)
+    small = [d for d in range(2, isqrt(k) + 1) if k % d == 0]
     total = row.degree
-    for d in range(2, k):
-        if k % d:
-            continue
+    for d in small + [k // d for d in reversed(small) if d * d != k]:
         if d not in lower_levels:
             raise ValueError(f"level {d} of the unit is not fixed")
         total += char_value_on_unit(row, lower_levels[d]) * ramanujan_sum(k // d, ell)

@@ -17,7 +17,10 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
 3. exact Fourier-Motzkin elimination of the slack inequalities, from the
    last w coordinate down, gives one projection chain; the depth-first
    enumeration fixes the coordinates from the first up and reads the range
-   of each from the chain.
+   of each from the chain.  It stops at the first integer point when that
+   point decides the report: in a core trial, which reads only the status,
+   and on a lattice with directions v, which is unbounded along the first
+   of them whatever other points exist.
 
 One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  The elimination of step 2
@@ -26,7 +29,11 @@ The power-candidate pairs of one solve_order_pq call have the same linear
 parts and differ in their constants, so the call builds the linear part of
 each (row, ell) once (top_coeffs) and only the constant per pair
 (lower_constant), and the pairs and their infeasible-core trials share one
-memo of lattices; both live as long as the call.  Every reported solution is
+memo of lattices; both live as long as the call.  The memo has two levels:
+one dict per integer matrix, hashed once per system, and in it one lattice
+per tuple of kept forms (all of them for the system, all but the dropped
+ones for a core trial), so a trial builds its rows only when its lattice is
+new.  Every reported solution is
 re-checked against the system's original forms in integer arithmetic, each
 form cleared by its own denominator, independently of the solved rows.
 
@@ -121,9 +128,11 @@ class _Lattice(NamedTuple):
     x_map: tuple[tuple[int, ...], ...]  # each variable as a linear form in (w, v)
 
 
-def _lattice(rows, nvar: int, nform: int) -> _Lattice:
-    """One Hermite elimination of the integer rows over nvar variables and
-    nform slacks, followed by one unit row per slack.
+def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
+    """One Hermite elimination of the rows of _integer_rows that a solve
+    keeps: the neq equality rows and the slack-link rows of the forms in
+    `kept`, over the nvar variables and those forms' slacks, followed by one
+    unit row per kept slack.
 
     The pivots in the integer rows give the rank and the echelon data of
     _particular; the columns past the rank span the integer kernel.  The
@@ -131,9 +140,11 @@ def _lattice(rows, nvar: int, nform: int) -> _Lattice:
     already zero, and their pivots are the slack-moving coordinates w; the
     remaining kernel columns are the directions v.
     """
-    m, ncols = len(rows), nvar + nform
+    cols = [*range(nvar), *(nvar + j for j in kept)]
+    sub = [[rows[r][c] for c in cols] for r in [*range(neq), *(neq + j for j in kept)]]
+    m, nform, ncols = len(sub), len(kept), len(cols)
     units = [[int(c == nvar + i) for c in range(ncols)] for i in range(nform)]
-    a, u, pivots = _column_hermite(list(rows) + units, ncols)
+    a, u, pivots = _column_hermite(sub + units, ncols)
     rank = sum(row < m for row, _ in pivots)
     wdim = len(pivots) - rank
     pivot_of_row = dict(pivots)
@@ -327,31 +338,27 @@ def _integer_rows(
 
 
 def _solve(
-    rows: tuple[tuple[int, ...], ...],
+    lat: _Lattice,
     rhs: list[int],
     variables: tuple[Partition, ...],
-    nform: int,
-    lattices: dict,
     find_one: bool = False,
 ) -> SolveReport:
-    """Decide the integer rows of a system with `nform` forms, built by
-    _integer_rows.
+    """Decide the integer rows of a system, given their _lattice and their
+    right-hand side.
 
-    The _lattice of the rows is taken from, or added to, the memo
-    `lattices`, keyed by the rows and nform.
+    The lattice comes from the two-level memo of enumerate_system: one dict
+    per integer matrix, and in it one _Lattice per tuple of kept forms.
 
-    With find_one only the status is decided: the search stops at the first
-    integer point, and the recession ray and the solution list, which only
-    reporting reads, are not built.
+    The search stops at the first integer point when that point already
+    decides the report: with find_one, where only the status is read and
+    the recession ray and the solution list are not built, and on a lattice
+    with free directions v, whose report is unbounded along the first of
+    them whatever other points exist.
     """
     nvar = len(variables)
     nodes = 0
     report = SolveReport(status="infeasible", variables=variables)
     report.stats["nodes"] = 0
-    key = (rows, nform)
-    lat = lattices.get(key)
-    if lat is None:
-        lat = lattices[key] = _lattice(rows, nvar, nform)
     z0 = _particular(lat, rhs)
     if z0 is None:
         return report
@@ -386,14 +393,15 @@ def _solve(
             return report
 
     solutions: list[tuple[int, ...]] = []
+    first_point_decides = find_one or nfree
 
     def dfs(depth: int, prefix: tuple[int, ...]) -> bool:
-        """Search below one node; False stops the search (find_one, at the
-        first point)."""
+        """Search below one node; False stops the search at the first point
+        when that point decides the report."""
         nonlocal nodes
         nodes += 1
         if depth == wdim:
-            if find_one:
+            if first_point_decides:
                 return False
             # x = z0 + x_map . w: prefix holds the w coordinates, v = 0
             solutions.append(tuple(
@@ -444,18 +452,25 @@ def enumerate_system(
 ) -> SolveReport:
     """Exhaustive, deterministic enumeration of all integer points.
 
-    `lattices` is a memo of the right-hand-side-free part of each solve,
-    keyed by the integer matrix, that systems with the same linear parts
-    may share; by default the system and its core trials get a fresh one.
+    `lattices` is a memo of the right-hand-side-free part of each solve that
+    systems with the same linear parts may share; by default the system and
+    its core trials get a fresh one.  It holds one dict per integer matrix,
+    keyed by the tuple of the forms a solve keeps: all of them for the
+    system, all but the dropped ones for a core trial.
     """
     if lattices is None:
         lattices = {}
     rows, rhs = _integer_rows(system)
-    report = _solve(rows, rhs, system.variables, len(system.nonneg_integral), lattices)
+    nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
+    by_kept = lattices.setdefault((rows, nform), {})
+    kept = tuple(range(nform))
+    if kept not in by_kept:
+        by_kept[kept] = _lattice(rows, nvar, neq, kept)
+    report = _solve(by_kept[kept], rhs, system.variables)
     if report.status == "solutions":
         _recheck(system, report.solutions)
     elif report.status == "infeasible":
-        report.certificate = _infeasible_core(system, rows, rhs, lattices)
+        report.certificate = _infeasible_core(system, rows, rhs, by_kept)
     return report
 
 
@@ -489,25 +504,26 @@ def _infeasible_core(
     system: FeasibilitySystem,
     rows: tuple[tuple[int, ...], ...],
     rhs: list[int],
-    lattices: dict,
+    by_kept: dict,
 ) -> list[str]:
     """Greedy minimal subset of the non-negative-integer forms that already
     makes the system infeasible (with all equalities kept).
 
     Each trial re-solves the system's integer rows without the dropped
     form's slack-link row and slack column, which are exactly the integer
-    rows of the smaller system.
+    rows of the smaller system.  Its lattice is looked up in `by_kept`, the
+    memo of the system's matrix, by the forms it keeps, and built only on a
+    miss.
     """
     forms = system.nonneg_integral
     nvar, neq = len(system.variables), len(system.equalities)
-    core = list(range(len(forms)))
+    core = tuple(range(len(forms)))
     for f in forms:
-        trial = [j for j in core if forms[j] is not f]
-        keep = list(range(neq)) + [neq + j for j in trial]
-        cols = list(range(nvar)) + [nvar + j for j in trial]
-        sub = tuple(tuple(rows[r][c] for c in cols) for r in keep)
-        sub_rhs = [rhs[r] for r in keep]
-        report = _solve(sub, sub_rhs, system.variables, len(trial), lattices, find_one=True)
+        trial = tuple(j for j in core if forms[j] is not f)
+        if trial not in by_kept:
+            by_kept[trial] = _lattice(rows, nvar, neq, trial)
+        sub_rhs = rhs[:neq] + [rhs[neq + j] for j in trial]
+        report = _solve(by_kept[trial], sub_rhs, system.variables, find_one=True)
         if report.status == "infeasible":
             core = trial
     return [forms[j][1] for j in core]

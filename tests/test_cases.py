@@ -15,7 +15,7 @@ from sntorsion.cases import (
 )
 from sntorsion.luthar_passi import orbit_residues
 from sntorsion.partitions import is_prime
-from sntorsion import reports
+from sntorsion import reports, solver
 
 
 def test_registry_contents():
@@ -103,6 +103,32 @@ def test_thm32_order3_stage_reports_its_recession_ray(n, p, q, ray):
     rep = _case_thm32(n, p, q)
     assert rep.verdict == "undecided-unbounded"
     assert rep.stage_q["unbounded_ray"] == ray
+
+
+@pytest.mark.parametrize("n, p, q, full_search_nodes", [(15, 13, 3, 2697), (18, 17, 3, 8020)])
+def test_thm32_order3_stage_with_free_directions_stops_at_its_first_point(
+    n, p, q, full_search_nodes, monkeypatch
+):
+    seen = []
+    real = solver.enumerate_system
+
+    def recording(system, lattices=None):
+        report = real(system, lattices)
+        if lattices is None:  # the order-q system of solve_prime_order
+            seen.append((system, report))
+        return report
+
+    monkeypatch.setattr(solver, "enumerate_system", recording)
+    _case_thm32(n, p, q)
+    monkeypatch.undo()
+    ((system, report),) = seen
+    rows, _ = solver._integer_rows(system)
+    kept = tuple(range(len(system.nonneg_integral)))
+    lat = solver._lattice(rows, len(system.variables), len(system.equalities), kept)
+    assert report.status == "unbounded" and lat.nfree > 0
+    # the path to the first leaf, where a search of every point visits
+    # full_search_nodes
+    assert report.stats["nodes"] == lat.wdim + 1 == 4 < full_search_nodes
 
 
 def test_thm32_12_11_3_unbounded_pairs_share_one_ray():

@@ -27,6 +27,7 @@ from sntorsion.luthar_passi import (
     forced_vector,
     format_class,
     format_cycle_type,
+    lower_constant,
     orbit_residues,
     parse_cycle_type,
 )
@@ -190,6 +191,39 @@ def test_affine_form_evaluates_to_the_multiplicity():
         form = affine_form(row, k, ell, lower, classes)
         point = {ct: profile.level(1).value(ct) for ct in classes}
         assert evaluate(form, point) == multiplicity(profile, row, ell)
+
+
+def test_affine_forms_of_composite_orders_read_every_proper_level():
+    # S_8 has elements of orders 4 and 8 (a divisor at sqrt(k)), 6, 10 and
+    # 15 (one divisor below sqrt(k)) and 12 (two below); at each element the
+    # form is the multiplicity of its eigenvalue
+    n = 8
+    orders = set()
+    for mu in all_partitions(n):
+        k = element_order(mu)
+        if k == 1 or is_prime(k):
+            continue
+        orders.add(k)
+        profile = element_profile(mu, n)
+        classes = allowed_support(n, k)
+        lower = {d: profile.level(d) for d in range(2, k) if k % d == 0}
+        point = {ct: profile.level(1).value(ct) for ct in classes}
+        for name in ("pi", "rho"):
+            row = ordinary_row(name, n, k)
+            for ell in orbit_residues(k):
+                form = affine_form(row, k, ell, lower, classes)
+                assert evaluate(form, point) == multiplicity(profile, row, ell), (mu, name, ell)
+    assert orders == {4, 6, 8, 10, 12, 15}
+
+
+def test_lower_constant_names_the_first_level_that_is_not_fixed():
+    profile = element_profile((4, 3, 1), 8)
+    row = ordinary_row("pi", 8, 12)
+    levels = {d: profile.level(d) for d in (2, 3, 4, 6)}
+    for missing in (2, 3, 4, 6):
+        lower = {d: v for d, v in levels.items() if d < missing}
+        with pytest.raises(ValueError, match=f"^level {missing} of the unit is not fixed$"):
+            lower_constant(row, 12, 1, lower)
 
 
 def test_affine_form_rejects_brauer_rows_of_dividing_modulus():

@@ -50,7 +50,7 @@ def var(token, n):
 def solve_integer_system(rows, rhs, nvar):
     """All integer solutions of rows . x = rhs as (x0, kernel basis), or None,
     read off the solver's lattice with no slack columns."""
-    lat = solver._lattice(tuple(map(tuple, rows)), nvar, 0)
+    lat = solver._lattice(rows, nvar, len(rows), ())
     x0 = solver._particular(lat, rhs)
     if x0 is None:
         return None
@@ -228,7 +228,8 @@ def test_degenerate_lattices_take_the_one_search_path(
     # slack is already negative
     system = builder()
     rows, _ = solver._integer_rows(system)
-    lat = solver._lattice(rows, len(system.variables), len(system.nonneg_integral))
+    nform = len(system.nonneg_integral)
+    lat = solver._lattice(rows, len(system.variables), len(system.equalities), tuple(range(nform)))
     assert (lat.nfree, lat.wdim) == (nfree, wdim)
     report = enumerate_system(system)
     assert report.status == status
@@ -236,6 +237,34 @@ def test_degenerate_lattices_take_the_one_search_path(
     assert report.certificate == certificate
     assert report.ray == ray
     assert report.stats["nodes"] == nodes
+
+
+def free_direction_system():
+    # 0 <= a <= 3 and 0 <= b <= 2 bound the slack-moving coordinates, so
+    # the lattice has 12 integer points; c - d moves no form
+    a, b, c, d = (var(token, 13) for token in ("3.1", "3.2", "3.3", "3.4"))
+    forms = [
+        (AffineForm.make({a: 1}, 0), "a"),
+        (AffineForm.make({a: -1}, 3), "3 - a"),
+        (AffineForm.make({b: 1}, 0), "b"),
+        (AffineForm.make({b: -1}, 2), "2 - b"),
+    ]
+    return FeasibilitySystem.build([a, b, c, d], [], forms)
+
+
+def test_a_lattice_with_free_directions_stops_at_its_first_point():
+    system = free_direction_system()
+    rows, _ = solver._integer_rows(system)
+    lat = solver._lattice(rows, 4, 1, (0, 1, 2, 3))
+    assert (lat.nfree, lat.wdim) == (1, 2)
+    report = enumerate_system(system)
+    # the first point decides the report: unbounded along the first free
+    # direction, found on the path root -> w0 -> w1 (a full search visits
+    # 1 + 4 + 12 = 17 nodes)
+    assert report.status == "unbounded"
+    assert report.ray == (0, 0, 1, -1)
+    assert report.solutions == []
+    assert report.stats["nodes"] == lat.wdim + 1
 
 
 def test_recession_ray_moves_the_first_open_coordinate():
@@ -412,16 +441,16 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
     hermite_calls = 0
     matrices = set()
     per_call = []
-    real_hermite, real_solve, real_pq = solver._column_hermite, solver._solve, cases_mod.solve_order_pq
+    real_hermite, real_lattice, real_pq = solver._column_hermite, solver._lattice, cases_mod.solve_order_pq
 
     def counting(*args):
         nonlocal hermite_calls
         hermite_calls += 1
         return real_hermite(*args)
 
-    def recording(rows, rhs, variables, nform, *args, **kwargs):
-        matrices.add((rows, nform))
-        return real_solve(rows, rhs, variables, nform, *args, **kwargs)
+    def recording(rows, nvar, neq, kept):
+        matrices.add((rows, kept))
+        return real_lattice(rows, nvar, neq, kept)
 
     def measured(*args, **kwargs):
         matrices.clear()
@@ -431,13 +460,74 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "_column_hermite", counting)
-    monkeypatch.setattr(solver, "_solve", recording)
+    monkeypatch.setattr(solver, "_lattice", recording)
     monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
     _case_thm32(12, 11, 3)
     _case_thm32(12, 11, 3)
     (calls, distinct), again = per_call
     assert 0 < calls == distinct
     assert again == (calls, distinct)
+
+
+def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
+    nodes = []
+    real = solver.enumerate_system
+
+    def recording(system, lattices=None):
+        report = real(system, lattices)
+        if lattices is not None:  # a pair system of solve_order_pq
+            nodes.append(report.stats["nodes"])
+        return report
+
+    monkeypatch.setattr(solver, "enumerate_system", recording)
+    _case_thm32(12, 11, 3)
+    assert (len(nodes), sum(nodes)) == (90, 131)
+
+
+@pytest.mark.parametrize("run, matrices, lattices, trials", [
+    (lambda: _case_thm32(12, 11, 3), 1, 23, 912),
+    # three row groups: three matrices whose trials keep the same forms
+    (lambda: run_case("s13-3x11"), 3, 8, 38),
+], ids=["thm32-12-11-3", "s13-3x11"])
+def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
+    run, matrices, lattices, trials, monkeypatch
+):
+    builds, tried, in_core = [], [], False
+    real_lattice, real_core, real_pq = (
+        solver._lattice, solver._infeasible_core, cases_mod.solve_order_pq
+    )
+
+    def counting(rows, nvar, neq, kept):
+        if in_core:
+            builds.append((rows, kept))
+        return real_lattice(rows, nvar, neq, kept)
+
+    def recording(system, rows, rhs, by_kept):
+        nonlocal in_core
+        in_core = True
+        core = real_core(system, rows, rhs, by_kept)
+        in_core = False
+        # the greedy filter's trial i keeps the earlier forms that stayed in
+        # the core and every later form
+        names = [name for _, name in system.nonneg_integral]
+        final = {names.index(name) for name in core}
+        for i in range(len(names)):
+            tried.append((rows, tuple(j for j in range(len(names)) if j > i or (j < i and j in final))))
+        return core
+
+    def measured(*args, **kwargs):
+        builds.clear()
+        tried.clear()
+        return real_pq(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_lattice", counting)
+    monkeypatch.setattr(solver, "_infeasible_core", recording)
+    monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
+    run()
+    # each (matrix, kept forms) lattice a trial needs is built once, on its
+    # first trial, and never for the other trials that keep the same forms
+    assert Counter(builds) == Counter(set(tried))
+    assert (len({rows for rows, _ in tried}), len(builds), len(tried)) == (matrices, lattices, trials)
 
 
 def half_equality_system():
