@@ -10,12 +10,11 @@ self-contained lattice/Fourier-Motzkin enumerator.
 
 __version__ = "0.1.0"
 
-from .characters import NamedCharacter, character_value, degree
+from .characters import character_value, degree
 from .luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
-    affine_form,
     allowed_support,
     orbit_residues,
 )
@@ -33,10 +32,8 @@ __all__ = [
     "AugVector",
     "CharacterRow",
     "FeasibilitySystem",
-    "NamedCharacter",
     "SolveReport",
     "TableFile",
-    "affine_form",
     "allowed_support",
     "character_value",
     "degree",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from importlib import resources
 
-from .characters import NamedCharacter, character_value, degree
+from .characters import character_value, degree, named_partition
 from .lemma_filters import filter_lemma_4_3, filter_order_q_powers
 from .luthar_passi import (
     AffineForm,
@@ -21,7 +21,7 @@ from .luthar_passi import (
     format_class,
     orbit_residues,
 )
-from .partitions import ClassLabel
+from .partitions import prime_cycles
 from .reports import CaseReport, first_divergence
 from .solver import (
     FeasibilitySystem,
@@ -50,7 +50,7 @@ def load_golden(case_id: str) -> dict:
 def ordinary_row(name: str, n: int, k: int, kind: str = "S") -> CharacterRow:
     """A distinguished ordinary character restricted to the support classes
     of a unit of order k."""
-    lam = NamedCharacter(name, n).partition
+    lam = named_partition(name, n)
     classes = allowed_support(n, k, kind)
     return CharacterRow.make(
         name, degree(lam), {ct: character_value(lam, ct) for ct in classes}
@@ -203,7 +203,7 @@ def case_s7_3x5() -> CaseReport:
     t0 = time.monotonic()
     n, p, q = 7, 5, 3
     hook = ordinary_row("hook4", n, p * q)
-    c31, c32, c51 = ClassLabel(3, 1, n), ClassLabel(3, 2, n), ClassLabel(5, 1, n)
+    c31, c32, c51 = prime_cycles(3, 1, n), prime_cycles(3, 2, n), prime_cycles(5, 1, n)
     values = [hook.degree, hook.value(c31), hook.value(c32), hook.value(c51)]
     if hook.value(c31) != hook.value(c32) or hook.value(c51) != 0:
         raise RuntimeError(f"hook4 values {values} are not power-independent")
@@ -236,7 +236,7 @@ S13_GROUP3 = [(1, 3, -5, 2)]
 
 def _s13_vec(t: tuple[int, int, int, int]) -> AugVector:
     return AugVector.make(
-        3, 13, {ClassLabel(3, j + 1, 13): t[j] for j in range(4)}
+        3, 13, {prime_cycles(3, j + 1, 13): t[j] for j in range(4)}
     )
 
 
@@ -292,7 +292,7 @@ def case_lemma43_grid() -> CaseReport:
     box = 10
     grid = {}
     for p in (5, 7, 11, 13):
-        variables = [ClassLabel(2, j, p).cycle_type() for j in range(1, p // 2 + 1)]
+        variables = [prime_cycles(2, j, p) for j in range(1, p // 2 + 1)]
         odd = AffineForm.make({v: j for j, v in enumerate(variables, 1) if j % 2}, 0)
         even = AffineForm.make({v: j for j, v in enumerate(variables, 1) if not j % 2}, 0)
         forms = []

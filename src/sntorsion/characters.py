@@ -10,7 +10,6 @@ other way around; they live with the tests (``tests/conftest.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
@@ -27,27 +26,40 @@ def character_value(lam: Partition, mu: Partition) -> int:
     return _mn(lam, mu)
 
 
-@cache
 def _mn(lam: Partition, mu: Partition) -> int:
-    if not mu:
-        return 1
-    strip, rest = mu[0], mu[1:]
-    # Beta-numbers of lam: strictly decreasing, removing a border strip of
-    # length `strip` moves one bead down by `strip`; the sign is (-1)^(number
-    # of beads jumped over), which equals the leg-length parity.
+    # one border strip per cycle part longer than 1, longest first, kept as
+    # signed counts of the shapes reached so that the depth does not grow
+    # with the number of parts; the fixed points that remain at a shape add
+    # its value at the identity, its degree
+    shapes = {lam: 1}
+    for strip in mu:
+        if strip == 1:
+            break
+        reached: dict[Partition, int] = {}
+        for shape, count in shapes.items():
+            for sign, rest in _border_strips(shape, strip):
+                reached[rest] = reached.get(rest, 0) + sign * count
+        shapes = {shape: count for shape, count in reached.items() if count}
+    return sum(count * (degree(shape) if shape else 1) for shape, count in shapes.items())
+
+
+def _border_strips(lam: Partition, strip: int):
+    """(sign, lam minus the strip) for each border strip of length `strip`.
+
+    On beta-numbers of lam (strictly decreasing), removing a border strip
+    of length `strip` moves one bead down by `strip`; the sign is (-1)^(number
+    of beads jumped over), which equals the leg-length parity.
+    """
     m = len(lam)
     beta = [lam[i] + m - 1 - i for i in range(m)]
     bset = set(beta)
-    total = 0
     for b in beta:
         t = b - strip
         if t >= 0 and t not in bset:
             height = sum(1 for c in beta if t < c < b)
             nset = sorted(bset - {b} | {t}, reverse=True)
             nlam = tuple(v - (m - 1 - i) for i, v in enumerate(nset))
-            nlam = tuple(p for p in nlam if p > 0)
-            total += (-1) ** height * _mn(nlam, rest)
-    return total
+            yield (-1) ** height, tuple(p for p in nlam if p > 0)
 
 
 @cache
@@ -71,29 +83,18 @@ def conjugate_partition(lam: Partition) -> Partition:
 NAMED_CHARACTERS = ("principal", "sgn", "pi", "rho", "tau", "pi_sgn", "hook4")
 
 
-@dataclass(frozen=True)
-class NamedCharacter:
-    """One of the distinguished characters with a fixed partition shape."""
-
-    name: str
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.name not in NAMED_CHARACTERS:
-            raise ValueError(f"unknown character name {self.name!r}")
-        if self.name == "hook4" and self.n != 7:
-            raise ValueError("hook4 is the S_7 character of partition (4,1,1,1)")
-        check_partition(self.partition)
-
-    @property
-    def partition(self) -> Partition:
-        n = self.n
-        return {
-            "principal": (n,),
-            "sgn": (1,) * n,
-            "pi": (n - 1, 1),
-            "rho": (n - 2, 1, 1),
-            "tau": (n - 3, 2, 1),
-            "pi_sgn": (2,) + (1,) * (n - 2),
-            "hook4": (4, 1, 1, 1),
-        }[self.name]
+def named_partition(name: str, n: int) -> Partition:
+    """The partition of the distinguished character `name` of S_n."""
+    if name not in NAMED_CHARACTERS:
+        raise ValueError(f"unknown character {name!r}; known: {', '.join(NAMED_CHARACTERS)}")
+    if name == "hook4" and n != 7:
+        raise ValueError("hook4 is the S_7 character of partition (4,1,1,1)")
+    return check_partition({
+        "principal": (n,),
+        "sgn": (1,) * n,
+        "pi": (n - 1, 1),
+        "rho": (n - 2, 1, 1),
+        "tau": (n - 3, 2, 1),
+        "pi_sgn": (2,) + (1,) * (n - 2),
+        "hook4": (4, 1, 1, 1),
+    }[name])

@@ -88,16 +88,8 @@ def cmd_chartable(args) -> int:
         raise InputError(
             f"degree {args.n} exceeds the limit {args.limit}; raise it with --limit"
         )
-    names = None
-    if args.char:
-        for name in args.char:
-            if name not in NAMED_CHARACTERS:
-                raise InputError(
-                    f"unknown character {name!r}; known: {', '.join(NAMED_CHARACTERS)}"
-                )
-        names = list(args.char)
     try:
-        table = ordinary_table(args.n, names)
+        table = ordinary_table(args.n, args.char)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     _emit(serialize_table(table), args.out)

@@ -11,7 +11,7 @@ an oracle for the affine forms, lives with the tests (``tests/conftest.py``).
 
 from __future__ import annotations
 
-from .partitions import ClassLabel, is_prime
+from .partitions import is_prime, prime_cycles
 from .luthar_passi import AugVector
 
 
@@ -32,9 +32,10 @@ def filter_order_q_powers(
         raise ValueError(f"hypotheses n >= 7, p > n/2, q >= 3 fail for ({n}, {p}, {q})")
     if not (is_prime(p) and is_prime(q)):
         raise ValueError("p and q must be prime")
+    classes = [prime_cycles(q, j, n) for j in range(1, n // q + 1)]
     kept = []
     for v in candidates:
-        s = sum(j * v.value(ClassLabel(q, j, n)) for j in range(1, n // q + 1))
+        s = sum(j * v.value(ct) for j, ct in enumerate(classes, 1))
         if s == 0 or (s == 1 and p + q in (n, n + 1)):
             kept.append(v)
     return kept
@@ -50,9 +51,9 @@ def filter_lemma_4_3(p: int, aug: AugVector) -> bool:
     if aug.k != 2:
         raise ValueError("expected an order-2 augmentation vector")
     odd_sum = sum(
-        j * aug.value(ClassLabel(2, j, p)) for j in range(1, p // 2 + 1, 2)
+        j * aug.value(prime_cycles(2, j, p)) for j in range(1, p // 2 + 1, 2)
     )
     even_sum = sum(
-        j * aug.value(ClassLabel(2, j, p)) for j in range(2, p // 2 + 1, 2)
+        j * aug.value(prime_cycles(2, j, p)) for j in range(2, p // 2 + 1, 2)
     )
     return odd_sum == 0 and even_sum == 0

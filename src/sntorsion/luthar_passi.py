@@ -17,19 +17,13 @@ from math import isqrt
 
 from .cyclotomic import ramanujan_sum
 from .partitions import (
-    ClassLabel,
     Partition,
     check_partition,
     element_order,
     is_prime,
     parity,
+    prime_cycles,
 )
-
-
-def as_cycle_type(cls: ClassLabel | Partition) -> Partition:
-    if isinstance(cls, ClassLabel):
-        return cls.cycle_type()
-    return check_partition(cls)
 
 
 def format_cycle_type(ct: Partition) -> str:
@@ -58,7 +52,7 @@ def parse_cycle_type(token: str) -> Partition:
     return check_partition(tuple(sorted(parts, reverse=True)))
 
 
-def _prime_cycles(ct: Partition) -> tuple[int, int] | None:
+def _class_rj(ct: Partition) -> tuple[int, int] | None:
     """(r, j) when ct is j disjoint r-cycles with r prime, else None."""
     r = max(ct)
     if is_prime(r) and set(ct) <= {r, 1}:
@@ -69,7 +63,7 @@ def _prime_cycles(ct: Partition) -> tuple[int, int] | None:
 def format_class(ct: Partition) -> str:
     """Short name of a class: 'r.j' when it is j disjoint r-cycles, '1' for
     the identity, otherwise the cycle type with '+' and '^'."""
-    rj = _prime_cycles(ct)
+    rj = _class_rj(ct)
     if rj is not None:
         return f"{rj[0]}.{rj[1]}"
     return "1" if max(ct) == 1 else format_cycle_type(ct)
@@ -78,7 +72,7 @@ def format_class(ct: Partition) -> str:
 def class_sort_key(ct: Partition):
     """Canonical variable order: classes r.j by (r descending, j ascending),
     composite cycle types afterwards."""
-    rj = _prime_cycles(ct)
+    rj = _class_rj(ct)
     if rj is not None:
         return (0, -rj[0], rj[1])
     return (1, tuple(-p for p in ct))
@@ -132,11 +126,11 @@ class AugVector:
     entries: tuple[tuple[Partition, int], ...]
 
     @staticmethod
-    def make(k: int, n: int, entries: dict[ClassLabel | Partition, int]) -> "AugVector":
+    def make(k: int, n: int, entries: dict[Partition, int]) -> "AugVector":
         items = {}
-        for cls, eps in entries.items():
+        for ct, eps in entries.items():
             if eps:
-                items[as_cycle_type(cls)] = eps
+                items[check_partition(ct)] = eps
         return AugVector(k, n, tuple(sorted(items.items(), key=lambda kv: class_sort_key(kv[0]))))
 
     def __post_init__(self) -> None:
@@ -158,8 +152,8 @@ class AugVector:
     def as_dict(self) -> dict[Partition, int]:
         return dict(self.entries)
 
-    def value(self, cls: ClassLabel | Partition) -> int:
-        return self.as_dict().get(as_cycle_type(cls), 0)
+    def value(self, ct: Partition) -> int:
+        return self.as_dict().get(check_partition(ct), 0)
 
 
 def forced_vector(n: int, s: int) -> AugVector:
@@ -167,7 +161,7 @@ def forced_vector(n: int, s: int) -> AugVector:
     of order s (s prime with floor(n/s) = 1): eps = 1 there."""
     if not is_prime(s) or n // s != 1:
         raise ValueError(f"no unique class of order {s} in degree {n}")
-    return AugVector.make(s, n, {ClassLabel(s, 1, n): 1})
+    return AugVector.make(s, n, {prime_cycles(s, 1, n): 1})
 
 
 @dataclass(frozen=True)
@@ -186,11 +180,11 @@ class CharacterRow:
     def make(
         name: str,
         degree: int,
-        values: dict[ClassLabel | Partition, int],
+        values: dict[Partition, int],
         mode: str = "ordinary",
         modulus: int | None = None,
     ) -> "CharacterRow":
-        items = {as_cycle_type(c): v for c, v in values.items()}
+        items = {check_partition(ct): v for ct, v in values.items()}
         return CharacterRow(
             name, degree, mode, modulus,
             tuple(sorted(items.items(), key=lambda kv: class_sort_key(kv[0]))),
@@ -215,10 +209,9 @@ class CharacterRow:
         # the first entry of a class wins
         object.__setattr__(self, "_by_class", dict(reversed(self.values)))
 
-    def value(self, cls: ClassLabel | Partition) -> int:
+    def value(self, ct: Partition) -> int:
         # the keys of values are validated cycle types, so a hit needs no
         # check; element_order validates a miss (ValueError on a bad key)
-        ct = cls.cycle_type() if isinstance(cls, ClassLabel) else cls
         v = self._by_class.get(ct)
         if v is not None:
             return v
@@ -253,11 +246,15 @@ class AffineForm:
 def top_coeffs(
     row: CharacterRow, k: int, ell: int, variables: list[Partition]
 ) -> tuple[tuple[Partition, Fraction], ...]:
-    """The linear part of affine_form: the coefficient ramanujan_sum(k, ell)/k
-    * row(C) of each top-level variable C, zeros dropped, in class order.
+    """The linear part of the multiplicity of zeta^ell for a unit of order k
+    in the top-level augmentation variables: the coefficient
+    ramanujan_sum(k, ell)/k * row(C) of each variable C, zeros dropped, in
+    class order.  It does not read the lower levels.
 
-    A brauer row whose modulus divides k is a ValueError: it cannot
-    constrain units of order k.
+    A brauer row with modulus coprime to k works verbatim: the multiplicity
+    formula has the same shape, restricted to modulus-regular classes.  A
+    brauer row whose modulus divides k is a ValueError: it cannot constrain
+    units of order k.
     """
     if row.mode == "brauer" and k % row.modulus == 0:
         raise ValueError(
@@ -274,8 +271,9 @@ def top_coeffs(
 def lower_constant(
     row: CharacterRow, k: int, ell: int, lower_levels: dict[int, AugVector]
 ) -> Fraction:
-    """The constant of affine_form: the identity's share row.degree/k plus
-    the share of every proper power level d > 1, fixed by `lower_levels`."""
+    """The constant part of the multiplicity of zeta^ell for a unit of order
+    k: the identity's share row.degree/k plus the share of every proper
+    power level d > 1, fixed by `lower_levels`."""
     # the proper divisors d > 1 of k, in increasing order, read off those
     # up to sqrt(k)
     small = [d for d in range(2, isqrt(k) + 1) if k % d == 0]
@@ -285,27 +283,6 @@ def lower_constant(
             raise ValueError(f"level {d} of the unit is not fixed")
         total += char_value_on_unit(row, lower_levels[d]) * ramanujan_sum(k // d, ell)
     return Fraction(total, k)
-
-
-def affine_form(
-    row: CharacterRow,
-    k: int,
-    ell: int,
-    lower_levels: dict[int, AugVector],
-    variables: list[Partition],
-) -> AffineForm:
-    """Multiplicity of zeta^ell for a unit of order k as an affine form in
-    the top-level augmentation variables, with all proper power levels d > 1
-    fixed by `lower_levels`: the linear part top_coeffs, which does not read
-    the lower levels, plus the constant lower_constant.
-
-    Works verbatim for Brauer rows with modulus coprime to k: the eigenvalue
-    multiplicity formula has the same shape, restricted to modulus-regular
-    classes.
-    """
-    return AffineForm(
-        top_coeffs(row, k, ell, variables), lower_constant(row, k, ell, lower_levels)
-    )
 
 
 def orbit_residues(k: int) -> list[int]:

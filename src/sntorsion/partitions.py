@@ -8,7 +8,6 @@ types, and the classes of j disjoint r-cycles (r prime) get the short label
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import lcm
 
@@ -39,25 +38,13 @@ def is_prime(k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class ClassLabel:
-    """The conjugacy class of j disjoint r-cycles in S_n, with r prime."""
-
-    r: int
-    j: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.r):
-            raise ValueError(f"class label {self.r}.{self.j}: {self.r} is not prime")
-        if self.j < 1 or self.r * self.j > self.n:
-            raise ValueError(f"class label {self.r}.{self.j} does not fit in S_{self.n}")
-
-    def cycle_type(self) -> Partition:
-        return (self.r,) * self.j + (1,) * (self.n - self.r * self.j)
-
-    def __str__(self) -> str:
-        return f"{self.r}.{self.j}"
+def prime_cycles(r: int, j: int, n: int) -> Partition:
+    """The cycle type of the class r.j of S_n: j disjoint r-cycles, r prime."""
+    if not is_prime(r):
+        raise ValueError(f"class label {r}.{j}: {r} is not prime")
+    if j < 1 or r * j > n:
+        raise ValueError(f"class label {r}.{j} does not fit in S_{n}")
+    return (r,) * j + (1,) * (n - r * j)
 
 
 @cache

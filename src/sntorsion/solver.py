@@ -25,10 +25,12 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
 One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  The elimination of step 2
 depends only on the integer matrix, not on the right-hand side (_lattice).
-The power-candidate pairs of one solve_order_pq call have the same linear
-parts and differ in their constants, so the call builds the linear part of
-each (row, ell) once (top_coeffs) and only the constant per pair
-(lower_constant), and the pairs and their infeasible-core trials share one
+One function, _solve_level, makes the systems of every level: the one
+system of solve_prime_order and the power-candidate pairs of
+solve_order_pq.  The systems of one call have the same linear parts and
+differ in their constants, so _solve_level makes the linear part of each
+(row, ell) once (top_coeffs) and only the constant per system
+(lower_constant), and the systems and their infeasible-core trials share one
 memo of lattices; both live as long as the call.  The memo has two levels:
 one dict per integer matrix, hashed once per system, and in it one lattice
 per tuple of kept forms (all of them for the system, all but the dropped
@@ -52,7 +54,6 @@ from .luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
-    affine_form,
     allowed_support,
     class_sort_key,
     format_class,
@@ -533,6 +534,39 @@ def _infeasible_core(
 # the layered strategy
 
 
+def _solve_level(
+    classes: list[Partition],
+    k: int,
+    systems: list[tuple[dict[int, AugVector], list[tuple[CharacterRow, int]], list[tuple]]],
+) -> list[SolveReport]:
+    """Build and enumerate one order-k system over `classes` per entry
+    (lower levels, rows and ells, equalities): the form mu_ell(row) must be
+    a non-negative integer for each (row, ell), and mu_ell(row) = target
+    holds for each equality (row, ell, target).  The linear parts and the
+    lattice memo live as long as the call.
+    """
+    linear: dict[tuple[CharacterRow, int], tuple] = {}
+
+    def form(row: CharacterRow, ell: int, lower: dict[int, AugVector]) -> AffineForm:
+        if (row, ell) not in linear:
+            linear[row, ell] = top_coeffs(row, k, ell, classes)
+        return AffineForm(linear[row, ell], lower_constant(row, k, ell, lower))
+
+    lattices: dict = {}
+    reports = []
+    for lower, rows_and_ells, equalities in systems:
+        forms = [
+            (form(row, ell, lower), f"mu_{ell}({row.name})") for row, ell in rows_and_ells
+        ]
+        pinned = [
+            (form(row, ell, lower), target, f"mu_{ell}({row.name}) = {target}")
+            for row, ell, target in equalities
+        ]
+        system = FeasibilitySystem.build(classes, pinned, forms)
+        reports.append(enumerate_system(system, lattices))
+    return reports
+
+
 def solve_prime_order(
     n: int,
     kind: str,
@@ -543,12 +577,8 @@ def solve_prime_order(
     multiplicity constraints."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    classes = allowed_support(n, q, kind)
-    forms = [
-        (affine_form(row, q, ell, {}, classes), f"mu_{ell}({row.name})")
-        for row, ell in rows_and_ells
-    ]
-    return enumerate_system(FeasibilitySystem.build(classes, [], forms))
+    (report,) = _solve_level(allowed_support(n, q, kind), q, [({}, rows_and_ells, [])])
+    return report
 
 
 def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
@@ -614,34 +644,19 @@ def solve_order_pq(
             raise ValueError("candidate not covered by any row group")
         return fallback
 
-    # the pair systems differ only in their constants, which read the power
-    # candidates: each (row, ell) gets its linear part once per call, and one
-    # memo of lattices serves every pair and core trial of this call
-    k = p * q
-    linear: dict[tuple[CharacterRow, int], tuple] = {}
-
-    def form(row: CharacterRow, ell: int, lower: dict[int, AugVector]) -> AffineForm:
-        if (row, ell) not in linear:
-            linear[row, ell] = top_coeffs(row, k, ell, classes)
-        return AffineForm(linear[row, ell], lower_constant(row, k, ell, lower))
-
-    lattices: dict = {}
-    results: list[PairResult] = []
+    pairs = []
     for q_cand in q_candidates:
         grp = group_of(q_cand)
-        for p_cand in p_candidates:
-            lower = {p: q_cand, q: p_cand}
-            forms = [
-                (form(row, ell, lower), f"mu_{ell}({row.name})")
-                for row, ell in grp["rows_and_ells"]
-            ]
-            equalities = []
-            if use_pi:
-                equalities.append((form(pi_row, 1, lower), 0, f"mu_1({pi_row.name}) = 0"))
-                equalities.append((form(pi_row, q, lower), 1, f"mu_{q}({pi_row.name}) = 1"))
-            system = FeasibilitySystem.build(classes, equalities, forms)
-            report = enumerate_system(system, lattices)
-            results.append(PairResult(q_cand, p_cand, grp["name"], report))
+        pairs += [(q_cand, p_cand, grp) for p_cand in p_candidates]
+    pi_equalities = [(pi_row, 1, 0), (pi_row, q, 1)] if use_pi else []
+    reports = _solve_level(classes, p * q, [
+        ({p: q_cand, q: p_cand}, grp["rows_and_ells"], pi_equalities)
+        for q_cand, p_cand, grp in pairs
+    ])
+    results = [
+        PairResult(q_cand, p_cand, grp["name"], report)
+        for (q_cand, p_cand, grp), report in zip(pairs, reports)
+    ]
 
     if any(r.report.status == "unbounded" for r in results):
         verdict = "undecided-unbounded"

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import NAMED_CHARACTERS, NamedCharacter, character_value, degree
+from .characters import NAMED_CHARACTERS, character_value, degree, named_partition
 from . import luthar_passi
 from .luthar_passi import CharacterRow, class_sort_key, format_class, format_cycle_type
 from .partitions import Partition, all_partitions, element_order, is_prime
@@ -221,7 +221,7 @@ def ordinary_table(n: int, names: list[str] | None = None) -> TableFile:
     the named ones) with exact computed values on all classes."""
     if names is None:
         names = [name for name in NAMED_CHARACTERS if name != "hook4" or n == 7]
-    chars = [(name, NamedCharacter(name, n).partition) for name in names]
+    chars = [(name, named_partition(name, n)) for name in names]
     class_list = tuple(
         (format_class(ct), ct) for ct in sorted(all_partitions(n), key=class_sort_key)
     )

@@ -10,16 +10,17 @@ from math import factorial, gcd
 import pytest
 
 from sntorsion.cases import load_bundled_table
-from sntorsion.characters import NamedCharacter
 from sntorsion.cyclotomic import ramanujan_sum
 from sntorsion.luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
     char_value_on_unit,
+    lower_constant,
     parse_cycle_type,
+    top_coeffs,
 )
-from sntorsion.partitions import ClassLabel, Partition, check_partition
+from sntorsion.partitions import Partition, check_partition, element_order, prime_cycles
 from sntorsion.solver import FeasibilitySystem
 
 
@@ -108,6 +109,29 @@ def eliminate(
     return AffineForm.make(coeffs, const)
 
 
+def affine_form(
+    row: CharacterRow,
+    k: int,
+    ell: int,
+    lower_levels: dict[int, AugVector],
+    variables: list[Partition],
+) -> AffineForm:
+    """Multiplicity of zeta^ell for a unit of order k as an affine form in
+    the top-level augmentation variables, with all proper power levels d > 1
+    fixed by `lower_levels`: a fresh top_coeffs plus lower_constant, the
+    oracle for the forms that the solver shares across systems."""
+    return AffineForm(
+        top_coeffs(row, k, ell, variables), lower_constant(row, k, ell, lower_levels)
+    )
+
+
+def is_pair_system(system: FeasibilitySystem) -> bool:
+    """Whether the system is an order-pq pair system of solve_order_pq
+    rather than the order-q system of solve_prime_order: its classes have
+    more than one element order."""
+    return len({element_order(ct) for ct in system.variables}) > 1
+
+
 # ---------------------------------------------------------------------------
 # oracles: closed forms and whole-unit formulas that the tests compare the
 # package's recursions and affine forms against
@@ -151,7 +175,7 @@ def parse_class(token: str, n: int) -> Partition:
         return identity_partition(n)
     if "." in token and "+" not in token and "^" not in token:
         r_s, j_s = token.split(".", 1)
-        return ClassLabel(int(r_s), int(j_s), n).cycle_type()
+        return prime_cycles(int(r_s), int(j_s), n)
     ct = parse_cycle_type(token)
     if sum(ct) != n:
         raise ValueError(f"cycle type {token} is not a partition of {n}")
@@ -162,27 +186,26 @@ class UnsupportedClosedForm(ValueError):
     """Raised for a (character, class) pair without a stated closed form."""
 
 
-def closed_form_value(char: NamedCharacter, cls: ClassLabel | None) -> int:
-    """Closed-form value of a named character at the identity (cls=None) or
-    at a class r.j, exactly the patterns with a stated formula.
+def closed_form_value(name: str, n: int, r: int | None = None, j: int | None = None) -> int:
+    """Closed-form value of the named character of S_n at the identity (r
+    and j None) or at the class r.j, exactly the patterns with a stated
+    formula.
     """
-    n = char.n
-    if cls is not None and cls.n != n:
-        raise ValueError(f"class {cls} lives in S_{cls.n}, character in S_{n}")
-    name = char.name
+    if r is not None:
+        prime_cycles(r, j, n)  # ValueError unless r.j is a class of S_n
+    cls = "1" if r is None else f"{r}.{j}"
     if name == "pi":
-        if cls is None:
+        if r is None:
             return n - 1
-        return n - 1 - cls.r * cls.j
+        return n - 1 - r * j
     if name == "pi_sgn":
-        if cls is None:
+        if r is None:
             return n - 1
-        sign = (-1) ** cls.j if cls.r == 2 else 1
-        return sign * (n - 1 - cls.r * cls.j)
+        sign = (-1) ** j if r == 2 else 1
+        return sign * (n - 1 - r * j)
     if name == "rho":
-        if cls is None:
+        if r is None:
             return (n - 1) * (n - 2) // 2
-        r, j = cls.r, cls.j
         if r == 2:
             # the 2-cycles contribute beyond the fixed-point count
             raise UnsupportedClosedForm(f"rho has no stated closed form at {cls}")
@@ -192,13 +215,13 @@ def closed_form_value(char: NamedCharacter, cls: ClassLabel | None) -> int:
             return (n - 1) * (n - 2) // 2 - r * (2 * n - 2 * r - 3)
         raise UnsupportedClosedForm(f"rho has no stated closed form at {cls}")
     if name == "tau":
-        if cls is not None and cls.r == 3:
+        if r == 3:
             # the 3-cycles contribute beyond the fixed-point count
             raise UnsupportedClosedForm(f"tau has no stated closed form at {cls}")
-        if cls is None:
+        if r is None:
             num = n * (n - 2) * (n - 4)
         else:
-            f = n - cls.r * cls.j
+            f = n - r * j
             num = f * ((f - 1) * (f - 5) + 3)
         if num % 3:
             raise UnsupportedClosedForm(f"tau formula is not integral at {cls}")
@@ -273,6 +296,6 @@ def mu1_pi_closed_form_pq(profile: UnitProfile, n: int, p: int, q: int) -> Fract
     for r, power in ((q, p), (p, q)):
         lower = profile.level(power)
         for j in range(1, n // r + 1):
-            cls = ClassLabel(r, j, n)
+            cls = prime_cycles(r, j, n)
             total += Fraction(r * j) * (lower.value(cls) - top.value(cls))
     return total / (p * q)

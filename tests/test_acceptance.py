@@ -16,21 +16,21 @@ from test_lemma_filters import brute_force_lemma_4_3, hypothesis_triples, random
 from test_solver import CORPUS
 
 from sntorsion.cases import load_bundled_table, load_golden, run_case
-from sntorsion.characters import NamedCharacter, character_value, degree
+from sntorsion.characters import character_value, degree, named_partition
 from sntorsion.lemma_filters import filter_lemma_4_3
 from sntorsion.luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
-    affine_form,
     allowed_support,
     forced_vector,
 )
-from sntorsion.partitions import ClassLabel, all_partitions, element_order, is_prime
+from sntorsion.partitions import all_partitions, element_order, is_prime, prime_cycles
 from sntorsion.solver import enumerate_system
 
 from conftest import (
     UnitProfile,
+    affine_form,
     brute_force_solutions,
     class_size,
     coeff,
@@ -69,14 +69,14 @@ def _primes_with_j(n):
 def test_criterion_1_character_closed_forms():
     with criterion(1, "character closed forms, 7<=n<=20", 10):
         for n in range(7, 21):
-            pi = NamedCharacter("pi", n).partition
-            pi_sgn = NamedCharacter("pi_sgn", n).partition
-            rho = NamedCharacter("rho", n).partition
-            tau = NamedCharacter("tau", n).partition
+            pi = named_partition("pi", n)
+            pi_sgn = named_partition("pi_sgn", n)
+            rho = named_partition("rho", n)
+            tau = named_partition("tau", n)
             assert character_value(rho, (1,) * n) == (n - 1) * (n - 2) // 2
             assert 3 * character_value(tau, (1,) * n) == n * (n - 2) * (n - 4)
             for r, j in _primes_with_j(n):
-                ct = ClassLabel(r, j, n).cycle_type()
+                ct = prime_cycles(r, j, n)
                 assert character_value(pi, ct) == n - 1 - r * j
                 if r == 2:
                     assert character_value(pi_sgn, ct) == (-1) ** j * (n - 1 - 2 * j)
@@ -98,13 +98,13 @@ def test_criterion_1_character_closed_forms():
 def test_criterion_2_order15_example():
     with criterion(2, "order-15 exclusion in Z S_7", 1):
         n = 7
-        lam = NamedCharacter("hook4", n).partition
+        lam = named_partition("hook4", n)
         classes = allowed_support(n, 15)
         c31, c32, c51 = (parse_class(s, n) for s in ("3.1", "3.2", "5.1"))
         assert [degree(lam)] + [character_value(lam, ct) for ct in (c31, c32, c51)] == [20, 2, 2, 0]
 
         row = CharacterRow.make("hook4", 20, {ct: character_value(lam, ct) for ct in classes})
-        lower = {3: forced_vector(n, 5), 5: AugVector.make(3, n, {ClassLabel(3, 1, n): 1})}
+        lower = {3: forced_vector(n, 5), 5: AugVector.make(3, n, {prime_cycles(3, 1, n): 1})}
         aug = AffineForm.make({ct: 1 for ct in classes}, 0)
         expected = {0: ({c51: F(-16, 15)}, F(8, 3)), 5: ({c51: F(8, 15)}, F(2, 3))}
         for ell, (coeffs, const) in expected.items():
@@ -294,7 +294,7 @@ def test_criterion_6_lemma_cross_checks():
     with criterion(6, "lemma closed form and parity filter", 30):
         rng = random.Random(715517)
         for n, p, q in hypothesis_triples():
-            pi_lam = NamedCharacter("pi", n).partition
+            pi_lam = named_partition("pi", n)
             row = CharacterRow.make(
                 "pi", n - 1,
                 {ct: character_value(pi_lam, ct) for ct in allowed_support(n, p * q)},
@@ -311,7 +311,7 @@ def test_criterion_6_lemma_cross_checks():
 
         def vec(p, entries):
             return AugVector.make(
-                2, p, {ClassLabel(2, j + 1, p): e for j, e in enumerate(entries)}
+                2, p, {prime_cycles(2, j + 1, p): e for j, e in enumerate(entries)}
             )
 
         # exhaustive agreement over the box where that is tractable

@@ -1,6 +1,12 @@
 """Built-in cases against their frozen reports."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
+
+from conftest import is_pair_system
 
 import sntorsion.cases as cases_mod
 from sntorsion.cases import (
@@ -16,6 +22,8 @@ from sntorsion.cases import (
 from sntorsion.luthar_passi import orbit_residues
 from sntorsion.partitions import is_prime
 from sntorsion import reports, solver
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_registry_contents():
@@ -114,7 +122,7 @@ def test_thm32_order3_stage_with_free_directions_stops_at_its_first_point(
 
     def recording(system, lattices=None):
         report = real(system, lattices)
-        if lattices is None:  # the order-q system of solve_prime_order
+        if not is_pair_system(system):
             seen.append((system, report))
         return report
 
@@ -195,3 +203,15 @@ def test_verify_case_reports_a_divergence_path(monkeypatch):
     monkeypatch.setattr(cases_mod, "load_golden", corrupted)
     diff = verify_case("s7-3x5")
     assert diff is not None and "verdict" in diff
+
+
+def test_thm32_sweep_reproduces_the_bench_reference():
+    # every Theorem-3.2 instance of the benchmark sweep (n <= 19) against
+    # the verdict and report hash that bench/reference.json records for it
+    reference = json.loads((REPO / "bench" / "reference.json").read_text())["thm32-sweep"]
+    assert len(reference) == 67
+    for key, expected in reference.items():
+        n, p, q = (int(x) for x in key.split("-")[1:])
+        report = _case_thm32(n, p, q)
+        digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+        assert {"verdict": report.verdict, "sha256": digest} == expected, key

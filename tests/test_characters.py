@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import UnsupportedClosedForm, class_size, closed_form_value, identity_partition
 
-from sntorsion.characters import NamedCharacter, character_value, conjugate_partition, degree
-from sntorsion.partitions import ClassLabel, all_partitions, is_prime, parity
+from sntorsion.characters import character_value, conjugate_partition, degree, named_partition
+from sntorsion.partitions import all_partitions, is_prime, parity, prime_cycles
 
 pairs = st.integers(min_value=1, max_value=9).flatmap(
     lambda n: st.tuples(
@@ -70,15 +70,15 @@ def test_degree_examples():
 
 
 def test_named_character_partitions():
-    assert NamedCharacter("pi", 13).partition == (12, 1)
-    assert NamedCharacter("rho", 13).partition == (11, 1, 1)
-    assert NamedCharacter("tau", 13).partition == (10, 2, 1)
-    assert NamedCharacter("pi_sgn", 13).partition == (2,) + (1,) * 11
-    assert NamedCharacter("hook4", 7).partition == (4, 1, 1, 1)
+    assert named_partition("pi", 13) == (12, 1)
+    assert named_partition("rho", 13) == (11, 1, 1)
+    assert named_partition("tau", 13) == (10, 2, 1)
+    assert named_partition("pi_sgn", 13) == (2,) + (1,) * 11
+    assert named_partition("hook4", 7) == (4, 1, 1, 1)
     with pytest.raises(ValueError):
-        NamedCharacter("hook4", 8)
+        named_partition("hook4", 8)
     with pytest.raises(ValueError):
-        NamedCharacter("nonesuch", 7)
+        named_partition("nonesuch", 7)
 
 
 def _all_rj(n):
@@ -86,32 +86,31 @@ def _all_rj(n):
         if not is_prime(r):
             continue
         for j in range(1, n // r + 1):
-            yield ClassLabel(r, j, n)
+            yield r, j
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=7, max_value=16))
 def test_closed_forms_agree_with_the_recursion(n):
     for char_name in ("pi", "pi_sgn", "rho", "tau"):
-        char = NamedCharacter(char_name, n)
-        lam = char.partition
-        assert closed_form_value(char, None) == degree(lam)
-        for cls in _all_rj(n):
+        lam = named_partition(char_name, n)
+        assert closed_form_value(char_name, n) == degree(lam)
+        for r, j in _all_rj(n):
             try:
-                expected = closed_form_value(char, cls)
+                expected = closed_form_value(char_name, n, r, j)
             except UnsupportedClosedForm:
                 continue
-            assert expected == character_value(lam, cls.cycle_type()), (char_name, n, cls)
+            assert expected == character_value(lam, prime_cycles(r, j, n)), (char_name, n, r, j)
 
 
 def test_rho_closed_form_is_only_stated_for_one_or_two_cycles():
     with pytest.raises(UnsupportedClosedForm):
-        closed_form_value(NamedCharacter("rho", 13), ClassLabel(3, 3, 13))
+        closed_form_value("rho", 13, 3, 3)
 
 
 def test_hook4_values_for_degree_seven():
-    lam = NamedCharacter("hook4", 7).partition
+    lam = named_partition("hook4", 7)
     assert degree(lam) == 20
-    assert character_value(lam, ClassLabel(3, 1, 7).cycle_type()) == 2
-    assert character_value(lam, ClassLabel(3, 2, 7).cycle_type()) == 2
-    assert character_value(lam, ClassLabel(5, 1, 7).cycle_type()) == 0
+    assert character_value(lam, prime_cycles(3, 1, 7)) == 2
+    assert character_value(lam, prime_cycles(3, 2, 7)) == 2
+    assert character_value(lam, prime_cycles(5, 1, 7)) == 0

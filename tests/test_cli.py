@@ -52,6 +52,10 @@ def test_chartable_enforces_the_degree_limit(capsys):
 def test_chartable_rejects_unknown_characters(capsys):
     rc, _, err = run(capsys, "chartable", "7", "--char", "nonesuch")
     assert rc == EXIT_INPUT and "nonesuch" in err
+    assert err == (
+        "error: unknown character 'nonesuch'; "
+        "known: principal, sgn, pi, rho, tau, pi_sgn, hook4\n"
+    )
 
 
 def test_solve_excludes_s7_order_15(capsys):
@@ -186,6 +190,15 @@ def test_solve_builds_the_support_of_a_large_degree_without_every_partition():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "verdict: excluded" in proc.stdout
+
+
+def test_solve_reads_characters_on_classes_with_many_cycles(capsys):
+    # the pi row at order 2 reads the classes 2^j of S_1000, up to 500
+    # cycles each; the Murnaghan-Nakayama evaluation does not recurse once
+    # per cycle, so the run reaches the group check
+    rc, out, err = run(capsys, "solve", "--group", "S1000", "--order", "997x2", "--rows", "pi")
+    assert rc == EXIT_INPUT and out == ""
+    assert err == "error: S_1000 has elements of order 1994; nothing to exclude\n"
 
 
 def test_solve_rejects_order_factors_above_the_degree_before_testing_primality():

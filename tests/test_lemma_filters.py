@@ -5,16 +5,16 @@ import random
 
 import pytest
 
-from sntorsion.characters import NamedCharacter, character_value, degree
+from sntorsion.characters import character_value, degree, named_partition
 from conftest import UnitProfile, mu1_pi_closed_form_pq, multiplicity
 
 from sntorsion.lemma_filters import filter_lemma_4_3, filter_order_q_powers
 from sntorsion.luthar_passi import AugVector, CharacterRow, allowed_support, forced_vector
-from sntorsion.partitions import ClassLabel, is_prime
+from sntorsion.partitions import is_prime, prime_cycles
 
 
 def pi_row(n, k):
-    lam = NamedCharacter("pi", n).partition
+    lam = named_partition("pi", n)
     return CharacterRow.make(
         "pi", degree(lam), {ct: character_value(lam, ct) for ct in allowed_support(n, k)}
     )
@@ -62,7 +62,7 @@ def test_closed_form_rejects_groups_with_order_pq_elements():
 
 def vec(n, q, entries):
     return AugVector.make(
-        q, n, {ClassLabel(q, j + 1, n): e for j, e in enumerate(entries)}
+        q, n, {prime_cycles(q, j + 1, n): e for j, e in enumerate(entries)}
     )
 
 
@@ -70,7 +70,7 @@ def test_filter_order_q_powers_keeps_the_allowed_weighted_sums():
     # S_11, p=7, q=5: p+q-1 = n, so weighted sums 0 and 1 both pass
     cands = [vec(11, 5, t) for t in [(1, 0), (2, -1), (0, 1), (-1, 2), (3, -2)]]
     kept = filter_order_q_powers(11, 7, 5, cands)
-    sums = [c.value(ClassLabel(5, 1, 11)) + 2 * c.value(ClassLabel(5, 2, 11)) for c in kept]
+    sums = [c.value(prime_cycles(5, 1, 11)) + 2 * c.value(prime_cycles(5, 2, 11)) for c in kept]
     assert all(s in (0, 1) for s in sums)
     assert vec(11, 5, (1, 0)) in kept and vec(11, 5, (2, -1)) in kept
     assert vec(11, 5, (0, 1)) not in kept  # weighted sum 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     UnitProfile,
+    affine_form,
     coeff,
     eliminate,
     evaluate,
@@ -15,12 +16,11 @@ from conftest import (
     power_cycle_type,
 )
 
-from sntorsion.characters import NamedCharacter, character_value, degree
+from sntorsion.characters import character_value, degree, named_partition
 from sntorsion.luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
-    affine_form,
     allowed_support,
     char_value_on_unit,
     class_sort_key,
@@ -32,16 +32,16 @@ from sntorsion.luthar_passi import (
     parse_cycle_type,
 )
 from sntorsion.partitions import (
-    ClassLabel,
     all_partitions,
     element_order,
     is_prime,
     parity,
+    prime_cycles,
 )
 
 
 def ordinary_row(name, n, k):
-    lam = NamedCharacter(name, n).partition
+    lam = named_partition(name, n)
     return CharacterRow.make(
         name, degree(lam),
         {ct: character_value(lam, ct) for ct in allowed_support(n, k)},
@@ -105,17 +105,29 @@ def test_format_and_parse_class_round_trip():
 
 def test_aug_vector_validation():
     with pytest.raises(ValueError):  # augmentations must sum to 1
-        AugVector.make(3, 7, {ClassLabel(3, 1, 7): 2})
+        AugVector.make(3, 7, {prime_cycles(3, 1, 7): 2})
     with pytest.raises(ValueError):  # order-5 class cannot support an order-3 unit
-        AugVector.make(3, 7, {ClassLabel(5, 1, 7): 1})
-    v = AugVector.make(3, 7, {ClassLabel(3, 1, 7): 2, ClassLabel(3, 2, 7): -1})
-    assert v.value(ClassLabel(3, 1, 7)) == 2
-    assert v.value(ClassLabel(3, 2, 7)) == -1
+        AugVector.make(3, 7, {prime_cycles(5, 1, 7): 1})
+    v = AugVector.make(3, 7, {prime_cycles(3, 1, 7): 2, prime_cycles(3, 2, 7): -1})
+    assert v.value(prime_cycles(3, 1, 7)) == 2
+    assert v.value(prime_cycles(3, 2, 7)) == -1
+
+
+def test_aug_vector_rejects_malformed_cycle_types():
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        AugVector.make(3, 7, {(1, 3, 3): 1})
+    with pytest.raises(ValueError, match="part < 1"):
+        AugVector.make(3, 7, {(3, 3, 1, 0): 1})
+    v = AugVector.make(3, 7, {(3, 3, 1): 1})
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        v.value((1, 3, 3))
+    with pytest.raises(ValueError, match="part < 1"):
+        v.value((3, 3, 1, 0))
 
 
 def test_forced_vector():
     v = forced_vector(13, 11)
-    assert v.value(ClassLabel(11, 1, 13)) == 1
+    assert v.value(prime_cycles(11, 1, 13)) == 1
     with pytest.raises(ValueError):
         forced_vector(13, 3)  # four classes of order 3
 
@@ -130,11 +142,11 @@ def test_character_row_validation():
 
 
 def test_character_row_value_lookups():
-    row = CharacterRow.make("r", 6, {(3, 1, 1, 1): 3, ClassLabel(3, 2, 6): 0})
+    row = CharacterRow.make("r", 6, {(3, 1, 1, 1): 3, prime_cycles(3, 2, 6): 0})
     assert row.value((3, 1, 1, 1)) == 3
     assert row.value((3, 3)) == 0
-    assert row.value(ClassLabel(3, 1, 6)) == 3
-    assert row.value(ClassLabel(3, 2, 6)) == 0
+    assert row.value(prime_cycles(3, 1, 6)) == 3
+    assert row.value(prime_cycles(3, 2, 6)) == 0
     assert row.value((1,) * 6) == 6  # the identity gives the degree
     assert row == CharacterRow.make("r", 6, {(3, 3): 0, (3, 1, 1, 1): 3})
     with pytest.raises(ValueError, match="not weakly decreasing"):
@@ -144,14 +156,14 @@ def test_character_row_value_lookups():
     with pytest.raises(KeyError, match="no value at class 2.1"):
         row.value((2, 1, 1, 1, 1))
     with pytest.raises(KeyError, match="no value at class 5.1"):
-        row.value(ClassLabel(5, 1, 6))
+        row.value(prime_cycles(5, 1, 6))
 
 
 def test_char_value_on_unit_is_linear():
     row = ordinary_row("pi", 7, 3)
-    v = AugVector.make(3, 7, {ClassLabel(3, 1, 7): 2, ClassLabel(3, 2, 7): -1})
-    assert char_value_on_unit(row, v) == 2 * row.value(ClassLabel(3, 1, 7)) - row.value(
-        ClassLabel(3, 2, 7)
+    v = AugVector.make(3, 7, {prime_cycles(3, 1, 7): 2, prime_cycles(3, 2, 7): -1})
+    assert char_value_on_unit(row, v) == 2 * row.value(prime_cycles(3, 1, 7)) - row.value(
+        prime_cycles(3, 2, 7)
     )
 
 
@@ -173,8 +185,8 @@ def test_multiplicities_of_group_elements_are_nonnegative_integers():
 
 
 def test_multiplicity_requires_a_complete_profile():
-    v3 = AugVector.make(3, 13, {ClassLabel(3, 1, 13): 1})
-    incomplete = UnitProfile.make(33, 13, {1: AugVector.make(33, 13, {ClassLabel(11, 1, 13): 1}), 11: v3})
+    v3 = AugVector.make(3, 13, {prime_cycles(3, 1, 13): 1})
+    incomplete = UnitProfile.make(33, 13, {1: AugVector.make(33, 13, {prime_cycles(11, 1, 13): 1}), 11: v3})
     with pytest.raises(ValueError):
         multiplicity(incomplete, ordinary_row("pi", 13, 33), 0)
 
@@ -227,7 +239,7 @@ def test_lower_constant_names_the_first_level_that_is_not_fixed():
 
 
 def test_affine_form_rejects_brauer_rows_of_dividing_modulus():
-    ct = ClassLabel(2, 1, 7).cycle_type()
+    ct = prime_cycles(2, 1, 7)
     row = CharacterRow.make("b", 5, {ct: 2}, mode="brauer", modulus=3)
     with pytest.raises(ValueError):
         affine_form(row, 6, 0, {}, [ct])

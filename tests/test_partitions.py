@@ -7,13 +7,14 @@ from hypothesis import given, strategies as st
 
 from conftest import class_size, identity_partition, power_cycle_type
 
+from sntorsion.luthar_passi import format_class
 from sntorsion.partitions import (
-    ClassLabel,
     all_partitions,
     check_partition,
     element_order,
     is_prime,
     parity,
+    prime_cycles,
 )
 
 # number of partitions of n, for 1 <= n <= 20
@@ -104,10 +105,19 @@ def test_class_size_examples():
 
 
 def test_class_label_round_trip():
-    lab = ClassLabel(3, 2, 13)
-    assert lab.cycle_type() == (3, 3) + (1,) * 7
-    assert str(lab) == "3.2"
-    assert element_order(lab.cycle_type()) == 3
+    ct = prime_cycles(3, 2, 13)
+    assert ct == (3, 3) + (1,) * 7
+    assert format_class(ct) == "3.2"
+    assert element_order(ct) == 3
+
+
+def test_prime_cycles_rejects_classes_outside_s_n():
+    with pytest.raises(ValueError, match=r"^class label 4\.1: 4 is not prime$"):
+        prime_cycles(4, 1, 13)
+    with pytest.raises(ValueError, match=r"^class label 3\.0 does not fit in S_13$"):
+        prime_cycles(3, 0, 13)
+    with pytest.raises(ValueError, match=r"^class label 3\.5 does not fit in S_13$"):
+        prime_cycles(3, 5, 13)
 
 
 def test_is_prime_small_values():

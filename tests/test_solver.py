@@ -7,21 +7,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_solutions, coeff, parse_class
+from conftest import affine_form, brute_force_solutions, coeff, is_pair_system, parse_class
 
-from sntorsion.characters import NamedCharacter, character_value, degree
+from sntorsion.characters import character_value, degree, named_partition
 from sntorsion.lemma_filters import filter_order_q_powers
 from sntorsion.luthar_passi import (
     AffineForm,
     AugVector,
     CharacterRow,
-    affine_form,
     allowed_support,
     forced_vector,
 )
 from sntorsion import cases as cases_mod, solver
 from sntorsion.cases import _case_thm32, run_case
-from sntorsion.partitions import ClassLabel
+from sntorsion.partitions import prime_cycles
 from sntorsion.solver import (
     FeasibilitySystem,
     enumerate_system,
@@ -33,7 +32,7 @@ from sntorsion.solver import (
 
 
 def ordinary_row(name, n, k):
-    lam = NamedCharacter(name, n).partition
+    lam = named_partition(name, n)
     return CharacterRow.make(
         name, degree(lam), {ct: character_value(lam, ct) for ct in allowed_support(n, k)}
     )
@@ -87,13 +86,13 @@ def example_order15_system():
     n = 7
     hook = CharacterRow.make(
         "hook4", 20,
-        {ClassLabel(3, 1, n): 2, ClassLabel(3, 2, n): 2, ClassLabel(5, 1, n): 0},
+        {prime_cycles(3, 1, n): 2, prime_cycles(3, 2, n): 2, prime_cycles(5, 1, n): 0},
     )
     classes = allowed_support(n, 15)
 
     lower = {
         3: forced_vector(n, 5),
-        5: AugVector.make(3, n, {ClassLabel(3, 1, n): 1}),
+        5: AugVector.make(3, n, {prime_cycles(3, 1, n): 1}),
     }
     forms = [
         (affine_form(hook, 15, ell, lower, classes), f"mu_{ell}(hook4)") for ell in (0, 5)
@@ -357,7 +356,7 @@ def test_pairs_sharing_lattices_report_like_fresh_solves(case_id, statuses, monk
 
     def recording(system, lattices=None):
         report = real(system, lattices)
-        if lattices is not None:  # a pair system of solve_order_pq
+        if is_pair_system(system):
             seen.append((system, report))
         return report
 
@@ -375,7 +374,7 @@ def test_pair_systems_have_the_forms_of_fresh_affine_forms(case_id, monkeypatch)
     real_enumerate, real_pq = solver.enumerate_system, cases_mod.solve_order_pq
 
     def recording(system, lattices=None):
-        if lattices is not None:  # a pair system of solve_order_pq
+        if is_pair_system(system):
             systems.append(system)
         return real_enumerate(system, lattices)
 
@@ -475,7 +474,7 @@ def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
 
     def recording(system, lattices=None):
         report = real(system, lattices)
-        if lattices is not None:  # a pair system of solve_order_pq
+        if is_pair_system(system):
             nodes.append(report.stats["nodes"])
         return report
 
@@ -659,22 +658,22 @@ def test_solve_prime_order_s13_q11_is_forced():
 
 def test_solve_prime_order_rejects_brauer_rows_of_the_same_modulus():
     row = CharacterRow.make(
-        "b", 4, {ClassLabel(2, 1, 7).cycle_type(): 2}, mode="brauer", modulus=3
+        "b", 4, {prime_cycles(2, 1, 7): 2}, mode="brauer", modulus=3
     )
     with pytest.raises(ValueError):
         solve_prime_order(7, "S", 3, [(row, 0)])
 
 
 def test_one_brauer_check_names_the_row_at_every_order():
-    # affine_form is the one check; a brauer(3) row constrains neither the
+    # top_coeffs is the one check; a brauer(3) row constrains neither the
     # order-3 stage nor the order-15 systems
     row = CharacterRow.make(
-        "b", 4, {ClassLabel(2, 1, 7).cycle_type(): 2}, mode="brauer", modulus=3
+        "b", 4, {prime_cycles(2, 1, 7): 2}, mode="brauer", modulus=3
     )
     message = r"row b is a brauer\(3\) row; it cannot constrain units of order "
     with pytest.raises(ValueError, match=message + "3$"):
         solve_prime_order(7, "S", 3, [(row, 0)])
-    q_rep = AugVector.make(3, 7, {ClassLabel(3, 1, 7): 1})
+    q_rep = AugVector.make(3, 7, {prime_cycles(3, 1, 7): 1})
     with pytest.raises(ValueError, match=message + "15$"):
         solve_order_pq(
             7, "S", 5, 3, [q_rep], [forced_vector(7, 5)],
@@ -716,7 +715,7 @@ def test_every_entry_point_rejects_an_unknown_group_kind():
 def test_solve_order_pq_excludes_s7_order_15():
     n = 7
     hook = ordinary_row("hook4", n, 15)
-    q_rep = AugVector.make(3, n, {ClassLabel(3, 1, n): 1})
+    q_rep = AugVector.make(3, n, {prime_cycles(3, 1, n): 1})
     verdict, results = solve_order_pq(
         n, "S", 5, 3, [q_rep], [forced_vector(n, 5)],
         [{"name": "main", "members": None, "rows_and_ells": [(hook, 0), (hook, 5)]}],
@@ -732,7 +731,7 @@ def test_solve_order_pq_surfaces_surviving_candidates():
         "principal", 1,
         {ct: 1 for ct in allowed_support(n, 15)},
     )
-    q_rep = AugVector.make(3, n, {ClassLabel(3, 1, n): 1})
+    q_rep = AugVector.make(3, n, {prime_cycles(3, 1, n): 1})
     verdict, results = solve_order_pq(
         n, "S", 5, 3, [q_rep], [forced_vector(n, 5)],
         [{"name": "main", "members": None, "rows_and_ells": [(principal, 0)]}],
