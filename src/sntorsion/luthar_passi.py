@@ -268,20 +268,27 @@ def top_coeffs(
     ))
 
 
+def level_traces(k: int, ell: int) -> dict[int, int]:
+    """The trace ramanujan_sum(k // d, ell) of zeta^ell's share on each
+    proper power level d > 1 of a unit of order k, in increasing d."""
+    # the proper divisors d > 1 of k, read off those up to sqrt(k)
+    small = [d for d in range(2, isqrt(k) + 1) if k % d == 0]
+    levels = small + [k // d for d in reversed(small) if d * d != k]
+    return {d: ramanujan_sum(k // d, ell) for d in levels}
+
+
 def lower_constant(
-    row: CharacterRow, k: int, ell: int, lower_levels: dict[int, AugVector]
+    row: CharacterRow, k: int, traces: dict[int, int], values: dict[int, int]
 ) -> Fraction:
     """The constant part of the multiplicity of zeta^ell for a unit of order
     k: the identity's share row.degree/k plus the share of every proper
-    power level d > 1, fixed by `lower_levels`."""
-    # the proper divisors d > 1 of k, in increasing order, read off those
-    # up to sqrt(k)
-    small = [d for d in range(2, isqrt(k) + 1) if k % d == 0]
+    power level d > 1, given its trace traces[d] (level_traces(k, ell)) and
+    the row's value values[d] on the fixed level (char_value_on_unit)."""
     total = row.degree
-    for d in small + [k // d for d in reversed(small) if d * d != k]:
-        if d not in lower_levels:
+    for d, trace in traces.items():
+        if d not in values:
             raise ValueError(f"level {d} of the unit is not fixed")
-        total += char_value_on_unit(row, lower_levels[d]) * ramanujan_sum(k // d, ell)
+        total += values[d] * trace
     return Fraction(total, k)
 
 

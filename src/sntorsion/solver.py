@@ -29,15 +29,23 @@ One function, _solve_level, makes the systems of every level: the one
 system of solve_prime_order and the power-candidate pairs of
 solve_order_pq.  The systems of one call have the same linear parts and
 differ in their constants, so _solve_level makes the linear part of each
-(row, ell) once (top_coeffs) and only the constant per system
-(lower_constant), and the systems and their infeasible-core trials share one
-memo of lattices; both live as long as the call.  The memo has two levels:
-one dict per integer matrix, hashed once per system, and in it one lattice
-per tuple of kept forms (all of them for the system, all but the dropped
-ones for a core trial), so a trial builds its rows only when its lattice is
-new.  Every reported solution is
-re-checked against the system's original forms in integer arithmetic, each
-form cleared by its own denominator, independently of the solved rows.
+(row, ell) and the level traces of each ell once (top_coeffs,
+level_traces), each row's values on a system's lower levels once per
+system, and only the constant per form (lower_constant).  The systems and
+their infeasible-core trials share one memo of lattices; it lives as long
+as the call.  The memo has two levels: one dict per integer matrix, hashed
+once per system, and in it one lattice per tuple of kept forms (all of them
+for the system, all but the dropped ones for a core trial), so a trial
+builds its rows only when its lattice is new.
+
+The infeasible core is a greedy deletion filter: one trial per form, each
+re-solving the system without that form and the forms dropped before it.
+A form that the equalities fix at a non-negative integer (no lattice
+coordinate moves its slack) can never be needed, so it gets no trial; in
+the Theorem-3.2 pair systems these are the mu_ell(pi) forms, which the pi
+equalities pin.  Every reported solution is re-checked against the
+system's original forms in integer arithmetic, each form cleared by its own
+denominator, independently of the solved rows.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -55,8 +63,10 @@ from .luthar_passi import (
     AugVector,
     CharacterRow,
     allowed_support,
+    char_value_on_unit,
     class_sort_key,
     format_class,
+    level_traces,
     lower_constant,
     top_coeffs,
 )
@@ -515,11 +525,25 @@ def _infeasible_core(
     rows of the smaller system.  Its lattice is looked up in `by_kept`, the
     memo of the system's matrix, by the forms it keeps, and built only on a
     miss.
+
+    A form whose slack no lattice coordinate moves (a zero row of w in the
+    system's own lattice) is fixed by the equalities: it is constant on
+    their real solution set, so every trial, which keeps every equality,
+    sees it at the one value of the system's particular solution.  A form
+    fixed at a non-negative integer is then redundant in every trial; the
+    greedy filter would drop it at its turn and decide every other form as
+    it does with it, so the core starts without it and it gets no trial.  A
+    form fixed at a negative value, and every form of a system without a
+    particular solution, stays in the loop.
     """
     forms = system.nonneg_integral
     nvar, neq = len(system.variables), len(system.equalities)
     core = tuple(range(len(forms)))
-    for f in forms:
+    lat = by_kept[core]
+    z0 = _particular(lat, rhs)
+    if z0 is not None:
+        core = tuple(j for j in core if any(lat.w_rows[j]) or z0[nvar + j] < 0)
+    for f in [forms[j] for j in core]:
         trial = tuple(j for j in core if forms[j] is not f)
         if trial not in by_kept:
             by_kept[trial] = _lattice(rows, nvar, neq, trial)
@@ -542,24 +566,34 @@ def _solve_level(
     """Build and enumerate one order-k system over `classes` per entry
     (lower levels, rows and ells, equalities): the form mu_ell(row) must be
     a non-negative integer for each (row, ell), and mu_ell(row) = target
-    holds for each equality (row, ell, target).  The linear parts and the
-    lattice memo live as long as the call.
+    holds for each equality (row, ell, target).  The linear parts, the
+    level traces of each ell and the lattice memo live as long as the call;
+    each row's values on the lower levels are read once per system.
     """
     linear: dict[tuple[CharacterRow, int], tuple] = {}
+    traces: dict[int, dict[int, int]] = {}
 
-    def form(row: CharacterRow, ell: int, lower: dict[int, AugVector]) -> AffineForm:
+    def form(row: CharacterRow, ell: int, lower: dict[int, AugVector], values: dict) -> AffineForm:
+        """mu_ell(row), with `values` the system's memo of each row's values
+        on its lower levels."""
         if (row, ell) not in linear:
             linear[row, ell] = top_coeffs(row, k, ell, classes)
-        return AffineForm(linear[row, ell], lower_constant(row, k, ell, lower))
+        if ell not in traces:
+            traces[ell] = level_traces(k, ell)
+        if row not in values:
+            values[row] = {d: char_value_on_unit(row, v) for d, v in lower.items()}
+        return AffineForm(linear[row, ell], lower_constant(row, k, traces[ell], values[row]))
 
     lattices: dict = {}
     reports = []
     for lower, rows_and_ells, equalities in systems:
+        values: dict[CharacterRow, dict[int, int]] = {}
         forms = [
-            (form(row, ell, lower), f"mu_{ell}({row.name})") for row, ell in rows_and_ells
+            (form(row, ell, lower, values), f"mu_{ell}({row.name})")
+            for row, ell in rows_and_ells
         ]
         pinned = [
-            (form(row, ell, lower), target, f"mu_{ell}({row.name}) = {target}")
+            (form(row, ell, lower, values), target, f"mu_{ell}({row.name}) = {target}")
             for row, ell, target in equalities
         ]
         system = FeasibilitySystem.build(classes, pinned, forms)

@@ -16,6 +16,7 @@ from sntorsion.luthar_passi import (
     AugVector,
     CharacterRow,
     char_value_on_unit,
+    level_traces,
     lower_constant,
     parse_cycle_type,
     top_coeffs,
@@ -120,8 +121,10 @@ def affine_form(
     the top-level augmentation variables, with all proper power levels d > 1
     fixed by `lower_levels`: a fresh top_coeffs plus lower_constant, the
     oracle for the forms that the solver shares across systems."""
+    values = {d: char_value_on_unit(row, v) for d, v in lower_levels.items()}
     return AffineForm(
-        top_coeffs(row, k, ell, variables), lower_constant(row, k, ell, lower_levels)
+        top_coeffs(row, k, ell, variables),
+        lower_constant(row, k, level_traces(k, ell), values),
     )
 
 

@@ -27,6 +27,7 @@ from sntorsion.luthar_passi import (
     forced_vector,
     format_class,
     format_cycle_type,
+    level_traces,
     lower_constant,
     orbit_residues,
     parse_cycle_type,
@@ -233,9 +234,9 @@ def test_lower_constant_names_the_first_level_that_is_not_fixed():
     row = ordinary_row("pi", 8, 12)
     levels = {d: profile.level(d) for d in (2, 3, 4, 6)}
     for missing in (2, 3, 4, 6):
-        lower = {d: v for d, v in levels.items() if d < missing}
+        values = {d: char_value_on_unit(row, v) for d, v in levels.items() if d < missing}
         with pytest.raises(ValueError, match=f"^level {missing} of the unit is not fixed$"):
-            lower_constant(row, 12, 1, lower)
+            lower_constant(row, 12, level_traces(12, 1), values)
 
 
 def test_affine_form_rejects_brauer_rows_of_dividing_modulus():

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import affine_form, brute_force_solutions, coeff, is_pair_system, parse_class
+from conftest import (
+    affine_form, brute_force_solutions, coeff, eliminate, is_pair_system, parse_class,
+)
 
 from sntorsion.characters import character_value, degree, named_partition
 from sntorsion.lemma_filters import filter_order_q_powers
@@ -307,6 +309,65 @@ def public_deletion_filter(system):
     return [name for _, name in core]
 
 
+def fixed_at_a_nonnegative_integer(system, form):
+    """Whether form is constant on the real solutions of the system's
+    equalities, at a non-negative integer: eliminate one variable per
+    equality from the form and the later equalities, and see whether only
+    a constant is left."""
+    equalities = [(f, Fraction(target)) for f, target, _ in system.equalities]
+    while equalities:
+        (eq, target), *equalities = equalities
+        if eq.coeffs:
+            v = eq.coeffs[0][0]
+            form = eliminate(form, v, eq, target)
+            equalities = [(eliminate(f, v, eq, target), t) for f, t in equalities]
+    return not form.coeffs and form.constant >= 0 and form.constant.denominator == 1
+
+
+def fixed_forms_system():
+    # a = 2 and a + b + c = 1: the form a is 2 and b + c is -1 on every
+    # solution, and b moves along the one direction (0, 1, -1)
+    a, b, c = var("3.1", 7), var("3.2", 7), var("5.1", 7)
+    forms = [
+        (AffineForm.make({a: 1}, 0), "a"),
+        (AffineForm.make({b: 1, c: 1}, 0), "b + c"),
+        (AffineForm.make({b: 1}, 0), "b"),
+    ]
+    return FeasibilitySystem.build([a, b, c], [(AffineForm.make({a: 1}, 0), 2, "a = 2")], forms)
+
+
+def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkeypatch):
+    system = fixed_forms_system()
+    assert [fixed_at_a_nonnegative_integer(system, f) for f, _ in system.nonneg_integral] == [
+        True, False, False
+    ]
+    rows, _ = solver._integer_rows(system)
+    lat = solver._lattice(rows, 3, 2, (0, 1, 2))
+    assert [any(w_row) for w_row in lat.w_rows] == [False, False, True]
+    built, tried = [], []
+    real_lattice, real_solve = solver._lattice, solver._solve
+
+    def building(rows, nvar, neq, kept):
+        lat = real_lattice(rows, nvar, neq, kept)
+        built.append((lat, kept))
+        return lat
+
+    def solving(lat, rhs, variables, find_one=False):
+        if find_one:
+            tried.append(next(kept for known, kept in built if known is lat))
+        return real_solve(lat, rhs, variables, find_one)
+
+    monkeypatch.setattr(solver, "_lattice", building)
+    monkeypatch.setattr(solver, "_solve", solving)
+    report = enumerate_system(system)
+    monkeypatch.undo()
+    assert report.status == "infeasible"
+    assert report.certificate == public_deletion_filter(system) == ["b + c"]
+    # "a" (form 0, fixed at 2) is dropped by no trial and kept by none;
+    # "b + c" (fixed at -1) gets its trial and stays, and "b" is dropped
+    assert tried == [(2,), (1,)]
+
+
 def test_infeasible_core_matches_the_public_deletion_filter_on_the_corpus():
     infeasible = 0
     for builder in CORPUS:
@@ -318,7 +379,16 @@ def test_infeasible_core_matches_the_public_deletion_filter_on_the_corpus():
     assert infeasible >= 2
 
 
-@pytest.mark.parametrize("case_id", ["thm32-11-7-5", "s7-3x5"])
+PAIR_CASES = {
+    "thm32-12-11-3": lambda: _case_thm32(12, 11, 3),
+    "thm32-11-7-5": lambda: run_case("thm32-11-7-5"),
+    "s7-3x5": lambda: run_case("s7-3x5"),
+}
+
+
+# every infeasible pair of thm32-12-11-3 has a free direction and four pi
+# forms that the pi equalities fix
+@pytest.mark.parametrize("case_id", ["thm32-12-11-3", "thm32-11-7-5", "s7-3x5"])
 def test_infeasible_core_matches_the_public_deletion_filter_on_a_case(case_id, monkeypatch):
     seen = []
     real = solver.enumerate_system
@@ -330,19 +400,12 @@ def test_infeasible_core_matches_the_public_deletion_filter_on_a_case(case_id, m
 
     # every system the case enumerates: its order-q system and every pair system
     monkeypatch.setattr(solver, "enumerate_system", recording)
-    run_case(case_id)
+    PAIR_CASES[case_id]()
     monkeypatch.undo()
     infeasible = [(system, rep) for system, rep in seen if rep.status == "infeasible"]
     assert infeasible
     for system, report in infeasible:
         assert report.certificate == public_deletion_filter(system)
-
-
-PAIR_CASES = {
-    "thm32-12-11-3": lambda: _case_thm32(12, 11, 3),
-    "thm32-11-7-5": lambda: run_case("thm32-11-7-5"),
-    "s7-3x5": lambda: run_case("s7-3x5"),
-}
 
 
 @pytest.mark.parametrize("case_id, statuses", [
@@ -484,7 +547,8 @@ def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
 
 
 @pytest.mark.parametrize("run, matrices, lattices, trials", [
-    (lambda: _case_thm32(12, 11, 3), 1, 23, 912),
+    # the four pi forms of each of the 76 infeasible pairs get no trial
+    (lambda: _case_thm32(12, 11, 3), 1, 19, 608),
     # three row groups: three matrices whose trials keep the same forms
     (lambda: run_case("s13-3x11"), 3, 8, 38),
 ], ids=["thm32-12-11-3", "s13-3x11"])
@@ -506,12 +570,18 @@ def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
         in_core = True
         core = real_core(system, rows, rhs, by_kept)
         in_core = False
-        # the greedy filter's trial i keeps the earlier forms that stayed in
-        # the core and every later form
+        # a form that the equalities fix at a non-negative integer gets no
+        # trial and no trial keeps it; the greedy filter's trial of each
+        # other form i keeps the earlier such forms that stayed in the core
+        # and every later one
         names = [name for _, name in system.nonneg_integral]
         final = {names.index(name) for name in core}
-        for i in range(len(names)):
-            tried.append((rows, tuple(j for j in range(len(names)) if j > i or (j < i and j in final))))
+        live = [
+            i for i, (f, _) in enumerate(system.nonneg_integral)
+            if not fixed_at_a_nonnegative_integer(system, f)
+        ]
+        for i in live:
+            tried.append((rows, tuple(j for j in live if j > i or (j < i and j in final))))
         return core
 
     def measured(*args, **kwargs):
