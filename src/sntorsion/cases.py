@@ -93,28 +93,20 @@ def _stage_pq(
 ) -> tuple[str, dict]:
     """Solve every order-pq pair of the groups (entries as in run_exclusion)
     and return the verdict and the report's stage_pq section."""
-    groups = [
-        {
-            "name": grp["name"],
-            "members": grp.get("members"),
-            "rows_and_ells": [
-                (row, ell) for row, ells in grp["rows_and_ells"] for ell in ells
-            ],
-        }
-        for grp in stage_pq_groups
-    ]
     verdict, results = solve_order_pq(
-        n, kind, p, q, candidates, p_candidates, groups, pi_row=pi_row
+        n, kind, p, q, candidates, p_candidates,
+        [
+            {**grp, "rows_and_ells": [(row, ell) for row, ells in grp["rows_and_ells"] for ell in ells]}
+            for grp in stage_pq_groups
+        ],
+        pi_row=pi_row,
     )
-    grouped: dict[str, list] = {grp["name"]: [] for grp in stage_pq_groups}
-    for r in results:
-        grouped[r.group].append(_pair_json(r))
     return verdict, {
         "groups": [
             {
                 "name": grp["name"],
                 "rows": _rows_json(grp["rows_and_ells"]),
-                "pairs": grouped[grp["name"]],
+                "pairs": [_pair_json(r) for r in results if r.group == grp["name"]],
             }
             for grp in stage_pq_groups
         ]

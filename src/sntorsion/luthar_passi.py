@@ -127,10 +127,9 @@ class AugVector:
 
     @staticmethod
     def make(k: int, n: int, entries: dict[Partition, int]) -> "AugVector":
-        items = {}
-        for ct, eps in entries.items():
-            if eps:
-                items[check_partition(ct)] = eps
+        items = {ct: eps for ct, eps in entries.items() if eps}
+        for ct in items:
+            element_order(ct)  # validates each class once (cached), before the sort
         return AugVector(k, n, tuple(sorted(items.items(), key=lambda kv: class_sort_key(kv[0]))))
 
     def __post_init__(self) -> None:
@@ -149,11 +148,9 @@ class AugVector:
                     f"class {format_class(ct)} (order {order}) cannot support a unit of order {self.k}"
                 )
 
-    def as_dict(self) -> dict[Partition, int]:
-        return dict(self.entries)
-
     def value(self, ct: Partition) -> int:
-        return self.as_dict().get(check_partition(ct), 0)
+        element_order(ct)  # ValueError on a malformed cycle type
+        return next((eps for c, eps in self.entries if c == ct), 0)
 
 
 def forced_vector(n: int, s: int) -> AugVector:
@@ -184,10 +181,11 @@ class CharacterRow:
         mode: str = "ordinary",
         modulus: int | None = None,
     ) -> "CharacterRow":
-        items = {check_partition(ct): v for ct, v in values.items()}
+        for ct in values:
+            element_order(ct)  # validates each class once (cached), before the sort
         return CharacterRow(
             name, degree, mode, modulus,
-            tuple(sorted(items.items(), key=lambda kv: class_sort_key(kv[0]))),
+            tuple(sorted(values.items(), key=lambda kv: class_sort_key(kv[0]))),
         )
 
     def __post_init__(self) -> None:

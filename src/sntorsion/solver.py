@@ -7,13 +7,14 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
 
 1. every "form is an integer" condition becomes a linear Diophantine
    equation by introducing an integer slack for the form's value;
-2. one column-style Hermite elimination of the equation matrix, followed by
-   one unit row per slack, gives the lattice of homogeneous integer
-   solutions, already split into the coordinates w that move the slacks and
-   the directions v that leave every slack unchanged (they can only produce
-   infinite solution families); forward substitution of the right-hand side
-   in the echelon rows then gives either a contradiction or a particular
-   solution, and each variable is read as a linear form in (w, v);
+2. one column-style Hermite elimination of the equation matrix stacked over
+   the identity u, carried on in the slack rows of u, gives the lattice of
+   homogeneous integer solutions, already split into the coordinates w that
+   move the slacks and the directions v that leave every slack unchanged
+   (they can only produce infinite solution families); forward substitution
+   of the right-hand side in the echelon rows then gives either a
+   contradiction or a particular solution, and each variable is read as a
+   linear form in (w, v);
 3. exact Fourier-Motzkin elimination of the slack inequalities, from the
    last w coordinate down, gives one projection chain; the depth-first
    enumeration fixes the coordinates from the first up and reads the range
@@ -77,53 +78,36 @@ from .partitions import Partition, element_order, is_prime
 # integer linear algebra
 
 
-def _column_hermite(rows: list[list[int]], ncols: int):
-    """Column-style Hermite elimination of a row-major matrix.
-
-    Returns (a, u, pivots): a = rows . u is in column echelon form with its
-    pivot columns first, u is unimodular, and pivots lists the (row, column)
-    pivot positions of a.
-    """
-    m = len(rows)
-    a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_op(dst: int, src: int, factor: int) -> None:
-        for i in range(m):
-            a[i][dst] += factor * a[i][src]
-        for i in range(ncols):
-            u[i][dst] += factor * u[i][src]
-
-    def col_swap(c1: int, c2: int) -> None:
-        for i in range(m):
-            a[i][c1], a[i][c2] = a[i][c2], a[i][c1]
-        for i in range(ncols):
-            u[i][c1], u[i][c2] = u[i][c2], u[i][c1]
-
+def _column_hermite(cols: list[list[int]], pivot_rows) -> list[tuple[int, int]]:
+    """Column-style Hermite elimination, in place, of a matrix given as its
+    list of columns: at most one pivot in each of `pivot_rows`, in order,
+    with the pivot columns first.  Returns the (row, column) pivots."""
+    ncols = len(cols)
     pivots: list[tuple[int, int]] = []
     pc = 0
-    for row in range(m):
+    for row in pivot_rows:
         if pc >= ncols:
             break
         while True:
-            nz = [c for c in range(pc, ncols) if a[row][c]]
+            nz = [c for c in range(pc, ncols) if cols[c][row]]
             if not nz:
                 break
-            c0 = min(nz, key=lambda c: abs(a[row][c]))
-            if c0 != pc:
-                col_swap(pc, c0)
+            c0 = min(nz, key=lambda c: abs(cols[c][row]))
+            cols[pc], cols[c0] = cols[c0], cols[pc]
+            src = cols[pc]
             done = True
             for c in range(pc + 1, ncols):
-                if a[row][c]:
-                    col_op(c, pc, -(a[row][c] // a[row][pc]))
-                    if a[row][c]:
+                if cols[c][row]:
+                    factor = -(cols[c][row] // src[row])
+                    cols[c] = [a + factor * b for a, b in zip(cols[c], src)]
+                    if cols[c][row]:
                         done = False
             if done:
                 break
-        if a[row][pc]:
+        if cols[pc][row]:
             pivots.append((row, pc))
             pc += 1
-    return a, u, pivots
+    return pivots
 
 
 class _Lattice(NamedTuple):
@@ -142,30 +126,38 @@ class _Lattice(NamedTuple):
 def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
     """One Hermite elimination of the rows of _integer_rows that a solve
     keeps: the neq equality rows and the slack-link rows of the forms in
-    `kept`, over the nvar variables and those forms' slacks, followed by one
-    unit row per kept slack.
+    `kept`, over the nvar variables and those forms' slacks.
 
-    The pivots in the integer rows give the rank and the echelon data of
+    Each column of the one eliminated matrix stacks the m kept rows over
+    u, which starts as the identity and so records every column op.  The
+    pivots in the kept rows give the rank and the echelon data of
     _particular; the columns past the rank span the integer kernel.  The
-    unit rows only combine those kernel columns, where the integer rows are
-    already zero, and their pivots are the slack-moving coordinates w; the
-    remaining kernel columns are the directions v.
+    slack rows of u come next: the row of slack i starts as unit row i and
+    reads slack i in the current columns, so its pivots in the kernel
+    columns, where the kept rows are already zero, are the slack-moving
+    coordinates w; the remaining kernel columns are the directions v.
     """
     cols = [*range(nvar), *(nvar + j for j in kept)]
-    sub = [[rows[r][c] for c in cols] for r in [*range(neq), *(neq + j for j in kept)]]
-    m, nform, ncols = len(sub), len(kept), len(cols)
-    units = [[int(c == nvar + i) for c in range(ncols)] for i in range(nform)]
-    a, u, pivots = _column_hermite(sub + units, ncols)
+    kept_rows = [*range(neq), *(neq + j for j in kept)]
+    m, ncols = len(kept_rows), len(cols)
+    stacked = [
+        [rows[r][c] for r in kept_rows] + [int(i == k) for i in range(ncols)]
+        for k, c in enumerate(cols)
+    ]
+    pivots = _column_hermite(stacked, [*range(m), *range(m + nvar, m + ncols)])
+    # back to rows: the m kept rows . u, then u; with no columns, m empty rows
+    a = list(zip(*stacked)) or [()] * m
+    echelon, transform = a[:m], a[m:]
     rank = sum(row < m for row, _ in pivots)
     wdim = len(pivots) - rank
     pivot_of_row = dict(pivots)
     return _Lattice(
         tuple(pivot_of_row.get(r) for r in range(m)),
-        tuple(tuple(r[:rank]) for r in a[:m]),
-        tuple(tuple(r[:rank]) for r in u),
+        tuple(r[:rank] for r in echelon),
+        tuple(r[:rank] for r in transform),
         ncols - rank - wdim, wdim,
-        tuple(tuple(r[rank:rank + wdim]) for r in u[nvar:]),
-        tuple(tuple(r[rank:]) for r in u[:nvar]),
+        tuple(r[rank:rank + wdim] for r in transform[nvar:]),
+        tuple(r[rank:] for r in transform[:nvar]),
     )
 
 
@@ -461,7 +453,8 @@ def _recession_ray(ineqs: set[Ineq], wdim: int, var: int) -> tuple[int, ...]:
 def enumerate_system(
     system: FeasibilitySystem, lattices: dict | None = None
 ) -> SolveReport:
-    """Exhaustive, deterministic enumeration of all integer points.
+    """Deterministic enumeration of the integer points: all of them, or the
+    first on a lattice with free directions, which is unbounded anyway.
 
     `lattices` is a memo of the right-hand-side-free part of each solve that
     systems with the same linear parts may share; by default the system and

@@ -22,7 +22,7 @@ from sntorsion.luthar_passi import (
     top_coeffs,
 )
 from sntorsion.partitions import Partition, check_partition, element_order, prime_cycles
-from sntorsion.solver import FeasibilitySystem
+from sntorsion.solver import FeasibilitySystem, _Lattice
 
 
 @pytest.fixture(scope="session")
@@ -133,6 +133,90 @@ def is_pair_system(system: FeasibilitySystem) -> bool:
     rather than the order-q system of solve_prime_order: its classes have
     more than one element order."""
     return len({element_order(ct) for ct in system.variables}) > 1
+
+
+# ---------------------------------------------------------------------------
+# oracle: the row-major Hermite elimination that solver._lattice replaced,
+# with a separate transform u and one appended unit row per kept slack
+
+
+def row_major_hermite(rows: list[list[int]], ncols: int):
+    """Column-style Hermite elimination of a row-major matrix.
+
+    Returns (a, u, pivots): a = rows . u is in column echelon form with its
+    pivot columns first, u is unimodular, and pivots lists the (row, column)
+    pivot positions of a.
+    """
+    m = len(rows)
+    a = [list(r) for r in rows]
+    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def col_op(dst: int, src: int, factor: int) -> None:
+        for i in range(m):
+            a[i][dst] += factor * a[i][src]
+        for i in range(ncols):
+            u[i][dst] += factor * u[i][src]
+
+    def col_swap(c1: int, c2: int) -> None:
+        for i in range(m):
+            a[i][c1], a[i][c2] = a[i][c2], a[i][c1]
+        for i in range(ncols):
+            u[i][c1], u[i][c2] = u[i][c2], u[i][c1]
+
+    pivots: list[tuple[int, int]] = []
+    pc = 0
+    for row in range(m):
+        if pc >= ncols:
+            break
+        while True:
+            nz = [c for c in range(pc, ncols) if a[row][c]]
+            if not nz:
+                break
+            c0 = min(nz, key=lambda c: abs(a[row][c]))
+            if c0 != pc:
+                col_swap(pc, c0)
+            done = True
+            for c in range(pc + 1, ncols):
+                if a[row][c]:
+                    col_op(c, pc, -(a[row][c] // a[row][pc]))
+                    if a[row][c]:
+                        done = False
+            if done:
+                break
+        if a[row][pc]:
+            pivots.append((row, pc))
+            pc += 1
+    return a, u, pivots
+
+
+def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
+    """One Hermite elimination of the rows of _integer_rows that a solve
+    keeps: the neq equality rows and the slack-link rows of the forms in
+    `kept`, over the nvar variables and those forms' slacks, followed by one
+    unit row per kept slack.
+
+    The pivots in the integer rows give the rank and the echelon data of
+    _particular; the columns past the rank span the integer kernel.  The
+    unit rows only combine those kernel columns, where the integer rows are
+    already zero, and their pivots are the slack-moving coordinates w; the
+    remaining kernel columns are the directions v.
+    """
+    cols = [*range(nvar), *(nvar + j for j in kept)]
+    sub = [[rows[r][c] for c in cols] for r in [*range(neq), *(neq + j for j in kept)]]
+    m, nform, ncols = len(sub), len(kept), len(cols)
+    units = [[int(c == nvar + i) for c in range(ncols)] for i in range(nform)]
+    a, u, pivots = row_major_hermite(sub + units, ncols)
+    rank = sum(row < m for row, _ in pivots)
+    wdim = len(pivots) - rank
+    pivot_of_row = dict(pivots)
+    return _Lattice(
+        tuple(pivot_of_row.get(r) for r in range(m)),
+        tuple(tuple(r[:rank]) for r in a[:m]),
+        tuple(tuple(r[:rank]) for r in u),
+        ncols - rank - wdim, wdim,
+        tuple(tuple(r[rank:rank + wdim]) for r in u[nvar:]),
+        tuple(tuple(r[rank:]) for r in u[:nvar]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,17 @@ def test_aug_vector_rejects_malformed_cycle_types():
         v.value((1, 3, 3))
     with pytest.raises(ValueError, match="part < 1"):
         v.value((3, 3, 1, 0))
+    # each maker checks a class before its sort key, which would fail on
+    # the empty tuple with max() of an empty sequence
+    for call in (
+        lambda: AugVector.make(3, 7, {(): 1}),
+        lambda: CharacterRow.make("x", 1, {(1,) * 7: 1, (): 0}),
+        lambda: v.value(()),
+    ):
+        with pytest.raises(ValueError, match="empty partition"):
+            call()
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        CharacterRow.make("x", 1, {(1,) * 7: 1, (1, 3, 3): 0})
 
 
 def test_forced_vector():

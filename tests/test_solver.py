@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     affine_form, brute_force_solutions, coeff, eliminate, is_pair_system, parse_class,
+    row_major_lattice,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -78,6 +79,44 @@ def test_solve_integer_system_checks_consistency_of_dependent_rows():
     assert solve_integer_system([[1, 1], [2, 2]], [1, 3], 2) is None
     res = solve_integer_system([[1, 1], [2, 2]], [1, 2], 2)
     assert res is not None
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, nvar, neq, kept) for _lattice: neq + nform rows over nvar
+    variables and nform slacks, and a subset of the forms kept."""
+    nvar, neq, nform = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    entries = st.lists(st.integers(-6, 6), min_size=nvar + nform, max_size=nvar + nform)
+    rows = tuple(tuple(draw(entries)) for _ in range(neq + nform))
+    kept = tuple(j for j in range(nform) if draw(st.booleans()))
+    return rows, nvar, neq, kept
+
+
+def assert_matches_row_major(lat, rows, nvar, neq, kept):
+    oracle = row_major_lattice(rows, nvar, neq, kept)
+    for name in solver._Lattice._fields:
+        assert getattr(lat, name) == getattr(oracle, name), name
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(integer_matrices())
+def test_lattice_matches_the_row_major_elimination(drawn):
+    assert_matches_row_major(solver._lattice(*drawn), *drawn)
+
+
+def test_thm32_12_11_3_lattices_match_the_row_major_elimination(monkeypatch):
+    built = []
+    real = solver._lattice
+
+    def checked(rows, nvar, neq, kept):
+        lat = real(rows, nvar, neq, kept)
+        assert_matches_row_major(lat, rows, nvar, neq, kept)
+        built.append(kept)
+        return lat
+
+    monkeypatch.setattr(solver, "_lattice", checked)
+    _case_thm32(12, 11, 3)
+    assert built
 
 
 # ---------------------------------------------------------------------------
