@@ -87,9 +87,7 @@ def named_partition(name: str, n: int) -> Partition:
     """The partition of the distinguished character `name` of S_n."""
     if name not in NAMED_CHARACTERS:
         raise ValueError(f"unknown character {name!r}; known: {', '.join(NAMED_CHARACTERS)}")
-    if name == "hook4" and n != 7:
-        raise ValueError("hook4 is the S_7 character of partition (4,1,1,1)")
-    return check_partition({
+    lam = check_partition({
         "principal": (n,),
         "sgn": (1,) * n,
         "pi": (n - 1, 1),
@@ -98,3 +96,6 @@ def named_partition(name: str, n: int) -> Partition:
         "pi_sgn": (2,) + (1,) * (n - 2),
         "hook4": (4, 1, 1, 1),
     }[name])
+    if sum(lam) != n:
+        raise ValueError(f"{name} is not a character of S_{n}")
+    return lam

@@ -8,29 +8,32 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
 1. every "form is an integer" condition becomes a linear Diophantine
    equation by introducing an integer slack for the form's value;
 2. one column-style Hermite elimination of the equation matrix stacked over
-   the identity u, carried on in the slack rows of u, gives the lattice of
-   homogeneous integer solutions, already split into the coordinates w that
-   move the slacks and the directions v that leave every slack unchanged
-   (they can only produce infinite solution families); forward substitution
-   of the right-hand side in the echelon rows then gives either a
-   contradiction or a particular solution, and each variable is read as a
-   linear form in (w, v);
+   the identity u, carried on in the slack rows of u, gives the lattice:
+   u's columns are split into the pivot coordinates y, the coordinates w
+   that move the slacks and the directions v that leave every slack
+   unchanged (they can only produce infinite solution families), and each
+   row of u reads one variable or slack in (y, w, v).  Forward substitution
+   of the right-hand side in the echelon rows gives either a contradiction
+   or y; each slack is then its row of u at y plus a linear form in w, and
+   a variable is read off its row only at a recorded solution;
 3. exact Fourier-Motzkin elimination of the slack inequalities, from the
    last w coordinate down, gives one projection chain; the depth-first
-   enumeration fixes the coordinates from the first up and reads the range
-   of each from the chain.  It stops at the first integer point when that
-   point decides the report: in a core trial, which reads only the status,
-   and on a lattice with directions v, which is unbounded along the first
-   of them whatever other points exist.
+   enumeration, a loop over a stack of prefixes, fixes the coordinates from
+   the first up and reads the range of each from the chain.  It stops at
+   the first integer point when that point decides the report: in a core
+   trial, which reads only the status, and on a lattice with directions v,
+   which is unbounded along the first of them whatever other points exist.
 
 One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  The elimination of step 2
 depends only on the integer matrix, not on the right-hand side (_lattice).
-One function, _solve_level, makes the systems of every level: the one
-system of solve_prime_order and the power-candidate pairs of
-solve_order_pq.  The systems of one call have the same linear parts and
-differ in their constants, so _solve_level makes the linear part of each
-(row, ell) and the level traces of each ell once (top_coeffs,
+Each system has one solve(kept) in enumerate_system: it looks up or builds
+the lattice of the forms it keeps, and the system and each of its core
+trials are calls of it.  One function, _solve_level, makes the systems of
+every level: the one system of solve_prime_order and the power-candidate
+pairs of solve_order_pq.  The systems of one call have the same linear
+parts and differ in their constants, so _solve_level makes the linear part
+of each (row, ell) and the level traces of each ell once (top_coeffs,
 level_traces), each row's values on a system's lower levels once per
 system, and only the constant per form (lower_constant).  The systems and
 their infeasible-core trials share one memo of lattices; it lives as long
@@ -66,7 +69,6 @@ from .luthar_passi import (
     allowed_support,
     char_value_on_unit,
     class_sort_key,
-    format_class,
     level_traces,
     lower_constant,
     top_coeffs,
@@ -116,11 +118,9 @@ class _Lattice(NamedTuple):
 
     pivot_col: tuple[int | None, ...]  # the pivot column of each row
     echelon: tuple[tuple[int, ...], ...]  # rows . u on the pivot columns
-    u_pivot: tuple[tuple[int, ...], ...]  # u on the pivot columns
-    nfree: int  # the number of directions v that leave every slack fixed
+    u: tuple[tuple[int, ...], ...]  # each variable, then each slack, in (y, w, v)
+    rank: int  # the number of pivot coordinates y
     wdim: int  # the number of slack-moving coordinates w
-    w_rows: tuple[tuple[int, ...], ...]  # each slack as a linear form in w
-    x_map: tuple[tuple[int, ...], ...]  # each variable as a linear form in (w, v)
 
 
 def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
@@ -130,12 +130,14 @@ def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
 
     Each column of the one eliminated matrix stacks the m kept rows over
     u, which starts as the identity and so records every column op.  The
-    pivots in the kept rows give the rank and the echelon data of
-    _particular; the columns past the rank span the integer kernel.  The
-    slack rows of u come next: the row of slack i starts as unit row i and
-    reads slack i in the current columns, so its pivots in the kernel
-    columns, where the kept rows are already zero, are the slack-moving
-    coordinates w; the remaining kernel columns are the directions v.
+    pivots in the kept rows give the rank, the pivot coordinates y and the
+    echelon data of _particular; the columns past the rank span the integer
+    kernel.  The slack rows of u come next: the row of slack i starts as
+    unit row i and reads slack i in the current columns, so its pivots in
+    the kernel columns, where the kept rows are already zero, are the
+    slack-moving coordinates w; the remaining kernel columns are the
+    directions v.  The lattice keeps u whole, its nvar variable rows then
+    its slack rows, each read in the coordinates (y, w, v).
     """
     cols = [*range(nvar), *(nvar + j for j in kept)]
     kept_rows = [*range(neq), *(neq + j for j in kept)]
@@ -147,23 +149,20 @@ def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
     pivots = _column_hermite(stacked, [*range(m), *range(m + nvar, m + ncols)])
     # back to rows: the m kept rows . u, then u; with no columns, m empty rows
     a = list(zip(*stacked)) or [()] * m
-    echelon, transform = a[:m], a[m:]
     rank = sum(row < m for row, _ in pivots)
-    wdim = len(pivots) - rank
     pivot_of_row = dict(pivots)
     return _Lattice(
         tuple(pivot_of_row.get(r) for r in range(m)),
-        tuple(r[:rank] for r in echelon),
-        tuple(r[:rank] for r in transform),
-        ncols - rank - wdim, wdim,
-        tuple(r[rank:rank + wdim] for r in transform[nvar:]),
-        tuple(r[rank:] for r in transform[:nvar]),
+        tuple(r[:rank] for r in a[:m]),
+        tuple(a[m:]),
+        rank, len(pivots) - rank,
     )
 
 
 def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
-    """One integer solution of rows . z = rhs by forward substitution in the
-    echelon basis, or None when there is none."""
+    """The pivot coordinates y of one integer solution of rows . z = rhs, by
+    forward substitution in the echelon basis, or None when there is none;
+    the solution is u . (y, 0, 0)."""
     y: list[int] = []
     for row, col in enumerate(lat.pivot_col):
         s = rhs[row] - sum(a * c for a, c in zip(lat.echelon[row], y))
@@ -174,7 +173,7 @@ def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
             return None
         else:
             y.append(s // lat.echelon[row][col])
-    return [sum(a * c for a, c in zip(r, y)) for r in lat.u_pivot]
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +299,6 @@ class SolveReport:
     ray: tuple[int, ...] | None = None
     stats: dict[str, int | float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "variables": [format_class(ct) for ct in self.variables],
-            "solutions": [list(s) for s in self.solutions],
-            "certificate": list(self.certificate),
-            "ray": list(self.ray) if self.ray is not None else None,
-            "stats": dict(self.stats),
-        }
-
 
 def _integer_rows(
     system: FeasibilitySystem,
@@ -340,6 +329,15 @@ def _integer_rows(
     return tuple(map(tuple, rows)), rhs
 
 
+def _slacks(lat: _Lattice, y: list[int], nvar: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each kept slack as (its linear form in w, its value at the particular
+    solution u . (y, 0, 0)), read off its row of u."""
+    return [
+        (row[lat.rank:lat.rank + lat.wdim], sum(a * c for a, c in zip(row, y)))
+        for row in lat.u[nvar:]
+    ]
+
+
 def _solve(
     lat: _Lattice,
     rhs: list[int],
@@ -349,9 +347,6 @@ def _solve(
     """Decide the integer rows of a system, given their _lattice and their
     right-hand side.
 
-    The lattice comes from the two-level memo of enumerate_system: one dict
-    per integer matrix, and in it one _Lattice per tuple of kept forms.
-
     The search stops at the first integer point when that point already
     decides the report: with find_one, where only the status is read and
     the recession ray and the solution list are not built, and on a lattice
@@ -359,18 +354,17 @@ def _solve(
     them whatever other points exist.
     """
     nvar = len(variables)
-    nodes = 0
-    report = SolveReport(status="infeasible", variables=variables)
-    report.stats["nodes"] = 0
-    z0 = _particular(lat, rhs)
-    if z0 is None:
+    report = SolveReport(status="infeasible", variables=variables, stats={"nodes": 0})
+    y = _particular(lat, rhs)
+    if y is None:
         return report
-    wdim, nfree, x_map = lat.wdim, lat.nfree, lat.x_map
+    rank, wdim = lat.rank, lat.wdim
+    nfree = len(lat.u) - rank - wdim
 
     # slack inequalities in the slack-moving coordinates w; the directions
     # v can only produce infinite solution families
     ineqs: set[Ineq] = set()
-    for w_row, const in zip(lat.w_rows, z0[nvar:]):
+    for w_row, const in _slacks(lat, y, nvar):
         if any(w_row):
             ineqs.add(_normalize(w_row, const))
         elif const < 0:
@@ -379,7 +373,7 @@ def _solve(
     def x_ray(direction) -> tuple[int, ...]:
         """The primitive direction in the variables of a direction given in
         the lattice coordinates (w, v)."""
-        ray = [sum(m * d for m, d in zip(row, direction)) for row in x_map]
+        ray = [sum(m * d for m, d in zip(row[rank:], direction)) for row in lat.u[:nvar]]
         g = gcd(*ray)
         return tuple(c // g for c in ray) if g > 1 else tuple(ray)
 
@@ -395,39 +389,35 @@ def _solve(
                 report.ray = x_ray(_recession_ray(ineqs, wdim, d))
             return report
 
-    solutions: list[tuple[int, ...]] = []
-    first_point_decides = find_one or nfree
-
-    def dfs(depth: int, prefix: tuple[int, ...]) -> bool:
-        """Search below one node; False stops the search at the first point
-        when that point decides the report."""
-        nonlocal nodes
+    # depth-first over prefixes of w, each node's children in increasing
+    # order: they are pushed in decreasing order and popped in increasing
+    leaves: list[tuple[int, ...]] = []
+    nodes = 0
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         nodes += 1
+        depth = len(prefix)
         if depth == wdim:
-            if first_point_decides:
-                return False
-            # x = z0 + x_map . w: prefix holds the w coordinates, v = 0
-            solutions.append(tuple(
-                z0[i] + sum(m * w for m, w in zip(x_map[i], prefix)) for i in range(nvar)
-            ))
-            return True
-        lo, hi = _interval(chain[depth], depth, prefix)
-        for value in range(ceil(lo), floor(hi) + 1):
-            if not dfs(depth + 1, prefix + (value,)):
-                return False
-        return True
-
-    found = not dfs(0, ())
-    # dfs reaches itself through its closure; without this the cycle keeps
-    # the chain alive until the next cyclic garbage collection
-    del dfs
-    if found or solutions:
-        report.status = "unbounded" if nfree else "solutions"
-        if not nfree:
-            report.solutions = sorted(set(solutions))
-        elif not find_one:
-            report.ray = x_ray((0,) * wdim + (1,))
+            leaves.append(prefix)
+            if find_one or nfree:
+                break
+        else:
+            lo, hi = _interval(chain[depth], depth, prefix)
+            stack += [prefix + (value,) for value in range(floor(hi), ceil(lo) - 1, -1)]
     report.stats["nodes"] = nodes
+    if leaves:
+        report.status = "unbounded" if nfree else "solutions"
+    if leaves and not find_one:
+        if nfree:
+            report.ray = x_ray((0,) * wdim + (1,))
+        else:
+            # x = u . (y, w, 0); distinct leaves give distinct points, as u is
+            # invertible and each slack is a function of x
+            report.solutions = sorted(
+                tuple(sum(a * c for a, c in zip(row, (*y, *w))) for row in lat.u[:nvar])
+                for w in leaves
+            )
     return report
 
 
@@ -467,14 +457,22 @@ def enumerate_system(
     rows, rhs = _integer_rows(system)
     nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
     by_kept = lattices.setdefault((rows, nform), {})
-    kept = tuple(range(nform))
-    if kept not in by_kept:
-        by_kept[kept] = _lattice(rows, nvar, neq, kept)
-    report = _solve(by_kept[kept], rhs, system.variables)
+
+    def solve(kept: tuple[int, ...], find_one: bool = False) -> SolveReport:
+        """Decide the system with only the forms in `kept`: the lattice of
+        those forms, looked up or built, and their part of the right-hand
+        side."""
+        if kept not in by_kept:
+            by_kept[kept] = _lattice(rows, nvar, neq, kept)
+        sub_rhs = rhs[:neq] + [rhs[neq + j] for j in kept]
+        return _solve(by_kept[kept], sub_rhs, system.variables, find_one)
+
+    every_form = tuple(range(nform))
+    report = solve(every_form)
     if report.status == "solutions":
         _recheck(system, report.solutions)
     elif report.status == "infeasible":
-        report.certificate = _infeasible_core(system, rows, rhs, by_kept)
+        report.certificate = _infeasible_core(system, by_kept[every_form], rhs, solve)
     return report
 
 
@@ -504,45 +502,36 @@ def _recheck(system: FeasibilitySystem, solutions: list[tuple[int, ...]]) -> Non
                 raise RuntimeError(f"solver point {sol} violates form {name}")
 
 
-def _infeasible_core(
-    system: FeasibilitySystem,
-    rows: tuple[tuple[int, ...], ...],
-    rhs: list[int],
-    by_kept: dict,
-) -> list[str]:
+def _infeasible_core(system: FeasibilitySystem, lat: _Lattice, rhs: list[int], solve) -> list[str]:
     """Greedy minimal subset of the non-negative-integer forms that already
     makes the system infeasible (with all equalities kept).
 
-    Each trial re-solves the system's integer rows without the dropped
-    form's slack-link row and slack column, which are exactly the integer
-    rows of the smaller system.  Its lattice is looked up in `by_kept`, the
-    memo of the system's matrix, by the forms it keeps, and built only on a
-    miss.
+    `lat` and `rhs` are the system's own lattice and right-hand side, and
+    `solve` is the system's solve of enumerate_system: each trial is
+    solve(kept forms, find_one=True), which drops the slack-link rows and
+    slack columns of the other forms, so it decides exactly the integer
+    rows of the smaller system, and builds its lattice only when it is new.
 
-    A form whose slack no lattice coordinate moves (a zero row of w in the
-    system's own lattice) is fixed by the equalities: it is constant on
-    their real solution set, so every trial, which keeps every equality,
-    sees it at the one value of the system's particular solution.  A form
-    fixed at a non-negative integer is then redundant in every trial; the
-    greedy filter would drop it at its turn and decide every other form as
-    it does with it, so the core starts without it and it gets no trial.  A
-    form fixed at a negative value, and every form of a system without a
-    particular solution, stays in the loop.
+    A form whose slack no lattice coordinate moves (its row of u is zero on
+    w) is fixed by the equalities: it is constant on their real solution
+    set, so every trial, which keeps every equality, sees it at its value
+    at the system's particular solution u . (y, 0, 0).  A form fixed at a
+    non-negative integer is then redundant in every trial; the greedy filter
+    would drop it at its turn and decide every other form as it does with
+    it, so the core starts without it and it gets no trial.  A form fixed at
+    a negative value, and every form of a system without a particular
+    solution, stays in the loop.
     """
     forms = system.nonneg_integral
-    nvar, neq = len(system.variables), len(system.equalities)
-    core = tuple(range(len(forms)))
-    lat = by_kept[core]
-    z0 = _particular(lat, rhs)
-    if z0 is not None:
-        core = tuple(j for j in core if any(lat.w_rows[j]) or z0[nvar + j] < 0)
-    for f in [forms[j] for j in core]:
-        trial = tuple(j for j in core if forms[j] is not f)
-        if trial not in by_kept:
-            by_kept[trial] = _lattice(rows, nvar, neq, trial)
-        sub_rhs = rhs[:neq] + [rhs[neq + j] for j in trial]
-        report = _solve(by_kept[trial], sub_rhs, system.variables, find_one=True)
-        if report.status == "infeasible":
+    live = range(len(forms))
+    y = _particular(lat, rhs)
+    if y is not None:
+        slacks = _slacks(lat, y, len(system.variables))
+        live = [j for j, (w_row, const) in enumerate(slacks) if any(w_row) or const < 0]
+    core = tuple(live)
+    for j in live:
+        trial = tuple(i for i in core if i != j)
+        if solve(trial, find_one=True).status == "infeasible":
             core = trial
     return [forms[j][1] for j in core]
 

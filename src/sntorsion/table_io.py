@@ -30,6 +30,7 @@ name, and parse(serialize(t)) == t whenever t is already in that order.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .characters import NAMED_CHARACTERS, character_value, degree, named_partition
@@ -101,6 +102,8 @@ def parse_table(text: str) -> TableFile:
             continue
         directive = tokens[0]
         if directive == "group":
+            if kind is not None:
+                raise TableError("bad-group", lineno, "a second group directive")
             if len(tokens) != 3 or tokens[1] not in ("S", "A"):
                 raise TableError("bad-group", lineno, "expected: group S|A <n>")
             kind = tokens[1]
@@ -108,6 +111,8 @@ def parse_table(text: str) -> TableFile:
             if n < 1:
                 raise TableError("bad-group", lineno, f"degree {n} must be positive")
         elif directive == "mode":
+            if mode is not None:
+                raise TableError("bad-mode", lineno, "a second mode directive")
             if len(tokens) == 2 and tokens[1] == "ordinary":
                 mode = "ordinary"
             elif len(tokens) == 3 and tokens[1] == "brauer":
@@ -217,11 +222,14 @@ def serialize_table(table: TableFile) -> str:
 
 
 def ordinary_table(n: int, names: list[str] | None = None) -> TableFile:
-    """Generate an ordinary TableFile for the distinguished characters (or
-    the named ones) with exact computed values on all classes."""
-    if names is None:
-        names = [name for name in NAMED_CHARACTERS if name != "hook4" or n == 7]
-    chars = [(name, named_partition(name, n)) for name in names]
+    """Generate an ordinary TableFile for the named characters, by default
+    every distinguished character that named_partition accepts for n, with
+    exact computed values on all classes."""
+    chars = []
+    for name in NAMED_CHARACTERS if names is None else names:
+        # a requested name that does not exist in S_n is an error
+        with suppress(ValueError if names is None else ()):
+            chars.append((name, named_partition(name, n)))
     class_list = tuple(
         (format_class(ct), ct) for ct in sorted(all_partitions(n), key=class_sort_key)
     )

@@ -207,16 +207,19 @@ def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Latt
     units = [[int(c == nvar + i) for c in range(ncols)] for i in range(nform)]
     a, u, pivots = row_major_hermite(sub + units, ncols)
     rank = sum(row < m for row, _ in pivots)
-    wdim = len(pivots) - rank
     pivot_of_row = dict(pivots)
     return _Lattice(
         tuple(pivot_of_row.get(r) for r in range(m)),
         tuple(tuple(r[:rank]) for r in a[:m]),
-        tuple(tuple(r[:rank]) for r in u),
-        ncols - rank - wdim, wdim,
-        tuple(tuple(r[rank:rank + wdim]) for r in u[nvar:]),
-        tuple(tuple(r[rank:]) for r in u[:nvar]),
+        tuple(map(tuple, u)),
+        rank, len(pivots) - rank,
     )
+
+
+def nfree(lat: _Lattice) -> int:
+    """The number of directions v of a lattice, which leave every slack
+    fixed: the columns of u past the pivot coordinates y and the w."""
+    return len(lat.u) - lat.rank - lat.wdim
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import is_pair_system
+from conftest import is_pair_system, nfree
 
 import sntorsion.cases as cases_mod
 from sntorsion.cases import (
@@ -133,7 +134,7 @@ def test_thm32_order3_stage_with_free_directions_stops_at_its_first_point(
     rows, _ = solver._integer_rows(system)
     kept = tuple(range(len(system.nonneg_integral)))
     lat = solver._lattice(rows, len(system.variables), len(system.equalities), kept)
-    assert report.status == "unbounded" and lat.nfree > 0
+    assert report.status == "unbounded" and nfree(lat) > 0
     # the path to the first leaf, where a search of every point visits
     # full_search_nodes
     assert report.stats["nodes"] == lat.wdim + 1 == 4 < full_search_nodes
@@ -205,9 +206,36 @@ def test_verify_case_reports_a_divergence_path(monkeypatch):
     assert diff is not None and "verdict" in diff
 
 
-def test_thm32_sweep_reproduces_the_bench_reference():
+def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # every Theorem-3.2 instance of the benchmark sweep (n <= 19) against
-    # the verdict and report hash that bench/reference.json records for it
+    # the verdict and report hash that bench/reference.json records for it,
+    # and the search that decides them: systems, DFS nodes of the system
+    # reports and of every solve (core trials included), core trials and
+    # lattice builds
+    counts = Counter()
+    real_enumerate, real_solve, real_lattice = (
+        solver.enumerate_system, solver._solve, solver._lattice
+    )
+
+    def enumerating(system, lattices=None):
+        report = real_enumerate(system, lattices)
+        counts["systems"] += 1
+        counts["system nodes"] += report.stats["nodes"]
+        return report
+
+    def solving(lat, rhs, variables, find_one=False):
+        report = real_solve(lat, rhs, variables, find_one)
+        counts["solve nodes"] += report.stats["nodes"]
+        counts["trials"] += find_one
+        return report
+
+    def building(*args):
+        counts["lattices"] += 1
+        return real_lattice(*args)
+
+    monkeypatch.setattr(solver, "enumerate_system", enumerating)
+    monkeypatch.setattr(solver, "_solve", solving)
+    monkeypatch.setattr(solver, "_lattice", building)
     reference = json.loads((REPO / "bench" / "reference.json").read_text())["thm32-sweep"]
     assert len(reference) == 67
     for key, expected in reference.items():
@@ -215,3 +243,6 @@ def test_thm32_sweep_reproduces_the_bench_reference():
         report = _case_thm32(n, p, q)
         digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
         assert {"verdict": report.verdict, "sha256": digest} == expected, key
+    assert counts == {
+        "systems": 898, "system nodes": 6219, "solve nodes": 12124, "trials": 4696, "lattices": 477,
+    }

@@ -81,6 +81,17 @@ def test_named_character_partitions():
         named_partition("nonesuch", 7)
 
 
+def test_named_partitions_are_partitions_of_n():
+    # (2,) + (1,) * (n - 2) is (2,) at n = 1, a partition of 2
+    with pytest.raises(ValueError, match=r"^pi_sgn is not a character of S_1$"):
+        named_partition("pi_sgn", 1)
+    with pytest.raises(ValueError, match=r"^hook4 is not a character of S_8$"):
+        named_partition("hook4", 8)
+    with pytest.raises(ValueError, match="has a part < 1"):
+        named_partition("rho", 2)
+    assert named_partition("pi_sgn", 2) == (2,)
+
+
 def _all_rj(n):
     for r in range(2, n + 1):
         if not is_prime(r):

@@ -40,6 +40,20 @@ def test_chartable_writes_a_parseable_table(capsys):
     assert table.row("hook4").degree == 20
 
 
+@pytest.mark.parametrize("n, names", [
+    (1, ["principal", "sgn"]),
+    (2, ["pi", "pi_sgn", "principal", "sgn"]),
+    (3, ["pi", "pi_sgn", "principal", "rho", "sgn"]),
+])
+def test_chartable_of_a_small_degree_lists_the_characters_of_s_n(n, names, capsys):
+    # by default every named character that exists in S_n
+    rc, out, err = run(capsys, "chartable", str(n))
+    assert (rc, err) == (EXIT_OK, "")
+    table = parse_table(out)
+    assert (table.kind, table.n) == ("S", n)
+    assert [row.name for row in table.rows] == names
+
+
 def test_chartable_enforces_the_degree_limit(capsys):
     rc, _, err = run(capsys, "chartable", "50")
     assert rc == EXIT_INPUT and "limit" in err
@@ -223,6 +237,20 @@ def test_solve_with_a_table_file_round_trips(tmp_path, capsys):
     )
     assert rc == EXIT_OK
     assert "verdict: excluded" in out
+
+
+def test_solve_rejects_a_table_with_a_second_group_directive(tmp_path, capsys):
+    path = tmp_path / "s7-as-s9.tbl"
+    path.write_text(
+        "table-v1\ngroup S 7\nmode ordinary\nclass 3.1 3+1^4 3\ngroup S 9\n"
+        "row pi 6\nvalue pi 3.1 3\n"
+    )
+    rc, out, err = run(
+        capsys, "solve", "--group", "S9", "--order", "3x7",
+        "--table", str(path), "--rows", "pi",
+    )
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == "error: line 5: [bad-group] a second group directive\n"
 
 
 def test_solve_rejects_a_table_that_is_not_utf8(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """The README's code runs as documented."""
 
 import re
+import shlex
+import shutil
 from pathlib import Path
+
+from sntorsion.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +16,26 @@ def test_library_example_runs_and_excludes():
     exec(re.search(r"```python\n(.*?)```", section, re.S).group(1), namespace)
     # the block asserts the verdict itself; this checks that it ran
     assert namespace["verdict"] == "excluded"
+
+
+def test_shell_examples_run_and_exclude(tmp_path, monkeypatch, capsys):
+    # the examples read the bundled tables by their path from the repository
+    # root and write s7.tbl to the working directory
+    tables = Path("src") / "sntorsion" / "data" / "tables"
+    shutil.copytree(README.parent / tables, tmp_path / tables)
+    monkeypatch.chdir(tmp_path)
+    section = README.read_text().split("\nExamples:\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands = [
+        shlex.split(line) for line in block.splitlines() if line.strip()[:1] not in ("", "#")
+    ]
+    assert [argv[:2] for argv in commands] == [
+        ["sntorsion", "solve"], ["sntorsion", "solve"], ["sntorsion", "chartable"],
+        ["sntorsion", "solve"], ["sntorsion", "verify-paper"],
+    ]
+    for argv in commands:
+        rc = main(argv[1:])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK, argv
+        if argv[1] == "solve":
+            assert "\n  verdict: excluded\n" in out, argv

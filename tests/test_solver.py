@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    affine_form, brute_force_solutions, coeff, eliminate, is_pair_system, parse_class,
+    affine_form, brute_force_solutions, coeff, eliminate, is_pair_system, nfree, parse_class,
     row_major_lattice,
 )
 
@@ -53,10 +53,11 @@ def solve_integer_system(rows, rhs, nvar):
     """All integer solutions of rows . x = rhs as (x0, kernel basis), or None,
     read off the solver's lattice with no slack columns."""
     lat = solver._lattice(rows, nvar, len(rows), ())
-    x0 = solver._particular(lat, rhs)
-    if x0 is None:
+    y = solver._particular(lat, rhs)
+    if y is None:
         return None
-    return x0, [list(col) for col in zip(*lat.x_map)]
+    x0 = [sum(a * c for a, c in zip(row, y)) for row in lat.u]
+    return x0, [list(col) for col in zip(*(row[lat.rank:] for row in lat.u))]
 
 
 def test_solve_integer_system_parametrizes_all_solutions():
@@ -255,13 +256,13 @@ def constant_slack_system():
     return FeasibilitySystem.build([a, b], [], [(AffineForm.make({a: 1, b: 1}, 2), "a + b + 2")])
 
 
-@pytest.mark.parametrize("builder, nfree, wdim, status, solutions, certificate, ray, nodes", [
+@pytest.mark.parametrize("builder, free, wdim, status, solutions, certificate, ray, nodes", [
     (unique_point_system, 0, 0, "solutions", [(1,)], [], None, 1),
     (one_point_violating_system, 0, 0, "infeasible", [], ["eps - 2"], None, 0),
     (constant_slack_system, 1, 0, "unbounded", [], [], (-1, 1), 1),
 ])
 def test_degenerate_lattices_take_the_one_search_path(
-    builder, nfree, wdim, status, solutions, certificate, ray, nodes
+    builder, free, wdim, status, solutions, certificate, ray, nodes
 ):
     # no slack moves on these lattices: the projection chain is empty and
     # the search has one leaf, the particular point, unless a constant
@@ -270,7 +271,7 @@ def test_degenerate_lattices_take_the_one_search_path(
     rows, _ = solver._integer_rows(system)
     nform = len(system.nonneg_integral)
     lat = solver._lattice(rows, len(system.variables), len(system.equalities), tuple(range(nform)))
-    assert (lat.nfree, lat.wdim) == (nfree, wdim)
+    assert (nfree(lat), lat.wdim) == (free, wdim)
     report = enumerate_system(system)
     assert report.status == status
     assert report.solutions == solutions
@@ -296,7 +297,7 @@ def test_a_lattice_with_free_directions_stops_at_its_first_point():
     system = free_direction_system()
     rows, _ = solver._integer_rows(system)
     lat = solver._lattice(rows, 4, 1, (0, 1, 2, 3))
-    assert (lat.nfree, lat.wdim) == (1, 2)
+    assert (nfree(lat), lat.wdim) == (1, 2)
     report = enumerate_system(system)
     # the first point decides the report: unbounded along the first free
     # direction, found on the path root -> w0 -> w1 (a full search visits
@@ -382,7 +383,8 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     ]
     rows, _ = solver._integer_rows(system)
     lat = solver._lattice(rows, 3, 2, (0, 1, 2))
-    assert [any(w_row) for w_row in lat.w_rows] == [False, False, True]
+    # the slack rows of u on the w coordinates
+    assert [any(row[lat.rank:lat.rank + lat.wdim]) for row in lat.u[3:]] == [False, False, True]
     built, tried = [], []
     real_lattice, real_solve = solver._lattice, solver._solve
 
@@ -467,7 +469,7 @@ def test_pairs_sharing_lattices_report_like_fresh_solves(case_id, statuses, monk
     monkeypatch.undo()
     assert Counter(report.status for _, report in seen) == statuses
     for system, report in seen:
-        assert report.to_dict() == enumerate_system(system).to_dict()
+        assert report == enumerate_system(system)
 
 
 @pytest.mark.parametrize("case_id", sorted(PAIR_CASES))
@@ -604,11 +606,12 @@ def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
             builds.append((rows, kept))
         return real_lattice(rows, nvar, neq, kept)
 
-    def recording(system, rows, rhs, by_kept):
+    def recording(system, lat, rhs, solve):
         nonlocal in_core
         in_core = True
-        core = real_core(system, rows, rhs, by_kept)
+        core = real_core(system, lat, rhs, solve)
         in_core = False
+        rows, _ = solver._integer_rows(system)
         # a form that the equalities fix at a non-negative integer gets no
         # trial and no trial keeps it; the greedy filter's trial of each
         # other form i keeps the earlier such forms that stayed in the core

@@ -112,6 +112,19 @@ def test_every_error_code():
     _expect("bad-syntax", base + "class 3.1 3+1^4\n")
 
 
+def test_a_second_group_or_mode_directive_is_rejected():
+    # a table of S_7 classes must not pass as an S_9 table
+    base = "table-v1\ngroup S 7\nmode ordinary\nclass 3.1 3+1^4 3\n"
+    with pytest.raises(TableError) as exc:
+        parse_table(base + "group S 9\n")
+    assert (exc.value.code, exc.value.line) == ("bad-group", 5)
+    with pytest.raises(TableError) as exc:
+        parse_table(base + "mode brauer 5\n")
+    assert (exc.value.code, exc.value.line) == ("bad-mode", 5)
+    _expect("bad-group", "table-v1\ngroup S 7\ngroup S 7\n")
+    _expect("bad-mode", "table-v1\ngroup S 7\nmode ordinary\nmode ordinary\n")
+
+
 def test_error_carries_the_line_number():
     with pytest.raises(TableError) as exc:
         parse_table("table-v1\ngroup S 7\nmode ordinary\nclass 3.1 3+1^4 5\n")
