@@ -163,44 +163,37 @@ def forced_vector(n: int, s: int) -> AugVector:
 
 @dataclass(frozen=True)
 class CharacterRow:
-    """Exact integer values of a rational-valued (ordinary or Brauer)
-    character on a list of classes."""
+    """Exact integer values of a rational-valued character on a list of
+    classes: an ordinary character when modulus is None, a Brauer character
+    modulo the prime modulus otherwise, which has no value on the classes
+    of order divisible by it.  A row reaches a unit of order k when it has
+    a value on every class that can support such a unit."""
 
     name: str
     degree: int
-    mode: str = "ordinary"  # "ordinary" | "brauer"
     modulus: int | None = None
     values: tuple[tuple[Partition, int], ...] = ()
     _by_class: dict[Partition, int] = field(init=False, compare=False, repr=False)
 
     @staticmethod
     def make(
-        name: str,
-        degree: int,
-        values: dict[Partition, int],
-        mode: str = "ordinary",
-        modulus: int | None = None,
+        name: str, degree: int, values: dict[Partition, int], modulus: int | None = None
     ) -> "CharacterRow":
         for ct in values:
             element_order(ct)  # validates each class once (cached), before the sort
         return CharacterRow(
-            name, degree, mode, modulus,
+            name, degree, modulus,
             tuple(sorted(values.items(), key=lambda kv: class_sort_key(kv[0]))),
         )
 
     def __post_init__(self) -> None:
-        if self.mode not in ("ordinary", "brauer"):
-            raise ValueError(f"unknown character mode {self.mode!r}")
-        if self.mode == "brauer":
-            if self.modulus is None or not is_prime(self.modulus):
-                raise ValueError("brauer mode needs a prime modulus")
-        elif self.modulus is not None:
-            raise ValueError("ordinary mode takes no modulus")
+        if self.modulus is not None and not is_prime(self.modulus):
+            raise ValueError(f"brauer modulus {self.modulus} is not prime")
         for ct, v in self.values:
             order = element_order(ct)
             if order == 1 and v != self.degree:
                 raise ValueError(f"identity value {v} differs from degree {self.degree}")
-            if self.mode == "brauer" and order % self.modulus == 0:
+            if self.modulus is not None and order % self.modulus == 0:
                 raise ValueError(
                     f"class {format_class(ct)} is {self.modulus}-singular in a brauer({self.modulus}) row"
                 )
@@ -250,11 +243,11 @@ def top_coeffs(
     class order.  It does not read the lower levels.
 
     A brauer row with modulus coprime to k works verbatim: the multiplicity
-    formula has the same shape, restricted to modulus-regular classes.  A
-    brauer row whose modulus divides k is a ValueError: it cannot constrain
-    units of order k.
+    formula has the same shape, and every class of order dividing k is
+    modulus-regular.  A brauer row whose modulus divides k is a ValueError:
+    it cannot constrain units of order k.
     """
-    if row.mode == "brauer" and k % row.modulus == 0:
+    if row.modulus is not None and k % row.modulus == 0:
         raise ValueError(
             f"row {row.name} is a brauer({row.modulus}) row; it cannot constrain "
             f"units of order {k}"

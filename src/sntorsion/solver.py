@@ -386,7 +386,7 @@ def _solve(
         if len({coeffs[d] > 0 for coeffs, _ in rows if coeffs[d]}) < 2:
             report.status = "unbounded"
             if not find_one:
-                report.ray = x_ray(_recession_ray(ineqs, wdim, d))
+                report.ray = x_ray(_recession_ray(chain, d))
             return report
 
     # depth-first over prefixes of w, each node's children in increasing
@@ -421,23 +421,20 @@ def _solve(
     return report
 
 
-def _recession_ray(ineqs: set[Ineq], wdim: int, var: int) -> tuple[int, ...]:
+def _recession_ray(chain: list[set[Ineq]], var: int) -> tuple[int, ...]:
     """A nonzero integer direction of the relaxation's recession cone that
-    moves variable `var`: one rational point of the homogeneous rows with
-    var pinned to +1 or -1, read off their projection chain."""
-    hom = {_normalize(coeffs, 0) for coeffs, _ in ineqs}
-    for sign in (1, -1):
-        pin = (tuple(sign if i == var else 0 for i in range(wdim)), -1)
-        chain = _fm_chain(hom | {pin}, wdim)
-        if chain is None:
-            continue
-        point: list[Fraction] = []
-        for d, rows in enumerate(chain):
-            lo, hi = _interval(rows, d, point)
-            point.append(lo if lo is not None else hi if hi is not None else Fraction(0))
-        den = lcm(*(f.denominator for f in point))
-        return tuple(int(f * den) for f in point)
-    raise RuntimeError("no recession ray found for an unbounded variable")
+    moves variable `var`, the first one that chain[var] leaves open on one
+    side.  FM combines coefficients without reading constants, so chain[d]
+    with its constants set to 0 is the projection of the homogeneous rows:
+    every earlier variable is 0 on it, var moves to the open side, and each
+    later variable is read off its interval there."""
+    point = [Fraction(0)] * var
+    point.append(Fraction(-1 if any(coeffs[var] < 0 for coeffs, _ in chain[var]) else 1))
+    for d in range(var + 1, len(chain)):
+        lo, hi = _interval({(coeffs, 0) for coeffs, _ in chain[d]}, d, point)
+        point.append(lo if lo is not None else hi if hi is not None else Fraction(0))
+    den = lcm(*(f.denominator for f in point))
+    return tuple(int(f * den) for f in point)
 
 
 def enumerate_system(

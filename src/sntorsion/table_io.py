@@ -50,11 +50,11 @@ class TableError(ValueError):
 
 @dataclass(frozen=True)
 class TableFile:
-    """A validated character table: group, arithmetic mode, classes, rows."""
+    """A validated character table: group, modulus (None for an ordinary
+    table), classes, rows."""
 
     kind: str  # "S" | "A"
     n: int
-    mode: str  # "ordinary" | "brauer"
     modulus: int | None
     classes: tuple[tuple[str, Partition], ...]  # (label, cycle type)
     rows: tuple[CharacterRow, ...]
@@ -113,14 +113,12 @@ def parse_table(text: str) -> TableFile:
         elif directive == "mode":
             if mode is not None:
                 raise TableError("bad-mode", lineno, "a second mode directive")
-            if len(tokens) == 2 and tokens[1] == "ordinary":
-                mode = "ordinary"
-            elif len(tokens) == 3 and tokens[1] == "brauer":
-                mode = "brauer"
+            mode = tokens[1:]
+            if len(tokens) == 3 and tokens[1] == "brauer":
                 modulus = _int(tokens[2], lineno, "modulus")
                 if not is_prime(modulus):
                     raise TableError("bad-mode", lineno, f"modulus {modulus} is not prime")
-            else:
+            elif mode != ["ordinary"]:
                 raise TableError("bad-mode", lineno, "expected: mode ordinary | mode brauer <r>")
         elif directive == "class":
             if n is None or mode is None:
@@ -139,7 +137,7 @@ def parse_table(text: str) -> TableFile:
                     "order-mismatch", lineno,
                     f"declared order {order} differs from the cycle type's order {element_order(ct)}",
                 )
-            if mode == "brauer" and order % modulus == 0:
+            if modulus is not None and order % modulus == 0:
                 raise TableError("singular-class", lineno, f"class {label} is {modulus}-singular")
             class_labels[label] = ct
             classes.append((label, ct))
@@ -191,23 +189,18 @@ def parse_table(text: str) -> TableFile:
                 raise TableError("missing-value", None, f"row {name!r} has no value at class {label!r}")
             row_values[ct] = values[name][label]
         try:
-            rows.append(
-                CharacterRow.make(
-                    name, row_degrees[name], row_values,
-                    mode=mode, modulus=modulus if mode == "brauer" else None,
-                )
-            )
+            rows.append(CharacterRow.make(name, row_degrees[name], row_values, modulus))
         except ValueError as exc:
             raise TableError("bad-row", None, f"row {name!r}: {exc}") from None
 
-    return TableFile(kind, n, mode, modulus, tuple(classes), tuple(rows))
+    return TableFile(kind, n, modulus, tuple(classes), tuple(rows))
 
 
 def serialize_table(table: TableFile) -> str:
     """Canonical text form: sorted classes, rows by name, values in class
     order."""
     lines = ["table-v1", f"group {table.kind} {table.n}"]
-    lines.append("mode ordinary" if table.mode == "ordinary" else f"mode brauer {table.modulus}")
+    lines.append("mode ordinary" if table.modulus is None else f"mode brauer {table.modulus}")
     classes = sorted(table.classes, key=lambda lc: class_sort_key(lc[1]))
     for label, ct in classes:
         lines.append(f"class {label} {format_cycle_type(ct)} {element_order(ct)}")
@@ -241,4 +234,4 @@ def ordinary_table(n: int, names: list[str] | None = None) -> TableFile:
         )
         for name, lam in chars
     )
-    return TableFile("S", n, "ordinary", None, class_list, rows)
+    return TableFile("S", n, None, class_list, rows)

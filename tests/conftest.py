@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -22,7 +22,7 @@ from sntorsion.luthar_passi import (
     top_coeffs,
 )
 from sntorsion.partitions import Partition, check_partition, element_order, prime_cycles
-from sntorsion.solver import FeasibilitySystem, _Lattice
+from sntorsion.solver import FeasibilitySystem, Ineq, _Lattice, _fm_chain, _interval, _normalize
 
 
 @pytest.fixture(scope="session")
@@ -222,6 +222,28 @@ def nfree(lat: _Lattice) -> int:
     return len(lat.u) - lat.rank - lat.wdim
 
 
+# the oracle for solver._recession_ray, which reads the ray off the search's
+# chain: this one projects the pinned homogeneous rows itself, so it is the
+# ray to restore if the search stops projecting by Fourier-Motzkin
+def pinned_recession_ray(ineqs: set[Ineq], wdim: int, var: int) -> tuple[int, ...]:
+    """A nonzero integer direction of the relaxation's recession cone that
+    moves variable `var`: one rational point of the homogeneous rows with
+    var pinned to +1 or -1, read off their projection chain."""
+    hom = {_normalize(coeffs, 0) for coeffs, _ in ineqs}
+    for sign in (1, -1):
+        pin = (tuple(sign if i == var else 0 for i in range(wdim)), -1)
+        chain = _fm_chain(hom | {pin}, wdim)
+        if chain is None:
+            continue
+        point: list[Fraction] = []
+        for d, rows in enumerate(chain):
+            lo, hi = _interval(rows, d, point)
+            point.append(lo if lo is not None else hi if hi is not None else Fraction(0))
+        den = lcm(*(f.denominator for f in point))
+        return tuple(int(f * den) for f in point)
+    raise RuntimeError("no recession ray found for an unbounded variable")
+
+
 # ---------------------------------------------------------------------------
 # oracles: closed forms and whole-unit formulas that the tests compare the
 # package's recursions and affine forms against
@@ -356,7 +378,7 @@ class UnitProfile:
 def multiplicity(profile: UnitProfile, row: CharacterRow, ell: int) -> Fraction:
     """Multiplicity of zeta^ell as an eigenvalue of the unit under a
     representation affording the (ordinary, rational-valued) row."""
-    if row.mode != "ordinary":
+    if row.modulus is not None:
         raise ValueError("multiplicity requires an ordinary character row")
     if not profile.complete:
         raise ValueError("profile is missing a divisor level")

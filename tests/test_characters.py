@@ -87,7 +87,7 @@ def test_named_partitions_are_partitions_of_n():
         named_partition("pi_sgn", 1)
     with pytest.raises(ValueError, match=r"^hook4 is not a character of S_8$"):
         named_partition("hook4", 8)
-    with pytest.raises(ValueError, match="has a part < 1"):
+    with pytest.raises(ValueError, match=r"^rho is not a character of S_2$"):
         named_partition("rho", 2)
     assert named_partition("pi_sgn", 2) == (2,)
 

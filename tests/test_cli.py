@@ -72,6 +72,16 @@ def test_chartable_rejects_unknown_characters(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["chartable", "4", "--char", "tau"],
+    ["solve", "--group", "S4", "--order", "3x2", "--rows", "tau"],
+])
+def test_a_character_that_does_not_exist_in_s_n_is_named(argv, capsys):
+    # tau's formula (n - 3, 2, 1) is no partition at n = 4
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (EXIT_INPUT, "", "error: tau is not a character of S_4\n")
+
+
 def test_solve_excludes_s7_order_15(capsys):
     rc, out, _ = run(
         capsys, "solve", "--group", "S7", "--order", "3x5",
@@ -251,6 +261,60 @@ def test_solve_rejects_a_table_with_a_second_group_directive(tmp_path, capsys):
     )
     assert (rc, out) == (EXIT_INPUT, "")
     assert err == "error: line 5: [bad-group] a second group directive\n"
+
+
+def test_solve_confines_the_bundled_order3_only_row_to_the_power_stage(capsys):
+    tables = Path(__file__).resolve().parents[1] / "src" / "sntorsion" / "data" / "tables"
+    rc, out, _ = run(
+        capsys, "solve", "--group", "S13", "--order", "3x11",
+        "--table", str(tables / "s13-mod2-order3.tbl"),
+        "--table", str(tables / "s13-mod2-order33.tbl"),
+        "--rows", "phi2_2", "--rows", "phi2_3", "--rows", "phi2_4",
+        "--rows", "phi2_5:0", "--rows", "phi2_6:0", "--format", "structured",
+    )
+    assert rc == EXIT_OK
+    report = json.loads(out)
+    assert report["verdict"] == "excluded"
+    assert report["extras"]["rows_confined_to_power_stage"] == ["phi2_6"]
+
+
+S6_ROWS = ["--rows", "psi", "--rows", "pi", "--rows", "rho", "--rows", "tau",
+           "--rows", "pi_sgn", "--rows", "sgn"]
+
+
+def test_solve_confines_a_brauer_row_modulo_p_to_the_order_q_stage(tmp_path, capsys):
+    # the natural character of S_6 on its 5-regular classes of order 2
+    path = tmp_path / "s6-mod5.tbl"
+    path.write_text(
+        "table-v1\ngroup S 6\nmode brauer 5\nclass 2.1 2+1^4 2\nclass 2.2 2^2+1^2 2\n"
+        "class 2.3 2^3 2\nrow psi 5\nvalue psi 2.1 3\nvalue psi 2.2 1\nvalue psi 2.3 -1\n"
+    )
+    rc, out, err = run(
+        capsys, "solve", "--group", "S6", "--order", "5x2", "--table", str(path),
+        *S6_ROWS, "--format", "structured",
+    )
+    assert (rc, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    assert report["verdict"] == "excluded"
+    assert report["extras"]["rows_confined_to_power_stage"] == ["psi"]
+    # psi is a row of the order-2 stage and of no order-10 system
+    assert report["stage_q"]["rows"][0] == {"ells": [0, 1], "name": "psi"}
+    [group] = report["stage_pq"]["groups"]
+    assert "psi" not in [row["name"] for row in group["rows"]]
+
+
+def test_solve_rejects_a_brauer_row_modulo_q(tmp_path, capsys):
+    # a brauer(2) row has no value on the classes of order 2
+    path = tmp_path / "s6-mod2.tbl"
+    path.write_text(
+        "table-v1\ngroup S 6\nmode brauer 2\nclass 3.1 3+1^3 3\nclass 5.1 5+1 5\n"
+        "row psi 5\nvalue psi 3.1 2\nvalue psi 5.1 0\n"
+    )
+    rc, out, err = run(
+        capsys, "solve", "--group", "S6", "--order", "5x2", "--table", str(path), *S6_ROWS
+    )
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == "error: no table provides row 'psi' on every class of order dividing 2\n"
 
 
 def test_solve_rejects_a_table_that_is_not_utf8(tmp_path, capsys):

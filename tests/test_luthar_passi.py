@@ -148,9 +148,9 @@ def test_character_row_validation():
     with pytest.raises(ValueError):  # identity value must equal the degree
         CharacterRow.make("bad", 5, {(1, 1, 1): 4})
     with pytest.raises(ValueError):  # 2-singular class in a brauer(2) row
-        CharacterRow.make("bad", 5, {(2, 1): 1}, mode="brauer", modulus=2)
+        CharacterRow.make("bad", 5, {(2, 1): 1}, modulus=2)
     with pytest.raises(ValueError):
-        CharacterRow.make("bad", 5, {(3,): 1}, mode="brauer", modulus=4)
+        CharacterRow.make("bad", 5, {(3,): 1}, modulus=4)
 
 
 def test_character_row_value_lookups():
@@ -252,7 +252,7 @@ def test_lower_constant_names_the_first_level_that_is_not_fixed():
 
 def test_affine_form_rejects_brauer_rows_of_dividing_modulus():
     ct = prime_cycles(2, 1, 7)
-    row = CharacterRow.make("b", 5, {ct: 2}, mode="brauer", modulus=3)
+    row = CharacterRow.make("b", 5, {ct: 2}, modulus=3)
     with pytest.raises(ValueError):
         affine_form(row, 6, 0, {}, [ct])
 

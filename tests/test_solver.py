@@ -5,11 +5,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     affine_form, brute_force_solutions, coeff, eliminate, is_pair_system, nfree, parse_class,
-    row_major_lattice,
+    pinned_recession_ray, row_major_lattice,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -319,6 +319,33 @@ def test_recession_ray_moves_the_first_open_coordinate():
     report = enumerate_system(FeasibilitySystem.build([a, b, c], [], forms))
     assert report.status == "unbounded"
     assert report.ray == (0, 1, -1)
+
+
+@st.composite
+def relaxations(draw):
+    """(ineqs, wdim): up to six rows coeffs . w + const >= 0 over wdim
+    slack-moving coordinates, normalized as _solve builds them."""
+    wdim = draw(st.integers(1, 4))
+    rows = st.tuples(st.lists(st.integers(-3, 3), min_size=wdim, max_size=wdim), st.integers(-4, 4))
+    ineqs = {
+        solver._normalize(tuple(coeffs), const)
+        for coeffs, const in draw(st.lists(rows, max_size=6)) if any(coeffs)
+    }
+    return ineqs, wdim
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(relaxations())
+def test_recession_ray_read_off_the_search_chain_matches_the_pinned_chain(drawn):
+    ineqs, wdim = drawn
+    chain = solver._fm_chain(ineqs, wdim)
+    assume(chain is not None)
+    open_vars = [d for d, rows in enumerate(chain) if len({c[d] > 0 for c, _ in rows if c[d]}) < 2]
+    assume(open_vars)
+    var = open_vars[0]
+    ray = solver._recession_ray(chain, var)
+    assert ray == pinned_recession_ray(ineqs, wdim, var)
+    assert ray[var] and all(sum(a * r for a, r in zip(c, ray)) >= 0 for c, _ in ineqs)
 
 
 def test_infeasible_core_is_minimal_for_the_order15_system():
@@ -769,9 +796,7 @@ def test_solve_prime_order_s13_q11_is_forced():
 
 
 def test_solve_prime_order_rejects_brauer_rows_of_the_same_modulus():
-    row = CharacterRow.make(
-        "b", 4, {prime_cycles(2, 1, 7): 2}, mode="brauer", modulus=3
-    )
+    row = CharacterRow.make("b", 4, {prime_cycles(2, 1, 7): 2}, modulus=3)
     with pytest.raises(ValueError):
         solve_prime_order(7, "S", 3, [(row, 0)])
 
@@ -779,9 +804,7 @@ def test_solve_prime_order_rejects_brauer_rows_of_the_same_modulus():
 def test_one_brauer_check_names_the_row_at_every_order():
     # top_coeffs is the one check; a brauer(3) row constrains neither the
     # order-3 stage nor the order-15 systems
-    row = CharacterRow.make(
-        "b", 4, {prime_cycles(2, 1, 7): 2}, mode="brauer", modulus=3
-    )
+    row = CharacterRow.make("b", 4, {prime_cycles(2, 1, 7): 2}, modulus=3)
     message = r"row b is a brauer\(3\) row; it cannot constrain units of order "
     with pytest.raises(ValueError, match=message + "3$"):
         solve_prime_order(7, "S", 3, [(row, 0)])

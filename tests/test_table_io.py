@@ -35,7 +35,7 @@ value sgn 5.1 1
 
 def test_parse_a_well_formed_table():
     t = parse_table(GOOD)
-    assert (t.kind, t.n, t.mode, t.modulus) == ("S", 7, "ordinary", None)
+    assert (t.kind, t.n, t.modulus) == ("S", 7, None)
     assert [lab for lab, _ in t.classes] == ["1", "3.1", "3.2", "5.1"]
     assert dict(t.classes)["3.2"] == (3, 3, 1)
     row = t.row("pi")
