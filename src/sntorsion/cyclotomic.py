@@ -1,9 +1,8 @@
-"""Rational arithmetic helpers and Galois traces of roots of unity.
+"""Integer arithmetic helpers and Galois traces of roots of unity.
 
-Everything downstream works with exact fractions (`fractions.Fraction`);
-the only trace ever needed is the trace of a root of unity from a
+The only trace ever needed is the trace of a root of unity from a
 cyclotomic field down to Q, which is a Ramanujan sum with a Moebius/totient
-closed form.
+closed form: an integer, so k times a multiplicity is an integer form.
 """
 
 from __future__ import annotations

@@ -3,15 +3,15 @@
 A hypothetical normalized torsion unit u of order k is described by one
 integer vector of partial augmentations per power u^d (d a proper divisor
 of k).  For a rational-valued character the multiplicity of a fixed
-k-th-root-of-unity eigenvalue is an exact rational, linear in the partial
-augmentations; with the top level left symbolic it becomes an affine form
-whose required non-negative-integrality drives all exclusions.
+k-th-root-of-unity eigenvalue is an integer affine expression in the partial
+augmentations over k; with the top level left symbolic it becomes an
+AffineForm over k whose required non-negative-integrality drives all
+exclusions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from math import isqrt
 
@@ -219,27 +219,27 @@ def char_value_on_unit(row: CharacterRow, aug: AugVector) -> int:
 
 @dataclass(frozen=True)
 class AffineForm:
-    """Rational affine expression in augmentation variables, one per class
-    (cycle type), that must evaluate to a non-negative integer."""
+    """(sum of c * eps_C + constant) / den over the augmentation variables,
+    one per class (cycle type), with integers c, constant and den > 0."""
 
-    coeffs: tuple[tuple[Partition, Fraction], ...]
-    constant: Fraction
+    coeffs: tuple[tuple[Partition, int], ...]
+    constant: int
+    den: int
 
     @staticmethod
-    def make(coeffs: dict[Partition, Fraction | int], constant: Fraction | int) -> "AffineForm":
-        items = {v: Fraction(c) for v, c in coeffs.items() if c}
+    def make(coeffs: dict[Partition, int], constant: int) -> "AffineForm":
+        items = {v: c for v, c in coeffs.items() if c}
         return AffineForm(
-            tuple(sorted(items.items(), key=lambda kv: class_sort_key(kv[0]))),
-            Fraction(constant),
+            tuple(sorted(items.items(), key=lambda kv: class_sort_key(kv[0]))), constant, 1
         )
 
 
 def top_coeffs(
     row: CharacterRow, k: int, ell: int, variables: list[Partition]
-) -> tuple[tuple[Partition, Fraction], ...]:
-    """The linear part of the multiplicity of zeta^ell for a unit of order k
-    in the top-level augmentation variables: the coefficient
-    ramanujan_sum(k, ell)/k * row(C) of each variable C, zeros dropped, in
+) -> tuple[tuple[Partition, int], ...]:
+    """The linear part of k times the multiplicity of zeta^ell for a unit of
+    order k in the top-level augmentation variables: the integer coefficient
+    ramanujan_sum(k, ell) * row(C) of each variable C, zeros dropped, in
     class order.  It does not read the lower levels.
 
     A brauer row with modulus coprime to k works verbatim: the multiplicity
@@ -252,38 +252,41 @@ def top_coeffs(
             f"row {row.name} is a brauer({row.modulus}) row; it cannot constrain "
             f"units of order {k}"
         )
-    top_trace = Fraction(ramanujan_sum(k, ell), k)
+    top_trace = ramanujan_sum(k, ell)
     coeffs = {ct: top_trace * row.value(ct) for ct in variables}
     return tuple(sorted(
         ((ct, c) for ct, c in coeffs.items() if c), key=lambda kv: class_sort_key(kv[0])
     ))
 
 
+def _divisors(k: int) -> list[int]:
+    """The divisors of k in increasing order, read off those up to sqrt(k)."""
+    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+    return small + [k // d for d in reversed(small) if d * d != k]
+
+
 def level_traces(k: int, ell: int) -> dict[int, int]:
     """The trace ramanujan_sum(k // d, ell) of zeta^ell's share on each
     proper power level d > 1 of a unit of order k, in increasing d."""
-    # the proper divisors d > 1 of k, read off those up to sqrt(k)
-    small = [d for d in range(2, isqrt(k) + 1) if k % d == 0]
-    levels = small + [k // d for d in reversed(small) if d * d != k]
-    return {d: ramanujan_sum(k // d, ell) for d in levels}
+    return {d: ramanujan_sum(k // d, ell) for d in _divisors(k)[1:-1]}
 
 
 def lower_constant(
     row: CharacterRow, k: int, traces: dict[int, int], values: dict[int, int]
-) -> Fraction:
-    """The constant part of the multiplicity of zeta^ell for a unit of order
-    k: the identity's share row.degree/k plus the share of every proper
-    power level d > 1, given its trace traces[d] (level_traces(k, ell)) and
+) -> int:
+    """The constant part of k times the multiplicity of zeta^ell for a unit
+    of order k: the identity's share row.degree plus the share of every
+    proper power level d > 1, given its trace traces[d] (level_traces) and
     the row's value values[d] on the fixed level (char_value_on_unit)."""
     total = row.degree
     for d, trace in traces.items():
         if d not in values:
             raise ValueError(f"level {d} of the unit is not fixed")
         total += values[d] * trace
-    return Fraction(total, k)
+    return total
 
 
 def orbit_residues(k: int) -> list[int]:
     """One residue per Galois orbit: the divisors of k (mod k, so k maps
     to 0).  For rational-valued rows mu_ell depends only on gcd(ell, k)."""
-    return sorted({d % k for d in range(1, k + 1) if k % d == 0})
+    return sorted(d % k for d in _divisors(k))

@@ -5,8 +5,9 @@ variables, some pinned to exact integer values (the augmentation equality,
 lemma constraints) and some required to be non-negative integers (the
 eigenvalue multiplicities).  The solver is exact and self-contained:
 
-1. every "form is an integer" condition becomes a linear Diophantine
-   equation by introducing an integer slack for the form's value;
+1. every "form is an integer" condition, for a form of integers over den
+   (the unit's order for a multiplicity), becomes the linear Diophantine
+   equation numerator = den * s in a new integer slack s;
 2. one column-style Hermite elimination of the equation matrix stacked over
    the identity u, carried on in the slack rows of u, gives the lattice:
    u's columns are split into the pivot coordinates y, the coordinates w
@@ -48,8 +49,8 @@ A form that the equalities fix at a non-negative integer (no lattice
 coordinate moves its slack) can never be needed, so it gets no trial; in
 the Theorem-3.2 pair systems these are the mu_ell(pi) forms, which the pi
 equalities pin.  Every reported solution is re-checked against the
-system's original forms in integer arithmetic, each form cleared by its own
-denominator, independently of the solved rows.
+system's original forms in integer arithmetic, independently of the solved
+rows.  Fractions appear only in the Fourier-Motzkin ranges and rays.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -303,29 +304,26 @@ class SolveReport:
 def _integer_rows(
     system: FeasibilitySystem,
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Clear denominators: the equality rows, then one slack-link row per
-    form, over the columns (variables, one slack per form)."""
+    """The equality rows, numerator(f) = den * target, then one slack-link
+    row per form, numerator(f) - den * slack = 0, over the columns
+    (variables, one slack per form), read off the forms' integers."""
     nvar = len(system.variables)
     nform = len(system.nonneg_integral)
     rows: list[list[int]] = []
     rhs: list[int] = []
 
-    def cleared(f: AffineForm) -> tuple[int, list[int], int]:
-        """den, the row and the constant of den * f, in integers."""
-        den = lcm(f.constant.denominator, *(c.denominator for _, c in f.coeffs))
-        coeffs = {v: c.numerator * (den // c.denominator) for v, c in f.coeffs}
-        row = [coeffs.get(v, 0) for v in system.variables] + [0] * nform
-        return den, row, f.constant.numerator * (den // f.constant.denominator)
+    def numerators(f: AffineForm) -> list[int]:
+        coeffs = dict(f.coeffs)
+        return [coeffs.get(v, 0) for v in system.variables] + [0] * nform
 
     for f, target, _ in system.equalities:
-        den, row, const = cleared(f)
-        rows.append(row)
-        rhs.append(den * target - const)
+        rows.append(numerators(f))
+        rhs.append(f.den * target - f.constant)
     for i, (f, _) in enumerate(system.nonneg_integral):
-        den, row, const = cleared(f)
-        row[nvar + i] = -den
+        row = numerators(f)
+        row[nvar + i] = -f.den
         rows.append(row)
-        rhs.append(-const)
+        rhs.append(-f.constant)
     return tuple(map(tuple, rows)), rhs
 
 
@@ -475,27 +473,20 @@ def enumerate_system(
 
 def _recheck(system: FeasibilitySystem, solutions: list[tuple[int, ...]]) -> None:
     """Defensive re-check of every solution against the system's original
-    forms, independent of the rows the solver solved: each form is cleared
-    by its own denominator lcm den, so at a point x an equality needs
-    den * (f(x) - target) == 0 and a form needs den * f(x) >= 0 and
-    den * f(x) = 0 (mod den)."""
+    forms, independent of the rows the solver solved: at a point x with
+    numerator value = den * f(x), an equality needs value == den * target
+    and a form needs value >= 0 and value = 0 (mod den)."""
     index = {v: i for i, v in enumerate(system.variables)}
 
-    def cleared(f: AffineForm, target: int = 0) -> tuple[int, list[tuple[int, int]], int]:
-        """den, and the terms and constant of den * (f - target)."""
-        den = lcm(f.constant.denominator, *(c.denominator for _, c in f.coeffs))
-        terms = [(index[v], c.numerator * (den // c.denominator)) for v, c in f.coeffs]
-        return den, terms, f.constant.numerator * (den // f.constant.denominator) - den * target
+    def value(f: AffineForm, sol: tuple[int, ...]) -> int:
+        return f.constant + sum(c * sol[index[v]] for v, c in f.coeffs)
 
-    equalities = [(*cleared(f, target), name) for f, target, name in system.equalities]
-    forms = [(*cleared(f), name) for f, name in system.nonneg_integral]
     for sol in solutions:
-        for _, terms, const, name in equalities:
-            if const + sum(c * sol[i] for i, c in terms):
+        for f, target, name in system.equalities:
+            if value(f, sol) != f.den * target:
                 raise RuntimeError(f"solver point {sol} violates equality {name}")
-        for den, terms, const, name in forms:
-            value = const + sum(c * sol[i] for i, c in terms)
-            if value < 0 or value % den:
+        for f, name in system.nonneg_integral:
+            if (v := value(f, sol)) < 0 or v % f.den:
                 raise RuntimeError(f"solver point {sol} violates form {name}")
 
 
@@ -561,7 +552,7 @@ def _solve_level(
             traces[ell] = level_traces(k, ell)
         if row not in values:
             values[row] = {d: char_value_on_unit(row, v) for d, v in lower.items()}
-        return AffineForm(linear[row, ell], lower_constant(row, k, traces[ell], values[row]))
+        return AffineForm(linear[row, ell], lower_constant(row, k, traces[ell], values[row]), k)
 
     lattices: dict = {}
     reports = []

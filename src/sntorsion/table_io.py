@@ -218,11 +218,13 @@ def ordinary_table(n: int, names: list[str] | None = None) -> TableFile:
     """Generate an ordinary TableFile for the named characters, by default
     every distinguished character that named_partition accepts for n, with
     exact computed values on all classes."""
-    chars = []
+    chars = {}
     for name in NAMED_CHARACTERS if names is None else names:
-        # a requested name that does not exist in S_n is an error
+        # a repeated name, or a requested one that S_n lacks, is an error
+        if name in chars:
+            raise ValueError(f"row {name!r} listed twice")
         with suppress(ValueError if names is None else ()):
-            chars.append((name, named_partition(name, n)))
+            chars[name] = named_partition(name, n)
     class_list = tuple(
         (format_class(ct), ct) for ct in sorted(all_partitions(n), key=class_sort_key)
     )
@@ -232,6 +234,6 @@ def ordinary_table(n: int, names: list[str] | None = None) -> TableFile:
             degree(lam),
             {ct: character_value(lam, ct) for _, ct in class_list if element_order(ct) != 1},
         )
-        for name, lam in chars
+        for name, lam in chars.items()
     )
     return TableFile("S", n, None, class_list, rows)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -37,23 +37,18 @@ def s13_order33_table():
 
 def brute_force_solutions(system: FeasibilitySystem, bound: int) -> list[tuple[int, ...]]:
     """All integer points of the system inside the box [-bound, bound]^vars,
-    by exhaustive scan with cleared denominators."""
+    by exhaustive scan of each form's integer numerator."""
     nvar = len(system.variables)
-    constraints = []  # (int coeffs, int const, kind, den*target)
+
+    def numerators(f: AffineForm) -> list[int]:
+        coeffs = dict(f.coeffs)
+        return [coeffs.get(v, 0) for v in system.variables]
+
+    constraints = []  # (int coeffs, int const, kind, den*target or den)
     for f, target, _ in system.equalities:
-        den = 1
-        for _, c in f.coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
-        den = den * f.constant.denominator // _gcd(den, f.constant.denominator)
-        coeffs = [int(den * coeff(f, v)) for v in system.variables]
-        constraints.append((coeffs, int(den * f.constant), "eq", den * target))
+        constraints.append((numerators(f), f.constant, "eq", f.den * target))
     for f, _ in system.nonneg_integral:
-        den = 1
-        for _, c in f.coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
-        den = den * f.constant.denominator // _gcd(den, f.constant.denominator)
-        coeffs = [int(den * coeff(f, v)) for v in system.variables]
-        constraints.append((coeffs, int(den * f.constant), "nonneg-int", den))
+        constraints.append((numerators(f), f.constant, "nonneg-int", f.den))
     found = []
     for point in itertools.product(range(-bound, bound + 1), repeat=nvar):
         ok = True
@@ -73,23 +68,23 @@ def brute_force_solutions(system: FeasibilitySystem, bound: int) -> list[tuple[i
     return found
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def cleared_form(coeffs: dict[Partition, Fraction | int], constant: Fraction | int) -> AffineForm:
+    """The AffineForm of a rational affine form: its coefficients and
+    constant times den, the lcm of their denominators, over den."""
+    values = [Fraction(c) for c in (*coeffs.values(), constant)]
+    den = lcm(*(c.denominator for c in values))
+    *numerators, const = (int(c * den) for c in values)
+    return replace(AffineForm.make(dict(zip(coeffs, numerators)), const), den=den)
 
 
 def coeff(form: AffineForm, var: Partition) -> Fraction:
-    """The coefficient of var in form (0 when absent)."""
-    for v, c in form.coeffs:
-        if v == var:
-            return c
-    return Fraction(0)
+    """The rational coefficient of var in form (0 when absent)."""
+    return Fraction(dict(form.coeffs).get(var, 0), form.den)
 
 
 def evaluate(form: AffineForm, point: dict[Partition, int]) -> Fraction:
     """The exact value of form at point (absent variables count as 0)."""
-    return form.constant + sum(c * point.get(v, 0) for v, c in form.coeffs)
+    return Fraction(form.constant + sum(c * point.get(v, 0) for v, c in form.coeffs), form.den)
 
 
 def eliminate(
@@ -102,12 +97,14 @@ def eliminate(
         raise ValueError("equality does not involve the eliminated variable")
     # var = (target - constant - sum_other) / pivot
     factor = coeff(form, var) / pivot
-    coeffs = {v: c for v, c in form.coeffs if v != var}
+    coeffs = {v: Fraction(c, form.den) for v, c in form.coeffs if v != var}
     for v, c in equality.coeffs:
         if v != var:
-            coeffs[v] = coeffs.get(v, Fraction(0)) - factor * c
-    const = form.constant + factor * (Fraction(target) - equality.constant)
-    return AffineForm.make(coeffs, const)
+            coeffs[v] = coeffs.get(v, Fraction(0)) - factor * Fraction(c, equality.den)
+    const = Fraction(form.constant, form.den) + factor * (
+        target - Fraction(equality.constant, equality.den)
+    )
+    return cleared_form(coeffs, const)
 
 
 def affine_form(
@@ -125,6 +122,7 @@ def affine_form(
     return AffineForm(
         top_coeffs(row, k, ell, variables),
         lower_constant(row, k, level_traces(k, ell), values),
+        k,
     )
 
 

@@ -109,7 +109,7 @@ def test_criterion_2_order15_example():
         expected = {0: ({c51: F(-16, 15)}, F(8, 3)), 5: ({c51: F(8, 15)}, F(2, 3))}
         for ell, (coeffs, const) in expected.items():
             form = eliminate(affine_form(row, 15, ell, lower, classes), c31, aug, 1)
-            assert form.constant == const
+            assert F(form.constant, form.den) == const
             for ct in classes:
                 assert coeff(form, ct) == coeffs.get(ct, 0)
 
@@ -184,7 +184,7 @@ def test_criterion_3_s13_order33_tables():
         q_classes = allowed_support(n, 3)
         for (name, ell), (coeffs, const) in S13_ORDER3.items():
             form = affine_form(t3.row(name), 3, ell, {}, q_classes)
-            assert form.constant == const, (name, ell)
+            assert F(form.constant, form.den) == const, (name, ell)
             assert [coeff(form, ct) for ct in q_classes] == coeffs, (name, ell)
 
         classes = allowed_support(n, 33)  # 11.1 first, then 3.1 .. 3.4
@@ -203,7 +203,7 @@ def test_criterion_3_s13_order33_tables():
             for cand, entries in bs.items():
                 for (name, ell), b in entries.items():
                     form = top_form(name, ell, cand)
-                    assert form.constant == b, (cand, name, ell)
+                    assert F(form.constant, form.den) == b, (cand, name, ell)
                     a3, a11 = S13_ORDER33_A[(name, ell)]
                     assert [coeff(form, ct) for ct in threes] == a3, (name, ell)
                     assert coeff(form, eleven) == a11, (name, ell)

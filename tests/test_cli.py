@@ -72,6 +72,14 @@ def test_chartable_rejects_unknown_characters(capsys):
     )
 
 
+def test_chartable_rejects_a_repeated_character(capsys, tmp_path):
+    # a table with one row twice is one that solve --table refuses to read
+    out = tmp_path / "t.tbl"
+    rc, _, err = run(capsys, "chartable", "5", "--char", "pi", "--char", "pi", "--out", str(out))
+    assert (rc, err) == (EXIT_INPUT, "error: row 'pi' listed twice\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["chartable", "4", "--char", "tau"],
     ["solve", "--group", "S4", "--order", "3x2", "--rows", "tau"],

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     UnitProfile,
     affine_form,
+    cleared_form,
     coeff,
     eliminate,
     evaluate,
@@ -261,17 +262,25 @@ def test_affine_form_eliminate_by_the_augmentation():
     a = parse_class("3.1", 7)
     b = parse_class("3.2", 7)
     aug = AffineForm.make({a: 1, b: 1}, 0)
-    f = AffineForm.make({a: Fraction(1, 2), b: Fraction(3, 2)}, 1)
+    f = cleared_form({a: Fraction(1, 2), b: Fraction(3, 2)}, 1)
     g = eliminate(f, a, aug, 1)
     assert coeff(g, a) == 0
     assert coeff(g, b) == 1
-    assert g.constant == Fraction(3, 2)
+    assert Fraction(g.constant, g.den) == Fraction(3, 2)
 
 
 def test_orbit_residues():
     assert orbit_residues(15) == [0, 1, 3, 5]
     assert orbit_residues(33) == [0, 1, 3, 11]
     assert orbit_residues(7) == [0, 1]
+
+
+def test_orbit_residues_and_level_traces_read_every_divisor():
+    # both walk the divisors up to sqrt(k); a scan of 1..k gives the same
+    for k in range(1, 400):
+        divisors = [d for d in range(1, k + 1) if k % d == 0]
+        assert orbit_residues(k) == sorted(d % k for d in divisors), k
+        assert list(level_traces(k, 1)) == divisors[1:-1], k
 
 
 def test_class_sort_key_orders_primes_descending_then_j_ascending():

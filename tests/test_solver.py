@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
-    affine_form, brute_force_solutions, coeff, eliminate, is_pair_system, nfree, parse_class,
-    pinned_recession_ray, row_major_lattice,
+    affine_form, brute_force_solutions, cleared_form, coeff, eliminate, is_pair_system, nfree,
+    parse_class, pinned_recession_ray, row_major_lattice,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -105,6 +105,39 @@ def test_lattice_matches_the_row_major_elimination(drawn):
     assert_matches_row_major(solver._lattice(*drawn), *drawn)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(integer_matrices(), st.integers(2, 6), st.data())
+def test_scaling_a_row_by_a_positive_integer_scales_only_its_echelon_row(drawn, g, data):
+    # a multiplicity form is cleared by the unit's order, which is a positive
+    # multiple of the lcm of its reduced denominators: the pivots (least
+    # |entry|) and the multipliers (a // b) do not see the factor, so only
+    # the scaled row's echelon row changes, and the particular solution y
+    # does not
+    rows, nvar, neq, kept = drawn
+    kept_rows = [*range(neq), *(neq + j for j in kept)]
+    assume(kept_rows)
+    i = data.draw(st.integers(0, len(kept_rows) - 1))
+    cols = [*range(nvar), *(nvar + j for j in kept)]
+    z = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+    # rows . z, each entry moved by at most 1, so that some have no solution
+    rhs = [
+        sum(rows[r][c] * x for c, x in zip(cols, z)) + data.draw(st.integers(-1, 1))
+        for r in kept_rows
+    ]
+
+    def scale(vectors, k):
+        return tuple(
+            tuple(g * a for a in v) if j == k else v for j, v in enumerate(vectors)
+        )
+
+    lat = solver._lattice(rows, nvar, neq, kept)
+    big = solver._lattice(scale(rows, kept_rows[i]), nvar, neq, kept)
+    assert (big.pivot_col, big.u, big.rank, big.wdim) == (lat.pivot_col, lat.u, lat.rank, lat.wdim)
+    assert big.echelon == scale(lat.echelon, i)
+    big_rhs = [g * b if j == i else b for j, b in enumerate(rhs)]
+    assert solver._particular(big, big_rhs) == solver._particular(lat, rhs)
+
+
 def test_thm32_12_11_3_lattices_match_the_row_major_elimination(monkeypatch):
     built = []
     real = solver._lattice
@@ -156,7 +189,7 @@ def congruence_infeasible_system():
     # tightening to (eps + 2)/4 integral breaks it by a congruence
     v = var("3.1", 7)
     forms = [
-        (AffineForm.make({v: Fraction(1, 4)}, Fraction(2, 4)), "quarter"),
+        (cleared_form({v: Fraction(1, 4)}, Fraction(2, 4)), "quarter"),
         (AffineForm.make({v: 1}, 10), "box low"),
         (AffineForm.make({v: -1}, 10), "box high"),
     ]
@@ -168,7 +201,7 @@ def two_var_box_system():
     forms = [
         (AffineForm.make({a: 1, b: 2}, 5), "f1"),
         (AffineForm.make({a: -1, b: 1}, 3), "f2"),
-        (AffineForm.make({a: Fraction(1, 2), b: Fraction(-1, 2)}, 4), "half-diff"),
+        (cleared_form({a: Fraction(1, 2), b: Fraction(-1, 2)}, 4), "half-diff"),
         (AffineForm.make({a: -1, b: -1}, 7), "cap"),
     ]
     return FeasibilitySystem.build([a, b], [], forms)
@@ -177,7 +210,7 @@ def two_var_box_system():
 def three_var_system():
     a, b, c = var("3.1", 13), var("3.2", 13), var("3.3", 13)
     forms = [
-        (AffineForm.make({a: Fraction(2, 3), b: Fraction(-1, 3), c: 1}, 2), "f1"),
+        (cleared_form({a: Fraction(2, 3), b: Fraction(-1, 3), c: 1}, 2), "f1"),
         (AffineForm.make({a: -1, b: 1, c: -1}, 4), "f2"),
         (AffineForm.make({a: 1, b: 1, c: 1}, 1), "f3"),
         (AffineForm.make({a: -1, b: -1, c: -1}, 5), "f4"),
@@ -313,8 +346,8 @@ def test_recession_ray_moves_the_first_open_coordinate():
     # read off the first of them
     a, b, c = var("3.1", 13), var("3.2", 13), var("3.3", 13)
     forms = [
-        (AffineForm.make({a: 1, b: Fraction(1, 2), c: Fraction(-1, 3)}, 2), "f1"),
-        (AffineForm.make({a: Fraction(1, 4), b: 1, c: 1}, 2), "f2"),
+        (cleared_form({a: 1, b: Fraction(1, 2), c: Fraction(-1, 3)}, 2), "f1"),
+        (cleared_form({a: Fraction(1, 4), b: 1, c: 1}, 2), "f2"),
     ]
     report = enumerate_system(FeasibilitySystem.build([a, b, c], [], forms))
     assert report.status == "unbounded"
@@ -388,7 +421,8 @@ def fixed_at_a_nonnegative_integer(system, form):
             v = eq.coeffs[0][0]
             form = eliminate(form, v, eq, target)
             equalities = [(eliminate(f, v, eq, target), t) for f, t in equalities]
-    return not form.coeffs and form.constant >= 0 and form.constant.denominator == 1
+    value = Fraction(form.constant, form.den)
+    return not form.coeffs and value >= 0 and value.denominator == 1
 
 
 def fixed_forms_system():
@@ -671,7 +705,7 @@ def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
 def half_equality_system():
     # a/2 + 1/2 = 1 with the augmentation: the one point is a = 1, b = 0
     a, b = var("3.1", 7), var("3.2", 7)
-    equalities = [(AffineForm.make({a: Fraction(1, 2)}, Fraction(1, 2)), 1, "half")]
+    equalities = [(cleared_form({a: Fraction(1, 2)}, Fraction(1, 2)), 1, "half")]
     forms = [
         (AffineForm.make({b: 1}, 5), "b low"),
         (AffineForm.make({b: -1}, 5), "b high"),
@@ -721,7 +755,7 @@ def random_systems(draw, max_vars, box):
 
     def form():
         coeffs = {v: draw(small_fractions) for v in variables}
-        return AffineForm.make(coeffs, draw(small_fractions))
+        return cleared_form(coeffs, draw(small_fractions))
 
     forms = [(form(), f"f{j}") for j in range(draw(st.integers(1, 3)))]
     equalities = []

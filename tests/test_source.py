@@ -130,6 +130,32 @@ def test_only_luthar_passi_reads_the_group_kind():
     assert found == {}
 
 
+def imports_module(source: str, module: str) -> bool:
+    """Whether the source imports module, by `import` or `from ... import`."""
+    return any(
+        isinstance(node, ast.Import) and any(alias.name == module for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == module
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_module_imports_are_found():
+    assert imports_module("import fractions\n", "fractions")
+    assert imports_module("def f():\n    from fractions import Fraction\n", "fractions")
+    assert not imports_module("from math import gcd\nimport fractionsx\n", "fractions")
+
+
+def test_only_the_solver_imports_fractions():
+    # a form is integers over the unit's order; Fractions appear only in the
+    # solver's Fourier-Motzkin ranges and rays
+    found = [
+        path.name
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "solver.py" and imports_module(path.read_text(), "fractions")
+    ]
+    assert found == []
+
+
 def test_unused_from_imports_are_found():
     source = "from math import gcd, lcm\nfrom os import path as p\nprint(gcd, p)\n"
     assert unused_from_imports(source) == ["lcm"]
