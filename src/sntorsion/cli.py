@@ -63,14 +63,18 @@ def _parse_order(spec: str, n: int) -> tuple[int, int]:
     return b, a  # (p, q) with p > q
 
 
-def _parse_row_spec(spec: str) -> tuple[str, list[int] | None]:
-    if ":" in spec:
-        name, ells = spec.split(":", 1)
-        try:
-            return name, [int(tok) for tok in ells.split(",") if tok]
-        except ValueError:
-            raise InputError(f"bad --rows {spec!r}; expected name:ell,ell,...") from None
-    return spec, None
+def _parse_row_spec(spec: str, q: int) -> tuple[str, list[int] | None]:
+    if ":" not in spec:
+        return spec, None
+    name, text = spec.split(":", 1)
+    try:
+        ells = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise InputError(f"bad --rows {spec!r}; expected name:ell,ell,...") from None
+    # each residue is one order-q form: none selects nothing, a repeat doubles one
+    if not ells or len({ell % q for ell in ells}) < len(ells):
+        raise InputError(f"bad --rows {spec!r}; expected one or more residues distinct modulo {q}")
+    return name, ells
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -144,9 +148,12 @@ def cmd_solve(args) -> int:
             )
         raise InputError(f"row {name!r} found in no table and is not a built-in character")
 
-    row_specs = [_parse_row_spec(s) for s in args.rows or []]
+    row_specs = [_parse_row_spec(s, q) for s in args.rows or []]
     if not row_specs:
         raise InputError("no rows selected; pass --rows at least once")
+    names = [name for name, _ in row_specs]
+    if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
+        raise InputError(f"row {repeated[0]!r} listed twice")
     stage_q_rows = []
     pq_rows = []
     skipped = []

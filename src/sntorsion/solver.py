@@ -31,17 +31,18 @@ depends only on the integer matrix, not on the right-hand side (_lattice).
 Each system has one solve(kept) in enumerate_system: it looks up or builds
 the lattice of the forms it keeps, and the system and each of its core
 trials are calls of it.  One function, _solve_level, makes the systems of
-every level: the one system of solve_prime_order and the power-candidate
-pairs of solve_order_pq.  The systems of one call have the same linear
-parts and differ in their constants, so _solve_level makes the linear part
-of each (row, ell) and the level traces of each ell once (top_coeffs,
-level_traces), each row's values on a system's lower levels once per
-system, and only the constant per form (lower_constant).  The systems and
-their infeasible-core trials share one memo of lattices; it lives as long
-as the call.  The memo has two levels: one dict per integer matrix, hashed
-once per system, and in it one lattice per tuple of kept forms (all of them
-for the system, all but the dropped ones for a core trial), so a trial
-builds its rows only when its lattice is new.
+every level: one row set over a list of lower levels, once for
+solve_prime_order and once per row group for solve_order_pq.  Its systems
+have the same rows and differ only in their lower levels, so it makes the
+linear part of each (row, ell) and the level traces of each ell once
+(top_coeffs, level_traces), each row's values on a system's lower levels
+once per system, and only the constant per form (lower_constant).  The
+systems and their infeasible-core trials share one memo of lattices; it
+lives as long as the call, so there is one per row group.  The memo has
+two levels: one dict per integer matrix, hashed once per system, and in it
+one lattice per tuple of kept forms (all of them for the system, all but
+the dropped ones for a core trial), so a trial builds its rows only when
+its lattice is new.
 
 The infeasible core is a greedy deletion filter: one trial per form, each
 re-solving the system without that form and the forms dropped before it.
@@ -531,39 +532,31 @@ def _infeasible_core(system: FeasibilitySystem, lat: _Lattice, rhs: list[int], s
 def _solve_level(
     classes: list[Partition],
     k: int,
-    systems: list[tuple[dict[int, AugVector], list[tuple[CharacterRow, int]], list[tuple]]],
+    rows_and_ells: list[tuple[CharacterRow, int]],
+    equalities: list[tuple[CharacterRow, int, int]],
+    lowers: list[dict[int, AugVector]],
 ) -> list[SolveReport]:
-    """Build and enumerate one order-k system over `classes` per entry
-    (lower levels, rows and ells, equalities): the form mu_ell(row) must be
-    a non-negative integer for each (row, ell), and mu_ell(row) = target
-    holds for each equality (row, ell, target).  The linear parts, the
-    level traces of each ell and the lattice memo live as long as the call;
-    each row's values on the lower levels are read once per system.
-    """
-    linear: dict[tuple[CharacterRow, int], tuple] = {}
-    traces: dict[int, dict[int, int]] = {}
-
-    def form(row: CharacterRow, ell: int, lower: dict[int, AugVector], values: dict) -> AffineForm:
-        """mu_ell(row), with `values` the system's memo of each row's values
-        on its lower levels."""
-        if (row, ell) not in linear:
-            linear[row, ell] = top_coeffs(row, k, ell, classes)
-        if ell not in traces:
-            traces[ell] = level_traces(k, ell)
-        if row not in values:
-            values[row] = {d: char_value_on_unit(row, v) for d, v in lower.items()}
-        return AffineForm(linear[row, ell], lower_constant(row, k, traces[ell], values[row]), k)
-
+    """Build and enumerate one order-k system over `classes` per dict of
+    lower levels, in the order of `lowers`: the form mu_ell(row) must be a
+    non-negative integer for each (row, ell), and mu_ell(row) = target for
+    each equality (row, ell, target).  Every system has these rows, so each
+    linear part, each ell's level traces and the lattice memo are built
+    once per call, and each row's values once per system."""
+    parts = dict.fromkeys([*rows_and_ells, *((row, ell) for row, ell, _ in equalities)])
+    linear = {(row, ell): top_coeffs(row, k, ell, classes) for row, ell in parts}
+    traces = {ell: level_traces(k, ell) for ell in dict.fromkeys(ell for _, ell in parts)}
+    rows = dict.fromkeys(row for row, _ in parts)
     lattices: dict = {}
     reports = []
-    for lower, rows_and_ells, equalities in systems:
-        values: dict[CharacterRow, dict[int, int]] = {}
-        forms = [
-            (form(row, ell, lower, values), f"mu_{ell}({row.name})")
-            for row, ell in rows_and_ells
-        ]
+    for lower in lowers:
+        values = {row: {d: char_value_on_unit(row, v) for d, v in lower.items()} for row in rows}
+
+        def form(row: CharacterRow, ell: int) -> AffineForm:
+            return AffineForm(linear[row, ell], lower_constant(row, k, traces[ell], values[row]), k)
+
+        forms = [(form(row, ell), f"mu_{ell}({row.name})") for row, ell in rows_and_ells]
         pinned = [
-            (form(row, ell, lower, values), target, f"mu_{ell}({row.name}) = {target}")
+            (form(row, ell), target, f"mu_{ell}({row.name}) = {target}")
             for row, ell, target in equalities
         ]
         system = FeasibilitySystem.build(classes, pinned, forms)
@@ -581,7 +574,7 @@ def solve_prime_order(
     multiplicity constraints."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    (report,) = _solve_level(allowed_support(n, q, kind), q, [({}, rows_and_ells, [])])
+    (report,) = _solve_level(allowed_support(n, q, kind), q, rows_and_ells, [], [{}])
     return report
 
 
@@ -628,7 +621,8 @@ def solve_order_pq(
     given, the spectral equalities mu_1(u, pi) = 0 and mu_q(u, pi) = 1 are
     added (valid for p > n/2, q >= 3, n >= 7).
 
-    Verdict: "excluded" iff every pair is infeasible.
+    Results come by row group, one _solve_level call each, then by q and p
+    candidate.  Verdict: "excluded" iff every pair is infeasible.
     """
     _require_no_order_pq(n, kind, p, q)
     classes = allowed_support(n, p * q, kind)
@@ -637,30 +631,28 @@ def solve_order_pq(
     if use_pi and not spectral_hypotheses(n, p, q):
         raise ValueError("spectral equalities need n >= 7, p > n/2, q >= 3")
 
-    def group_of(cand: AugVector) -> dict:
+    def group_of(cand: AugVector) -> int:
         fallback = None
-        for grp in row_groups:
+        for i, grp in enumerate(row_groups):
             if grp.get("members") is None:
-                fallback = grp
+                fallback = i
             elif cand in grp["members"]:
-                return grp
+                return i
         if fallback is None:
             raise ValueError("candidate not covered by any row group")
         return fallback
 
-    pairs = []
+    routed: list[list[AugVector]] = [[] for _ in row_groups]
     for q_cand in q_candidates:
-        grp = group_of(q_cand)
-        pairs += [(q_cand, p_cand, grp) for p_cand in p_candidates]
+        routed[group_of(q_cand)].append(q_cand)
     pi_equalities = [(pi_row, 1, 0), (pi_row, q, 1)] if use_pi else []
-    reports = _solve_level(classes, p * q, [
-        ({p: q_cand, q: p_cand}, grp["rows_and_ells"], pi_equalities)
-        for q_cand, p_cand, grp in pairs
-    ])
-    results = [
-        PairResult(q_cand, p_cand, grp["name"], report)
-        for (q_cand, p_cand, grp), report in zip(pairs, reports)
-    ]
+    results = []
+    for grp, cands in zip(row_groups, routed):
+        pairs = [(q_cand, p_cand) for q_cand in cands for p_cand in p_candidates]
+        if pairs:
+            lowers = [{p: q_cand, q: p_cand} for q_cand, p_cand in pairs]
+            reports = _solve_level(classes, p * q, grp["rows_and_ells"], pi_equalities, lowers)
+            results += [PairResult(*pair, grp["name"], rep) for pair, rep in zip(pairs, reports)]
 
     if any(r.report.status == "unbounded" for r in results):
         verdict = "undecided-unbounded"

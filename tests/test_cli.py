@@ -80,6 +80,25 @@ def test_chartable_rejects_a_repeated_character(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", [["pi", "pi"], ["pi:0,1", "pi"]])
+def test_solve_rejects_a_repeated_row(rows, capsys):
+    # a repeated name would carry each of its forms twice at both stages
+    argv = ["solve", "--group", "S7", "--order", "5x3"]
+    for spec in rows:
+        argv += ["--rows", spec]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (EXIT_INPUT, "", "error: row 'pi' listed twice\n")
+
+
+@pytest.mark.parametrize("spec", ["pi:", "pi:0,0", "pi:0,3"])
+def test_solve_rejects_an_empty_or_repeated_residue_list(spec, capsys):
+    # each order-q residue is one form: none would leave the row unused, and
+    # a residue repeated modulo q would give the same form twice
+    rc, out, err = run(capsys, "solve", "--group", "S7", "--order", "5x3", "--rows", spec)
+    reason = "expected one or more residues distinct modulo 3"
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --rows {spec!r}; {reason}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["chartable", "4", "--char", "tau"],
     ["solve", "--group", "S4", "--order", "3x2", "--rows", "tau"],

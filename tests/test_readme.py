@@ -1,11 +1,12 @@
 """The README's code runs as documented."""
 
+import argparse
 import re
 import shlex
 import shutil
 from pathlib import Path
 
-from sntorsion.cli import EXIT_OK, main
+from sntorsion.cli import EXIT_OK, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +40,19 @@ def test_shell_examples_run_and_exclude(tmp_path, monkeypatch, capsys):
         assert rc == EXIT_OK, argv
         if argv[1] == "solve":
             assert "\n  verdict: excluded\n" in out, argv
+
+
+def test_command_line_synopsis_names_every_option_of_each_subcommand():
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    synopsis = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    named: dict[str, set[str]] = {}
+    for line in synopsis.splitlines():
+        if line.startswith("sntorsion "):
+            command = line.split()[1]
+        named.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    actions = build_parser()._actions
+    (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    assert named.keys() == subparsers.choices.keys()
+    for command, parser in subparsers.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert named[command] == options - {"--help"}, command

@@ -575,30 +575,47 @@ def test_pair_systems_have_the_forms_of_fresh_affine_forms(case_id, monkeypatch)
         assert [f for f, _, _ in system.equalities[:-1]] == pi_forms
 
 
-def test_linear_parts_are_built_once_per_row_and_ell_per_solve_order_pq_call(monkeypatch):
+def test_form_parts_are_built_once_per_row_group(monkeypatch):
     built = Counter()
     per_call = []
-    real_top, real_pq = solver.top_coeffs, cases_mod.solve_order_pq
+    real_pq = cases_mod.solve_order_pq
 
-    def counting(row, k, ell, variables):
-        built[row.name, ell] += 1
-        return real_top(row, k, ell, variables)
+    def counting(name, key):
+        real = getattr(solver, name)
+
+        def wrapper(*args):
+            built[name, key(*args)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    counting("top_coeffs", lambda row, k, ell, variables: (row.name, ell))
+    counting("level_traces", lambda k, ell: ell)
+    counting("char_value_on_unit", lambda row, unit: (row.name, unit.k))
 
     def measured(*args, **kwargs):
         built.clear()
         out = real_pq(*args, **kwargs)
-        per_call.append(dict(built))
+        per_call.append((dict(built), len(out[1])))
         return out
 
-    monkeypatch.setattr(solver, "top_coeffs", counting)
     monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
     _case_thm32(12, 11, 3)
     _case_thm32(12, 11, 3)
-    first, again = per_call
-    # pi, rho and tau at the residues of orbit_residues(33); the pi
-    # equalities read (pi, 1) and (pi, 3), which the rows already have
-    assert first == {(name, ell): 1 for name in ("pi", "rho", "tau") for ell in (0, 1, 3, 11)}
-    assert again == first
+    (first, pairs), again = per_call
+    # one row group: pi, rho and tau at the residues of orbit_residues(33);
+    # the pi equalities read (pi, 1) and (pi, 3), which the rows already
+    # have, and each pair system reads each row once on each of its two
+    # lower levels, the order-3 and the order-11 power
+    ells = (0, 1, 3, 11)
+    names = ("pi", "rho", "tau")
+    assert first == {
+        **{("top_coeffs", (name, ell)): 1 for name in names for ell in ells},
+        **{("level_traces", ell): 1 for ell in ells},
+        **{("char_value_on_unit", (name, d)): pairs for name in names for d in (3, 11)},
+    }
+    assert pairs == 90
+    assert again == (first, pairs)
 
 
 def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
@@ -906,6 +923,28 @@ def test_solve_order_pq_surfaces_surviving_candidates():
         [{"name": "main", "members": None, "rows_and_ells": [(principal, 0)]}],
     )
     assert verdict == "undecided-unbounded"
+
+
+def test_solve_order_pq_routes_each_candidate_to_one_row_group():
+    n = 7
+    hook = ordinary_row("hook4", n, 15)
+    c31, c32 = prime_cycles(3, 1, n), prime_cycles(3, 2, n)
+    v1, v2 = AugVector.make(3, n, {c31: 1}), AugVector.make(3, n, {c32: 1})
+    v3 = AugVector.make(3, n, {c31: 2, c32: -1})
+    rows = [(hook, 0), (hook, 5)]
+
+    def group(name, members):
+        return {"name": name, "members": members, "rows_and_ells": rows}
+
+    # v2 is in both explicit groups, and the first one wins even after the
+    # fallback; v3 is in none, so it falls back to the group without members
+    groups = [group("rest", None), group("first", [v1, v2]), group("second", [v2])]
+    _, results = solve_order_pq(n, "S", 5, 3, [v1, v2, v3], [forced_vector(n, 5)], groups)
+    assert sorted((r.q_candidate.entries, r.group) for r in results) == sorted([
+        (v1.entries, "first"), (v2.entries, "first"), (v3.entries, "rest"),
+    ])
+    with pytest.raises(ValueError, match="candidate not covered by any row group"):
+        solve_order_pq(n, "S", 5, 3, [v1, v2], [forced_vector(n, 5)], [group("first", [v1])])
 
 
 def test_s13_pipeline_counts(s13_order3_table):
