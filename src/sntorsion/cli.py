@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import gcd
 
 from .cases import (
     CASES,
@@ -74,6 +75,10 @@ def _parse_row_spec(spec: str, q: int) -> tuple[str, list[int] | None]:
     # each residue is one order-q form: none selects nothing, a repeat doubles one
     if not ells or len({ell % q for ell in ells}) < len(ells):
         raise InputError(f"bad --rows {spec!r}; expected one or more residues distinct modulo {q}")
+    # for an integer-valued row mu_ell depends only on gcd(ell, q), so two
+    # residues with the same gcd give the same form
+    if len({gcd(ell, q) for ell in ells}) < len(ells):
+        raise InputError(f"bad --rows {spec!r}; expected residues with distinct gcd(ell, {q})")
     return name, ells
 
 

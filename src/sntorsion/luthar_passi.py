@@ -52,6 +52,7 @@ def parse_cycle_type(token: str) -> Partition:
     return check_partition(tuple(sorted(parts, reverse=True)))
 
 
+@cache
 def _class_rj(ct: Partition) -> tuple[int, int] | None:
     """(r, j) when ct is j disjoint r-cycles with r prime, else None."""
     r = max(ct)

@@ -13,36 +13,45 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    u's columns are split into the pivot coordinates y, the coordinates w
    that move the slacks and the directions v that leave every slack
    unchanged (they can only produce infinite solution families), and each
-   row of u reads one variable or slack in (y, w, v).  Forward substitution
-   of the right-hand side in the echelon rows gives either a contradiction
-   or y; each slack is then its row of u at y plus a linear form in w, and
-   a variable is read off its row only at a recorded solution;
+   row of u reads one variable or slack in (y, w, v); a slack row is zero
+   on v.  Forward substitution of the right-hand side in the echelon rows
+   gives either a contradiction or y, and so one integer point
+   u . (y, 0, 0); every integer solution is that point plus u . (0, w, v),
+   each slack is its value at the point plus a linear form in w, and a
+   variable is read off its row only at a recorded solution;
 3. exact Fourier-Motzkin elimination of the slack inequalities, from the
    last w coordinate down, gives one projection chain; the depth-first
    enumeration, a loop over a stack of prefixes, fixes the coordinates from
-   the first up and reads the range of each from the chain.  It stops at
-   the first integer point when that point decides the report: in a core
-   trial, which reads only the status, and on a lattice with directions v,
-   which is unbounded along the first of them whatever other points exist.
+   the first up and reads the integer range of each from the chain by
+   floor division.  It stops at the first integer point when that point
+   decides the report: in a core trial, which reads only the status, and on
+   a lattice with directions v, which is unbounded along the first of them
+   whatever other points exist.
 
 One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  The elimination of step 2
 depends only on the integer matrix, not on the right-hand side (_lattice).
-Each system has one solve(kept) in enumerate_system: it looks up or builds
-the lattice of the forms it keeps, and the system and each of its core
-trials are calls of it.  One function, _solve_level, makes the systems of
-every level: one row set over a list of lower levels, once for
-solve_prime_order and once per row group for solve_order_pq.  Its systems
-have the same rows and differ only in their lower levels, so it makes the
-linear part of each (row, ell) and the level traces of each ell once
-(top_coeffs, level_traces), each row's values on a system's lower levels
-once per system, and only the constant per form (lower_constant).  The
-systems and their infeasible-core trials share one memo of lattices; it
-lives as long as the call, so there is one per row group.  The memo has
-two levels: one dict per integer matrix, hashed once per system, and in it
-one lattice per tuple of kept forms (all of them for the system, all but
-the dropped ones for a core trial), so a trial builds its rows only when
-its lattice is new.
+Each system runs the forward substitution once, in enumerate_system, and
+its core trials start from its integer point: a trial keeps a subset of
+the system's rows, so the system's point, restricted to the variables and
+the kept slacks, solves the trial too.  The trial's own point differs from
+it by an integer kernel vector, so its w coordinates move by an integer
+translation, which shifts each search range by an integer and changes no
+node count or status.  Only a system without an integer point gives its
+trials their own forward substitution.
+
+One function, _solve_level, makes the systems of every level: one row set
+over a list of lower levels, once for solve_prime_order and once per row
+group for solve_order_pq.  Its systems have the same rows and differ only
+in their lower levels, so it makes the linear part of each (row, ell) and
+the level traces of each ell once (top_coeffs, level_traces), each row's
+values on a system's lower levels once per system, and only the constant
+per form (lower_constant).  The systems and their infeasible-core trials
+share one memo of lattices; it lives as long as the call, so there is one
+per row group.  The memo has two levels: one dict per integer matrix,
+hashed once per system, and in it one lattice per tuple of kept forms (all
+of them for the system, all but the dropped ones for a core trial), so a
+trial builds its rows only when its lattice is new.
 
 The infeasible core is a greedy deletion filter: one trial per form, each
 re-solving the system without that form and the forms dropped before it.
@@ -51,7 +60,7 @@ coordinate moves its slack) can never be needed, so it gets no trial; in
 the Theorem-3.2 pair systems these are the mu_ell(pi) forms, which the pi
 equalities pin.  Every reported solution is re-checked against the
 system's original forms in integer arithmetic, independently of the solved
-rows.  Fractions appear only in the Fourier-Motzkin ranges and rays.
+rows.  Fractions appear only in the recession rays.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -61,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .luthar_passi import (
@@ -120,7 +129,9 @@ class _Lattice(NamedTuple):
 
     pivot_col: tuple[int | None, ...]  # the pivot column of each row
     echelon: tuple[tuple[int, ...], ...]  # rows . u on the pivot columns
-    u: tuple[tuple[int, ...], ...]  # each variable, then each slack, in (y, w, v)
+    u: tuple[tuple[int, ...], ...]  # each variable's row of u, in (y, w, v)
+    slack_y: tuple[tuple[int, ...], ...]  # each slack's row of u on y
+    slack_w: tuple[tuple[int, ...], ...]  # each slack's row of u on w (0 on v)
     rank: int  # the number of pivot coordinates y
     wdim: int  # the number of slack-moving coordinates w
 
@@ -138,8 +149,9 @@ def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
     unit row i and reads slack i in the current columns, so its pivots in
     the kernel columns, where the kept rows are already zero, are the
     slack-moving coordinates w; the remaining kernel columns are the
-    directions v.  The lattice keeps u whole, its nvar variable rows then
-    its slack rows, each read in the coordinates (y, w, v).
+    directions v, on which every slack row is zero.  The lattice keeps the
+    nvar variable rows of u whole, each read in the coordinates (y, w, v),
+    and each slack row split once into its y part and its w part.
     """
     cols = [*range(nvar), *(nvar + j for j in kept)]
     kept_rows = [*range(neq), *(neq + j for j in kept)]
@@ -152,19 +164,23 @@ def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
     # back to rows: the m kept rows . u, then u; with no columns, m empty rows
     a = list(zip(*stacked)) or [()] * m
     rank = sum(row < m for row, _ in pivots)
+    wdim = len(pivots) - rank
     pivot_of_row = dict(pivots)
+    slack_rows = a[m + nvar:]
     return _Lattice(
         tuple(pivot_of_row.get(r) for r in range(m)),
         tuple(r[:rank] for r in a[:m]),
-        tuple(a[m:]),
-        rank, len(pivots) - rank,
+        tuple(a[m:m + nvar]),
+        tuple(r[:rank] for r in slack_rows),
+        tuple(r[rank:rank + wdim] for r in slack_rows),
+        rank, wdim,
     )
 
 
 def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
-    """The pivot coordinates y of one integer solution of rows . z = rhs, by
-    forward substitution in the echelon basis, or None when there is none;
-    the solution is u . (y, 0, 0)."""
+    """One integer solution z of rows . z = rhs, the variables then the
+    kept slacks, or None when there is none: forward substitution in the
+    echelon basis gives the pivot coordinates y, and z = u . (y, 0, 0)."""
     y: list[int] = []
     for row, col in enumerate(lat.pivot_col):
         s = rhs[row] - sum(a * c for a, c in zip(lat.echelon[row], y))
@@ -175,7 +191,7 @@ def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
             return None
         else:
             y.append(s // lat.echelon[row][col])
-    return y
+    return [sum(a * c for a, c in zip(row, y)) for row in (*lat.u, *lat.slack_y)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +253,24 @@ def _fm_chain(ineqs: set[Ineq], nvars: int) -> list[set[Ineq]] | None:
     return chain[-2::-1]
 
 
-def _interval(
-    rows: set[Ineq], d: int, prefix
-) -> tuple[Fraction | None, Fraction | None]:
+def _interval(rows: set[Ineq], d: int, prefix) -> tuple[tuple | None, tuple | None]:
     """Exact rational range (lo, hi) of variable d over rows = chain[d], with
-    variables 0..d-1 pinned to prefix; None marks an unbounded side.
+    variables 0..d-1 pinned to prefix; each side is a pair (num, den) with
+    den > 0, and None marks an unbounded side.
 
     Rows without variable d are not checked: they are rows of chain[d - 1],
     which a prefix read off the earlier intervals of the chain satisfies.
     """
-    lo: Fraction | None = None
-    hi: Fraction | None = None
+    lo = hi = None
     for coeffs, const in rows:
         c = coeffs[d]
         if c:
             s = const + sum(a * x for a, x in zip(coeffs, prefix))
-            if c > 0:
-                bound = Fraction(-s, c)
-                if lo is None or bound > lo:
-                    lo = bound
-            else:
-                bound = Fraction(s, -c)
-                if hi is None or bound < hi:
-                    hi = bound
+            if c > 0:  # x >= -s / c
+                if lo is None or -s * lo[1] > lo[0] * c:
+                    lo = (-s, c)
+            elif hi is None or s * hi[1] < hi[0] * -c:  # x <= s / -c
+                hi = (s, -c)
     return lo, hi
 
 
@@ -328,42 +339,35 @@ def _integer_rows(
     return tuple(map(tuple, rows)), rhs
 
 
-def _slacks(lat: _Lattice, y: list[int], nvar: int) -> list[tuple[tuple[int, ...], int]]:
-    """Each kept slack as (its linear form in w, its value at the particular
-    solution u . (y, 0, 0)), read off its row of u."""
-    return [
-        (row[lat.rank:lat.rank + lat.wdim], sum(a * c for a, c in zip(row, y)))
-        for row in lat.u[nvar:]
-    ]
-
-
 def _solve(
     lat: _Lattice,
-    rhs: list[int],
+    point: list[int] | None,
     variables: tuple[Partition, ...],
     find_one: bool = False,
 ) -> SolveReport:
-    """Decide the integer rows of a system, given their _lattice and their
-    right-hand side.
+    """Decide the integer rows of a system, given their _lattice and one
+    integer solution `point` of them (the variables, then the kept slacks),
+    or None when they have none.
 
-    The search stops at the first integer point when that point already
-    decides the report: with find_one, where only the status is read and
-    the recession ray and the solution list are not built, and on a lattice
-    with free directions v, whose report is unbounded along the first of
-    them whatever other points exist.
+    Every integer solution is point + u . (0, w, v), so each kept slack is
+    its value at the point plus its row of u on w.  The search stops at the
+    first integer point when that point already decides the report: with
+    find_one, where only the status is read and the recession ray and the
+    solution list are not built, and on a lattice with free directions v,
+    whose report is unbounded along the first of them whatever other
+    points exist.
     """
     nvar = len(variables)
     report = SolveReport(status="infeasible", variables=variables, stats={"nodes": 0})
-    y = _particular(lat, rhs)
-    if y is None:
+    if point is None:
         return report
     rank, wdim = lat.rank, lat.wdim
-    nfree = len(lat.u) - rank - wdim
+    nfree = nvar + len(lat.slack_w) - rank - wdim
 
     # slack inequalities in the slack-moving coordinates w; the directions
     # v can only produce infinite solution families
     ineqs: set[Ineq] = set()
-    for w_row, const in _slacks(lat, y, nvar):
+    for w_row, const in zip(lat.slack_w, point[nvar:]):
         if any(w_row):
             ineqs.add(_normalize(w_row, const))
         elif const < 0:
@@ -372,7 +376,7 @@ def _solve(
     def x_ray(direction) -> tuple[int, ...]:
         """The primitive direction in the variables of a direction given in
         the lattice coordinates (w, v)."""
-        ray = [sum(m * d for m, d in zip(row[rank:], direction)) for row in lat.u[:nvar]]
+        ray = [sum(m * d for m, d in zip(row[rank:], direction)) for row in lat.u]
         g = gcd(*ray)
         return tuple(c // g for c in ray) if g > 1 else tuple(ray)
 
@@ -389,7 +393,8 @@ def _solve(
             return report
 
     # depth-first over prefixes of w, each node's children in increasing
-    # order: they are pushed in decreasing order and popped in increasing
+    # order: they are pushed in decreasing order and popped in increasing;
+    # every side is bounded here, and only its integer part is read
     leaves: list[tuple[int, ...]] = []
     nodes = 0
     stack: list[tuple[int, ...]] = [()]
@@ -402,8 +407,8 @@ def _solve(
             if find_one or nfree:
                 break
         else:
-            lo, hi = _interval(chain[depth], depth, prefix)
-            stack += [prefix + (value,) for value in range(floor(hi), ceil(lo) - 1, -1)]
+            (lo, lo_den), (hi, hi_den) = _interval(chain[depth], depth, prefix)
+            stack += [prefix + (value,) for value in range(hi // hi_den, -(-lo // lo_den) - 1, -1)]
     report.stats["nodes"] = nodes
     if leaves:
         report.status = "unbounded" if nfree else "solutions"
@@ -411,10 +416,10 @@ def _solve(
         if nfree:
             report.ray = x_ray((0,) * wdim + (1,))
         else:
-            # x = u . (y, w, 0); distinct leaves give distinct points, as u is
-            # invertible and each slack is a function of x
+            # x = point + u . (0, w, 0); distinct leaves give distinct points,
+            # as u is invertible and each slack is a function of x
             report.solutions = sorted(
-                tuple(sum(a * c for a, c in zip(row, (*y, *w))) for row in lat.u[:nvar])
+                tuple(x + sum(a * c for a, c in zip(row[rank:], w)) for row, x in zip(lat.u, point))
                 for w in leaves
             )
     return report
@@ -431,7 +436,8 @@ def _recession_ray(chain: list[set[Ineq]], var: int) -> tuple[int, ...]:
     point.append(Fraction(-1 if any(coeffs[var] < 0 for coeffs, _ in chain[var]) else 1))
     for d in range(var + 1, len(chain)):
         lo, hi = _interval({(coeffs, 0) for coeffs, _ in chain[d]}, d, point)
-        point.append(lo if lo is not None else hi if hi is not None else Fraction(0))
+        side = lo if lo is not None else hi
+        point.append(Fraction(*side) if side is not None else Fraction(0))
     den = lcm(*(f.denominator for f in point))
     return tuple(int(f * den) for f in point)
 
@@ -454,21 +460,31 @@ def enumerate_system(
     nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
     by_kept = lattices.setdefault((rows, nform), {})
 
-    def solve(kept: tuple[int, ...], find_one: bool = False) -> SolveReport:
-        """Decide the system with only the forms in `kept`: the lattice of
-        those forms, looked up or built, and their part of the right-hand
-        side."""
+    def lattice(kept: tuple[int, ...]) -> _Lattice:
         if kept not in by_kept:
             by_kept[kept] = _lattice(rows, nvar, neq, kept)
-        sub_rhs = rhs[:neq] + [rhs[neq + j] for j in kept]
-        return _solve(by_kept[kept], sub_rhs, system.variables, find_one)
+        return by_kept[kept]
 
-    every_form = tuple(range(nform))
-    report = solve(every_form)
+    lat = lattice(tuple(range(nform)))
+    point = _particular(lat, rhs)
+
+    def trial(kept: tuple[int, ...]) -> SolveReport:
+        """Decide the system with only the forms in `kept`, from the
+        system's point restricted to the variables and the kept slacks,
+        which solves the kept rows; a system without an integer point gives
+        each trial its own."""
+        sub = lattice(kept)
+        if point is None:
+            sub_point = _particular(sub, rhs[:neq] + [rhs[neq + j] for j in kept])
+        else:
+            sub_point = point[:nvar] + [point[nvar + j] for j in kept]
+        return _solve(sub, sub_point, system.variables, find_one=True)
+
+    report = _solve(lat, point, system.variables)
     if report.status == "solutions":
         _recheck(system, report.solutions)
     elif report.status == "infeasible":
-        report.certificate = _infeasible_core(system, by_kept[every_form], rhs, solve)
+        report.certificate = _infeasible_core(system, lat, point, trial)
     return report
 
 
@@ -476,52 +492,58 @@ def _recheck(system: FeasibilitySystem, solutions: list[tuple[int, ...]]) -> Non
     """Defensive re-check of every solution against the system's original
     forms, independent of the rows the solver solved: at a point x with
     numerator value = den * f(x), an equality needs value == den * target
-    and a form needs value >= 0 and value = 0 (mod den)."""
+    and a form needs value >= 0 and value = 0 (mod den).  Each form's terms
+    are read once, as (variable index, coefficient) pairs."""
     index = {v: i for i, v in enumerate(system.variables)}
 
-    def value(f: AffineForm, sol: tuple[int, ...]) -> int:
-        return f.constant + sum(c * sol[index[v]] for v, c in f.coeffs)
+    def terms(f: AffineForm) -> tuple[tuple[int, int], ...]:
+        return tuple((index[v], c) for v, c in f.coeffs)
 
+    equalities = [
+        (terms(f), f.constant, f.den * target, name) for f, target, name in system.equalities
+    ]
+    forms = [(terms(f), f.constant, f.den, name) for f, name in system.nonneg_integral]
     for sol in solutions:
-        for f, target, name in system.equalities:
-            if value(f, sol) != f.den * target:
+        for fterms, const, value, name in equalities:
+            if const + sum(c * sol[i] for i, c in fterms) != value:
                 raise RuntimeError(f"solver point {sol} violates equality {name}")
-        for f, name in system.nonneg_integral:
-            if (v := value(f, sol)) < 0 or v % f.den:
+        for fterms, const, den, name in forms:
+            if (v := const + sum(c * sol[i] for i, c in fterms)) < 0 or v % den:
                 raise RuntimeError(f"solver point {sol} violates form {name}")
 
 
-def _infeasible_core(system: FeasibilitySystem, lat: _Lattice, rhs: list[int], solve) -> list[str]:
+def _infeasible_core(
+    system: FeasibilitySystem, lat: _Lattice, point: list[int] | None, trial
+) -> list[str]:
     """Greedy minimal subset of the non-negative-integer forms that already
     makes the system infeasible (with all equalities kept).
 
-    `lat` and `rhs` are the system's own lattice and right-hand side, and
-    `solve` is the system's solve of enumerate_system: each trial is
-    solve(kept forms, find_one=True), which drops the slack-link rows and
-    slack columns of the other forms, so it decides exactly the integer
-    rows of the smaller system, and builds its lattice only when it is new.
+    `lat` and `point` are the system's own lattice and integer point (None
+    when it has none), and `trial` is the trial of enumerate_system: each
+    trial(kept forms) drops the slack-link rows and slack columns of the
+    other forms, so it decides exactly the integer rows of the smaller
+    system, builds its lattice only when it is new, and starts from the
+    system's point, which solves those rows too.
 
     A form whose slack no lattice coordinate moves (its row of u is zero on
     w) is fixed by the equalities: it is constant on their real solution
     set, so every trial, which keeps every equality, sees it at its value
-    at the system's particular solution u . (y, 0, 0).  A form fixed at a
-    non-negative integer is then redundant in every trial; the greedy filter
-    would drop it at its turn and decide every other form as it does with
-    it, so the core starts without it and it gets no trial.  A form fixed at
-    a negative value, and every form of a system without a particular
-    solution, stays in the loop.
+    at the system's point.  A form fixed at a non-negative integer is then
+    redundant in every trial; the greedy filter would drop it at its turn
+    and decide every other form as it does with it, so the core starts
+    without it and it gets no trial.  A form fixed at a negative value, and
+    every form of a system without an integer point, stays in the loop.
     """
     forms = system.nonneg_integral
     live = range(len(forms))
-    y = _particular(lat, rhs)
-    if y is not None:
-        slacks = _slacks(lat, y, len(system.variables))
+    if point is not None:
+        slacks = zip(lat.slack_w, point[len(system.variables):])
         live = [j for j, (w_row, const) in enumerate(slacks) if any(w_row) or const < 0]
     core = tuple(live)
     for j in live:
-        trial = tuple(i for i in core if i != j)
-        if solve(trial, find_one=True).status == "infeasible":
-            core = trial
+        kept = tuple(i for i in core if i != j)
+        if trial(kept).status == "infeasible":
+            core = kept
     return [forms[j][1] for j in core]
 
 

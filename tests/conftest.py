@@ -197,7 +197,8 @@ def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Latt
     _particular; the columns past the rank span the integer kernel.  The
     unit rows only combine those kernel columns, where the integer rows are
     already zero, and their pivots are the slack-moving coordinates w; the
-    remaining kernel columns are the directions v.
+    remaining kernel columns are the directions v.  The rows of u are the
+    variables, kept whole, then the slacks, split into their y and w parts.
     """
     cols = [*range(nvar), *(nvar + j for j in kept)]
     sub = [[rows[r][c] for c in cols] for r in [*range(neq), *(neq + j for j in kept)]]
@@ -205,19 +206,24 @@ def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Latt
     units = [[int(c == nvar + i) for c in range(ncols)] for i in range(nform)]
     a, u, pivots = row_major_hermite(sub + units, ncols)
     rank = sum(row < m for row, _ in pivots)
+    wdim = len(pivots) - rank
+    # the lattice keeps no v part of a slack row: it is zero
+    assert not any(any(r[rank + wdim:]) for r in u[nvar:])
     pivot_of_row = dict(pivots)
     return _Lattice(
         tuple(pivot_of_row.get(r) for r in range(m)),
         tuple(tuple(r[:rank]) for r in a[:m]),
-        tuple(map(tuple, u)),
-        rank, len(pivots) - rank,
+        tuple(map(tuple, u[:nvar])),
+        tuple(tuple(r[:rank]) for r in u[nvar:]),
+        tuple(tuple(r[rank:rank + wdim]) for r in u[nvar:]),
+        rank, wdim,
     )
 
 
 def nfree(lat: _Lattice) -> int:
     """The number of directions v of a lattice, which leave every slack
     fixed: the columns of u past the pivot coordinates y and the w."""
-    return len(lat.u) - lat.rank - lat.wdim
+    return len(lat.u) + len(lat.slack_w) - lat.rank - lat.wdim
 
 
 # the oracle for solver._recession_ray, which reads the ray off the search's
@@ -236,7 +242,8 @@ def pinned_recession_ray(ineqs: set[Ineq], wdim: int, var: int) -> tuple[int, ..
         point: list[Fraction] = []
         for d, rows in enumerate(chain):
             lo, hi = _interval(rows, d, point)
-            point.append(lo if lo is not None else hi if hi is not None else Fraction(0))
+            side = lo if lo is not None else hi
+            point.append(Fraction(*side) if side is not None else Fraction(0))
         den = lcm(*(f.denominator for f in point))
         return tuple(int(f * den) for f in point)
     raise RuntimeError("no recession ray found for an unbounded variable")

@@ -210,11 +210,12 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # every Theorem-3.2 instance of the benchmark sweep (n <= 19) against
     # the verdict and report hash that bench/reference.json records for it,
     # and the search that decides them: systems, DFS nodes of the system
-    # reports and of every solve (core trials included), core trials and
-    # lattice builds
+    # reports and of every solve (core trials included), core trials,
+    # lattice builds and forward substitutions, one per system, as every
+    # core trial starts from its system's point
     counts = Counter()
-    real_enumerate, real_solve, real_lattice = (
-        solver.enumerate_system, solver._solve, solver._lattice
+    real_enumerate, real_solve, real_lattice, real_particular = (
+        solver.enumerate_system, solver._solve, solver._lattice, solver._particular
     )
 
     def enumerating(system, lattices=None):
@@ -223,8 +224,8 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         counts["system nodes"] += report.stats["nodes"]
         return report
 
-    def solving(lat, rhs, variables, find_one=False):
-        report = real_solve(lat, rhs, variables, find_one)
+    def solving(lat, point, variables, find_one=False):
+        report = real_solve(lat, point, variables, find_one)
         counts["solve nodes"] += report.stats["nodes"]
         counts["trials"] += find_one
         return report
@@ -233,9 +234,14 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         counts["lattices"] += 1
         return real_lattice(*args)
 
+    def substituting(*args):
+        counts["particular"] += 1
+        return real_particular(*args)
+
     monkeypatch.setattr(solver, "enumerate_system", enumerating)
     monkeypatch.setattr(solver, "_solve", solving)
     monkeypatch.setattr(solver, "_lattice", building)
+    monkeypatch.setattr(solver, "_particular", substituting)
     reference = json.loads((REPO / "bench" / "reference.json").read_text())["thm32-sweep"]
     assert len(reference) == 67
     for key, expected in reference.items():
@@ -245,4 +251,5 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         assert {"verdict": report.verdict, "sha256": digest} == expected, key
     assert counts == {
         "systems": 898, "system nodes": 6219, "solve nodes": 12124, "trials": 4696, "lattices": 477,
+        "particular": 898,
     }

@@ -99,6 +99,15 @@ def test_solve_rejects_an_empty_or_repeated_residue_list(spec, capsys):
     assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --rows {spec!r}; {reason}\n")
 
 
+@pytest.mark.parametrize("spec", ["pi:0,1,2", "pi:1,2", "pi:-1,1"])
+def test_solve_rejects_two_residues_with_the_same_gcd(spec, capsys):
+    # mu_ell of an integer-valued row depends only on gcd(ell, q): residues
+    # 1 and 2 modulo 3 both have gcd 1 and would give the same form twice
+    rc, out, err = run(capsys, "solve", "--group", "S7", "--order", "5x3", "--rows", spec)
+    reason = "expected residues with distinct gcd(ell, 3)"
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --rows {spec!r}; {reason}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["chartable", "4", "--char", "tau"],
     ["solve", "--group", "S4", "--order", "3x2", "--rows", "tau"],

@@ -53,10 +53,9 @@ def solve_integer_system(rows, rhs, nvar):
     """All integer solutions of rows . x = rhs as (x0, kernel basis), or None,
     read off the solver's lattice with no slack columns."""
     lat = solver._lattice(rows, nvar, len(rows), ())
-    y = solver._particular(lat, rhs)
-    if y is None:
+    x0 = solver._particular(lat, rhs)
+    if x0 is None:
         return None
-    x0 = [sum(a * c for a, c in zip(row, y)) for row in lat.u]
     return x0, [list(col) for col in zip(*(row[lat.rank:] for row in lat.u))]
 
 
@@ -111,7 +110,7 @@ def test_scaling_a_row_by_a_positive_integer_scales_only_its_echelon_row(drawn, 
     # a multiplicity form is cleared by the unit's order, which is a positive
     # multiple of the lcm of its reduced denominators: the pivots (least
     # |entry|) and the multipliers (a // b) do not see the factor, so only
-    # the scaled row's echelon row changes, and the particular solution y
+    # the scaled row's echelon row changes, and the particular solution
     # does not
     rows, nvar, neq, kept = drawn
     kept_rows = [*range(neq), *(neq + j for j in kept)]
@@ -132,7 +131,8 @@ def test_scaling_a_row_by_a_positive_integer_scales_only_its_echelon_row(drawn, 
 
     lat = solver._lattice(rows, nvar, neq, kept)
     big = solver._lattice(scale(rows, kept_rows[i]), nvar, neq, kept)
-    assert (big.pivot_col, big.u, big.rank, big.wdim) == (lat.pivot_col, lat.u, lat.rank, lat.wdim)
+    for name in ("pivot_col", "u", "slack_y", "slack_w", "rank", "wdim"):
+        assert getattr(big, name) == getattr(lat, name), name
     assert big.echelon == scale(lat.echelon, i)
     big_rhs = [g * b if j == i else b for j, b in enumerate(rhs)]
     assert solver._particular(big, big_rhs) == solver._particular(lat, rhs)
@@ -445,7 +445,7 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     rows, _ = solver._integer_rows(system)
     lat = solver._lattice(rows, 3, 2, (0, 1, 2))
     # the slack rows of u on the w coordinates
-    assert [any(row[lat.rank:lat.rank + lat.wdim]) for row in lat.u[3:]] == [False, False, True]
+    assert [any(row) for row in lat.slack_w] == [False, False, True]
     built, tried = [], []
     real_lattice, real_solve = solver._lattice, solver._solve
 
@@ -454,10 +454,10 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
         built.append((lat, kept))
         return lat
 
-    def solving(lat, rhs, variables, find_one=False):
+    def solving(lat, point, variables, find_one=False):
         if find_one:
             tried.append(next(kept for known, kept in built if known is lat))
-        return real_solve(lat, rhs, variables, find_one)
+        return real_solve(lat, point, variables, find_one)
 
     monkeypatch.setattr(solver, "_lattice", building)
     monkeypatch.setattr(solver, "_solve", solving)
@@ -684,10 +684,10 @@ def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
             builds.append((rows, kept))
         return real_lattice(rows, nvar, neq, kept)
 
-    def recording(system, lat, rhs, solve):
+    def recording(system, lat, point, trial):
         nonlocal in_core
         in_core = True
-        core = real_core(system, lat, rhs, solve)
+        core = real_core(system, lat, point, trial)
         in_core = False
         rows, _ = solver._integer_rows(system)
         # a form that the equalities fix at a non-negative integer gets no
@@ -815,6 +815,63 @@ def test_unbounded_random_systems_report_a_recession_ray(drawn):
         assert linear_part(f, system, ray) == 0
     for f, _ in system.nonneg_integral:
         assert linear_part(f, system, ray) >= 0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.one_of(random_systems(max_vars=3, box=True), random_systems(max_vars=3, box=False)),
+    st.sampled_from(["", "x0 + 1/2", "-x0 - 7"]),
+)
+def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, extra):
+    # a trial keeps a subset of its system's rows, so the system's integer
+    # point solves it too, and the trial's own point differs from it by an
+    # integer kernel vector: the search ranges move by integers, and the
+    # status and node count stay.  The extra form x0 + 1/2 is never an
+    # integer, so the system has no point and each trial falls back to its
+    # own; -x0 - 7 is integral and, in a box |x0| <= 6, never >= 0
+    system, _ = drawn
+    if extra:
+        x0 = system.variables[0]
+        form = cleared_form({x0: 1}, Fraction(1, 2)) if "/" in extra else AffineForm.make({x0: -1}, -7)
+        system = FeasibilitySystem(
+            system.variables, system.equalities, (*system.nonneg_integral, (form, extra))
+        )
+    rows, rhs = solver._integer_rows(system)
+    nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
+    system_point = solver._particular(solver._lattice(rows, nvar, neq, tuple(range(nform))), rhs)
+    built, trials, substitutions = [], [], 0
+    real_lattice, real_solve, real_particular = solver._lattice, solver._solve, solver._particular
+
+    def building(rows, nvar, neq, kept):
+        lat = real_lattice(rows, nvar, neq, kept)
+        built.append((lat, kept))
+        return lat
+
+    def substituting(lat, rhs):
+        nonlocal substitutions
+        substitutions += 1
+        return real_particular(lat, rhs)
+
+    def solving(lat, point, variables, find_one=False):
+        report = real_solve(lat, point, variables, find_one)
+        if find_one:
+            kept = next(kept for known, kept in built if known is lat)
+            own = real_particular(lat, rhs[:neq] + [rhs[neq + j] for j in kept])
+            alone = real_solve(lat, own, variables, find_one)
+            trials.append(((report.status, report.stats["nodes"]), (alone.status, alone.stats["nodes"])))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_lattice", building)
+        mp.setattr(solver, "_solve", solving)
+        mp.setattr(solver, "_particular", substituting)
+        report = enumerate_system(system)
+    assert all(shared == own for shared, own in trials)
+    if extra == "x0 + 1/2":
+        assert system_point is None and report.status == "infeasible"
+    # one forward substitution per system, and one per trial only without
+    # a system point
+    assert substitutions == 1 + (len(trials) if system_point is None else 0)
 
 
 def test_solutions_are_sorted_and_unique():

@@ -146,8 +146,8 @@ def test_module_imports_are_found():
 
 
 def test_only_the_solver_imports_fractions():
-    # a form is integers over the unit's order; Fractions appear only in the
-    # solver's Fourier-Motzkin ranges and rays
+    # a form is integers over the unit's order, and the solver's search
+    # ranges are integer pairs; Fractions appear only in its recession rays
     found = [
         path.name
         for path in sorted(PACKAGE.rglob("*.py"))
