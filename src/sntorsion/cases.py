@@ -27,6 +27,7 @@ from .solver import (
     FeasibilitySystem,
     PairResult,
     _require_no_order_pq,
+    _require_pi_hypotheses,
     enumerate_system,
     report_aug_vectors,
     solve_order_pq,
@@ -134,15 +135,20 @@ def run_exclusion(
 
     stage_pq_groups entries: {"name", "members": list[AugVector] | None,
     "rows_and_ells": list[(CharacterRow, list of ells)]}.
-    The group (no element of order pq, a forced order-p power) and the
-    filter names are checked before any stage, so their rejection does not
-    depend on the rows.
+    The group (no element of order pq, a forced order-p power), the filter
+    names, and the hypotheses of the filters (each run on no candidates) and
+    of the pi equalities are checked before any stage, so their rejection
+    does not depend on the rows.
     """
     t0 = time.monotonic()
     _require_no_order_pq(n, kind, p, q)
     for fname in filters:
         if fname not in FILTERS:
             raise ValueError(f"unknown filter {fname!r}; known: {', '.join(FILTERS)}")
+    for fname in filters:
+        FILTERS[fname](n, p, q, [])
+    if use_pi_equalities:
+        _require_pi_hypotheses(n, p, q)
     p_candidates = [forced_vector(n, p)]
     report = CaseReport(case_id=case_id, kind=kind, n=n, p=p, q=q)
 

@@ -122,32 +122,19 @@ def cmd_solve(args) -> int:
             )
         tables.append(table)
 
-    def covers(row, k: int) -> bool:
+    def find_row(name: str, k: int, table_rows: list):
         # a brauer row has no value on its singular classes, so it reaches
         # no stage whose support has one
-        for ct in allowed_support(n, k, kind):
-            try:
-                row.value(ct)
-            except KeyError:
-                return False
-        return True
-
-    def find_row(name: str, k: int):
-        found = False
-        for table in tables:
-            try:
-                row = table.row(name)
-            except KeyError:
-                continue
-            found = True
-            if covers(row, k):
+        support = set(allowed_support(n, k, kind))
+        for row in table_rows:
+            if support <= {ct for ct, _ in row.values}:
                 return row
         if name in NAMED_CHARACTERS:
             try:
                 return ordinary_row(name, n, k, kind)
             except ValueError as exc:
                 raise InputError(str(exc)) from None
-        if found:
+        if table_rows:
             raise InputError(
                 f"no table provides row {name!r} on every class of order dividing {k}"
             )
@@ -163,11 +150,14 @@ def cmd_solve(args) -> int:
     pq_rows = []
     skipped = []
     for name, ells in row_specs:
-        stage_q_rows.append((find_row(name, q), ells if ells is not None else orbit_residues(q)))
+        table_rows = [row for table in tables for row in table.rows if row.name == name]
+        stage_q_rows.append(
+            (find_row(name, q, table_rows), ells if ells is not None else orbit_residues(q))
+        )
         # a row only usable at the power stage (missing classes of order p) is
         # silently confined to it
         try:
-            pq_rows.append((find_row(name, p * q), orbit_residues(p * q)))
+            pq_rows.append((find_row(name, p * q, table_rows), orbit_residues(p * q)))
         except InputError:
             skipped.append(name)
     if not pq_rows:

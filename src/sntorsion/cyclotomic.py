@@ -1,4 +1,4 @@
-"""Integer arithmetic helpers and Galois traces of roots of unity.
+"""The Moebius and totient functions and Galois traces of roots of unity.
 
 The only trace ever needed is the trace of a root of unity from a
 cyclotomic field down to Q, which is a Ramanujan sum with a Moebius/totient
@@ -9,25 +9,14 @@ from __future__ import annotations
 
 from math import gcd
 
-
-def _factorize(k: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            k //= d
-        d += 1 if d == 2 else 2
-    if k > 1:
-        factors[k] = factors.get(k, 0) + 1
-    return factors
+from .partitions import factorize
 
 
 def mobius(k: int) -> int:
     """Moebius function."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    factors = _factorize(k)
+    factors = factorize(k)
     if any(e > 1 for e in factors.values()):
         return 0
     return -1 if len(factors) % 2 else 1
@@ -38,7 +27,7 @@ def euler_phi(k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     result = k
-    for p in _factorize(k):
+    for p in factorize(k):
         result = result // p * (p - 1)
     return result
 

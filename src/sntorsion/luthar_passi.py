@@ -79,6 +79,11 @@ def class_sort_key(ct: Partition):
     return (1, tuple(-p for p in ct))
 
 
+def _in_class_order(items) -> tuple:
+    """The (class, value) pairs of items, sorted by class_sort_key."""
+    return tuple(sorted(items, key=lambda kv: class_sort_key(kv[0])))
+
+
 @cache
 def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
     if kind not in ("S", "A"):
@@ -87,7 +92,7 @@ def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
     # partitions of n into such lengths are built (not all p(n) of them):
     # each is a non-increasing choice of cycles longer than 1, padded with
     # fixed points; the empty choice is the identity
-    cycles = [c for c in range(min(n, k), 1, -1) if k % c == 0]
+    cycles = [c for c in reversed(_divisors(k)) if 1 < c <= n]
     support = []
     stack = [((), n, 0)]
     while stack:
@@ -131,7 +136,7 @@ class AugVector:
         items = {ct: eps for ct, eps in entries.items() if eps}
         for ct in items:
             element_order(ct)  # validates each class once (cached), before the sort
-        return AugVector(k, n, tuple(sorted(items.items(), key=lambda kv: class_sort_key(kv[0]))))
+        return AugVector(k, n, _in_class_order(items.items()))
 
     def __post_init__(self) -> None:
         total = sum(eps for _, eps in self.entries)
@@ -182,10 +187,7 @@ class CharacterRow:
     ) -> "CharacterRow":
         for ct in values:
             element_order(ct)  # validates each class once (cached), before the sort
-        return CharacterRow(
-            name, degree, modulus,
-            tuple(sorted(values.items(), key=lambda kv: class_sort_key(kv[0]))),
-        )
+        return CharacterRow(name, degree, modulus, _in_class_order(values.items()))
 
     def __post_init__(self) -> None:
         if self.modulus is not None and not is_prime(self.modulus):
@@ -230,9 +232,7 @@ class AffineForm:
     @staticmethod
     def make(coeffs: dict[Partition, int], constant: int) -> "AffineForm":
         items = {v: c for v, c in coeffs.items() if c}
-        return AffineForm(
-            tuple(sorted(items.items(), key=lambda kv: class_sort_key(kv[0]))), constant, 1
-        )
+        return AffineForm(_in_class_order(items.items()), constant, 1)
 
 
 def top_coeffs(
@@ -255,9 +255,7 @@ def top_coeffs(
         )
     top_trace = ramanujan_sum(k, ell)
     coeffs = {ct: top_trace * row.value(ct) for ct in variables}
-    return tuple(sorted(
-        ((ct, c) for ct, c in coeffs.items() if c), key=lambda kv: class_sort_key(kv[0])
-    ))
+    return _in_class_order((ct, c) for ct, c in coeffs.items() if c)
 
 
 def _divisors(k: int) -> list[int]:
@@ -272,9 +270,7 @@ def level_traces(k: int, ell: int) -> dict[int, int]:
     return {d: ramanujan_sum(k // d, ell) for d in _divisors(k)[1:-1]}
 
 
-def lower_constant(
-    row: CharacterRow, k: int, traces: dict[int, int], values: dict[int, int]
-) -> int:
+def lower_constant(row: CharacterRow, traces: dict[int, int], values: dict[int, int]) -> int:
     """The constant part of k times the multiplicity of zeta^ell for a unit
     of order k: the identity's share row.degree plus the share of every
     proper power level d > 1, given its trace traces[d] (level_traces) and

@@ -9,7 +9,8 @@ types, and the classes of j disjoint r-cycles (r prime) get the short label
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
+from itertools import chain
+from math import isqrt, lcm
 
 Partition = tuple[int, ...]
 
@@ -25,17 +26,24 @@ def check_partition(mu: Partition) -> Partition:
     return mu
 
 
+def smallest_factor(k: int) -> int:
+    """The smallest divisor d > 1 of k >= 2, k itself when k is prime: trial
+    division by 2 and the odd d <= sqrt(k), stopping at the first divisor."""
+    return next((d for d in chain([2], range(3, isqrt(k) + 1, 2)) if k % d == 0), k)
+
+
 def is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    if k % 2 == 0:
-        return k == 2
-    d = 3
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 2
-    return True
+    return k >= 2 and smallest_factor(k) == k
+
+
+def factorize(k: int) -> dict[int, int]:
+    """The prime factorization {prime: exponent} of k >= 1, primes increasing."""
+    factors: dict[int, int] = {}
+    while k > 1:
+        d = smallest_factor(k)
+        factors[d] = factors.get(d, 0) + 1
+        k //= d
+    return factors
 
 
 def prime_cycles(r: int, j: int, n: int) -> Partition:

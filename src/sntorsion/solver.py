@@ -60,7 +60,7 @@ coordinate moves its slack) can never be needed, so it gets no trial; in
 the Theorem-3.2 pair systems these are the mu_ell(pi) forms, which the pi
 equalities pin.  Every reported solution is re-checked against the
 system's original forms in integer arithmetic, independently of the solved
-rows.  Fractions appear only in the recession rays.
+rows.  All of it is integer arithmetic, the recession rays included.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -69,8 +69,7 @@ which is how the order-pq systems with few character rows are settled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .luthar_passi import (
@@ -201,10 +200,7 @@ Ineq = tuple[tuple[int, ...], int]
 
 
 def _normalize(coeffs: tuple[int, ...], const: int) -> Ineq:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    g = gcd(g, const)
+    g = gcd(*coeffs, const)
     if g > 1:
         coeffs = tuple(c // g for c in coeffs)
         const = const // g
@@ -431,15 +427,20 @@ def _recession_ray(chain: list[set[Ineq]], var: int) -> tuple[int, ...]:
     side.  FM combines coefficients without reading constants, so chain[d]
     with its constants set to 0 is the projection of the homogeneous rows:
     every earlier variable is 0 on it, var moves to the open side, and each
-    later variable is read off its interval there."""
-    point = [Fraction(0)] * var
-    point.append(Fraction(-1 if any(coeffs[var] < 0 for coeffs, _ in chain[var]) else 1))
+    later variable is read off its interval there.  The rational point is
+    kept as an integer `point` over a positive `scale`: the rows are
+    homogeneous, so each bound read at `point` is `scale` times the one at the
+    rational point, and point / gcd(scale, *point) is the lcm of the rational
+    point's denominators times it."""
+    point = [0] * var + [-1 if any(coeffs[var] < 0 for coeffs, _ in chain[var]) else 1]
+    scale = 1
     for d in range(var + 1, len(chain)):
         lo, hi = _interval({(coeffs, 0) for coeffs, _ in chain[d]}, d, point)
-        side = lo if lo is not None else hi
-        point.append(Fraction(*side) if side is not None else Fraction(0))
-    den = lcm(*(f.denominator for f in point))
-    return tuple(int(f * den) for f in point)
+        num, den = lo or hi or (0, 1)
+        point = [x * den for x in point] + [num]
+        scale *= den
+    g = gcd(scale, *point)
+    return tuple(x // g for x in point)
 
 
 def enumerate_system(
@@ -574,7 +575,7 @@ def _solve_level(
         values = {row: {d: char_value_on_unit(row, v) for d, v in lower.items()} for row in rows}
 
         def form(row: CharacterRow, ell: int) -> AffineForm:
-            return AffineForm(linear[row, ell], lower_constant(row, k, traces[ell], values[row]), k)
+            return AffineForm(linear[row, ell], lower_constant(row, traces[ell], values[row]), k)
 
         forms = [(form(row, ell), f"mu_{ell}({row.name})") for row, ell in rows_and_ells]
         pinned = [
@@ -616,6 +617,12 @@ def _require_no_order_pq(n: int, kind: str, p: int, q: int) -> None:
         raise ValueError(f"{kind}_{n} has elements of order {p * q}; nothing to exclude")
 
 
+def _require_pi_hypotheses(n: int, p: int, q: int) -> None:
+    """The spectral equalities of pi need the hypotheses of Theorem 3.2."""
+    if not spectral_hypotheses(n, p, q):
+        raise ValueError("spectral equalities need n >= 7, p > n/2, q >= 3")
+
+
 @dataclass
 class PairResult:
     q_candidate: AugVector
@@ -643,15 +650,18 @@ def solve_order_pq(
     given, the spectral equalities mu_1(u, pi) = 0 and mu_q(u, pi) = 1 are
     added (valid for p > n/2, q >= 3, n >= 7).
 
-    Results come by row group, one _solve_level call each, then by q and p
-    candidate.  Verdict: "excluded" iff every pair is infeasible.
+    Results come by row group (each named once), one _solve_level call each,
+    then by q and p candidate.  Verdict: "excluded" iff every pair is infeasible.
     """
+    names = [grp["name"] for grp in row_groups]
+    if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
+        raise ValueError(f"row group {repeated[0]!r} listed twice")
     _require_no_order_pq(n, kind, p, q)
     classes = allowed_support(n, p * q, kind)
 
     use_pi = pi_row is not None
-    if use_pi and not spectral_hypotheses(n, p, q):
-        raise ValueError("spectral equalities need n >= 7, p > n/2, q >= 3")
+    if use_pi:
+        _require_pi_hypotheses(n, p, q)
 
     def group_of(cand: AugVector) -> int:
         fallback = None

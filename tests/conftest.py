@@ -121,7 +121,7 @@ def affine_form(
     values = {d: char_value_on_unit(row, v) for d, v in lower_levels.items()}
     return AffineForm(
         top_coeffs(row, k, ell, variables),
-        lower_constant(row, k, level_traces(k, ell), values),
+        lower_constant(row, level_traces(k, ell), values),
         k,
     )
 

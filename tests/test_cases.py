@@ -46,6 +46,44 @@ def test_goldens_are_valid_reports():
         assert golden["case_id"] == case_id
 
 
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_every_golden_is_byte_identical_to_its_fresh_report(case_id):
+    # verify_case compares parsed dicts, which forgive key order,
+    # indentation and 1 versus 1.0; the golden files are the exact text
+    path = REPO / "src" / "sntorsion" / "data" / "golden" / f"{case_id}.json"
+    assert path.read_text() == run_case(case_id).canonical_json()
+
+
+def thm32_rows(n: int, k: int, names=("pi",)):
+    return [(ordinary_row(nm, n, k), orbit_residues(k)) for nm in names]
+
+
+def test_run_exclusion_checks_the_hypotheses_before_any_stage():
+    # (8, 7, 2) fails q >= 3; with pi alone its order-2 stage is unbounded,
+    # which must not hide that neither the filter nor the pi equalities apply
+    for names in (("pi",), ("pi", "rho", "tau")):
+        groups = [{"name": "main", "members": None, "rows_and_ells": thm32_rows(8, 14, names)}]
+        failed = r"^hypotheses n >= 7, p > n/2, q >= 3 fail for \(8, 7, 2\)$"
+        with pytest.raises(ValueError, match=failed):
+            run_exclusion("S", 8, 7, 2, thm32_rows(8, 2, names), groups, ["q-power-weighted-sum"])
+        with pytest.raises(ValueError, match="^spectral equalities need n >= 7, p > n/2, q >= 3$"):
+            run_exclusion("S", 8, 7, 2, thm32_rows(8, 2, names), groups, [], use_pi_equalities=True)
+
+
+def test_run_exclusion_rejects_a_repeated_row_group_name():
+    # the report files each pair under its group's name, so two groups of
+    # one name would each list the pairs of both
+    names = ("pi", "rho", "tau")
+    groups = [
+        {"name": "g", "members": [], "rows_and_ells": thm32_rows(11, 35, names)},
+        {"name": "g", "members": None, "rows_and_ells": thm32_rows(11, 35, names)},
+    ]
+    with pytest.raises(ValueError, match="^row group 'g' listed twice$"):
+        run_exclusion("S", 11, 7, 5, thm32_rows(11, 5, names), groups, [])
+    with pytest.raises(ValueError, match="^row group 'g' listed twice$"):
+        solver.solve_order_pq(11, "S", 7, 5, [], [], groups)
+
+
 def test_s7_case_details():
     rep = run_case("s7-3x5")
     assert (rep.kind, rep.n, rep.p, rep.q) == ("S", 7, 5, 3)

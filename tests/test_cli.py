@@ -224,6 +224,18 @@ def test_solve_rejects_unknown_filter_names_before_any_stage(capsys):
         assert "unknown filter 'bogus'; known: q-power-weighted-sum" in err
 
 
+def test_solve_checks_the_filter_hypotheses_before_any_stage(capsys):
+    # (8, 7, 2) fails q >= 3: with pi alone the order-2 stage is unbounded,
+    # which must not hide it; with pi, rho and tau that stage is bounded
+    for rows in (["pi"], ["pi", "rho", "tau"]):
+        argv = ["--group", "S8", "--order", "2x7", "--filters", "q-power-weighted-sum"]
+        for name in rows:
+            argv += ["--rows", name]
+        rc, out, err = run(capsys, "solve", *argv)
+        assert rc == EXIT_INPUT and out == "", rows
+        assert "hypotheses n >= 7, p > n/2, q >= 3 fail for (8, 7, 2)" in err
+
+
 def run_process(*argv, timeout, python_flags=()):
     """The CLI in a fresh interpreter; TimeoutExpired fails the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -248,7 +248,7 @@ def test_lower_constant_names_the_first_level_that_is_not_fixed():
     for missing in (2, 3, 4, 6):
         values = {d: char_value_on_unit(row, v) for d, v in levels.items() if d < missing}
         with pytest.raises(ValueError, match=f"^level {missing} of the unit is not fixed$"):
-            lower_constant(row, 12, level_traces(12, 1), values)
+            lower_constant(row, level_traces(12, 1), values)
 
 
 def test_affine_form_rejects_brauer_rows_of_dividing_modulus():

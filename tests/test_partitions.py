@@ -12,6 +12,7 @@ from sntorsion.partitions import (
     all_partitions,
     check_partition,
     element_order,
+    factorize,
     is_prime,
     parity,
     prime_cycles,
@@ -123,3 +124,21 @@ def test_prime_cycles_rejects_classes_outside_s_n():
 def test_is_prime_small_values():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_agrees_with_brute_force():
+    for k in range(-2, 2000):
+        assert is_prime(k) == (k >= 2 and all(k % d for d in range(2, k))), k
+
+
+def test_factorize_multiplies_back_with_prime_keys():
+    assert factorize(1) == {}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    for k in range(1, 2000):
+        factors = factorize(k)
+        assert list(factors) == sorted(factors)
+        assert all(is_prime(r) and e >= 1 for r, e in factors.items())
+        product = 1
+        for r, e in factors.items():
+            product *= r**e
+        assert product == k

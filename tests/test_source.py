@@ -145,13 +145,13 @@ def test_module_imports_are_found():
     assert not imports_module("from math import gcd\nimport fractionsx\n", "fractions")
 
 
-def test_only_the_solver_imports_fractions():
-    # a form is integers over the unit's order, and the solver's search
-    # ranges are integer pairs; Fractions appear only in its recession rays
+def test_no_module_imports_fractions():
+    # a form is integers over the unit's order, the solver's search ranges
+    # are integer pairs and its recession rays integer points over a scale
     found = [
         path.name
         for path in sorted(PACKAGE.rglob("*.py"))
-        if path.name != "solver.py" and imports_module(path.read_text(), "fractions")
+        if imports_module(path.read_text(), "fractions")
     ]
     assert found == []
 
