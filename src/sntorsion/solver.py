@@ -20,17 +20,26 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    each slack is its value at the point plus a linear form in w, and a
    variable is read off its row only at a recorded solution;
 3. exact Fourier-Motzkin elimination of the slack inequalities, from the
-   last w coordinate down, gives one projection chain; the depth-first
-   enumeration, a loop over a stack of prefixes, fixes the coordinates from
-   the first up and reads the integer range of each from the chain by
-   floor division.  It stops at the first integer point when that point
-   decides the report: in a core trial, which reads only the status, and on
-   a lattice with directions v, which is unbounded along the first of them
-   whatever other points exist.
+   last w coordinate down, gives one projection chain per lattice, for
+   every right-hand side at once (_chain): each row carries, in place of
+   its constant, its non-negative multiplier vector over the slack rows, so
+   a solve reads the constant of each row as that vector times the slack
+   values at its point.  The chain's rows with no coordinate left must be
+   non-negative there, and the first coordinate must have a value (the
+   last elimination, read off its range); then the first coordinate the
+   chain leaves open on one side, which reads no constant, makes the
+   relaxation unbounded.
+   Otherwise the depth-first enumeration, a loop over a stack of prefixes,
+   fixes the coordinates from the first up and reads the integer range of
+   each from the chain by floor division.  It stops at the first integer
+   point when that point decides the report: in a core trial, which reads
+   only the status, and on a lattice with directions v, which is unbounded
+   along the first of them whatever other points exist.
 
 One path decides every lattice, a one-point lattice included: its chain is
-empty and its search visits the one leaf.  The elimination of step 2
-depends only on the integer matrix, not on the right-hand side (_lattice).
+empty and its search visits the one leaf.  The eliminations of steps 2 and
+3 depend only on the integer matrix, not on the right-hand side (_lattice,
+_chain).
 Each system runs the forward substitution once, in enumerate_system, and
 its core trials start from its integer point: a trial keeps a subset of
 the system's rows, so the system's point, restricted to the variables and
@@ -46,12 +55,14 @@ group for solve_order_pq.  Its systems have the same rows and differ only
 in their lower levels, so it makes the linear part of each (row, ell) and
 the level traces of each ell once (top_coeffs, level_traces), each row's
 values on a system's lower levels once per system, and only the constant
-per form (lower_constant).  The systems and their infeasible-core trials
-share one memo of lattices; it lives as long as the call, so there is one
-per row group.  The memo has two levels: one dict per integer matrix,
-hashed once per system, and in it one lattice per tuple of kept forms (all
-of them for the system, all but the dropped ones for a core trial), so a
-trial builds its rows only when its lattice is new.
+per form (lower_constant).  Its systems share one integer matrix, read off
+the first of them, so each contributes only its right-hand side, read off
+its forms' constants (_rhs).  The systems and their infeasible-core trials
+share one memo of lattices and chains (_Matrix); it lives as long as the
+call, so there is one per row group.  It holds one lattice and its chain
+per tuple of kept forms (all of them for the system, all but the dropped
+ones for a core trial), so a trial eliminates only when its lattice is
+new.
 
 The infeasible core is a greedy deletion filter: one trial per form, each
 re-solving the system without that form and the forms dropped before it.
@@ -70,6 +81,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .luthar_passi import (
@@ -182,7 +194,7 @@ def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
     echelon basis gives the pivot coordinates y, and z = u . (y, 0, 0)."""
     y: list[int] = []
     for row, col in enumerate(lat.pivot_col):
-        s = rhs[row] - sum(a * c for a, c in zip(lat.echelon[row], y))
+        s = rhs[row] - sum(map(mul, lat.echelon[row], y))
         if col is None:
             if s:
                 return None
@@ -190,78 +202,101 @@ def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
             return None
         else:
             y.append(s // lat.echelon[row][col])
-    return [sum(a * c for a, c in zip(row, y)) for row in (*lat.u, *lat.slack_y)]
+    return [sum(map(mul, row, y)) for row in (*lat.u, *lat.slack_y)]
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin on integer inequality rows  (coeffs . t + const >= 0)
+# Fourier-Motzkin on the slack rows of a lattice, for every right-hand side
 
-Ineq = tuple[tuple[int, ...], int]
-
-
-def _normalize(coeffs: tuple[int, ...], const: int) -> Ineq:
-    g = gcd(*coeffs, const)
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        const = const // g
-    return coeffs, const
+# a sparse non-negative multiplier vector lam over a lattice's slack rows:
+# (slack index, multiplier) pairs in increasing index
+Multipliers = tuple[tuple[int, int], ...]
 
 
-def _fm_eliminate(ineqs: set[Ineq], var: int) -> set[Ineq] | None:
-    """Project away one variable; None when a constant row is violated."""
-    pos, neg, zero = [], [], []
-    for coeffs, const in ineqs:
-        c = coeffs[var]
-        if c > 0:
-            pos.append((coeffs, const))
-        elif c < 0:
-            neg.append((coeffs, const))
-        else:
-            zero.append((coeffs, const))
-    out: set[Ineq] = set()
-    for coeffs, const in zero:
-        if any(coeffs):
-            out.add(_normalize(coeffs, const))
-        elif const < 0:
-            return None
-    for pc, pk in pos:
-        for nc, nk in neg:
-            a, b = pc[var], -nc[var]
-            coeffs = tuple(b * pc[i] + a * nc[i] for i in range(len(pc)))
-            const = b * pk + a * nk
-            if any(coeffs):
-                out.add(_normalize(coeffs, const))
-            elif const < 0:
-                return None
-    return out
+class _Chain(NamedTuple):
+    """The part of a solve's Fourier-Motzkin projection that depends only on
+    the lattice, not on its slack values K (see _chain).  Each row is a pair
+    (coeffs, lam) and reads coeffs . w + lam . K >= 0."""
+
+    # levels[d]: the rows over w_0..w_d
+    levels: tuple[tuple[tuple[tuple[int, ...], Multipliers], ...], ...]
+    constant: tuple[Multipliers, ...]  # the rows with no coordinate: lam . K >= 0
+    open: int | None  # the first coordinate its level leaves open on one side
 
 
-def _fm_chain(ineqs: set[Ineq], nvars: int) -> list[set[Ineq]] | None:
-    """One Fourier-Motzkin projection chain: chain[d] holds the rows over
-    variables 0..d of the projection of the relaxation, eliminating from the
-    last variable down.  None when the relaxation is empty."""
-    chain = [ineqs]
-    for var in range(nvars - 1, -1, -1):
-        rows = _fm_eliminate(chain[-1], var)
-        if rows is None:
-            return None
-        chain.append(rows)
-    return chain[-2::-1]
+def _chain(lat: _Lattice) -> _Chain:
+    """One exact Fourier-Motzkin projection chain of the slack inequalities
+    slack_w[i] . w + K_i >= 0 of a lattice, eliminating from the last w
+    coordinate down, for every value K of the kept slacks at once.
+
+    Each row carries, in place of its constant, its multiplier vector lam
+    over the slack rows: coeffs is exactly the sum of lam_i * slack_w[i],
+    and its constant at K is lam . K.  FM combines coefficients without
+    reading constants, so at each K every row is a positive multiple of a
+    row of the projection of the concrete inequalities, and the other way
+    round: the two chains bound every coordinate by the same rationals,
+    and they leave the same coordinates open, which reads no constant.
+    A row is divided by the gcd of its coefficients and multipliers, so it
+    stays integer.
+
+    The last elimination, of w_0, is not run: each of its rows combines a
+    lower and an upper bound of w_0 in levels[0], and its constant is
+    negative exactly when that pair leaves w_0 no value, so _solve reads
+    them all off w_0's range at the point.
+    """
+    rows = [(w_row, ((i, 1),)) for i, w_row in enumerate(lat.slack_w) if any(w_row)]
+    constant = {((i, 1),): None for i, w_row in enumerate(lat.slack_w) if not any(w_row)}
+    levels = [rows] if lat.wdim else []
+    # the first coordinate that its level leaves open on one side; every
+    # earlier one is bounded, so a non-empty relaxation is unbounded along it
+    open_ = None
+    for var in range(lat.wdim - 1, -1, -1):
+        pos, neg, out = [], [], {}
+        for row in levels[-1]:
+            c = row[0][var]
+            if c > 0:
+                pos.append(row)
+            elif c < 0:
+                neg.append(row)
+            else:
+                out[row] = None
+        if not (pos and neg):
+            open_ = var
+        if var == 0:
+            break  # the last elimination is read off w_0's range, see above
+        for pc, lam_p in pos:
+            a = pc[var]
+            for nc, lam_n in neg:
+                b = -nc[var]
+                coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
+                lam = {i: b * m for i, m in lam_p}
+                for i, m in lam_n:
+                    lam[i] = lam[i] + a * m if i in lam else a * m
+                g = gcd(*coeffs, *lam.values())
+                lam = tuple(sorted((i, m // g) for i, m in lam.items()))
+                if g > 1:
+                    coeffs = tuple(c // g for c in coeffs)
+                if any(coeffs):
+                    out[coeffs, lam] = None
+                else:
+                    constant[lam] = None
+        levels.append(list(out))
+    return _Chain(tuple(map(tuple, reversed(levels))), tuple(constant), open_)
 
 
-def _interval(rows: set[Ineq], d: int, prefix) -> tuple[tuple | None, tuple | None]:
-    """Exact rational range (lo, hi) of variable d over rows = chain[d], with
-    variables 0..d-1 pinned to prefix; each side is a pair (num, den) with
-    den > 0, and None marks an unbounded side.
+def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None]:
+    """Exact rational range (lo, hi) of variable d over rows (coeffs, const)
+    of chain level d, with variables 0..d-1 pinned to prefix; each side is a
+    pair (num, den) with den > 0, and None marks an unbounded side.
 
-    Rows without variable d are not checked: they are rows of chain[d - 1],
+    Rows without variable d are not checked: they are rows of level d - 1,
     which a prefix read off the earlier intervals of the chain satisfies.
     """
     lo = hi = None
     for coeffs, const in rows:
         c = coeffs[d]
         if c:
-            s = const + sum(a * x for a, x in zip(coeffs, prefix))
+            s = const + sum(map(mul, coeffs, prefix))
             if c > 0:  # x >= -s / c
                 if lo is None or -s * lo[1] > lo[0] * c:
                     lo = (-s, c)
@@ -309,45 +344,61 @@ class SolveReport:
     stats: dict[str, int | float] = field(default_factory=dict)
 
 
-def _integer_rows(
-    system: FeasibilitySystem,
-) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+def _integer_rows(system: FeasibilitySystem) -> tuple[tuple[int, ...], ...]:
     """The equality rows, numerator(f) = den * target, then one slack-link
     row per form, numerator(f) - den * slack = 0, over the columns
-    (variables, one slack per form), read off the forms' integers."""
+    (variables, one slack per form), read off the forms' integers; their
+    right-hand side is _rhs."""
     nvar = len(system.variables)
     nform = len(system.nonneg_integral)
     rows: list[list[int]] = []
-    rhs: list[int] = []
 
     def numerators(f: AffineForm) -> list[int]:
         coeffs = dict(f.coeffs)
         return [coeffs.get(v, 0) for v in system.variables] + [0] * nform
 
-    for f, target, _ in system.equalities:
+    for f, _, _ in system.equalities:
         rows.append(numerators(f))
-        rhs.append(f.den * target - f.constant)
     for i, (f, _) in enumerate(system.nonneg_integral):
         row = numerators(f)
         row[nvar + i] = -f.den
         rows.append(row)
-        rhs.append(-f.constant)
-    return tuple(map(tuple, rows)), rhs
+    return tuple(map(tuple, rows))
+
+
+def _rhs(system: FeasibilitySystem) -> list[int]:
+    """The right-hand side of the rows of _integer_rows, read off the forms'
+    constants: den * target - constant per equality, -constant per form."""
+    return [f.den * target - f.constant for f, target, _ in system.equalities] + [
+        -f.constant for f, _ in system.nonneg_integral
+    ]
+
+
+class _Matrix(NamedTuple):
+    """The integer rows of _integer_rows that systems with the same linear
+    parts share, and the memo of the _lattice and _chain of each tuple of
+    kept forms: all of them for a system, all but the dropped ones for a
+    core trial."""
+
+    rows: tuple[tuple[int, ...], ...]
+    lattices: dict[tuple[int, ...], tuple[_Lattice, _Chain]]
 
 
 def _solve(
     lat: _Lattice,
+    chain: _Chain,
     point: list[int] | None,
     variables: tuple[Partition, ...],
     find_one: bool = False,
 ) -> SolveReport:
-    """Decide the integer rows of a system, given their _lattice and one
-    integer solution `point` of them (the variables, then the kept slacks),
-    or None when they have none.
+    """Decide the integer rows of a system, given their _lattice and its
+    _chain, and one integer solution `point` of them (the variables, then
+    the kept slacks), or None when they have none.
 
     Every integer solution is point + u . (0, w, v), so each kept slack is
-    its value at the point plus its row of u on w.  The search stops at the
-    first integer point when that point already decides the report: with
+    its value K at the point plus its row of u on w, and the point only
+    gives the chain its constants lam . K.  The search stops at the first
+    integer point when that point already decides the report: with
     find_one, where only the status is read and the recession ray and the
     solution list are not built, and on a lattice with free directions v,
     whose report is unbounded along the first of them whatever other
@@ -359,34 +410,36 @@ def _solve(
         return report
     rank, wdim = lat.rank, lat.wdim
     nfree = nvar + len(lat.slack_w) - rank - wdim
+    slacks = point[nvar:]
 
-    # slack inequalities in the slack-moving coordinates w; the directions
-    # v can only produce infinite solution families
-    ineqs: set[Ineq] = set()
-    for w_row, const in zip(lat.slack_w, point[nvar:]):
-        if any(w_row):
-            ineqs.add(_normalize(w_row, const))
-        elif const < 0:
+    def evaluated(level) -> list[tuple[tuple[int, ...], int]]:
+        """The rows of a chain level, each with its constant lam . K."""
+        return [(coeffs, sum(m * slacks[i] for i, m in lam)) for coeffs, lam in level]
+
+    # the relaxation is empty when a row with no coordinate is negative, or
+    # when w_0 has no value: that is the last elimination, which _chain
+    # leaves to this range
+    if any(sum(m * slacks[i] for i, m in lam) < 0 for lam in chain.constant):
+        return report
+    # levels[d] is evaluated when the search first reaches depth d
+    levels = [evaluated(level) for level in chain.levels[:1]]
+    if levels:
+        lo, hi = _interval(levels[0], 0, ())
+        if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
             return report
 
     def x_ray(direction) -> tuple[int, ...]:
         """The primitive direction in the variables of a direction given in
         the lattice coordinates (w, v)."""
-        ray = [sum(m * d for m, d in zip(row[rank:], direction)) for row in lat.u]
+        ray = [sum(map(mul, row[rank:], direction)) for row in lat.u]
         g = gcd(*ray)
         return tuple(c // g for c in ray) if g > 1 else tuple(ray)
 
-    chain = _fm_chain(ineqs, wdim)
-    if chain is None:
+    if chain.open is not None:
+        report.status = "unbounded"
+        if not find_one:
+            report.ray = x_ray(_recession_ray(chain.levels, chain.open))
         return report
-    # the first variable that chain[d] leaves open on one side; every earlier
-    # one is bounded, so the relaxation is unbounded along it
-    for d, rows in enumerate(chain):
-        if len({coeffs[d] > 0 for coeffs, _ in rows if coeffs[d]}) < 2:
-            report.status = "unbounded"
-            if not find_one:
-                report.ray = x_ray(_recession_ray(chain, d))
-            return report
 
     # depth-first over prefixes of w, each node's children in increasing
     # order: they are pushed in decreasing order and popped in increasing;
@@ -403,7 +456,9 @@ def _solve(
             if find_one or nfree:
                 break
         else:
-            (lo, lo_den), (hi, hi_den) = _interval(chain[depth], depth, prefix)
+            if depth == len(levels):
+                levels.append(evaluated(chain.levels[depth]))
+            (lo, lo_den), (hi, hi_den) = _interval(levels[depth], depth, prefix)
             stack += [prefix + (value,) for value in range(hi // hi_den, -(-lo // lo_den) - 1, -1)]
     report.stats["nodes"] = nodes
     if leaves:
@@ -415,27 +470,29 @@ def _solve(
             # x = point + u . (0, w, 0); distinct leaves give distinct points,
             # as u is invertible and each slack is a function of x
             report.solutions = sorted(
-                tuple(x + sum(a * c for a, c in zip(row[rank:], w)) for row, x in zip(lat.u, point))
+                tuple(x + sum(map(mul, row[rank:], w)) for row, x in zip(lat.u, point))
                 for w in leaves
             )
     return report
 
 
-def _recession_ray(chain: list[set[Ineq]], var: int) -> tuple[int, ...]:
+def _recession_ray(levels, var: int) -> tuple[int, ...]:
     """A nonzero integer direction of the relaxation's recession cone that
-    moves variable `var`, the first one that chain[var] leaves open on one
-    side.  FM combines coefficients without reading constants, so chain[d]
-    with its constants set to 0 is the projection of the homogeneous rows:
-    every earlier variable is 0 on it, var moves to the open side, and each
-    later variable is read off its interval there.  The rational point is
-    kept as an integer `point` over a positive `scale`: the rows are
-    homogeneous, so each bound read at `point` is `scale` times the one at the
-    rational point, and point / gcd(scale, *point) is the lcm of the rational
-    point's denominators times it."""
-    point = [0] * var + [-1 if any(coeffs[var] < 0 for coeffs, _ in chain[var]) else 1]
+    moves variable `var`, the first one that its chain level leaves open on
+    one side; levels[d] holds rows (coeffs, ...) over variables 0..d.  FM
+    combines coefficients without reading constants, so levels[d] with its
+    constants set to 0 is the projection of the homogeneous rows: every
+    earlier variable is 0 on it, var moves to the open side, and each later
+    variable is read off its interval there.  The rational point is kept as
+    an integer `point` over a positive `scale`: the rows are homogeneous, so
+    each bound read at `point` is `scale` times the one at the rational
+    point, and point / gcd(scale, *point) is the lcm of the rational point's
+    denominators times it, whatever positive multiple of each row a level
+    holds."""
+    point = [0] * var + [-1 if any(coeffs[var] < 0 for coeffs, _ in levels[var]) else 1]
     scale = 1
-    for d in range(var + 1, len(chain)):
-        lo, hi = _interval({(coeffs, 0) for coeffs, _ in chain[d]}, d, point)
+    for d in range(var + 1, len(levels)):
+        lo, hi = _interval([(coeffs, 0) for coeffs, _ in levels[d]], d, point)
         num, den = lo or hi or (0, 1)
         point = [x * den for x in point] + [num]
         scale *= den
@@ -443,30 +500,29 @@ def _recession_ray(chain: list[set[Ineq]], var: int) -> tuple[int, ...]:
     return tuple(x // g for x in point)
 
 
-def enumerate_system(
-    system: FeasibilitySystem, lattices: dict | None = None
-) -> SolveReport:
+def enumerate_system(system: FeasibilitySystem, matrix: _Matrix | None = None) -> SolveReport:
     """Deterministic enumeration of the integer points: all of them, or the
     first on a lattice with free directions, which is unbounded anyway.
 
-    `lattices` is a memo of the right-hand-side-free part of each solve that
-    systems with the same linear parts may share; by default the system and
-    its core trials get a fresh one.  It holds one dict per integer matrix,
-    keyed by the tuple of the forms a solve keeps: all of them for the
-    system, all but the dropped ones for a core trial.
+    `matrix` holds the system's integer rows and the memo of the lattices
+    and chains of its solves; the systems of one _solve_level call share
+    one, as they have the same linear parts and differ only in the
+    right-hand side, which each reads off its own forms' constants.  By
+    default the system and its core trials get a fresh one.
     """
-    if lattices is None:
-        lattices = {}
-    rows, rhs = _integer_rows(system)
+    if matrix is None:
+        matrix = _Matrix(_integer_rows(system), {})
+    rows, memo = matrix
     nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
-    by_kept = lattices.setdefault((rows, nform), {})
+    rhs = _rhs(system)
 
-    def lattice(kept: tuple[int, ...]) -> _Lattice:
-        if kept not in by_kept:
-            by_kept[kept] = _lattice(rows, nvar, neq, kept)
-        return by_kept[kept]
+    def lattice(kept: tuple[int, ...]) -> tuple[_Lattice, _Chain]:
+        if kept not in memo:
+            lat = _lattice(rows, nvar, neq, kept)
+            memo[kept] = lat, _chain(lat)
+        return memo[kept]
 
-    lat = lattice(tuple(range(nform)))
+    lat, chain = lattice(tuple(range(nform)))
     point = _particular(lat, rhs)
 
     def trial(kept: tuple[int, ...]) -> SolveReport:
@@ -474,14 +530,14 @@ def enumerate_system(
         system's point restricted to the variables and the kept slacks,
         which solves the kept rows; a system without an integer point gives
         each trial its own."""
-        sub = lattice(kept)
+        sub, sub_chain = lattice(kept)
         if point is None:
             sub_point = _particular(sub, rhs[:neq] + [rhs[neq + j] for j in kept])
         else:
             sub_point = point[:nvar] + [point[nvar + j] for j in kept]
-        return _solve(sub, sub_point, system.variables, find_one=True)
+        return _solve(sub, sub_chain, sub_point, system.variables, find_one=True)
 
-    report = _solve(lat, point, system.variables)
+    report = _solve(lat, chain, point, system.variables)
     if report.status == "solutions":
         _recheck(system, report.solutions)
     elif report.status == "infeasible":
@@ -563,13 +619,18 @@ def _solve_level(
     lower levels, in the order of `lowers`: the form mu_ell(row) must be a
     non-negative integer for each (row, ell), and mu_ell(row) = target for
     each equality (row, ell, target).  Every system has these rows, so each
-    linear part, each ell's level traces and the lattice memo are built
-    once per call, and each row's values once per system."""
+    linear part, each ell's level traces, the names, the sorted variables
+    with the augmentation, and the integer matrix with its memo of lattices
+    and chains are built once per call; each system adds only its forms'
+    constants, from each row's values on its lower levels."""
     parts = dict.fromkeys([*rows_and_ells, *((row, ell) for row, ell, _ in equalities)])
     linear = {(row, ell): top_coeffs(row, k, ell, classes) for row, ell in parts}
     traces = {ell: level_traces(k, ell) for ell in dict.fromkeys(ell for _, ell in parts)}
     rows = dict.fromkeys(row for row, _ in parts)
-    lattices: dict = {}
+    names = [f"mu_{ell}({row.name})" for row, ell in rows_and_ells]
+    pinned_names = [f"mu_{ell}({row.name}) = {target}" for row, ell, target in equalities]
+    empty = FeasibilitySystem.build(classes, [], [])
+    matrix = None
     reports = []
     for lower in lowers:
         values = {row: {d: char_value_on_unit(row, v) for d, v in lower.items()} for row in rows}
@@ -577,13 +638,15 @@ def _solve_level(
         def form(row: CharacterRow, ell: int) -> AffineForm:
             return AffineForm(linear[row, ell], lower_constant(row, traces[ell], values[row]), k)
 
-        forms = [(form(row, ell), f"mu_{ell}({row.name})") for row, ell in rows_and_ells]
-        pinned = [
-            (form(row, ell), target, f"mu_{ell}({row.name}) = {target}")
-            for row, ell, target in equalities
-        ]
-        system = FeasibilitySystem.build(classes, pinned, forms)
-        reports.append(enumerate_system(system, lattices))
+        forms = tuple((form(row, ell), name) for (row, ell), name in zip(rows_and_ells, names))
+        pinned = tuple(
+            (form(row, ell), target, name)
+            for (row, ell, target), name in zip(equalities, pinned_names)
+        )
+        system = FeasibilitySystem(empty.variables, (*pinned, *empty.equalities), forms)
+        if matrix is None:
+            matrix = _Matrix(_integer_rows(system), {})
+        reports.append(enumerate_system(system, matrix))
     return reports
 
 

@@ -80,6 +80,16 @@ def _int(token: str, line: int, what: str) -> int:
         raise TableError("bad-integer", line, f"{what} {token!r} is not an integer") from None
 
 
+def _check_modulus(modulus: int, n: int, line: int) -> None:
+    """A brauer modulus must be a prime r <= n, as only then does S_n have
+    r-singular classes to leave out.  The bound comes first, so a huge
+    modulus never reaches the primality test, which is trial division."""
+    if modulus > n:
+        raise TableError("bad-mode", line, f"modulus {modulus} exceeds the degree {n}")
+    if not is_prime(modulus):
+        raise TableError("bad-mode", line, f"modulus {modulus} is not prime")
+
+
 def parse_table(text: str) -> TableFile:
     """Parse and fully validate a table-v1 stream."""
     kind = n = mode = modulus = None
@@ -110,14 +120,16 @@ def parse_table(text: str) -> TableFile:
             n = _int(tokens[2], lineno, "degree")
             if n < 1:
                 raise TableError("bad-group", lineno, f"degree {n} must be positive")
+            if modulus is not None:
+                _check_modulus(modulus, n, lineno)
         elif directive == "mode":
             if mode is not None:
                 raise TableError("bad-mode", lineno, "a second mode directive")
             mode = tokens[1:]
             if len(tokens) == 3 and tokens[1] == "brauer":
                 modulus = _int(tokens[2], lineno, "modulus")
-                if not is_prime(modulus):
-                    raise TableError("bad-mode", lineno, f"modulus {modulus} is not prime")
+                if n is not None:
+                    _check_modulus(modulus, n, lineno)
             elif mode != ["ordinary"]:
                 raise TableError("bad-mode", lineno, "expected: mode ordinary | mode brauer <r>")
         elif directive == "class":

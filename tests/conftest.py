@@ -22,7 +22,9 @@ from sntorsion.luthar_passi import (
     top_coeffs,
 )
 from sntorsion.partitions import Partition, check_partition, element_order, prime_cycles
-from sntorsion.solver import FeasibilitySystem, Ineq, _Lattice, _fm_chain, _interval, _normalize
+from sntorsion.solver import (
+    FeasibilitySystem, SolveReport, _Lattice, _interval, _recession_ray,
+)
 
 
 @pytest.fixture(scope="session")
@@ -226,6 +228,122 @@ def nfree(lat: _Lattice) -> int:
     return len(lat.u) + len(lat.slack_w) - lat.rank - lat.wdim
 
 
+# ---------------------------------------------------------------------------
+# oracle: the per-solve Fourier-Motzkin elimination of concrete rows
+# (coeffs . t + const >= 0) that solver._chain replaced, and the solve that
+# projected each system's own slack inequalities with it
+
+Ineq = tuple[tuple[int, ...], int]
+
+
+def normalize(coeffs: tuple[int, ...], const: int) -> Ineq:
+    g = gcd(*coeffs, const)
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+        const = const // g
+    return coeffs, const
+
+
+def fm_eliminate(ineqs: set[Ineq], var: int) -> set[Ineq] | None:
+    """Project away one variable; None when a constant row is violated."""
+    pos, neg, zero = [], [], []
+    for coeffs, const in ineqs:
+        c = coeffs[var]
+        if c > 0:
+            pos.append((coeffs, const))
+        elif c < 0:
+            neg.append((coeffs, const))
+        else:
+            zero.append((coeffs, const))
+    out: set[Ineq] = set()
+    for coeffs, const in zero:
+        if any(coeffs):
+            out.add(normalize(coeffs, const))
+        elif const < 0:
+            return None
+    for pc, pk in pos:
+        for nc, nk in neg:
+            a, b = pc[var], -nc[var]
+            coeffs = tuple(b * pc[i] + a * nc[i] for i in range(len(pc)))
+            const = b * pk + a * nk
+            if any(coeffs):
+                out.add(normalize(coeffs, const))
+            elif const < 0:
+                return None
+    return out
+
+
+def fm_chain(ineqs: set[Ineq], nvars: int) -> list[set[Ineq]] | None:
+    """One Fourier-Motzkin projection chain: chain[d] holds the rows over
+    variables 0..d of the projection of the relaxation, eliminating from the
+    last variable down.  None when the relaxation is empty."""
+    chain = [ineqs]
+    for var in range(nvars - 1, -1, -1):
+        rows = fm_eliminate(chain[-1], var)
+        if rows is None:
+            return None
+        chain.append(rows)
+    return chain[-2::-1]
+
+
+def concrete_solve(lat: _Lattice, point, variables, find_one: bool = False) -> SolveReport:
+    """solver._solve as it was before the chain moved to the lattice: each
+    solve projects its own slack inequalities, constants included."""
+    nvar = len(variables)
+    report = SolveReport(status="infeasible", variables=variables, stats={"nodes": 0})
+    if point is None:
+        return report
+    rank, wdim = lat.rank, lat.wdim
+    nfree = nvar + len(lat.slack_w) - rank - wdim
+    ineqs: set[Ineq] = set()
+    for w_row, const in zip(lat.slack_w, point[nvar:]):
+        if any(w_row):
+            ineqs.add(normalize(w_row, const))
+        elif const < 0:
+            return report
+
+    def x_ray(direction) -> tuple[int, ...]:
+        ray = [sum(m * d for m, d in zip(row[rank:], direction)) for row in lat.u]
+        g = gcd(*ray)
+        return tuple(c // g for c in ray) if g > 1 else tuple(ray)
+
+    chain = fm_chain(ineqs, wdim)
+    if chain is None:
+        return report
+    for d, rows in enumerate(chain):
+        if len({coeffs[d] > 0 for coeffs, _ in rows if coeffs[d]}) < 2:
+            report.status = "unbounded"
+            if not find_one:
+                report.ray = x_ray(_recession_ray(chain, d))
+            return report
+    leaves: list[tuple[int, ...]] = []
+    nodes = 0
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        nodes += 1
+        depth = len(prefix)
+        if depth == wdim:
+            leaves.append(prefix)
+            if find_one or nfree:
+                break
+        else:
+            (lo, lo_den), (hi, hi_den) = _interval(chain[depth], depth, prefix)
+            stack += [prefix + (value,) for value in range(hi // hi_den, -(-lo // lo_den) - 1, -1)]
+    report.stats["nodes"] = nodes
+    if leaves:
+        report.status = "unbounded" if nfree else "solutions"
+    if leaves and not find_one:
+        if nfree:
+            report.ray = x_ray((0,) * wdim + (1,))
+        else:
+            report.solutions = sorted(
+                tuple(x + sum(a * c for a, c in zip(row[rank:], w)) for row, x in zip(lat.u, point))
+                for w in leaves
+            )
+    return report
+
+
 # the oracle for solver._recession_ray, which reads the ray off the search's
 # chain: this one projects the pinned homogeneous rows itself, so it is the
 # ray to restore if the search stops projecting by Fourier-Motzkin
@@ -233,10 +351,10 @@ def pinned_recession_ray(ineqs: set[Ineq], wdim: int, var: int) -> tuple[int, ..
     """A nonzero integer direction of the relaxation's recession cone that
     moves variable `var`: one rational point of the homogeneous rows with
     var pinned to +1 or -1, read off their projection chain."""
-    hom = {_normalize(coeffs, 0) for coeffs, _ in ineqs}
+    hom = {normalize(coeffs, 0) for coeffs, _ in ineqs}
     for sign in (1, -1):
         pin = (tuple(sign if i == var else 0 for i in range(wdim)), -1)
-        chain = _fm_chain(hom | {pin}, wdim)
+        chain = fm_chain(hom | {pin}, wdim)
         if chain is None:
             continue
         point: list[Fraction] = []

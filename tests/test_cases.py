@@ -159,8 +159,8 @@ def test_thm32_order3_stage_with_free_directions_stops_at_its_first_point(
     seen = []
     real = solver.enumerate_system
 
-    def recording(system, lattices=None):
-        report = real(system, lattices)
+    def recording(system, matrix=None):
+        report = real(system, matrix)
         if not is_pair_system(system):
             seen.append((system, report))
         return report
@@ -169,7 +169,7 @@ def test_thm32_order3_stage_with_free_directions_stops_at_its_first_point(
     _case_thm32(n, p, q)
     monkeypatch.undo()
     ((system, report),) = seen
-    rows, _ = solver._integer_rows(system)
+    rows = solver._integer_rows(system)
     kept = tuple(range(len(system.nonneg_integral)))
     lat = solver._lattice(rows, len(system.variables), len(system.equalities), kept)
     assert report.status == "unbounded" and nfree(lat) > 0
@@ -249,21 +249,22 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # the verdict and report hash that bench/reference.json records for it,
     # and the search that decides them: systems, DFS nodes of the system
     # reports and of every solve (core trials included), core trials,
-    # lattice builds and forward substitutions, one per system, as every
-    # core trial starts from its system's point
+    # lattice builds, Fourier-Motzkin chains, one per lattice, and forward
+    # substitutions, one per system, as every core trial starts from its
+    # system's point
     counts = Counter()
-    real_enumerate, real_solve, real_lattice, real_particular = (
-        solver.enumerate_system, solver._solve, solver._lattice, solver._particular
+    real_enumerate, real_solve, real_lattice, real_chain, real_particular = (
+        solver.enumerate_system, solver._solve, solver._lattice, solver._chain, solver._particular
     )
 
-    def enumerating(system, lattices=None):
-        report = real_enumerate(system, lattices)
+    def enumerating(system, matrix=None):
+        report = real_enumerate(system, matrix)
         counts["systems"] += 1
         counts["system nodes"] += report.stats["nodes"]
         return report
 
-    def solving(lat, point, variables, find_one=False):
-        report = real_solve(lat, point, variables, find_one)
+    def solving(lat, chain, point, variables, find_one=False):
+        report = real_solve(lat, chain, point, variables, find_one)
         counts["solve nodes"] += report.stats["nodes"]
         counts["trials"] += find_one
         return report
@@ -272,6 +273,10 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         counts["lattices"] += 1
         return real_lattice(*args)
 
+    def projecting(*args):
+        counts["chains"] += 1
+        return real_chain(*args)
+
     def substituting(*args):
         counts["particular"] += 1
         return real_particular(*args)
@@ -279,6 +284,7 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     monkeypatch.setattr(solver, "enumerate_system", enumerating)
     monkeypatch.setattr(solver, "_solve", solving)
     monkeypatch.setattr(solver, "_lattice", building)
+    monkeypatch.setattr(solver, "_chain", projecting)
     monkeypatch.setattr(solver, "_particular", substituting)
     reference = json.loads((REPO / "bench" / "reference.json").read_text())["thm32-sweep"]
     assert len(reference) == 67
@@ -289,5 +295,5 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         assert {"verdict": report.verdict, "sha256": digest} == expected, key
     assert counts == {
         "systems": 898, "system nodes": 6219, "solve nodes": 12124, "trials": 4696, "lattices": 477,
-        "particular": 898,
+        "chains": 477, "particular": 898,
     }

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
-    affine_form, brute_force_solutions, cleared_form, coeff, eliminate, is_pair_system, nfree,
-    parse_class, pinned_recession_ray, row_major_lattice,
+    affine_form, brute_force_solutions, cleared_form, coeff, concrete_solve, eliminate, fm_chain,
+    is_pair_system, nfree, normalize, parse_class, pinned_recession_ray, row_major_lattice,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -301,7 +301,7 @@ def test_degenerate_lattices_take_the_one_search_path(
     # the search has one leaf, the particular point, unless a constant
     # slack is already negative
     system = builder()
-    rows, _ = solver._integer_rows(system)
+    rows = solver._integer_rows(system)
     nform = len(system.nonneg_integral)
     lat = solver._lattice(rows, len(system.variables), len(system.equalities), tuple(range(nform)))
     assert (nfree(lat), lat.wdim) == (free, wdim)
@@ -328,7 +328,7 @@ def free_direction_system():
 
 def test_a_lattice_with_free_directions_stops_at_its_first_point():
     system = free_direction_system()
-    rows, _ = solver._integer_rows(system)
+    rows = solver._integer_rows(system)
     lat = solver._lattice(rows, 4, 1, (0, 1, 2, 3))
     assert (nfree(lat), lat.wdim) == (1, 2)
     report = enumerate_system(system)
@@ -361,7 +361,7 @@ def relaxations(draw):
     wdim = draw(st.integers(1, 4))
     rows = st.tuples(st.lists(st.integers(-3, 3), min_size=wdim, max_size=wdim), st.integers(-4, 4))
     ineqs = {
-        solver._normalize(tuple(coeffs), const)
+        normalize(tuple(coeffs), const)
         for coeffs, const in draw(st.lists(rows, max_size=6)) if any(coeffs)
     }
     return ineqs, wdim
@@ -371,7 +371,7 @@ def relaxations(draw):
 @given(relaxations())
 def test_recession_ray_read_off_the_search_chain_matches_the_pinned_chain(drawn):
     ineqs, wdim = drawn
-    chain = solver._fm_chain(ineqs, wdim)
+    chain = fm_chain(ineqs, wdim)
     assume(chain is not None)
     open_vars = [d for d, rows in enumerate(chain) if len({c[d] > 0 for c, _ in rows if c[d]}) < 2]
     assume(open_vars)
@@ -442,7 +442,7 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     assert [fixed_at_a_nonnegative_integer(system, f) for f, _ in system.nonneg_integral] == [
         True, False, False
     ]
-    rows, _ = solver._integer_rows(system)
+    rows = solver._integer_rows(system)
     lat = solver._lattice(rows, 3, 2, (0, 1, 2))
     # the slack rows of u on the w coordinates
     assert [any(row) for row in lat.slack_w] == [False, False, True]
@@ -454,10 +454,10 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
         built.append((lat, kept))
         return lat
 
-    def solving(lat, point, variables, find_one=False):
+    def solving(lat, chain, point, variables, find_one=False):
         if find_one:
             tried.append(next(kept for known, kept in built if known is lat))
-        return real_solve(lat, point, variables, find_one)
+        return real_solve(lat, chain, point, variables, find_one)
 
     monkeypatch.setattr(solver, "_lattice", building)
     monkeypatch.setattr(solver, "_solve", solving)
@@ -495,8 +495,8 @@ def test_infeasible_core_matches_the_public_deletion_filter_on_a_case(case_id, m
     seen = []
     real = solver.enumerate_system
 
-    def recording(system, lattices=None):
-        report = real(system, lattices)
+    def recording(system, matrix=None):
+        report = real(system, matrix)
         seen.append((system, report))
         return report
 
@@ -519,8 +519,8 @@ def test_pairs_sharing_lattices_report_like_fresh_solves(case_id, statuses, monk
     seen = []
     real = solver.enumerate_system
 
-    def recording(system, lattices=None):
-        report = real(system, lattices)
+    def recording(system, matrix=None):
+        report = real(system, matrix)
         if is_pair_system(system):
             seen.append((system, report))
         return report
@@ -538,10 +538,10 @@ def test_pair_systems_have_the_forms_of_fresh_affine_forms(case_id, monkeypatch)
     systems, calls = [], []
     real_enumerate, real_pq = solver.enumerate_system, cases_mod.solve_order_pq
 
-    def recording(system, lattices=None):
+    def recording(system, matrix=None):
         if is_pair_system(system):
             systems.append(system)
-        return real_enumerate(system, lattices)
+        return real_enumerate(system, matrix)
 
     def captured(*args, **kwargs):
         out = real_pq(*args, **kwargs)
@@ -654,8 +654,8 @@ def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
     nodes = []
     real = solver.enumerate_system
 
-    def recording(system, lattices=None):
-        report = real(system, lattices)
+    def recording(system, matrix=None):
+        report = real(system, matrix)
         if is_pair_system(system):
             nodes.append(report.stats["nodes"])
         return report
@@ -689,7 +689,7 @@ def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
         in_core = True
         core = real_core(system, lat, point, trial)
         in_core = False
-        rows, _ = solver._integer_rows(system)
+        rows = solver._integer_rows(system)
         # a form that the equalities fix at a non-negative integer gets no
         # trial and no trial keeps it; the greedy filter's trial of each
         # other form i keeps the earlier such forms that stayed in the core
@@ -836,7 +836,7 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, ex
         system = FeasibilitySystem(
             system.variables, system.equalities, (*system.nonneg_integral, (form, extra))
         )
-    rows, rhs = solver._integer_rows(system)
+    rows, rhs = solver._integer_rows(system), solver._rhs(system)
     nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
     system_point = solver._particular(solver._lattice(rows, nvar, neq, tuple(range(nform))), rhs)
     built, trials, substitutions = [], [], 0
@@ -852,12 +852,12 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, ex
         substitutions += 1
         return real_particular(lat, rhs)
 
-    def solving(lat, point, variables, find_one=False):
-        report = real_solve(lat, point, variables, find_one)
+    def solving(lat, chain, point, variables, find_one=False):
+        report = real_solve(lat, chain, point, variables, find_one)
         if find_one:
             kept = next(kept for known, kept in built if known is lat)
             own = real_particular(lat, rhs[:neq] + [rhs[neq + j] for j in kept])
-            alone = real_solve(lat, own, variables, find_one)
+            alone = real_solve(lat, chain, own, variables, find_one)
             trials.append(((report.status, report.stats["nodes"]), (alone.status, alone.stats["nodes"])))
         return report
 
@@ -872,6 +872,68 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, ex
     # one forward substitution per system, and one per trial only without
     # a system point
     assert substitutions == 1 + (len(trials) if system_point is None else 0)
+
+
+def assert_chain_rows_combine_the_slack_rows(lat, chain):
+    """Each chain row's coefficients are exactly its positive multipliers
+    times the lattice's slack rows on w; a constant row's are all zero."""
+
+    def combination(lam):
+        return tuple(sum(m * lat.slack_w[i][j] for i, m in lam) for j in range(lat.wdim))
+
+    rows = [row for level in chain.levels for row in level]
+    rows += [((0,) * lat.wdim, lam) for lam in chain.constant]
+    for coeffs, lam in rows:
+        assert lam and all(m > 0 for _, m in lam)
+        assert [i for i, _ in lam] == sorted({i for i, _ in lam})
+        assert coeffs == combination(lam)
+
+
+def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
+    # a lattice's chain serves every right-hand side: at each point its
+    # constants are lam . K, and the solve reports exactly what projecting
+    # that point's own slack inequalities reported.  Each lattice is solved
+    # at its system's point and at the point of another right-hand side;
+    # the extra form -x0 - 7 in a box |x0| <= 6 empties the relaxation
+    seen = Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.one_of(random_systems(max_vars=3, box=True), random_systems(max_vars=4, box=False)),
+        st.booleans(),
+        st.data(),
+    )
+    def check(drawn, empty, data):
+        system, _ = drawn
+        if empty:
+            form = (AffineForm.make({system.variables[0]: -1}, -7), "-x0 - 7")
+            system = FeasibilitySystem(
+                system.variables, system.equalities, (*system.nonneg_integral, form)
+            )
+        rows, rhs = solver._integer_rows(system), solver._rhs(system)
+        nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
+        kept = tuple(j for j in range(nform) if data.draw(st.booleans()))
+        lat = solver._lattice(rows, nvar, neq, kept)
+        chain = solver._chain(lat)
+        assert_chain_rows_combine_the_slack_rows(lat, chain)
+        cols = [*range(nvar), *(nvar + j for j in kept)]
+        kept_rows = [*range(neq), *(neq + j for j in kept)]
+        z = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+        other = [sum(rows[r][c] * x for c, x in zip(cols, z)) for r in kept_rows]
+        for b in ([rhs[r] for r in kept_rows], other):
+            point = solver._particular(lat, b)
+            for find_one in (False, True):
+                report = solver._solve(lat, chain, point, system.variables, find_one)
+                assert report == concrete_solve(lat, point, system.variables, find_one)
+            if point is None:
+                seen["no integer point"] += 1
+            elif report.status == "infeasible" and report.stats["nodes"] == 0:
+                seen["empty relaxation"] += 1
+            else:
+                seen[report.status] += 1
+
+    check()
+    assert set(seen) == {"no integer point", "empty relaxation", "infeasible", "solutions", "unbounded"}
 
 
 def test_solutions_are_sorted_and_unique():

@@ -180,3 +180,48 @@ def test_modules_have_no_unused_from_imports():
         if (names := unused_from_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def fourier_motzkin_eliminations(source: str) -> list[str]:
+    """Functions that look like a Fourier-Motzkin elimination: they split
+    rows by the sign of a coefficient (both `> 0` and `< 0` against the
+    constant 0) and loop over pairs of rows, a `for` over one name inside a
+    `for` over another."""
+
+    def signs(node) -> set:
+        return {
+            type(c.ops[0]) for c in ast.walk(node)
+            if isinstance(c, ast.Compare) and len(c.ops) == 1
+            and isinstance(c.ops[0], (ast.Gt, ast.Lt))
+            and isinstance(c.comparators[0], ast.Constant) and c.comparators[0].value == 0
+        }
+
+    def pairs_rows(node) -> bool:
+        loops = [n for n in ast.walk(node) if isinstance(n, ast.For) and isinstance(n.iter, ast.Name)]
+        return any(
+            isinstance(inner.iter, ast.Name) and inner.iter.id != outer.iter.id
+            for outer in loops for inner in ast.walk(outer)
+            if isinstance(inner, ast.For) and inner is not outer
+        )
+
+    return [
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and len(signs(node)) == 2 and pairs_rows(node)
+    ]
+
+
+def test_fourier_motzkin_eliminations_are_found():
+    # the per-solve elimination of concrete rows is the tests' oracle now
+    oracle = (Path(__file__).parent / "conftest.py").read_text()
+    assert fourier_motzkin_eliminations(oracle) == ["fm_eliminate"]
+
+
+def test_the_package_defines_one_fourier_motzkin_elimination():
+    # the per-lattice chain, whose rows carry their multipliers, is the only
+    # projection: no per-solve elimination of concrete rows beside it
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (names := fourier_motzkin_eliminations(path.read_text()))
+    }
+    assert found == {"solver.py": ["_chain"]}

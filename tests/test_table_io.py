@@ -125,6 +125,42 @@ def test_a_second_group_or_mode_directive_is_rejected():
     _expect("bad-mode", "table-v1\ngroup S 7\nmode ordinary\nmode ordinary\n")
 
 
+def test_a_modulus_above_the_degree_is_rejected_before_the_primality_test(monkeypatch):
+    # 1000000016000000063 = 1000000007 * 1000000009 takes trial division
+    # minutes; the bound is checked once both directives are read, in
+    # either order, and no modulus above the degree reaches is_prime
+    import sntorsion.table_io as table_io_mod
+
+    tested = []
+    real = table_io_mod.is_prime
+
+    def recording(k):
+        tested.append(k)
+        return real(k)
+
+    monkeypatch.setattr(table_io_mod, "is_prime", recording)
+    for text, line in [
+        ("table-v1\ngroup S 7\nmode brauer 1000000016000000063\n", 3),
+        ("table-v1\nmode brauer 1000000016000000063\ngroup S 7\n", 3),
+        ("table-v1\nmode brauer 11\n\ngroup A 7\n", 4),
+    ]:
+        with pytest.raises(TableError) as exc:
+            parse_table(text)
+        assert (exc.value.code, exc.value.line) == ("bad-mode", line)
+        assert "exceeds the degree 7" in str(exc.value)
+    assert tested == []
+    _expect("bad-mode", "table-v1\nmode brauer 4\ngroup S 7\n")  # not prime
+    assert tested == [4]
+    assert parse_table("table-v1\nmode brauer 7\ngroup S 7\nclass 3.1 3+1^4 3\n").modulus == 7
+
+
+def test_every_bundled_table_names_a_modulus_within_its_degree():
+    from sntorsion.cases import load_bundled_table
+
+    names = ["s13-mod2-order3.tbl", "s13-mod2-order33.tbl"]
+    assert [(t.n, t.modulus) for t in map(load_bundled_table, names)] == [(13, 2), (13, 2)]
+
+
 def test_error_carries_the_line_number():
     with pytest.raises(TableError) as exc:
         parse_table("table-v1\ngroup S 7\nmode ordinary\nclass 3.1 3+1^4 5\n")
