@@ -186,9 +186,7 @@ def cmd_solve(args) -> int:
     if skipped:
         report.extras["rows_confined_to_power_stage"] = sorted(skipped)
     if args.format == "structured":
-        import json
-
-        _emit(json.dumps(report.to_dict(include_timing=True), indent=2, sort_keys=True) + "\n", args.out)
+        _emit(report.structured_json(), args.out)
     else:
         _emit(report.render_text(), args.out)
     return EXIT_UNBOUNDED if report.verdict == "undecided-unbounded" else EXIT_OK

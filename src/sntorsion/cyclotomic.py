@@ -7,6 +7,7 @@ closed form: an integer, so k times a multiplicity is an integer form.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 from .partitions import factorize
@@ -32,6 +33,7 @@ def euler_phi(k: int) -> int:
     return result
 
 
+@cache
 def ramanujan_sum(k: int, m: int) -> int:
     """Trace from Q(zeta_k) to Q of zeta_k^m: mu(k/g) phi(k)/phi(k/g),
     g = gcd(k, m)."""

@@ -36,19 +36,23 @@ def format_cycle_type(ct: Partition) -> str:
     return "+".join(pieces)
 
 
-def parse_cycle_type(token: str) -> Partition:
-    """Inverse of format_cycle_type; ValueError on unreadable text or parts
-    that do not form a partition."""
-    parts: list[int] = []
+def parse_cycle_type(token: str, n: int) -> Partition:
+    """Inverse of format_cycle_type for degree n; ValueError on unreadable
+    text, a cycle length or repeat below 1, or parts that do not sum to n.
+    Each piece is read as a pair (c, m) and checked before any part is
+    repeated, so a huge repeat is rejected without building it."""
+    pieces: list[tuple[int, int]] = []
     try:
         for piece in token.split("+"):
-            if "^" in piece:
-                c_s, m_s = piece.split("^", 1)
-                parts.extend([int(c_s)] * int(m_s))
-            else:
-                parts.append(int(piece))
+            c_s, hat, m_s = piece.partition("^")
+            pieces.append((int(c_s), int(m_s) if hat else 1))
     except ValueError:
         raise ValueError(f"unreadable cycle type {token!r}") from None
+    if any(c < 1 or m < 1 for c, m in pieces):
+        raise ValueError(f"cycle type {token!r} has a cycle length or repeat below 1")
+    if sum(c * m for c, m in pieces) != n:
+        raise ValueError(f"cycle type {token} is not a partition of {n}")
+    parts = [c for c, m in pieces for _ in range(m)]
     return check_partition(tuple(sorted(parts, reverse=True)))
 
 

@@ -11,8 +11,53 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 SCHEMA = "report-v1"
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """Exactly json.dumps(value, indent=2, sort_keys=True) for the value
+    types of a report: dicts with str keys, lists, str, int, bool, None and
+    finite floats.  json's C encoder runs only without indent, so this
+    writer joins the text itself and leaves only the escaping of strings to
+    the C escaper.  Any other type, or a key that is not a str, is a
+    TypeError; a float that is not finite is a ValueError.  `newline` is
+    the line break and indentation of the level the value is nested at:
+    its items go one level deeper, and its closing bracket starts a line
+    at `newline`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"float {value!r} is not JSON compliant")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a str")
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(v, inner)
+            for key, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"{type(value).__name__} {value!r} is not a report value")
 
 
 @dataclass
@@ -66,8 +111,14 @@ class CaseReport:
 
     def canonical_json(self) -> str:
         """Stable, timing-free serialization used for goldens and
-        determinism checks."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        determinism checks: to_dict() in the layout of
+        json.dumps(indent=2, sort_keys=True), and a final newline."""
+        return _json_text(self.to_dict()) + "\n"
+
+    def structured_json(self) -> str:
+        """The canonical_json layout of to_dict(include_timing=True), as
+        `solve --format structured` prints it."""
+        return _json_text(self.to_dict(include_timing=True)) + "\n"
 
     def render_text(self) -> str:
         lines = [f"case {self.case_id}: {self.kind}{self.n}"]

@@ -167,10 +167,11 @@ def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
     cols = [*range(nvar), *(nvar + j for j in kept)]
     kept_rows = [*range(neq), *(neq + j for j in kept)]
     m, ncols = len(kept_rows), len(cols)
-    stacked = [
-        [rows[r][c] for r in kept_rows] + [int(i == k) for i in range(ncols)]
-        for k, c in enumerate(cols)
-    ]
+    stacked = []
+    for k, c in enumerate(cols):
+        unit = [0] * ncols
+        unit[k] = 1
+        stacked.append([rows[r][c] for r in kept_rows] + unit)
     pivots = _column_hermite(stacked, [*range(m), *range(m + nvar, m + ncols)])
     # back to rows: the m kept rows . u, then u; with no columns, m empty rows
     a = list(zip(*stacked)) or [()] * m
@@ -469,8 +470,9 @@ def _solve(
         else:
             # x = point + u . (0, w, 0); distinct leaves give distinct points,
             # as u is invertible and each slack is a function of x
+            u_w = [row[rank:] for row in lat.u]
             report.solutions = sorted(
-                tuple(x + sum(map(mul, row[rank:], w)) for row, x in zip(lat.u, point))
+                tuple(x + sum(map(mul, row, w)) for row, x in zip(u_w, point))
                 for w in leaves
             )
     return report
@@ -549,23 +551,27 @@ def _recheck(system: FeasibilitySystem, solutions: list[tuple[int, ...]]) -> Non
     """Defensive re-check of every solution against the system's original
     forms, independent of the rows the solver solved: at a point x with
     numerator value = den * f(x), an equality needs value == den * target
-    and a form needs value >= 0 and value = 0 (mod den).  Each form's terms
-    are read once, as (variable index, coefficient) pairs."""
+    and a form needs value >= 0 and value = 0 (mod den).  Each form becomes
+    one dense coefficient row over system.variables once per system, so a
+    solution's numerator value is one dot product with it."""
     index = {v: i for i, v in enumerate(system.variables)}
 
-    def terms(f: AffineForm) -> tuple[tuple[int, int], ...]:
-        return tuple((index[v], c) for v, c in f.coeffs)
+    def dense(f: AffineForm) -> list[int]:
+        row = [0] * len(index)
+        for v, c in f.coeffs:
+            row[index[v]] += c
+        return row
 
     equalities = [
-        (terms(f), f.constant, f.den * target, name) for f, target, name in system.equalities
+        (dense(f), f.constant, f.den * target, name) for f, target, name in system.equalities
     ]
-    forms = [(terms(f), f.constant, f.den, name) for f, name in system.nonneg_integral]
+    forms = [(dense(f), f.constant, f.den, name) for f, name in system.nonneg_integral]
     for sol in solutions:
-        for fterms, const, value, name in equalities:
-            if const + sum(c * sol[i] for i, c in fterms) != value:
+        for row, const, value, name in equalities:
+            if const + sum(map(mul, row, sol)) != value:
                 raise RuntimeError(f"solver point {sol} violates equality {name}")
-        for fterms, const, den, name in forms:
-            if (v := const + sum(c * sol[i] for i, c in fterms)) < 0 or v % den:
+        for row, const, den, name in forms:
+            if (v := const + sum(map(mul, row, sol))) < 0 or v % den:
                 raise RuntimeError(f"solver point {sol} violates form {name}")
 
 
@@ -622,26 +628,37 @@ def _solve_level(
     linear part, each ell's level traces, the names, the sorted variables
     with the augmentation, and the integer matrix with its memo of lattices
     and chains are built once per call; each system adds only its forms'
-    constants, from each row's values on its lower levels."""
+    constants, from each row's values on its lower levels.
+
+    The level's distinct rows are numbered once, and each form and equality
+    is prepared once as (row index, row, linear part, level traces, ...).
+    A system reads its rows' lower-level values into a list by row index,
+    so no row is hashed inside the loop over the lower levels."""
     parts = dict.fromkeys([*rows_and_ells, *((row, ell) for row, ell, _ in equalities)])
     linear = {(row, ell): top_coeffs(row, k, ell, classes) for row, ell in parts}
     traces = {ell: level_traces(k, ell) for ell in dict.fromkeys(ell for _, ell in parts)}
-    rows = dict.fromkeys(row for row, _ in parts)
-    names = [f"mu_{ell}({row.name})" for row, ell in rows_and_ells]
-    pinned_names = [f"mu_{ell}({row.name}) = {target}" for row, ell, target in equalities]
+    index = {row: i for i, row in enumerate(dict.fromkeys(row for row, _ in parts))}
+    rows = list(index)
+    forms_at = [
+        (index[row], row, linear[row, ell], traces[ell], f"mu_{ell}({row.name})")
+        for row, ell in rows_and_ells
+    ]
+    pinned_at = [
+        (index[row], row, linear[row, ell], traces[ell], target, f"mu_{ell}({row.name}) = {target}")
+        for row, ell, target in equalities
+    ]
     empty = FeasibilitySystem.build(classes, [], [])
     matrix = None
     reports = []
     for lower in lowers:
-        values = {row: {d: char_value_on_unit(row, v) for d, v in lower.items()} for row in rows}
-
-        def form(row: CharacterRow, ell: int) -> AffineForm:
-            return AffineForm(linear[row, ell], lower_constant(row, traces[ell], values[row]), k)
-
-        forms = tuple((form(row, ell), name) for (row, ell), name in zip(rows_and_ells, names))
+        values = [{d: char_value_on_unit(row, v) for d, v in lower.items()} for row in rows]
+        forms = tuple(
+            (AffineForm(coeffs, lower_constant(row, level, values[i]), k), name)
+            for i, row, coeffs, level, name in forms_at
+        )
         pinned = tuple(
-            (form(row, ell), target, name)
-            for (row, ell, target), name in zip(equalities, pinned_names)
+            (AffineForm(coeffs, lower_constant(row, level, values[i]), k), target, name)
+            for i, row, coeffs, level, target, name in pinned_at
         )
         system = FeasibilitySystem(empty.variables, (*pinned, *empty.equalities), forms)
         if matrix is None:
@@ -665,7 +682,17 @@ def solve_prime_order(
 
 
 def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
-    return [AugVector.make(k, n, dict(zip(report.variables, sol))) for sol in report.solutions]
+    """The order-k augmentation vector of each solution of a report, as
+    AugVector.make builds it from the solution's values on the report's
+    variables: the variable positions are put in class order once per
+    report, and each vector keeps its non-zero entries in that order.
+    AugVector validates every vector as it is built."""
+    variables = report.variables
+    order = sorted(range(len(variables)), key=lambda i: class_sort_key(variables[i]))
+    return [
+        AugVector(k, n, tuple((variables[i], sol[i]) for i in order if sol[i]))
+        for sol in report.solutions
+    ]
 
 
 def has_element_of_order(n: int, k: int, kind: str = "S") -> bool:

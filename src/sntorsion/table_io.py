@@ -66,9 +66,11 @@ class TableFile:
         raise KeyError(f"table has no row named {name!r}")
 
 
-def parse_cycle_type(token: str, line: int) -> Partition:
+def parse_cycle_type(token: str, line: int, n: int) -> Partition:
+    """A class's cycle type, which must be a partition of the table's
+    degree n; TableError "bad-class" otherwise."""
     try:
-        return luthar_passi.parse_cycle_type(token)
+        return luthar_passi.parse_cycle_type(token, n)
     except ValueError as exc:
         raise TableError("bad-class", line, str(exc)) from None
 
@@ -140,9 +142,7 @@ def parse_table(text: str) -> TableFile:
             label = tokens[1]
             if label in class_labels:
                 raise TableError("duplicate-class", lineno, f"class {label!r} listed twice")
-            ct = parse_cycle_type(tokens[2], lineno)
-            if sum(ct) != n:
-                raise TableError("bad-class", lineno, f"cycle type {tokens[2]} is not a partition of {n}")
+            ct = parse_cycle_type(tokens[2], lineno, n)
             order = _int(tokens[3], lineno, "element order")
             if order != element_order(ct):
                 raise TableError(

@@ -411,10 +411,7 @@ def parse_class(token: str, n: int) -> Partition:
     if "." in token and "+" not in token and "^" not in token:
         r_s, j_s = token.split(".", 1)
         return prime_cycles(int(r_s), int(j_s), n)
-    ct = parse_cycle_type(token)
-    if sum(ct) != n:
-        raise ValueError(f"cycle type {token} is not a partition of {n}")
-    return ct
+    return parse_cycle_type(token, n)
 
 
 class UnsupportedClosedForm(ValueError):

@@ -137,6 +137,9 @@ def test_solve_structured_output_is_json(capsys):
     assert data["schema"] == "report-v1"
     assert data["verdict"] == "excluded"
     assert data["extras"]["pi_spectral_equalities"] is True
+    # the layout of json.dumps, the float elapsed_s included
+    assert isinstance(data["elapsed_s"], float)
+    assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def test_solve_order_is_symmetric_in_its_factors(capsys):

@@ -102,7 +102,7 @@ def test_format_and_parse_class_round_trip():
     for n in range(1, 13):
         for ct in all_partitions(n):
             assert parse_class(format_class(ct), n) == ct
-            assert parse_cycle_type(format_cycle_type(ct)) == ct
+            assert parse_cycle_type(format_cycle_type(ct), n) == ct
 
 
 def test_aug_vector_validation():

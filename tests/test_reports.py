@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sntorsion.reports import CaseReport, first_divergence
+from sntorsion.reports import CaseReport, _json_text, first_divergence
 
 
 def small_report():
@@ -101,3 +102,48 @@ def test_first_divergence_reports_missing_and_extra_fields():
     assert first_divergence({"x": 1}, a) == "$.y: unexpected field"
     assert first_divergence([1, 2], [1]) == "$: length 1 != 2"
     assert first_divergence([1, [2, 3]], [1, [2, 4]]) == "$[1][1]: 4 != 3"
+
+
+# report-shaped values: str-keyed dicts and lists, nested, possibly empty,
+# over strings with non-ASCII and control characters, bools, None, big
+# integers and finite floats
+report_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(codec="utf-8")),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=5), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(report_values)
+def test_json_text_is_json_dumps_with_indent_2_and_sorted_keys(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_covers_nested_empties_escapes_and_big_integers():
+    value = {
+        "empty": [[], {}, [[]], {"a": {}}],
+        "text": "caf\u00e9 \u2603 \U0001f600 \x00\x1f\t\n\"\\ /",
+        "flags": [True, False, None],
+        "numbers": [0, -1, 2**100, -(3**70), 1.5, -0.0, 1e300, 5e-324],
+    }
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value, error", [
+    ({1, 2}, TypeError),
+    (b"bytes", TypeError),
+    ({1: "x"}, TypeError),
+    ({"a": [{2: 0}]}, TypeError),
+    ((1, 2), TypeError),
+    (float("nan"), ValueError),
+    ([float("inf")], ValueError),
+])
+def test_json_text_rejects_values_outside_the_report_types(value, error):
+    with pytest.raises(error):
+        _json_text(value)

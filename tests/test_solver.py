@@ -965,6 +965,51 @@ def test_solve_prime_order_s13_q11_is_forced():
     assert report_aug_vectors(report, 11, 13) == [forced_vector(13, 11)]
 
 
+def test_report_aug_vectors_equal_make_on_variables_out_of_class_order():
+    # the class-order sort runs once per report, not once per solution: on
+    # a system whose variables are not in class order, each vector is still
+    # AugVector.make of its solution, zeros dropped and classes in order
+    a, b = var("3.1", 7), var("3.2", 7)
+    augmentation = (AffineForm.make({a: 1, b: 1}, 0), 1, "augmentation")
+    forms = ((AffineForm.make({a: 1}, 2), "a low"), (AffineForm.make({a: -1}, 3), "a high"))
+    report = enumerate_system(FeasibilitySystem((b, a), (augmentation,), forms))
+    assert report.variables == (b, a) and len(report.solutions) == 6
+    vectors = report_aug_vectors(report, 3, 7)
+    assert vectors == [AugVector.make(3, 7, dict(zip(report.variables, sol))) for sol in report.solutions]
+    assert [v.entries for v in vectors] == [
+        ((a, 3), (b, -2)), ((a, 2), (b, -1)), ((a, 1),), ((b, 1),), ((a, -1), (b, 2)), ((a, -2), (b, 3)),
+    ]
+    with pytest.raises(ValueError, match="cannot support a unit of order 5"):
+        report_aug_vectors(report, 5, 7)
+
+
+def test_solve_level_hashes_no_row_per_system(monkeypatch):
+    # the rows are numbered once per call: a call with ten lower levels
+    # hashes a CharacterRow exactly as often as one with one
+    n, p, q = 7, 5, 3
+    pi, rho, tau = (ordinary_row(name, n, p * q) for name in ("pi", "rho", "tau"))
+    rows_and_ells = [(row, ell) for row in (pi, rho, tau) for ell in (0, 1, 3, 5)]
+    equalities = [(pi, 1, 0), (pi, q, 1)]
+    lower = {p: AugVector.make(q, n, {prime_cycles(3, 1, n): 1}), q: forced_vector(n, p)}
+    classes = allowed_support(n, p * q)
+    hashes = 0
+    real = CharacterRow.__hash__
+
+    def counting(row):
+        nonlocal hashes
+        hashes += 1
+        return real(row)
+
+    monkeypatch.setattr(CharacterRow, "__hash__", counting)
+    counts = []
+    for lowers in ([lower], [lower] * 10):
+        hashes = 0
+        reports = solver._solve_level(classes, p * q, rows_and_ells, equalities, lowers)
+        counts.append(hashes)
+        assert len(reports) == len(lowers)
+    assert counts[0] == counts[1] > 0
+
+
 def test_solve_prime_order_rejects_brauer_rows_of_the_same_modulus():
     row = CharacterRow.make("b", 4, {prime_cycles(2, 1, 7): 2}, modulus=3)
     with pytest.raises(ValueError):

@@ -225,3 +225,35 @@ def test_the_package_defines_one_fourier_motzkin_elimination():
         if (names := fourier_motzkin_eliminations(path.read_text()))
     }
     assert found == {"solver.py": ["_chain"]}
+
+
+def indented_json_dumps(source: str) -> list[int]:
+    """Lines that call json.dumps (or a bare dumps) with an `indent`
+    keyword."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+             or isinstance(node.func, ast.Name) and node.func.id == "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+
+
+def test_indented_json_dumps_are_found():
+    source = (
+        "import json\nfrom json import dumps\n"
+        "a = json.dumps(x, indent=2, sort_keys=True)\nb = json.dumps(x, sort_keys=True)\n"
+        "c = dumps(x, indent=None)\n"
+    )
+    assert indented_json_dumps(source) == [3, 5]
+
+
+def test_report_text_has_one_writer():
+    # reports._json_text writes every indented report; json.dumps with indent
+    # runs json's pure-Python encoder and would be a second layout to keep
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (lines := indented_json_dumps(path.read_text()))
+    }
+    assert found == {}

@@ -50,9 +50,9 @@ def test_parse_a_well_formed_table():
 def test_cycle_type_round_trip():
     for n in range(1, 13):
         for ct in all_partitions(n):
-            assert parse_cycle_type(format_cycle_type(ct), 1) == ct
+            assert parse_cycle_type(format_cycle_type(ct), 1, n) == ct
     assert format_cycle_type((3, 1, 1, 1, 1)) == "3+1^4"
-    assert parse_cycle_type("1^7", 1) == (1,) * 7
+    assert parse_cycle_type("1^7", 1, 7) == (1,) * 7
 
 
 def test_serialize_then_parse_is_the_identity_on_canonical_tables():
@@ -110,6 +110,21 @@ def test_every_error_code():
     _expect("bad-syntax", cls + "row pi\n")
     _expect("bad-syntax", cls + "value pi 3.1\n")
     _expect("bad-syntax", base + "class 3.1 3+1^4\n")
+
+
+@pytest.mark.parametrize("token, message", [
+    # a repeat of 0 once parsed as the identity 1^7
+    ("3^0+1^7", "repeat below 1"),
+    ("3^-1+1^7", "repeat below 1"),
+    # above sys.maxsize: the repeat is compared with the degree before any
+    # part is repeated, so it builds no list
+    ("1^9223372036854775808", "not a partition of 7"),
+])
+def test_a_class_repeat_below_1_or_past_the_degree_is_rejected(token, message):
+    with pytest.raises(TableError) as exc:
+        parse_table(f"table-v1\ngroup S 7\nmode ordinary\nclass a {token} 1\n")
+    assert (exc.value.code, exc.value.line) == ("bad-class", 4)
+    assert message in str(exc.value)
 
 
 def test_a_second_group_or_mode_directive_is_rejected():
