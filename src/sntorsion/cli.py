@@ -72,13 +72,12 @@ def _parse_row_spec(spec: str, q: int) -> tuple[str, list[int] | None]:
         ells = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise InputError(f"bad --rows {spec!r}; expected name:ell,ell,...") from None
-    # each residue is one order-q form: none selects nothing, a repeat doubles one
-    if not ells or len({ell % q for ell in ells}) < len(ells):
-        raise InputError(f"bad --rows {spec!r}; expected one or more residues distinct modulo {q}")
-    # for an integer-valued row mu_ell depends only on gcd(ell, q), so two
-    # residues with the same gcd give the same form
-    if len({gcd(ell, q) for ell in ells}) < len(ells):
-        raise InputError(f"bad --rows {spec!r}; expected residues with distinct gcd(ell, {q})")
+    # each residue is one order-q form, and mu_ell of an integer-valued row
+    # depends only on gcd(ell, q): residues with the same gcd give one form
+    if not ells or len({gcd(ell, q) for ell in ells}) < len(ells):
+        raise InputError(
+            f"bad --rows {spec!r}; expected one or more residues with distinct gcd(ell, {q})"
+        )
     return name, ells
 
 

@@ -35,9 +35,7 @@ def filter_order_q_powers(
     classes = [prime_cycles(q, j, n) for j in range(1, n // q + 1)]
     kept = []
     for v in candidates:
-        # each candidate's entries are read once; as in AugVector.value, the
-        # first entry of a class wins
-        eps = dict(reversed(v.entries))
+        eps = dict(v.entries)  # each candidate's entries are read once
         s = sum(j * eps.get(ct, 0) for j, ct in enumerate(classes, 1))
         if s == 0 or (s == 1 and p + q in (n, n + 1)):
             kept.append(v)

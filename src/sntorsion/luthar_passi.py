@@ -157,6 +157,8 @@ class AugVector:
                 raise ValueError(
                     f"class {format_class(ct)} (order {order}) cannot support a unit of order {self.k}"
                 )
+        if len(dict(self.entries)) < len(self.entries):
+            raise ValueError("a class is listed twice")
 
     def value(self, ct: Partition) -> int:
         element_order(ct)  # ValueError on a malformed cycle type
@@ -204,8 +206,10 @@ class CharacterRow:
                 raise ValueError(
                     f"class {format_class(ct)} is {self.modulus}-singular in a brauer({self.modulus}) row"
                 )
-        # the first entry of a class wins
-        object.__setattr__(self, "_by_class", dict(reversed(self.values)))
+        by_class = dict(self.values)
+        if len(by_class) < len(self.values):
+            raise ValueError(f"row {self.name} lists a class twice")
+        object.__setattr__(self, "_by_class", by_class)
 
     def value(self, ct: Partition) -> int:
         # the keys of values are validated cycle types, so a hit needs no

@@ -28,7 +28,7 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    non-negative there, and the first coordinate must have a value (the
    last elimination, read off its range); then the first coordinate the
    chain leaves open on one side, which reads no constant, makes the
-   relaxation unbounded.
+   relaxation unbounded, along the lattice's ray.
    Otherwise the depth-first enumeration, a loop over a stack of prefixes,
    fixes the coordinates from the first up and reads the integer range of
    each from the chain by floor division.  It stops at the first integer
@@ -38,8 +38,9 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
 
 One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  The eliminations of steps 2 and
-3 depend only on the integer matrix, not on the right-hand side (_lattice,
-_chain).
+3 depend only on the integer matrix, not on the right-hand side, and so
+does an unbounded solve's ray: one _lattice holds them all, and a solve
+only evaluates the chain's constants at its point (_solve).
 Each system runs the forward substitution once, in enumerate_system, and
 its core trials start from its integer point: a trial keeps a subset of
 the system's rows, so the system's point, restricted to the variables and
@@ -58,11 +59,10 @@ values on a system's lower levels once per system, and only the constant
 per form (lower_constant).  Its systems share one integer matrix, read off
 the first of them, so each contributes only its right-hand side, read off
 its forms' constants (_rhs).  The systems and their infeasible-core trials
-share one memo of lattices and chains (_Matrix); it lives as long as the
-call, so there is one per row group.  It holds one lattice and its chain
-per tuple of kept forms (all of them for the system, all but the dropped
-ones for a core trial), so a trial eliminates only when its lattice is
-new.
+share one memo of lattices (_Matrix.lattice); it lives as long as the call,
+so there is one per row group.  It holds one lattice per tuple of kept
+forms (all of them for the system, all but the dropped ones for a core
+trial), so a trial eliminates only when its lattice is new.
 
 The infeasible core is a greedy deletion filter: one trial per form, each
 re-solving the system without that form and the forms dropped before it.
@@ -134,9 +134,14 @@ def _column_hermite(cols: list[list[int]], pivot_rows) -> list[tuple[int, int]]:
     return pivots
 
 
+# a sparse non-negative multiplier vector lam over a lattice's slack rows:
+# (slack index, multiplier) pairs in increasing index
+Multipliers = tuple[tuple[int, int], ...]
+
+
 class _Lattice(NamedTuple):
-    """The part of a solve that depends only on the integer matrix, not on
-    its right-hand side (see _lattice)."""
+    """Everything a solve uses that depends only on the integer matrix, not
+    on its right-hand side (see _lattice)."""
 
     pivot_col: tuple[int | None, ...]  # the pivot column of each row
     echelon: tuple[tuple[int, ...], ...]  # rows . u on the pivot columns
@@ -145,12 +150,19 @@ class _Lattice(NamedTuple):
     slack_w: tuple[tuple[int, ...], ...]  # each slack's row of u on w (0 on v)
     rank: int  # the number of pivot coordinates y
     wdim: int  # the number of slack-moving coordinates w
+    nfree: int  # the number of free directions v
+    # the chain of _chain: a row (coeffs, lam) reads coeffs . w + lam . K >= 0
+    levels: tuple[tuple[tuple[tuple[int, ...], Multipliers], ...], ...]  # over w_0..w_d
+    constant: tuple[Multipliers, ...]  # the rows with no coordinate: lam . K >= 0
+    open: int | None  # the first coordinate its level leaves open on one side
+    ray: tuple[int, ...] | None  # an unbounded solve's primitive ray, in the variables
 
 
 def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
-    """One Hermite elimination of the rows of _integer_rows that a solve
+    """One Hermite elimination of the rows of a _matrix that a solve
     keeps: the neq equality rows and the slack-link rows of the forms in
-    `kept`, over the nvar variables and those forms' slacks.
+    `kept`, over the nvar variables and those forms' slacks, with the
+    Fourier-Motzkin chain and the ray that every right-hand side shares.
 
     Each column of the one eliminated matrix stacks the m kept rows over
     u, which starts as the identity and so records every column op.  The
@@ -159,10 +171,14 @@ def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
     kernel.  The slack rows of u come next: the row of slack i starts as
     unit row i and reads slack i in the current columns, so its pivots in
     the kernel columns, where the kept rows are already zero, are the
-    slack-moving coordinates w; the remaining kernel columns are the
+    slack-moving coordinates w; the remaining kernel columns are the nfree
     directions v, on which every slack row is zero.  The lattice keeps the
     nvar variable rows of u whole, each read in the coordinates (y, w, v),
     and each slack row split once into its y part and its w part.
+
+    An unbounded solve's ray does not depend on its point: it is the
+    recession ray of the chain's open coordinate, else the first direction
+    v, mapped to the variables by u and divided by its gcd.
     """
     cols = [*range(nvar), *(nvar + j for j in kept)]
     kept_rows = [*range(neq), *(neq + j for j in kept)]
@@ -177,15 +193,26 @@ def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
     a = list(zip(*stacked)) or [()] * m
     rank = sum(row < m for row, _ in pivots)
     wdim = len(pivots) - rank
+    nfree = ncols - len(pivots)
     pivot_of_row = dict(pivots)
+    u = tuple(a[m:m + nvar])
     slack_rows = a[m + nvar:]
+    slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
+    levels, constant, open_ = _chain(slack_w, wdim)
+    ray = None
+    if open_ is not None or nfree:
+        direction = _recession_ray(levels, open_) if open_ is not None else (0,) * wdim + (1,)
+        ray = [sum(map(mul, row[rank:], direction)) for row in u]
+        g = gcd(*ray)
+        ray = tuple(c // g for c in ray) if g > 1 else tuple(ray)
     return _Lattice(
         tuple(pivot_of_row.get(r) for r in range(m)),
         tuple(r[:rank] for r in a[:m]),
-        tuple(a[m:m + nvar]),
+        u,
         tuple(r[:rank] for r in slack_rows),
-        tuple(r[rank:rank + wdim] for r in slack_rows),
-        rank, wdim,
+        slack_w,
+        rank, wdim, nfree,
+        levels, constant, open_, ray,
     )
 
 
@@ -209,26 +236,12 @@ def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin on the slack rows of a lattice, for every right-hand side
 
-# a sparse non-negative multiplier vector lam over a lattice's slack rows:
-# (slack index, multiplier) pairs in increasing index
-Multipliers = tuple[tuple[int, int], ...]
 
-
-class _Chain(NamedTuple):
-    """The part of a solve's Fourier-Motzkin projection that depends only on
-    the lattice, not on its slack values K (see _chain).  Each row is a pair
-    (coeffs, lam) and reads coeffs . w + lam . K >= 0."""
-
-    # levels[d]: the rows over w_0..w_d
-    levels: tuple[tuple[tuple[tuple[int, ...], Multipliers], ...], ...]
-    constant: tuple[Multipliers, ...]  # the rows with no coordinate: lam . K >= 0
-    open: int | None  # the first coordinate its level leaves open on one side
-
-
-def _chain(lat: _Lattice) -> _Chain:
+def _chain(slack_w, wdim: int):
     """One exact Fourier-Motzkin projection chain of the slack inequalities
-    slack_w[i] . w + K_i >= 0 of a lattice, eliminating from the last w
-    coordinate down, for every value K of the kept slacks at once.
+    slack_w[i] . w + K_i >= 0 of a lattice over its wdim coordinates w,
+    eliminating from the last coordinate down, for every value K of the
+    kept slacks at once: the levels, constant and open of _Lattice.
 
     Each row carries, in place of its constant, its multiplier vector lam
     over the slack rows: coeffs is exactly the sum of lam_i * slack_w[i],
@@ -245,13 +258,13 @@ def _chain(lat: _Lattice) -> _Chain:
     negative exactly when that pair leaves w_0 no value, so _solve reads
     them all off w_0's range at the point.
     """
-    rows = [(w_row, ((i, 1),)) for i, w_row in enumerate(lat.slack_w) if any(w_row)]
-    constant = {((i, 1),): None for i, w_row in enumerate(lat.slack_w) if not any(w_row)}
-    levels = [rows] if lat.wdim else []
-    # the first coordinate that its level leaves open on one side; every
-    # earlier one is bounded, so a non-empty relaxation is unbounded along it
+    rows = [(w_row, ((i, 1),)) for i, w_row in enumerate(slack_w) if any(w_row)]
+    constant = {((i, 1),): None for i, w_row in enumerate(slack_w) if not any(w_row)}
+    levels = [rows] if wdim else []
+    # every coordinate before the open one is bounded, so a non-empty
+    # relaxation is unbounded along it
     open_ = None
-    for var in range(lat.wdim - 1, -1, -1):
+    for var in range(wdim - 1, -1, -1):
         pos, neg, out = [], [], {}
         for row in levels[-1]:
             c = row[0][var]
@@ -282,7 +295,7 @@ def _chain(lat: _Lattice) -> _Chain:
                 else:
                     constant[lam] = None
         levels.append(list(out))
-    return _Chain(tuple(map(tuple, reversed(levels))), tuple(constant), open_)
+    return tuple(map(tuple, reversed(levels))), tuple(constant), open_
 
 
 def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None]:
@@ -304,6 +317,30 @@ def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None]:
             elif hi is None or s * hi[1] < hi[0] * -c:  # x <= s / -c
                 hi = (s, -c)
     return lo, hi
+
+
+def _recession_ray(levels, var: int) -> tuple[int, ...]:
+    """A nonzero integer direction of the relaxation's recession cone that
+    moves variable `var`, the first one that its chain level leaves open on
+    one side; levels[d] holds rows (coeffs, ...) over variables 0..d.  FM
+    combines coefficients without reading constants, so levels[d] with its
+    constants set to 0 is the projection of the homogeneous rows: every
+    earlier variable is 0 on it, var moves to the open side, and each later
+    variable is read off its interval there.  The rational point is kept as
+    an integer `point` over a positive `scale`: the rows are homogeneous, so
+    each bound read at `point` is `scale` times the one at the rational
+    point, and point / gcd(scale, *point) is the lcm of the rational point's
+    denominators times it, whatever positive multiple of each row a level
+    holds."""
+    point = [0] * var + [-1 if any(coeffs[var] < 0 for coeffs, _ in levels[var]) else 1]
+    scale = 1
+    for d in range(var + 1, len(levels)):
+        lo, hi = _interval([(coeffs, 0) for coeffs, _ in levels[d]], d, point)
+        num, den = lo or hi or (0, 1)
+        point = [x * den for x in point] + [num]
+        scale *= den
+    g = gcd(scale, *point)
+    return tuple(x // g for x in point)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +382,31 @@ class SolveReport:
     stats: dict[str, int | float] = field(default_factory=dict)
 
 
-def _integer_rows(system: FeasibilitySystem) -> tuple[tuple[int, ...], ...]:
+class _Matrix(NamedTuple):
+    """The integer rows of _matrix, which systems with the same linear parts
+    share, over nvar variables with the neq equalities first, and the memo
+    of the _lattice of each tuple of kept forms: all of them for a system,
+    all but the dropped ones for a core trial."""
+
+    rows: tuple[tuple[int, ...], ...]
+    nvar: int
+    neq: int
+    lattices: dict[tuple[int, ...], _Lattice]
+
+    def lattice(self, kept: tuple[int, ...]) -> _Lattice:
+        """The lattice of the forms in `kept`, built on its first request."""
+        lat = self.lattices.get(kept)
+        if lat is None:
+            lat = self.lattices[kept] = _lattice(self.rows, self.nvar, self.neq, kept)
+        return lat
+
+
+def _matrix(system: FeasibilitySystem) -> _Matrix:
     """The equality rows, numerator(f) = den * target, then one slack-link
     row per form, numerator(f) - den * slack = 0, over the columns
-    (variables, one slack per form), read off the forms' integers; their
-    right-hand side is _rhs."""
-    nvar = len(system.variables)
-    nform = len(system.nonneg_integral)
+    (variables, one slack per form), read off the forms' integers, with an
+    empty memo; their right-hand side is _rhs."""
+    nvar, nform = len(system.variables), len(system.nonneg_integral)
     rows: list[list[int]] = []
 
     def numerators(f: AffineForm) -> list[int]:
@@ -364,87 +419,66 @@ def _integer_rows(system: FeasibilitySystem) -> tuple[tuple[int, ...], ...]:
         row = numerators(f)
         row[nvar + i] = -f.den
         rows.append(row)
-    return tuple(map(tuple, rows))
+    return _Matrix(tuple(map(tuple, rows)), nvar, len(system.equalities), {})
 
 
 def _rhs(system: FeasibilitySystem) -> list[int]:
-    """The right-hand side of the rows of _integer_rows, read off the forms'
+    """The right-hand side of the rows of _matrix, read off the forms'
     constants: den * target - constant per equality, -constant per form."""
     return [f.den * target - f.constant for f, target, _ in system.equalities] + [
         -f.constant for f, _ in system.nonneg_integral
     ]
 
 
-class _Matrix(NamedTuple):
-    """The integer rows of _integer_rows that systems with the same linear
-    parts share, and the memo of the _lattice and _chain of each tuple of
-    kept forms: all of them for a system, all but the dropped ones for a
-    core trial."""
-
-    rows: tuple[tuple[int, ...], ...]
-    lattices: dict[tuple[int, ...], tuple[_Lattice, _Chain]]
+def _evaluated(level, slacks: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """The rows of a chain level, each with its constant lam . K."""
+    return [(coeffs, sum(m * slacks[i] for i, m in lam)) for coeffs, lam in level]
 
 
 def _solve(
     lat: _Lattice,
-    chain: _Chain,
     point: list[int] | None,
     variables: tuple[Partition, ...],
     find_one: bool = False,
 ) -> SolveReport:
-    """Decide the integer rows of a system, given their _lattice and its
-    _chain, and one integer solution `point` of them (the variables, then
-    the kept slacks), or None when they have none.
+    """Decide the integer rows of a system, given their _lattice and one
+    integer solution `point` of them (the variables, then the kept slacks),
+    or None when they have none.
 
     Every integer solution is point + u . (0, w, v), so each kept slack is
     its value K at the point plus its row of u on w, and the point only
-    gives the chain its constants lam . K.  The search stops at the first
-    integer point when that point already decides the report: with
-    find_one, where only the status is read and the recession ray and the
-    solution list are not built, and on a lattice with free directions v,
-    whose report is unbounded along the first of them whatever other
-    points exist.
+    gives the lattice's chain its constants lam . K.  The search stops at
+    the first integer point when that point already decides the report:
+    with find_one, where only the status is read and the lattice's ray and
+    the solution list are not set, and on a lattice with free directions,
+    whose report is unbounded whatever other points exist.
     """
     nvar = len(variables)
     report = SolveReport(status="infeasible", variables=variables, stats={"nodes": 0})
     if point is None:
         return report
-    rank, wdim = lat.rank, lat.wdim
-    nfree = nvar + len(lat.slack_w) - rank - wdim
     slacks = point[nvar:]
-
-    def evaluated(level) -> list[tuple[tuple[int, ...], int]]:
-        """The rows of a chain level, each with its constant lam . K."""
-        return [(coeffs, sum(m * slacks[i] for i, m in lam)) for coeffs, lam in level]
-
     # the relaxation is empty when a row with no coordinate is negative, or
     # when w_0 has no value: that is the last elimination, which _chain
     # leaves to this range
-    if any(sum(m * slacks[i] for i, m in lam) < 0 for lam in chain.constant):
+    if any(sum(m * slacks[i] for i, m in lam) < 0 for lam in lat.constant):
         return report
     # levels[d] is evaluated when the search first reaches depth d
-    levels = [evaluated(level) for level in chain.levels[:1]]
+    levels = [_evaluated(level, slacks) for level in lat.levels[:1]]
     if levels:
         lo, hi = _interval(levels[0], 0, ())
         if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
             return report
-
-    def x_ray(direction) -> tuple[int, ...]:
-        """The primitive direction in the variables of a direction given in
-        the lattice coordinates (w, v)."""
-        ray = [sum(map(mul, row[rank:], direction)) for row in lat.u]
-        g = gcd(*ray)
-        return tuple(c // g for c in ray) if g > 1 else tuple(ray)
-
-    if chain.open is not None:
+    if lat.open is not None:
         report.status = "unbounded"
         if not find_one:
-            report.ray = x_ray(_recession_ray(chain.levels, chain.open))
+            report.ray = lat.ray
         return report
 
     # depth-first over prefixes of w, each node's children in increasing
     # order: they are pushed in decreasing order and popped in increasing;
     # every side is bounded here, and only its integer part is read
+    wdim, nfree = lat.wdim, lat.nfree
     leaves: list[tuple[int, ...]] = []
     nodes = 0
     stack: list[tuple[int, ...]] = [()]
@@ -458,7 +492,7 @@ def _solve(
                 break
         else:
             if depth == len(levels):
-                levels.append(evaluated(chain.levels[depth]))
+                levels.append(_evaluated(lat.levels[depth], slacks))
             (lo, lo_den), (hi, hi_den) = _interval(levels[depth], depth, prefix)
             stack += [prefix + (value,) for value in range(hi // hi_den, -(-lo // lo_den) - 1, -1)]
     report.stats["nodes"] = nodes
@@ -466,11 +500,11 @@ def _solve(
         report.status = "unbounded" if nfree else "solutions"
     if leaves and not find_one:
         if nfree:
-            report.ray = x_ray((0,) * wdim + (1,))
+            report.ray = lat.ray
         else:
             # x = point + u . (0, w, 0); distinct leaves give distinct points,
             # as u is invertible and each slack is a function of x
-            u_w = [row[rank:] for row in lat.u]
+            u_w = [row[lat.rank:] for row in lat.u]
             report.solutions = sorted(
                 tuple(x + sum(map(mul, row, w)) for row, x in zip(u_w, point))
                 for w in leaves
@@ -478,72 +512,25 @@ def _solve(
     return report
 
 
-def _recession_ray(levels, var: int) -> tuple[int, ...]:
-    """A nonzero integer direction of the relaxation's recession cone that
-    moves variable `var`, the first one that its chain level leaves open on
-    one side; levels[d] holds rows (coeffs, ...) over variables 0..d.  FM
-    combines coefficients without reading constants, so levels[d] with its
-    constants set to 0 is the projection of the homogeneous rows: every
-    earlier variable is 0 on it, var moves to the open side, and each later
-    variable is read off its interval there.  The rational point is kept as
-    an integer `point` over a positive `scale`: the rows are homogeneous, so
-    each bound read at `point` is `scale` times the one at the rational
-    point, and point / gcd(scale, *point) is the lcm of the rational point's
-    denominators times it, whatever positive multiple of each row a level
-    holds."""
-    point = [0] * var + [-1 if any(coeffs[var] < 0 for coeffs, _ in levels[var]) else 1]
-    scale = 1
-    for d in range(var + 1, len(levels)):
-        lo, hi = _interval([(coeffs, 0) for coeffs, _ in levels[d]], d, point)
-        num, den = lo or hi or (0, 1)
-        point = [x * den for x in point] + [num]
-        scale *= den
-    g = gcd(scale, *point)
-    return tuple(x // g for x in point)
-
-
 def enumerate_system(system: FeasibilitySystem, matrix: _Matrix | None = None) -> SolveReport:
     """Deterministic enumeration of the integer points: all of them, or the
     first on a lattice with free directions, which is unbounded anyway.
 
     `matrix` holds the system's integer rows and the memo of the lattices
-    and chains of its solves; the systems of one _solve_level call share
-    one, as they have the same linear parts and differ only in the
-    right-hand side, which each reads off its own forms' constants.  By
-    default the system and its core trials get a fresh one.
+    of its solves; the systems of one _solve_level call share one, as they
+    have the same linear parts and differ only in the right-hand side,
+    which each reads off its own forms' constants.  By default the system
+    and its core trials get a fresh one.
     """
     if matrix is None:
-        matrix = _Matrix(_integer_rows(system), {})
-    rows, memo = matrix
-    nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
-    rhs = _rhs(system)
-
-    def lattice(kept: tuple[int, ...]) -> tuple[_Lattice, _Chain]:
-        if kept not in memo:
-            lat = _lattice(rows, nvar, neq, kept)
-            memo[kept] = lat, _chain(lat)
-        return memo[kept]
-
-    lat, chain = lattice(tuple(range(nform)))
-    point = _particular(lat, rhs)
-
-    def trial(kept: tuple[int, ...]) -> SolveReport:
-        """Decide the system with only the forms in `kept`, from the
-        system's point restricted to the variables and the kept slacks,
-        which solves the kept rows; a system without an integer point gives
-        each trial its own."""
-        sub, sub_chain = lattice(kept)
-        if point is None:
-            sub_point = _particular(sub, rhs[:neq] + [rhs[neq + j] for j in kept])
-        else:
-            sub_point = point[:nvar] + [point[nvar + j] for j in kept]
-        return _solve(sub, sub_chain, sub_point, system.variables, find_one=True)
-
-    report = _solve(lat, chain, point, system.variables)
+        matrix = _matrix(system)
+    lat = matrix.lattice(tuple(range(len(system.nonneg_integral))))
+    point = _particular(lat, _rhs(system))
+    report = _solve(lat, point, system.variables)
     if report.status == "solutions":
         _recheck(system, report.solutions)
     elif report.status == "infeasible":
-        report.certificate = _infeasible_core(system, lat, point, trial)
+        report.certificate = _infeasible_core(system, matrix, point)
     return report
 
 
@@ -576,17 +563,17 @@ def _recheck(system: FeasibilitySystem, solutions: list[tuple[int, ...]]) -> Non
 
 
 def _infeasible_core(
-    system: FeasibilitySystem, lat: _Lattice, point: list[int] | None, trial
+    system: FeasibilitySystem, matrix: _Matrix, point: list[int] | None
 ) -> list[str]:
     """Greedy minimal subset of the non-negative-integer forms that already
     makes the system infeasible (with all equalities kept).
 
-    `lat` and `point` are the system's own lattice and integer point (None
-    when it has none), and `trial` is the trial of enumerate_system: each
-    trial(kept forms) drops the slack-link rows and slack columns of the
-    other forms, so it decides exactly the integer rows of the smaller
-    system, builds its lattice only when it is new, and starts from the
-    system's point, which solves those rows too.
+    `matrix` and `point` are the system's (point None when it has no
+    integer point).  A trial keeps some forms and drops the slack-link rows
+    and slack columns of the others, so it decides exactly the integer rows
+    of the smaller system, with their lattice from the matrix's memo, from
+    the system's point restricted to the variables and the kept slacks,
+    which solves those rows too, or else from its own.
 
     A form whose slack no lattice coordinate moves (its row of u is zero on
     w) is fixed by the equalities: it is constant on their real solution
@@ -598,14 +585,22 @@ def _infeasible_core(
     every form of a system without an integer point, stays in the loop.
     """
     forms = system.nonneg_integral
+    nvar, neq = matrix.nvar, matrix.neq
     live = range(len(forms))
-    if point is not None:
-        slacks = zip(lat.slack_w, point[len(system.variables):])
+    if point is None:
+        rhs = _rhs(system)
+    else:
+        slacks = zip(matrix.lattice(tuple(live)).slack_w, point[nvar:])
         live = [j for j, (w_row, const) in enumerate(slacks) if any(w_row) or const < 0]
     core = tuple(live)
     for j in live:
         kept = tuple(i for i in core if i != j)
-        if trial(kept).status == "infeasible":
+        sub = matrix.lattice(kept)
+        if point is None:
+            sub_point = _particular(sub, rhs[:neq] + [rhs[neq + i] for i in kept])
+        else:
+            sub_point = point[:nvar] + [point[nvar + i] for i in kept]
+        if _solve(sub, sub_point, system.variables, find_one=True).status == "infeasible":
             core = kept
     return [forms[j][1] for j in core]
 
@@ -627,8 +622,8 @@ def _solve_level(
     each equality (row, ell, target).  Every system has these rows, so each
     linear part, each ell's level traces, the names, the sorted variables
     with the augmentation, and the integer matrix with its memo of lattices
-    and chains are built once per call; each system adds only its forms'
-    constants, from each row's values on its lower levels.
+    are built once per call; each system adds only its forms' constants,
+    from each row's values on its lower levels.
 
     The level's distinct rows are numbered once, and each form and equality
     is prepared once as (row index, row, linear part, level traces, ...).
@@ -662,7 +657,7 @@ def _solve_level(
         )
         system = FeasibilitySystem(empty.variables, (*pinned, *empty.equalities), forms)
         if matrix is None:
-            matrix = _Matrix(_integer_rows(system), {})
+            matrix = _matrix(system)
         reports.append(enumerate_system(system, matrix))
     return reports
 

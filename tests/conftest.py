@@ -6,6 +6,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 import pytest
 
@@ -189,8 +190,20 @@ def row_major_hermite(rows: list[list[int]], ncols: int):
     return a, u, pivots
 
 
-def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
-    """One Hermite elimination of the rows of _integer_rows that a solve
+class HermiteSplit(NamedTuple):
+    """The fields of solver._Lattice that its Hermite elimination gives."""
+
+    pivot_col: tuple[int | None, ...]
+    echelon: tuple[tuple[int, ...], ...]
+    u: tuple[tuple[int, ...], ...]
+    slack_y: tuple[tuple[int, ...], ...]
+    slack_w: tuple[tuple[int, ...], ...]
+    rank: int
+    wdim: int
+
+
+def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> HermiteSplit:
+    """One Hermite elimination of the rows of a solver._matrix that a solve
     keeps: the neq equality rows and the slack-link rows of the forms in
     `kept`, over the nvar variables and those forms' slacks, followed by one
     unit row per kept slack.
@@ -212,7 +225,7 @@ def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Latt
     # the lattice keeps no v part of a slack row: it is zero
     assert not any(any(r[rank + wdim:]) for r in u[nvar:])
     pivot_of_row = dict(pivots)
-    return _Lattice(
+    return HermiteSplit(
         tuple(pivot_of_row.get(r) for r in range(m)),
         tuple(tuple(r[:rank]) for r in a[:m]),
         tuple(map(tuple, u[:nvar])),
@@ -220,12 +233,6 @@ def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Latt
         tuple(tuple(r[rank:rank + wdim]) for r in u[nvar:]),
         rank, wdim,
     )
-
-
-def nfree(lat: _Lattice) -> int:
-    """The number of directions v of a lattice, which leave every slack
-    fixed: the columns of u past the pivot coordinates y and the w."""
-    return len(lat.u) + len(lat.slack_w) - lat.rank - lat.wdim
 
 
 # ---------------------------------------------------------------------------

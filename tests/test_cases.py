@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import is_pair_system, nfree
+from conftest import is_pair_system
 
 import sntorsion.cases as cases_mod
 from sntorsion.cases import (
@@ -169,10 +169,8 @@ def test_thm32_order3_stage_with_free_directions_stops_at_its_first_point(
     _case_thm32(n, p, q)
     monkeypatch.undo()
     ((system, report),) = seen
-    rows = solver._integer_rows(system)
-    kept = tuple(range(len(system.nonneg_integral)))
-    lat = solver._lattice(rows, len(system.variables), len(system.equalities), kept)
-    assert report.status == "unbounded" and nfree(lat) > 0
+    lat = solver._matrix(system).lattice(tuple(range(len(system.nonneg_integral))))
+    assert report.status == "unbounded" and lat.nfree > 0
     # the path to the first leaf, where a search of every point visits
     # full_search_nodes
     assert report.stats["nodes"] == lat.wdim + 1 == 4 < full_search_nodes
@@ -249,9 +247,10 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # the verdict and report hash that bench/reference.json records for it,
     # and the search that decides them: systems, DFS nodes of the system
     # reports and of every solve (core trials included), core trials,
-    # lattice builds, Fourier-Motzkin chains, one per lattice, and forward
-    # substitutions, one per system, as every core trial starts from its
-    # system's point
+    # lattice builds, Fourier-Motzkin chains, one per lattice, the lattices
+    # whose ray is a recession ray (a coordinate open) and those with free
+    # directions, and forward substitutions, one per system, as every core
+    # trial starts from its system's point
     counts = Counter()
     real_enumerate, real_solve, real_lattice, real_chain, real_particular = (
         solver.enumerate_system, solver._solve, solver._lattice, solver._chain, solver._particular
@@ -263,15 +262,18 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         counts["system nodes"] += report.stats["nodes"]
         return report
 
-    def solving(lat, chain, point, variables, find_one=False):
-        report = real_solve(lat, chain, point, variables, find_one)
+    def solving(lat, point, variables, find_one=False):
+        report = real_solve(lat, point, variables, find_one)
         counts["solve nodes"] += report.stats["nodes"]
         counts["trials"] += find_one
         return report
 
     def building(*args):
+        lat = real_lattice(*args)
         counts["lattices"] += 1
-        return real_lattice(*args)
+        counts["open"] += lat.open is not None
+        counts["free"] += lat.nfree > 0
+        return lat
 
     def projecting(*args):
         counts["chains"] += 1
@@ -295,5 +297,5 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         assert {"verdict": report.verdict, "sha256": digest} == expected, key
     assert counts == {
         "systems": 898, "system nodes": 6219, "solve nodes": 12124, "trials": 4696, "lattices": 477,
-        "chains": 477, "particular": 898,
+        "chains": 477, "open": 113, "free": 71, "particular": 898,
     }

@@ -93,9 +93,10 @@ def test_solve_rejects_a_repeated_row(rows, capsys):
 @pytest.mark.parametrize("spec", ["pi:", "pi:0,0", "pi:0,3"])
 def test_solve_rejects_an_empty_or_repeated_residue_list(spec, capsys):
     # each order-q residue is one form: none would leave the row unused, and
-    # a residue repeated modulo q would give the same form twice
+    # a residue repeated modulo q has the same gcd(ell, q), so it would give
+    # the same form twice
     rc, out, err = run(capsys, "solve", "--group", "S7", "--order", "5x3", "--rows", spec)
-    reason = "expected one or more residues distinct modulo 3"
+    reason = "expected one or more residues with distinct gcd(ell, 3)"
     assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --rows {spec!r}; {reason}\n")
 
 
@@ -104,7 +105,7 @@ def test_solve_rejects_two_residues_with_the_same_gcd(spec, capsys):
     # mu_ell of an integer-valued row depends only on gcd(ell, q): residues
     # 1 and 2 modulo 3 both have gcd 1 and would give the same form twice
     rc, out, err = run(capsys, "solve", "--group", "S7", "--order", "5x3", "--rows", spec)
-    reason = "expected residues with distinct gcd(ell, 3)"
+    reason = "expected one or more residues with distinct gcd(ell, 3)"
     assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --rows {spec!r}; {reason}\n")
 
 

@@ -115,6 +115,14 @@ def test_aug_vector_validation():
     assert v.value(prime_cycles(3, 2, 7)) == -1
 
 
+def test_aug_vector_rejects_a_repeated_class():
+    # the entries sum to 1, but value would read 2 at c, char_value_on_unit
+    # the sum 1, and the order-q filter either entry
+    c = prime_cycles(3, 1, 7)
+    with pytest.raises(ValueError, match="^a class is listed twice$"):
+        AugVector(3, 7, ((c, 2), (c, -1)))
+
+
 def test_aug_vector_rejects_malformed_cycle_types():
     with pytest.raises(ValueError, match="not weakly decreasing"):
         AugVector.make(3, 7, {(1, 3, 3): 1})
@@ -152,6 +160,12 @@ def test_character_row_validation():
         CharacterRow.make("bad", 5, {(2, 1): 1}, modulus=2)
     with pytest.raises(ValueError):
         CharacterRow.make("bad", 5, {(3,): 1}, modulus=4)
+
+
+def test_character_row_rejects_a_repeated_class():
+    c = prime_cycles(3, 1, 7)
+    with pytest.raises(ValueError, match="^row r lists a class twice$"):
+        CharacterRow("r", 7, None, ((c, 1), (c, 4)))
 
 
 def test_character_row_value_lookups():

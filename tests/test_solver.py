@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
-    affine_form, brute_force_solutions, cleared_form, coeff, concrete_solve, eliminate, fm_chain,
-    is_pair_system, nfree, normalize, parse_class, pinned_recession_ray, row_major_lattice,
+    HermiteSplit, affine_form, brute_force_solutions, cleared_form, coeff, concrete_solve, eliminate,
+    fm_chain, is_pair_system, normalize, parse_class, pinned_recession_ray, row_major_lattice,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -94,7 +94,7 @@ def integer_matrices(draw):
 
 def assert_matches_row_major(lat, rows, nvar, neq, kept):
     oracle = row_major_lattice(rows, nvar, neq, kept)
-    for name in solver._Lattice._fields:
+    for name in HermiteSplit._fields:
         assert getattr(lat, name) == getattr(oracle, name), name
 
 
@@ -301,10 +301,8 @@ def test_degenerate_lattices_take_the_one_search_path(
     # the search has one leaf, the particular point, unless a constant
     # slack is already negative
     system = builder()
-    rows = solver._integer_rows(system)
-    nform = len(system.nonneg_integral)
-    lat = solver._lattice(rows, len(system.variables), len(system.equalities), tuple(range(nform)))
-    assert (nfree(lat), lat.wdim) == (free, wdim)
+    lat = solver._matrix(system).lattice(tuple(range(len(system.nonneg_integral))))
+    assert (lat.nfree, lat.wdim) == (free, wdim)
     report = enumerate_system(system)
     assert report.status == status
     assert report.solutions == solutions
@@ -328,9 +326,8 @@ def free_direction_system():
 
 def test_a_lattice_with_free_directions_stops_at_its_first_point():
     system = free_direction_system()
-    rows = solver._integer_rows(system)
-    lat = solver._lattice(rows, 4, 1, (0, 1, 2, 3))
-    assert (nfree(lat), lat.wdim) == (1, 2)
+    lat = solver._matrix(system).lattice((0, 1, 2, 3))
+    assert (lat.nfree, lat.wdim) == (1, 2)
     report = enumerate_system(system)
     # the first point decides the report: unbounded along the first free
     # direction, found on the path root -> w0 -> w1 (a full search visits
@@ -442,8 +439,7 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     assert [fixed_at_a_nonnegative_integer(system, f) for f, _ in system.nonneg_integral] == [
         True, False, False
     ]
-    rows = solver._integer_rows(system)
-    lat = solver._lattice(rows, 3, 2, (0, 1, 2))
+    lat = solver._matrix(system).lattice((0, 1, 2))
     # the slack rows of u on the w coordinates
     assert [any(row) for row in lat.slack_w] == [False, False, True]
     built, tried = [], []
@@ -454,10 +450,10 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
         built.append((lat, kept))
         return lat
 
-    def solving(lat, chain, point, variables, find_one=False):
+    def solving(lat, point, variables, find_one=False):
         if find_one:
             tried.append(next(kept for known, kept in built if known is lat))
-        return real_solve(lat, chain, point, variables, find_one)
+        return real_solve(lat, point, variables, find_one)
 
     monkeypatch.setattr(solver, "_lattice", building)
     monkeypatch.setattr(solver, "_solve", solving)
@@ -684,12 +680,12 @@ def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
             builds.append((rows, kept))
         return real_lattice(rows, nvar, neq, kept)
 
-    def recording(system, lat, point, trial):
+    def recording(system, matrix, point):
         nonlocal in_core
         in_core = True
-        core = real_core(system, lat, point, trial)
+        core = real_core(system, matrix, point)
         in_core = False
-        rows = solver._integer_rows(system)
+        rows = solver._matrix(system).rows
         # a form that the equalities fix at a non-negative integer gets no
         # trial and no trial keeps it; the greedy filter's trial of each
         # other form i keeps the earlier such forms that stayed in the core
@@ -836,7 +832,7 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, ex
         system = FeasibilitySystem(
             system.variables, system.equalities, (*system.nonneg_integral, (form, extra))
         )
-    rows, rhs = solver._integer_rows(system), solver._rhs(system)
+    rows, rhs = solver._matrix(system).rows, solver._rhs(system)
     nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
     system_point = solver._particular(solver._lattice(rows, nvar, neq, tuple(range(nform))), rhs)
     built, trials, substitutions = [], [], 0
@@ -852,12 +848,12 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, ex
         substitutions += 1
         return real_particular(lat, rhs)
 
-    def solving(lat, chain, point, variables, find_one=False):
-        report = real_solve(lat, chain, point, variables, find_one)
+    def solving(lat, point, variables, find_one=False):
+        report = real_solve(lat, point, variables, find_one)
         if find_one:
             kept = next(kept for known, kept in built if known is lat)
             own = real_particular(lat, rhs[:neq] + [rhs[neq + j] for j in kept])
-            alone = real_solve(lat, chain, own, variables, find_one)
+            alone = real_solve(lat, own, variables, find_one)
             trials.append(((report.status, report.stats["nodes"]), (alone.status, alone.stats["nodes"])))
         return report
 
@@ -874,15 +870,15 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, ex
     assert substitutions == 1 + (len(trials) if system_point is None else 0)
 
 
-def assert_chain_rows_combine_the_slack_rows(lat, chain):
+def assert_chain_rows_combine_the_slack_rows(lat):
     """Each chain row's coefficients are exactly its positive multipliers
     times the lattice's slack rows on w; a constant row's are all zero."""
 
     def combination(lam):
         return tuple(sum(m * lat.slack_w[i][j] for i, m in lam) for j in range(lat.wdim))
 
-    rows = [row for level in chain.levels for row in level]
-    rows += [((0,) * lat.wdim, lam) for lam in chain.constant]
+    rows = [row for level in lat.levels for row in level]
+    rows += [((0,) * lat.wdim, lam) for lam in lat.constant]
     for coeffs, lam in rows:
         assert lam and all(m > 0 for _, m in lam)
         assert [i for i, _ in lam] == sorted({i for i, _ in lam})
@@ -910,12 +906,11 @@ def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
             system = FeasibilitySystem(
                 system.variables, system.equalities, (*system.nonneg_integral, form)
             )
-        rows, rhs = solver._integer_rows(system), solver._rhs(system)
+        rows, rhs = solver._matrix(system).rows, solver._rhs(system)
         nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
         kept = tuple(j for j in range(nform) if data.draw(st.booleans()))
         lat = solver._lattice(rows, nvar, neq, kept)
-        chain = solver._chain(lat)
-        assert_chain_rows_combine_the_slack_rows(lat, chain)
+        assert_chain_rows_combine_the_slack_rows(lat)
         cols = [*range(nvar), *(nvar + j for j in kept)]
         kept_rows = [*range(neq), *(neq + j for j in kept)]
         z = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
@@ -923,7 +918,7 @@ def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
         for b in ([rhs[r] for r in kept_rows], other):
             point = solver._particular(lat, b)
             for find_one in (False, True):
-                report = solver._solve(lat, chain, point, system.variables, find_one)
+                report = solver._solve(lat, point, system.variables, find_one)
                 assert report == concrete_solve(lat, point, system.variables, find_one)
             if point is None:
                 seen["no integer point"] += 1
