@@ -26,7 +26,7 @@ from .cases import (
 from .characters import NAMED_CHARACTERS
 from .lemma_filters import spectral_hypotheses
 from .luthar_passi import allowed_support, orbit_residues
-from .partitions import is_prime
+from .partitions import PRIME_TEST_BOUND, is_prime
 from .table_io import TableError, ordinary_table, parse_table, serialize_table
 
 EXIT_OK = 0
@@ -41,22 +41,37 @@ class InputError(Exception):
     pass
 
 
+def _ascii_digits(text: str) -> bool:
+    # str.isdigit also accepts digits such as superscripts, which int() refuses
+    return text.isascii() and text.isdigit()
+
+
 def _parse_group(spec: str) -> tuple[str, int]:
-    if not spec or spec[0] not in ("S", "A") or not spec[1:].isdigit():
+    if not spec or spec[0] not in ("S", "A") or not _ascii_digits(spec[1:]):
         raise InputError(f"bad --group {spec!r}; expected e.g. S13 or A13")
-    n = int(spec[1:])
+    try:
+        n = int(spec[1:])
+    except ValueError:  # more digits than int() reads: past the bound below
+        n = PRIME_TEST_BOUND
     if n < 2:
         raise InputError(f"bad --group {spec!r}; the degree must be at least 2")
+    # every prime factor and modulus of a run is at most the degree, and
+    # the primality test decides only numbers below its bound
+    if n >= PRIME_TEST_BOUND:
+        raise InputError(f"bad --group {spec!r}; the degree must be below {PRIME_TEST_BOUND}")
     return spec[0], n
 
 
 def _parse_order(spec: str, n: int) -> tuple[int, int]:
     parts = spec.lower().split("x")
-    if len(parts) != 2 or not all(s.isdigit() for s in parts):
+    if len(parts) != 2 or not all(map(_ascii_digits, parts)):
         raise InputError(f"bad --order {spec!r}; expected e.g. 3x11")
-    a, b = sorted(int(s) for s in parts)
-    # checked before the primality test, whose cost grows with the factor:
-    # a factor above the degree is no element order of the group
+    try:
+        a, b = sorted(int(s) for s in parts)
+    except ValueError:  # more digits than int() reads
+        raise InputError(f"bad --order {spec!r}; a factor exceeds the degree {n}") from None
+    # checked before the primality test, which takes no number past its
+    # bound: a factor above the degree is no element order of the group
     if b > n:
         raise InputError(f"bad --order {spec!r}; the factor {b} exceeds the degree {n}")
     if a == b or not (is_prime(a) and is_prime(b)):

@@ -278,19 +278,6 @@ def level_traces(k: int, ell: int) -> dict[int, int]:
     return {d: ramanujan_sum(k // d, ell) for d in _divisors(k)[1:-1]}
 
 
-def lower_constant(row: CharacterRow, traces: dict[int, int], values: dict[int, int]) -> int:
-    """The constant part of k times the multiplicity of zeta^ell for a unit
-    of order k: the identity's share row.degree plus the share of every
-    proper power level d > 1, given its trace traces[d] (level_traces) and
-    the row's value values[d] on the fixed level (char_value_on_unit)."""
-    total = row.degree
-    for d, trace in traces.items():
-        if d not in values:
-            raise ValueError(f"level {d} of the unit is not fixed")
-        total += values[d] * trace
-    return total
-
-
 def orbit_residues(k: int) -> list[int]:
     """One residue per Galois orbit: the divisors of k (mod k, so k maps
     to 0).  For rational-valued rows mu_ell depends only on gcd(ell, k)."""

@@ -32,8 +32,39 @@ def smallest_factor(k: int) -> int:
     return next((d for d in chain([2], range(3, isqrt(k) + 1, 2)) if k % d == 0), k)
 
 
+# the first 13 primes: a strong probable prime to every one of them is prime
+# below PRIME_TEST_BOUND (Sorenson and Webster, 2015)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(k: int) -> bool:
-    return k >= 2 and smallest_factor(k) == k
+    """Whether k is prime, by deterministic Miller-Rabin; a ValueError for
+    k >= PRIME_TEST_BOUND, where the bases decide nothing.  Divisibility by
+    the bases alone decides every k with a base as a factor and every
+    k < 41^2; any other k is prime exactly when it is a strong probable
+    prime to each base."""
+    if k >= PRIME_TEST_BOUND:
+        raise ValueError(f"{k} is past the bound of the primality test")
+    for b in _BASES:
+        if k % b == 0:
+            return k == b
+    if k < 41 * 41:
+        return k > 1
+    # k - 1 = d * 2^s with d odd
+    s = ((k - 1) & (1 - k)).bit_length() - 1
+    d = (k - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, k)
+        if x == 1 or x == k - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(k: int) -> dict[int, int]:

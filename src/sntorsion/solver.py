@@ -14,64 +14,76 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    that move the slacks and the directions v that leave every slack
    unchanged (they can only produce infinite solution families), and each
    row of u reads one variable or slack in (y, w, v); a slack row is zero
-   on v.  Forward substitution of the right-hand side in the echelon rows
-   gives either a contradiction or y, and so one integer point
-   u . (y, 0, 0); every integer solution is that point plus u . (0, w, v),
-   each slack is its value at the point plus a linear form in w, and a
-   variable is read off its row only at a recorded solution;
+   on v.  The equality rows are zero on every slack column, so their pass
+   of the elimination is the same whichever forms a lattice keeps: it runs
+   once per matrix (_Matrix), and each lattice continues it.  Forward
+   substitution of the right-hand side in the echelon rows gives either a
+   contradiction or y, and so one integer point u . (y, 0, 0); every
+   integer solution is that point plus u . (0, w, v), and each slack is its
+   value K = slack_y . y at the point plus a linear form in w.  A search
+   reads only K; a variable is read off its row of u only at a recorded
+   solution;
 3. exact Fourier-Motzkin elimination of the slack inequalities, from the
    last w coordinate down, gives one projection chain per lattice, for
    every right-hand side at once (_chain): each row carries, in place of
-   its constant, its non-negative multiplier vector over the slack rows, so
-   a solve reads the constant of each row as that vector times the slack
-   values at its point.  The chain's rows with no coordinate left must be
-   non-negative there, and the first coordinate must have a value (the
-   last elimination, read off its range); then the first coordinate the
-   chain leaves open on one side, which reads no constant, makes the
-   relaxation unbounded, along the lattice's ray.
+   its constant, its non-negative multiplier vector lam over the slack
+   rows, so a search reads the constant of each row as lam . K.  The
+   lattice keeps its rows prepared for that (_prepared): a row with one
+   multiplier m on slack i has the constant m * K_i, and the others are
+   summed without a generator per row.  The chain's rows with no
+   coordinate left must be non-negative at K, and the first coordinate
+   must have a value (the last elimination, read off its range); then the
+   first coordinate the chain leaves open on one side, which reads no
+   constant, makes the relaxation unbounded, along the lattice's ray.
    Otherwise the depth-first enumeration, a loop over a stack of prefixes,
    fixes the coordinates from the first up and reads the integer range of
    each from the chain by floor division.  It stops at the first integer
-   point when that point decides the report: in a core trial, which reads
+   point when that point decides the status: in a core trial, which reads
    only the status, and on a lattice with directions v, which is unbounded
    along the first of them whatever other points exist.
 
 One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  The eliminations of steps 2 and
 3 depend only on the integer matrix, not on the right-hand side, and so
-does an unbounded solve's ray: one _lattice holds them all, and a solve
-only evaluates the chain's constants at its point (_solve).
-Each system runs the forward substitution once, in enumerate_system, and
-its core trials start from its integer point: a trial keeps a subset of
-the system's rows, so the system's point, restricted to the variables and
-the kept slacks, solves the trial too.  The trial's own point differs from
-it by an integer kernel vector, so its w coordinates move by an integer
-translation, which shifts each search range by an integer and changes no
-node count or status.  Only a system without an integer point gives its
-trials their own forward substitution.
+does an unbounded solve's ray: one _lattice holds them all, and one search
+(_search) decides a lattice at its slack values K, giving the status and
+the node count; _solve wraps it in a report for a system.  Each system runs
+the forward substitution once, in enumerate_system, and its core trials
+start from its integer point: a trial keeps a subset of the system's rows,
+so the system's point, restricted to the variables and the kept slacks,
+solves the trial too, and the trial's K is the system's on the kept
+slacks.  The trial's own point differs from it by an integer kernel
+vector, so its w coordinates move by an integer translation, which shifts
+each search range by an integer and changes no node count or status.  Only
+a system without an integer point gives its trials their own forward
+substitution.
 
 One function, _solve_level, makes the systems of every level: one row set
 over a list of lower levels, once for solve_prime_order and once per row
 group for solve_order_pq.  Its systems have the same rows and differ only
 in their lower levels, so it makes the linear part of each (row, ell) and
-the level traces of each ell once (top_coeffs, level_traces), each row's
-values on a system's lower levels once per system, and only the constant
-per form (lower_constant).  Its systems share one integer matrix, read off
-the first of them, so each contributes only its right-hand side, read off
-its forms' constants (_rhs).  The systems and their infeasible-core trials
-share one memo of lattices (_Matrix.lattice); it lives as long as the call,
-so there is one per row group.  It holds one lattice per tuple of kept
-forms (all of them for the system, all but the dropped ones for a core
-trial), so a trial eliminates only when its lattice is new.
+the level traces of each ell once (top_coeffs, level_traces), and each
+row's values on each distinct lower vector once; a system checks once that
+its lower levels are all fixed, and each form's constant is one dot product
+of those values with its traces.  Each distinct (form, constant) of the
+call is one AffineForm.  Its systems share one integer matrix, read off the
+first of them, so each contributes only its right-hand side, read off its
+forms' constants (_rhs).  The memos live as long as the call or its
+matrix: the systems and their infeasible-core trials share the matrix's
+pass over the equality rows and its memo of lattices (_Matrix.lattice),
+one per row group.  It holds one lattice per tuple of kept forms (all of
+them for the system, all but the dropped ones for a core trial), so a
+trial eliminates only when its lattice is new.
 
 The infeasible core is a greedy deletion filter: one trial per form, each
-re-solving the system without that form and the forms dropped before it.
-A form that the equalities fix at a non-negative integer (no lattice
-coordinate moves its slack) can never be needed, so it gets no trial; in
-the Theorem-3.2 pair systems these are the mu_ell(pi) forms, which the pi
-equalities pin.  Every reported solution is re-checked against the
-system's original forms in integer arithmetic, independently of the solved
-rows.  All of it is integer arithmetic, the recession rays included.
+the status of one search of the system without that form and the forms
+dropped before it, which allocates no report.  A form that the equalities
+fix at a non-negative integer (no lattice coordinate moves its slack) can
+never be needed, so it gets no trial; in the Theorem-3.2 pair systems these
+are the mu_ell(pi) forms, which the pi equalities pin.  Every reported
+solution is re-checked against the system's original forms in integer
+arithmetic, independently of the solved rows.  All of it is integer
+arithmetic, the recession rays included.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -92,7 +104,6 @@ from .luthar_passi import (
     char_value_on_unit,
     class_sort_key,
     level_traces,
-    lower_constant,
     top_coeffs,
 )
 from .lemma_filters import spectral_hypotheses
@@ -105,7 +116,8 @@ from .partitions import Partition, element_order, is_prime
 def _column_hermite(cols: list[list[int]], pivot_rows) -> list[tuple[int, int]]:
     """Column-style Hermite elimination, in place, of a matrix given as its
     list of columns: at most one pivot in each of `pivot_rows`, in order,
-    with the pivot columns first.  Returns the (row, column) pivots."""
+    with the pivot columns first.  Returns the (row, column) pivots.  In
+    each row the first column of least non-zero |entry| is the pivot."""
     ncols = len(cols)
     pivots: list[tuple[int, int]] = []
     pc = 0
@@ -113,24 +125,30 @@ def _column_hermite(cols: list[list[int]], pivot_rows) -> list[tuple[int, int]]:
         if pc >= ncols:
             break
         while True:
-            nz = [c for c in range(pc, ncols) if cols[c][row]]
-            if not nz:
-                break
-            c0 = min(nz, key=lambda c: abs(cols[c][row]))
-            cols[pc], cols[c0] = cols[c0], cols[pc]
-            src = cols[pc]
+            least = 0
+            for c in range(pc, ncols):
+                x = abs(cols[c][row])
+                if x and (x < least or not least):
+                    c0, least = c, x
+            if not least:
+                break  # no entry left: this row has no pivot
+            src = cols[c0]
+            cols[c0] = cols[pc]
+            cols[pc] = src
+            p = src[row]
             done = True
             for c in range(pc + 1, ncols):
-                if cols[c][row]:
-                    factor = -(cols[c][row] // src[row])
-                    cols[c] = [a + factor * b for a, b in zip(cols[c], src)]
-                    if cols[c][row]:
+                col = cols[c]
+                x = col[row]
+                if x:
+                    factor = x // p
+                    cols[c] = [a - factor * b for a, b in zip(col, src)]
+                    if x - factor * p:
                         done = False
             if done:
+                pivots.append((row, pc))
+                pc += 1
                 break
-        if cols[pc][row]:
-            pivots.append((row, pc))
-            pc += 1
     return pivots
 
 
@@ -156,16 +174,24 @@ class _Lattice(NamedTuple):
     constant: tuple[Multipliers, ...]  # the rows with no coordinate: lam . K >= 0
     open: int | None  # the first coordinate its level leaves open on one side
     ray: tuple[int, ...] | None  # an unbounded solve's primitive ray, in the variables
+    # the chain prepared for evaluation at slack values K (_prepared)
+    bounds: tuple  # per level d, its rows that bound w_d: (singles, sums)
+    nonneg: tuple[int, ...]  # the slacks of the one-multiplier constant rows: K_i >= 0
+    sums: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # the others: (indices, multipliers)
 
 
-def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
+def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     """One Hermite elimination of the rows of a _matrix that a solve
     keeps: the neq equality rows and the slack-link rows of the forms in
     `kept`, over the nvar variables and those forms' slacks, with the
     Fourier-Motzkin chain and the ray that every right-hand side shares.
 
-    Each column of the one eliminated matrix stacks the m kept rows over
-    u, which starts as the identity and so records every column op.  The
+    Each column of the one eliminated matrix stacks the kept rows over u,
+    which starts as the identity and so records every column op.  The
+    equality rows come first and are zero on the slack columns, so their
+    pass is the matrix's own, run once (_Matrix): the lattice continues it
+    from its pivot state, with the variable columns it left, each read on
+    the kept slack-link rows and on u, then one column per kept slack.  The
     pivots in the kept rows give the rank, the pivot coordinates y and the
     echelon data of _particular; the columns past the rank span the integer
     kernel.  The slack rows of u come next: the row of slack i starts as
@@ -180,23 +206,29 @@ def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
     recession ray of the chain's open coordinate, else the first direction
     v, mapped to the variables by u and divided by its gcd.
     """
-    cols = [*range(nvar), *(nvar + j for j in kept)]
-    kept_rows = [*range(neq), *(neq + j for j in kept)]
-    m, ncols = len(kept_rows), len(cols)
-    stacked = []
-    for k, c in enumerate(cols):
-        unit = [0] * ncols
-        unit[k] = 1
-        stacked.append([rows[r][c] for r in kept_rows] + unit)
-    pivots = _column_hermite(stacked, [*range(m), *range(m + nvar, m + ncols)])
-    # back to rows: the m kept rows . u, then u; with no columns, m empty rows
-    a = list(zip(*stacked)) or [()] * m
-    rank = sum(row < m for row, _ in pivots)
-    wdim = len(pivots) - rank
-    nfree = ncols - len(pivots)
-    pivot_of_row = dict(pivots)
-    u = tuple(a[m:m + nvar])
-    slack_rows = a[m + nvar:]
+    nvar, r0 = matrix.nvar, matrix.eq_rank
+    nk = len(kept)
+    # each column's rows: the nk kept slack-link rows, the nvar variable
+    # rows of u, then the nk slack rows of u
+    no_slacks, no_vars = [0] * nk, [0] * nvar
+    cols = [[on_link[j] for j in kept] + on_u + no_slacks for on_link, on_u in matrix.columns]
+    link = [matrix.rows[matrix.neq + j] for j in kept]
+    for t, j in enumerate(kept):
+        unit = [0] * nk
+        unit[t] = 1
+        cols.append([row[nvar + j] for row in link] + no_vars + unit)
+    # the equality pass left its r0 pivot columns final
+    rest = cols[r0:]
+    pivots = _column_hermite(rest, [*range(nk), *range(nk + nvar, 2 * nk + nvar)])
+    cols[r0:] = rest
+    a = list(zip(*cols))
+    on_links = sum(row < nk for row, _ in pivots)
+    rank = r0 + on_links
+    wdim = len(pivots) - on_links
+    nfree = len(cols) - r0 - len(pivots)
+    pivot_of_row = {row: r0 + c for row, c in pivots}
+    u = tuple(a[nk:nk + nvar])
+    slack_rows = a[nk + nvar:]
     slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
     levels, constant, open_ = _chain(slack_w, wdim)
     ray = None
@@ -205,21 +237,24 @@ def _lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
         ray = [sum(map(mul, row[rank:], direction)) for row in u]
         g = gcd(*ray)
         ray = tuple(c // g for c in ray) if g > 1 else tuple(ray)
+    # the equality rows are zero past their own pivot columns
+    pad = (0,) * (rank - r0)
     return _Lattice(
-        tuple(pivot_of_row.get(r) for r in range(m)),
-        tuple(r[:rank] for r in a[:m]),
+        matrix.eq_pivot_col + tuple(map(pivot_of_row.get, range(nk))),
+        tuple(row + pad for row in matrix.eq_echelon) + tuple(r[:rank] for r in a[:nk]),
         u,
         tuple(r[:rank] for r in slack_rows),
         slack_w,
         rank, wdim, nfree,
         levels, constant, open_, ray,
+        *_prepared(levels, constant),
     )
 
 
 def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
-    """One integer solution z of rows . z = rhs, the variables then the
-    kept slacks, or None when there is none: forward substitution in the
-    echelon basis gives the pivot coordinates y, and z = u . (y, 0, 0)."""
+    """The pivot coordinates y of one integer solution u . (y, 0, 0) of
+    rows . z = rhs, the variables then the kept slacks, or None when there
+    is none: forward substitution in the echelon basis."""
     y: list[int] = []
     for row, col in enumerate(lat.pivot_col):
         s = rhs[row] - sum(map(mul, lat.echelon[row], y))
@@ -230,7 +265,12 @@ def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
             return None
         else:
             y.append(s // lat.echelon[row][col])
-    return [sum(map(mul, row, y)) for row in (*lat.u, *lat.slack_y)]
+    return y
+
+
+def _slack_values(lat: _Lattice, y: list[int]) -> list[int]:
+    """The kept slacks' values K at the point u . (y, 0, 0)."""
+    return [sum(map(mul, row, y)) for row in lat.slack_y]
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +338,29 @@ def _chain(slack_w, wdim: int):
     return tuple(map(tuple, reversed(levels))), tuple(constant), open_
 
 
+def _prepared(levels, constant):
+    """The bounds, nonneg and sums of _Lattice: the chain's rows prepared
+    for evaluation at the slack values K, so that no row's constant lam . K
+    is summed through a generator.
+
+    Level d keeps only its rows that bound w_d, as _interval reads no other
+    (a row without w_d is a row of level d - 1), split into the rows with
+    one multiplier, (coeffs, i, m) with the constant m * K_i, and the others,
+    (coeffs, indices, multipliers).  A constant row with one multiplier m > 0
+    holds exactly when K_i >= 0, so it is kept as its slack index i; the
+    others as (indices, multipliers)."""
+    bounds = []
+    for d, level in enumerate(levels):
+        rows = [(coeffs, lam) for coeffs, lam in level if coeffs[d]]
+        bounds.append((
+            tuple((coeffs, *lam[0]) for coeffs, lam in rows if len(lam) == 1),
+            tuple((coeffs, *zip(*lam)) for coeffs, lam in rows if len(lam) > 1),
+        ))
+    nonneg = tuple(lam[0][0] for lam in constant if len(lam) == 1)
+    sums = tuple(tuple(zip(*lam)) for lam in constant if len(lam) > 1)
+    return tuple(bounds), nonneg, sums
+
+
 def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None]:
     """Exact rational range (lo, hi) of variable d over rows (coeffs, const)
     of chain level d, with variables 0..d-1 pinned to prefix; each side is a
@@ -310,7 +373,7 @@ def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None]:
     for coeffs, const in rows:
         c = coeffs[d]
         if c:
-            s = const + sum(map(mul, coeffs, prefix))
+            s = const + sum(map(mul, coeffs, prefix)) if d else const
             if c > 0:  # x >= -s / c
                 if lo is None or -s * lo[1] > lo[0] * c:
                     lo = (-s, c)
@@ -382,22 +445,42 @@ class SolveReport:
     stats: dict[str, int | float] = field(default_factory=dict)
 
 
-class _Matrix(NamedTuple):
+class _Matrix:
     """The integer rows of _matrix, which systems with the same linear parts
-    share, over nvar variables with the neq equalities first, and the memo
-    of the _lattice of each tuple of kept forms: all of them for a system,
-    all but the dropped ones for a core trial."""
+    share, over nvar variables with the neq equalities first; the pass of
+    the Hermite elimination over the equality rows, which every lattice of
+    the matrix shares; and the memo of the _lattice of each tuple of kept
+    forms: all of them for a system, all but the dropped ones for a core
+    trial.
 
-    rows: tuple[tuple[int, ...], ...]
-    nvar: int
-    neq: int
-    lattices: dict[tuple[int, ...], _Lattice]
+    An equality row is zero on every slack column, so that pass pivots,
+    swaps and combines only the variable columns, whichever forms a lattice
+    keeps.  It runs once, on the variable columns stacked over every row and
+    the identity, and keeps what each _lattice continues from: its eq_rank
+    pivot columns, which no later pass changes, the equalities' pivot
+    columns and echelon rows, and each variable column as (its entries on
+    the slack-link rows, its column of u)."""
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], nvar: int, neq: int):
+        cols = []
+        for c in range(nvar):
+            unit = [0] * nvar
+            unit[c] = 1
+            cols.append([row[c] for row in rows] + unit)
+        pivots = _column_hermite(cols, range(neq))
+        pivot_of_row = dict(pivots)
+        self.rows, self.nvar, self.neq = rows, nvar, neq
+        self.eq_rank = len(pivots)
+        self.eq_pivot_col = tuple(map(pivot_of_row.get, range(neq)))
+        self.eq_echelon = tuple(tuple(col[r] for col in cols[:self.eq_rank]) for r in range(neq))
+        self.columns = [(col[neq:len(rows)], col[len(rows):]) for col in cols]
+        self.lattices: dict[tuple[int, ...], _Lattice] = {}
 
     def lattice(self, kept: tuple[int, ...]) -> _Lattice:
         """The lattice of the forms in `kept`, built on its first request."""
         lat = self.lattices.get(kept)
         if lat is None:
-            lat = self.lattices[kept] = _lattice(self.rows, self.nvar, self.neq, kept)
+            lat = self.lattices[kept] = _lattice(self, kept)
         return lat
 
 
@@ -419,7 +502,7 @@ def _matrix(system: FeasibilitySystem) -> _Matrix:
         row = numerators(f)
         row[nvar + i] = -f.den
         rows.append(row)
-    return _Matrix(tuple(map(tuple, rows)), nvar, len(system.equalities), {})
+    return _Matrix(tuple(map(tuple, rows)), nvar, len(system.equalities))
 
 
 def _rhs(system: FeasibilitySystem) -> list[int]:
@@ -430,56 +513,53 @@ def _rhs(system: FeasibilitySystem) -> list[int]:
     ]
 
 
-def _evaluated(level, slacks: list[int]) -> list[tuple[tuple[int, ...], int]]:
-    """The rows of a chain level, each with its constant lam . K."""
-    return [(coeffs, sum(m * slacks[i] for i, m in lam)) for coeffs, lam in level]
+def _evaluated(bounds, slacks: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """The rows of a level's bounds (_prepared), each with its constant
+    lam . K at the slack values K."""
+    singles, sums = bounds
+    rows = [(coeffs, m * slacks[i]) for coeffs, i, m in singles]
+    if sums:
+        get = slacks.__getitem__
+        rows += [(coeffs, sum(map(mul, ms, map(get, idx)))) for coeffs, idx, ms in sums]
+    return rows
 
 
-def _solve(
-    lat: _Lattice,
-    point: list[int] | None,
-    variables: tuple[Partition, ...],
-    find_one: bool = False,
-) -> SolveReport:
-    """Decide the integer rows of a system, given their _lattice and one
-    integer solution `point` of them (the variables, then the kept slacks),
-    or None when they have none.
+def _search(lat: _Lattice, slacks: list[int], leaves: list | None = None) -> tuple[str, int]:
+    """Decide a lattice at the values K of its kept slacks at one integer
+    point: the status ("infeasible", "solutions" or "unbounded") and the
+    number of search nodes.
 
-    Every integer solution is point + u . (0, w, v), so each kept slack is
-    its value K at the point plus its row of u on w, and the point only
-    gives the lattice's chain its constants lam . K.  The search stops at
-    the first integer point when that point already decides the report:
-    with find_one, where only the status is read and the lattice's ray and
-    the solution list are not set, and on a lattice with free directions,
-    whose report is unbounded whatever other points exist.
+    Every integer solution is that point plus u . (0, w, v), so each kept
+    slack is K plus its row of u on w, and K only gives the lattice's chain
+    its constants lam . K.  With `leaves`, a list, the search appends the w
+    of every integer point to it; it stops at the first point when that
+    point decides the status: without `leaves`, which is a core trial, and
+    on a lattice with free directions, which is unbounded along the first
+    of them whatever other points exist.
     """
-    nvar = len(variables)
-    report = SolveReport(status="infeasible", variables=variables, stats={"nodes": 0})
-    if point is None:
-        return report
-    slacks = point[nvar:]
     # the relaxation is empty when a row with no coordinate is negative, or
     # when w_0 has no value: that is the last elimination, which _chain
     # leaves to this range
-    if any(sum(m * slacks[i] for i, m in lam) < 0 for lam in lat.constant):
-        return report
+    for i in lat.nonneg:
+        if slacks[i] < 0:
+            return "infeasible", 0
+    for idx, ms in lat.sums:
+        if sum(map(mul, ms, map(slacks.__getitem__, idx))) < 0:
+            return "infeasible", 0
+    wdim = lat.wdim
     # levels[d] is evaluated when the search first reaches depth d
-    levels = [_evaluated(level, slacks) for level in lat.levels[:1]]
-    if levels:
-        lo, hi = _interval(levels[0], 0, ())
+    levels = []
+    if wdim:
+        levels.append(_evaluated(lat.bounds[0], slacks))
+        root = lo, hi = _interval(levels[0], 0, ())
         if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-            return report
+            return "infeasible", 0
     if lat.open is not None:
-        report.status = "unbounded"
-        if not find_one:
-            report.ray = lat.ray
-        return report
+        return "unbounded", 0
 
     # depth-first over prefixes of w, each node's children in increasing
     # order: they are pushed in decreasing order and popped in increasing;
     # every side is bounded here, and only its integer part is read
-    wdim, nfree = lat.wdim, lat.nfree
-    leaves: list[tuple[int, ...]] = []
     nodes = 0
     stack: list[tuple[int, ...]] = [()]
     while stack:
@@ -487,28 +567,44 @@ def _solve(
         nodes += 1
         depth = len(prefix)
         if depth == wdim:
+            if leaves is None or lat.nfree:
+                return ("unbounded" if lat.nfree else "solutions"), nodes
             leaves.append(prefix)
-            if find_one or nfree:
-                break
         else:
             if depth == len(levels):
-                levels.append(_evaluated(lat.levels[depth], slacks))
-            (lo, lo_den), (hi, hi_den) = _interval(levels[depth], depth, prefix)
+                levels.append(_evaluated(lat.bounds[depth], slacks))
+            (lo, lo_den), (hi, hi_den) = _interval(levels[depth], depth, prefix) if depth else root
             stack += [prefix + (value,) for value in range(hi // hi_den, -(-lo // lo_den) - 1, -1)]
-    report.stats["nodes"] = nodes
-    if leaves:
-        report.status = "unbounded" if nfree else "solutions"
-    if leaves and not find_one:
-        if nfree:
-            report.ray = lat.ray
-        else:
-            # x = point + u . (0, w, 0); distinct leaves give distinct points,
-            # as u is invertible and each slack is a function of x
-            u_w = [row[lat.rank:] for row in lat.u]
-            report.solutions = sorted(
-                tuple(x + sum(map(mul, row, w)) for row, x in zip(u_w, point))
-                for w in leaves
-            )
+    return ("solutions" if leaves else "infeasible"), nodes
+
+
+def _solve(
+    lat: _Lattice,
+    y: list[int] | None,
+    slacks: list[int] | None,
+    variables: tuple[Partition, ...],
+) -> SolveReport:
+    """The report of a system's integer rows, given their _lattice, the
+    pivot coordinates y of one integer solution and its slack values (both
+    None when there is none): the status and node count of _search, the
+    lattice's ray when unbounded, and every solution, whose variables are
+    read off u only here."""
+    report = SolveReport(status="infeasible", variables=variables, stats={"nodes": 0})
+    if y is None:
+        return report
+    leaves: list[tuple[int, ...]] = []
+    report.status, report.stats["nodes"] = _search(lat, slacks, leaves)
+    if report.status == "unbounded":
+        report.ray = lat.ray
+    elif leaves:
+        # x = u . (y, w, 0); distinct leaves give distinct points, as u is
+        # invertible and each slack is a function of x
+        rank = lat.rank
+        u_w = [row[rank:] for row in lat.u]
+        point = [sum(map(mul, row, y)) for row in lat.u]
+        report.solutions = sorted(
+            tuple(x + sum(map(mul, row, w)) for row, x in zip(u_w, point)) for w in leaves
+        )
     return report
 
 
@@ -525,12 +621,13 @@ def enumerate_system(system: FeasibilitySystem, matrix: _Matrix | None = None) -
     if matrix is None:
         matrix = _matrix(system)
     lat = matrix.lattice(tuple(range(len(system.nonneg_integral))))
-    point = _particular(lat, _rhs(system))
-    report = _solve(lat, point, system.variables)
+    y = _particular(lat, _rhs(system))
+    slacks = None if y is None else _slack_values(lat, y)
+    report = _solve(lat, y, slacks, system.variables)
     if report.status == "solutions":
         _recheck(system, report.solutions)
     elif report.status == "infeasible":
-        report.certificate = _infeasible_core(system, matrix, point)
+        report.certificate = _infeasible_core(system, matrix, slacks)
     return report
 
 
@@ -563,17 +660,18 @@ def _recheck(system: FeasibilitySystem, solutions: list[tuple[int, ...]]) -> Non
 
 
 def _infeasible_core(
-    system: FeasibilitySystem, matrix: _Matrix, point: list[int] | None
+    system: FeasibilitySystem, matrix: _Matrix, slacks: list[int] | None
 ) -> list[str]:
     """Greedy minimal subset of the non-negative-integer forms that already
     makes the system infeasible (with all equalities kept).
 
-    `matrix` and `point` are the system's (point None when it has no
-    integer point).  A trial keeps some forms and drops the slack-link rows
-    and slack columns of the others, so it decides exactly the integer rows
-    of the smaller system, with their lattice from the matrix's memo, from
-    the system's point restricted to the variables and the kept slacks,
-    which solves those rows too, or else from its own.
+    `matrix` and `slacks` are the system's (slacks: its slack values at its
+    integer point, None when it has none).  A trial keeps some forms and
+    drops the slack-link rows and slack columns of the others, so it
+    decides exactly the integer rows of the smaller system, with their
+    lattice from the matrix's memo: it is the status of _search at the
+    system's values of the kept slacks, as the system's point solves those
+    rows too, or else at the slack values of the trial's own point.
 
     A form whose slack no lattice coordinate moves (its row of u is zero on
     w) is fixed by the equalities: it is constant on their real solution
@@ -585,22 +683,23 @@ def _infeasible_core(
     every form of a system without an integer point, stays in the loop.
     """
     forms = system.nonneg_integral
-    nvar, neq = matrix.nvar, matrix.neq
+    neq = matrix.neq
     live = range(len(forms))
-    if point is None:
+    if slacks is None:
         rhs = _rhs(system)
     else:
-        slacks = zip(matrix.lattice(tuple(live)).slack_w, point[nvar:])
-        live = [j for j, (w_row, const) in enumerate(slacks) if any(w_row) or const < 0]
+        w_rows = matrix.lattice(tuple(live)).slack_w
+        live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
     core = tuple(live)
     for j in live:
         kept = tuple(i for i in core if i != j)
         sub = matrix.lattice(kept)
-        if point is None:
-            sub_point = _particular(sub, rhs[:neq] + [rhs[neq + i] for i in kept])
+        if slacks is None:
+            y = _particular(sub, rhs[:neq] + [rhs[neq + i] for i in kept])
+            infeasible = y is None or _search(sub, _slack_values(sub, y))[0] == "infeasible"
         else:
-            sub_point = point[:nvar] + [point[nvar + i] for i in kept]
-        if _solve(sub, sub_point, system.variables, find_one=True).status == "infeasible":
+            infeasible = _search(sub, [slacks[i] for i in kept])[0] == "infeasible"
+        if infeasible:
             core = kept
     return [forms[j][1] for j in core]
 
@@ -622,40 +721,58 @@ def _solve_level(
     each equality (row, ell, target).  Every system has these rows, so each
     linear part, each ell's level traces, the names, the sorted variables
     with the augmentation, and the integer matrix with its memo of lattices
-    are built once per call; each system adds only its forms' constants,
-    from each row's values on its lower levels.
+    are built once per call; each system adds only its forms' constants.
 
-    The level's distinct rows are numbered once, and each form and equality
-    is prepared once as (row index, row, linear part, level traces, ...).
-    A system reads its rows' lower-level values into a list by row index,
-    so no row is hashed inside the loop over the lower levels."""
+    The constant of mu_ell(row) is k times the multiplicity's constant: the
+    row's degree, the identity's share, plus its value on each proper power
+    level d > 1 of the unit times that level's trace (level_traces).  Every
+    form reads the same levels, so a system checks once that its lower
+    levels fix them all, and reads each level's vector's values on the
+    rows, which are computed once per call and vector (the forced power of
+    order p is the same in every pair system).  A form is then one dot
+    product of (1, traces) with (degree, values) by row index, so no row is
+    hashed inside the loop over the lower levels, and each distinct (form,
+    constant) of the call is one AffineForm, shared by its systems."""
     parts = dict.fromkeys([*rows_and_ells, *((row, ell) for row, ell, _ in equalities)])
     linear = {(row, ell): top_coeffs(row, k, ell, classes) for row, ell in parts}
     traces = {ell: level_traces(k, ell) for ell in dict.fromkeys(ell for _, ell in parts)}
+    levels = list(dict.fromkeys(d for level in traces.values() for d in level))
     index = {row: i for i, row in enumerate(dict.fromkeys(row for row, _ in parts))}
     rows = list(index)
-    forms_at = [
-        (index[row], row, linear[row, ell], traces[ell], f"mu_{ell}({row.name})")
-        for row, ell in rows_and_ells
+    degrees = [row.degree for row in rows]
+    # each form, then each equality, with what follows it in the system:
+    # its name, or its target and name
+    tails = [(row, ell, (f"mu_{ell}({row.name})",)) for row, ell in rows_and_ells]
+    tails += [(row, ell, (t, f"mu_{ell}({row.name}) = {t}")) for row, ell, t in equalities]
+    specs = [
+        (index[row], (1, *traces[ell].values()), linear[row, ell], tail) for row, ell, tail in tails
     ]
-    pinned_at = [
-        (index[row], row, linear[row, ell], traces[ell], target, f"mu_{ell}({row.name}) = {target}")
-        for row, ell, target in equalities
-    ]
+    nform = len(rows_and_ells)
     empty = FeasibilitySystem.build(classes, [], [])
+    values: dict[tuple[int, AugVector], list[int]] = {}  # the rows' values on a level
+    entries: dict[tuple[int, int], tuple] = {}  # (spec, constant) -> its system entry
     matrix = None
     reports = []
     for lower in lowers:
-        values = [{d: char_value_on_unit(row, v) for d, v in lower.items()} for row in rows]
-        forms = tuple(
-            (AffineForm(coeffs, lower_constant(row, level, values[i]), k), name)
-            for i, row, coeffs, level, name in forms_at
+        tables = [degrees]
+        for d in levels:
+            if d not in lower:
+                raise ValueError(f"level {d} of the unit is not fixed")
+            table = values.get((d, lower[d]))
+            if table is None:
+                table = values[d, lower[d]] = [char_value_on_unit(row, lower[d]) for row in rows]
+            tables.append(table)
+        at = list(zip(*tables))  # each row's degree and values, by row index
+        made = []
+        for s, (i, weights, coeffs, tail) in enumerate(specs):
+            constant = sum(map(mul, weights, at[i]))
+            entry = entries.get((s, constant))
+            if entry is None:
+                entry = entries[s, constant] = (AffineForm(coeffs, constant, k), *tail)
+            made.append(entry)
+        system = FeasibilitySystem(
+            empty.variables, (*made[nform:], *empty.equalities), tuple(made[:nform])
         )
-        pinned = tuple(
-            (AffineForm(coeffs, lower_constant(row, level, values[i]), k), target, name)
-            for i, row, coeffs, level, target, name in pinned_at
-        )
-        system = FeasibilitySystem(empty.variables, (*pinned, *empty.equalities), forms)
         if matrix is None:
             matrix = _matrix(system)
         reports.append(enumerate_system(system, matrix))

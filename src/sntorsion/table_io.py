@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .characters import NAMED_CHARACTERS, character_value, degree, named_partition
 from . import luthar_passi
 from .luthar_passi import CharacterRow, class_sort_key, format_class, format_cycle_type
-from .partitions import Partition, all_partitions, element_order, is_prime
+from .partitions import PRIME_TEST_BOUND, Partition, all_partitions, element_order, is_prime
 
 
 class TableError(ValueError):
@@ -84,8 +84,8 @@ def _int(token: str, line: int, what: str) -> int:
 
 def _check_modulus(modulus: int, n: int, line: int) -> None:
     """A brauer modulus must be a prime r <= n, as only then does S_n have
-    r-singular classes to leave out.  The bound comes first, so a huge
-    modulus never reaches the primality test, which is trial division."""
+    r-singular classes to leave out.  The bound comes first, so a modulus
+    reaches the primality test only below the degree's own bound."""
     if modulus > n:
         raise TableError("bad-mode", line, f"modulus {modulus} exceeds the degree {n}")
     if not is_prime(modulus):
@@ -122,6 +122,12 @@ def parse_table(text: str) -> TableFile:
             n = _int(tokens[2], lineno, "degree")
             if n < 1:
                 raise TableError("bad-group", lineno, f"degree {n} must be positive")
+            # the modulus is at most the degree, and the primality test
+            # decides only numbers below its bound
+            if n >= PRIME_TEST_BOUND:
+                raise TableError(
+                    "bad-group", lineno, f"degree {n} must be below {PRIME_TEST_BOUND}"
+                )
             if modulus is not None:
                 _check_modulus(modulus, n, lineno)
         elif directive == "mode":

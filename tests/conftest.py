@@ -18,13 +18,12 @@ from sntorsion.luthar_passi import (
     CharacterRow,
     char_value_on_unit,
     level_traces,
-    lower_constant,
     parse_cycle_type,
     top_coeffs,
 )
 from sntorsion.partitions import Partition, check_partition, element_order, prime_cycles
 from sntorsion.solver import (
-    FeasibilitySystem, SolveReport, _Lattice, _interval, _recession_ray,
+    FeasibilitySystem, SolveReport, _chain, _interval, _Lattice, _recession_ray,
 )
 
 
@@ -108,6 +107,19 @@ def eliminate(
         target - Fraction(equality.constant, equality.den)
     )
     return cleared_form(coeffs, const)
+
+
+def lower_constant(row: CharacterRow, traces: dict[int, int], values: dict[int, int]) -> int:
+    """The constant part of k times the multiplicity of zeta^ell for a unit
+    of order k: the identity's share row.degree plus the share of every
+    proper power level d > 1, given its trace traces[d] (level_traces) and
+    the row's value values[d] on the fixed level (char_value_on_unit)."""
+    total = row.degree
+    for d, trace in traces.items():
+        if d not in values:
+            raise ValueError(f"level {d} of the unit is not fixed")
+        total += values[d] * trace
+    return total
 
 
 def affine_form(
@@ -236,6 +248,102 @@ def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> Hermi
 
 
 # ---------------------------------------------------------------------------
+# oracle: the elimination from scratch that solver._lattice replaced, which
+# ran the pass over the equality rows again for every tuple of kept forms
+# instead of continuing the matrix's own
+
+
+def scratch_hermite(cols: list[list[int]], pivot_rows) -> list[tuple[int, int]]:
+    """Column-style Hermite elimination, in place, of a matrix given as its
+    list of columns: at most one pivot in each of `pivot_rows`, in order,
+    with the pivot columns first.  Returns the (row, column) pivots."""
+    ncols = len(cols)
+    pivots: list[tuple[int, int]] = []
+    pc = 0
+    for row in pivot_rows:
+        if pc >= ncols:
+            break
+        while True:
+            nz = [c for c in range(pc, ncols) if cols[c][row]]
+            if not nz:
+                break
+            c0 = min(nz, key=lambda c: abs(cols[c][row]))
+            cols[pc], cols[c0] = cols[c0], cols[pc]
+            src = cols[pc]
+            done = True
+            for c in range(pc + 1, ncols):
+                if cols[c][row]:
+                    factor = -(cols[c][row] // src[row])
+                    cols[c] = [a + factor * b for a, b in zip(cols[c], src)]
+                    if cols[c][row]:
+                        done = False
+            if done:
+                break
+        if cols[pc][row]:
+            pivots.append((row, pc))
+            pc += 1
+    return pivots
+
+
+class ScratchLattice(NamedTuple):
+    """The fields of solver._Lattice that do not prepare the chain for
+    evaluation."""
+
+    pivot_col: tuple[int | None, ...]
+    echelon: tuple[tuple[int, ...], ...]
+    u: tuple[tuple[int, ...], ...]
+    slack_y: tuple[tuple[int, ...], ...]
+    slack_w: tuple[tuple[int, ...], ...]
+    rank: int
+    wdim: int
+    nfree: int
+    levels: tuple
+    constant: tuple
+    open: int | None
+    ray: tuple[int, ...] | None
+
+
+def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> ScratchLattice:
+    """One Hermite elimination of the rows of a solver._matrix that a solve
+    keeps, the equality rows included, over the variables and the kept
+    forms' slacks, each column stacked over the identity u, then the
+    slack rows of u; with the chain of solver._chain and the ray."""
+    cols = [*range(nvar), *(nvar + j for j in kept)]
+    kept_rows = [*range(neq), *(neq + j for j in kept)]
+    m, ncols = len(kept_rows), len(cols)
+    stacked = []
+    for k, c in enumerate(cols):
+        unit = [0] * ncols
+        unit[k] = 1
+        stacked.append([rows[r][c] for r in kept_rows] + unit)
+    pivots = scratch_hermite(stacked, [*range(m), *range(m + nvar, m + ncols)])
+    a = list(zip(*stacked)) or [()] * m
+    rank = sum(row < m for row, _ in pivots)
+    wdim = len(pivots) - rank
+    nfree = ncols - len(pivots)
+    pivot_of_row = dict(pivots)
+    u = tuple(a[m:m + nvar])
+    slack_rows = a[m + nvar:]
+    slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
+    levels, constant, open_ = _chain(slack_w, wdim)
+    ray = None
+    if open_ is not None or nfree:
+        direction = _recession_ray(levels, open_) if open_ is not None else (0,) * wdim + (1,)
+        ray = [sum(a * b for a, b in zip(row[rank:], direction)) for row in u]
+        g = gcd(*ray)
+        ray = tuple(c // g for c in ray) if g > 1 else tuple(ray)
+    return ScratchLattice(
+        tuple(pivot_of_row.get(r) for r in range(m)),
+        tuple(r[:rank] for r in a[:m]),
+        u,
+        tuple(r[:rank] for r in slack_rows),
+        slack_w,
+        rank, wdim, nfree,
+        levels, constant, open_, ray,
+    )
+
+
+# ---------------------------------------------------------------------------
 # oracle: the per-solve Fourier-Motzkin elimination of concrete rows
 # (coeffs . t + const >= 0) that solver._chain replaced, and the solve that
 # projected each system's own slack inequalities with it
@@ -293,13 +401,15 @@ def fm_chain(ineqs: set[Ineq], nvars: int) -> list[set[Ineq]] | None:
     return chain[-2::-1]
 
 
-def concrete_solve(lat: _Lattice, point, variables, find_one: bool = False) -> SolveReport:
+def concrete_solve(lat: _Lattice, y, variables, find_one: bool = False) -> SolveReport:
     """solver._solve as it was before the chain moved to the lattice: each
-    solve projects its own slack inequalities, constants included."""
+    solve projects its own slack inequalities, constants included, from the
+    point u . (y, 0, 0) of the pivot coordinates y (None: no point)."""
     nvar = len(variables)
     report = SolveReport(status="infeasible", variables=variables, stats={"nodes": 0})
-    if point is None:
+    if y is None:
         return report
+    point = [sum(a * b for a, b in zip(row, y)) for row in (*lat.u, *lat.slack_y)]
     rank, wdim = lat.rank, lat.wdim
     nfree = nvar + len(lat.slack_w) - rank - wdim
     ineqs: set[Ineq] = set()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import is_pair_system
+from conftest import ScratchLattice, is_pair_system, scratch_lattice
 
 import sntorsion.cases as cases_mod
 from sntorsion.cases import (
@@ -246,14 +246,15 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # every Theorem-3.2 instance of the benchmark sweep (n <= 19) against
     # the verdict and report hash that bench/reference.json records for it,
     # and the search that decides them: systems, DFS nodes of the system
-    # reports and of every solve (core trials included), core trials,
-    # lattice builds, Fourier-Motzkin chains, one per lattice, the lattices
+    # reports and of every search (core trials included), core trials,
+    # lattice builds, each equal to the elimination from scratch,
+    # Fourier-Motzkin chains, one per lattice, the lattices
     # whose ray is a recession ray (a coordinate open) and those with free
     # directions, and forward substitutions, one per system, as every core
     # trial starts from its system's point
     counts = Counter()
-    real_enumerate, real_solve, real_lattice, real_chain, real_particular = (
-        solver.enumerate_system, solver._solve, solver._lattice, solver._chain, solver._particular
+    real_enumerate, real_search, real_lattice, real_chain, real_particular = (
+        solver.enumerate_system, solver._search, solver._lattice, solver._chain, solver._particular
     )
 
     def enumerating(system, matrix=None):
@@ -262,14 +263,16 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         counts["system nodes"] += report.stats["nodes"]
         return report
 
-    def solving(lat, point, variables, find_one=False):
-        report = real_solve(lat, point, variables, find_one)
-        counts["solve nodes"] += report.stats["nodes"]
-        counts["trials"] += find_one
-        return report
+    def searching(lat, slacks, leaves=None):
+        status, nodes = real_search(lat, slacks, leaves)
+        counts["solve nodes"] += nodes
+        counts["trials"] += leaves is None
+        return status, nodes
 
-    def building(*args):
-        lat = real_lattice(*args)
+    def building(matrix, kept):
+        lat = real_lattice(matrix, kept)
+        oracle = scratch_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
+        assert all(getattr(lat, name) == getattr(oracle, name) for name in ScratchLattice._fields)
         counts["lattices"] += 1
         counts["open"] += lat.open is not None
         counts["free"] += lat.nfree > 0
@@ -284,7 +287,7 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         return real_particular(*args)
 
     monkeypatch.setattr(solver, "enumerate_system", enumerating)
-    monkeypatch.setattr(solver, "_solve", solving)
+    monkeypatch.setattr(solver, "_search", searching)
     monkeypatch.setattr(solver, "_lattice", building)
     monkeypatch.setattr(solver, "_chain", projecting)
     monkeypatch.setattr(solver, "_particular", substituting)

@@ -16,6 +16,7 @@ from sntorsion.cli import (
     EXIT_UNBOUNDED,
     main,
 )
+from sntorsion.partitions import PRIME_TEST_BOUND
 from sntorsion.table_io import parse_table
 
 
@@ -287,6 +288,36 @@ def test_solve_rejects_order_factors_above_the_degree_before_testing_primality()
         "error: bad --order '3x1000000000000000003'; "
         "the factor 1000000000000000003 exceeds the degree 13\n"
     )
+
+
+def test_solve_decides_a_huge_semiprime_factor_at_once(capsys):
+    # 1000000016000000063 = (10^9 + 7)(10^9 + 9) is within the degree, so
+    # it reaches the primality test, which decides it without trial division
+    rc, out, err = run(
+        capsys, "solve", "--group", "S1000000016000000063",
+        "--order", "1000000016000000063x2", "--rows", "pi",
+    )
+    assert rc == EXIT_INPUT and out == ""
+    assert err == "error: --order '1000000016000000063x2' must name two distinct primes\n"
+
+
+def test_solve_rejects_a_degree_past_the_primality_bound_or_unreadable(capsys):
+    bound = PRIME_TEST_BOUND
+    for group, reason in [
+        (f"S{bound}", f"the degree must be below {bound}"),
+        ("A" + "9" * 5000, f"the degree must be below {bound}"),
+        ("S1\u00b2", "expected e.g. S13 or A13"),  # a superscript digit
+    ]:
+        rc, out, err = run(capsys, "solve", "--group", group, "--order", "3x5", "--rows", "pi")
+        assert rc == EXIT_INPUT and out == ""
+        assert err == f"error: bad --group {group!r}; {reason}\n"
+    for order, reason in [
+        ("3x" + "1" * 5000, "a factor exceeds the degree 13"),
+        ("3x1\u00b9", "expected e.g. 3x11"),
+    ]:
+        rc, out, err = run(capsys, "solve", "--group", "S13", "--order", order, "--rows", "pi")
+        assert rc == EXIT_INPUT and out == ""
+        assert err == f"error: bad --order {order!r}; {reason}\n"
 
 
 def test_solve_with_a_table_file_round_trips(tmp_path, capsys):

@@ -12,6 +12,7 @@ from conftest import (
     coeff,
     eliminate,
     evaluate,
+    lower_constant,
     multiplicity,
     parse_class,
     power_cycle_type,
@@ -29,7 +30,6 @@ from sntorsion.luthar_passi import (
     format_class,
     format_cycle_type,
     level_traces,
-    lower_constant,
     orbit_residues,
     parse_cycle_type,
 )

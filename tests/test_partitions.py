@@ -1,6 +1,6 @@
 """Partition and conjugacy-class bookkeeping."""
 
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +9,7 @@ from conftest import class_size, identity_partition, power_cycle_type
 
 from sntorsion.luthar_passi import format_class
 from sntorsion.partitions import (
+    PRIME_TEST_BOUND,
     all_partitions,
     check_partition,
     element_order,
@@ -129,6 +130,34 @@ def test_is_prime_small_values():
 def test_is_prime_agrees_with_brute_force():
     for k in range(-2, 2000):
         assert is_prime(k) == (k >= 2 and all(k % d for d in range(2, k))), k
+
+
+def test_is_prime_agrees_with_trial_division_below_10_to_the_5():
+    # a sieve of Eratosthenes is the trial division of every k at once
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for d in range(2, isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+    assert [k for k in range(limit) if is_prime(k)] == [k for k in range(limit) if sieve[k]]
+
+
+@pytest.mark.parametrize("k, prime", [
+    (2**61 - 1, True),  # a Mersenne prime
+    (1000000007, True),
+    (1000000016000000063, False),  # (10^9 + 7)(10^9 + 9)
+    (3215031751, False),  # 151 * 751 * 28351, a strong pseudoprime to 2, 3, 5 and 7
+    (41 * 43, False),  # the least composite that no base divides
+    ((2**61 - 1) * 1000003, False),  # two primes, close to the bound
+])
+def test_is_prime_decides_large_numbers_at_once(k, prime):
+    assert is_prime(k) is prime
+
+
+def test_is_prime_rejects_numbers_past_its_bound():
+    with pytest.raises(ValueError, match="past the bound of the primality test"):
+        is_prime(PRIME_TEST_BOUND)
 
 
 def test_factorize_multiplies_back_with_prime_keys():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
-    HermiteSplit, affine_form, brute_force_solutions, cleared_form, coeff, concrete_solve, eliminate,
-    fm_chain, is_pair_system, normalize, parse_class, pinned_recession_ray, row_major_lattice,
+    HermiteSplit, ScratchLattice, affine_form, brute_force_solutions, cleared_form, coeff,
+    concrete_solve, eliminate, fm_chain, is_pair_system, normalize, parse_class,
+    pinned_recession_ray, row_major_lattice, scratch_lattice,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -52,10 +53,11 @@ def var(token, n):
 def solve_integer_system(rows, rhs, nvar):
     """All integer solutions of rows . x = rhs as (x0, kernel basis), or None,
     read off the solver's lattice with no slack columns."""
-    lat = solver._lattice(rows, nvar, len(rows), ())
-    x0 = solver._particular(lat, rhs)
-    if x0 is None:
+    lat = solver._lattice(solver._Matrix(rows, nvar, len(rows)), ())
+    y = solver._particular(lat, rhs)
+    if y is None:
         return None
+    x0 = [sum(a * b for a, b in zip(row, y)) for row in lat.u]
     return x0, [list(col) for col in zip(*(row[lat.rank:] for row in lat.u))]
 
 
@@ -84,12 +86,20 @@ def test_solve_integer_system_checks_consistency_of_dependent_rows():
 @st.composite
 def integer_matrices(draw):
     """(rows, nvar, neq, kept) for _lattice: neq + nform rows over nvar
-    variables and nform slacks, and a subset of the forms kept."""
+    variables and nform slacks, and a subset of the forms kept.  As in a
+    _matrix, each of the neq equality rows is zero on the slack columns."""
     nvar, neq, nform = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
-    entries = st.lists(st.integers(-6, 6), min_size=nvar + nform, max_size=nvar + nform)
-    rows = tuple(tuple(draw(entries)) for _ in range(neq + nform))
+    entries = st.lists(st.integers(-6, 6), min_size=nvar, max_size=nvar)
+    links = st.lists(st.integers(-6, 6), min_size=nvar + nform, max_size=nvar + nform)
+    rows = tuple(tuple(draw(entries)) + (0,) * nform for _ in range(neq))
+    rows += tuple(tuple(draw(links)) for _ in range(nform))
     kept = tuple(j for j in range(nform) if draw(st.booleans()))
     return rows, nvar, neq, kept
+
+
+def lattice(rows, nvar, neq, kept):
+    """The solver's lattice of the kept forms of a fresh matrix."""
+    return solver._lattice(solver._Matrix(rows, nvar, neq), kept)
 
 
 def assert_matches_row_major(lat, rows, nvar, neq, kept):
@@ -101,7 +111,45 @@ def assert_matches_row_major(lat, rows, nvar, neq, kept):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(integer_matrices())
 def test_lattice_matches_the_row_major_elimination(drawn):
-    assert_matches_row_major(solver._lattice(*drawn), *drawn)
+    assert_matches_row_major(lattice(*drawn), *drawn)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(integer_matrices(), st.data())
+def test_lattices_continue_the_matrix_equality_pass_as_a_fresh_elimination(drawn, data):
+    # every lattice of one matrix continues the matrix's one pass over the
+    # equality rows; each must equal the elimination of its kept rows from
+    # scratch, field by field, whichever forms it keeps and in which order
+    # the lattices are built
+    rows, nvar, neq, kept = drawn
+    matrix = solver._Matrix(rows, nvar, neq)
+    for _ in range(3):
+        lat = matrix.lattice(kept)
+        oracle = scratch_lattice(rows, nvar, neq, kept)
+        for name in ScratchLattice._fields:
+            assert getattr(lat, name) == getattr(oracle, name), name
+        # the prepared rows give every chain row's constant lam . K
+        slacks = data.draw(st.lists(st.integers(-9, 9), min_size=len(kept), max_size=len(kept)))
+        assert_prepared_rows_evaluate_to_lam_k(lat, slacks)
+        kept = tuple(j for j in range(len(rows) - neq) if data.draw(st.booleans()))
+
+
+def assert_prepared_rows_evaluate_to_lam_k(lat, slacks):
+    """Each level's prepared bounds are its rows with a coefficient on its
+    own coordinate, with the constant lam . K; a constant row holds exactly
+    when its prepared check does."""
+
+    def constant(lam):
+        return sum(m * slacks[i] for i, m in lam)
+
+    for d, level in enumerate(lat.levels):
+        expected = Counter((coeffs, constant(lam)) for coeffs, lam in level if coeffs[d])
+        assert Counter(solver._evaluated(lat.bounds[d], slacks)) == expected
+    holds = all(slacks[i] >= 0 for i in lat.nonneg) and all(
+        sum(m * slacks[i] for i, m in zip(idx, ms)) >= 0 for idx, ms in lat.sums
+    )
+    assert holds == all(constant(lam) >= 0 for lam in lat.constant)
+    assert len(lat.nonneg) + len(lat.sums) == len(lat.constant)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -129,8 +177,8 @@ def test_scaling_a_row_by_a_positive_integer_scales_only_its_echelon_row(drawn, 
             tuple(g * a for a in v) if j == k else v for j, v in enumerate(vectors)
         )
 
-    lat = solver._lattice(rows, nvar, neq, kept)
-    big = solver._lattice(scale(rows, kept_rows[i]), nvar, neq, kept)
+    lat = lattice(rows, nvar, neq, kept)
+    big = lattice(scale(rows, kept_rows[i]), nvar, neq, kept)
     for name in ("pivot_col", "u", "slack_y", "slack_w", "rank", "wdim"):
         assert getattr(big, name) == getattr(lat, name), name
     assert big.echelon == scale(lat.echelon, i)
@@ -142,9 +190,9 @@ def test_thm32_12_11_3_lattices_match_the_row_major_elimination(monkeypatch):
     built = []
     real = solver._lattice
 
-    def checked(rows, nvar, neq, kept):
-        lat = real(rows, nvar, neq, kept)
-        assert_matches_row_major(lat, rows, nvar, neq, kept)
+    def checked(matrix, kept):
+        lat = real(matrix, kept)
+        assert_matches_row_major(lat, matrix.rows, matrix.nvar, matrix.neq, kept)
         built.append(kept)
         return lat
 
@@ -443,20 +491,20 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     # the slack rows of u on the w coordinates
     assert [any(row) for row in lat.slack_w] == [False, False, True]
     built, tried = [], []
-    real_lattice, real_solve = solver._lattice, solver._solve
+    real_lattice, real_search = solver._lattice, solver._search
 
-    def building(rows, nvar, neq, kept):
-        lat = real_lattice(rows, nvar, neq, kept)
+    def building(matrix, kept):
+        lat = real_lattice(matrix, kept)
         built.append((lat, kept))
         return lat
 
-    def solving(lat, point, variables, find_one=False):
-        if find_one:
+    def searching(lat, slacks, leaves=None):
+        if leaves is None:
             tried.append(next(kept for known, kept in built if known is lat))
-        return real_solve(lat, point, variables, find_one)
+        return real_search(lat, slacks, leaves)
 
     monkeypatch.setattr(solver, "_lattice", building)
-    monkeypatch.setattr(solver, "_solve", solving)
+    monkeypatch.setattr(solver, "_search", searching)
     report = enumerate_system(system)
     monkeypatch.undo()
     assert report.status == "infeasible"
@@ -601,22 +649,26 @@ def test_form_parts_are_built_once_per_row_group(monkeypatch):
     (first, pairs), again = per_call
     # one row group: pi, rho and tau at the residues of orbit_residues(33);
     # the pi equalities read (pi, 1) and (pi, 3), which the rows already
-    # have, and each pair system reads each row once on each of its two
-    # lower levels, the order-3 and the order-11 power
+    # have, and each row is read once on each distinct lower vector: the
+    # order-3 power of each pair, and the forced order-11 power, which is
+    # the same in every pair
     ells = (0, 1, 3, 11)
     names = ("pi", "rho", "tau")
     assert first == {
         **{("top_coeffs", (name, ell)): 1 for name in names for ell in ells},
         **{("level_traces", ell): 1 for ell in ells},
-        **{("char_value_on_unit", (name, d)): pairs for name in names for d in (3, 11)},
+        **{("char_value_on_unit", (name, 3)): pairs for name in names},
+        **{("char_value_on_unit", (name, 11)): 1 for name in names},
     }
     assert pairs == 90
     assert again == (first, pairs)
 
 
 def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
+    # one Hermite pass over the equality rows per matrix, and one
+    # continuation of it per distinct (rows, kept forms) lattice
     hermite_calls = 0
-    matrices = set()
+    lattices, matrices = set(), []
     per_call = []
     real_hermite, real_lattice, real_pq = solver._column_hermite, solver._lattice, cases_mod.solve_order_pq
 
@@ -625,15 +677,18 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
         hermite_calls += 1
         return real_hermite(*args)
 
-    def recording(rows, nvar, neq, kept):
-        matrices.add((rows, kept))
-        return real_lattice(rows, nvar, neq, kept)
+    def recording(matrix, kept):
+        lattices.add((matrix.rows, kept))
+        if not any(known is matrix for known in matrices):
+            matrices.append(matrix)
+        return real_lattice(matrix, kept)
 
     def measured(*args, **kwargs):
+        lattices.clear()
         matrices.clear()
         before = hermite_calls
         out = real_pq(*args, **kwargs)
-        per_call.append((hermite_calls - before, len(matrices)))
+        per_call.append((hermite_calls - before, len(lattices), len(matrices)))
         return out
 
     monkeypatch.setattr(solver, "_column_hermite", counting)
@@ -641,9 +696,10 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
     monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
     _case_thm32(12, 11, 3)
     _case_thm32(12, 11, 3)
-    (calls, distinct), again = per_call
-    assert 0 < calls == distinct
-    assert again == (calls, distinct)
+    (calls, distinct, shared), again = per_call
+    assert shared == 1
+    assert 0 < calls == distinct + shared
+    assert again == (calls, distinct, shared)
 
 
 def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
@@ -675,15 +731,15 @@ def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
         solver._lattice, solver._infeasible_core, cases_mod.solve_order_pq
     )
 
-    def counting(rows, nvar, neq, kept):
+    def counting(matrix, kept):
         if in_core:
-            builds.append((rows, kept))
-        return real_lattice(rows, nvar, neq, kept)
+            builds.append((matrix.rows, kept))
+        return real_lattice(matrix, kept)
 
-    def recording(system, matrix, point):
+    def recording(system, matrix, slacks):
         nonlocal in_core
         in_core = True
-        core = real_core(system, matrix, point)
+        core = real_core(system, matrix, slacks)
         in_core = False
         rows = solver._matrix(system).rows
         # a form that the equalities fix at a non-negative integer gets no
@@ -832,14 +888,14 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, ex
         system = FeasibilitySystem(
             system.variables, system.equalities, (*system.nonneg_integral, (form, extra))
         )
-    rows, rhs = solver._matrix(system).rows, solver._rhs(system)
-    nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
-    system_point = solver._particular(solver._lattice(rows, nvar, neq, tuple(range(nform))), rhs)
+    matrix, rhs = solver._matrix(system), solver._rhs(system)
+    neq, nform = len(system.equalities), len(system.nonneg_integral)
+    system_point = solver._particular(matrix.lattice(tuple(range(nform))), rhs)
     built, trials, substitutions = [], [], 0
-    real_lattice, real_solve, real_particular = solver._lattice, solver._solve, solver._particular
+    real_lattice, real_search, real_particular = solver._lattice, solver._search, solver._particular
 
-    def building(rows, nvar, neq, kept):
-        lat = real_lattice(rows, nvar, neq, kept)
+    def building(matrix, kept):
+        lat = real_lattice(matrix, kept)
         built.append((lat, kept))
         return lat
 
@@ -848,26 +904,25 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, ex
         substitutions += 1
         return real_particular(lat, rhs)
 
-    def solving(lat, point, variables, find_one=False):
-        report = real_solve(lat, point, variables, find_one)
-        if find_one:
+    def searching(lat, slacks, leaves=None):
+        found = real_search(lat, slacks, leaves)
+        if leaves is None:
             kept = next(kept for known, kept in built if known is lat)
             own = real_particular(lat, rhs[:neq] + [rhs[neq + j] for j in kept])
-            alone = real_solve(lat, own, variables, find_one)
-            trials.append(((report.status, report.stats["nodes"]), (alone.status, alone.stats["nodes"])))
-        return report
+            trials.append((found, real_search(lat, solver._slack_values(lat, own))))
+        return found
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_lattice", building)
-        mp.setattr(solver, "_solve", solving)
+        mp.setattr(solver, "_search", searching)
         mp.setattr(solver, "_particular", substituting)
         report = enumerate_system(system)
     assert all(shared == own for shared, own in trials)
     if extra == "x0 + 1/2":
         assert system_point is None and report.status == "infeasible"
     # one forward substitution per system, and one per trial only without
-    # a system point
-    assert substitutions == 1 + (len(trials) if system_point is None else 0)
+    # a system point, where every form gets its trial
+    assert substitutions == 1 + (nform if system_point is None else 0)
 
 
 def assert_chain_rows_combine_the_slack_rows(lat):
@@ -906,21 +961,28 @@ def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
             system = FeasibilitySystem(
                 system.variables, system.equalities, (*system.nonneg_integral, form)
             )
-        rows, rhs = solver._matrix(system).rows, solver._rhs(system)
+        matrix, rhs = solver._matrix(system), solver._rhs(system)
+        rows = matrix.rows
         nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
         kept = tuple(j for j in range(nform) if data.draw(st.booleans()))
-        lat = solver._lattice(rows, nvar, neq, kept)
+        lat = solver._lattice(matrix, kept)
         assert_chain_rows_combine_the_slack_rows(lat)
         cols = [*range(nvar), *(nvar + j for j in kept)]
         kept_rows = [*range(neq), *(neq + j for j in kept)]
         z = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
         other = [sum(rows[r][c] * x for c, x in zip(cols, z)) for r in kept_rows]
         for b in ([rhs[r] for r in kept_rows], other):
-            point = solver._particular(lat, b)
-            for find_one in (False, True):
-                report = solver._solve(lat, point, system.variables, find_one)
-                assert report == concrete_solve(lat, point, system.variables, find_one)
-            if point is None:
+            y = solver._particular(lat, b)
+            slacks = None if y is None else solver._slack_values(lat, y)
+            if y is not None:
+                assert_prepared_rows_evaluate_to_lam_k(lat, slacks)
+            report = solver._solve(lat, y, slacks, system.variables)
+            assert report == concrete_solve(lat, y, system.variables)
+            # a core trial reads only the status, and stops at its first point
+            if y is not None:
+                trial = concrete_solve(lat, y, system.variables, find_one=True)
+                assert solver._search(lat, slacks) == (trial.status, trial.stats["nodes"])
+            if y is None:
                 seen["no integer point"] += 1
             elif report.status == "infeasible" and report.stats["nodes"] == 0:
                 seen["empty relaxation"] += 1
@@ -1003,6 +1065,22 @@ def test_solve_level_hashes_no_row_per_system(monkeypatch):
         counts.append(hashes)
         assert len(reports) == len(lowers)
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("fixed, missing", [((), 3), ((5,), 3), ((3,), 5)])
+def test_solve_level_names_the_first_level_that_is_not_fixed(fixed, missing):
+    # every form reads the levels 3 and 5 of an order-15 unit, so a system
+    # whose lower levels miss one is rejected once, for the first missing
+    # level, before its forms are built
+    n, p, q = 7, 5, 3
+    pi, rho = (ordinary_row(name, n, p * q) for name in ("pi", "rho"))
+    vectors = {p: AugVector.make(q, n, {prime_cycles(3, 1, n): 1}), q: forced_vector(n, p)}
+    lower = {d: vectors[d] for d in fixed}
+    rows_and_ells = [(row, ell) for row in (pi, rho) for ell in (0, 1, 3, 5)]
+    with pytest.raises(ValueError, match=f"^level {missing} of the unit is not fixed$"):
+        solver._solve_level(allowed_support(n, p * q), p * q, rows_and_ells, [(pi, 1, 0)], [lower])
+    # with no forms there is nothing to fix
+    assert solver._solve_level(allowed_support(n, p * q), p * q, [], [], [lower])
 
 
 def test_solve_prime_order_rejects_brauer_rows_of_the_same_modulus():

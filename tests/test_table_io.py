@@ -3,7 +3,7 @@
 import pytest
 
 from sntorsion.luthar_passi import allowed_support
-from sntorsion.partitions import all_partitions, element_order
+from sntorsion.partitions import PRIME_TEST_BOUND, all_partitions, element_order
 from sntorsion.solver import report_aug_vectors, solve_prime_order
 from sntorsion.table_io import (
     TableError,
@@ -167,6 +167,22 @@ def test_a_modulus_above_the_degree_is_rejected_before_the_primality_test(monkey
     _expect("bad-mode", "table-v1\nmode brauer 4\ngroup S 7\n")  # not prime
     assert tested == [4]
     assert parse_table("table-v1\nmode brauer 7\ngroup S 7\nclass 3.1 3+1^4 3\n").modulus == 7
+
+
+def test_a_huge_degree_and_modulus_are_decided_without_trial_division():
+    # (10^9 + 7)(10^9 + 9) is within its own degree, so it reaches the
+    # primality test, which decides it at once; a degree at the test's
+    # bound would let a modulus past it through, so it is rejected
+    semiprime = 1000000016000000063
+    with pytest.raises(TableError) as exc:
+        parse_table(f"table-v1\ngroup S {semiprime}\nmode brauer {semiprime}\n")
+    assert (exc.value.code, exc.value.line) == ("bad-mode", 3)
+    assert f"modulus {semiprime} is not prime" in str(exc.value)
+    for degree in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 1):
+        with pytest.raises(TableError) as exc:
+            parse_table(f"table-v1\nmode brauer 2\ngroup A {degree}\n")
+        assert (exc.value.code, exc.value.line) == ("bad-group", 3)
+        assert f"must be below {PRIME_TEST_BOUND}" in str(exc.value)
 
 
 def test_every_bundled_table_names_a_modulus_within_its_degree():
