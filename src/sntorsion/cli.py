@@ -26,7 +26,7 @@ from .cases import (
 from .characters import NAMED_CHARACTERS
 from .lemma_filters import spectral_hypotheses
 from .luthar_passi import allowed_support, orbit_residues
-from .partitions import PRIME_TEST_BOUND, is_prime
+from .partitions import PRIME_TEST_BOUND, IntegerTooLong, is_prime, read_int
 from .table_io import TableError, ordinary_table, parse_table, serialize_table
 
 EXIT_OK = 0
@@ -41,18 +41,16 @@ class InputError(Exception):
     pass
 
 
-def _ascii_digits(text: str) -> bool:
-    # str.isdigit also accepts digits such as superscripts, which int() refuses
-    return text.isascii() and text.isdigit()
-
-
 def _parse_group(spec: str) -> tuple[str, int]:
-    if not spec or spec[0] not in ("S", "A") or not _ascii_digits(spec[1:]):
-        raise InputError(f"bad --group {spec!r}; expected e.g. S13 or A13")
+    unreadable = f"bad --group {spec!r}; expected e.g. S13 or A13"
+    if not spec or spec[0] not in ("S", "A"):
+        raise InputError(unreadable)
     try:
-        n = int(spec[1:])
-    except ValueError:  # more digits than int() reads: past the bound below
+        n = read_int(spec[1:])
+    except IntegerTooLong:  # past the bound below
         n = PRIME_TEST_BOUND
+    except ValueError:
+        raise InputError(unreadable) from None
     if n < 2:
         raise InputError(f"bad --group {spec!r}; the degree must be at least 2")
     # every prime factor and modulus of a run is at most the degree, and
@@ -63,13 +61,16 @@ def _parse_group(spec: str) -> tuple[str, int]:
 
 
 def _parse_order(spec: str, n: int) -> tuple[int, int]:
+    unreadable = f"bad --order {spec!r}; expected e.g. 3x11"
     parts = spec.lower().split("x")
-    if len(parts) != 2 or not all(map(_ascii_digits, parts)):
-        raise InputError(f"bad --order {spec!r}; expected e.g. 3x11")
+    if len(parts) != 2:
+        raise InputError(unreadable)
     try:
-        a, b = sorted(int(s) for s in parts)
-    except ValueError:  # more digits than int() reads
+        a, b = sorted(map(read_int, parts))
+    except IntegerTooLong:
         raise InputError(f"bad --order {spec!r}; a factor exceeds the degree {n}") from None
+    except ValueError:
+        raise InputError(unreadable) from None
     # checked before the primality test, which takes no number past its
     # bound: a factor above the degree is no element order of the group
     if b > n:
@@ -84,7 +85,7 @@ def _parse_row_spec(spec: str, q: int) -> tuple[str, list[int] | None]:
         return spec, None
     name, text = spec.split(":", 1)
     try:
-        ells = [int(tok) for tok in text.split(",") if tok]
+        ells = [read_int(tok, negative=True) for tok in text.split(",") if tok]
     except ValueError:
         raise InputError(f"bad --rows {spec!r}; expected name:ell,ell,...") from None
     # each residue is one order-q form, and mu_ell of an integer-valued row

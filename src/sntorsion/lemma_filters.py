@@ -27,17 +27,21 @@ def filter_order_q_powers(
 ) -> list[AugVector]:
     """Keep the order-q vectors that can be the p-th power of an order-pq
     unit: the weighted sum sum_j j*eps_{q.j} must be 0, or 1 when
-    p + q is n or n + 1."""
+    p + q is n or n + 1.  Each vector's sum is one pass over its entries,
+    each class weighted by a dict that maps q.j to j and any other class
+    to 0."""
     if not spectral_hypotheses(n, p, q):
         raise ValueError(f"hypotheses n >= 7, p > n/2, q >= 3 fail for ({n}, {p}, {q})")
     if not (is_prime(p) and is_prime(q)):
         raise ValueError("p and q must be prime")
-    classes = [prime_cycles(q, j, n) for j in range(1, n // q + 1)]
+    weight = {prime_cycles(q, j, n): j for j in range(1, n // q + 1)}.get
+    allowed = (0, 1) if p + q in (n, n + 1) else (0,)
     kept = []
     for v in candidates:
-        eps = dict(v.entries)  # each candidate's entries are read once
-        s = sum(j * eps.get(ct, 0) for j, ct in enumerate(classes, 1))
-        if s == 0 or (s == 1 and p + q in (n, n + 1)):
+        s = 0
+        for ct, eps in v.entries:
+            s += weight(ct, 0) * eps
+        if s in allowed:
             kept.append(v)
     return kept
 

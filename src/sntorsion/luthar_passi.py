@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from math import isqrt
+from operator import itemgetter
 
 from .cyclotomic import ramanujan_sum
 from .partitions import (
@@ -23,6 +24,7 @@ from .partitions import (
     is_prime,
     parity,
     prime_cycles,
+    read_int,
 )
 
 
@@ -36,22 +38,32 @@ def format_cycle_type(ct: Partition) -> str:
     return "+".join(pieces)
 
 
+# the most parts a class read from text may have: its repeats are summed
+# and compared with this cap before any part is repeated
+MAX_CLASS_PARTS = 100_000
+
+
 def parse_cycle_type(token: str, n: int) -> Partition:
     """Inverse of format_cycle_type for degree n; ValueError on unreadable
-    text, a cycle length or repeat below 1, or parts that do not sum to n.
-    Each piece is read as a pair (c, m) and checked before any part is
-    repeated, so a huge repeat is rejected without building it."""
+    text, a cycle length or repeat below 1, parts that do not sum to n, or
+    more than MAX_CLASS_PARTS parts.  Each piece is read as a pair (c, m)
+    of ASCII integers (read_int; a '-' is read, so that the range check
+    names it) and checked before any part is repeated, so a huge repeat is
+    rejected without building it."""
     pieces: list[tuple[int, int]] = []
     try:
         for piece in token.split("+"):
             c_s, hat, m_s = piece.partition("^")
-            pieces.append((int(c_s), int(m_s) if hat else 1))
+            m = read_int(m_s, negative=True) if hat else 1
+            pieces.append((read_int(c_s, negative=True), m))
     except ValueError:
         raise ValueError(f"unreadable cycle type {token!r}") from None
     if any(c < 1 or m < 1 for c, m in pieces):
         raise ValueError(f"cycle type {token!r} has a cycle length or repeat below 1")
     if sum(c * m for c, m in pieces) != n:
         raise ValueError(f"cycle type {token} is not a partition of {n}")
+    if sum(m for _, m in pieces) > MAX_CLASS_PARTS:
+        raise ValueError(f"cycle type {token} has more than {MAX_CLASS_PARTS} parts")
     parts = [c for c, m in pieces for _ in range(m)]
     return check_partition(tuple(sorted(parts, reverse=True)))
 
@@ -127,9 +139,33 @@ def allowed_support(n: int, k: int, kind: str = "S") -> list[Partition]:
     return list(_allowed_support(n, k, kind))
 
 
+_value = itemgetter(1)  # the value of a (class, value) pair
+
+
+@cache
+def _support_problem(ct: Partition, n: int, k: int) -> str | None:
+    """Why a unit of order k in Z S_n can have no partial augmentation on
+    the class ct, or None when it can: ct must be a class of S_n, of an
+    order that divides k and is 1 exactly when k is.  A malformed cycle
+    type is a ValueError, which is not cached."""
+    if sum(ct) != n:
+        return f"class {ct} does not live in S_{n}"
+    order = element_order(ct)
+    if k == 1:
+        if order != 1:
+            return "order-1 unit is supported on the identity only"
+    elif order == 1 or k % order != 0:
+        return f"class {format_class(ct)} (order {order}) cannot support a unit of order {k}"
+    return None
+
+
 @dataclass(frozen=True)
 class AugVector:
-    """Partial augmentations of a normalized unit of order k in Z S_n."""
+    """Partial augmentations of a normalized unit of order k in Z S_n.
+
+    Every vector is validated when it is built: its values sum to 1, each
+    class passes _support_problem, whose verdict is computed once per
+    (class, n, k), and no class is listed twice."""
 
     k: int
     n: int
@@ -143,21 +179,15 @@ class AugVector:
         return AugVector(k, n, _in_class_order(items.items()))
 
     def __post_init__(self) -> None:
-        total = sum(eps for _, eps in self.entries)
+        entries = self.entries
+        total = sum(map(_value, entries))
         if total != 1:
             raise ValueError(f"partial augmentations sum to {total}, not 1")
-        for ct, _ in self.entries:
-            if sum(ct) != self.n:
-                raise ValueError(f"class {ct} does not live in S_{self.n}")
-            order = element_order(ct)
-            if self.k == 1:
-                if order != 1:
-                    raise ValueError("order-1 unit is supported on the identity only")
-            elif order == 1 or self.k % order != 0:
-                raise ValueError(
-                    f"class {format_class(ct)} (order {order}) cannot support a unit of order {self.k}"
-                )
-        if len(dict(self.entries)) < len(self.entries):
+        n, k = self.n, self.k
+        for ct, _ in entries:
+            if (problem := _support_problem(ct, n, k)) is not None:
+                raise ValueError(problem)
+        if len(dict(entries)) < len(entries):
             raise ValueError("a class is listed twice")
 
     def value(self, ct: Partition) -> int:

@@ -15,6 +15,27 @@ from math import isqrt, lcm
 Partition = tuple[int, ...]
 
 
+class IntegerTooLong(ValueError):
+    """Decimal text with more digits than int() converts."""
+
+
+def read_int(text: str, negative: bool = False) -> int:
+    """The integer that text writes in ASCII decimal digits, after a
+    leading '-' only when `negative` allows one: a ValueError for any other
+    text, such as a '+', a '_', white space or a non-ASCII digit, all of
+    which int() reads.  More digits after the leading zeros than int()
+    converts is an IntegerTooLong, also a ValueError, so a caller that
+    bounds the number can tell it apart."""
+    digits = text[1:] if negative and text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    try:
+        value = int(digits.lstrip("0") or "0")
+    except ValueError:  # the digits are fine: there are too many of them
+        raise IntegerTooLong(f"{text!r} has more digits than int() converts") from None
+    return -value if len(digits) < len(text) else value
+
+
 def check_partition(mu: Partition) -> Partition:
     """Validate that mu is a weakly decreasing tuple of positive parts."""
     if not mu:

@@ -26,38 +26,65 @@ def _json_text(value, newline: str = "\n") -> str:
     TypeError; a float that is not finite is a ValueError.  `newline` is
     the line break and indentation of the level the value is nested at:
     its items go one level deeper, and its closing bracket starts a line
-    at `newline`."""
+    at `newline`.
+
+    A value is dispatched on its exact type, to its writer in _WRITERS.  A
+    value of any other type falls back to an isinstance chain, so that a
+    subclass (an IntEnum, a str subclass, an OrderedDict) prints as
+    json.dumps prints it."""
+    write = _WRITERS.get(type(value))
+    if write is not None:
+        return write(value, newline)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if not isfinite(value):
-            raise ValueError(f"float {value!r} is not JSON compliant")
-        return float.__repr__(value)
-    inner = newline + "  "
+        return _float_text(value, newline)
     if isinstance(value, list):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+        return _list_text(value, newline)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"key {key!r} is not a str")
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_text(v, inner)
-            for key, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _dict_text(value, newline)
     raise TypeError(f"{type(value).__name__} {value!r} is not a report value")
+
+
+def _float_text(value: float, newline: str) -> str:
+    if not isfinite(value):
+        raise ValueError(f"float {value!r} is not JSON compliant")
+    return float.__repr__(value)
+
+
+def _list_text(value: list, newline: str) -> str:
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+
+
+def _dict_text(value: dict, newline: str) -> str:
+    if not value:
+        return "{}"
+    for key in value:
+        if not isinstance(key, str):
+            raise TypeError(f"key {key!r} is not a str")
+    inner = newline + "  "
+    items = [
+        encode_basestring_ascii(key) + ": " + _json_text(v, inner)
+        for key, v in sorted(value.items())
+    ]
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
+# the writer of each exact type of a report value: (value, newline) -> text
+_WRITERS = {
+    str: lambda value, newline: encode_basestring_ascii(value),
+    int: lambda value, newline: int.__repr__(value),
+    bool: lambda value, newline: "true" if value else "false",
+    type(None): lambda value, newline: "null",
+    float: _float_text,
+    list: _list_text,
+    dict: _dict_text,
+}
 
 
 @dataclass

@@ -37,10 +37,14 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    constant, makes the relaxation unbounded, along the lattice's ray.
    Otherwise the depth-first enumeration, a loop over a stack of prefixes,
    fixes the coordinates from the first up and reads the integer range of
-   each from the chain by floor division.  It stops at the first integer
-   point when that point decides the status: in a core trial, which reads
-   only the status, and on a lattice with directions v, which is unbounded
-   along the first of them whatever other points exist.
+   each from the chain by floor division.  The range of the last
+   coordinate is not pushed: its leaves are appended as one block, and
+   the solve reads the variables of all leaves a column at a time, each
+   variable's values as its row of u applied to the leaves' columns.  The
+   search stops at the first integer point when that point decides the
+   status: in a core trial, which reads only the status, and on a lattice
+   with directions v, which is unbounded along the first of them whatever
+   other points exist.
 
 One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  The eliminations of steps 2 and
@@ -82,8 +86,10 @@ fix at a non-negative integer (no lattice coordinate moves its slack) can
 never be needed, so it gets no trial; in the Theorem-3.2 pair systems these
 are the mu_ell(pi) forms, which the pi equalities pin.  Every reported
 solution is re-checked against the system's original forms in integer
-arithmetic, independently of the solved rows.  All of it is integer
-arithmetic, the recession rays included.
+arithmetic, independently of the solved rows: each form is evaluated over
+all solutions at once, from one column of values per variable, and a
+violation names the first violating solution (_recheck).  All of it is
+integer arithmetic, the recession rays included.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -93,7 +99,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from operator import mul
+from itertools import compress, repeat
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .luthar_passi import (
@@ -532,10 +539,15 @@ def _search(lat: _Lattice, slacks: list[int], leaves: list | None = None) -> tup
     Every integer solution is that point plus u . (0, w, v), so each kept
     slack is K plus its row of u on w, and K only gives the lattice's chain
     its constants lam . K.  With `leaves`, a list, the search appends the w
-    of every integer point to it; it stops at the first point when that
+    of every integer point to it, in increasing order: the leaves that
+    share their first wdim - 1 coordinates are one block, that prefix with
+    each value of the last coordinate's integer range, appended at once
+    and counted as that many nodes.  It stops at the first point when that
     point decides the status: without `leaves`, which is a core trial, and
     on a lattice with free directions, which is unbounded along the first
-    of them whatever other points exist.
+    of them whatever other points exist.  A lattice whose first coordinate
+    is open is unbounded once its constant rows hold: w_0 has a value
+    whatever the open side reads.
     """
     # the relaxation is empty when a row with no coordinate is negative, or
     # when w_0 has no value: that is the last elimination, which _chain
@@ -546,14 +558,23 @@ def _search(lat: _Lattice, slacks: list[int], leaves: list | None = None) -> tup
     for idx, ms in lat.sums:
         if sum(map(mul, ms, map(slacks.__getitem__, idx))) < 0:
             return "infeasible", 0
+    if lat.open == 0:
+        return "unbounded", 0
     wdim = lat.wdim
+    # the first point decides the status in a core trial and on a lattice
+    # with free directions
+    decided = None
+    if leaves is None or lat.nfree:
+        decided = "unbounded" if lat.nfree else "solutions"
+    if not wdim:  # the one point w = ()
+        if decided is None:
+            leaves.append(())
+        return decided or "solutions", 1
     # levels[d] is evaluated when the search first reaches depth d
-    levels = []
-    if wdim:
-        levels.append(_evaluated(lat.bounds[0], slacks))
-        root = lo, hi = _interval(levels[0], 0, ())
-        if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-            return "infeasible", 0
+    levels = [_evaluated(lat.bounds[0], slacks)]
+    root = lo, hi = _interval(levels[0], 0, ())
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+        return "infeasible", 0
     if lat.open is not None:
         return "unbounded", 0
 
@@ -561,20 +582,23 @@ def _search(lat: _Lattice, slacks: list[int], leaves: list | None = None) -> tup
     # order: they are pushed in decreasing order and popped in increasing;
     # every side is bounded here, and only its integer part is read
     nodes = 0
+    last = wdim - 1
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
         nodes += 1
         depth = len(prefix)
-        if depth == wdim:
-            if leaves is None or lat.nfree:
-                return ("unbounded" if lat.nfree else "solutions"), nodes
-            leaves.append(prefix)
-        else:
-            if depth == len(levels):
-                levels.append(_evaluated(lat.bounds[depth], slacks))
-            (lo, lo_den), (hi, hi_den) = _interval(levels[depth], depth, prefix) if depth else root
-            stack += [prefix + (value,) for value in range(hi // hi_den, -(-lo // lo_den) - 1, -1)]
+        if depth == len(levels):
+            levels.append(_evaluated(lat.bounds[depth], slacks))
+        (lo, lo_den), (hi, hi_den) = _interval(levels[depth], depth, prefix) if depth else root
+        top, bottom = hi // hi_den, -(-lo // lo_den)
+        if depth < last:
+            stack += [prefix + (value,) for value in range(top, bottom - 1, -1)]
+        elif top >= bottom:
+            if decided is not None:
+                return decided, nodes + 1
+            leaves += [prefix + (value,) for value in range(bottom, top + 1)]
+            nodes += top - bottom + 1
     return ("solutions" if leaves else "infeasible"), nodes
 
 
@@ -588,7 +612,13 @@ def _solve(
     pivot coordinates y of one integer solution and its slack values (both
     None when there is none): the status and node count of _search, the
     lattice's ray when unbounded, and every solution, whose variables are
-    read off u only here."""
+    read off u only here.
+
+    The solutions are x = u . (y, w, 0) over the leaves w, computed a
+    column at a time: each variable's values over all leaves are its value
+    at the point plus its row of u on w times the leaves' columns, and the
+    rows of those columns are sorted once.  Distinct leaves give distinct
+    points, as u is invertible and each slack is a function of x."""
     report = SolveReport(status="infeasible", variables=variables, stats={"nodes": 0})
     if y is None:
         return report
@@ -597,14 +627,17 @@ def _solve(
     if report.status == "unbounded":
         report.ray = lat.ray
     elif leaves:
-        # x = u . (y, w, 0); distinct leaves give distinct points, as u is
-        # invertible and each slack is a function of x
-        rank = lat.rank
-        u_w = [row[rank:] for row in lat.u]
-        point = [sum(map(mul, row, y)) for row in lat.u]
-        report.solutions = sorted(
-            tuple(x + sum(map(mul, row, w)) for row, x in zip(u_w, point)) for w in leaves
-        )
+        columns = list(zip(*leaves))  # each coordinate of w over the leaves
+        rank, count = lat.rank, len(leaves)
+        values = []
+        for row in lat.u:
+            column = repeat(sum(map(mul, row, y)), count)
+            for c, w in zip(row[rank:], columns):
+                if c:
+                    column = map(add, column, map(c.__mul__, w))
+            values.append(column)
+        # without variables, zip reads no column: each leaf is the empty point
+        report.solutions = sorted(zip(*values)) if values else [()] * count
     return report
 
 
@@ -635,28 +668,39 @@ def _recheck(system: FeasibilitySystem, solutions: list[tuple[int, ...]]) -> Non
     """Defensive re-check of every solution against the system's original
     forms, independent of the rows the solver solved: at a point x with
     numerator value = den * f(x), an equality needs value == den * target
-    and a form needs value >= 0 and value = 0 (mod den).  Each form becomes
-    one dense coefficient row over system.variables once per system, so a
-    solution's numerator value is one dot product with it."""
-    index = {v: i for i, v in enumerate(system.variables)}
+    and a form needs value >= 0 and value = 0 (mod den).
 
-    def dense(f: AffineForm) -> list[int]:
-        row = [0] * len(index)
+    Each form is evaluated over all solutions at once, a column at a time:
+    its constant plus each coefficient times its variable's column.  A
+    violation raises a RuntimeError naming the first violating solution,
+    and at that solution the first violated equality, else form, in the
+    system's order."""
+    if not solutions:
+        return
+    columns = dict(zip(system.variables, zip(*solutions)))  # each variable's values
+    count = len(solutions)
+
+    def numerators(f: AffineForm) -> list[int]:
+        column = repeat(f.constant, count)
         for v, c in f.coeffs:
-            row[index[v]] += c
-        return row
+            column = map(add, column, map(c.__mul__, columns[v]))
+        return list(column)
 
-    equalities = [
-        (dense(f), f.constant, f.den * target, name) for f, target, name in system.equalities
-    ]
-    forms = [(dense(f), f.constant, f.den, name) for f, name in system.nonneg_integral]
-    for sol in solutions:
-        for row, const, value, name in equalities:
-            if const + sum(map(mul, row, sol)) != value:
-                raise RuntimeError(f"solver point {sol} violates equality {name}")
-        for row, const, den, name in forms:
-            if (v := const + sum(map(mul, row, sol))) < 0 or v % den:
-                raise RuntimeError(f"solver point {sol} violates form {name}")
+    violations = []  # (the first violating solution's index, what it violates)
+    for f, target, name in system.equalities:
+        value, values = f.den * target, numerators(f)
+        if values.count(value) < count:
+            i = next(i for i, x in enumerate(values) if x != value)
+            violations.append((i, f"equality {name}"))
+    for f, name in system.nonneg_integral:
+        den, values = f.den, numerators(f)
+        if min(values) < 0 or any(map(den.__rmod__, values)):
+            i = next(i for i, x in enumerate(values) if x < 0 or x % den)
+            violations.append((i, f"form {name}"))
+    if violations:
+        # min keeps the first of equal indices: equalities, then forms
+        i, what = min(violations, key=itemgetter(0))
+        raise RuntimeError(f"solver point {solutions[i]} violates {what}")
 
 
 def _infeasible_core(
@@ -692,13 +736,14 @@ def _infeasible_core(
         live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
     core = tuple(live)
     for j in live:
-        kept = tuple(i for i in core if i != j)
+        t = core.index(j)  # j stays in the core until its own trial
+        kept = core[:t] + core[t + 1:]
         sub = matrix.lattice(kept)
         if slacks is None:
             y = _particular(sub, rhs[:neq] + [rhs[neq + i] for i in kept])
             infeasible = y is None or _search(sub, _slack_values(sub, y))[0] == "infeasible"
         else:
-            infeasible = _search(sub, [slacks[i] for i in kept])[0] == "infeasible"
+            infeasible = _search(sub, list(map(slacks.__getitem__, kept)))[0] == "infeasible"
         if infeasible:
             core = kept
     return [forms[j][1] for j in core]
@@ -726,52 +771,56 @@ def _solve_level(
     The constant of mu_ell(row) is k times the multiplicity's constant: the
     row's degree, the identity's share, plus its value on each proper power
     level d > 1 of the unit times that level's trace (level_traces).  Every
-    form reads the same levels, so a system checks once that its lower
-    levels fix them all, and reads each level's vector's values on the
-    rows, which are computed once per call and vector (the forced power of
-    order p is the same in every pair system).  A form is then one dot
-    product of (1, traces) with (degree, values) by row index, so no row is
-    hashed inside the loop over the lower levels, and each distinct (form,
-    constant) of the call is one AffineForm, shared by its systems."""
+    form reads the same levels, so each system is checked once, before any
+    is solved, for lower levels that fix them all, and each level's vector's
+    values on the rows are computed once per call and vector (the forced
+    power of order p is the same in every pair system).  The constants then
+    go a column at a time: each form's constant over all systems is its
+    row's degree plus each trace times its row's column of values on that
+    level, so no dot product is taken and no row is hashed per system, and
+    each distinct (form, constant) of the call is one AffineForm, shared by
+    its systems."""
     parts = dict.fromkeys([*rows_and_ells, *((row, ell) for row, ell, _ in equalities)])
     linear = {(row, ell): top_coeffs(row, k, ell, classes) for row, ell in parts}
     traces = {ell: level_traces(k, ell) for ell in dict.fromkeys(ell for _, ell in parts)}
     levels = list(dict.fromkeys(d for level in traces.values() for d in level))
     index = {row: i for i, row in enumerate(dict.fromkeys(row for row, _ in parts))}
     rows = list(index)
-    degrees = [row.degree for row in rows]
     # each form, then each equality, with what follows it in the system:
     # its name, or its target and name
     tails = [(row, ell, (f"mu_{ell}({row.name})",)) for row, ell in rows_and_ells]
     tails += [(row, ell, (t, f"mu_{ell}({row.name}) = {t}")) for row, ell, t in equalities]
-    specs = [
-        (index[row], (1, *traces[ell].values()), linear[row, ell], tail) for row, ell, tail in tails
-    ]
-    nform = len(rows_and_ells)
-    empty = FeasibilitySystem.build(classes, [], [])
     values: dict[tuple[int, AugVector], list[int]] = {}  # the rows' values on a level
-    entries: dict[tuple[int, int], tuple] = {}  # (spec, constant) -> its system entry
-    matrix = None
-    reports = []
+    tables = []  # each system's tables of its levels' values, by row index
     for lower in lowers:
-        tables = [degrees]
+        tables.append([])
         for d in levels:
             if d not in lower:
                 raise ValueError(f"level {d} of the unit is not fixed")
             table = values.get((d, lower[d]))
             if table is None:
                 table = values[d, lower[d]] = [char_value_on_unit(row, lower[d]) for row in rows]
-            tables.append(table)
-        at = list(zip(*tables))  # each row's degree and values, by row index
-        made = []
-        for s, (i, weights, coeffs, tail) in enumerate(specs):
-            constant = sum(map(mul, weights, at[i]))
-            entry = entries.get((s, constant))
-            if entry is None:
-                entry = entries[s, constant] = (AffineForm(coeffs, constant, k), *tail)
-            made.append(entry)
+            tables[-1].append(table)
+    # columns[l][i]: row i's values on the l-th level, over the systems
+    columns = [list(zip(*level)) for level in zip(*tables)]
+    count = len(lowers)
+    made = []  # each form's, then equality's, entry in every system
+    for row, ell, tail in tails:
+        i, coeffs = index[row], linear[row, ell]
+        constants = repeat(row.degree, count)
+        for trace, column in zip(traces[ell].values(), columns):
+            if trace:
+                constants = map(add, constants, map(trace.__mul__, column[i]))
+        constants = list(constants)
+        shared = {c: (AffineForm(coeffs, c, k), *tail) for c in dict.fromkeys(constants)}
+        made.append(list(map(shared.__getitem__, constants)))
+    nform = len(rows_and_ells)
+    empty = FeasibilitySystem.build(classes, [], [])
+    matrix = None
+    reports = []
+    for entries in zip(*made) if made else repeat((), count):
         system = FeasibilitySystem(
-            empty.variables, (*made[nform:], *empty.equalities), tuple(made[:nform])
+            empty.variables, (*entries[nform:], *empty.equalities), entries[:nform]
         )
         if matrix is None:
             matrix = _matrix(system)
@@ -797,14 +846,17 @@ def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
     """The order-k augmentation vector of each solution of a report, as
     AugVector.make builds it from the solution's values on the report's
     variables: the variable positions are put in class order once per
-    report, and each vector keeps its non-zero entries in that order.
-    AugVector validates every vector as it is built."""
+    report, each solution is read in that order by one itemgetter (not at
+    all when FeasibilitySystem.build already put the variables in it), and
+    each vector keeps its non-zero entries in that order, picked by
+    compress.  AugVector validates every vector as it is built."""
     variables = report.variables
     order = sorted(range(len(variables)), key=lambda i: class_sort_key(variables[i]))
-    return [
-        AugVector(k, n, tuple((variables[i], sol[i]) for i in order if sol[i]))
-        for sol in report.solutions
-    ]
+    classes = [variables[i] for i in order]
+    rows = report.solutions
+    if order != list(range(len(order))):  # so two or more variables
+        rows = map(itemgetter(*order), rows)
+    return [AugVector(k, n, tuple(zip(compress(classes, sol), filter(None, sol)))) for sol in rows]
 
 
 def has_element_of_order(n: int, k: int, kind: str = "S") -> bool:

@@ -36,7 +36,15 @@ from dataclasses import dataclass
 from .characters import NAMED_CHARACTERS, character_value, degree, named_partition
 from . import luthar_passi
 from .luthar_passi import CharacterRow, class_sort_key, format_class, format_cycle_type
-from .partitions import PRIME_TEST_BOUND, Partition, all_partitions, element_order, is_prime
+from .partitions import (
+    PRIME_TEST_BOUND,
+    IntegerTooLong,
+    Partition,
+    all_partitions,
+    element_order,
+    is_prime,
+    read_int,
+)
 
 
 class TableError(ValueError):
@@ -75,9 +83,19 @@ def parse_cycle_type(token: str, line: int, n: int) -> Partition:
         raise TableError("bad-class", line, str(exc)) from None
 
 
-def _int(token: str, line: int, what: str) -> int:
+def _int(
+    token: str, line: int, what: str, negative: bool = False, too_long: int | None = None
+) -> int:
+    """A table integer, by read_int: ASCII digits, after a '-' only where
+    `negative` allows one; TableError "bad-integer" otherwise.  A number of
+    more digits than int() converts reads as `too_long` when it is given,
+    for a caller that rejects every number that large."""
     try:
-        return int(token)
+        return read_int(token, negative)
+    except IntegerTooLong:
+        if too_long is None:
+            raise TableError("bad-integer", line, f"{what} {token!r} has too many digits") from None
+        return too_long
     except ValueError:
         raise TableError("bad-integer", line, f"{what} {token!r} is not an integer") from None
 
@@ -119,14 +137,14 @@ def parse_table(text: str) -> TableFile:
             if len(tokens) != 3 or tokens[1] not in ("S", "A"):
                 raise TableError("bad-group", lineno, "expected: group S|A <n>")
             kind = tokens[1]
-            n = _int(tokens[2], lineno, "degree")
+            n = _int(tokens[2], lineno, "degree", too_long=PRIME_TEST_BOUND)
             if n < 1:
                 raise TableError("bad-group", lineno, f"degree {n} must be positive")
             # the modulus is at most the degree, and the primality test
             # decides only numbers below its bound
             if n >= PRIME_TEST_BOUND:
                 raise TableError(
-                    "bad-group", lineno, f"degree {n} must be below {PRIME_TEST_BOUND}"
+                    "bad-group", lineno, f"degree {tokens[2]} must be below {PRIME_TEST_BOUND}"
                 )
             if modulus is not None:
                 _check_modulus(modulus, n, lineno)
@@ -178,7 +196,7 @@ def parse_table(text: str) -> TableFile:
                 raise TableError("unknown-class", lineno, f"value at undeclared class {label!r}")
             if label in values[name]:
                 raise TableError("duplicate-value", lineno, f"value ({name}, {label}) given twice")
-            v = _int(tokens[3], lineno, "character value")
+            v = _int(tokens[3], lineno, "character value", negative=True)
             if element_order(class_labels[label]) == 1 and v != row_degrees[name]:
                 raise TableError(
                     "identity-mismatch", lineno,

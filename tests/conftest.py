@@ -6,6 +6,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 import pytest
@@ -454,11 +455,62 @@ def concrete_solve(lat: _Lattice, y, variables, find_one: bool = False) -> Solve
         if nfree:
             report.ray = x_ray((0,) * wdim + (1,))
         else:
-            report.solutions = sorted(
-                tuple(x + sum(a * c for a, c in zip(row[rank:], w)) for row, x in zip(lat.u, point))
-                for w in leaves
-            )
+            report.solutions = leafwise_solutions(lat, y, leaves)
     return report
+
+
+# the per-item loops that solver._solve, solver._recheck and
+# lemma_filters.filter_order_q_powers replaced with passes over whole
+# columns: the oracles of the column-wise code
+
+
+def leafwise_solutions(lat: _Lattice, y, leaves) -> list[tuple[int, ...]]:
+    """The sorted points u . (y, w, 0) of the leaves w, one leaf at a time."""
+    rank = lat.rank
+    u_w = [row[rank:] for row in lat.u]
+    point = [sum(map(mul, row, y)) for row in lat.u]
+    return sorted(
+        tuple(x + sum(map(mul, row, w)) for row, x in zip(u_w, point)) for w in leaves
+    )
+
+
+def solutionwise_recheck(system: FeasibilitySystem, solutions) -> None:
+    """The re-check of every solution against the system's forms, one
+    solution at a time: at the first violating solution, the first
+    equality, else form, that it violates is a RuntimeError."""
+    index = {v: i for i, v in enumerate(system.variables)}
+
+    def dense(f: AffineForm) -> list[int]:
+        row = [0] * len(index)
+        for v, c in f.coeffs:
+            row[index[v]] += c
+        return row
+
+    equalities = [
+        (dense(f), f.constant, f.den * target, name) for f, target, name in system.equalities
+    ]
+    forms = [(dense(f), f.constant, f.den, name) for f, name in system.nonneg_integral]
+    for sol in solutions:
+        for row, const, value, name in equalities:
+            if const + sum(map(mul, row, sol)) != value:
+                raise RuntimeError(f"solver point {sol} violates equality {name}")
+        for row, const, den, name in forms:
+            if (v := const + sum(map(mul, row, sol))) < 0 or v % den:
+                raise RuntimeError(f"solver point {sol} violates form {name}")
+
+
+def candidatewise_filter(n: int, p: int, q: int, candidates: list[AugVector]) -> list[AugVector]:
+    """The weighted-sum filter of filter_order_q_powers, one candidate at
+    a time: each candidate's entries become a dict, and each class q.j is
+    looked up in it."""
+    classes = [prime_cycles(q, j, n) for j in range(1, n // q + 1)]
+    kept = []
+    for v in candidates:
+        eps = dict(v.entries)
+        s = sum(j * eps.get(ct, 0) for j, ct in enumerate(classes, 1))
+        if s == 0 or (s == 1 and p + q in (n, n + 1)):
+            kept.append(v)
+    return kept
 
 
 # the oracle for solver._recession_ray, which reads the ray off the search's

@@ -101,6 +101,17 @@ def test_solve_rejects_an_empty_or_repeated_residue_list(spec, capsys):
     assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --rows {spec!r}; {reason}\n")
 
 
+@pytest.mark.parametrize("spec", ["pi: \u0661,\u0660", "pi:+1", "pi:0,1_0", "pi:0,1 "])
+def test_solve_reads_residues_as_ascii_integers(spec, capsys):
+    # int() reads each of these: Arabic-Indic digits after a space, a '+'
+    # sign, a '_' separator, trailing white space; a residue may be negative
+    rc, out, err = run(capsys, "solve", "--group", "S7", "--order", "5x3", "--rows", spec)
+    reason = "expected name:ell,ell,..."
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --rows {spec!r}; {reason}\n")
+    rc, out, _ = run(capsys, "solve", "--group", "S7", "--order", "5x3", "--rows", "pi:-3,1")
+    assert rc != EXIT_INPUT and "pi@[-3, 1]" in out
+
+
 @pytest.mark.parametrize("spec", ["pi:0,1,2", "pi:1,2", "pi:-1,1"])
 def test_solve_rejects_two_residues_with_the_same_gcd(spec, capsys):
     # mu_ell of an integer-valued row depends only on gcd(ell, q): residues
@@ -307,6 +318,10 @@ def test_solve_rejects_a_degree_past_the_primality_bound_or_unreadable(capsys):
         (f"S{bound}", f"the degree must be below {bound}"),
         ("A" + "9" * 5000, f"the degree must be below {bound}"),
         ("S1\u00b2", "expected e.g. S13 or A13"),  # a superscript digit
+        ("S+13", "expected e.g. S13 or A13"),
+        ("S1_3", "expected e.g. S13 or A13"),
+        ("S-13", "expected e.g. S13 or A13"),
+        ("S" + "0" * 5000 + "1", "the degree must be at least 2"),
     ]:
         rc, out, err = run(capsys, "solve", "--group", group, "--order", "3x5", "--rows", "pi")
         assert rc == EXIT_INPUT and out == ""
@@ -314,6 +329,8 @@ def test_solve_rejects_a_degree_past_the_primality_bound_or_unreadable(capsys):
     for order, reason in [
         ("3x" + "1" * 5000, "a factor exceeds the degree 13"),
         ("3x1\u00b9", "expected e.g. 3x11"),
+        ("3x+5", "expected e.g. 3x11"),
+        ("3x5x7", "expected e.g. 3x11"),
     ]:
         rc, out, err = run(capsys, "solve", "--group", "S13", "--order", order, "--rows", "pi")
         assert rc == EXIT_INPUT and out == ""

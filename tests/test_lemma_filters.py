@@ -4,9 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sntorsion.characters import character_value, degree, named_partition
-from conftest import UnitProfile, mu1_pi_closed_form_pq, multiplicity
+from conftest import UnitProfile, candidatewise_filter, mu1_pi_closed_form_pq, multiplicity
 
 from sntorsion.lemma_filters import filter_lemma_4_3, filter_order_q_powers
 from sntorsion.luthar_passi import AugVector, CharacterRow, allowed_support, forced_vector
@@ -81,6 +82,37 @@ def test_filter_order_q_powers_is_strict_outside_p_plus_q_near_n():
     # candidate has weighted sum 1 and dies
     kept = filter_order_q_powers(13, 11, 7, [vec(13, 7, (1,))])
     assert kept == []
+
+
+@st.composite
+def order_q_candidates(draw):
+    """(n, p, q, candidates): order-q vectors on the classes q.j of S_n,
+    for an (n, p, q) with the hypotheses of Theorem 3.2, p + q in {n, n + 1}
+    or not."""
+    n, p, q = draw(st.sampled_from([(7, 5, 3), (7, 7, 3), (8, 5, 3), (11, 7, 5), (12, 11, 3),
+                                    (13, 11, 3), (13, 7, 5), (14, 13, 3)]))
+    classes = allowed_support(n, q)
+    candidates = []
+    for _ in range(draw(st.integers(0, 8))):
+        size = len(classes) - 1
+        eps = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        candidates.append(AugVector.make(q, n, dict(zip(classes, [1 - sum(eps), *eps]))))
+    return n, p, q, candidates
+
+
+def test_the_one_pass_filter_keeps_what_the_per_candidate_filter_keeps():
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(order_q_candidates())
+    def check(drawn):
+        n, p, q, candidates = drawn
+        kept = filter_order_q_powers(n, p, q, candidates)
+        assert kept == candidatewise_filter(n, p, q, candidates)
+        seen.update((v in kept, p + q in (n, n + 1)) for v in candidates)
+
+    check()
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
 
 def test_filter_order_q_powers_checks_its_hypotheses():

@@ -3,13 +3,14 @@
 from math import factorial, isqrt, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import class_size, identity_partition, power_cycle_type
 
 from sntorsion.luthar_passi import format_class
 from sntorsion.partitions import (
     PRIME_TEST_BOUND,
+    IntegerTooLong,
     all_partitions,
     check_partition,
     element_order,
@@ -17,6 +18,7 @@ from sntorsion.partitions import (
     is_prime,
     parity,
     prime_cycles,
+    read_int,
 )
 
 # number of partitions of n, for 1 <= n <= 20
@@ -158,6 +160,35 @@ def test_is_prime_decides_large_numbers_at_once(k, prime):
 def test_is_prime_rejects_numbers_past_its_bound():
     with pytest.raises(ValueError, match="past the bound of the primality test"):
         is_prime(PRIME_TEST_BOUND)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(min_value=-(10**30), max_value=10**30))
+def test_read_int_reads_what_str_writes(k):
+    assert read_int(str(k), negative=True) == k
+    if k >= 0:
+        assert read_int(str(k)) == k == read_int("000" + str(k))
+
+
+@pytest.mark.parametrize("text, negative", [
+    ("", False), ("-", True), ("-7", False), ("--7", True), ("+7", False), ("+7", True),
+    ("7_000", False), (" 7", False), ("7\n", False), ("\u0667", False), ("1\u00b2", False),
+    ("\uff17", False), ("0x1f", False), ("1e3", False), ("7.0", False),
+])
+def test_read_int_takes_only_ascii_digits(text, negative):
+    # int() reads every one of these but "", "-", "--7", "1\u00b2", "0x1f", "1e3" and "7.0"
+    with pytest.raises(ValueError, match="is not an integer"):
+        read_int(text, negative)
+
+
+def test_read_int_tells_too_many_digits_apart():
+    with pytest.raises(IntegerTooLong):
+        read_int("9" * 5000)
+    with pytest.raises(IntegerTooLong):
+        read_int("-" + "9" * 5000, negative=True)
+    # leading zeros are not counted
+    assert read_int("0" * 5000 + "7") == 7
+    assert issubclass(IntegerTooLong, ValueError)
 
 
 def test_factorize_multiplies_back_with_prime_keys():

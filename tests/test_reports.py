@@ -1,6 +1,8 @@
 """Report schema: validation, serialization, divergence location."""
 
 import json
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,3 +149,33 @@ def test_json_text_covers_nested_empties_escapes_and_big_integers():
 def test_json_text_rejects_values_outside_the_report_types(value, error):
     with pytest.raises(error):
         _json_text(value)
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 10**30
+
+
+class Label(str):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class Items(list):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    Level.LOW,
+    {"level": Level.HIGH, "levels": [Level.LOW, Level.HIGH]},
+    Label("r\u00e9"),
+    {"label": Label("x"), "labels": [Label(""), Label("\n")]},
+    OrderedDict([("z", 1), ("a", OrderedDict()), ("m", [OrderedDict([("k", None)])])]),
+    [Ratio(1.5), Items([Label("a"), Items()]), {Label("key"): Level.LOW}],
+])
+def test_json_text_prints_subclasses_as_json_dumps_does(value):
+    # an exact type has its own writer; a subclass falls back to isinstance
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)

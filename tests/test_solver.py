@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     HermiteSplit, ScratchLattice, affine_form, brute_force_solutions, cleared_form, coeff,
-    concrete_solve, eliminate, fm_chain, is_pair_system, normalize, parse_class,
-    pinned_recession_ray, row_major_lattice, scratch_lattice,
+    concrete_solve, eliminate, fm_chain, is_pair_system, leafwise_solutions, normalize,
+    parse_class, pinned_recession_ray, row_major_lattice, scratch_lattice, solutionwise_recheck,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -805,6 +805,98 @@ def test_enumerate_system_rejects_a_solution_that_violates_the_system(
     monkeypatch.setattr(solver, "_solve", tampered)
     with pytest.raises(RuntimeError, match=f"violates {broken}"):
         enumerate_system(builder())
+
+
+def recheck_system():
+    # a/2 a non-negative integer and b + 5 >= 0, with the augmentation
+    # a + b = 1: (2, -1) and (6, -5) are solutions
+    a, b = var("3.1", 7), var("3.2", 7)
+    forms = [
+        (cleared_form({a: Fraction(1, 2)}, 0), "a/2"),
+        (AffineForm.make({b: 1}, 5), "b + 5"),
+    ]
+    return FeasibilitySystem.build([a, b], [], forms)
+
+
+def recheck_outcome(recheck, system, solutions) -> str | None:
+    try:
+        recheck(system, solutions)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("bad, broken", [
+    ((2, 0), "equality augmentation"),
+    ((8, -7), "form b + 5"),  # b + 5 = -2
+    ((1, 0), "form a/2"),  # a/2 = 1/2
+    # at one solution an equality is named before a form: a/2 = 1/2 too
+    ((1, 1), "equality augmentation"),
+])
+def test_recheck_names_the_first_violating_solution_after_good_ones(bad, broken):
+    # the good solutions come first, and a later one, (0, 0), violates the
+    # augmentation: the column-wise re-check still names the first one
+    system = recheck_system()
+    solutions = [(2, -1), (6, -5), bad, (0, 0)]
+    message = f"solver point {bad} violates {broken}"
+    assert recheck_outcome(solver._recheck, system, solutions) == message
+    assert recheck_outcome(solutionwise_recheck, system, solutions) == message
+    assert recheck_outcome(solver._recheck, system, solutions[:2]) is None
+
+
+def test_the_column_recheck_raises_as_the_per_solution_recheck():
+    seen = Counter()
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(st.one_of(random_systems(max_vars=3, box=True), random_systems(max_vars=3, box=False)),
+           st.data())
+    def check(drawn, data):
+        system, _ = drawn
+        nvar = len(system.variables)
+        report = enumerate_system(system)
+        points = data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * nvar), max_size=5))
+        solutions = data.draw(st.permutations(report.solutions[:4] + points))
+        outcome = recheck_outcome(solver._recheck, system, solutions)
+        assert outcome == recheck_outcome(solutionwise_recheck, system, solutions)
+        if outcome is None:
+            seen["passes"] += 1
+        else:
+            seen["equality" if " violates equality " in outcome else "form"] += 1
+
+    check()
+    # both kinds of violation are named, and some lists pass
+    assert {"passes", "equality", "form"} <= set(seen)
+
+
+def test_solve_reads_the_leaves_a_column_at_a_time_as_one_leaf_at_a_time():
+    seen = Counter()
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(st.one_of(random_systems(max_vars=4, box=True), random_systems(max_vars=4, box=False)),
+           st.booleans(), st.data())
+    def check(drawn, every_form, data):
+        system, _ = drawn
+        matrix = solver._matrix(system)
+        nform = len(system.nonneg_integral)
+        kept = tuple(j for j in range(nform) if every_form or data.draw(st.booleans()))
+        lat = matrix.lattice(kept)
+        rhs = solver._rhs(system)
+        y = solver._particular(lat, rhs[:matrix.neq] + [rhs[matrix.neq + j] for j in kept])
+        if y is None:
+            return
+        slacks = solver._slack_values(lat, y)
+        leaves = []
+        status, nodes = solver._search(lat, slacks, leaves)
+        report = solver._solve(lat, y, slacks, system.variables)
+        assert (report.status, report.stats["nodes"]) == (status, nodes)
+        if status == "solutions":
+            # the leaves come in increasing order, one node each
+            assert leaves == sorted(set(leaves)) and nodes >= len(leaves)
+            assert report.solutions == leafwise_solutions(lat, y, leaves)
+            seen[min(len(leaves), 3), lat.wdim > 1] += 1
+
+    check()
+    assert {(1, False), (3, False), (3, True)} <= set(seen)
 
 
 # ---------------------------------------------------------------------------

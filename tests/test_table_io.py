@@ -1,8 +1,15 @@
 """Table-v1 parsing, serialization, and validation codes."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from sntorsion.luthar_passi import allowed_support
+from sntorsion import luthar_passi
+from sntorsion.luthar_passi import MAX_CLASS_PARTS, allowed_support
 from sntorsion.partitions import PRIME_TEST_BOUND, all_partitions, element_order
 from sntorsion.solver import report_aug_vectors, solve_prime_order
 from sntorsion.table_io import (
@@ -183,6 +190,79 @@ def test_a_huge_degree_and_modulus_are_decided_without_trial_division():
             parse_table(f"table-v1\nmode brauer 2\ngroup A {degree}\n")
         assert (exc.value.code, exc.value.line) == ("bad-group", 3)
         assert f"must be below {PRIME_TEST_BOUND}" in str(exc.value)
+
+
+@pytest.mark.parametrize("lines, code, message", [
+    # int() reads each of these tokens: a non-ASCII digit, a '+' sign, a
+    # '_' separator (3_0 would read as 30) and a '-' where no negative
+    # value is legal
+    (["group S \u0667"], "bad-integer", "degree '\u0667' is not an integer"),
+    (["group S 7", "mode ordinary", "class e 1^7 +1"], "bad-integer", "element order '+1'"),
+    (["group S 34", "mode ordinary", "class x 3_0^1+1^4 30"], "bad-class",
+     "unreadable cycle type '3_0^1+1^4'"),
+    (["group S 7", "mode brauer -2"], "bad-integer", "modulus '-2' is not an integer"),
+    (["group S 7", "mode ordinary", "class 3.1 3+1^4 3", "row pi -6"], "bad-integer",
+     "degree '-6' is not an integer"),
+    (["group S 7", "mode ordinary", "class 3.1 3+1^4 3", "row pi 6", "value pi 3.1 \uff13"],
+     "bad-integer", "character value '\uff13' is not an integer"),
+    # past int()'s digits, a degree is past the primality bound
+    (["group S " + "9" * 5000], "bad-group", f"must be below {PRIME_TEST_BOUND}"),
+    (["group S 7", "mode ordinary", "class 3.1 3+1^4 3", "row pi 6", "value pi 3.1 " + "9" * 5000],
+     "bad-integer", "has too many digits"),
+])
+def test_table_integers_are_ascii_digits(lines, code, message):
+    text = "\n".join(["table-v1", *lines]) + "\n"
+    with pytest.raises(TableError) as exc:
+        parse_table(text)
+    assert (exc.value.code, exc.value.line) == (code, len(lines) + 1)
+    assert message in str(exc.value)
+
+
+def test_a_character_value_may_be_negative_and_digits_may_lead_with_zeros():
+    table = parse_table(
+        "table-v1\ngroup S 007\nmode ordinary\nclass 3.1 3+1^04 3\nrow psi 06\nvalue psi 3.1 -03\n"
+    )
+    assert table.n == 7 and table.row("psi").degree == 6
+    assert table.row("psi").value((3, 1, 1, 1, 1)) == -3
+
+
+def test_a_class_past_the_part_cap_is_rejected_before_any_part_is_built():
+    # a degree of 10^12 is below the primality bound, and its identity
+    # class would be a list of 10^12 parts: the child process has 1 GiB of
+    # address space, so building it would fail there, not here
+    code = (
+        "from sntorsion.table_io import TableError, parse_table\n"
+        "try:\n"
+        "    parse_table('table-v1\\ngroup S 1000000000000\\nmode ordinary\\n'\n"
+        "                'class e 1^1000000000000 1\\n')\n"
+        "except TableError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        f"line 4: [bad-class] cycle type 1^1000000000000 has more than {MAX_CLASS_PARTS} parts\n"
+    )
+
+
+def test_the_part_cap_admits_a_class_of_exactly_that_many_parts(monkeypatch):
+    monkeypatch.setattr(luthar_passi, "MAX_CLASS_PARTS", 5)
+    assert parse_cycle_type("2+1^4", 1, 6) == (2, 1, 1, 1, 1)
+    assert parse_cycle_type("1^5", 1, 5) == (1,) * 5
+    with pytest.raises(TableError, match="more than 5 parts"):
+        parse_cycle_type("1^6", 1, 6)
+    with pytest.raises(TableError, match="more than 5 parts"):
+        parse_cycle_type("1^3+1^3", 1, 6)
 
 
 def test_every_bundled_table_names_a_modulus_within_its_degree():
