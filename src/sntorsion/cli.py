@@ -85,7 +85,7 @@ def _parse_row_spec(spec: str, q: int) -> tuple[str, list[int] | None]:
         return spec, None
     name, text = spec.split(":", 1)
     try:
-        ells = [read_int(tok, negative=True) for tok in text.split(",") if tok]
+        ells = [read_int(tok, negative=True) for tok in text.split(",")] if text else []
     except ValueError:
         raise InputError(f"bad --rows {spec!r}; expected name:ell,ell,...") from None
     # each residue is one order-q form, and mu_ell of an integer-valued row

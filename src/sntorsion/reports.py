@@ -29,23 +29,15 @@ def _json_text(value, newline: str = "\n") -> str:
     at `newline`.
 
     A value is dispatched on its exact type, to its writer in _WRITERS.  A
-    value of any other type falls back to an isinstance chain, so that a
-    subclass (an IntEnum, a str subclass, an OrderedDict) prints as
-    json.dumps prints it."""
+    value of any other type goes to the writer of the nearest class in its
+    method resolution order that has one, so that a subclass (an IntEnum, a
+    str subclass, an OrderedDict) prints as json.dumps prints it."""
     write = _WRITERS.get(type(value))
-    if write is not None:
-        return write(value, newline)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value, newline)
-    if isinstance(value, list):
-        return _list_text(value, newline)
-    if isinstance(value, dict):
-        return _dict_text(value, newline)
-    raise TypeError(f"{type(value).__name__} {value!r} is not a report value")
+    if write is None:
+        write = next((_WRITERS[cls] for cls in type(value).__mro__ if cls in _WRITERS), None)
+        if write is None:
+            raise TypeError(f"{type(value).__name__} {value!r} is not a report value")
+    return write(value, newline)
 
 
 def _float_text(value: float, newline: str) -> str:

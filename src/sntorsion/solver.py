@@ -27,8 +27,8 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    last w coordinate down, gives one projection chain per lattice, for
    every right-hand side at once (_chain): each row carries, in place of
    its constant, its non-negative multiplier vector lam over the slack
-   rows, so a search reads the constant of each row as lam . K.  The
-   lattice keeps its rows prepared for that (_prepared): a row with one
+   rows, so a search reads the constant of each row as lam . K.  The chain
+   keeps its rows in the one form a search evaluates: a row with one
    multiplier m on slack i has the constant m * K_i, and the others are
    summed without a generator per row.  The chain's rows with no
    coordinate left must be non-negative at K, and the first coordinate
@@ -159,11 +159,6 @@ def _column_hermite(cols: list[list[int]], pivot_rows) -> list[tuple[int, int]]:
     return pivots
 
 
-# a sparse non-negative multiplier vector lam over a lattice's slack rows:
-# (slack index, multiplier) pairs in increasing index
-Multipliers = tuple[tuple[int, int], ...]
-
-
 class _Lattice(NamedTuple):
     """Everything a solve uses that depends only on the integer matrix, not
     on its right-hand side (see _lattice)."""
@@ -176,15 +171,12 @@ class _Lattice(NamedTuple):
     rank: int  # the number of pivot coordinates y
     wdim: int  # the number of slack-moving coordinates w
     nfree: int  # the number of free directions v
-    # the chain of _chain: a row (coeffs, lam) reads coeffs . w + lam . K >= 0
-    levels: tuple[tuple[tuple[tuple[int, ...], Multipliers], ...], ...]  # over w_0..w_d
-    constant: tuple[Multipliers, ...]  # the rows with no coordinate: lam . K >= 0
-    open: int | None  # the first coordinate its level leaves open on one side
-    ray: tuple[int, ...] | None  # an unbounded solve's primitive ray, in the variables
-    # the chain prepared for evaluation at slack values K (_prepared)
+    # the chain of _chain: a row reads coeffs . w + lam . K >= 0
     bounds: tuple  # per level d, its rows that bound w_d: (singles, sums)
     nonneg: tuple[int, ...]  # the slacks of the one-multiplier constant rows: K_i >= 0
     sums: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # the others: (indices, multipliers)
+    open: int | None  # the first coordinate its level leaves open on one side
+    ray: tuple[int, ...] | None  # an unbounded solve's primitive ray, in the variables
 
 
 def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
@@ -237,10 +229,10 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     u = tuple(a[nk:nk + nvar])
     slack_rows = a[nk + nvar:]
     slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
-    levels, constant, open_ = _chain(slack_w, wdim)
+    bounds, nonneg, sums, open_ = _chain(slack_w, wdim)
     ray = None
     if open_ is not None or nfree:
-        direction = _recession_ray(levels, open_) if open_ is not None else (0,) * wdim + (1,)
+        direction = _recession_ray(bounds, open_) if open_ is not None else (0,) * wdim + (1,)
         ray = [sum(map(mul, row[rank:], direction)) for row in u]
         g = gcd(*ray)
         ray = tuple(c // g for c in ray) if g > 1 else tuple(ray)
@@ -253,8 +245,7 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
         tuple(r[:rank] for r in slack_rows),
         slack_w,
         rank, wdim, nfree,
-        levels, constant, open_, ray,
-        *_prepared(levels, constant),
+        bounds, nonneg, sums, open_, ray,
     )
 
 
@@ -288,32 +279,41 @@ def _chain(slack_w, wdim: int):
     """One exact Fourier-Motzkin projection chain of the slack inequalities
     slack_w[i] . w + K_i >= 0 of a lattice over its wdim coordinates w,
     eliminating from the last coordinate down, for every value K of the
-    kept slacks at once: the levels, constant and open of _Lattice.
+    kept slacks at once: the bounds, nonneg, sums and open of _Lattice.
 
     Each row carries, in place of its constant, its multiplier vector lam
-    over the slack rows: coeffs is exactly the sum of lam_i * slack_w[i],
-    and its constant at K is lam . K.  FM combines coefficients without
-    reading constants, so at each K every row is a positive multiple of a
-    row of the projection of the concrete inequalities, and the other way
-    round: the two chains bound every coordinate by the same rationals,
-    and they leave the same coordinates open, which reads no constant.
-    A row is divided by the gcd of its coefficients and multipliers, so it
-    stays integer.
+    over the slack rows, as (slack index, multiplier) pairs in increasing
+    index: coeffs is exactly the sum of lam_i * slack_w[i], and its
+    constant at K is lam . K.  FM combines coefficients without reading
+    constants, so at each K every row is a positive multiple of a row of
+    the projection of the concrete inequalities, and the other way round:
+    the two chains bound every coordinate by the same rationals, and they
+    leave the same coordinates open, which reads no constant.  A row is
+    divided by the gcd of its coefficients and multipliers, so it stays
+    integer.
+
+    The rows are kept in the form the search evaluates at K: bounds[d]
+    holds the rows of level d (over w_0..w_d) that bound w_d, as _interval
+    reads no other (the rest pass down to level d - 1), those with one
+    multiplier as (coeffs, i, m) and the others as (coeffs, indices,
+    multipliers).  A row with no coordinate left holds when lam . K >= 0:
+    with one multiplier, when K_i >= 0, so nonneg keeps its index i, and
+    sums keeps the others as (indices, multipliers).
 
     The last elimination, of w_0, is not run: each of its rows combines a
-    lower and an upper bound of w_0 in levels[0], and its constant is
-    negative exactly when that pair leaves w_0 no value, so _solve reads
+    lower and an upper bound of w_0 in bounds[0], and its constant is
+    negative exactly when that pair leaves w_0 no value, so _search reads
     them all off w_0's range at the point.
     """
     rows = [(w_row, ((i, 1),)) for i, w_row in enumerate(slack_w) if any(w_row)]
     constant = {((i, 1),): None for i, w_row in enumerate(slack_w) if not any(w_row)}
-    levels = [rows] if wdim else []
+    bounds = []
     # every coordinate before the open one is bounded, so a non-empty
     # relaxation is unbounded along it
     open_ = None
     for var in range(wdim - 1, -1, -1):
         pos, neg, out = [], [], {}
-        for row in levels[-1]:
+        for row in rows:
             c = row[0][var]
             if c > 0:
                 pos.append(row)
@@ -323,6 +323,11 @@ def _chain(slack_w, wdim: int):
                 out[row] = None
         if not (pos and neg):
             open_ = var
+        bounding = pos + neg
+        bounds.append((
+            tuple((coeffs, *lam[0]) for coeffs, lam in bounding if len(lam) == 1),
+            tuple((coeffs, *zip(*lam)) for coeffs, lam in bounding if len(lam) > 1),
+        ))
         if var == 0:
             break  # the last elimination is read off w_0's range, see above
         for pc, lam_p in pos:
@@ -341,31 +346,10 @@ def _chain(slack_w, wdim: int):
                     out[coeffs, lam] = None
                 else:
                     constant[lam] = None
-        levels.append(list(out))
-    return tuple(map(tuple, reversed(levels))), tuple(constant), open_
-
-
-def _prepared(levels, constant):
-    """The bounds, nonneg and sums of _Lattice: the chain's rows prepared
-    for evaluation at the slack values K, so that no row's constant lam . K
-    is summed through a generator.
-
-    Level d keeps only its rows that bound w_d, as _interval reads no other
-    (a row without w_d is a row of level d - 1), split into the rows with
-    one multiplier, (coeffs, i, m) with the constant m * K_i, and the others,
-    (coeffs, indices, multipliers).  A constant row with one multiplier m > 0
-    holds exactly when K_i >= 0, so it is kept as its slack index i; the
-    others as (indices, multipliers)."""
-    bounds = []
-    for d, level in enumerate(levels):
-        rows = [(coeffs, lam) for coeffs, lam in level if coeffs[d]]
-        bounds.append((
-            tuple((coeffs, *lam[0]) for coeffs, lam in rows if len(lam) == 1),
-            tuple((coeffs, *zip(*lam)) for coeffs, lam in rows if len(lam) > 1),
-        ))
+        rows = list(out)
     nonneg = tuple(lam[0][0] for lam in constant if len(lam) == 1)
     sums = tuple(tuple(zip(*lam)) for lam in constant if len(lam) > 1)
-    return tuple(bounds), nonneg, sums
+    return tuple(reversed(bounds)), nonneg, sums, open_
 
 
 def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None]:
@@ -389,23 +373,25 @@ def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None]:
     return lo, hi
 
 
-def _recession_ray(levels, var: int) -> tuple[int, ...]:
+def _recession_ray(bounds, var: int) -> tuple[int, ...]:
     """A nonzero integer direction of the relaxation's recession cone that
     moves variable `var`, the first one that its chain level leaves open on
-    one side; levels[d] holds rows (coeffs, ...) over variables 0..d.  FM
-    combines coefficients without reading constants, so levels[d] with its
-    constants set to 0 is the projection of the homogeneous rows: every
-    earlier variable is 0 on it, var moves to the open side, and each later
-    variable is read off its interval there.  The rational point is kept as
-    an integer `point` over a positive `scale`: the rows are homogeneous, so
-    each bound read at `point` is `scale` times the one at the rational
-    point, and point / gcd(scale, *point) is the lcm of the rational point's
+    one side; bounds[d] holds the rows (coeffs, ...) over variables 0..d
+    that bound variable d, as _chain splits them.  FM combines coefficients
+    without reading constants, so the chain with its constants set to 0 is
+    the projection of the homogeneous rows: every earlier variable is 0 on
+    it, var moves to the open side, and each later variable is read off its
+    interval there.  The rational point is kept as an integer `point` over
+    a positive `scale`: the rows are homogeneous, so each bound read at
+    `point` is `scale` times the one at the rational point, and
+    point / gcd(scale, *point) is the lcm of the rational point's
     denominators times it, whatever positive multiple of each row a level
     holds."""
-    point = [0] * var + [-1 if any(coeffs[var] < 0 for coeffs, _ in levels[var]) else 1]
+    homogeneous = [[(row[0], 0) for part in level for row in part] for level in bounds]
+    point = [0] * var + [-1 if any(c[var] < 0 for c, _ in homogeneous[var]) else 1]
     scale = 1
-    for d in range(var + 1, len(levels)):
-        lo, hi = _interval([(coeffs, 0) for coeffs, _ in levels[d]], d, point)
+    for d in range(var + 1, len(bounds)):
+        lo, hi = _interval(homogeneous[d], d, point)
         num, den = lo or hi or (0, 1)
         point = [x * den for x in point] + [num]
         scale *= den
@@ -521,7 +507,7 @@ def _rhs(system: FeasibilitySystem) -> list[int]:
 
 
 def _evaluated(bounds, slacks: list[int]) -> list[tuple[tuple[int, ...], int]]:
-    """The rows of a level's bounds (_prepared), each with its constant
+    """The rows of a level's bounds (_chain), each with its constant
     lam . K at the slack values K."""
     singles, sums = bounds
     rows = [(coeffs, m * slacks[i]) for coeffs, i, m in singles]

@@ -286,25 +286,7 @@ def scratch_hermite(cols: list[list[int]], pivot_rows) -> list[tuple[int, int]]:
     return pivots
 
 
-class ScratchLattice(NamedTuple):
-    """The fields of solver._Lattice that do not prepare the chain for
-    evaluation."""
-
-    pivot_col: tuple[int | None, ...]
-    echelon: tuple[tuple[int, ...], ...]
-    u: tuple[tuple[int, ...], ...]
-    slack_y: tuple[tuple[int, ...], ...]
-    slack_w: tuple[tuple[int, ...], ...]
-    rank: int
-    wdim: int
-    nfree: int
-    levels: tuple
-    constant: tuple
-    open: int | None
-    ray: tuple[int, ...] | None
-
-
-def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> ScratchLattice:
+def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
     """One Hermite elimination of the rows of a solver._matrix that a solve
     keeps, the equality rows included, over the variables and the kept
     forms' slacks, each column stacked over the identity u, then the
@@ -326,21 +308,21 @@ def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> Scratch
     u = tuple(a[m:m + nvar])
     slack_rows = a[m + nvar:]
     slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
-    levels, constant, open_ = _chain(slack_w, wdim)
+    bounds, nonneg, sums, open_ = _chain(slack_w, wdim)
     ray = None
     if open_ is not None or nfree:
-        direction = _recession_ray(levels, open_) if open_ is not None else (0,) * wdim + (1,)
+        direction = _recession_ray(bounds, open_) if open_ is not None else (0,) * wdim + (1,)
         ray = [sum(a * b for a, b in zip(row[rank:], direction)) for row in u]
         g = gcd(*ray)
         ray = tuple(c // g for c in ray) if g > 1 else tuple(ray)
-    return ScratchLattice(
+    return _Lattice(
         tuple(pivot_of_row.get(r) for r in range(m)),
         tuple(r[:rank] for r in a[:m]),
         u,
         tuple(r[:rank] for r in slack_rows),
         slack_w,
         rank, wdim, nfree,
-        levels, constant, open_, ray,
+        bounds, nonneg, sums, open_, ray,
     )
 
 
@@ -402,6 +384,13 @@ def fm_chain(ineqs: set[Ineq], nvars: int) -> list[set[Ineq]] | None:
     return chain[-2::-1]
 
 
+def as_bounds(chain: list[set[Ineq]]) -> tuple:
+    """An fm_chain in the form of the bounds of solver._chain, as
+    solver._recession_ray reads them: each level's rows that bound its own
+    variable, kept as one-multiplier rows whose multiplier is not read."""
+    return tuple((tuple((c, 0, 1) for c, _ in rows if c[d]), ()) for d, rows in enumerate(chain))
+
+
 def concrete_solve(lat: _Lattice, y, variables, find_one: bool = False) -> SolveReport:
     """solver._solve as it was before the chain moved to the lattice: each
     solve projects its own slack inequalities, constants included, from the
@@ -432,7 +421,7 @@ def concrete_solve(lat: _Lattice, y, variables, find_one: bool = False) -> Solve
         if len({coeffs[d] > 0 for coeffs, _ in rows if coeffs[d]}) < 2:
             report.status = "unbounded"
             if not find_one:
-                report.ray = x_ray(_recession_ray(chain, d))
+                report.ray = x_ray(_recession_ray(as_bounds(chain), d))
             return report
     leaves: list[tuple[int, ...]] = []
     nodes = 0

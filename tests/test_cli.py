@@ -101,10 +101,13 @@ def test_solve_rejects_an_empty_or_repeated_residue_list(spec, capsys):
     assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --rows {spec!r}; {reason}\n")
 
 
-@pytest.mark.parametrize("spec", ["pi: \u0661,\u0660", "pi:+1", "pi:0,1_0", "pi:0,1 "])
+@pytest.mark.parametrize(
+    "spec", ["pi: \u0661,\u0660", "pi:+1", "pi:0,1_0", "pi:0,1 ", "pi:0,,1", "pi:0,", "pi:,1"]
+)
 def test_solve_reads_residues_as_ascii_integers(spec, capsys):
-    # int() reads each of these: Arabic-Indic digits after a space, a '+'
-    # sign, a '_' separator, trailing white space; a residue may be negative
+    # int() reads the first four: Arabic-Indic digits after a space, a '+'
+    # sign, a '_' separator, trailing white space; an empty residue is no
+    # integer either, not one to skip; a residue may be negative
     rc, out, err = run(capsys, "solve", "--group", "S7", "--order", "5x3", "--rows", spec)
     reason = "expected name:ell,ell,..."
     assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --rows {spec!r}; {reason}\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
-    HermiteSplit, ScratchLattice, affine_form, brute_force_solutions, cleared_form, coeff,
+    HermiteSplit, affine_form, as_bounds, brute_force_solutions, cleared_form, coeff,
     concrete_solve, eliminate, fm_chain, is_pair_system, leafwise_solutions, normalize,
     parse_class, pinned_recession_ray, row_major_lattice, scratch_lattice, solutionwise_recheck,
 )
@@ -126,30 +126,46 @@ def test_lattices_continue_the_matrix_equality_pass_as_a_fresh_elimination(drawn
     for _ in range(3):
         lat = matrix.lattice(kept)
         oracle = scratch_lattice(rows, nvar, neq, kept)
-        for name in ScratchLattice._fields:
+        for name in solver._Lattice._fields:
             assert getattr(lat, name) == getattr(oracle, name), name
-        # the prepared rows give every chain row's constant lam . K
+        # the chain's rows give every constant lam . K
         slacks = data.draw(st.lists(st.integers(-9, 9), min_size=len(kept), max_size=len(kept)))
-        assert_prepared_rows_evaluate_to_lam_k(lat, slacks)
+        assert_chain_rows_evaluate_to_lam_k(lat, slacks)
         kept = tuple(j for j in range(len(rows) - neq) if data.draw(st.booleans()))
 
 
-def assert_prepared_rows_evaluate_to_lam_k(lat, slacks):
-    """Each level's prepared bounds are its rows with a coefficient on its
-    own coordinate, with the constant lam . K; a constant row holds exactly
-    when its prepared check does."""
+def chain_rows(lat):
+    """Every row of a lattice's chain as (level, coeffs, lam): level d for
+    a row of bounds[d], None for a row with no coordinate, and lam its
+    (slack index, multiplier) pairs; a one-multiplier row with no
+    coordinate keeps no multiplier, and any positive one reads the same."""
+    rows = []
+    for d, (singles, sums) in enumerate(lat.bounds):
+        rows += [(d, coeffs, ((i, m),)) for coeffs, i, m in singles]
+        rows += [(d, coeffs, tuple(zip(idx, ms))) for coeffs, idx, ms in sums]
+    zero = (0,) * lat.wdim
+    rows += [(None, zero, ((i, 1),)) for i in lat.nonneg]
+    rows += [(None, zero, tuple(zip(idx, ms))) for idx, ms in lat.sums]
+    return rows
+
+
+def assert_chain_rows_evaluate_to_lam_k(lat, slacks):
+    """Each level's bounds evaluate to its rows with the constant lam . K,
+    and a row with no coordinate holds exactly when lam . K >= 0: the
+    search rejects K at once when one does not, and finds a lattice whose
+    first coordinate is open unbounded when all do."""
 
     def constant(lam):
         return sum(m * slacks[i] for i, m in lam)
 
-    for d, level in enumerate(lat.levels):
-        expected = Counter((coeffs, constant(lam)) for coeffs, lam in level if coeffs[d])
-        assert Counter(solver._evaluated(lat.bounds[d], slacks)) == expected
-    holds = all(slacks[i] >= 0 for i in lat.nonneg) and all(
-        sum(m * slacks[i] for i, m in zip(idx, ms)) >= 0 for idx, ms in lat.sums
-    )
-    assert holds == all(constant(lam) >= 0 for lam in lat.constant)
-    assert len(lat.nonneg) + len(lat.sums) == len(lat.constant)
+    rows = chain_rows(lat)
+    for d, bounds in enumerate(lat.bounds):
+        expected = Counter((coeffs, constant(lam)) for level, coeffs, lam in rows if level == d)
+        assert Counter(solver._evaluated(bounds, slacks)) == expected
+    if any(constant(lam) < 0 for level, _, lam in rows if level is None):
+        assert solver._search(lat, slacks) == ("infeasible", 0)
+    elif lat.open == 0:
+        assert solver._search(lat, slacks) == ("unbounded", 0)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -421,7 +437,7 @@ def test_recession_ray_read_off_the_search_chain_matches_the_pinned_chain(drawn)
     open_vars = [d for d, rows in enumerate(chain) if len({c[d] > 0 for c, _ in rows if c[d]}) < 2]
     assume(open_vars)
     var = open_vars[0]
-    ray = solver._recession_ray(chain, var)
+    ray = solver._recession_ray(as_bounds(chain), var)
     assert ray == pinned_recession_ray(ineqs, wdim, var)
     assert ray[var] and all(sum(a * r for a, r in zip(c, ray)) >= 0 for c, _ in ineqs)
 
@@ -1019,17 +1035,22 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, ex
 
 def assert_chain_rows_combine_the_slack_rows(lat):
     """Each chain row's coefficients are exactly its positive multipliers
-    times the lattice's slack rows on w; a constant row's are all zero."""
+    times the lattice's slack rows on w: a row of level d bounds w_d and
+    reads no later coordinate, and a row with no coordinate is all zero.
+    The rows with one multiplier are kept apart from the others."""
 
     def combination(lam):
         return tuple(sum(m * lat.slack_w[i][j] for i, m in lam) for j in range(lat.wdim))
 
-    rows = [row for level in lat.levels for row in level]
-    rows += [((0,) * lat.wdim, lam) for lam in lat.constant]
-    for coeffs, lam in rows:
+    assert len(lat.bounds) == lat.wdim
+    for d, coeffs, lam in chain_rows(lat):
         assert lam and all(m > 0 for _, m in lam)
         assert [i for i, _ in lam] == sorted({i for i, _ in lam})
         assert coeffs == combination(lam)
+        if d is not None:
+            assert coeffs[d] and not any(coeffs[d + 1:])
+    many = [idx for _, sums in lat.bounds for _, idx, _ in sums] + [idx for idx, _ in lat.sums]
+    assert all(len(idx) > 1 for idx in many)
 
 
 def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
@@ -1067,7 +1088,7 @@ def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
             y = solver._particular(lat, b)
             slacks = None if y is None else solver._slack_values(lat, y)
             if y is not None:
-                assert_prepared_rows_evaluate_to_lam_k(lat, slacks)
+                assert_chain_rows_evaluate_to_lam_k(lat, slacks)
             report = solver._solve(lat, y, slacks, system.variables)
             assert report == concrete_solve(lat, y, system.variables)
             # a core trial reads only the status, and stops at its first point

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import sntorsion
+from sntorsion import solver
 
 PACKAGE = Path(sntorsion.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -45,30 +46,35 @@ def kind_comparisons(source: str) -> list[int]:
     return lines
 
 
+def walk(tree, skip=()):
+    """The nodes of tree, outside the subtrees in skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not any(node is s for s in skip):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def identifiers(tree, skip=()) -> set[str]:
     """Every name, attribute and imported name read in tree, outside the
     subtrees in skip."""
     found = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if any(node is s for s in skip):
-            continue
+    for node in walk(tree, skip):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
     return found
 
 
-def unreferenced_public_names(source: str, other_sources: list[str]) -> list[str]:
-    """Public top-level functions, classes and assignments of a module that
-    no code outside their own definitions names, in the module or in
-    other_sources.  A name used only by such unreferenced definitions is
-    unreferenced too."""
+def unreferenced_names(source: str, other_sources: list[str]) -> list[str]:
+    """Top-level functions, classes and assignments of a module, public or
+    private, that no code outside their own definitions names, in the
+    module or in other_sources.  A name used only by such unreferenced
+    definitions is unreferenced too."""
     tree = ast.parse(source)
     defs = {}
     for node in tree.body:
@@ -82,7 +88,7 @@ def unreferenced_public_names(source: str, other_sources: list[str]) -> list[str
         skipped = [defs[name] for name in dead]
         new = {
             name for name, node in defs.items()
-            if not name.startswith("_") and name not in dead and name not in elsewhere
+            if name not in dead and name not in elsewhere
             and name not in identifiers(tree, skipped + [node])
         }
         if not new:
@@ -93,25 +99,44 @@ def unreferenced_public_names(source: str, other_sources: list[str]) -> list[str
 def test_unreferenced_public_names_are_found():
     source = (
         "Ineq = int\n"
-        "def used(x: Ineq):\n    return helper()\n"
+        "def used(x: Ineq):\n    return helper() + _private()\n"
         "def helper():\n    return 1\n"
+        "def _private():\n    return 1\n"
+        "_Leftover = tuple[int, ...]\n"
         "def recursive():\n    return recursive()\n"
         "def only_by_dead():\n    return 2\n"
         "def dead():\n    return only_by_dead()\n"
         "class Kept:\n    pass\n"
     )
     other = "from m import used\nimport m\nm.Kept()\n"
-    assert unreferenced_public_names(source, [other]) == ["dead", "only_by_dead", "recursive"]
+    assert unreferenced_names(source, [other]) == ["_Leftover", "dead", "only_by_dead", "recursive"]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_is_used_by_the_package(module):
-    # library surface that only tests use belongs in the tests; a re-export
-    # in __init__ is not a use, so __init__ is neither checked nor read
+    # library surface that only tests use belongs in the tests, and so does
+    # a private helper; a re-export in __init__ is not a use, so __init__ is
+    # neither checked nor read
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     del sources["__init__"]
     source = sources.pop(module)
-    assert unreferenced_public_names(source, list(sources.values())) == []
+    assert unreferenced_names(source, list(sources.values())) == []
+
+
+def test_every_lattice_field_is_read_by_the_package():
+    # each lattice stores every field of _Lattice, so a field that only the
+    # tests read is stored for nothing; _lattice builds the record, and its
+    # own reads do not count
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    builder = [
+        node for tree in trees for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_lattice"
+    ]
+    read = {
+        node.attr for tree in trees for node in walk(tree, builder)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert [name for name in solver._Lattice._fields if name not in read] == []
 
 
 def test_kind_comparisons_are_found():
