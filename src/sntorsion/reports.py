@@ -149,7 +149,10 @@ class CaseReport:
                 f"  order-{self.q} stage: rows "
                 + ", ".join(f"{r['name']}@{r['ells']}" for r in sq["rows"])
             )
-            lines.append(f"    candidates: {sq['raw_count']}")
+            if "unbounded_ray" in sq:
+                lines.append(f"    unbounded along the ray {sq['unbounded_ray']}")
+            else:
+                lines.append(f"    candidates: {sq['raw_count']}")
             for f in sq.get("filters", []):
                 lines.append(f"    after {f['name']}: {f['count_after']}")
         if self.stage_pq is not None:

@@ -29,8 +29,8 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    its constant, its non-negative multiplier vector lam over the slack
    rows, so a search reads the constant of each row as lam . K.  The chain
    keeps its rows in the one form a search evaluates: a row with one
-   multiplier m on slack i has the constant m * K_i, and the others are
-   summed without a generator per row.  The chain's rows with no
+   multiplier is a slack row i itself, with the constant K_i, and the
+   others are summed without a generator per row.  The chain's rows with no
    coordinate left must be non-negative at K, and the first coordinate
    must have a value (the last elimination, read off its range); then the
    first coordinate the chain leaves open on one side, which reads no
@@ -56,11 +56,11 @@ the forward substitution once, in enumerate_system, and its core trials
 start from its integer point: a trial keeps a subset of the system's rows,
 so the system's point, restricted to the variables and the kept slacks,
 solves the trial too, and the trial's K is the system's on the kept
-slacks.  The trial's own point differs from it by an integer kernel
-vector, so its w coordinates move by an integer translation, which shifts
-each search range by an integer and changes no node count or status.  Only
-a system without an integer point gives its trials their own forward
-substitution.
+slacks.  On the trial's own lattice, its own point differs from it by an
+integer kernel vector, so its w coordinates move by an integer
+translation, which shifts each search range by an integer and changes no
+node count or status.  Only a system without an integer point gives its
+trials their own forward substitution.
 
 One function, _solve_level, makes the systems of every level: one row set
 over a list of lower levels, once for solve_prime_order and once per row
@@ -74,22 +74,40 @@ call is one AffineForm.  Its systems share one integer matrix, read off the
 first of them, so each contributes only its right-hand side, read off its
 forms' constants (_rhs).  The memos live as long as the call or its
 matrix: the systems and their infeasible-core trials share the matrix's
-pass over the equality rows and its memo of lattices (_Matrix.lattice),
-one per row group.  It holds one lattice per tuple of kept forms (all of
-them for the system, all but the dropped ones for a core trial), so a
-trial eliminates only when its lattice is new.
+pass over the equality rows and its two memos, one per row group: one
+lattice per tuple of kept forms (_Matrix.lattice; all of them for a
+system), and one trial structure per tuple of kept forms (_Matrix.trial;
+all but the dropped ones for a core trial), so a trial builds only when
+its kept forms are new.
 
 The infeasible core is a greedy deletion filter: one trial per form, each
 the status of one search of the system without that form and the forms
 dropped before it, which allocates no report.  A form that the equalities
 fix at a non-negative integer (no lattice coordinate moves its slack) can
 never be needed, so it gets no trial; in the Theorem-3.2 pair systems these
-are the mu_ell(pi) forms, which the pi equalities pin.  Every reported
-solution is re-checked against the system's original forms in integer
-arithmetic, independently of the solved rows: each form is evaluated over
-all solutions at once, from one column of values per variable, and a
-violation names the first violating solution (_recheck).  All of it is
-integer arithmetic, the recession rays included.
+are the mu_ell(pi) forms, which the pi equalities pin.  A trial of a system
+with an integer point searches the system's own lattice when dropping the
+other forms' integrality leaves that lattice as it is, which a rank test
+decides (_Matrix.same_lattice): for each prime ell of the forms' dens
+(squarefree, as every den the package builds is 1, q or pq), the kept
+forms' entries on the equalities' integer kernel have the rank mod ell of
+every form's.  Such a trial eliminates no lattice of its own: one
+_column_hermite of the kept slacks' rows on the system's w frees the
+directions that move no kept slack, and _chain runs on the rest
+(_shared_trial).  A trial reads only its status, which depends on its
+integer points and its real relaxation, not on the basis of its lattice;
+the two lattices hold the system's point and are equal, so they give the
+same points and the same status, and every core and certificate is the one
+the kept forms' own lattices give; only the trials' node counts can
+differ.  A trial whose kept forms' lattice is coarser, or of a matrix with
+a den that has a square factor, or of a system without an integer point,
+searches the kept forms' own lattice.
+
+Every reported solution is re-checked against the system's original forms
+in integer arithmetic, independently of the solved rows: each form is
+evaluated over all solutions at once, from one column of values per
+variable, and a violation names the first violating solution (_recheck).
+All of it is integer arithmetic, the recession rays included.
 
 This decides infeasibility even when the rational relaxation is unbounded,
 which is how the order-pq systems with few character rows are settled.
@@ -98,6 +116,7 @@ which is how the order-pq systems with few character rows are settled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from itertools import compress, repeat
 from operator import add, itemgetter, mul
@@ -114,7 +133,7 @@ from .luthar_passi import (
     top_coeffs,
 )
 from .lemma_filters import spectral_hypotheses
-from .partitions import Partition, element_order, is_prime
+from .partitions import Partition, element_order, factorize, is_prime
 
 # ---------------------------------------------------------------------------
 # integer linear algebra
@@ -172,7 +191,7 @@ class _Lattice(NamedTuple):
     wdim: int  # the number of slack-moving coordinates w
     nfree: int  # the number of free directions v
     # the chain of _chain: a row reads coeffs . w + lam . K >= 0
-    bounds: tuple  # per level d, its rows that bound w_d: (singles, sums)
+    bounds: tuple  # per level d, its rows that bound w_d: (singles (coeffs, i), sums)
     nonneg: tuple[int, ...]  # the slacks of the one-multiplier constant rows: K_i >= 0
     sums: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # the others: (indices, multipliers)
     open: int | None  # the first coordinate its level leaves open on one side
@@ -249,6 +268,50 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     )
 
 
+class _Trial(NamedTuple):
+    """What _search reads of a core trial on its system's lattice
+    (_shared_trial): the chain of the kept slacks over the wdim coordinates
+    w that move them, and the number of the other directions."""
+
+    wdim: int
+    nfree: int
+    bounds: tuple
+    nonneg: tuple[int, ...]
+    sums: tuple
+    open: int | None
+
+
+def _shared_trial(lat: _Lattice, kept: tuple[int, ...]) -> _Trial:
+    """A core trial that keeps the forms in `kept`, searched on its
+    system's lattice `lat`: the kept slacks' rows of slack_w, reduced by
+    one _column_hermite so that the pivot columns come first and the
+    directions that move no kept slack join the free ones, then the chain
+    of the reduced rows on the pivot columns."""
+    cols = [list(col) for col in zip(*(lat.slack_w[j] for j in kept))]
+    wdim = len(_column_hermite(cols, range(len(kept))))
+    slack_w = [tuple(col[t] for col in cols[:wdim]) for t in range(len(kept))]
+    return _Trial(wdim, lat.nfree + lat.wdim - wdim, *_chain(slack_w, wdim))
+
+
+def _rank_mod(rows, ell: int, most: int = -1) -> int:
+    """The rank modulo the prime ell of rows of integers mod ell, or `most`
+    once it reaches it: each row is reduced by the echelon rows before it,
+    each with a 1 at its own pivot and a 0 at every earlier one."""
+    echelon: dict[int, list[int]] = {}  # pivot column -> row
+    for row in rows:
+        for c, pivot_row in echelon.items():
+            f = row[c]
+            if f:
+                row = [(x - f * y) % ell for x, y in zip(row, pivot_row)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            inv = pow(row[c], -1, ell)
+            echelon[c] = [x * inv % ell for x in row]
+            if len(echelon) == most:
+                break
+    return len(echelon)
+
+
 def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
     """The pivot coordinates y of one integer solution u . (y, 0, 0) of
     rows . z = rhs, the variables then the kept slacks, or None when there
@@ -295,8 +358,11 @@ def _chain(slack_w, wdim: int):
     The rows are kept in the form the search evaluates at K: bounds[d]
     holds the rows of level d (over w_0..w_d) that bound w_d, as _interval
     reads no other (the rest pass down to level d - 1), those with one
-    multiplier as (coeffs, i, m) and the others as (coeffs, indices,
-    multipliers).  A row with no coordinate left holds when lam . K >= 0:
+    multiplier as (coeffs, i) and the others as (coeffs, indices,
+    multipliers).  A row with one multiplier is slack row i itself, with
+    multiplier 1: a combination of two rows has the indices of both, and
+    the two bound w_d from opposite sides, so they are never multiples of
+    one slack row.  A row with no coordinate left holds when lam . K >= 0:
     with one multiplier, when K_i >= 0, so nonneg keeps its index i, and
     sums keeps the others as (indices, multipliers).
 
@@ -325,7 +391,7 @@ def _chain(slack_w, wdim: int):
             open_ = var
         bounding = pos + neg
         bounds.append((
-            tuple((coeffs, *lam[0]) for coeffs, lam in bounding if len(lam) == 1),
+            tuple((coeffs, lam[0][0]) for coeffs, lam in bounding if len(lam) == 1),
             tuple((coeffs, *zip(*lam)) for coeffs, lam in bounding if len(lam) > 1),
         ))
         if var == 0:
@@ -442,9 +508,12 @@ class _Matrix:
     """The integer rows of _matrix, which systems with the same linear parts
     share, over nvar variables with the neq equalities first; the pass of
     the Hermite elimination over the equality rows, which every lattice of
-    the matrix shares; and the memo of the _lattice of each tuple of kept
-    forms: all of them for a system, all but the dropped ones for a core
-    trial.
+    the matrix shares; the memo of the _lattice of each tuple of kept forms,
+    all of them for a system; and the memo of what the core trial of each
+    tuple of kept forms searches at its system's point (trial): the
+    system's lattice, when the rank test of same_lattice, whose ranks of
+    every form are computed on its first call (moduli), says it is the kept
+    forms' lattice, else the kept forms' own.
 
     An equality row is zero on every slack column, so that pass pivots,
     swaps and combines only the variable columns, whichever forms a lattice
@@ -468,6 +537,7 @@ class _Matrix:
         self.eq_echelon = tuple(tuple(col[r] for col in cols[:self.eq_rank]) for r in range(neq))
         self.columns = [(col[neq:len(rows)], col[len(rows):]) for col in cols]
         self.lattices: dict[tuple[int, ...], _Lattice] = {}
+        self.trials: dict[tuple[int, ...], _Trial | _Lattice] = {}
 
     def lattice(self, kept: tuple[int, ...]) -> _Lattice:
         """The lattice of the forms in `kept`, built on its first request."""
@@ -475,6 +545,66 @@ class _Matrix:
         if lat is None:
             lat = self.lattices[kept] = _lattice(self, kept)
         return lat
+
+    def trial(self, kept: tuple[int, ...]) -> _Trial | _Lattice:
+        """What a core trial that keeps the forms in `kept` searches at its
+        system's slack values, built on its first request: the system's
+        lattice (_shared_trial) when it is the lattice of the kept forms
+        (same_lattice), else the kept forms' own."""
+        trial = self.trials.get(kept)
+        if trial is None:
+            if self.same_lattice(kept):
+                trial = _shared_trial(self.lattice(tuple(range(len(self.rows) - self.neq))), kept)
+            else:
+                trial = self.lattice(kept)
+            self.trials[kept] = trial
+        return trial
+
+    @cached_property
+    def moduli(self) -> list | None:
+        """For each prime ell of the forms' dens at which some entry is not
+        0, the link entries mod ell on the equality-kernel columns of the
+        forms whose den ell divides, by form, and their rank mod ell; None
+        when a den has a square factor."""
+        nvar, neq, kernel = self.nvar, self.neq, self.columns[self.eq_rank:]
+        dens = [-self.rows[neq + j][nvar + j] for j in range(len(self.rows) - neq)]
+        primes: set[int] = set()
+        for den in set(dens):
+            factors = factorize(den)
+            if any(e > 1 for e in factors.values()):
+                return None
+            primes.update(factors)
+        moduli = []
+        for ell in sorted(primes):
+            rows = {
+                j: [on_link[j] % ell for on_link, _ in kernel]
+                for j, den in enumerate(dens) if den % ell == 0
+            }
+            # a prime at which every entry is 0 constrains no point
+            if rank := _rank_mod(rows.values(), ell):
+                moduli.append((ell, rows, rank))
+        return moduli
+
+    def same_lattice(self, kept: tuple[int, ...]) -> bool:
+        """Whether the integer points of the equalities at which the forms
+        in `kept` are integers all make every form an integer: whether the
+        kept forms' lattice is the one of all forms.
+
+        The equality-kernel columns are a basis of the equalities' integer
+        kernel.  From a point where every form is an integer, form j stays
+        one at the kernel vector with coordinates t exactly when its entries
+        a_j on those columns give a_j . t = 0 (mod den_j), and for a
+        squarefree den_j, exactly when that holds mod each prime ell of
+        den_j.  Per ell, the rows a_j of the forms that ell divides cut out
+        a sublattice of index ell^r, r their rank mod ell, and the kept
+        forms' one contains every form's.  The lattices are the
+        intersections over the primes, so they are equal exactly when the
+        ranks are at every prime.  A den with a square factor says no."""
+        moduli = self.moduli
+        return moduli is not None and all(
+            _rank_mod([rows[j] for j in kept if j in rows], ell, rank) == rank
+            for ell, rows, rank in moduli
+        )
 
 
 def _matrix(system: FeasibilitySystem) -> _Matrix:
@@ -510,17 +640,20 @@ def _evaluated(bounds, slacks: list[int]) -> list[tuple[tuple[int, ...], int]]:
     """The rows of a level's bounds (_chain), each with its constant
     lam . K at the slack values K."""
     singles, sums = bounds
-    rows = [(coeffs, m * slacks[i]) for coeffs, i, m in singles]
+    rows = [(coeffs, slacks[i]) for coeffs, i in singles]
     if sums:
         get = slacks.__getitem__
         rows += [(coeffs, sum(map(mul, ms, map(get, idx)))) for coeffs, idx, ms in sums]
     return rows
 
 
-def _search(lat: _Lattice, slacks: list[int], leaves: list | None = None) -> tuple[str, int]:
+def _search(
+    lat: _Lattice | _Trial, slacks: list[int], leaves: list | None = None
+) -> tuple[str, int]:
     """Decide a lattice at the values K of its kept slacks at one integer
     point: the status ("infeasible", "solutions" or "unbounded") and the
-    number of search nodes.
+    number of search nodes.  A core trial on its system's lattice passes
+    its _Trial, which holds every field the search reads.
 
     Every integer solution is that point plus u . (0, w, v), so each kept
     slack is K plus its row of u on w, and K only gives the lattice's chain
@@ -698,10 +831,15 @@ def _infeasible_core(
     `matrix` and `slacks` are the system's (slacks: its slack values at its
     integer point, None when it has none).  A trial keeps some forms and
     drops the slack-link rows and slack columns of the others, so it
-    decides exactly the integer rows of the smaller system, with their
-    lattice from the matrix's memo: it is the status of _search at the
-    system's values of the kept slacks, as the system's point solves those
-    rows too, or else at the slack values of the trial's own point.
+    decides exactly the integer rows of the smaller system.  With a system
+    point, which solves those rows too, it is the status of _search at the
+    system's values of the kept slacks, on what _Matrix.trial gives: the
+    system's lattice when the kept forms have it, with the directions that
+    move no kept slack free, else the kept forms' own.  The status depends
+    only on the trial's integer points and its relaxation, which the two
+    share, so it is the same on both.  Without a system point, it is the
+    status at the slack values of the trial's own point on the kept forms'
+    own lattice (_Matrix.lattice).
 
     A form whose slack no lattice coordinate moves (its row of u is zero on
     w) is fixed by the equalities: it is constant on their real solution
@@ -724,11 +862,12 @@ def _infeasible_core(
     for j in live:
         t = core.index(j)  # j stays in the core until its own trial
         kept = core[:t] + core[t + 1:]
-        sub = matrix.lattice(kept)
         if slacks is None:
+            sub = matrix.lattice(kept)
             y = _particular(sub, rhs[:neq] + [rhs[neq + i] for i in kept])
             infeasible = y is None or _search(sub, _slack_values(sub, y))[0] == "infeasible"
         else:
+            sub = matrix.trial(kept)
             infeasible = _search(sub, list(map(slacks.__getitem__, kept)))[0] == "infeasible"
         if infeasible:
             core = kept

@@ -326,6 +326,30 @@ def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattic
     )
 
 
+def covolume_squared(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> int:
+    """The squared covolume of the lattice of the integer points x of the
+    homogeneous kept rows of a solver._matrix, in the variables: the Gram
+    determinant of its basis, the variable rows of u on the columns past
+    the rank of scratch_lattice (each slack is a function of x, as every
+    den is non-zero).  The lattice of fewer forms contains that of more,
+    so the two are equal exactly when their covolumes are."""
+    lat = scratch_lattice(rows, nvar, neq, kept)
+    basis = [row[lat.rank:] for row in lat.u]
+    dim = nvar + len(kept) - lat.rank
+    gram = [[Fraction(sum(b[i] * b[j] for b in basis)) for j in range(dim)] for i in range(dim)]
+    det = Fraction(1)
+    for c in range(dim):
+        p = next((r for r in range(c, dim) if gram[r][c]), None)
+        if p is None:
+            return 0
+        gram[c], gram[p] = gram[p], gram[c]
+        det *= gram[c][c] if p == c else -gram[c][c]
+        for r in range(c + 1, dim):
+            f = gram[r][c] / gram[c][c]
+            gram[r] = [a - f * b for a, b in zip(gram[r], gram[c])]
+    return int(det)
+
+
 # ---------------------------------------------------------------------------
 # oracle: the per-solve Fourier-Motzkin elimination of concrete rows
 # (coeffs . t + const >= 0) that solver._chain replaced, and the solve that
@@ -387,8 +411,8 @@ def fm_chain(ineqs: set[Ineq], nvars: int) -> list[set[Ineq]] | None:
 def as_bounds(chain: list[set[Ineq]]) -> tuple:
     """An fm_chain in the form of the bounds of solver._chain, as
     solver._recession_ray reads them: each level's rows that bound its own
-    variable, kept as one-multiplier rows whose multiplier is not read."""
-    return tuple((tuple((c, 0, 1) for c, _ in rows if c[d]), ()) for d, rows in enumerate(chain))
+    variable, kept as one-multiplier rows whose slack index is not read."""
+    return tuple((tuple((c, 0) for c, _ in rows if c[d]), ()) for d, rows in enumerate(chain))
 
 
 def concrete_solve(lat: _Lattice, y, variables, find_one: bool = False) -> SolveReport:

@@ -247,14 +247,18 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # the verdict and report hash that bench/reference.json records for it,
     # and the search that decides them: systems, DFS nodes of the system
     # reports and of every search (core trials included), core trials,
-    # lattice builds, each equal to the elimination from scratch,
-    # Fourier-Motzkin chains, one per lattice, the lattices
-    # whose ray is a recession ray (a coordinate open) and those with free
-    # directions, and forward substitutions, one per system, as every core
-    # trial starts from its system's point
+    # lattice builds, each equal to the elimination from scratch and each
+    # a system's, as every core trial searches its system's lattice (none
+    # falls back to a lattice of its own) with the status it has on its
+    # own, Fourier-Motzkin chains, one per lattice and one per trial
+    # structure, the lattices whose ray is a recession ray (a coordinate
+    # open) and those with free directions, and forward substitutions, one
+    # per system, as every core trial starts from its system's point
     counts = Counter()
-    real_enumerate, real_search, real_lattice, real_chain, real_particular = (
-        solver.enumerate_system, solver._search, solver._lattice, solver._chain, solver._particular
+    structures = {}  # each trial structure's matrix and kept forms, by id
+    real_enumerate, real_search, real_lattice, real_chain, real_particular, real_trial = (
+        solver.enumerate_system, solver._search, solver._lattice, solver._chain,
+        solver._particular, solver._Matrix.trial,
     )
 
     def enumerating(system, matrix=None):
@@ -263,16 +267,27 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         counts["system nodes"] += report.stats["nodes"]
         return report
 
+    def trying(matrix, kept):
+        trial = real_trial(matrix, kept)
+        structures[id(trial)] = (matrix, kept)
+        return trial
+
     def searching(lat, slacks, leaves=None):
         status, nodes = real_search(lat, slacks, leaves)
         counts["solve nodes"] += nodes
-        counts["trials"] += leaves is None
+        if leaves is None:
+            counts["trials"] += 1
+            counts["fallbacks"] += isinstance(lat, solver._Lattice)
+            matrix, kept = structures[id(lat)]
+            own = scratch_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
+            assert real_search(own, slacks)[0] == status
         return status, nodes
 
     def building(matrix, kept):
         lat = real_lattice(matrix, kept)
         oracle = scratch_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
         assert lat == oracle
+        assert len(kept) == len(matrix.rows) - matrix.neq
         counts["lattices"] += 1
         counts["open"] += lat.open is not None
         counts["free"] += lat.nfree > 0
@@ -291,6 +306,7 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     monkeypatch.setattr(solver, "_lattice", building)
     monkeypatch.setattr(solver, "_chain", projecting)
     monkeypatch.setattr(solver, "_particular", substituting)
+    monkeypatch.setattr(solver._Matrix, "trial", trying)
     reference = json.loads((REPO / "bench" / "reference.json").read_text())["thm32-sweep"]
     assert len(reference) == 67
     for key, expected in reference.items():
@@ -299,6 +315,6 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
         assert {"verdict": report.verdict, "sha256": digest} == expected, key
     assert counts == {
-        "systems": 898, "system nodes": 6219, "solve nodes": 12124, "trials": 4696, "lattices": 477,
-        "chains": 477, "open": 113, "free": 71, "particular": 898,
+        "systems": 898, "system nodes": 6219, "solve nodes": 12126, "trials": 4696, "fallbacks": 0,
+        "lattices": 106, "chains": 477, "open": 0, "free": 9, "particular": 898,
     }

@@ -55,6 +55,13 @@ def test_chartable_of_a_small_degree_lists_the_characters_of_s_n(n, names, capsy
     assert [row.name for row in table.rows] == names
 
 
+def test_solve_prints_the_ray_of_an_unbounded_order_q_stage(capsys):
+    rc, out, _ = run(capsys, "solve", "--group", "S8", "--order", "7x2", "--rows", "pi")
+    assert rc == EXIT_UNBOUNDED
+    assert "    unbounded along the ray [1, -2, 1, 0]\n" in out
+    assert "candidates: None" not in out
+
+
 def test_chartable_enforces_the_degree_limit(capsys):
     rc, _, err = run(capsys, "chartable", "50")
     assert rc == EXIT_INPUT and "limit" in err

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     HermiteSplit, affine_form, as_bounds, brute_force_solutions, cleared_form, coeff,
-    concrete_solve, eliminate, fm_chain, is_pair_system, leafwise_solutions, normalize,
-    parse_class, pinned_recession_ray, row_major_lattice, scratch_lattice, solutionwise_recheck,
+    concrete_solve, covolume_squared, eliminate, fm_chain, is_pair_system, leafwise_solutions,
+    normalize, parse_class, pinned_recession_ray, row_major_lattice, scratch_lattice,
+    solutionwise_recheck,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -84,15 +85,24 @@ def test_solve_integer_system_checks_consistency_of_dependent_rows():
 
 
 @st.composite
-def integer_matrices(draw):
+def integer_matrices(draw, dens=None):
     """(rows, nvar, neq, kept) for _lattice: neq + nform rows over nvar
     variables and nform slacks, and a subset of the forms kept.  As in a
-    _matrix, each of the neq equality rows is zero on the slack columns."""
+    _matrix, each of the neq equality rows is zero on the slack columns.
+    With a strategy `dens`, each slack-link row is that of a _matrix too:
+    -den on its own slack column, with den drawn from `dens`, and 0 on the
+    other slack columns."""
     nvar, neq, nform = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
     entries = st.lists(st.integers(-6, 6), min_size=nvar, max_size=nvar)
     links = st.lists(st.integers(-6, 6), min_size=nvar + nform, max_size=nvar + nform)
     rows = tuple(tuple(draw(entries)) + (0,) * nform for _ in range(neq))
-    rows += tuple(tuple(draw(links)) for _ in range(nform))
+    if dens is None:
+        rows += tuple(tuple(draw(links)) for _ in range(nform))
+    else:
+        for j in range(nform):
+            slacks = [0] * nform
+            slacks[j] = -draw(dens)
+            rows += (tuple(draw(entries)) + tuple(slacks),)
     kept = tuple(j for j in range(nform) if draw(st.booleans()))
     return rows, nvar, neq, kept
 
@@ -134,14 +144,50 @@ def test_lattices_continue_the_matrix_equality_pass_as_a_fresh_elimination(drawn
         kept = tuple(j for j in range(len(rows) - neq) if data.draw(st.booleans()))
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(integer_matrices())
+def test_one_multiplier_chain_rows_are_their_slack_rows(drawn):
+    # a combination of two chain rows has the slack indices of both, so a
+    # row with one multiplier is a slack row itself, with multiplier 1: it
+    # keeps only its index, and its coefficients are that slack's row on w
+    lat = lattice(*drawn)
+    singles = [row for level, _ in lat.bounds for row in level]
+    assert all(coeffs == lat.slack_w[i] for coeffs, i in singles)
+
+
+def test_the_rank_test_keeps_the_lattice_exactly_when_the_covolumes_agree():
+    # the kept forms' ranks mod each prime of a squarefree den decide
+    # whether their integrality alone gives the lattice of every form's: the
+    # kept lattice contains the full one, so the two are equal exactly when
+    # their covolumes are.  A den with a square factor always says no
+    seen = Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(integer_matrices(dens=st.sampled_from([1, 2, 3, 4, 6, 12])))
+    def check(drawn):
+        rows, nvar, neq, kept = drawn
+        every = tuple(range(len(rows) - neq))
+        same = solver._Matrix(rows, nvar, neq).same_lattice(kept)
+        if any(rows[neq + j][nvar + j] % 4 == 0 for j in every):
+            assert not same
+            seen["square"] += 1
+        else:
+            full = covolume_squared(rows, nvar, neq, every)
+            assert same == (covolume_squared(rows, nvar, neq, kept) == full)
+            seen[same] += 1
+
+    check()
+    assert set(seen) == {"square", True, False}
+
+
 def chain_rows(lat):
     """Every row of a lattice's chain as (level, coeffs, lam): level d for
     a row of bounds[d], None for a row with no coordinate, and lam its
-    (slack index, multiplier) pairs; a one-multiplier row with no
-    coordinate keeps no multiplier, and any positive one reads the same."""
+    (slack index, multiplier) pairs; a one-multiplier row keeps only its
+    slack index, as its multiplier is 1."""
     rows = []
     for d, (singles, sums) in enumerate(lat.bounds):
-        rows += [(d, coeffs, ((i, m),)) for coeffs, i, m in singles]
+        rows += [(d, coeffs, ((i, 1),)) for coeffs, i in singles]
         rows += [(d, coeffs, tuple(zip(idx, ms))) for coeffs, idx, ms in sums]
     zero = (0,) * lat.wdim
     rows += [(None, zero, ((i, 1),)) for i in lat.nonneg]
@@ -506,28 +552,29 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     lat = solver._matrix(system).lattice((0, 1, 2))
     # the slack rows of u on the w coordinates
     assert [any(row) for row in lat.slack_w] == [False, False, True]
-    built, tried = [], []
-    real_lattice, real_search = solver._lattice, solver._search
+    tried, searched = [], []
+    real_trial, real_search = solver._Matrix.trial, solver._search
 
-    def building(matrix, kept):
-        lat = real_lattice(matrix, kept)
-        built.append((lat, kept))
-        return lat
+    def trying(matrix, kept):
+        tried.append(kept)
+        return real_trial(matrix, kept)
 
     def searching(lat, slacks, leaves=None):
         if leaves is None:
-            tried.append(next(kept for known, kept in built if known is lat))
+            searched.append(type(lat))
         return real_search(lat, slacks, leaves)
 
-    monkeypatch.setattr(solver, "_lattice", building)
+    monkeypatch.setattr(solver._Matrix, "trial", trying)
     monkeypatch.setattr(solver, "_search", searching)
     report = enumerate_system(system)
     monkeypatch.undo()
     assert report.status == "infeasible"
     assert report.certificate == public_deletion_filter(system) == ["b + c"]
     # "a" (form 0, fixed at 2) is dropped by no trial and kept by none;
-    # "b + c" (fixed at -1) gets its trial and stays, and "b" is dropped
+    # "b + c" (fixed at -1) gets its trial and stays, and "b" is dropped.
+    # Every den is 1, so each trial searches the system's lattice
     assert tried == [(2,), (1,)]
+    assert searched == [solver._Trial] * 2
 
 
 def test_infeasible_core_matches_the_public_deletion_filter_on_the_corpus():
@@ -681,12 +728,16 @@ def test_form_parts_are_built_once_per_row_group(monkeypatch):
 
 
 def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
-    # one Hermite pass over the equality rows per matrix, and one
-    # continuation of it per distinct (rows, kept forms) lattice
+    # one Hermite pass over the equality rows per matrix, one continuation
+    # of it per distinct (rows, kept forms) lattice, and one reduction of
+    # the system lattice's kept slack rows per distinct (rows, kept forms)
+    # core trial, as every trial here searches its system's lattice
     hermite_calls = 0
-    lattices, matrices = set(), []
+    lattices, trials, matrices = set(), set(), []
     per_call = []
-    real_hermite, real_lattice, real_pq = solver._column_hermite, solver._lattice, cases_mod.solve_order_pq
+    real_hermite, real_lattice, real_trial, real_pq = (
+        solver._column_hermite, solver._lattice, solver._Matrix.trial, cases_mod.solve_order_pq
+    )
 
     def counting(*args):
         nonlocal hermite_calls
@@ -699,23 +750,29 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
             matrices.append(matrix)
         return real_lattice(matrix, kept)
 
+    def trying(matrix, kept):
+        trials.add((matrix.rows, kept))
+        return real_trial(matrix, kept)
+
     def measured(*args, **kwargs):
         lattices.clear()
+        trials.clear()
         matrices.clear()
         before = hermite_calls
         out = real_pq(*args, **kwargs)
-        per_call.append((hermite_calls - before, len(lattices), len(matrices)))
+        per_call.append((hermite_calls - before, len(lattices), len(trials), len(matrices)))
         return out
 
     monkeypatch.setattr(solver, "_column_hermite", counting)
     monkeypatch.setattr(solver, "_lattice", recording)
+    monkeypatch.setattr(solver._Matrix, "trial", trying)
     monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
     _case_thm32(12, 11, 3)
     _case_thm32(12, 11, 3)
-    (calls, distinct, shared), again = per_call
+    (calls, distinct, tried, shared), again = per_call
     assert shared == 1
-    assert 0 < calls == distinct + shared
-    assert again == (calls, distinct, shared)
+    assert 0 < calls == distinct + tried + shared
+    assert again == (calls, distinct, tried, shared)
 
 
 def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
@@ -733,24 +790,34 @@ def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
     assert (len(nodes), sum(nodes)) == (90, 131)
 
 
-@pytest.mark.parametrize("run, matrices, lattices, trials", [
+@pytest.mark.parametrize("run, matrices, structures, trials", [
     # the four pi forms of each of the 76 infeasible pairs get no trial
     (lambda: _case_thm32(12, 11, 3), 1, 19, 608),
     # three row groups: three matrices whose trials keep the same forms
     (lambda: run_case("s13-3x11"), 3, 8, 38),
 ], ids=["thm32-12-11-3", "s13-3x11"])
-def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
-    run, matrices, lattices, trials, monkeypatch
+def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
+    run, matrices, structures, trials, monkeypatch
 ):
-    builds, tried, in_core = [], [], False
-    real_lattice, real_core, real_pq = (
-        solver._lattice, solver._infeasible_core, cases_mod.solve_order_pq
+    builds, tried, fallbacks, current, in_core = [], [], [], None, False
+    real_lattice, real_shared, real_trial, real_core, real_pq = (
+        solver._lattice, solver._shared_trial, solver._Matrix.trial,
+        solver._infeasible_core, cases_mod.solve_order_pq,
     )
 
-    def counting(matrix, kept):
+    def falling_back(matrix, kept):
         if in_core:
-            builds.append((matrix.rows, kept))
+            fallbacks.append((matrix.rows, kept))
         return real_lattice(matrix, kept)
+
+    def trying(matrix, kept):
+        nonlocal current
+        current = (matrix.rows, kept)
+        return real_trial(matrix, kept)
+
+    def sharing(lat, kept):
+        builds.append(current)
+        return real_shared(lat, kept)
 
     def recording(system, matrix, slacks):
         nonlocal in_core
@@ -777,14 +844,18 @@ def test_core_trials_build_one_lattice_per_matrix_and_kept_forms(
         tried.clear()
         return real_pq(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_lattice", counting)
+    monkeypatch.setattr(solver, "_lattice", falling_back)
+    monkeypatch.setattr(solver, "_shared_trial", sharing)
+    monkeypatch.setattr(solver._Matrix, "trial", trying)
     monkeypatch.setattr(solver, "_infeasible_core", recording)
     monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
     run()
-    # each (matrix, kept forms) lattice a trial needs is built once, on its
-    # first trial, and never for the other trials that keep the same forms
+    # each (matrix, kept forms) structure a trial needs is built once, on
+    # its first trial, on its system's lattice, and never for the other
+    # trials that keep the same forms; no trial builds a lattice of its own
     assert Counter(builds) == Counter(set(tried))
-    assert (len({rows for rows, _ in tried}), len(builds), len(tried)) == (matrices, lattices, trials)
+    assert (len({rows for rows, _ in tried}), len(builds), len(tried)) == (matrices, structures, trials)
+    assert fallbacks == []
 
 
 def half_equality_system():
@@ -977,60 +1048,174 @@ def test_unbounded_random_systems_report_a_recession_ray(drawn):
         assert linear_part(f, system, ray) >= 0
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(
-    st.one_of(random_systems(max_vars=3, box=True), random_systems(max_vars=3, box=False)),
-    st.sampled_from(["", "x0 + 1/2", "-x0 - 7"]),
-)
-def test_core_trials_from_the_system_point_match_trials_from_their_own(drawn, extra):
+def half_integer_a_system():
+    # a + b + c + d = 1, b >= 0, b <= -1 and 2a + 1 = 0: the relaxation of
+    # the last two forms holds a = -1/2, and no integer a does
+    a, b, c, d = PROPERTY_VARS
+    forms = [
+        (AffineForm.make({b: 1}, 0), "b"),
+        (AffineForm.make({b: -1}, -1), "-b - 1"),
+        (AffineForm.make({a: 2}, 1), "2a + 1"),
+        (AffineForm.make({a: -2}, -1), "-2a - 1"),
+    ]
+    return FeasibilitySystem.build([a, b, c, d], [], forms)
+
+
+def test_a_shared_trial_frees_the_system_directions_that_move_no_kept_slack():
+    # keeping only the forms in a, b moves no kept slack of the system's
+    # lattice: the trial frees it, finds no integer a = -1/2 and is
+    # infeasible, as on the kept forms' own lattice.  Left as a coordinate
+    # that no row bounds, b would read as open and the trial as unbounded
+    system = half_integer_a_system()
+    matrix = solver._matrix(system)
+    lat = matrix.lattice((0, 1, 2, 3))
+    slacks = solver._slack_values(lat, solver._particular(lat, solver._rhs(system)))
+    kept = (2, 3)
+    trial = solver._shared_trial(lat, kept)
+    assert (lat.wdim, lat.nfree, trial.wdim, trial.nfree) == (2, 1, 1, 2)
+    at_kept = [slacks[j] for j in kept]
+    assert solver._search(trial, at_kept)[0] == "infeasible"
+    assert solver._search(matrix.lattice(kept), at_kept)[0] == "infeasible"
+
+
+def test_core_trials_from_the_system_point_match_trials_from_their_own():
     # a trial keeps a subset of its system's rows, so the system's integer
     # point solves it too, and the trial's own point differs from it by an
-    # integer kernel vector: the search ranges move by integers, and the
-    # status and node count stay.  The extra form x0 + 1/2 is never an
-    # integer, so the system has no point and each trial falls back to its
-    # own; -x0 - 7 is integral and, in a box |x0| <= 6, never >= 0
-    system, _ = drawn
-    if extra:
-        x0 = system.variables[0]
-        form = cleared_form({x0: 1}, Fraction(1, 2)) if "/" in extra else AffineForm.make({x0: -1}, -7)
-        system = FeasibilitySystem(
-            system.variables, system.equalities, (*system.nonneg_integral, (form, extra))
+    # integer kernel vector: on the trial's own lattice the search ranges
+    # move by integers, and the status and node count stay.  With that
+    # point, a trial whose kept forms have the system's lattice
+    # (same_lattice) searches the system's lattice instead: it has the same
+    # integer points and the same relaxation, so the status stays.  The
+    # extra form x0 + 1/2 is never an integer, so the system has no point
+    # and each trial falls back to its own lattice and point; -x0 - 7 is
+    # integral and, in a box |x0| <= 6, never >= 0.  Dens up to 5 clear to
+    # 4 and 12 too, whose square factor sends a trial to its own lattice
+    seen = Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.one_of(random_systems(max_vars=3, box=True), random_systems(max_vars=3, box=False)),
+        st.sampled_from(["", "x0 + 1/2", "-x0 - 7"]),
+        st.data(),
+    )
+    def check(drawn, extra, data):
+        system, _ = drawn
+        if extra:
+            x0 = system.variables[0]
+            form = (
+                cleared_form({x0: 1}, Fraction(1, 2)) if "/" in extra
+                else AffineForm.make({x0: -1}, -7)
+            )
+            system = FeasibilitySystem(
+                system.variables, system.equalities, (*system.nonneg_integral, (form, extra))
+            )
+        matrix, rhs = solver._matrix(system), solver._rhs(system)
+        neq, nform = len(system.equalities), len(system.nonneg_integral)
+        system_point = solver._particular(matrix.lattice(tuple(range(nform))), rhs)
+        kept_of, trials, substitutions = {}, [], 0
+        real_lattice, real_trial, real_search, real_particular = (
+            solver._lattice, solver._Matrix.trial, solver._search, solver._particular
         )
-    matrix, rhs = solver._matrix(system), solver._rhs(system)
-    neq, nform = len(system.equalities), len(system.nonneg_integral)
-    system_point = solver._particular(matrix.lattice(tuple(range(nform))), rhs)
-    built, trials, substitutions = [], [], 0
-    real_lattice, real_search, real_particular = solver._lattice, solver._search, solver._particular
 
-    def building(matrix, kept):
-        lat = real_lattice(matrix, kept)
-        built.append((lat, kept))
-        return lat
+        def building(matrix, kept):
+            lat = real_lattice(matrix, kept)
+            kept_of[id(lat)] = kept
+            return lat
 
-    def substituting(lat, rhs):
-        nonlocal substitutions
-        substitutions += 1
-        return real_particular(lat, rhs)
+        def trying(matrix, kept):
+            trial = real_trial(matrix, kept)
+            kept_of[id(trial)] = kept
+            return trial
+
+        def substituting(lat, rhs):
+            nonlocal substitutions
+            substitutions += 1
+            return real_particular(lat, rhs)
+
+        def searching(lat, slacks, leaves=None):
+            found = real_search(lat, slacks, leaves)
+            if leaves is None:
+                kept = kept_of[id(lat)]
+                own = real_lattice(matrix, kept)
+                y = real_particular(own, rhs[:neq] + [rhs[neq + j] for j in kept])
+                at_own = real_search(own, solver._slack_values(own, y))
+                shared = isinstance(lat, solver._Trial)
+                trials.append((kept, shared, found, at_own, real_search(own, slacks)))
+            return found
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_lattice", building)
+            mp.setattr(solver._Matrix, "trial", trying)
+            mp.setattr(solver, "_search", searching)
+            mp.setattr(solver, "_particular", substituting)
+            report = enumerate_system(system)
+        for kept, shared, found, at_own, at_system_point in trials:
+            assert found[0] == at_own[0]
+            assert at_system_point == at_own
+            assert shared == (system_point is not None and matrix.same_lattice(kept))
+            if not shared:
+                assert found == at_own
+            point = system_point is not None
+            seen["shared" if shared else "own lattice" if point else "own point"] += 1
+        if extra == "x0 + 1/2":
+            assert system_point is None and report.status == "infeasible"
+        # one forward substitution per system, and one per trial only without
+        # a system point, where every form gets its trial
+        assert substitutions == 1 + (nform if system_point is None else 0)
+        # any kept forms with the system's lattice, not only a core's: the
+        # system's lattice gives each the status of the kept forms' own
+        kept = tuple(j for j in range(nform) if data.draw(st.booleans()))
+        if system_point is not None and matrix.same_lattice(kept):
+            lat = matrix.lattice(tuple(range(nform)))
+            at_kept = [solver._slack_values(lat, system_point)[j] for j in kept]
+            status = solver._search(solver._shared_trial(lat, kept), at_kept)[0]
+            assert status == solver._search(matrix.lattice(kept), at_kept)[0]
+            seen["any kept", status] += 1
+
+    check()
+    assert {"shared", "own lattice", "own point"} <= set(seen)
+    assert {("any kept", status) for status in ("infeasible", "solutions", "unbounded")} <= set(seen)
+
+
+def parity_system():
+    # a + b = 1 with a even and 0 <= a <= 1: the relaxation holds a = 1,
+    # so only the parity of a/2 makes the system infeasible
+    a, b = var("3.1", 7), var("3.2", 7)
+    forms = [
+        (cleared_form({a: Fraction(1, 2)}, 0), "a/2"),
+        (AffineForm.make({a: -1}, 1), "1 - a"),
+        (AffineForm.make({a: 1}, -1), "a - 1"),
+    ]
+    return FeasibilitySystem.build([a, b], [], forms)
+
+
+def test_a_trial_whose_dropped_form_coarsens_the_lattice_falls_back_to_its_own(monkeypatch):
+    # dropping a/2 drops the parity of a, so the trial that keeps only the
+    # two bounds has more integer points than the system's lattice holds:
+    # its ranks mod 2 (0 against 1) say so, and it searches a lattice of
+    # its own, where a = 1 is a point.  The other trials keep a/2: a >= 1
+    # leaves the even a unbounded, and a <= 1 leaves it 0
+    system = parity_system()
+    assert [f.den for f, _ in system.nonneg_integral] == [2, 1, 1]
+    searched = []
+    real_search = solver._search
 
     def searching(lat, slacks, leaves=None):
-        found = real_search(lat, slacks, leaves)
+        status, nodes = real_search(lat, slacks, leaves)
         if leaves is None:
-            kept = next(kept for known, kept in built if known is lat)
-            own = real_particular(lat, rhs[:neq] + [rhs[neq + j] for j in kept])
-            trials.append((found, real_search(lat, solver._slack_values(lat, own))))
-        return found
+            searched.append((type(lat), status))
+        return status, nodes
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_lattice", building)
-        mp.setattr(solver, "_search", searching)
-        mp.setattr(solver, "_particular", substituting)
-        report = enumerate_system(system)
-    assert all(shared == own for shared, own in trials)
-    if extra == "x0 + 1/2":
-        assert system_point is None and report.status == "infeasible"
-    # one forward substitution per system, and one per trial only without
-    # a system point, where every form gets its trial
-    assert substitutions == 1 + (nform if system_point is None else 0)
+    monkeypatch.setattr(solver, "_search", searching)
+    report = enumerate_system(system)
+    monkeypatch.undo()
+    assert report.status == "infeasible"
+    assert report.certificate == public_deletion_filter(system) == ["a/2", "1 - a", "a - 1"]
+    assert searched == [
+        (solver._Lattice, "solutions"), (solver._Trial, "unbounded"), (solver._Trial, "solutions"),
+    ]
+    matrix = solver._matrix(system)
+    assert [matrix.same_lattice(kept) for kept in [(1, 2), (0, 2), (0, 1)]] == [False, True, True]
 
 
 def assert_chain_rows_combine_the_slack_rows(lat):
