@@ -30,6 +30,7 @@ from .solver import (
     _require_pi_hypotheses,
     enumerate_system,
     report_aug_vectors,
+    report_raw_vectors,
     solve_order_pq,
     solve_prime_order,
 )
@@ -164,16 +165,19 @@ def run_exclusion(
         }
         report.elapsed_s = time.monotonic() - t0
         return report
-    candidates = report_aug_vectors(s1, q, n)
+    # the filters read each solution's entries, and only their survivors
+    # become AugVectors
+    raw = report_raw_vectors(s1, q, n)
     stage_q = {
         "order": q,
         "rows": _rows_json(stage_q_rows),
-        "raw_count": len(candidates),
+        "raw_count": len(raw),
         "filters": [],
     }
     for fname in filters:
-        candidates = FILTERS[fname](n, p, q, candidates)
-        stage_q["filters"].append({"name": fname, "count_after": len(candidates)})
+        raw = FILTERS[fname](n, p, q, raw)
+        stage_q["filters"].append({"name": fname, "count_after": len(raw)})
+    candidates = [AugVector(q, n, v.entries) for v in raw]
     stage_q["survivors"] = [_aug_to_json(c) for c in candidates]
     report.stage_q = stage_q
 

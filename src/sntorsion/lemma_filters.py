@@ -22,14 +22,13 @@ def spectral_hypotheses(n: int, p: int, q: int) -> bool:
     return n >= 7 and 2 * p > n and q >= 3
 
 
-def filter_order_q_powers(
-    n: int, p: int, q: int, candidates: list[AugVector]
-) -> list[AugVector]:
+def filter_order_q_powers(n: int, p: int, q: int, candidates: list) -> list:
     """Keep the order-q vectors that can be the p-th power of an order-pq
     unit: the weighted sum sum_j j*eps_{q.j} must be 0, or 1 when
-    p + q is n or n + 1.  Each vector's sum is one pass over its entries,
-    each class weighted by a dict that maps q.j to j and any other class
-    to 0."""
+    p + q is n or n + 1.  A candidate is an AugVector, or anything else
+    with its entries (a solver.RawVector), and the kept ones are returned
+    as given.  Each vector's sum is one pass over its entries, each class
+    weighted by a dict that maps q.j to j and any other class to 0."""
     if not spectral_hypotheses(n, p, q):
         raise ValueError(f"hypotheses n >= 7, p > n/2, q >= 3 fail for ({n}, {p}, {q})")
     if not (is_prime(p) and is_prime(q)):

@@ -139,7 +139,7 @@ def allowed_support(n: int, k: int, kind: str = "S") -> list[Partition]:
     return list(_allowed_support(n, k, kind))
 
 
-_value = itemgetter(1)  # the value of a (class, value) pair
+_class, _value = itemgetter(0), itemgetter(1)  # the class and value of a (class, value) pair
 
 
 @cache
@@ -159,12 +159,20 @@ def _support_problem(ct: Partition, n: int, k: int) -> str | None:
     return None
 
 
+def check_support(classes, n: int, k: int) -> None:
+    """Raise the ValueError of _support_problem for the first of `classes`
+    that cannot support a unit of order k in Z S_n."""
+    for ct in classes:
+        if (problem := _support_problem(ct, n, k)) is not None:
+            raise ValueError(problem)
+
+
 @dataclass(frozen=True)
 class AugVector:
     """Partial augmentations of a normalized unit of order k in Z S_n.
 
     Every vector is validated when it is built: its values sum to 1, each
-    class passes _support_problem, whose verdict is computed once per
+    class passes check_support, whose verdict is computed once per
     (class, n, k), and no class is listed twice."""
 
     k: int
@@ -183,10 +191,7 @@ class AugVector:
         total = sum(map(_value, entries))
         if total != 1:
             raise ValueError(f"partial augmentations sum to {total}, not 1")
-        n, k = self.n, self.k
-        for ct, _ in entries:
-            if (problem := _support_problem(ct, n, k)) is not None:
-                raise ValueError(problem)
+        check_support(map(_class, entries), self.n, self.k)
         if len(dict(entries)) < len(entries):
             raise ValueError("a class is listed twice")
 

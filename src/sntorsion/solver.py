@@ -50,8 +50,9 @@ One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  The eliminations of steps 2 and
 3 depend only on the integer matrix, not on the right-hand side, and so
 does an unbounded solve's ray: one _lattice holds them all, and one search
-(_search) decides a lattice at its slack values K, giving the status and
-the node count; _solve wraps it in a report for a system.  Each system runs
+(_search) decides a lattice at its slack values K, giving the status, the
+node count and an infeasible status's proof (see below); _solve wraps it
+in a report for a system.  Each system runs
 the forward substitution once, in enumerate_system, and its core trials
 start from its integer point: a trial keeps a subset of the system's rows,
 so the system's point, restricted to the variables and the kept slacks,
@@ -103,6 +104,19 @@ differ.  A trial whose kept forms' lattice is coarser, or of a matrix with
 a den that has a square factor, or of a system without an integer point,
 searches the kept forms' own lattice.
 
+An infeasible search also returns its proof's support, the bitmask of the
+forms whose inequalities it read: each chain row carries the support of
+its multipliers (_chain), _interval names the rows that set each range,
+and the search takes their union over every node it visits, or the one
+row of an empty relaxation.  The core keeps the last such proof, which no
+dropped form is in, and decides two kinds of trial without a search: one
+that drops a form outside the proof is infeasible when the proof is an
+empty relaxation, or when the trial searches the system's lattice with a
+chain that leaves no coordinate open; and when the system's search
+reached its DFS, so that every trial's relaxation is non-empty, a trial
+whose chain leaves a coordinate open is unbounded.  Each decision is the
+status the search would return, so every core is the greedy filter's.
+
 Every reported solution is re-checked against the system's original forms
 in integer arithmetic, independently of the solved rows: each form is
 evaluated over all solutions at once, from one column of values per
@@ -128,6 +142,7 @@ from .luthar_passi import (
     CharacterRow,
     allowed_support,
     char_value_on_unit,
+    check_support,
     class_sort_key,
     level_traces,
     top_coeffs,
@@ -190,10 +205,11 @@ class _Lattice(NamedTuple):
     rank: int  # the number of pivot coordinates y
     wdim: int  # the number of slack-moving coordinates w
     nfree: int  # the number of free directions v
-    # the chain of _chain: a row reads coeffs . w + lam . K >= 0
-    bounds: tuple  # per level d, its rows that bound w_d: (singles (coeffs, i), sums)
-    nonneg: tuple[int, ...]  # the slacks of the one-multiplier constant rows: K_i >= 0
-    sums: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # the others: (indices, multipliers)
+    # the chain of _chain: a row reads coeffs . w + lam . K >= 0, and each
+    # keeps its support, the bitmask of the forms behind lam
+    bounds: tuple  # per level d, its rows that bound w_d: (singles (coeffs, i, support), sums)
+    nonneg: tuple[tuple[int, int], ...]  # the one-multiplier constant rows K_i >= 0: (i, support)
+    sums: tuple  # the others: (indices, multipliers, support)
     open: int | None  # the first coordinate its level leaves open on one side
     ray: tuple[int, ...] | None  # an unbounded solve's primitive ray, in the variables
 
@@ -248,7 +264,7 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     u = tuple(a[nk:nk + nvar])
     slack_rows = a[nk + nvar:]
     slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
-    bounds, nonneg, sums, open_ = _chain(slack_w, wdim)
+    bounds, nonneg, sums, open_ = _chain(slack_w, wdim, kept)
     ray = None
     if open_ is not None or nfree:
         direction = _recession_ray(bounds, open_) if open_ is not None else (0,) * wdim + (1,)
@@ -276,7 +292,7 @@ class _Trial(NamedTuple):
     wdim: int
     nfree: int
     bounds: tuple
-    nonneg: tuple[int, ...]
+    nonneg: tuple[tuple[int, int], ...]
     sums: tuple
     open: int | None
 
@@ -290,7 +306,7 @@ def _shared_trial(lat: _Lattice, kept: tuple[int, ...]) -> _Trial:
     cols = [list(col) for col in zip(*(lat.slack_w[j] for j in kept))]
     wdim = len(_column_hermite(cols, range(len(kept))))
     slack_w = [tuple(col[t] for col in cols[:wdim]) for t in range(len(kept))]
-    return _Trial(wdim, lat.nfree + lat.wdim - wdim, *_chain(slack_w, wdim))
+    return _Trial(wdim, lat.nfree + lat.wdim - wdim, *_chain(slack_w, wdim, kept))
 
 
 def _rank_mod(rows, ell: int, most: int = -1) -> int:
@@ -338,7 +354,7 @@ def _slack_values(lat: _Lattice, y: list[int]) -> list[int]:
 # Fourier-Motzkin on the slack rows of a lattice, for every right-hand side
 
 
-def _chain(slack_w, wdim: int):
+def _chain(slack_w, wdim: int, labels):
     """One exact Fourier-Motzkin projection chain of the slack inequalities
     slack_w[i] . w + K_i >= 0 of a lattice over its wdim coordinates w,
     eliminating from the last coordinate down, for every value K of the
@@ -353,26 +369,34 @@ def _chain(slack_w, wdim: int):
     the two chains bound every coordinate by the same rationals, and they
     leave the same coordinates open, which reads no constant.  A row is
     divided by the gcd of its coefficients and multipliers, so it stays
-    integer.
+    integer.  Each kept row also carries its support, the bitmask of the
+    forms behind its multipliers: bit labels[i] for each slack index i of
+    lam, labels[i] being the system's index of the form of slack i.  A
+    point at which every form of the support is non-negative satisfies the
+    row.
 
     The rows are kept in the form the search evaluates at K: bounds[d]
     holds the rows of level d (over w_0..w_d) that bound w_d, as _interval
     reads no other (the rest pass down to level d - 1), those with one
-    multiplier as (coeffs, i) and the others as (coeffs, indices,
-    multipliers).  A row with one multiplier is slack row i itself, with
-    multiplier 1: a combination of two rows has the indices of both, and
-    the two bound w_d from opposite sides, so they are never multiples of
-    one slack row.  A row with no coordinate left holds when lam . K >= 0:
-    with one multiplier, when K_i >= 0, so nonneg keeps its index i, and
-    sums keeps the others as (indices, multipliers).
+    multiplier as (coeffs, i, support) and the others as (coeffs, indices,
+    multipliers, support).  A row with one multiplier is slack row i
+    itself, with multiplier 1: a combination of two rows has the indices of
+    both, and the two bound w_d from opposite sides, so they are never
+    multiples of one slack row.  A row with no coordinate left holds when
+    lam . K >= 0: with one multiplier, when K_i >= 0, so nonneg keeps
+    (i, support), and sums keeps the others as (indices, multipliers,
+    support).
 
     The last elimination, of w_0, is not run: each of its rows combines a
     lower and an upper bound of w_0 in bounds[0], and its constant is
     negative exactly when that pair leaves w_0 no value, so _search reads
     them all off w_0's range at the point.
     """
-    rows = [(w_row, ((i, 1),)) for i, w_row in enumerate(slack_w) if any(w_row)]
-    constant = {((i, 1),): None for i, w_row in enumerate(slack_w) if not any(w_row)}
+    # each row is (coeffs, lam, support); a combination's support is the
+    # union of its two rows'
+    slack_rows = [(w_row, ((i, 1),), 1 << j) for i, (w_row, j) in enumerate(zip(slack_w, labels))]
+    rows = [row for row in slack_rows if any(row[0])]
+    constant = {lam: mask for w_row, lam, mask in slack_rows if not any(w_row)}
     bounds = []
     # every coordinate before the open one is bounded, so a non-empty
     # relaxation is unbounded along it
@@ -391,14 +415,14 @@ def _chain(slack_w, wdim: int):
             open_ = var
         bounding = pos + neg
         bounds.append((
-            tuple((coeffs, lam[0][0]) for coeffs, lam in bounding if len(lam) == 1),
-            tuple((coeffs, *zip(*lam)) for coeffs, lam in bounding if len(lam) > 1),
+            tuple((coeffs, lam[0][0], mask) for coeffs, lam, mask in bounding if len(lam) == 1),
+            tuple((coeffs, *zip(*lam), mask) for coeffs, lam, mask in bounding if len(lam) > 1),
         ))
         if var == 0:
             break  # the last elimination is read off w_0's range, see above
-        for pc, lam_p in pos:
+        for pc, lam_p, mask_p in pos:
             a = pc[var]
-            for nc, lam_n in neg:
+            for nc, lam_n, mask_n in neg:
                 b = -nc[var]
                 coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
                 lam = {i: b * m for i, m in lam_p}
@@ -409,34 +433,37 @@ def _chain(slack_w, wdim: int):
                 if g > 1:
                     coeffs = tuple(c // g for c in coeffs)
                 if any(coeffs):
-                    out[coeffs, lam] = None
+                    out[coeffs, lam, mask_p | mask_n] = None
                 else:
-                    constant[lam] = None
+                    constant[lam] = mask_p | mask_n
         rows = list(out)
-    nonneg = tuple(lam[0][0] for lam in constant if len(lam) == 1)
-    sums = tuple(tuple(zip(*lam)) for lam in constant if len(lam) > 1)
+    nonneg = tuple((lam[0][0], mask) for lam, mask in constant.items() if len(lam) == 1)
+    sums = tuple((*zip(*lam), mask) for lam, mask in constant.items() if len(lam) > 1)
     return tuple(reversed(bounds)), nonneg, sums, open_
 
 
-def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None]:
-    """Exact rational range (lo, hi) of variable d over rows (coeffs, const)
-    of chain level d, with variables 0..d-1 pinned to prefix; each side is a
-    pair (num, den) with den > 0, and None marks an unbounded side.
+def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None, int]:
+    """Exact rational range (lo, hi) of variable d over rows (coeffs, const,
+    support) of chain level d, with variables 0..d-1 pinned to prefix; each
+    side is a pair (num, den) with den > 0, and None marks an unbounded
+    side.  The third value is the union of the supports of the rows that
+    set lo and hi (the first of equal bounds), 0 for an unbounded side.
 
     Rows without variable d are not checked: they are rows of level d - 1,
     which a prefix read off the earlier intervals of the chain satisfies.
     """
     lo = hi = None
-    for coeffs, const in rows:
+    lo_mask = hi_mask = 0
+    for coeffs, const, mask in rows:
         c = coeffs[d]
         if c:
             s = const + sum(map(mul, coeffs, prefix)) if d else const
             if c > 0:  # x >= -s / c
                 if lo is None or -s * lo[1] > lo[0] * c:
-                    lo = (-s, c)
+                    lo, lo_mask = (-s, c), mask
             elif hi is None or s * hi[1] < hi[0] * -c:  # x <= s / -c
-                hi = (s, -c)
-    return lo, hi
+                hi, hi_mask = (s, -c), mask
+    return lo, hi, lo_mask | hi_mask
 
 
 def _recession_ray(bounds, var: int) -> tuple[int, ...]:
@@ -453,11 +480,11 @@ def _recession_ray(bounds, var: int) -> tuple[int, ...]:
     point / gcd(scale, *point) is the lcm of the rational point's
     denominators times it, whatever positive multiple of each row a level
     holds."""
-    homogeneous = [[(row[0], 0) for part in level for row in part] for level in bounds]
-    point = [0] * var + [-1 if any(c[var] < 0 for c, _ in homogeneous[var]) else 1]
+    homogeneous = [[(row[0], 0, 0) for part in level for row in part] for level in bounds]
+    point = [0] * var + [-1 if any(c[var] < 0 for c, _, _ in homogeneous[var]) else 1]
     scale = 1
     for d in range(var + 1, len(bounds)):
-        lo, hi = _interval(homogeneous[d], d, point)
+        lo, hi, _ = _interval(homogeneous[d], d, point)
         num, den = lo or hi or (0, 1)
         point = [x * den for x in point] + [num]
         scale *= den
@@ -636,24 +663,25 @@ def _rhs(system: FeasibilitySystem) -> list[int]:
     ]
 
 
-def _evaluated(bounds, slacks: list[int]) -> list[tuple[tuple[int, ...], int]]:
+def _evaluated(bounds, slacks: list[int]) -> list[tuple[tuple[int, ...], int, int]]:
     """The rows of a level's bounds (_chain), each with its constant
-    lam . K at the slack values K."""
+    lam . K at the slack values K, and its support."""
     singles, sums = bounds
-    rows = [(coeffs, slacks[i]) for coeffs, i in singles]
+    rows = [(coeffs, slacks[i], mask) for coeffs, i, mask in singles]
     if sums:
         get = slacks.__getitem__
-        rows += [(coeffs, sum(map(mul, ms, map(get, idx)))) for coeffs, idx, ms in sums]
+        rows += [(coeffs, sum(map(mul, ms, map(get, idx))), mask) for coeffs, idx, ms, mask in sums]
     return rows
 
 
 def _search(
     lat: _Lattice | _Trial, slacks: list[int], leaves: list | None = None
-) -> tuple[str, int]:
+) -> tuple[str, int, tuple[int, bool] | None]:
     """Decide a lattice at the values K of its kept slacks at one integer
-    point: the status ("infeasible", "solutions" or "unbounded") and the
-    number of search nodes.  A core trial on its system's lattice passes
-    its _Trial, which holds every field the search reads.
+    point: the status ("infeasible", "solutions" or "unbounded"), the
+    number of search nodes and, with "infeasible", the proof (support,
+    empty), else None.  A core trial on its system's lattice passes its
+    _Trial, which holds every field the search reads.
 
     Every integer solution is that point plus u . (0, w, v), so each kept
     slack is K plus its row of u on w, and K only gives the lattice's chain
@@ -667,18 +695,27 @@ def _search(
     of them whatever other points exist.  A lattice whose first coordinate
     is open is unbounded once its constant rows hold: w_0 has a value
     whatever the open side reads.
+
+    The proof's support is the bitmask of the forms whose inequalities it
+    reads (_chain).  With `empty`, the relaxation of those forms alone is
+    empty: a constant row is negative, or the two rows that set w_0's range
+    cross.  Otherwise the proof is the search tree, and its support is the
+    union of the supports of the rows that set each visited node's range:
+    no integer point of the lattice makes every form of the support
+    non-negative, as each such point would lie in the range of every node
+    on its path down to a leaf.
     """
     # the relaxation is empty when a row with no coordinate is negative, or
     # when w_0 has no value: that is the last elimination, which _chain
     # leaves to this range
-    for i in lat.nonneg:
+    for i, mask in lat.nonneg:
         if slacks[i] < 0:
-            return "infeasible", 0
-    for idx, ms in lat.sums:
+            return "infeasible", 0, (mask, True)
+    for idx, ms, mask in lat.sums:
         if sum(map(mul, ms, map(slacks.__getitem__, idx))) < 0:
-            return "infeasible", 0
+            return "infeasible", 0, (mask, True)
     if lat.open == 0:
-        return "unbounded", 0
+        return "unbounded", 0, None
     wdim = lat.wdim
     # the first point decides the status in a core trial and on a lattice
     # with free directions
@@ -688,14 +725,14 @@ def _search(
     if not wdim:  # the one point w = ()
         if decided is None:
             leaves.append(())
-        return decided or "solutions", 1
+        return decided or "solutions", 1, None
     # levels[d] is evaluated when the search first reaches depth d
     levels = [_evaluated(lat.bounds[0], slacks)]
-    root = lo, hi = _interval(levels[0], 0, ())
+    root = lo, hi, support = _interval(levels[0], 0, ())
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-        return "infeasible", 0
+        return "infeasible", 0, (support, True)
     if lat.open is not None:
-        return "unbounded", 0
+        return "unbounded", 0, None
 
     # depth-first over prefixes of w, each node's children in increasing
     # order: they are pushed in decreasing order and popped in increasing;
@@ -709,16 +746,19 @@ def _search(
         depth = len(prefix)
         if depth == len(levels):
             levels.append(_evaluated(lat.bounds[depth], slacks))
-        (lo, lo_den), (hi, hi_den) = _interval(levels[depth], depth, prefix) if depth else root
+        (lo, lo_den), (hi, hi_den), mask = _interval(levels[depth], depth, prefix) if depth else root
+        support |= mask
         top, bottom = hi // hi_den, -(-lo // lo_den)
         if depth < last:
             stack += [prefix + (value,) for value in range(top, bottom - 1, -1)]
         elif top >= bottom:
             if decided is not None:
-                return decided, nodes + 1
+                return decided, nodes + 1, None
             leaves += [prefix + (value,) for value in range(bottom, top + 1)]
             nodes += top - bottom + 1
-    return ("solutions" if leaves else "infeasible"), nodes
+    if leaves:
+        return "solutions", nodes, None
+    return "infeasible", nodes, (support, False)
 
 
 def _solve(
@@ -726,12 +766,13 @@ def _solve(
     y: list[int] | None,
     slacks: list[int] | None,
     variables: tuple[Partition, ...],
-) -> SolveReport:
+) -> tuple[SolveReport, tuple[int, bool] | None]:
     """The report of a system's integer rows, given their _lattice, the
     pivot coordinates y of one integer solution and its slack values (both
     None when there is none): the status and node count of _search, the
     lattice's ray when unbounded, and every solution, whose variables are
-    read off u only here.
+    read off u only here; and the search's proof, None unless the search
+    found the system infeasible (so also without a point).
 
     The solutions are x = u . (y, w, 0) over the leaves w, computed a
     column at a time: each variable's values over all leaves are its value
@@ -740,9 +781,9 @@ def _solve(
     points, as u is invertible and each slack is a function of x."""
     report = SolveReport(status="infeasible", variables=variables, stats={"nodes": 0})
     if y is None:
-        return report
+        return report, None
     leaves: list[tuple[int, ...]] = []
-    report.status, report.stats["nodes"] = _search(lat, slacks, leaves)
+    report.status, report.stats["nodes"], proof = _search(lat, slacks, leaves)
     if report.status == "unbounded":
         report.ray = lat.ray
     elif leaves:
@@ -757,7 +798,7 @@ def _solve(
             values.append(column)
         # without variables, zip reads no column: each leaf is the empty point
         report.solutions = sorted(zip(*values)) if values else [()] * count
-    return report
+    return report, proof
 
 
 def enumerate_system(system: FeasibilitySystem, matrix: _Matrix | None = None) -> SolveReport:
@@ -768,18 +809,23 @@ def enumerate_system(system: FeasibilitySystem, matrix: _Matrix | None = None) -
     of its solves; the systems of one _solve_level call share one, as they
     have the same linear parts and differ only in the right-hand side,
     which each reads off its own forms' constants.  By default the system
-    and its core trials get a fresh one.
+    and its core trials get a fresh one.  The stats of an infeasible report
+    count its core trials: those searched ("trials") and those its proofs
+    decide without a search ("decided").
     """
     if matrix is None:
         matrix = _matrix(system)
     lat = matrix.lattice(tuple(range(len(system.nonneg_integral))))
     y = _particular(lat, _rhs(system))
     slacks = None if y is None else _slack_values(lat, y)
-    report = _solve(lat, y, slacks, system.variables)
+    report, proof = _solve(lat, y, slacks, system.variables)
     if report.status == "solutions":
         _recheck(system, report.solutions)
     elif report.status == "infeasible":
-        report.certificate = _infeasible_core(system, matrix, slacks)
+        stats = report.stats
+        report.certificate, stats["trials"], stats["decided"] = _infeasible_core(
+            system, matrix, slacks, proof
+        )
     return report
 
 
@@ -823,23 +869,43 @@ def _recheck(system: FeasibilitySystem, solutions: list[tuple[int, ...]]) -> Non
 
 
 def _infeasible_core(
-    system: FeasibilitySystem, matrix: _Matrix, slacks: list[int] | None
-) -> list[str]:
+    system: FeasibilitySystem,
+    matrix: _Matrix,
+    slacks: list[int] | None,
+    proof: tuple[int, bool] | None,
+) -> tuple[list[str], int, int]:
     """Greedy minimal subset of the non-negative-integer forms that already
-    makes the system infeasible (with all equalities kept).
+    makes the system infeasible (with all equalities kept), and the number
+    of its trials that were searched and of those decided without a search.
 
-    `matrix` and `slacks` are the system's (slacks: its slack values at its
-    integer point, None when it has none).  A trial keeps some forms and
-    drops the slack-link rows and slack columns of the others, so it
-    decides exactly the integer rows of the smaller system.  With a system
-    point, which solves those rows too, it is the status of _search at the
+    `matrix`, `slacks` and `proof` are the system's (slacks: its slack
+    values at its integer point, None when it has none; proof: its
+    search's, None without a point).  A trial keeps some forms and drops
+    the slack-link rows and slack columns of the others, so it decides
+    exactly the integer rows of the smaller system.  With a system point,
+    which solves those rows too, it is the status of _search at the
     system's values of the kept slacks, on what _Matrix.trial gives: the
-    system's lattice when the kept forms have it, with the directions that
-    move no kept slack free, else the kept forms' own.  The status depends
-    only on the trial's integer points and its relaxation, which the two
-    share, so it is the same on both.  Without a system point, it is the
-    status at the slack values of the trial's own point on the kept forms'
-    own lattice (_Matrix.lattice).
+    system's lattice when the kept forms have it (a _Trial), with the
+    directions that move no kept slack free, else the kept forms' own.  The
+    status depends only on the trial's integer points and its relaxation,
+    which the two share, so it is the same on both.  Without a system
+    point, it is the status at the slack values of the trial's own point on
+    the kept forms' own lattice (_Matrix.lattice).
+
+    Two kinds of trial are decided without a search, each with the status
+    its search would give.  The current proof, the system's or that of the
+    last searched trial that was infeasible, covers the current core: its
+    support is a subset of it, and no point of the lattice it searched, so
+    no point of the system's, makes every form of the support non-negative.
+    (1) A trial that drops a form outside the support is infeasible when
+    the proof is an empty relaxation, which then holds for the trial too,
+    or when the trial is a _Trial whose chain leaves no coordinate open:
+    its integer points are the system's, none of them is feasible, and a
+    closed chain gives the search no "unbounded" to return.  The core
+    loses the form and the proof stays, as it still covers the core.
+    (2) When the system's search reached its DFS, its relaxation is
+    non-empty, and so is every trial's, which has fewer forms: a trial
+    whose chain leaves a coordinate open is unbounded and keeps its form.
 
     A form whose slack no lattice coordinate moves (its row of u is zero on
     w) is fixed by the equalities: it is constant on their real solution
@@ -847,8 +913,9 @@ def _infeasible_core(
     at the system's point.  A form fixed at a non-negative integer is then
     redundant in every trial; the greedy filter would drop it at its turn
     and decide every other form as it does with it, so the core starts
-    without it and it gets no trial.  A form fixed at a negative value, and
-    every form of a system without an integer point, stays in the loop.
+    without it and it gets no trial.  Its slack row has no coordinate, so
+    it is never in a proof's support.  A form fixed at a negative value,
+    and every form of a system without an integer point, stays in the loop.
     """
     forms = system.nonneg_integral
     neq = matrix.neq
@@ -858,20 +925,35 @@ def _infeasible_core(
     else:
         w_rows = matrix.lattice(tuple(live)).slack_w
         live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
+    # the system's search reached its DFS exactly when its proof is a tree
+    nonempty = proof is not None and not proof[1]
     core = tuple(live)
+    searched = decided = 0
     for j in live:
         t = core.index(j)  # j stays in the core until its own trial
         kept = core[:t] + core[t + 1:]
+        sub = None if slacks is None else matrix.trial(kept)
+        if proof is not None and not proof[0] >> j & 1 and (
+            proof[1] or type(sub) is _Trial and sub.open is None
+        ):
+            decided += 1  # (1)
+            core = kept
+            continue
+        if nonempty and sub.open is not None:
+            decided += 1  # (2)
+            continue
+        searched += 1
         if slacks is None:
             sub = matrix.lattice(kept)
             y = _particular(sub, rhs[:neq] + [rhs[neq + i] for i in kept])
-            infeasible = y is None or _search(sub, _slack_values(sub, y))[0] == "infeasible"
+            status, _, found = ("infeasible", 0, None) if y is None else _search(
+                sub, _slack_values(sub, y)
+            )
         else:
-            sub = matrix.trial(kept)
-            infeasible = _search(sub, list(map(slacks.__getitem__, kept)))[0] == "infeasible"
-        if infeasible:
-            core = kept
-    return [forms[j][1] for j in core]
+            status, _, found = _search(sub, list(map(slacks.__getitem__, kept)))
+        if status == "infeasible":
+            core, proof = kept, found
+    return [forms[j][1] for j in core], searched, decided
 
 
 # ---------------------------------------------------------------------------
@@ -967,21 +1049,43 @@ def solve_prime_order(
     return report
 
 
-def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
-    """The order-k augmentation vector of each solution of a report, as
-    AugVector.make builds it from the solution's values on the report's
-    variables: the variable positions are put in class order once per
-    report, each solution is read in that order by one itemgetter (not at
-    all when FeasibilitySystem.build already put the variables in it), and
-    each vector keeps its non-zero entries in that order, picked by
-    compress.  AugVector validates every vector as it is built."""
+class RawVector(NamedTuple):
+    """The entries of the order-k augmentation vector of one solution of a
+    report, before any AugVector is built: its non-zero (class, value)
+    pairs in class order, which a filter reads as it reads an AugVector's
+    (report_raw_vectors)."""
+
+    entries: tuple[tuple[Partition, int], ...]
+
+
+def report_raw_vectors(report: SolveReport, k: int, n: int) -> list[RawVector]:
+    """The entries of the order-k augmentation vector of each solution of a
+    report: the variable positions are put in class order once per report,
+    each solution is read in that order by one itemgetter (not at all when
+    FeasibilitySystem.build already put the variables in it), and each
+    vector keeps its non-zero entries in that order, picked by compress.
+
+    What AugVector validates of a vector is checked once per report here,
+    not once per solution: each of the report's classes passes
+    check_support, and a report's variables are distinct.  Each solution
+    sums to 1 when the system has the augmentation equality, as every
+    system of FeasibilitySystem.build has and _recheck checks at every
+    solution; AugVector(k, n, entries) checks that again for the vectors
+    that are built."""
     variables = report.variables
+    check_support(variables, n, k)
     order = sorted(range(len(variables)), key=lambda i: class_sort_key(variables[i]))
     classes = [variables[i] for i in order]
     rows = report.solutions
     if order != list(range(len(order))):  # so two or more variables
         rows = map(itemgetter(*order), rows)
-    return [AugVector(k, n, tuple(zip(compress(classes, sol), filter(None, sol)))) for sol in rows]
+    return [RawVector(tuple(zip(compress(classes, sol), filter(None, sol)))) for sol in rows]
+
+
+def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
+    """The order-k augmentation vector of each solution of a report, built
+    and validated from its entries (report_raw_vectors)."""
+    return [AugVector(k, n, v.entries) for v in report_raw_vectors(report, k, n)]
 
 
 def has_element_of_order(n: int, k: int, kind: str = "S") -> bool:

@@ -308,7 +308,7 @@ def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattic
     u = tuple(a[m:m + nvar])
     slack_rows = a[m + nvar:]
     slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
-    bounds, nonneg, sums, open_ = _chain(slack_w, wdim)
+    bounds, nonneg, sums, open_ = _chain(slack_w, wdim, kept)
     ray = None
     if open_ is not None or nfree:
         direction = _recession_ray(bounds, open_) if open_ is not None else (0,) * wdim + (1,)
@@ -459,7 +459,8 @@ def concrete_solve(lat: _Lattice, y, variables, find_one: bool = False) -> Solve
             if find_one or nfree:
                 break
         else:
-            (lo, lo_den), (hi, hi_den) = _interval(chain[depth], depth, prefix)
+            rows = [(coeffs, const, 0) for coeffs, const in chain[depth]]
+            (lo, lo_den), (hi, hi_den), _ = _interval(rows, depth, prefix)
             stack += [prefix + (value,) for value in range(hi // hi_den, -(-lo // lo_den) - 1, -1)]
     report.stats["nodes"] = nodes
     if leaves:
@@ -541,7 +542,7 @@ def pinned_recession_ray(ineqs: set[Ineq], wdim: int, var: int) -> tuple[int, ..
             continue
         point: list[Fraction] = []
         for d, rows in enumerate(chain):
-            lo, hi = _interval(rows, d, point)
+            lo, hi, _ = _interval([(c, k, 0) for c, k in rows], d, point)
             side = lo if lo is not None else hi
             point.append(Fraction(*side) if side is not None else Fraction(0))
         den = lcm(*(f.denominator for f in point))

@@ -1,6 +1,7 @@
 """Built-in cases against their frozen reports."""
 
 import hashlib
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
@@ -20,7 +21,7 @@ from sntorsion.cases import (
     run_exclusion,
     verify_case,
 )
-from sntorsion.luthar_passi import orbit_residues
+from sntorsion.luthar_passi import AugVector, orbit_residues
 from sntorsion.partitions import is_prime
 from sntorsion import reports, solver
 
@@ -246,42 +247,59 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # every Theorem-3.2 instance of the benchmark sweep (n <= 19) against
     # the verdict and report hash that bench/reference.json records for it,
     # and the search that decides them: systems, DFS nodes of the system
-    # reports and of every search (core trials included), core trials,
-    # lattice builds, each equal to the elimination from scratch and each
-    # a system's, as every core trial searches its system's lattice (none
-    # falls back to a lattice of its own) with the status it has on its
-    # own, Fourier-Motzkin chains, one per lattice and one per trial
-    # structure, the lattices whose ray is a recession ray (a coordinate
-    # open) and those with free directions, and forward substitutions, one
-    # per system, as every core trial starts from its system's point
+    # reports and of every search (core trials included), core trials
+    # searched and decided without a search (each summed from the reports'
+    # stats too), lattice builds, each equal to the elimination from
+    # scratch and each a system's, as every core trial searches its
+    # system's lattice (none falls back to a lattice of its own),
+    # Fourier-Motzkin chains, one per lattice and one per trial structure,
+    # the lattices whose ray is a recession ray (a coordinate open) and
+    # those with free directions, and forward substitutions, one per
+    # system, as every core trial starts from its system's point.  Every
+    # core trial, searched or decided, is replayed: its status on its
+    # structure and on its own lattice from scratch is infeasible exactly
+    # when the core drops its form
     counts = Counter()
-    structures = {}  # each trial structure's matrix and kept forms, by id
-    real_enumerate, real_search, real_lattice, real_chain, real_particular, real_trial = (
+    real_enumerate, real_search, real_lattice, real_chain, real_particular, real_trial, real_core = (
         solver.enumerate_system, solver._search, solver._lattice, solver._chain,
-        solver._particular, solver._Matrix.trial,
+        solver._particular, solver._Matrix.trial, solver._infeasible_core,
     )
 
     def enumerating(system, matrix=None):
         report = real_enumerate(system, matrix)
         counts["systems"] += 1
         counts["system nodes"] += report.stats["nodes"]
+        if report.status == "infeasible":
+            counts["stats trials"] += report.stats["trials"]
+            counts["decided"] += report.stats["decided"]
         return report
 
-    def trying(matrix, kept):
-        trial = real_trial(matrix, kept)
-        structures[id(trial)] = (matrix, kept)
-        return trial
-
     def searching(lat, slacks, leaves=None):
-        status, nodes = real_search(lat, slacks, leaves)
+        status, nodes, proof = real_search(lat, slacks, leaves)
         counts["solve nodes"] += nodes
         if leaves is None:
             counts["trials"] += 1
             counts["fallbacks"] += isinstance(lat, solver._Lattice)
-            matrix, kept = structures[id(lat)]
+        return status, nodes, proof
+
+    def coring(system, matrix, slacks, proof):
+        names, searched, decided = real_core(system, matrix, slacks, proof)
+        assert slacks is not None
+        final = {j for j, (_, name) in enumerate(system.nonneg_integral) if name in names}
+        w_rows = matrix.lattice(tuple(range(len(system.nonneg_integral)))).slack_w
+        live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
+        core = tuple(live)
+        for j in live:
+            kept = tuple(i for i in core if i != j)
+            at_kept = [slacks[i] for i in kept]
+            status = real_search(real_trial(matrix, kept), at_kept)[0]
             own = scratch_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
-            assert real_search(own, slacks)[0] == status
-        return status, nodes
+            assert real_search(own, at_kept)[0] == status
+            if status == "infeasible":
+                core = kept
+        assert core == tuple(sorted(final))
+        counts["replayed"] += len(live)
+        return names, searched, decided
 
     def building(matrix, kept):
         lat = real_lattice(matrix, kept)
@@ -306,7 +324,7 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     monkeypatch.setattr(solver, "_lattice", building)
     monkeypatch.setattr(solver, "_chain", projecting)
     monkeypatch.setattr(solver, "_particular", substituting)
-    monkeypatch.setattr(solver._Matrix, "trial", trying)
+    monkeypatch.setattr(solver, "_infeasible_core", coring)
     reference = json.loads((REPO / "bench" / "reference.json").read_text())["thm32-sweep"]
     assert len(reference) == 67
     for key, expected in reference.items():
@@ -315,6 +333,73 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
         assert {"verdict": report.verdict, "sha256": digest} == expected, key
     assert counts == {
-        "systems": 898, "system nodes": 6219, "solve nodes": 12126, "trials": 4696, "fallbacks": 0,
+        "systems": 898, "system nodes": 6219, "solve nodes": 8891, "trials": 941,
+        "stats trials": 941, "decided": 3755, "replayed": 4696, "fallbacks": 0,
         "lattices": 106, "chains": 477, "open": 0, "free": 9, "particular": 898,
     }
+
+
+def test_the_closed_chain_guard_of_a_decided_drop_changes_sweep_certificates(monkeypatch):
+    # the core drops a form outside its proof's support without a search
+    # only when the trial's chain leaves no coordinate open: a search of an
+    # open chain with a non-empty relaxation says unbounded, so the form
+    # stays.  A mutant core without that guard drops such forms and gives
+    # other certificates: some sweep reports then differ from
+    # bench/reference.json
+    source = inspect.getsource(solver._infeasible_core)
+    mutant = source.replace(" and sub.open is None", "")
+    assert mutant != source
+    namespace = {}
+    exec(compile(mutant, solver.__file__, "exec"), vars(solver), namespace)
+
+    def certificates() -> tuple[list, int]:
+        seen, real = [], solver.enumerate_system
+
+        def recording(system, matrix=None):
+            report = real(system, matrix)
+            seen.append(report.certificate)
+            return report
+
+        monkeypatch.setattr(solver, "enumerate_system", recording)
+        differ = 0
+        for key, expected in reference.items():
+            n, p, q = (int(x) for x in key.split("-")[1:])
+            digest = hashlib.sha256(_case_thm32(n, p, q).canonical_json().encode()).hexdigest()
+            differ += digest != expected["sha256"]
+        monkeypatch.setattr(solver, "enumerate_system", real)
+        return seen, differ
+
+    reference = json.loads((REPO / "bench" / "reference.json").read_text())["thm32-sweep"]
+    kept, differ = certificates()
+    assert differ == 0
+    monkeypatch.setattr(solver, "_infeasible_core", namespace["_infeasible_core"])
+    dropped, differ = certificates()
+    changed = sum(a != b for a, b in zip(kept, dropped))
+    assert len(kept) == len(dropped) == 898
+    assert (changed, differ) == (297, 6)
+
+
+def test_run_exclusion_builds_vectors_only_for_the_filter_survivors(monkeypatch):
+    # the weighted-sum filter reads the order-q solutions' entries, called
+    # once on all of them, and only its survivors become AugVectors
+    built, filtered = [], []
+    real_check, real_filter = AugVector.__post_init__, cases_mod.FILTERS["q-power-weighted-sum"]
+
+    def checking(vector):
+        built.append(vector)
+        real_check(vector)
+
+    def filtering(n, p, q, candidates):
+        filtered.append(len(candidates))
+        return real_filter(n, p, q, candidates)
+
+    monkeypatch.setattr(AugVector, "__post_init__", checking)
+    monkeypatch.setitem(cases_mod.FILTERS, "q-power-weighted-sum", filtering)
+    report = _case_thm32(13, 11, 3)
+    stage_q = report.stage_q
+    survivors = len(stage_q["survivors"])
+    assert stage_q["raw_count"] > stage_q["filters"][0]["count_after"] == survivors > 0
+    # the hypotheses check on no candidates, then one call on every solution
+    assert filtered == [0, stage_q["raw_count"]]
+    # the forced order-p vector, then one vector per survivor
+    assert len(built) == 1 + survivors
