@@ -105,15 +105,21 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_chartable(args) -> int:
-    if args.n < 1:
-        raise InputError(f"degree {args.n} must be positive")
-    if args.n > args.limit:
-        raise InputError(
-            f"degree {args.n} exceeds the limit {args.limit}; raise it with --limit"
-        )
+def _read_count(text: str, what: str) -> int:
     try:
-        table = ordinary_table(args.n, args.char)
+        return read_int(text)
+    except ValueError:
+        raise InputError(f"bad {what} {text!r}; expected a decimal integer") from None
+
+
+def cmd_chartable(args) -> int:
+    n, limit = _read_count(args.n, "degree"), _read_count(args.limit, "--limit")
+    if n < 1:
+        raise InputError(f"degree {n} must be positive")
+    if n > limit:
+        raise InputError(f"degree {n} exceeds the limit {limit}; raise it with --limit")
+    try:
+        table = ordinary_table(n, args.char)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     _emit(serialize_table(table), args.out)
@@ -242,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
     p_chart = sub.add_parser("chartable", help="write an ordinary character table file")
-    p_chart.add_argument("n", type=int, help="symmetric group degree")
+    p_chart.add_argument("n", help="symmetric group degree")
     p_chart.add_argument("--char", action="append", metavar="NAME",
                          help="character to include (repeatable; default: the distinguished set)")
-    p_chart.add_argument("--limit", type=int, default=CHARTABLE_LIMIT,
+    p_chart.add_argument("--limit", default=str(CHARTABLE_LIMIT),
                          help=f"degree limit (default {CHARTABLE_LIMIT})")
     common(p_chart)
     p_chart.set_defaults(func=cmd_chartable)

@@ -100,10 +100,22 @@ def _in_class_order(items) -> tuple:
     return tuple(sorted(items, key=lambda kv: class_sort_key(kv[0])))
 
 
-@cache
-def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
+def _check_kind(kind: str) -> None:
     if kind not in ("S", "A"):
         raise ValueError(f"unknown group kind {kind!r}; expected 'S' or 'A'")
+
+
+def in_group(ct: Partition, kind: str) -> bool:
+    """Whether the elements of S_n cycle type ct lie in S_n (kind "S") or
+    in A_n (kind "A"): every cycle type for S_n, the even ones for A_n.
+    Any other kind is a ValueError."""
+    _check_kind(kind)
+    return kind == "S" or parity(ct) == 1
+
+
+@cache
+def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
+    _check_kind(kind)
     # the order divides k exactly when every cycle length does, so only the
     # partitions of n into such lengths are built (not all p(n) of them):
     # each is a non-increasing choice of cycles longer than 1, padded with
@@ -114,7 +126,7 @@ def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
     while stack:
         longer, rest, i = stack.pop()
         mu = longer + (1,) * rest
-        if longer and (kind != "A" or parity(mu) == 1):
+        if longer and in_group(mu, kind):
             support.append(mu)
         stack.extend(
             (longer + (c,), rest - c, j) for j, c in enumerate(cycles[i:], i) if c <= rest
@@ -125,8 +137,9 @@ def _allowed_support(n: int, k: int, kind: str) -> tuple[Partition, ...]:
 def allowed_support(n: int, k: int, kind: str = "S") -> list[Partition]:
     """Classes on which a normalized unit of order k in Z S_n (kind "S") or
     Z A_n (kind "A") can have a non-zero partial augmentation: element order
-    divides k, identity excluded, and only even classes for A_n.  Any other
-    kind is a ValueError; this is the one place that reads the kind.
+    divides k, identity excluded, and only even classes for A_n (in_group).
+    Any other kind is a ValueError; in_group is the one place that reads
+    the kind.
 
     Each class is one S_n cycle type, which is sound for A_n too: a cycle
     type with distinct odd parts (the 11-cycles in A_12, say) splits into

@@ -14,15 +14,12 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    that move the slacks and the directions v that leave every slack
    unchanged (they can only produce infinite solution families), and each
    row of u reads one variable or slack in (y, w, v); a slack row is zero
-   on v.  The equality rows are zero on every slack column, so their pass
-   of the elimination is the same whichever forms a lattice keeps: it runs
-   once per matrix (_Matrix), and each lattice continues it.  Forward
-   substitution of the right-hand side in the echelon rows gives either a
-   contradiction or y, and so one integer point u . (y, 0, 0); every
-   integer solution is that point plus u . (0, w, v), and each slack is its
-   value K = slack_y . y at the point plus a linear form in w.  A search
-   reads only K; a variable is read off its row of u only at a recorded
-   solution;
+   on v.  Forward substitution of the right-hand side in the echelon rows
+   gives either a contradiction or y, and so one integer point
+   u . (y, 0, 0); every integer solution is that point plus u . (0, w, v),
+   and each slack is its value K = slack_y . y at the point plus a linear
+   form in w.  A search reads only K; a variable is read off its row of u
+   only at a recorded solution;
 3. exact Fourier-Motzkin elimination of the slack inequalities, from the
    last w coordinate down, gives one projection chain per lattice, for
    every right-hand side at once (_chain): each row carries, in place of
@@ -52,16 +49,8 @@ empty and its search visits the one leaf.  The eliminations of steps 2 and
 does an unbounded solve's ray: one _lattice holds them all, and one search
 (_search) decides a lattice at its slack values K, giving the status, the
 node count and an infeasible status's proof (see below); _solve wraps it
-in a report for a system.  Each system runs
-the forward substitution once, in enumerate_system, and its core trials
-start from its integer point: a trial keeps a subset of the system's rows,
-so the system's point, restricted to the variables and the kept slacks,
-solves the trial too, and the trial's K is the system's on the kept
-slacks.  On the trial's own lattice, its own point differs from it by an
-integer kernel vector, so its w coordinates move by an integer
-translation, which shifts each search range by an integer and changes no
-node count or status.  Only a system without an integer point gives its
-trials their own forward substitution.
+in a report for a system.  Each system runs the forward substitution once,
+in enumerate_system, and its core trials start from its integer point.
 
 One function, _solve_level, makes the systems of every level: one row set
 over a list of lower levels, once for solve_prime_order and once per row
@@ -74,35 +63,27 @@ of those values with its traces.  Each distinct (form, constant) of the
 call is one AffineForm.  Its systems share one integer matrix, read off the
 first of them, so each contributes only its right-hand side, read off its
 forms' constants (_rhs).  The memos live as long as the call or its
-matrix: the systems and their infeasible-core trials share the matrix's
-pass over the equality rows and its two memos, one per row group: one
-lattice per tuple of kept forms (_Matrix.lattice; all of them for a
-system), and one trial structure per tuple of kept forms (_Matrix.trial;
-all but the dropped ones for a core trial), so a trial builds only when
-its kept forms are new.
+matrix: the systems share the matrix's one lattice (_Matrix.lattice), and
+their core trials one trial structure per tuple of kept forms
+(_Matrix.trial), so a trial builds only when its kept forms are new.
 
 The infeasible core is a greedy deletion filter: one trial per form, each
-the status of one search of the system without that form and the forms
-dropped before it, which allocates no report.  A form that the equalities
-fix at a non-negative integer (no lattice coordinate moves its slack) can
-never be needed, so it gets no trial; in the Theorem-3.2 pair systems these
-are the mu_ell(pi) forms, which the pi equalities pin.  A trial of a system
-with an integer point searches the system's own lattice when dropping the
-other forms' integrality leaves that lattice as it is, which a rank test
-decides (_Matrix.same_lattice): for each prime ell of the forms' dens
-(squarefree, as every den the package builds is 1, q or pq), the kept
-forms' entries on the equalities' integer kernel have the rank mod ell of
-every form's.  Such a trial eliminates no lattice of its own: one
-_column_hermite of the kept slacks' rows on the system's w frees the
-directions that move no kept slack, and _chain runs on the rest
-(_shared_trial).  A trial reads only its status, which depends on its
-integer points and its real relaxation, not on the basis of its lattice;
-the two lattices hold the system's point and are equal, so they give the
-same points and the same status, and every core and certificate is the one
-the kept forms' own lattices give; only the trials' node counts can
-differ.  A trial whose kept forms' lattice is coarser, or of a matrix with
-a den that has a square factor, or of a system without an integer point,
-searches the kept forms' own lattice.
+the status of one search of the system without the sign of that form and
+of the forms dropped before it, which allocates no report.  Each
+multiplicity is an integer whatever its sign, so a trial keeps every
+form's integrality: its integer points are those of the system's lattice,
+and a certificate names the forms whose non-negativity the proof needs.
+Such a trial eliminates no lattice of its own: one _column_hermite of the
+kept slacks' rows on the system's w frees the directions that move no kept
+slack, and _chain runs on the rest (_shared_trial); the system's point
+gives it the system's slack values.  A form that the equalities fix at a
+non-negative integer (no lattice coordinate moves its slack) can never be
+needed, so it gets no trial; in the Theorem-3.2 pair systems these are the
+mu_ell(pi) forms, which the pi equalities pin.  A system without an integer
+point is a Hermite contradiction, which no sign takes part in: its core is
+the greedy set of the forms whose integrality that contradiction needs,
+each trial one forward substitution on the lattice of the equalities and
+the kept forms' link rows.
 
 An infeasible search also returns its proof's support, the bitmask of the
 forms whose inequalities it read: each chain row carries the support of
@@ -111,11 +92,11 @@ and the search takes their union over every node it visits, or the one
 row of an empty relaxation.  The core keeps the last such proof, which no
 dropped form is in, and decides two kinds of trial without a search: one
 that drops a form outside the proof is infeasible when the proof is an
-empty relaxation, or when the trial searches the system's lattice with a
-chain that leaves no coordinate open; and when the system's search
-reached its DFS, so that every trial's relaxation is non-empty, a trial
-whose chain leaves a coordinate open is unbounded.  Each decision is the
-status the search would return, so every core is the greedy filter's.
+empty relaxation or the trial's chain leaves no coordinate open; and when
+the system's search reached its DFS, so that every trial's relaxation is
+non-empty, a trial whose chain leaves a coordinate open is unbounded.
+Each decision is the status the search would return, so every core is the
+greedy filter's.
 
 Every reported solution is re-checked against the system's original forms
 in integer arithmetic, independently of the solved rows: each form is
@@ -148,7 +129,7 @@ from .luthar_passi import (
     top_coeffs,
 )
 from .lemma_filters import spectral_hypotheses
-from .partitions import Partition, element_order, factorize, is_prime
+from .partitions import Partition, element_order, is_prime
 
 # ---------------------------------------------------------------------------
 # integer linear algebra
@@ -220,12 +201,8 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     `kept`, over the nvar variables and those forms' slacks, with the
     Fourier-Motzkin chain and the ray that every right-hand side shares.
 
-    Each column of the one eliminated matrix stacks the kept rows over u,
-    which starts as the identity and so records every column op.  The
-    equality rows come first and are zero on the slack columns, so their
-    pass is the matrix's own, run once (_Matrix): the lattice continues it
-    from its pivot state, with the variable columns it left, each read on
-    the kept slack-link rows and on u, then one column per kept slack.  The
+    Each column of the one eliminated matrix stacks the m kept rows over
+    u, which starts as the identity and so records every column op.  The
     pivots in the kept rows give the rank, the pivot coordinates y and the
     echelon data of _particular; the columns past the rank span the integer
     kernel.  The slack rows of u come next: the row of slack i starts as
@@ -240,29 +217,24 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     recession ray of the chain's open coordinate, else the first direction
     v, mapped to the variables by u and divided by its gcd.
     """
-    nvar, r0 = matrix.nvar, matrix.eq_rank
-    nk = len(kept)
-    # each column's rows: the nk kept slack-link rows, the nvar variable
-    # rows of u, then the nk slack rows of u
-    no_slacks, no_vars = [0] * nk, [0] * nvar
-    cols = [[on_link[j] for j in kept] + on_u + no_slacks for on_link, on_u in matrix.columns]
-    link = [matrix.rows[matrix.neq + j] for j in kept]
-    for t, j in enumerate(kept):
-        unit = [0] * nk
-        unit[t] = 1
-        cols.append([row[nvar + j] for row in link] + no_vars + unit)
-    # the equality pass left its r0 pivot columns final
-    rest = cols[r0:]
-    pivots = _column_hermite(rest, [*range(nk), *range(nk + nvar, 2 * nk + nvar)])
-    cols[r0:] = rest
-    a = list(zip(*cols))
-    on_links = sum(row < nk for row, _ in pivots)
-    rank = r0 + on_links
-    wdim = len(pivots) - on_links
-    nfree = len(cols) - r0 - len(pivots)
-    pivot_of_row = {row: r0 + c for row, c in pivots}
-    u = tuple(a[nk:nk + nvar])
-    slack_rows = a[nk + nvar:]
+    nvar, neq = matrix.nvar, matrix.neq
+    columns = [*range(nvar), *(nvar + j for j in kept)]
+    rows = [*matrix.rows[:neq], *(matrix.rows[neq + j] for j in kept)]
+    m, ncols = len(rows), len(columns)
+    cols = []
+    for k, c in enumerate(columns):
+        unit = [0] * ncols
+        unit[k] = 1
+        cols.append([row[c] for row in rows] + unit)
+    pivots = _column_hermite(cols, [*range(m), *range(m + nvar, m + ncols)])
+    # back to rows: the m kept rows . u, then u; with no columns, m empty rows
+    a = list(zip(*cols)) or [()] * m
+    rank = sum(row < m for row, _ in pivots)
+    wdim = len(pivots) - rank
+    nfree = ncols - len(pivots)
+    pivot_of_row = dict(pivots)
+    u = tuple(a[m:m + nvar])
+    slack_rows = a[m + nvar:]
     slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
     bounds, nonneg, sums, open_ = _chain(slack_w, wdim, kept)
     ray = None
@@ -271,11 +243,9 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
         ray = [sum(map(mul, row[rank:], direction)) for row in u]
         g = gcd(*ray)
         ray = tuple(c // g for c in ray) if g > 1 else tuple(ray)
-    # the equality rows are zero past their own pivot columns
-    pad = (0,) * (rank - r0)
     return _Lattice(
-        matrix.eq_pivot_col + tuple(map(pivot_of_row.get, range(nk))),
-        tuple(row + pad for row in matrix.eq_echelon) + tuple(r[:rank] for r in a[:nk]),
+        tuple(map(pivot_of_row.get, range(m))),
+        tuple(r[:rank] for r in a[:m]),
         u,
         tuple(r[:rank] for r in slack_rows),
         slack_w,
@@ -298,7 +268,8 @@ class _Trial(NamedTuple):
 
 
 def _shared_trial(lat: _Lattice, kept: tuple[int, ...]) -> _Trial:
-    """A core trial that keeps the forms in `kept`, searched on its
+    """A core trial that keeps the signs of the forms in `kept` and the
+    integrality of every form, so its integer points are those of its
     system's lattice `lat`: the kept slacks' rows of slack_w, reduced by
     one _column_hermite so that the pivot columns come first and the
     directions that move no kept slack join the free ones, then the chain
@@ -307,25 +278,6 @@ def _shared_trial(lat: _Lattice, kept: tuple[int, ...]) -> _Trial:
     wdim = len(_column_hermite(cols, range(len(kept))))
     slack_w = [tuple(col[t] for col in cols[:wdim]) for t in range(len(kept))]
     return _Trial(wdim, lat.nfree + lat.wdim - wdim, *_chain(slack_w, wdim, kept))
-
-
-def _rank_mod(rows, ell: int, most: int = -1) -> int:
-    """The rank modulo the prime ell of rows of integers mod ell, or `most`
-    once it reaches it: each row is reduced by the echelon rows before it,
-    each with a 1 at its own pivot and a 0 at every earlier one."""
-    echelon: dict[int, list[int]] = {}  # pivot column -> row
-    for row in rows:
-        for c, pivot_row in echelon.items():
-            f = row[c]
-            if f:
-                row = [(x - f * y) % ell for x, y in zip(row, pivot_row)]
-        c = next((c for c, x in enumerate(row) if x), None)
-        if c is not None:
-            inv = pow(row[c], -1, ell)
-            echelon[c] = [x * inv % ell for x in row]
-            if len(echelon) == most:
-                break
-    return len(echelon)
 
 
 def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
@@ -533,105 +485,26 @@ class SolveReport:
 
 class _Matrix:
     """The integer rows of _matrix, which systems with the same linear parts
-    share, over nvar variables with the neq equalities first; the pass of
-    the Hermite elimination over the equality rows, which every lattice of
-    the matrix shares; the memo of the _lattice of each tuple of kept forms,
-    all of them for a system; and the memo of what the core trial of each
-    tuple of kept forms searches at its system's point (trial): the
-    system's lattice, when the rank test of same_lattice, whose ranks of
-    every form are computed on its first call (moduli), says it is the kept
-    forms' lattice, else the kept forms' own.
-
-    An equality row is zero on every slack column, so that pass pivots,
-    swaps and combines only the variable columns, whichever forms a lattice
-    keeps.  It runs once, on the variable columns stacked over every row and
-    the identity, and keeps what each _lattice continues from: its eq_rank
-    pivot columns, which no later pass changes, the equalities' pivot
-    columns and echelon rows, and each variable column as (its entries on
-    the slack-link rows, its column of u)."""
+    share, over nvar variables with the neq equalities first; their one
+    _lattice, with every form kept, built on its first use (lattice); and
+    the memo of the _shared_trial of each tuple of kept forms (trial)."""
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], nvar: int, neq: int):
-        cols = []
-        for c in range(nvar):
-            unit = [0] * nvar
-            unit[c] = 1
-            cols.append([row[c] for row in rows] + unit)
-        pivots = _column_hermite(cols, range(neq))
-        pivot_of_row = dict(pivots)
         self.rows, self.nvar, self.neq = rows, nvar, neq
-        self.eq_rank = len(pivots)
-        self.eq_pivot_col = tuple(map(pivot_of_row.get, range(neq)))
-        self.eq_echelon = tuple(tuple(col[r] for col in cols[:self.eq_rank]) for r in range(neq))
-        self.columns = [(col[neq:len(rows)], col[len(rows):]) for col in cols]
-        self.lattices: dict[tuple[int, ...], _Lattice] = {}
-        self.trials: dict[tuple[int, ...], _Trial | _Lattice] = {}
-
-    def lattice(self, kept: tuple[int, ...]) -> _Lattice:
-        """The lattice of the forms in `kept`, built on its first request."""
-        lat = self.lattices.get(kept)
-        if lat is None:
-            lat = self.lattices[kept] = _lattice(self, kept)
-        return lat
-
-    def trial(self, kept: tuple[int, ...]) -> _Trial | _Lattice:
-        """What a core trial that keeps the forms in `kept` searches at its
-        system's slack values, built on its first request: the system's
-        lattice (_shared_trial) when it is the lattice of the kept forms
-        (same_lattice), else the kept forms' own."""
-        trial = self.trials.get(kept)
-        if trial is None:
-            if self.same_lattice(kept):
-                trial = _shared_trial(self.lattice(tuple(range(len(self.rows) - self.neq))), kept)
-            else:
-                trial = self.lattice(kept)
-            self.trials[kept] = trial
-        return trial
+        self.trials: dict[tuple[int, ...], _Trial] = {}
 
     @cached_property
-    def moduli(self) -> list | None:
-        """For each prime ell of the forms' dens at which some entry is not
-        0, the link entries mod ell on the equality-kernel columns of the
-        forms whose den ell divides, by form, and their rank mod ell; None
-        when a den has a square factor."""
-        nvar, neq, kernel = self.nvar, self.neq, self.columns[self.eq_rank:]
-        dens = [-self.rows[neq + j][nvar + j] for j in range(len(self.rows) - neq)]
-        primes: set[int] = set()
-        for den in set(dens):
-            factors = factorize(den)
-            if any(e > 1 for e in factors.values()):
-                return None
-            primes.update(factors)
-        moduli = []
-        for ell in sorted(primes):
-            rows = {
-                j: [on_link[j] % ell for on_link, _ in kernel]
-                for j, den in enumerate(dens) if den % ell == 0
-            }
-            # a prime at which every entry is 0 constrains no point
-            if rank := _rank_mod(rows.values(), ell):
-                moduli.append((ell, rows, rank))
-        return moduli
+    def lattice(self) -> _Lattice:
+        """The lattice of every form."""
+        return _lattice(self, tuple(range(len(self.rows) - self.neq)))
 
-    def same_lattice(self, kept: tuple[int, ...]) -> bool:
-        """Whether the integer points of the equalities at which the forms
-        in `kept` are integers all make every form an integer: whether the
-        kept forms' lattice is the one of all forms.
-
-        The equality-kernel columns are a basis of the equalities' integer
-        kernel.  From a point where every form is an integer, form j stays
-        one at the kernel vector with coordinates t exactly when its entries
-        a_j on those columns give a_j . t = 0 (mod den_j), and for a
-        squarefree den_j, exactly when that holds mod each prime ell of
-        den_j.  Per ell, the rows a_j of the forms that ell divides cut out
-        a sublattice of index ell^r, r their rank mod ell, and the kept
-        forms' one contains every form's.  The lattices are the
-        intersections over the primes, so they are equal exactly when the
-        ranks are at every prime.  A den with a square factor says no."""
-        moduli = self.moduli
-        return moduli is not None and all(
-            _rank_mod([rows[j] for j in kept if j in rows], ell, rank) == rank
-            for ell, rows, rank in moduli
-        )
+    def trial(self, kept: tuple[int, ...]) -> _Trial:
+        """What a core trial that keeps the forms in `kept` searches at its
+        system's slack values, built on its first request."""
+        trial = self.trials.get(kept)
+        if trial is None:
+            trial = self.trials[kept] = _shared_trial(self.lattice, kept)
+        return trial
 
 
 def _matrix(system: FeasibilitySystem) -> _Matrix:
@@ -680,8 +553,8 @@ def _search(
     """Decide a lattice at the values K of its kept slacks at one integer
     point: the status ("infeasible", "solutions" or "unbounded"), the
     number of search nodes and, with "infeasible", the proof (support,
-    empty), else None.  A core trial on its system's lattice passes its
-    _Trial, which holds every field the search reads.
+    empty), else None.  A core trial passes its _Trial, which holds every
+    field the search reads.
 
     Every integer solution is that point plus u . (0, w, v), so each kept
     slack is K plus its row of u on w, and K only gives the lattice's chain
@@ -805,17 +678,18 @@ def enumerate_system(system: FeasibilitySystem, matrix: _Matrix | None = None) -
     """Deterministic enumeration of the integer points: all of them, or the
     first on a lattice with free directions, which is unbounded anyway.
 
-    `matrix` holds the system's integer rows and the memo of the lattices
-    of its solves; the systems of one _solve_level call share one, as they
-    have the same linear parts and differ only in the right-hand side,
+    `matrix` holds the system's integer rows, their lattice and the memo
+    of its core trials; the systems of one _solve_level call share one, as
+    they have the same linear parts and differ only in the right-hand side,
     which each reads off its own forms' constants.  By default the system
     and its core trials get a fresh one.  The stats of an infeasible report
-    count its core trials: those searched ("trials") and those its proofs
+    count its core trials: those searched, or without an integer point
+    checked by a forward substitution ("trials"), and those its proofs
     decide without a search ("decided").
     """
     if matrix is None:
         matrix = _matrix(system)
-    lat = matrix.lattice(tuple(range(len(system.nonneg_integral))))
+    lat = matrix.lattice
     y = _particular(lat, _rhs(system))
     slacks = None if y is None else _slack_values(lat, y)
     report, proof = _solve(lat, y, slacks, system.variables)
@@ -880,32 +754,30 @@ def _infeasible_core(
 
     `matrix`, `slacks` and `proof` are the system's (slacks: its slack
     values at its integer point, None when it has none; proof: its
-    search's, None without a point).  A trial keeps some forms and drops
-    the slack-link rows and slack columns of the others, so it decides
-    exactly the integer rows of the smaller system.  With a system point,
-    which solves those rows too, it is the status of _search at the
-    system's values of the kept slacks, on what _Matrix.trial gives: the
-    system's lattice when the kept forms have it (a _Trial), with the
-    directions that move no kept slack free, else the kept forms' own.  The
-    status depends only on the trial's integer points and its relaxation,
-    which the two share, so it is the same on both.  Without a system
-    point, it is the status at the slack values of the trial's own point on
-    the kept forms' own lattice (_Matrix.lattice).
+    search's, None without a point).  With a system point, a trial drops
+    the signs of some forms and keeps the integrality of every form, so its
+    integer points are the system's: it is the status of _search at the
+    system's values of the kept slacks, on the system's lattice with the
+    directions that move no kept slack free (_Matrix.trial).  Without one,
+    the system is a Hermite contradiction, which reads no sign: a trial
+    keeps the integrality of some forms and no sign, and is infeasible
+    when the equalities and the kept forms' link rows have no integer
+    point (_particular on their _lattice).
 
-    Two kinds of trial are decided without a search, each with the status
-    its search would give.  The current proof, the system's or that of the
-    last searched trial that was infeasible, covers the current core: its
-    support is a subset of it, and no point of the lattice it searched, so
-    no point of the system's, makes every form of the support non-negative.
+    Two kinds of trial with a system point are decided without a search,
+    each with the status its search would give.  The current proof, the
+    system's or that of the last searched trial that was infeasible, covers
+    the current core: its support is a subset of it, and no point of the
+    system's lattice makes every form of the support non-negative.
     (1) A trial that drops a form outside the support is infeasible when
     the proof is an empty relaxation, which then holds for the trial too,
-    or when the trial is a _Trial whose chain leaves no coordinate open:
-    its integer points are the system's, none of them is feasible, and a
-    closed chain gives the search no "unbounded" to return.  The core
-    loses the form and the proof stays, as it still covers the core.
-    (2) When the system's search reached its DFS, its relaxation is
-    non-empty, and so is every trial's, which has fewer forms: a trial
-    whose chain leaves a coordinate open is unbounded and keeps its form.
+    or when the trial's chain leaves no coordinate open: its integer points
+    are the system's, none of them is feasible, and a closed chain gives
+    the search no "unbounded" to return.  The core loses the form and the
+    proof stays, as it still covers the core.  (2) When the system's search
+    reached its DFS, its relaxation is non-empty, and so is every trial's,
+    which has fewer forms: a trial whose chain leaves a coordinate open is
+    unbounded and keeps its form.
 
     A form whose slack no lattice coordinate moves (its row of u is zero on
     w) is fixed by the equalities: it is constant on their real solution
@@ -914,28 +786,27 @@ def _infeasible_core(
     redundant in every trial; the greedy filter would drop it at its turn
     and decide every other form as it does with it, so the core starts
     without it and it gets no trial.  Its slack row has no coordinate, so
-    it is never in a proof's support.  A form fixed at a negative value,
-    and every form of a system without an integer point, stays in the loop.
+    it is never in a proof's support.
     """
     forms = system.nonneg_integral
-    neq = matrix.neq
-    live = range(len(forms))
     if slacks is None:
-        rhs = _rhs(system)
-    else:
-        w_rows = matrix.lattice(tuple(live)).slack_w
-        live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
+        rhs, neq = _rhs(system), matrix.neq
+        core = tuple(range(len(forms)))
+        for j in range(len(forms)):
+            kept = tuple(i for i in core if i != j)
+            if _particular(_lattice(matrix, kept), rhs[:neq] + [rhs[neq + i] for i in kept]) is None:
+                core = kept
+        return [forms[j][1] for j in core], len(forms), 0
+    live = [j for j, w_row in enumerate(matrix.lattice.slack_w) if any(w_row) or slacks[j] < 0]
     # the system's search reached its DFS exactly when its proof is a tree
-    nonempty = proof is not None and not proof[1]
+    nonempty = not proof[1]
     core = tuple(live)
     searched = decided = 0
     for j in live:
         t = core.index(j)  # j stays in the core until its own trial
         kept = core[:t] + core[t + 1:]
-        sub = None if slacks is None else matrix.trial(kept)
-        if proof is not None and not proof[0] >> j & 1 and (
-            proof[1] or type(sub) is _Trial and sub.open is None
-        ):
+        sub = matrix.trial(kept)
+        if not proof[0] >> j & 1 and (proof[1] or sub.open is None):
             decided += 1  # (1)
             core = kept
             continue
@@ -943,14 +814,7 @@ def _infeasible_core(
             decided += 1  # (2)
             continue
         searched += 1
-        if slacks is None:
-            sub = matrix.lattice(kept)
-            y = _particular(sub, rhs[:neq] + [rhs[neq + i] for i in kept])
-            status, _, found = ("infeasible", 0, None) if y is None else _search(
-                sub, _slack_values(sub, y)
-            )
-        else:
-            status, _, found = _search(sub, list(map(slacks.__getitem__, kept)))
+        status, _, found = _search(sub, list(map(slacks.__getitem__, kept)))
         if status == "infeasible":
             core, proof = kept, found
     return [forms[j][1] for j in core], searched, decided
@@ -972,7 +836,7 @@ def _solve_level(
     non-negative integer for each (row, ell), and mu_ell(row) = target for
     each equality (row, ell, target).  Every system has these rows, so each
     linear part, each ell's level traces, the names, the sorted variables
-    with the augmentation, and the integer matrix with its memo of lattices
+    with the augmentation, and the integer matrix with its lattice
     are built once per call; each system adds only its forms' constants.
 
     The constant of mu_ell(row) is k times the multiplicity's constant: the

@@ -19,11 +19,13 @@ Grammar (one directive per line; blank lines and ``#`` comments ignored)::
     part       := c | c "^" m           (a cycle length, optionally repeated)
 
 Class labels are written in the ``r.j`` shorthand where possible; row names
-are free-form opaque labels.  Classes are S_n cycle types for ``group A`` as
-well, so a row there must take the same value on both halves of a cycle
-type that splits in A_n (distinct odd parts): the solver has one variable
-per cycle type (see luthar_passi.allowed_support).  Every row must provide a value for every
-listed class; the identity class is implicit (its value is the degree).
+are free-form opaque labels, and each cycle type has one label.  Classes are
+S_n cycle types for ``group A`` as well, each one of an even permutation,
+so a row there must take the same value on both halves of a cycle type that
+splits in A_n (distinct odd parts): the solver has one variable per cycle
+type (see luthar_passi.allowed_support).  Every row must provide a value
+for every listed class; the identity class is implicit (its value is the
+degree).
 Serialization is canonical: classes in the standard class order, rows by
 name, and parse(serialize(t)) == t whenever t is already in that order.
 """
@@ -35,7 +37,9 @@ from dataclasses import dataclass
 
 from .characters import NAMED_CHARACTERS, character_value, degree, named_partition
 from . import luthar_passi
-from .luthar_passi import CharacterRow, class_sort_key, format_class, format_cycle_type
+from .luthar_passi import (
+    CharacterRow, class_sort_key, format_class, format_cycle_type, in_group,
+)
 from .partitions import (
     PRIME_TEST_BOUND,
     IntegerTooLong,
@@ -115,6 +119,7 @@ def parse_table(text: str) -> TableFile:
     kind = n = mode = modulus = None
     classes: list[tuple[str, Partition]] = []
     class_labels: dict[str, Partition] = {}
+    labels_of: dict[Partition, str] = {}  # each cycle type's label
     row_degrees: dict[str, int] = {}
     row_order: list[str] = []
     values: dict[str, dict[str, int]] = {}
@@ -167,15 +172,23 @@ def parse_table(text: str) -> TableFile:
             if label in class_labels:
                 raise TableError("duplicate-class", lineno, f"class {label!r} listed twice")
             ct = parse_cycle_type(tokens[2], lineno, n)
+            if ct in labels_of:
+                raise TableError(
+                    "duplicate-class", lineno,
+                    f"class {label!r} has the cycle type of class {labels_of[ct]!r}",
+                )
             order = _int(tokens[3], lineno, "element order")
             if order != element_order(ct):
                 raise TableError(
                     "order-mismatch", lineno,
                     f"declared order {order} differs from the cycle type's order {element_order(ct)}",
                 )
+            if not in_group(ct, kind):
+                raise TableError("bad-class", lineno, f"class {label} ({tokens[2]}) is not in {kind}_{n}")
             if modulus is not None and order % modulus == 0:
                 raise TableError("singular-class", lineno, f"class {label} is {modulus}-singular")
             class_labels[label] = ct
+            labels_of[ct] = label
             classes.append((label, ct))
         elif directive == "row":
             if len(tokens) != 3:

@@ -38,9 +38,12 @@ def s13_order33_table():
     return load_bundled_table("s13-mod2-order33.tbl")
 
 
-def brute_force_solutions(system: FeasibilitySystem, bound: int) -> list[tuple[int, ...]]:
+def brute_force_solutions(
+    system: FeasibilitySystem, bound: int, integral: tuple[AffineForm, ...] = ()
+) -> list[tuple[int, ...]]:
     """All integer points of the system inside the box [-bound, bound]^vars,
-    by exhaustive scan of each form's integer numerator."""
+    by exhaustive scan of each form's integer numerator.  Each form of
+    `integral` must be an integer too, of either sign."""
     nvar = len(system.variables)
 
     def numerators(f: AffineForm) -> list[int]:
@@ -52,6 +55,8 @@ def brute_force_solutions(system: FeasibilitySystem, bound: int) -> list[tuple[i
         constraints.append((numerators(f), f.constant, "eq", f.den * target))
     for f, _ in system.nonneg_integral:
         constraints.append((numerators(f), f.constant, "nonneg-int", f.den))
+    for f in integral:
+        constraints.append((numerators(f), f.constant, "int", f.den))
     found = []
     for point in itertools.product(range(-bound, bound + 1), repeat=nvar):
         ok = True
@@ -62,8 +67,9 @@ def brute_force_solutions(system: FeasibilitySystem, bound: int) -> list[tuple[i
                     ok = False
                     break
             else:
-                # form value is value/aux; needs to be an integer >= 0
-                if value < 0 or value % aux:
+                # form value is value/aux; needs to be an integer, and >= 0
+                # unless only its integrality is asked
+                if value % aux or (kind == "nonneg-int" and value < 0):
                     ok = False
                     break
         if ok:
@@ -249,9 +255,8 @@ def row_major_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> Hermi
 
 
 # ---------------------------------------------------------------------------
-# oracle: the elimination from scratch that solver._lattice replaced, which
-# ran the pass over the equality rows again for every tuple of kept forms
-# instead of continuing the matrix's own
+# oracle: the elimination of solver._lattice, written out again with a
+# Hermite elimination of its own
 
 
 def scratch_hermite(cols: list[list[int]], pivot_rows) -> list[tuple[int, int]]:
@@ -326,28 +331,16 @@ def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattic
     )
 
 
-def covolume_squared(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> int:
-    """The squared covolume of the lattice of the integer points x of the
-    homogeneous kept rows of a solver._matrix, in the variables: the Gram
-    determinant of its basis, the variable rows of u on the columns past
-    the rank of scratch_lattice (each slack is a function of x, as every
-    den is non-zero).  The lattice of fewer forms contains that of more,
-    so the two are equal exactly when their covolumes are."""
-    lat = scratch_lattice(rows, nvar, neq, kept)
-    basis = [row[lat.rank:] for row in lat.u]
-    dim = nvar + len(kept) - lat.rank
-    gram = [[Fraction(sum(b[i] * b[j] for b in basis)) for j in range(dim)] for i in range(dim)]
-    det = Fraction(1)
-    for c in range(dim):
-        p = next((r for r in range(c, dim) if gram[r][c]), None)
-        if p is None:
-            return 0
-        gram[c], gram[p] = gram[p], gram[c]
-        det *= gram[c][c] if p == c else -gram[c][c]
-        for r in range(c + 1, dim):
-            f = gram[r][c] / gram[c][c]
-            gram[r] = [a - f * b for a, b in zip(gram[r], gram[c])]
-    return int(det)
+def sign_trial_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:
+    """The scratch_lattice of a core trial of a solver._matrix that keeps
+    the sign of the forms in `kept` and the integrality of every form: the
+    link row of each other form joins the equality rows, and its slack the
+    variables, so the trial's kept slack t is form kept[t]'s."""
+    dropped = [j for j in range(len(rows) - neq) if j not in kept]
+    cols = [*range(nvar), *(nvar + j for j in dropped), *(nvar + j for j in kept)]
+    order = [*range(neq), *(neq + j for j in dropped), *(neq + j for j in kept)]
+    moved = [[rows[r][c] for c in cols] for r in order]
+    return scratch_lattice(moved, nvar + len(dropped), neq + len(dropped), tuple(range(len(kept))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import is_pair_system, scratch_lattice
+from conftest import is_pair_system, scratch_lattice, sign_trial_lattice
 
 import sntorsion.cases as cases_mod
 from sntorsion.cases import (
@@ -170,7 +170,7 @@ def test_thm32_order3_stage_with_free_directions_stops_at_its_first_point(
     _case_thm32(n, p, q)
     monkeypatch.undo()
     ((system, report),) = seen
-    lat = solver._matrix(system).lattice(tuple(range(len(system.nonneg_integral))))
+    lat = solver._matrix(system).lattice
     assert report.status == "unbounded" and lat.nfree > 0
     # the path to the first leaf, where a search of every point visits
     # full_search_nodes
@@ -251,14 +251,14 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # searched and decided without a search (each summed from the reports'
     # stats too), lattice builds, each equal to the elimination from
     # scratch and each a system's, as every core trial searches its
-    # system's lattice (none falls back to a lattice of its own),
-    # Fourier-Motzkin chains, one per lattice and one per trial structure,
-    # the lattices whose ray is a recession ray (a coordinate open) and
-    # those with free directions, and forward substitutions, one per
-    # system, as every core trial starts from its system's point.  Every
-    # core trial, searched or decided, is replayed: its status on its
-    # structure and on its own lattice from scratch is infeasible exactly
-    # when the core drops its form
+    # system's lattice, Fourier-Motzkin chains, one per lattice and one per
+    # trial structure, the lattices whose ray is a recession ray (a
+    # coordinate open) and those with free directions, and forward
+    # substitutions, one per system, as every core trial starts from its
+    # system's point.  Every core trial, searched or decided, is replayed:
+    # its status on its structure and on the lattice from scratch of the
+    # system with the dropped forms' link rows as equalities is infeasible
+    # exactly when the core drops its form
     counts = Counter()
     real_enumerate, real_search, real_lattice, real_chain, real_particular, real_trial, real_core = (
         solver.enumerate_system, solver._search, solver._lattice, solver._chain,
@@ -279,21 +279,20 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         counts["solve nodes"] += nodes
         if leaves is None:
             counts["trials"] += 1
-            counts["fallbacks"] += isinstance(lat, solver._Lattice)
         return status, nodes, proof
 
     def coring(system, matrix, slacks, proof):
         names, searched, decided = real_core(system, matrix, slacks, proof)
         assert slacks is not None
         final = {j for j, (_, name) in enumerate(system.nonneg_integral) if name in names}
-        w_rows = matrix.lattice(tuple(range(len(system.nonneg_integral)))).slack_w
+        w_rows = matrix.lattice.slack_w
         live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
         core = tuple(live)
         for j in live:
             kept = tuple(i for i in core if i != j)
             at_kept = [slacks[i] for i in kept]
             status = real_search(real_trial(matrix, kept), at_kept)[0]
-            own = scratch_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
+            own = sign_trial_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
             assert real_search(own, at_kept)[0] == status
             if status == "infeasible":
                 core = kept
@@ -334,7 +333,7 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         assert {"verdict": report.verdict, "sha256": digest} == expected, key
     assert counts == {
         "systems": 898, "system nodes": 6219, "solve nodes": 8891, "trials": 941,
-        "stats trials": 941, "decided": 3755, "replayed": 4696, "fallbacks": 0,
+        "stats trials": 941, "decided": 3755, "replayed": 4696,
         "lattices": 106, "chains": 477, "open": 0, "free": 9, "particular": 898,
     }
 
@@ -347,7 +346,7 @@ def test_the_closed_chain_guard_of_a_decided_drop_changes_sweep_certificates(mon
     # other certificates: some sweep reports then differ from
     # bench/reference.json
     source = inspect.getsource(solver._infeasible_core)
-    mutant = source.replace(" and sub.open is None", "")
+    mutant = source.replace("(proof[1] or sub.open is None)", "True")
     assert mutant != source
     namespace = {}
     exec(compile(mutant, solver.__file__, "exec"), vars(solver), namespace)

@@ -71,6 +71,17 @@ def test_chartable_enforces_the_degree_limit(capsys):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("spelling", ["+5", "1_0", " 6", "\u0667"])
+def test_chartable_reads_its_integers_as_ascii_digits(spelling, capsys):
+    # int() reads each: a '+' sign, a '_' separator, leading white space and
+    # an Arabic-Indic digit, and each value is within the limit
+    reason = "expected a decimal integer"
+    rc, out, err = run(capsys, "chartable", spelling)
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad degree {spelling!r}; {reason}\n")
+    rc, out, err = run(capsys, "chartable", "5", "--limit", spelling)
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: bad --limit {spelling!r}; {reason}\n")
+
+
 def test_chartable_rejects_unknown_characters(capsys):
     rc, _, err = run(capsys, "chartable", "7", "--char", "nonesuch")
     assert rc == EXIT_INPUT and "nonesuch" in err

@@ -2,6 +2,7 @@
 
 import inspect
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     HermiteSplit, affine_form, as_bounds, brute_force_solutions, cleared_form, coeff,
-    concrete_solve, covolume_squared, eliminate, fm_chain, is_pair_system, leafwise_solutions,
-    normalize, parse_class, pinned_recession_ray, row_major_lattice, scratch_lattice,
+    concrete_solve, eliminate, fm_chain, is_pair_system, leafwise_solutions, normalize,
+    parse_class, pinned_recession_ray, row_major_lattice, sign_trial_lattice,
     solutionwise_recheck,
 )
 
@@ -85,24 +86,15 @@ def test_solve_integer_system_checks_consistency_of_dependent_rows():
 
 
 @st.composite
-def integer_matrices(draw, dens=None):
+def integer_matrices(draw):
     """(rows, nvar, neq, kept) for _lattice: neq + nform rows over nvar
     variables and nform slacks, and a subset of the forms kept.  As in a
-    _matrix, each of the neq equality rows is zero on the slack columns.
-    With a strategy `dens`, each slack-link row is that of a _matrix too:
-    -den on its own slack column, with den drawn from `dens`, and 0 on the
-    other slack columns."""
+    _matrix, each of the neq equality rows is zero on the slack columns."""
     nvar, neq, nform = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
     entries = st.lists(st.integers(-6, 6), min_size=nvar, max_size=nvar)
     links = st.lists(st.integers(-6, 6), min_size=nvar + nform, max_size=nvar + nform)
     rows = tuple(tuple(draw(entries)) + (0,) * nform for _ in range(neq))
-    if dens is None:
-        rows += tuple(tuple(draw(links)) for _ in range(nform))
-    else:
-        for j in range(nform):
-            slacks = [0] * nform
-            slacks[j] = -draw(dens)
-            rows += (tuple(draw(entries)) + tuple(slacks),)
+    rows += tuple(tuple(draw(links)) for _ in range(nform))
     kept = tuple(j for j in range(nform) if draw(st.booleans()))
     return rows, nvar, neq, kept
 
@@ -125,26 +117,6 @@ def test_lattice_matches_the_row_major_elimination(drawn):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(integer_matrices(), st.data())
-def test_lattices_continue_the_matrix_equality_pass_as_a_fresh_elimination(drawn, data):
-    # every lattice of one matrix continues the matrix's one pass over the
-    # equality rows; each must equal the elimination of its kept rows from
-    # scratch, field by field, whichever forms it keeps and in which order
-    # the lattices are built
-    rows, nvar, neq, kept = drawn
-    matrix = solver._Matrix(rows, nvar, neq)
-    for _ in range(3):
-        lat = matrix.lattice(kept)
-        oracle = scratch_lattice(rows, nvar, neq, kept)
-        for name in solver._Lattice._fields:
-            assert getattr(lat, name) == getattr(oracle, name), name
-        # the chain's rows give every constant lam . K
-        slacks = data.draw(st.lists(st.integers(-9, 9), min_size=len(kept), max_size=len(kept)))
-        assert_chain_rows_evaluate_to_lam_k(lat, slacks)
-        kept = tuple(j for j in range(len(rows) - neq) if data.draw(st.booleans()))
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
 @given(integer_matrices())
 def test_one_multiplier_chain_rows_are_their_slack_rows(drawn):
     # a combination of two chain rows has the slack indices of both, so a
@@ -153,31 +125,6 @@ def test_one_multiplier_chain_rows_are_their_slack_rows(drawn):
     lat = lattice(*drawn)
     singles = [row for level, _ in lat.bounds for row in level]
     assert all(coeffs == lat.slack_w[i] for coeffs, i, _ in singles)
-
-
-def test_the_rank_test_keeps_the_lattice_exactly_when_the_covolumes_agree():
-    # the kept forms' ranks mod each prime of a squarefree den decide
-    # whether their integrality alone gives the lattice of every form's: the
-    # kept lattice contains the full one, so the two are equal exactly when
-    # their covolumes are.  A den with a square factor always says no
-    seen = Counter()
-
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(integer_matrices(dens=st.sampled_from([1, 2, 3, 4, 6, 12])))
-    def check(drawn):
-        rows, nvar, neq, kept = drawn
-        every = tuple(range(len(rows) - neq))
-        same = solver._Matrix(rows, nvar, neq).same_lattice(kept)
-        if any(rows[neq + j][nvar + j] % 4 == 0 for j in every):
-            assert not same
-            seen["square"] += 1
-        else:
-            full = covolume_squared(rows, nvar, neq, every)
-            assert same == (covolume_squared(rows, nvar, neq, kept) == full)
-            seen[same] += 1
-
-    check()
-    assert set(seen) == {"square", True, False}
 
 
 def chain_rows(lat):
@@ -354,14 +301,15 @@ def test_enumeration_matches_box_brute_force(builder):
     if report.status == "infeasible":
         assert expected == []
         assert report.certificate  # at least one named form
-        # the certificate forms alone, with the other equalities, already
-        # leave the box empty
+        # the certificate forms non-negative, with every other form still
+        # an integer and the equalities met, already leave the box empty
         core = FeasibilitySystem.build(
             list(system.variables),
             [eq for eq in system.equalities if eq[2] != "augmentation"],
             [form for form in system.nonneg_integral if form[1] in report.certificate],
         )
-        assert brute_force_solutions(core, 50) == []
+        dropped = tuple(f for f, name in system.nonneg_integral if name not in report.certificate)
+        assert brute_force_solutions(core, 50, integral=dropped) == []
 
 
 def test_unique_point_system_solves_to_one():
@@ -416,7 +364,7 @@ def test_degenerate_lattices_take_the_one_search_path(
     # the search has one leaf, the particular point, unless a constant
     # slack is already negative
     system = builder()
-    lat = solver._matrix(system).lattice(tuple(range(len(system.nonneg_integral))))
+    lat = solver._matrix(system).lattice
     assert (lat.nfree, lat.wdim) == (free, wdim)
     report = enumerate_system(system)
     assert report.status == status
@@ -441,7 +389,7 @@ def free_direction_system():
 
 def test_a_lattice_with_free_directions_stops_at_its_first_point():
     system = free_direction_system()
-    lat = solver._matrix(system).lattice((0, 1, 2, 3))
+    lat = solver._matrix(system).lattice
     assert (lat.nfree, lat.wdim) == (1, 2)
     report = enumerate_system(system)
     # the first point decides the report: unbounded along the first free
@@ -511,14 +459,33 @@ def test_enumeration_is_deterministic():
 def public_deletion_filter(system):
     """The greedy infeasible core, re-solving every trial through the public
     API: drop one form at a time and keep it dropped while the rest stays
-    infeasible."""
-    core = list(system.nonneg_integral)
-    for form in system.nonneg_integral:
-        trial = [g for g in core if g is not form]
-        sub = FeasibilitySystem(system.variables, system.equalities, tuple(trial))
-        if enumerate_system(sub).status == "infeasible":
-            core = trial
-    return [name for _, name in core]
+    infeasible.  A trial drops a form's sign and keeps its integrality: a
+    dropped form f with den > 1 stays as the equality numerator(f) = den * s
+    in one fresh integer variable s.  A system without an integer point
+    reads no sign: each of its trials keeps only the integrality of the
+    forms it keeps, and no form's sign."""
+    forms = system.nonneg_integral
+
+    def infeasible(signed, integral):
+        fresh, equalities = [], []
+        for j in integral:
+            f, name = forms[j]
+            if f.den > 1:
+                fresh.append(f"s{j}")
+                equalities.append((AffineForm(((fresh[-1], -f.den), *f.coeffs), f.constant, 1), 0, name))
+        sub = FeasibilitySystem(
+            (*system.variables, *fresh), (*system.equalities, *equalities), tuple(forms[j] for j in signed)
+        )
+        return enumerate_system(sub).status == "infeasible"
+
+    every = range(len(forms))
+    point = not infeasible((), every)
+    core = list(every)
+    for j in every:
+        kept = [i for i in core if i != j]
+        if infeasible(kept, [i for i in every if i not in kept]) if point else infeasible((), kept):
+            core = kept
+    return [forms[j][1] for j in core]
 
 
 def fixed_at_a_nonnegative_integer(system, form):
@@ -554,7 +521,7 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     assert [fixed_at_a_nonnegative_integer(system, f) for f, _ in system.nonneg_integral] == [
         True, False, False
     ]
-    lat = solver._matrix(system).lattice((0, 1, 2))
+    lat = solver._matrix(system).lattice
     # the slack rows of u on the w coordinates
     assert [any(row) for row in lat.slack_w] == [False, False, True]
     tried, searched = [], []
@@ -577,9 +544,8 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     assert report.certificate == public_deletion_filter(system) == ["b + c"]
     # "a" (form 0, fixed at 2) is dropped by no trial and kept by none;
     # "b + c" (fixed at -1) gets its trial and stays, and "b" is dropped.
-    # Every den is 1, so each trial is given the system's lattice.  The
-    # system's proof is the empty relaxation of "b + c" alone, so the trial
-    # of "b", outside it, is decided without a search
+    # The system's proof is the empty relaxation of "b + c" alone, so the
+    # trial of "b", outside it, is decided without a search
     assert tried == [(2,), (1,)]
     assert searched == [solver._Trial]
     assert (report.stats["trials"], report.stats["decided"]) == (1, 1)
@@ -736,10 +702,9 @@ def test_form_parts_are_built_once_per_row_group(monkeypatch):
 
 
 def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
-    # one Hermite pass over the equality rows per matrix, one continuation
-    # of it per distinct (rows, kept forms) lattice, and one reduction of
-    # the system lattice's kept slack rows per distinct (rows, kept forms)
-    # core trial, as every trial here searches its system's lattice
+    # one Hermite elimination per matrix, its one lattice, and one
+    # reduction of that lattice's kept slack rows per distinct (rows, kept
+    # forms) core trial
     hermite_calls = 0
     lattices, trials, matrices = set(), set(), []
     per_call = []
@@ -778,8 +743,8 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
     _case_thm32(12, 11, 3)
     _case_thm32(12, 11, 3)
     (calls, distinct, tried, shared), again = per_call
-    assert shared == 1
-    assert 0 < calls == distinct + tried + shared
+    assert distinct == shared == 1
+    assert 0 < calls == distinct + tried
     assert again == (calls, distinct, tried, shared)
 
 
@@ -807,16 +772,11 @@ def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
 def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
     run, matrices, structures, trials, monkeypatch
 ):
-    builds, tried, fallbacks, current, in_core = [], [], [], None, False
-    real_lattice, real_shared, real_trial, real_core, real_pq = (
-        solver._lattice, solver._shared_trial, solver._Matrix.trial,
-        solver._infeasible_core, cases_mod.solve_order_pq,
+    builds, tried, current = [], [], None
+    real_shared, real_trial, real_core, real_pq = (
+        solver._shared_trial, solver._Matrix.trial, solver._infeasible_core,
+        cases_mod.solve_order_pq,
     )
-
-    def falling_back(matrix, kept):
-        if in_core:
-            fallbacks.append((matrix.rows, kept))
-        return real_lattice(matrix, kept)
 
     def trying(matrix, kept):
         nonlocal current
@@ -828,10 +788,7 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
         return real_shared(lat, kept)
 
     def recording(system, matrix, slacks, proof):
-        nonlocal in_core
-        in_core = True
         core, searched, decided = real_core(system, matrix, slacks, proof)
-        in_core = False
         rows = solver._matrix(system).rows
         # a form that the equalities fix at a non-negative integer gets no
         # trial and no trial keeps it; the greedy filter's trial of each
@@ -852,7 +809,6 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
         tried.clear()
         return real_pq(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_lattice", falling_back)
     monkeypatch.setattr(solver, "_shared_trial", sharing)
     monkeypatch.setattr(solver._Matrix, "trial", trying)
     monkeypatch.setattr(solver, "_infeasible_core", recording)
@@ -860,10 +816,9 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
     run()
     # each (matrix, kept forms) structure a trial needs is built once, on
     # its first trial, on its system's lattice, and never for the other
-    # trials that keep the same forms; no trial builds a lattice of its own
+    # trials that keep the same forms
     assert Counter(builds) == Counter(set(tried))
     assert (len({rows for rows, _ in tried}), len(builds), len(tried)) == (matrices, structures, trials)
-    assert fallbacks == []
 
 
 def half_equality_system():
@@ -966,7 +921,7 @@ def test_the_column_recheck_raises_as_the_per_solution_recheck():
 def test_solve_reads_the_leaves_a_column_at_a_time_as_one_leaf_at_a_time():
     seen = Counter()
 
-    @settings(max_examples=250, derandomize=True, deadline=None)
+    @settings(max_examples=500, derandomize=True, deadline=None)
     @given(st.one_of(random_systems(max_vars=4, box=True), random_systems(max_vars=4, box=False)),
            st.booleans(), st.data())
     def check(drawn, every_form, data):
@@ -974,7 +929,7 @@ def test_solve_reads_the_leaves_a_column_at_a_time_as_one_leaf_at_a_time():
         matrix = solver._matrix(system)
         nform = len(system.nonneg_integral)
         kept = tuple(j for j in range(nform) if every_form or data.draw(st.booleans()))
-        lat = matrix.lattice(kept)
+        lat = solver._lattice(matrix, kept)
         rhs = solver._rhs(system)
         y = solver._particular(lat, rhs[:matrix.neq] + [rhs[matrix.neq + j] for j in kept])
         if y is None:
@@ -1090,18 +1045,19 @@ def test_a_system_whose_relaxation_is_unbounded_but_has_no_integer_point_is_infe
 def test_a_shared_trial_frees_the_system_directions_that_move_no_kept_slack():
     # keeping only the forms in a, b moves no kept slack of the system's
     # lattice: the trial frees it, finds no integer a = -1/2 and is
-    # infeasible, as on the kept forms' own lattice.  Left as a coordinate
-    # that no row bounds, b would read as open and the trial as unbounded
+    # infeasible, as on the kept forms' own lattice (every den is 1, so no
+    # dropped form's integrality counts).  Left as a coordinate that no row
+    # bounds, b would read as open and the trial as unbounded
     system = half_integer_a_system()
     matrix = solver._matrix(system)
-    lat = matrix.lattice((0, 1, 2, 3))
+    lat = matrix.lattice
     slacks = solver._slack_values(lat, solver._particular(lat, solver._rhs(system)))
     kept = (2, 3)
     trial = solver._shared_trial(lat, kept)
     assert (lat.wdim, lat.nfree, trial.wdim, trial.nfree) == (2, 1, 1, 2)
     at_kept = [slacks[j] for j in kept]
     assert solver._search(trial, at_kept)[0] == "infeasible"
-    assert solver._search(matrix.lattice(kept), at_kept)[0] == "infeasible"
+    assert solver._search(solver._lattice(matrix, kept), at_kept)[0] == "infeasible"
 
 
 def with_extra_form(system, extra: str):
@@ -1117,17 +1073,20 @@ def with_extra_form(system, extra: str):
 
 
 def test_core_trials_from_the_system_point_match_trials_from_their_own():
-    # a trial keeps a subset of its system's rows, so the system's integer
-    # point solves it too, and the trial's own point differs from it by an
-    # integer kernel vector: on the trial's own lattice the search ranges
-    # move by integers, and the status and node count stay.  With that
-    # point, a trial whose kept forms have the system's lattice
-    # (same_lattice) searches the system's lattice instead: it has the same
-    # integer points and the same relaxation, so the status stays.  The
-    # extra form x0 + 1/2 is never an integer, so the system has no point
-    # and each trial falls back to its own lattice and point; -x0 - 7 is
-    # integral and, in a box |x0| <= 6, never >= 0.  Dens up to 5 clear to
-    # 4 and 12 too, whose square factor sends a trial to its own lattice
+    # a trial drops the signs of some forms and keeps every form's
+    # integrality: its own lattice has the link row of each dropped form
+    # among the equalities and its slack among the variables
+    # (sign_trial_lattice).  The system's point solves those rows too, with
+    # the same kept slack values, and differs from the trial's own point by
+    # an integer kernel vector, which moves each search range by an
+    # integer; and the trial's lattice has the integer points and the
+    # relaxation of the system's lattice with the directions that move no
+    # kept slack free.  So the search of the trial's structure at the
+    # system's point has the status of its own lattice at its own point.
+    # Without a system point, each trial is one forward substitution and
+    # no search.
+    # The extra form x0 + 1/2 is never an integer, so the system has no
+    # point; -x0 - 7 is integral and, in a box |x0| <= 6, never >= 0
     seen = Counter()
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -1138,23 +1097,10 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own():
     )
     def check(drawn, extra, data):
         system = with_extra_form(drawn[0], extra)
-        matrix, rhs = solver._matrix(system), solver._rhs(system)
-        neq, nform = len(system.equalities), len(system.nonneg_integral)
-        system_point = solver._particular(matrix.lattice(tuple(range(nform))), rhs)
-        kept_of, trials, substitutions = {}, [], 0
-        real_lattice, real_trial, real_search, real_particular = (
-            solver._lattice, solver._Matrix.trial, solver._search, solver._particular
-        )
-
-        def building(matrix, kept):
-            lat = real_lattice(matrix, kept)
-            kept_of[id(lat)] = kept
-            return lat
-
-        def trying(matrix, kept):
-            trial = real_trial(matrix, kept)
-            kept_of[id(trial)] = kept
-            return trial
+        matrix, nform = solver._matrix(system), len(system.nonneg_integral)
+        y = solver._particular(matrix.lattice, solver._rhs(system))
+        searched, substitutions = [], 0
+        real_search, real_particular = solver._search, solver._particular
 
         def substituting(lat, rhs):
             nonlocal substitutions
@@ -1162,66 +1108,52 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own():
             return real_particular(lat, rhs)
 
         def searching(lat, slacks, leaves=None):
-            found = real_search(lat, slacks, leaves)
             if leaves is None:
-                kept = kept_of[id(lat)]
-                own = real_lattice(matrix, kept)
-                y = real_particular(own, rhs[:neq] + [rhs[neq + j] for j in kept])
-                at_own = real_search(own, solver._slack_values(own, y))
-                shared = isinstance(lat, solver._Trial)
-                trials.append((kept, shared, found, at_own, real_search(own, slacks)))
-            return found
+                searched.append(type(lat))
+            return real_search(lat, slacks, leaves)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_lattice", building)
-            mp.setattr(solver._Matrix, "trial", trying)
             mp.setattr(solver, "_search", searching)
             mp.setattr(solver, "_particular", substituting)
             report = enumerate_system(system)
-        for kept, shared, found, at_own, at_system_point in trials:
-            assert found[0] == at_own[0]
-            assert at_system_point == at_own
-            assert shared == (system_point is not None and matrix.same_lattice(kept))
-            if not shared:
-                assert found == at_own
-            point = system_point is not None
-            seen["shared" if shared else "own lattice" if point else "own point"] += 1
         if extra == "x0 + 1/2":
-            assert system_point is None and report.status == "infeasible"
-        # one forward substitution per system, and one per searched trial
-        # only without a system point, where every form gets its trial,
-        # searched or decided by an empty relaxation
-        if system_point is None:
-            stats = report.stats
-            assert stats["trials"] + stats["decided"] == nform
-            assert substitutions == 1 + stats["trials"]
-        else:
-            assert substitutions == 1
-        # any kept forms with the system's lattice, not only a core's: the
-        # system's lattice gives each the status of the kept forms' own
+            assert y is None
+        if y is None:
+            assert report.status == "infeasible" and searched == []
+            assert (report.stats["trials"], report.stats["decided"]) == (nform, 0)
+            assert substitutions == 1 + nform
+            seen["no point"] += 1
+            return
+        # one forward substitution per system
+        assert substitutions == 1
+        assert set(searched) <= {solver._Trial}
+        # any kept forms, not only a core's
         kept = tuple(j for j in range(nform) if data.draw(st.booleans()))
-        if system_point is not None and matrix.same_lattice(kept):
-            lat = matrix.lattice(tuple(range(nform)))
-            at_kept = [solver._slack_values(lat, system_point)[j] for j in kept]
-            status = solver._search(solver._shared_trial(lat, kept), at_kept)[0]
-            assert status == solver._search(matrix.lattice(kept), at_kept)[0]
-            seen["any kept", status] += 1
+        at_kept = [solver._slack_values(matrix.lattice, y)[j] for j in kept]
+        status = solver._search(matrix.trial(kept), at_kept)[0]
+        own = sign_trial_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
+        rhs, neq = solver._rhs(system), matrix.neq
+        dropped = [j for j in range(nform) if j not in kept]
+        own_y = solver._particular(own, rhs[:neq] + [rhs[neq + j] for j in (*dropped, *kept)])
+        at_own = solver._search(own, solver._slack_values(own, own_y))
+        assert at_own == solver._search(own, at_kept)
+        assert status == at_own[0]
+        seen[status] += 1
 
     check()
-    assert {"shared", "own lattice", "own point"} <= set(seen)
-    assert {("any kept", status) for status in ("infeasible", "solutions", "unbounded")} <= set(seen)
+    assert {"no point", "infeasible", "solutions", "unbounded"} <= set(seen)
 
 
 def test_decided_core_trials_agree_with_their_searches():
     # the core decides a trial without a search (1) when the current proof
     # does not read the dropped form and is an empty relaxation, or the
-    # trial searches the system's lattice with a closed chain, and (2) when
-    # the system's relaxation is non-empty and the trial's chain is open.
-    # Each trial, decided or searched, is replayed with the search the core
-    # would run: it is infeasible exactly when the core drops its form, so
-    # every certificate is the greedy filter's over public solves.  The
-    # extra forms give systems without a point (x0 + 1/2) and empty
-    # relaxations (-x0 - 7 in a box)
+    # trial's chain is closed, and (2) when the system's relaxation is
+    # non-empty and the trial's chain is open.  Each trial, decided or
+    # searched, is replayed with the search the core would run: it is
+    # infeasible exactly when the core drops its form, so every certificate
+    # is the greedy filter's over public solves.  The extra forms give
+    # systems without a point (x0 + 1/2), whose trials are forward
+    # substitutions, and empty relaxations (-x0 - 7 in a box)
     seen = Counter()
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -1231,16 +1163,10 @@ def test_decided_core_trials_agree_with_their_searches():
     )
     def check(drawn, extra):
         system = with_extra_form(drawn[0], extra)
-        kept_of, built, searched, cores = {}, [], [], []
-        real_lattice, real_trial, real_search, real_core = (
-            solver._lattice, solver._Matrix.trial, solver._search, solver._infeasible_core
+        kept_of, searched, cores = {}, [], []
+        real_trial, real_search, real_core = (
+            solver._Matrix.trial, solver._search, solver._infeasible_core
         )
-
-        def building(matrix, kept):
-            lat = real_lattice(matrix, kept)
-            kept_of[id(lat)] = kept
-            built.append(kept)
-            return lat
 
         def trying(matrix, kept):
             trial = real_trial(matrix, kept)
@@ -1258,7 +1184,6 @@ def test_decided_core_trials_agree_with_their_searches():
             return result
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_lattice", building)
             mp.setattr(solver._Matrix, "trial", trying)
             mp.setattr(solver, "_search", searching)
             mp.setattr(solver, "_infeasible_core", coring)
@@ -1268,40 +1193,29 @@ def test_decided_core_trials_agree_with_their_searches():
         assert report.certificate == public_deletion_filter(system)
         ((matrix, slacks, (names, trials, decided)),) = cores
         assert (report.stats["trials"], report.stats["decided"]) == (trials, decided)
-        forms, neq, rhs = system.nonneg_integral, matrix.neq, solver._rhs(system)
-        # without a system point, a searched trial builds its own lattice,
-        # and its search is skipped when that has no point either
+        forms = system.nonneg_integral
         if slacks is None:
-            searched = built[1:]
+            assert (searched, trials, decided) == ([], len(forms), 0)
+            seen["no point"] += 1
+            return
         assert len(searched) == trials
         final = {j for j, (_, name) in enumerate(forms) if name in names}
-        if slacks is None:
-            live = range(len(forms))
-        else:
-            w_rows = matrix.lattice(tuple(range(len(forms)))).slack_w
-            live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
+        w_rows = matrix.lattice.slack_w
+        live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
         core = tuple(live)
         for j in live:
             kept = tuple(i for i in core if i != j)
-            if slacks is None:
-                own = real_lattice(matrix, kept)
-                y = solver._particular(own, rhs[:neq] + [rhs[neq + i] for i in kept])
-                status = "infeasible" if y is None else real_search(
-                    own, solver._slack_values(own, y)
-                )[0]
-            else:
-                status = real_search(real_trial(matrix, kept), [slacks[i] for i in kept])[0]
+            status = real_search(real_trial(matrix, kept), [slacks[i] for i in kept])[0]
             assert (status == "infeasible") == (j not in final)
-            seen["searched" if kept in searched else "decided", status, slacks is None] += 1
+            seen["searched" if kept in searched else "decided", status] += 1
             if status == "infeasible":
                 core = kept
         assert trials + decided == len(live)
 
     check()
     assert {
-        ("decided", "infeasible", False), ("decided", "infeasible", True),
-        ("decided", "unbounded", False), ("searched", "infeasible", False),
-        ("searched", "infeasible", True), ("searched", "solutions", False),
+        "no point", ("decided", "infeasible"), ("decided", "unbounded"),
+        ("searched", "infeasible"), ("searched", "solutions"),
     } <= set(seen)
 
 
@@ -1317,37 +1231,94 @@ def parity_system():
     return FeasibilitySystem.build([a, b], [], forms)
 
 
-def test_a_trial_whose_dropped_form_coarsens_the_lattice_falls_back_to_its_own(monkeypatch):
-    # dropping a/2 drops the parity of a, so the trial that keeps only the
-    # two bounds has more integer points than the system's lattice holds:
-    # its ranks mod 2 (0 against 1) say so, and it searches a lattice of
-    # its own, where a = 1 is a point.  The other trials keep a/2: a >= 1
-    # leaves the even a unbounded, which the system's non-empty relaxation
-    # and the trial's open chain decide without a search, and a <= 1
-    # leaves it 0
+def test_a_core_trial_drops_the_sign_of_a_form_and_keeps_its_parity(monkeypatch):
+    # the system's lattice keeps a even, and its search finds no even a in
+    # the range 1 <= a <= 1 of the two bounds: its proof reads only them.
+    # Dropping a/2 drops only its sign, so a stays even and that trial is
+    # decided infeasible by the proof, which does not read a/2, and the
+    # trial's closed chain.  Each bound alone leaves the even a unbounded,
+    # which the system's non-empty relaxation and the trial's open chain
+    # decide without a search.  The certificate names the forms whose
+    # non-negativity the proof needs
     system = parity_system()
     assert [f.den for f, _ in system.nonneg_integral] == [2, 1, 1]
     searched = []
     real_search = solver._search
 
     def searching(lat, slacks, leaves=None):
-        status, nodes, proof = real_search(lat, slacks, leaves)
         if leaves is None:
-            searched.append((type(lat), status))
-        return status, nodes, proof
+            searched.append(lat)
+        return real_search(lat, slacks, leaves)
 
     monkeypatch.setattr(solver, "_search", searching)
     report = enumerate_system(system)
     monkeypatch.undo()
     assert report.status == "infeasible"
-    assert report.certificate == public_deletion_filter(system) == ["a/2", "1 - a", "a - 1"]
-    assert searched == [(solver._Lattice, "solutions"), (solver._Trial, "solutions")]
-    assert (report.stats["trials"], report.stats["decided"]) == (2, 1)
+    assert report.certificate == public_deletion_filter(system) == ["1 - a", "a - 1"]
+    assert searched == []
+    assert (report.stats["trials"], report.stats["decided"]) == (0, 3)
+    # the bounds alone hold at a = 1, and not with a/2 an integer
+    bounds = FeasibilitySystem(system.variables, system.equalities, system.nonneg_integral[1:])
+    assert brute_force_solutions(bounds, 4) == [(1, 0)]
+    assert brute_force_solutions(bounds, 4, integral=(system.nonneg_integral[0][0],)) == []
     matrix = solver._matrix(system)
-    lat = matrix.lattice((0, 1, 2))
+    lat = matrix.lattice
     slacks = solver._slack_values(lat, solver._particular(lat, solver._rhs(system)))
-    assert real_search(matrix.trial((0, 2)), [slacks[0], slacks[2]])[0] == "unbounded"
-    assert [matrix.same_lattice(kept) for kept in [(1, 2), (0, 2), (0, 1)]] == [False, True, True]
+    assert solver._search(matrix.trial((1, 2)), slacks[1:])[0] == "infeasible"
+    assert [solver._search(matrix.trial((j,)), [slacks[j]])[0] for j in (1, 2)] == ["unbounded"] * 2
+
+
+@st.composite
+def den_systems(draw):
+    """(system, B): one to three forms with den 1, 2 or 6 over one to three
+    variables, maybe one equality of such a form, and the box forms x + B
+    and B - x of every variable, B <= 4."""
+    variables = PROPERTY_VARS[: draw(st.integers(1, 3))]
+
+    def form():
+        coeffs = {v: draw(st.integers(-6, 6)) for v in variables}
+        den = draw(st.sampled_from([1, 2, 6]))
+        return replace(AffineForm.make(coeffs, draw(st.integers(-6, 6))), den=den)
+
+    forms = [(form(), f"f{j}") for j in range(draw(st.integers(1, 3)))]
+    bound = draw(st.integers(0, 4))
+    for k, v in enumerate(variables):
+        forms.append((AffineForm.make({v: 1}, bound), f"x{k} >= -B"))
+        forms.append((AffineForm.make({v: -1}, bound), f"x{k} <= B"))
+    equalities = [(form(), draw(st.integers(-2, 2)), "extra")] if draw(st.booleans()) else []
+    return FeasibilitySystem.build(variables, equalities, forms), bound
+
+
+def test_a_certificate_names_the_signs_its_proof_needs_with_every_form_integral():
+    # with a system point, no point of the box has the certificate's forms
+    # non-negative, every form an integer and the equalities met; without
+    # one, no point has the certificate's forms integers and the equalities
+    # met.  Either way the certificate is the public greedy filter's
+    seen = Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(den_systems())
+    def check(drawn):
+        system, bound = drawn
+        report = enumerate_system(system)
+        assert (report.status == "infeasible") == (brute_force_solutions(system, bound) == [])
+        if report.status != "infeasible":
+            return
+        forms = system.nonneg_integral
+        named = tuple(form for form in forms if form[1] in report.certificate)
+        others = tuple(f for f, name in forms if name not in report.certificate)
+        point = solver._particular(solver._matrix(system).lattice, solver._rhs(system)) is not None
+        if point:
+            sub = FeasibilitySystem(system.variables, system.equalities, named)
+            assert brute_force_solutions(sub, bound, integral=others) == []
+        else:
+            sub = FeasibilitySystem(system.variables, system.equalities, ())
+            assert brute_force_solutions(sub, bound, integral=tuple(f for f, _ in named)) == []
+        assert report.certificate == public_deletion_filter(system)
+        seen[point, any(f.den > 1 for f in others)] += 1
+
+    check()
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(seen)
 
 
 def assert_chain_rows_combine_the_slack_rows(lat, kept):

@@ -139,6 +139,46 @@ def test_every_lattice_field_is_read_by_the_package():
     assert [name for name in solver._Lattice._fields if name not in read] == []
 
 
+def referrers(source: str, name: str) -> list[str]:
+    """The functions, methods and nested functions included, whose own body
+    reads the name `name`, and "<module>" for a read outside every
+    function."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == name:
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_referrers_are_found():
+    source = (
+        "def f():\n    return g(1)\n"
+        "def h():\n    x = g\n    def inner():\n        g()\n    return x\n"
+        "g(2)\n"
+        "class C:\n    def m(self):\n        return self.g\n"
+    )
+    assert referrers(source, "g") == ["<module>", "f", "h", "inner"]
+
+
+def test_only_a_lattice_and_a_shared_trial_run_a_hermite_elimination():
+    # a matrix has one lattice, and a core trial reduces that lattice's kept
+    # slack rows: no other code runs an elimination of its own
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (names := referrers(path.read_text(), "_column_hermite"))
+    }
+    assert found == {"solver.py": ["_lattice", "_shared_trial"]}
+
+
 def test_kind_comparisons_are_found():
     source = 'a = kind == "S"\nb = kind is None\nc = "A" in (kind,)\nd = kind not in ("S", "A")\n'
     assert kind_comparisons(source) == [1, 4]

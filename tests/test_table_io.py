@@ -119,6 +119,56 @@ def test_every_error_code():
     _expect("bad-syntax", base + "class 3.1 3+1^4\n")
 
 
+def test_a_cycle_type_listed_under_two_labels_is_rejected():
+    # the two labels would name one class: a row's values at them would be
+    # one value, the last read, which serialize_table writes under each
+    text = (
+        "table-v1\ngroup S 5\nmode ordinary\nclass a 3+1^2 3\nclass b 3+1^2 3\n"
+        "row x 4\nvalue x a 1\nvalue x b 7\n"
+    )
+    with pytest.raises(TableError) as exc:
+        parse_table(text)
+    assert (exc.value.code, exc.value.line) == ("duplicate-class", 5)
+    assert str(exc.value) == "line 5: [duplicate-class] class 'b' has the cycle type of class 'a'"
+
+
+def test_a_table_of_a_n_rejects_a_class_outside_a_n():
+    # a transposition is odd, so 2+1^3 is no class of A_5, and it is one
+    # of S_5; the identity and the even 2^2+1 are classes of both
+    rows = "row x 1\nvalue x t 1\n"
+    with pytest.raises(TableError) as exc:
+        parse_table("table-v1\ngroup A 5\nmode ordinary\nclass t 2+1^3 2\n" + rows)
+    assert (exc.value.code, exc.value.line) == ("bad-class", 4)
+    assert str(exc.value) == "line 4: [bad-class] class t (2+1^3) is not in A_5"
+    assert parse_table("table-v1\ngroup S 5\nmode ordinary\nclass t 2+1^3 2\n" + rows).classes == (
+        ("t", (2, 1, 1, 1)),
+    )
+    even = "mode ordinary\nclass 1 1^5 1\nclass t 2^2+1 2\n" + rows
+    for kind in "SA":
+        table = parse_table(f"table-v1\ngroup {kind} 5\n" + even)
+        assert table.classes == (("1", (1, 1, 1, 1, 1)), ("t", (2, 2, 1)))
+
+
+def test_class_membership_is_decided_for_the_one_class(monkeypatch):
+    # the S_200 cycle types of order dividing 12 number about 1.5e6, so a
+    # membership test that built them would not finish; parity decides it
+    def refuse(*args):
+        raise AssertionError("allowed_support called")
+
+    monkeypatch.setattr(luthar_passi, "allowed_support", refuse)
+    monkeypatch.setattr(luthar_passi, "_allowed_support", refuse)
+    ct = (12,) * 16 + (4, 4)
+    for kind in "SA":
+        table = parse_table(
+            f"table-v1\ngroup {kind} 200\nmode ordinary\nclass a 12^16+4^2 12\n"
+            "row x 1\nvalue x a 1\n"
+        )
+        assert table.classes == (("a", ct),)
+    with pytest.raises(TableError) as exc:
+        parse_table("table-v1\ngroup A 200\nmode ordinary\nclass a 12^16+4+2^2 12\n")
+    assert str(exc.value) == "line 4: [bad-class] class a (12^16+4+2^2) is not in A_200"
+
+
 @pytest.mark.parametrize("token, message", [
     # a repeat of 0 once parsed as the identity 1^7
     ("3^0+1^7", "repeat below 1"),
