@@ -137,15 +137,17 @@ def run_exclusion(
     stage_pq_groups entries: {"name", "members": list[AugVector] | None,
     "rows_and_ells": list[(CharacterRow, list of ells)]}.
     The group (no element of order pq, a forced order-p power), the filter
-    names, and the hypotheses of the filters (each run on no candidates) and
-    of the pi equalities are checked before any stage, so their rejection
-    does not depend on the rows.
+    names (each known, and listed once), the filters' hypotheses (each run
+    on no candidates) and those of the pi equalities are checked before
+    any stage, so their rejection does not depend on the rows.
     """
     t0 = time.monotonic()
     _require_no_order_pq(n, kind, p, q)
-    for fname in filters:
+    for i, fname in enumerate(filters):
         if fname not in FILTERS:
             raise ValueError(f"unknown filter {fname!r}; known: {', '.join(FILTERS)}")
+        if fname in filters[:i]:
+            raise ValueError(f"filter {fname!r} listed twice")
     for fname in filters:
         FILTERS[fname](n, p, q, [])
     if use_pi_equalities:

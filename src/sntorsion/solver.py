@@ -21,7 +21,7 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    form in w.  A search reads only K; a variable is read off its row of u
    only at a recorded solution;
 3. exact Fourier-Motzkin elimination of the slack inequalities, from the
-   last w coordinate down, gives one projection chain per lattice, for
+   last w coordinate down, gives one projection chain per search, for
    every right-hand side at once (_chain): each row carries, in place of
    its constant, its non-negative multiplier vector lam over the slack
    rows, so a search reads the constant of each row as lam . K.  The chain
@@ -31,7 +31,7 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    coordinate left must be non-negative at K, and the first coordinate
    must have a value (the last elimination, read off its range); then the
    first coordinate the chain leaves open on one side, which reads no
-   constant, makes the relaxation unbounded, along the lattice's ray.
+   constant, makes the relaxation unbounded, along the matrix's ray.
    Otherwise the depth-first enumeration, a loop over a stack of prefixes,
    fixes the coordinates from the first up and reads the integer range of
    each from the chain by floor division.  The range of the last
@@ -44,13 +44,13 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
    other points exist.
 
 One path decides every lattice, a one-point lattice included: its chain is
-empty and its search visits the one leaf.  The eliminations of steps 2 and
-3 depend only on the integer matrix, not on the right-hand side, and so
-does an unbounded solve's ray: one _lattice holds them all, and one search
-(_search) decides a lattice at its slack values K, giving the status, the
-node count and an infeasible status's proof (see below); _solve wraps it
-in a report for a system.  Each system runs the forward substitution once,
-in enumerate_system, and its core trials start from its integer point.
+empty and its search visits the one leaf.  Steps 2 and 3 depend only on
+the integer matrix, not on the right-hand side: a _Lattice holds step 2,
+and a _Trial the chain of the forms whose signs a search keeps
+(_shared_trial), which _search decides at slack values K, giving the
+status, the node count and an infeasible status's proof (see below).
+Each system runs the forward substitution once, in enumerate_system; only
+one with a point reads its matrix's search of every form (_Matrix.chain).
 
 One function, _solve_level, makes the systems of every level: one row set
 over a list of lower levels, once for solve_prime_order and once per row
@@ -63,9 +63,9 @@ of those values with its traces.  Each distinct (form, constant) of the
 call is one AffineForm.  Its systems share one integer matrix, read off the
 first of them, so each contributes only its right-hand side, read off its
 forms' constants (_rhs).  The memos live as long as the call or its
-matrix: the systems share the matrix's one lattice (_Matrix.lattice), and
-their core trials one trial structure per tuple of kept forms
-(_Matrix.trial), so a trial builds only when its kept forms are new.
+matrix: the systems share the matrix's lattice, search and ray (_Matrix),
+and their core trials one search per tuple of kept forms (_Matrix.trial),
+so a trial builds only when its kept forms are new.
 
 The infeasible core is a greedy deletion filter: one trial per form, each
 the status of one search of the system without the sign of that form and
@@ -175,8 +175,8 @@ def _column_hermite(cols: list[list[int]], pivot_rows) -> list[tuple[int, int]]:
 
 
 class _Lattice(NamedTuple):
-    """Everything a solve uses that depends only on the integer matrix, not
-    on its right-hand side (see _lattice)."""
+    """What one Hermite elimination of a matrix's kept rows gives, for
+    every right-hand side (see _lattice)."""
 
     pivot_col: tuple[int | None, ...]  # the pivot column of each row
     echelon: tuple[tuple[int, ...], ...]  # rows . u on the pivot columns
@@ -186,20 +186,12 @@ class _Lattice(NamedTuple):
     rank: int  # the number of pivot coordinates y
     wdim: int  # the number of slack-moving coordinates w
     nfree: int  # the number of free directions v
-    # the chain of _chain: a row reads coeffs . w + lam . K >= 0, and each
-    # keeps its support, the bitmask of the forms behind lam
-    bounds: tuple  # per level d, its rows that bound w_d: (singles (coeffs, i, support), sums)
-    nonneg: tuple[tuple[int, int], ...]  # the one-multiplier constant rows K_i >= 0: (i, support)
-    sums: tuple  # the others: (indices, multipliers, support)
-    open: int | None  # the first coordinate its level leaves open on one side
-    ray: tuple[int, ...] | None  # an unbounded solve's primitive ray, in the variables
 
 
 def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     """One Hermite elimination of the rows of a _matrix that a solve
     keeps: the neq equality rows and the slack-link rows of the forms in
-    `kept`, over the nvar variables and those forms' slacks, with the
-    Fourier-Motzkin chain and the ray that every right-hand side shares.
+    `kept`, over the nvar variables and those forms' slacks.
 
     Each column of the one eliminated matrix stacks the m kept rows over
     u, which starts as the identity and so records every column op.  The
@@ -211,11 +203,8 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     slack-moving coordinates w; the remaining kernel columns are the nfree
     directions v, on which every slack row is zero.  The lattice keeps the
     nvar variable rows of u whole, each read in the coordinates (y, w, v),
-    and each slack row split once into its y part and its w part.
-
-    An unbounded solve's ray does not depend on its point: it is the
-    recession ray of the chain's open coordinate, else the first direction
-    v, mapped to the variables by u and divided by its gcd.
+    and each slack row split once into its y part and its w part.  Each
+    slack row is zero right of its pivot, so slack_w is column echelon.
     """
     nvar, neq = matrix.nvar, matrix.neq
     columns = [*range(nvar), *(nvar + j for j in kept)]
@@ -231,52 +220,42 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     a = list(zip(*cols)) or [()] * m
     rank = sum(row < m for row, _ in pivots)
     wdim = len(pivots) - rank
-    nfree = ncols - len(pivots)
     pivot_of_row = dict(pivots)
-    u = tuple(a[m:m + nvar])
     slack_rows = a[m + nvar:]
-    slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
-    bounds, nonneg, sums, open_ = _chain(slack_w, wdim, kept)
-    ray = None
-    if open_ is not None or nfree:
-        direction = _recession_ray(bounds, open_) if open_ is not None else (0,) * wdim + (1,)
-        ray = [sum(map(mul, row[rank:], direction)) for row in u]
-        g = gcd(*ray)
-        ray = tuple(c // g for c in ray) if g > 1 else tuple(ray)
     return _Lattice(
         tuple(map(pivot_of_row.get, range(m))),
         tuple(r[:rank] for r in a[:m]),
-        u,
+        tuple(a[m:m + nvar]),
         tuple(r[:rank] for r in slack_rows),
-        slack_w,
-        rank, wdim, nfree,
-        bounds, nonneg, sums, open_, ray,
+        tuple(r[rank:rank + wdim] for r in slack_rows),
+        rank, wdim, ncols - len(pivots),
     )
 
 
 class _Trial(NamedTuple):
-    """What _search reads of a core trial on its system's lattice
-    (_shared_trial): the chain of the kept slacks over the wdim coordinates
-    w that move them, and the number of the other directions."""
+    """What _search reads: the chain of the kept slacks over the wdim
+    coordinates w that move them, and the number of the other directions
+    (_shared_trial), for a system (_Matrix.chain) or a core trial."""
 
     wdim: int
     nfree: int
-    bounds: tuple
-    nonneg: tuple[tuple[int, int], ...]
-    sums: tuple
-    open: int | None
+    bounds: tuple  # per level d, its rows that bound w_d: (singles (coeffs, i, support), sums)
+    nonneg: tuple[tuple[int, int], ...]  # the one-multiplier constant rows K_i >= 0: (i, support)
+    sums: tuple  # the others: (indices, multipliers, support)
+    open: int | None  # the first coordinate its level leaves open on one side
 
 
 def _shared_trial(lat: _Lattice, kept: tuple[int, ...]) -> _Trial:
-    """A core trial that keeps the signs of the forms in `kept` and the
-    integrality of every form, so its integer points are those of its
-    system's lattice `lat`: the kept slacks' rows of slack_w, reduced by
-    one _column_hermite so that the pivot columns come first and the
+    """A search that keeps the signs of the forms in `kept` and the
+    integrality of every form, so its integer points are those of the
+    lattice `lat`: the kept slacks' rows of slack_w, reduced by one
+    _column_hermite so that the pivot columns come first and the
     directions that move no kept slack join the free ones, then the chain
-    of the reduced rows on the pivot columns."""
+    of the reduced rows on the pivot columns.  With every form kept, slack_w
+    is already column echelon: the reduction changes nothing."""
     cols = [list(col) for col in zip(*(lat.slack_w[j] for j in kept))]
     wdim = len(_column_hermite(cols, range(len(kept))))
-    slack_w = [tuple(col[t] for col in cols[:wdim]) for t in range(len(kept))]
+    slack_w = list(zip(*cols[:wdim])) or [()] * len(kept)
     return _Trial(wdim, lat.nfree + lat.wdim - wdim, *_chain(slack_w, wdim, kept))
 
 
@@ -310,7 +289,7 @@ def _chain(slack_w, wdim: int, labels):
     """One exact Fourier-Motzkin projection chain of the slack inequalities
     slack_w[i] . w + K_i >= 0 of a lattice over its wdim coordinates w,
     eliminating from the last coordinate down, for every value K of the
-    kept slacks at once: the bounds, nonneg, sums and open of _Lattice.
+    kept slacks at once: the bounds, nonneg, sums and open of _Trial.
 
     Each row carries, in place of its constant, its multiplier vector lam
     over the slack rows, as (slack index, multiplier) pairs in increasing
@@ -485,9 +464,10 @@ class SolveReport:
 
 class _Matrix:
     """The integer rows of _matrix, which systems with the same linear parts
-    share, over nvar variables with the neq equalities first; their one
-    _lattice, with every form kept, built on its first use (lattice); and
-    the memo of the _shared_trial of each tuple of kept forms (trial)."""
+    share, over nvar variables with the neq equalities first, and what
+    their solves read, each built on its first use: the one _lattice and
+    the search of every form (lattice, chain), an unbounded system's ray,
+    and the memo of the _shared_trial of each tuple of kept forms (trial)."""
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], nvar: int, neq: int):
         self.rows, self.nvar, self.neq = rows, nvar, neq
@@ -497,6 +477,23 @@ class _Matrix:
     def lattice(self) -> _Lattice:
         """The lattice of every form."""
         return _lattice(self, tuple(range(len(self.rows) - self.neq)))
+
+    @cached_property
+    def chain(self) -> _Trial:
+        """The search of every form, on the lattice's own w."""
+        return _shared_trial(self.lattice, tuple(range(len(self.rows) - self.neq)))
+
+    @cached_property
+    def ray(self) -> tuple[int, ...]:
+        """An unbounded solve's primitive ray in the variables, whatever its
+        point: the recession ray of the open coordinate, else the first v."""
+        lat, chain = self.lattice, self.chain
+        direction = (0,) * chain.wdim + (1,)
+        if chain.open is not None:
+            direction = _recession_ray(chain.bounds, chain.open)
+        ray = [sum(map(mul, row[lat.rank:], direction)) for row in lat.u]
+        g = gcd(*ray)
+        return tuple(c // g for c in ray)
 
     def trial(self, kept: tuple[int, ...]) -> _Trial:
         """What a core trial that keeps the forms in `kept` searches at its
@@ -548,17 +545,17 @@ def _evaluated(bounds, slacks: list[int]) -> list[tuple[tuple[int, ...], int, in
 
 
 def _search(
-    lat: _Lattice | _Trial, slacks: list[int], leaves: list | None = None
+    chain: _Trial, slacks: list[int], leaves: list | None = None
 ) -> tuple[str, int, tuple[int, bool] | None]:
-    """Decide a lattice at the values K of its kept slacks at one integer
-    point: the status ("infeasible", "solutions" or "unbounded"), the
-    number of search nodes and, with "infeasible", the proof (support,
-    empty), else None.  A core trial passes its _Trial, which holds every
-    field the search reads.
+    """Decide a lattice at the values K of the chain's kept slacks at one
+    integer point: the status ("infeasible", "solutions" or "unbounded"),
+    the number of search nodes and, with "infeasible", the proof (support,
+    empty), else None.  A system passes its _Matrix.chain, a core trial
+    its _Matrix.trial.
 
     Every integer solution is that point plus u . (0, w, v), so each kept
-    slack is K plus its row of u on w, and K only gives the lattice's chain
-    its constants lam . K.  With `leaves`, a list, the search appends the w
+    slack is K plus its row of u on w, and K only gives the chain its
+    constants lam . K.  With `leaves`, a list, the search appends the w
     of every integer point to it, in increasing order: the leaves that
     share their first wdim - 1 coordinates are one block, that prefix with
     each value of the last coordinate's integer range, appended at once
@@ -581,30 +578,30 @@ def _search(
     # the relaxation is empty when a row with no coordinate is negative, or
     # when w_0 has no value: that is the last elimination, which _chain
     # leaves to this range
-    for i, mask in lat.nonneg:
+    for i, mask in chain.nonneg:
         if slacks[i] < 0:
             return "infeasible", 0, (mask, True)
-    for idx, ms, mask in lat.sums:
+    for idx, ms, mask in chain.sums:
         if sum(map(mul, ms, map(slacks.__getitem__, idx))) < 0:
             return "infeasible", 0, (mask, True)
-    if lat.open == 0:
+    if chain.open == 0:
         return "unbounded", 0, None
-    wdim = lat.wdim
+    wdim = chain.wdim
     # the first point decides the status in a core trial and on a lattice
     # with free directions
     decided = None
-    if leaves is None or lat.nfree:
-        decided = "unbounded" if lat.nfree else "solutions"
+    if leaves is None or chain.nfree:
+        decided = "unbounded" if chain.nfree else "solutions"
     if not wdim:  # the one point w = ()
         if decided is None:
             leaves.append(())
         return decided or "solutions", 1, None
     # levels[d] is evaluated when the search first reaches depth d
-    levels = [_evaluated(lat.bounds[0], slacks)]
+    levels = [_evaluated(chain.bounds[0], slacks)]
     root = lo, hi, support = _interval(levels[0], 0, ())
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return "infeasible", 0, (support, True)
-    if lat.open is not None:
+    if chain.open is not None:
         return "unbounded", 0, None
 
     # depth-first over prefixes of w, each node's children in increasing
@@ -618,7 +615,7 @@ def _search(
         nodes += 1
         depth = len(prefix)
         if depth == len(levels):
-            levels.append(_evaluated(lat.bounds[depth], slacks))
+            levels.append(_evaluated(chain.bounds[depth], slacks))
         (lo, lo_den), (hi, hi_den), mask = _interval(levels[depth], depth, prefix) if depth else root
         support |= mask
         top, bottom = hi // hi_den, -(-lo // lo_den)
@@ -635,17 +632,17 @@ def _search(
 
 
 def _solve(
-    lat: _Lattice,
+    matrix: _Matrix,
     y: list[int] | None,
     slacks: list[int] | None,
     variables: tuple[Partition, ...],
 ) -> tuple[SolveReport, tuple[int, bool] | None]:
-    """The report of a system's integer rows, given their _lattice, the
+    """The report of a system's integer rows, given their _Matrix, the
     pivot coordinates y of one integer solution and its slack values (both
-    None when there is none): the status and node count of _search, the
-    lattice's ray when unbounded, and every solution, whose variables are
-    read off u only here; and the search's proof, None unless the search
-    found the system infeasible (so also without a point).
+    None when there is none): the status and node count of _search on the
+    matrix's chain, read only at a point, the matrix's ray when unbounded,
+    and every solution, whose variables are read off u only here; and the
+    search's proof, None unless the search found the system infeasible.
 
     The solutions are x = u . (y, w, 0) over the leaves w, computed a
     column at a time: each variable's values over all leaves are its value
@@ -656,14 +653,14 @@ def _solve(
     if y is None:
         return report, None
     leaves: list[tuple[int, ...]] = []
-    report.status, report.stats["nodes"], proof = _search(lat, slacks, leaves)
+    report.status, report.stats["nodes"], proof = _search(matrix.chain, slacks, leaves)
     if report.status == "unbounded":
-        report.ray = lat.ray
+        report.ray = matrix.ray
     elif leaves:
         columns = list(zip(*leaves))  # each coordinate of w over the leaves
-        rank, count = lat.rank, len(leaves)
+        rank, count = matrix.lattice.rank, len(leaves)
         values = []
-        for row in lat.u:
+        for row in matrix.lattice.u:
             column = repeat(sum(map(mul, row, y)), count)
             for c, w in zip(row[rank:], columns):
                 if c:
@@ -678,9 +675,9 @@ def enumerate_system(system: FeasibilitySystem, matrix: _Matrix | None = None) -
     """Deterministic enumeration of the integer points: all of them, or the
     first on a lattice with free directions, which is unbounded anyway.
 
-    `matrix` holds the system's integer rows, their lattice and the memo
-    of its core trials; the systems of one _solve_level call share one, as
-    they have the same linear parts and differ only in the right-hand side,
+    `matrix` holds the system's integer rows and what their solves read
+    (_Matrix); the systems of one _solve_level call share one, as they
+    have the same linear parts and differ only in the right-hand side,
     which each reads off its own forms' constants.  By default the system
     and its core trials get a fresh one.  The stats of an infeasible report
     count its core trials: those searched, or without an integer point
@@ -692,7 +689,7 @@ def enumerate_system(system: FeasibilitySystem, matrix: _Matrix | None = None) -
     lat = matrix.lattice
     y = _particular(lat, _rhs(system))
     slacks = None if y is None else _slack_values(lat, y)
-    report, proof = _solve(lat, y, slacks, system.variables)
+    report, proof = _solve(matrix, y, slacks, system.variables)
     if report.status == "solutions":
         _recheck(system, report.solutions)
     elif report.status == "infeasible":

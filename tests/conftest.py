@@ -24,7 +24,7 @@ from sntorsion.luthar_passi import (
 )
 from sntorsion.partitions import Partition, check_partition, element_order, prime_cycles
 from sntorsion.solver import (
-    FeasibilitySystem, SolveReport, _chain, _interval, _Lattice, _recession_ray,
+    FeasibilitySystem, SolveReport, _chain, _interval, _Lattice, _Matrix, _recession_ray, _Trial,
 )
 
 
@@ -295,7 +295,7 @@ def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattic
     """One Hermite elimination of the rows of a solver._matrix that a solve
     keeps, the equality rows included, over the variables and the kept
     forms' slacks, each column stacked over the identity u, then the
-    slack rows of u; with the chain of solver._chain and the ray."""
+    slack rows of u."""
     cols = [*range(nvar), *(nvar + j for j in kept)]
     kept_rows = [*range(neq), *(neq + j for j in kept)]
     m, ncols = len(kept_rows), len(cols)
@@ -310,25 +310,32 @@ def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattic
     wdim = len(pivots) - rank
     nfree = ncols - len(pivots)
     pivot_of_row = dict(pivots)
-    u = tuple(a[m:m + nvar])
     slack_rows = a[m + nvar:]
-    slack_w = tuple(r[rank:rank + wdim] for r in slack_rows)
-    bounds, nonneg, sums, open_ = _chain(slack_w, wdim, kept)
-    ray = None
-    if open_ is not None or nfree:
-        direction = _recession_ray(bounds, open_) if open_ is not None else (0,) * wdim + (1,)
-        ray = [sum(a * b for a, b in zip(row[rank:], direction)) for row in u]
-        g = gcd(*ray)
-        ray = tuple(c // g for c in ray) if g > 1 else tuple(ray)
     return _Lattice(
         tuple(pivot_of_row.get(r) for r in range(m)),
         tuple(r[:rank] for r in a[:m]),
-        u,
+        tuple(a[m:m + nvar]),
         tuple(r[:rank] for r in slack_rows),
-        slack_w,
+        tuple(r[rank:rank + wdim] for r in slack_rows),
         rank, wdim, nfree,
-        bounds, nonneg, sums, open_, ray,
     )
+
+
+def scratch_search(lat: _Lattice, labels) -> _Trial:
+    """What solver._search reads of a lattice that keeps every slack's
+    sign: solver._chain of its slack rows on its own coordinates w, with
+    no reduction, as solver._Matrix.chain is for a matrix's lattice."""
+    return _Trial(lat.wdim, lat.nfree, *_chain(lat.slack_w, lat.wdim, labels))
+
+
+def kept_matrix(matrix: _Matrix, kept: tuple[int, ...]) -> _Matrix:
+    """The solver._Matrix of a matrix's equality rows and the link rows of
+    the forms in `kept`, over its variables and those forms' slacks: its
+    lattice is solver._lattice(matrix, kept), and its chain keeps those
+    forms as its slacks 0, 1, ..."""
+    cols = [*range(matrix.nvar), *(matrix.nvar + j for j in kept)]
+    rows = [*matrix.rows[:matrix.neq], *(matrix.rows[matrix.neq + j] for j in kept)]
+    return _Matrix(tuple(tuple(row[c] for c in cols) for row in rows), matrix.nvar, matrix.neq)
 
 
 def sign_trial_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattice:

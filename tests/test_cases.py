@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import is_pair_system, scratch_lattice, sign_trial_lattice
+from conftest import is_pair_system, scratch_lattice, scratch_search, sign_trial_lattice
 
 import sntorsion.cases as cases_mod
 from sntorsion.cases import (
@@ -143,6 +143,31 @@ def test_lemma43_grid_dfs_node_counts(monkeypatch):
     assert nodes == [0, 0, 83, 999]  # p = 5, 7, 11, 13
 
 
+def test_lemma43_grid_systems_without_a_point_build_no_chain(monkeypatch):
+    # p = 5 and 7 have no integer point: the system is decided by its
+    # forward substitution and each of its 4 and 6 core trials by one more,
+    # so neither projects a chain; p = 11 and 13 search their one chain
+    chains, per_system = 0, []
+    real_enumerate, real_chain = cases_mod.enumerate_system, solver._chain
+
+    def projecting(*args):
+        nonlocal chains
+        chains += 1
+        return real_chain(*args)
+
+    def recording(system):
+        nonlocal chains
+        chains = 0
+        report = real_enumerate(system)
+        per_system.append((chains, report.stats.get("trials")))
+        return report
+
+    monkeypatch.setattr(cases_mod, "enumerate_system", recording)
+    monkeypatch.setattr(solver, "_chain", projecting)
+    run_case("lemma43-grid")
+    assert per_system == [(0, 4), (0, 6), (1, None), (1, None)]  # p = 5, 7, 11, 13
+
+
 @pytest.mark.parametrize("n, p, q, ray", [
     (15, 13, 3, [1, -4, 6, -4, 1]),
     (18, 17, 3, [4, -15, 20, -10, 0, 1]),
@@ -251,19 +276,21 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # searched and decided without a search (each summed from the reports'
     # stats too), lattice builds, each equal to the elimination from
     # scratch and each a system's, as every core trial searches its
-    # system's lattice, Fourier-Motzkin chains, one per lattice and one per
-    # trial structure, the lattices whose ray is a recession ray (a
-    # coordinate open) and those with free directions, and forward
-    # substitutions, one per system, as every core trial starts from its
-    # system's point.  Every core trial, searched or decided, is replayed:
-    # its status on its structure and on the lattice from scratch of the
-    # system with the dropped forms' link rows as equalities is infeasible
-    # exactly when the core drops its form
+    # system's lattice, Fourier-Motzkin chains, one per lattice for its
+    # systems' search, each the chain of the lattice's own w, and one per
+    # trial structure, the searches with a coordinate open (a recession
+    # ray) and those with free directions, and forward substitutions, one
+    # per system, as every core trial starts from its system's point.
+    # Every core trial, searched or decided, is replayed: its status on its
+    # structure and on the lattice from scratch of the system with the
+    # dropped forms' link rows as equalities is infeasible exactly when the
+    # core drops its form
     counts = Counter()
-    real_enumerate, real_search, real_lattice, real_chain, real_particular, real_trial, real_core = (
-        solver.enumerate_system, solver._search, solver._lattice, solver._chain,
-        solver._particular, solver._Matrix.trial, solver._infeasible_core,
+    real_enumerate, real_search, real_lattice, real_shared, real_chain, real_particular = (
+        solver.enumerate_system, solver._search, solver._lattice, solver._shared_trial,
+        solver._chain, solver._particular,
     )
+    real_trial, real_core = solver._Matrix.trial, solver._infeasible_core
 
     def enumerating(system, matrix=None):
         report = real_enumerate(system, matrix)
@@ -293,7 +320,7 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
             at_kept = [slacks[i] for i in kept]
             status = real_search(real_trial(matrix, kept), at_kept)[0]
             own = sign_trial_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
-            assert real_search(own, at_kept)[0] == status
+            assert real_search(scratch_search(own, range(len(kept))), at_kept)[0] == status
             if status == "infeasible":
                 core = kept
         assert core == tuple(sorted(final))
@@ -306,9 +333,16 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         assert lat == oracle
         assert len(kept) == len(matrix.rows) - matrix.neq
         counts["lattices"] += 1
-        counts["open"] += lat.open is not None
-        counts["free"] += lat.nfree > 0
         return lat
+
+    def sharing(lat, kept):
+        chain = real_shared(lat, kept)
+        if len(kept) == len(lat.slack_w):
+            assert chain == scratch_search(lat, kept)
+            counts["system chains"] += 1
+            counts["open"] += chain.open is not None
+            counts["free"] += chain.nfree > 0
+        return chain
 
     def projecting(*args):
         counts["chains"] += 1
@@ -321,6 +355,7 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     monkeypatch.setattr(solver, "enumerate_system", enumerating)
     monkeypatch.setattr(solver, "_search", searching)
     monkeypatch.setattr(solver, "_lattice", building)
+    monkeypatch.setattr(solver, "_shared_trial", sharing)
     monkeypatch.setattr(solver, "_chain", projecting)
     monkeypatch.setattr(solver, "_particular", substituting)
     monkeypatch.setattr(solver, "_infeasible_core", coring)
@@ -334,7 +369,8 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     assert counts == {
         "systems": 898, "system nodes": 6219, "solve nodes": 8891, "trials": 941,
         "stats trials": 941, "decided": 3755, "replayed": 4696,
-        "lattices": 106, "chains": 477, "open": 0, "free": 9, "particular": 898,
+        "lattices": 106, "system chains": 106, "chains": 477, "open": 0, "free": 9,
+        "particular": 898,
     }
 
 

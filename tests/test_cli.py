@@ -261,6 +261,19 @@ def test_solve_rejects_unknown_filter_names_before_any_stage(capsys):
         assert "unknown filter 'bogus'; known: q-power-weighted-sum" in err
 
 
+def test_solve_rejects_a_repeated_filter_before_any_stage(capsys):
+    # a repeated name would run its filter twice and report it twice; the
+    # S7 order-3 stage is unbounded, so a late check would never see it
+    for argv in (
+        ["--group", "S11", "--order", "7x5", "--rows", "pi", "--rows", "rho", "--rows", "tau"],
+        ["--group", "S7", "--order", "3x5", "--rows", "hook4:0,5"],
+    ):
+        rc, out, err = run(capsys, "solve", *argv, "--filters", ",".join(["q-power-weighted-sum"] * 2))
+        assert (rc, out, err) == (
+            EXIT_INPUT, "", "error: filter 'q-power-weighted-sum' listed twice\n"
+        ), argv
+
+
 def test_solve_checks_the_filter_hypotheses_before_any_stage(capsys):
     # (8, 7, 2) fails q >= 3: with pi alone the order-2 stage is unbounded,
     # which must not hide it; with pi, rho and tau that stage is bounded

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     HermiteSplit, affine_form, as_bounds, brute_force_solutions, cleared_form, coeff,
-    concrete_solve, eliminate, fm_chain, is_pair_system, leafwise_solutions, normalize,
-    parse_class, pinned_recession_ray, row_major_lattice, sign_trial_lattice,
-    solutionwise_recheck,
+    concrete_solve, eliminate, fm_chain, is_pair_system, kept_matrix, leafwise_solutions,
+    normalize, parse_class, pinned_recession_ray, row_major_lattice, scratch_search,
+    sign_trial_lattice, solutionwise_recheck,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -122,28 +122,29 @@ def test_one_multiplier_chain_rows_are_their_slack_rows(drawn):
     # a combination of two chain rows has the slack indices of both, so a
     # row with one multiplier is a slack row itself, with multiplier 1: it
     # keeps only its index, and its coefficients are that slack's row on w
-    lat = lattice(*drawn)
-    singles = [row for level, _ in lat.bounds for row in level]
-    assert all(coeffs == lat.slack_w[i] for coeffs, i, _ in singles)
+    rows, nvar, neq, kept = drawn
+    sub = kept_matrix(solver._Matrix(rows, nvar, neq), kept)
+    singles = [row for level, _ in sub.chain.bounds for row in level]
+    assert all(coeffs == sub.lattice.slack_w[i] for coeffs, i, _ in singles)
 
 
-def chain_rows(lat):
-    """Every row of a lattice's chain as (level, coeffs, lam, support):
+def chain_rows(chain):
+    """Every row of a search's chain as (level, coeffs, lam, support):
     level d for a row of bounds[d], None for a row with no coordinate, lam
     its (slack index, multiplier) pairs and support its forms' bitmask; a
     one-multiplier row keeps only its slack index, as its multiplier is
     1."""
     rows = []
-    for d, (singles, sums) in enumerate(lat.bounds):
+    for d, (singles, sums) in enumerate(chain.bounds):
         rows += [(d, coeffs, ((i, 1),), mask) for coeffs, i, mask in singles]
         rows += [(d, coeffs, tuple(zip(idx, ms)), mask) for coeffs, idx, ms, mask in sums]
-    zero = (0,) * lat.wdim
-    rows += [(None, zero, ((i, 1),), mask) for i, mask in lat.nonneg]
-    rows += [(None, zero, tuple(zip(idx, ms)), mask) for idx, ms, mask in lat.sums]
+    zero = (0,) * chain.wdim
+    rows += [(None, zero, ((i, 1),), mask) for i, mask in chain.nonneg]
+    rows += [(None, zero, tuple(zip(idx, ms)), mask) for idx, ms, mask in chain.sums]
     return rows
 
 
-def assert_chain_rows_evaluate_to_lam_k(lat, slacks):
+def assert_chain_rows_evaluate_to_lam_k(chain, slacks):
     """Each level's bounds evaluate to its rows with the constant lam . K,
     and a row with no coordinate holds exactly when lam . K >= 0: the
     search rejects K at once when one does not, and finds a lattice whose
@@ -152,8 +153,8 @@ def assert_chain_rows_evaluate_to_lam_k(lat, slacks):
     def constant(lam):
         return sum(m * slacks[i] for i, m in lam)
 
-    rows = chain_rows(lat)
-    for d, bounds in enumerate(lat.bounds):
+    rows = chain_rows(chain)
+    for d, bounds in enumerate(chain.bounds):
         expected = Counter(
             (coeffs, constant(lam), mask) for level, coeffs, lam, mask in rows if level == d
         )
@@ -161,9 +162,9 @@ def assert_chain_rows_evaluate_to_lam_k(lat, slacks):
     negative = [mask for level, _, lam, mask in rows if level is None and constant(lam) < 0]
     if negative:
         # the first negative row in the search's order is its proof
-        assert solver._search(lat, slacks) == ("infeasible", 0, (negative[0], True))
-    elif lat.open == 0:
-        assert solver._search(lat, slacks) == ("unbounded", 0, None)
+        assert solver._search(chain, slacks) == ("infeasible", 0, (negative[0], True))
+    elif chain.open == 0:
+        assert solver._search(chain, slacks) == ("unbounded", 0, None)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -703,8 +704,8 @@ def test_form_parts_are_built_once_per_row_group(monkeypatch):
 
 def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
     # one Hermite elimination per matrix, its one lattice, and one
-    # reduction of that lattice's kept slack rows per distinct (rows, kept
-    # forms) core trial
+    # reduction of that lattice's kept slack rows for its systems' search
+    # and per distinct (rows, kept forms) core trial
     hermite_calls = 0
     lattices, trials, matrices = set(), set(), []
     per_call = []
@@ -744,7 +745,7 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
     _case_thm32(12, 11, 3)
     (calls, distinct, tried, shared), again = per_call
     assert distinct == shared == 1
-    assert 0 < calls == distinct + tried
+    assert 0 < calls == 2 * distinct + tried
     assert again == (calls, distinct, tried, shared)
 
 
@@ -772,7 +773,7 @@ def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
 def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
     run, matrices, structures, trials, monkeypatch
 ):
-    builds, tried, current = [], [], None
+    builds, tried, current = [], [], None  # current: the trial being built
     real_shared, real_trial, real_core, real_pq = (
         solver._shared_trial, solver._Matrix.trial, solver._infeasible_core,
         cases_mod.solve_order_pq,
@@ -781,7 +782,9 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
     def trying(matrix, kept):
         nonlocal current
         current = (matrix.rows, kept)
-        return real_trial(matrix, kept)
+        trial = real_trial(matrix, kept)
+        current = None
+        return trial
 
     def sharing(lat, kept):
         builds.append(current)
@@ -814,11 +817,15 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
     monkeypatch.setattr(solver, "_infeasible_core", recording)
     monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
     run()
-    # each (matrix, kept forms) structure a trial needs is built once, on
-    # its first trial, on its system's lattice, and never for the other
-    # trials that keep the same forms
-    assert Counter(builds) == Counter(set(tried))
-    assert (len({rows for rows, _ in tried}), len(builds), len(tried)) == (matrices, structures, trials)
+    # each matrix's systems share one search of every form, and each
+    # (matrix, kept forms) structure a trial needs is built once, on its
+    # first trial, on its system's lattice, and never for the other trials
+    # that keep the same forms
+    assert builds.count(None) == matrices
+    assert Counter(filter(None, builds)) == Counter(set(tried))
+    assert (len({rows for rows, _ in tried}), len(builds), len(tried)) == (
+        matrices, matrices + structures, trials
+    )
 
 
 def half_equality_system():
@@ -918,32 +925,48 @@ def test_the_column_recheck_raises_as_the_per_solution_recheck():
     assert {"passes", "equality", "form"} <= set(seen)
 
 
+def solve_leaves_case(system, kept):
+    """Check that the solve of the kept forms of a system reads the leaves
+    of its search a column at a time as one leaf at a time; with solutions,
+    return (the number of leaves, at most 3; whether wdim > 1)."""
+    sub = kept_matrix(solver._matrix(system), kept)
+    rhs = solver._rhs(system)
+    y = solver._particular(sub.lattice, rhs[:sub.neq] + [rhs[sub.neq + j] for j in kept])
+    if y is None:
+        return None
+    slacks = solver._slack_values(sub.lattice, y)
+    leaves = []
+    status, nodes, proof = solver._search(sub.chain, slacks, leaves)
+    report, solve_proof = solver._solve(sub, y, slacks, system.variables)
+    assert (report.status, report.stats["nodes"], solve_proof) == (status, nodes, proof)
+    if status != "solutions":
+        return None
+    # the leaves come in increasing order, one node each
+    assert leaves == sorted(set(leaves)) and nodes >= len(leaves)
+    assert report.solutions == leafwise_solutions(sub.lattice, y, leaves)
+    return min(len(leaves), 3), sub.lattice.wdim > 1
+
+
+def three_leaf_system():
+    # a + b = 1 with -1 <= a <= 1: three leaves on one coordinate w
+    a, b = var("3.1", 7), var("3.2", 7)
+    forms = [(AffineForm.make({a: 1}, 1), "a + 1"), (AffineForm.make({a: -1}, 1), "1 - a")]
+    return FeasibilitySystem.build([a, b], [], forms)
+
+
 def test_solve_reads_the_leaves_a_column_at_a_time_as_one_leaf_at_a_time():
-    seen = Counter()
+    # three or more leaves with wdim <= 1 are rare in the random systems, so
+    # a hand-built system covers them
+    seen = Counter([solve_leaves_case(three_leaf_system(), (0, 1))])
 
     @settings(max_examples=500, derandomize=True, deadline=None)
     @given(st.one_of(random_systems(max_vars=4, box=True), random_systems(max_vars=4, box=False)),
            st.booleans(), st.data())
     def check(drawn, every_form, data):
         system, _ = drawn
-        matrix = solver._matrix(system)
         nform = len(system.nonneg_integral)
         kept = tuple(j for j in range(nform) if every_form or data.draw(st.booleans()))
-        lat = solver._lattice(matrix, kept)
-        rhs = solver._rhs(system)
-        y = solver._particular(lat, rhs[:matrix.neq] + [rhs[matrix.neq + j] for j in kept])
-        if y is None:
-            return
-        slacks = solver._slack_values(lat, y)
-        leaves = []
-        status, nodes, proof = solver._search(lat, slacks, leaves)
-        report, solve_proof = solver._solve(lat, y, slacks, system.variables)
-        assert (report.status, report.stats["nodes"], solve_proof) == (status, nodes, proof)
-        if status == "solutions":
-            # the leaves come in increasing order, one node each
-            assert leaves == sorted(set(leaves)) and nodes >= len(leaves)
-            assert report.solutions == leafwise_solutions(lat, y, leaves)
-            seen[min(len(leaves), 3), lat.wdim > 1] += 1
+        seen[solve_leaves_case(system, kept)] += 1
 
     check()
     assert {(1, False), (3, False), (3, True)} <= set(seen)
@@ -1057,7 +1080,7 @@ def test_a_shared_trial_frees_the_system_directions_that_move_no_kept_slack():
     assert (lat.wdim, lat.nfree, trial.wdim, trial.nfree) == (2, 1, 1, 2)
     at_kept = [slacks[j] for j in kept]
     assert solver._search(trial, at_kept)[0] == "infeasible"
-    assert solver._search(solver._lattice(matrix, kept), at_kept)[0] == "infeasible"
+    assert solver._search(kept_matrix(matrix, kept).chain, at_kept)[0] == "infeasible"
 
 
 def with_extra_form(system, extra: str):
@@ -1083,8 +1106,8 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own():
     # relaxation of the system's lattice with the directions that move no
     # kept slack free.  So the search of the trial's structure at the
     # system's point has the status of its own lattice at its own point.
-    # Without a system point, each trial is one forward substitution and
-    # no search.
+    # Without a system point, each trial is one forward substitution, with
+    # no search and no chain.
     # The extra form x0 + 1/2 is never an integer, so the system has no
     # point; -x0 - 7 is integral and, in a box |x0| <= 6, never >= 0
     seen = Counter()
@@ -1099,44 +1122,41 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own():
         system = with_extra_form(drawn[0], extra)
         matrix, nform = solver._matrix(system), len(system.nonneg_integral)
         y = solver._particular(matrix.lattice, solver._rhs(system))
-        searched, substitutions = [], 0
-        real_search, real_particular = solver._search, solver._particular
+        calls = Counter()
+        real_search, real_particular, real_chain = solver._search, solver._particular, solver._chain
 
-        def substituting(lat, rhs):
-            nonlocal substitutions
-            substitutions += 1
-            return real_particular(lat, rhs)
-
-        def searching(lat, slacks, leaves=None):
-            if leaves is None:
-                searched.append(type(lat))
-            return real_search(lat, slacks, leaves)
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_search", searching)
-            mp.setattr(solver, "_particular", substituting)
+            mp.setattr(solver, "_search", counting("search", real_search))
+            mp.setattr(solver, "_particular", counting("particular", real_particular))
+            mp.setattr(solver, "_chain", counting("chain", real_chain))
             report = enumerate_system(system)
         if extra == "x0 + 1/2":
             assert y is None
         if y is None:
-            assert report.status == "infeasible" and searched == []
+            assert report.status == "infeasible"
             assert (report.stats["trials"], report.stats["decided"]) == (nform, 0)
-            assert substitutions == 1 + nform
+            assert calls == {"particular": 1 + nform}
             seen["no point"] += 1
             return
         # one forward substitution per system
-        assert substitutions == 1
-        assert set(searched) <= {solver._Trial}
+        assert calls["particular"] == 1
         # any kept forms, not only a core's
         kept = tuple(j for j in range(nform) if data.draw(st.booleans()))
         at_kept = [solver._slack_values(matrix.lattice, y)[j] for j in kept]
         status = solver._search(matrix.trial(kept), at_kept)[0]
         own = sign_trial_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
+        own_search = scratch_search(own, range(len(kept)))
         rhs, neq = solver._rhs(system), matrix.neq
         dropped = [j for j in range(nform) if j not in kept]
         own_y = solver._particular(own, rhs[:neq] + [rhs[neq + j] for j in (*dropped, *kept)])
-        at_own = solver._search(own, solver._slack_values(own, own_y))
-        assert at_own == solver._search(own, at_kept)
+        at_own = solver._search(own_search, solver._slack_values(own, own_y))
+        assert at_own == solver._search(own_search, at_kept)
         assert status == at_own[0]
         seen[status] += 1
 
@@ -1321,27 +1341,27 @@ def test_a_certificate_names_the_signs_its_proof_needs_with_every_form_integral(
     assert {(True, True), (True, False), (False, True), (False, False)} <= set(seen)
 
 
-def assert_chain_rows_combine_the_slack_rows(lat, kept):
+def assert_chain_rows_combine_the_slack_rows(chain, slack_w, labels):
     """Each chain row's coefficients are exactly its positive multipliers
-    times the lattice's slack rows on w: a row of level d bounds w_d and
-    reads no later coordinate, and a row with no coordinate is all zero.
-    Its support has the bit of the form kept[i] of each multiplier's slack
+    times the slack rows on w: a row of level d bounds w_d and reads no
+    later coordinate, and a row with no coordinate is all zero.  Its
+    support has the bit of the form labels[i] of each multiplier's slack
     index i, and no other.  The rows with one multiplier are kept apart
     from the others."""
 
     def combination(lam):
-        return tuple(sum(m * lat.slack_w[i][j] for i, m in lam) for j in range(lat.wdim))
+        return tuple(sum(m * slack_w[i][j] for i, m in lam) for j in range(chain.wdim))
 
-    assert len(lat.bounds) == lat.wdim
-    for d, coeffs, lam, mask in chain_rows(lat):
+    assert len(chain.bounds) == chain.wdim
+    for d, coeffs, lam, mask in chain_rows(chain):
         assert lam and all(m > 0 for _, m in lam)
         assert [i for i, _ in lam] == sorted({i for i, _ in lam})
         assert coeffs == combination(lam)
-        assert mask == sum(1 << kept[i] for i, _ in lam)
+        assert mask == sum(1 << labels[i] for i, _ in lam)
         if d is not None:
             assert coeffs[d] and not any(coeffs[d + 1:])
-    many = [idx for _, sums in lat.bounds for _, idx, _, _ in sums] + [idx for idx, _, _ in lat.sums]
-    assert all(len(idx) > 1 for idx in many)
+    many = [idx for _, sums in chain.bounds for _, idx, _, _ in sums]
+    assert all(len(idx) > 1 for idx in many + [idx for idx, _, _ in chain.sums])
 
 
 def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
@@ -1369,8 +1389,13 @@ def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
         rows = matrix.rows
         nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
         kept = tuple(j for j in range(nform) if data.draw(st.booleans()))
-        lat = solver._lattice(matrix, kept)
-        assert_chain_rows_combine_the_slack_rows(lat, kept)
+        sub = kept_matrix(matrix, kept)
+        lat = sub.lattice
+        assert_chain_rows_combine_the_slack_rows(sub.chain, lat.slack_w, range(len(kept)))
+        assert_chain_rows_combine_the_slack_rows(scratch_search(lat, kept), lat.slack_w, kept)
+        # a core trial's rows carry the bits of the forms it keeps
+        for *_, lam, mask in chain_rows(matrix.trial(kept)):
+            assert mask == sum(1 << kept[i] for i, _ in lam)
         cols = [*range(nvar), *(nvar + j for j in kept)]
         kept_rows = [*range(neq), *(neq + j for j in kept)]
         z = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
@@ -1379,13 +1404,13 @@ def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
             y = solver._particular(lat, b)
             slacks = None if y is None else solver._slack_values(lat, y)
             if y is not None:
-                assert_chain_rows_evaluate_to_lam_k(lat, slacks)
-            report, _ = solver._solve(lat, y, slacks, system.variables)
+                assert_chain_rows_evaluate_to_lam_k(sub.chain, slacks)
+            report, _ = solver._solve(sub, y, slacks, system.variables)
             assert report == concrete_solve(lat, y, system.variables)
             # a core trial reads only the status, and stops at its first point
             if y is not None:
                 trial = concrete_solve(lat, y, system.variables, find_one=True)
-                assert solver._search(lat, slacks)[:2] == (trial.status, trial.stats["nodes"])
+                assert solver._search(sub.chain, slacks)[:2] == (trial.status, trial.stats["nodes"])
             if y is None:
                 seen["no integer point"] += 1
             elif report.status == "infeasible" and report.stats["nodes"] == 0:

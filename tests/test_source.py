@@ -124,19 +124,22 @@ def test_every_public_name_is_used_by_the_package(module):
 
 
 def test_every_lattice_field_is_read_by_the_package():
-    # each lattice stores every field of _Lattice, so a field that only the
-    # tests read is stored for nothing; _lattice builds the record, and its
-    # own reads do not count
+    # each lattice stores every field of _Lattice, and each search every
+    # field of _Trial, so a field that only the tests read is stored for
+    # nothing; _lattice and _shared_trial build the records, and their own
+    # reads do not count
     trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
-    builder = [
+    builders = [
         node for tree in trees for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_lattice"
+        if isinstance(node, ast.FunctionDef) and node.name in ("_lattice", "_shared_trial")
     ]
+    assert len(builders) == 2
     read = {
-        node.attr for tree in trees for node in walk(tree, builder)
+        node.attr for tree in trees for node in walk(tree, builders)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    assert [name for name in solver._Lattice._fields if name not in read] == []
+    fields = [*solver._Lattice._fields, *solver._Trial._fields]
+    assert [name for name in fields if name not in read] == []
 
 
 def referrers(source: str, name: str) -> list[str]:
@@ -177,6 +180,17 @@ def test_only_a_lattice_and_a_shared_trial_run_a_hermite_elimination():
         if (names := referrers(path.read_text(), "_column_hermite"))
     }
     assert found == {"solver.py": ["_lattice", "_shared_trial"]}
+
+
+def test_only_a_search_record_projects_a_chain():
+    # the system's search (_Matrix.chain) and each core trial's are both
+    # _shared_trial of the matrix's lattice: a lattice projects no chain
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (names := referrers(path.read_text(), "_chain"))
+    }
+    assert found == {"solver.py": ["_shared_trial"]}
 
 
 def test_kind_comparisons_are_found():
