@@ -136,13 +136,18 @@ def run_exclusion(
 
     stage_pq_groups entries: {"name", "members": list[AugVector] | None,
     "rows_and_ells": list[(CharacterRow, list of ells)]}.
-    The group (no element of order pq, a forced order-p power), the filter
-    names (each known, and listed once), the filters' hypotheses (each run
-    on no candidates) and those of the pi equalities are checked before
-    any stage, so their rejection does not depend on the rows.
+    The group (no element of order pq, a forced order-p power), the rows
+    (each listed once at stage q and in each row group), the filter names
+    (each known, and listed once), the filters' hypotheses (each run on no
+    candidates) and those of the pi equalities are checked before any
+    stage, so their rejection does not depend on the rows' values.
     """
     t0 = time.monotonic()
     _require_no_order_pq(n, kind, p, q)
+    for rows in (stage_q_rows, *(grp["rows_and_ells"] for grp in stage_pq_groups)):
+        names = [row.name for row, _ in rows]
+        if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
+            raise ValueError(f"row {repeated[0]!r} listed twice")
     for i, fname in enumerate(filters):
         if fname not in FILTERS:
             raise ValueError(f"unknown filter {fname!r}; known: {', '.join(FILTERS)}")

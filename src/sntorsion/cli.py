@@ -164,9 +164,6 @@ def cmd_solve(args) -> int:
     row_specs = [_parse_row_spec(s, q) for s in args.rows or []]
     if not row_specs:
         raise InputError("no rows selected; pass --rows at least once")
-    names = [name for name, _ in row_specs]
-    if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
-        raise InputError(f"row {repeated[0]!r} listed twice")
     stage_q_rows = []
     pq_rows = []
     skipped = []

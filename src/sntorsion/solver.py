@@ -46,11 +46,11 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
 One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  Steps 2 and 3 depend only on
 the integer matrix, not on the right-hand side: a _Lattice holds step 2,
-and a _Trial the chain of the forms whose signs a search keeps
-(_shared_trial), which _search decides at slack values K, giving the
-status, the node count and an infeasible status's proof (see below).
-Each system runs the forward substitution once, in enumerate_system; only
-one with a point reads its matrix's search of every form (_Matrix.chain).
+and a _Trial the chain of the forms whose signs a search keeps, which
+_search decides at slack values K, giving the status, the node count and
+an infeasible status's proof (see below).  Each system runs the forward
+substitution once, in enumerate_system; only one with a point reads its
+matrix's search of every form (_Matrix.chain).
 
 One function, _solve_level, makes the systems of every level: one row set
 over a list of lower levels, once for solve_prime_order and once per row
@@ -85,15 +85,15 @@ the greedy set of the forms whose integrality that contradiction needs,
 each trial one forward substitution on the lattice of the equalities and
 the kept forms' link rows.
 
-An infeasible search also returns its proof's support, the bitmask of the
-forms whose inequalities it read: each chain row carries the support of
-its multipliers (_chain), _interval names the rows that set each range,
-and the search takes their union over every node it visits, or the one
-row of an empty relaxation.  The core keeps the last such proof, which no
-dropped form is in, and decides two kinds of trial without a search: one
-that drops a form outside the proof is infeasible when the proof is an
-empty relaxation or the trial's chain leaves no coordinate open; and when
-the system's search reached its DFS, so that every trial's relaxation is
+An infeasible search also returns its proof, the bitmask of the forms
+whose inequalities it read: each chain row carries the support of its
+multipliers (_chain), _interval names the rows that set each range, and
+the search takes their union over every node it visits, or the one row
+of an empty relaxation, which it finds at no node.  The core keeps the
+last such proof, which no dropped form is in, and decides two kinds of
+trial without a search: one that drops a form outside the proof is
+infeasible when the trial's chain leaves no coordinate open; and when the
+system's search visited a node, so that every trial's relaxation is
 non-empty, a trial whose chain leaves a coordinate open is unbounded.
 Each decision is the status the search would return, so every core is the
 greedy filter's.
@@ -234,8 +234,8 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
 
 class _Trial(NamedTuple):
     """What _search reads: the chain of the kept slacks over the wdim
-    coordinates w that move them, and the number of the other directions
-    (_shared_trial), for a system (_Matrix.chain) or a core trial."""
+    coordinates w that move them, and the number of the other directions,
+    for a system (_Matrix.chain) or a core trial (_shared_trial)."""
 
     wdim: int
     nfree: int
@@ -246,13 +246,12 @@ class _Trial(NamedTuple):
 
 
 def _shared_trial(lat: _Lattice, kept: tuple[int, ...]) -> _Trial:
-    """A search that keeps the signs of the forms in `kept` and the
-    integrality of every form, so its integer points are those of the
-    lattice `lat`: the kept slacks' rows of slack_w, reduced by one
+    """A core trial's search, which keeps the signs of the forms in `kept`
+    and the integrality of every form, so its integer points are those of
+    the lattice `lat`: the kept slacks' rows of slack_w, reduced by one
     _column_hermite so that the pivot columns come first and the
     directions that move no kept slack join the free ones, then the chain
-    of the reduced rows on the pivot columns.  With every form kept, slack_w
-    is already column echelon: the reduction changes nothing."""
+    of the reduced rows on the pivot columns."""
     cols = [list(col) for col in zip(*(lat.slack_w[j] for j in kept))]
     wdim = len(_column_hermite(cols, range(len(kept))))
     slack_w = list(zip(*cols[:wdim])) or [()] * len(kept)
@@ -480,8 +479,10 @@ class _Matrix:
 
     @cached_property
     def chain(self) -> _Trial:
-        """The search of every form, on the lattice's own w."""
-        return _shared_trial(self.lattice, tuple(range(len(self.rows) - self.neq)))
+        """The search of every form: the chain of the lattice's slack rows,
+        column echelon on w already, so unreduced (unlike _shared_trial)."""
+        lat = self.lattice
+        return _Trial(lat.wdim, lat.nfree, *_chain(lat.slack_w, lat.wdim, range(len(lat.slack_w))))
 
     @cached_property
     def ray(self) -> tuple[int, ...]:
@@ -546,11 +547,11 @@ def _evaluated(bounds, slacks: list[int]) -> list[tuple[tuple[int, ...], int, in
 
 def _search(
     chain: _Trial, slacks: list[int], leaves: list | None = None
-) -> tuple[str, int, tuple[int, bool] | None]:
+) -> tuple[str, int, int | None]:
     """Decide a lattice at the values K of the chain's kept slacks at one
     integer point: the status ("infeasible", "solutions" or "unbounded"),
-    the number of search nodes and, with "infeasible", the proof (support,
-    empty), else None.  A system passes its _Matrix.chain, a core trial
+    the number of search nodes and, with "infeasible", the proof's
+    support, else None.  A system passes its _Matrix.chain, a core trial
     its _Matrix.trial.
 
     Every integer solution is that point plus u . (0, w, v), so each kept
@@ -562,12 +563,12 @@ def _search(
     and counted as that many nodes.  It stops at the first point when that
     point decides the status: without `leaves`, which is a core trial, and
     on a lattice with free directions, which is unbounded along the first
-    of them whatever other points exist.  A lattice whose first coordinate
-    is open is unbounded once its constant rows hold: w_0 has a value
-    whatever the open side reads.
+    of them whatever other points exist.  A lattice with a coordinate open
+    is unbounded once its constant rows hold and w_0 has a value, as it
+    always has when w_0 is the open one.
 
     The proof's support is the bitmask of the forms whose inequalities it
-    reads (_chain).  With `empty`, the relaxation of those forms alone is
+    reads (_chain).  At 0 nodes, the relaxation of those forms alone is
     empty: a constant row is negative, or the two rows that set w_0's range
     cross.  Otherwise the proof is the search tree, and its support is the
     union of the supports of the rows that set each visited node's range:
@@ -580,12 +581,10 @@ def _search(
     # leaves to this range
     for i, mask in chain.nonneg:
         if slacks[i] < 0:
-            return "infeasible", 0, (mask, True)
+            return "infeasible", 0, mask
     for idx, ms, mask in chain.sums:
         if sum(map(mul, ms, map(slacks.__getitem__, idx))) < 0:
-            return "infeasible", 0, (mask, True)
-    if chain.open == 0:
-        return "unbounded", 0, None
+            return "infeasible", 0, mask
     wdim = chain.wdim
     # the first point decides the status in a core trial and on a lattice
     # with free directions
@@ -600,7 +599,7 @@ def _search(
     levels = [_evaluated(chain.bounds[0], slacks)]
     root = lo, hi, support = _interval(levels[0], 0, ())
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-        return "infeasible", 0, (support, True)
+        return "infeasible", 0, support
     if chain.open is not None:
         return "unbounded", 0, None
 
@@ -628,7 +627,7 @@ def _search(
             nodes += top - bottom + 1
     if leaves:
         return "solutions", nodes, None
-    return "infeasible", nodes, (support, False)
+    return "infeasible", nodes, support
 
 
 def _solve(
@@ -636,7 +635,7 @@ def _solve(
     y: list[int] | None,
     slacks: list[int] | None,
     variables: tuple[Partition, ...],
-) -> tuple[SolveReport, tuple[int, bool] | None]:
+) -> tuple[SolveReport, int | None]:
     """The report of a system's integer rows, given their _Matrix, the
     pivot coordinates y of one integer solution and its slack values (both
     None when there is none): the status and node count of _search on the
@@ -695,7 +694,7 @@ def enumerate_system(system: FeasibilitySystem, matrix: _Matrix | None = None) -
     elif report.status == "infeasible":
         stats = report.stats
         report.certificate, stats["trials"], stats["decided"] = _infeasible_core(
-            system, matrix, slacks, proof
+            system, matrix, slacks, proof, stats["nodes"]
         )
     return report
 
@@ -743,38 +742,38 @@ def _infeasible_core(
     system: FeasibilitySystem,
     matrix: _Matrix,
     slacks: list[int] | None,
-    proof: tuple[int, bool] | None,
+    proof: int | None,
+    nodes: int,
 ) -> tuple[list[str], int, int]:
     """Greedy minimal subset of the non-negative-integer forms that already
     makes the system infeasible (with all equalities kept), and the number
     of its trials that were searched and of those decided without a search.
 
-    `matrix`, `slacks` and `proof` are the system's (slacks: its slack
-    values at its integer point, None when it has none; proof: its
-    search's, None without a point).  With a system point, a trial drops
-    the signs of some forms and keeps the integrality of every form, so its
-    integer points are the system's: it is the status of _search at the
-    system's values of the kept slacks, on the system's lattice with the
-    directions that move no kept slack free (_Matrix.trial).  Without one,
-    the system is a Hermite contradiction, which reads no sign: a trial
-    keeps the integrality of some forms and no sign, and is infeasible
-    when the equalities and the kept forms' link rows have no integer
-    point (_particular on their _lattice).
+    `matrix`, `slacks`, `proof` and `nodes` are the system's (slacks: its
+    slack values at its integer point, None when it has none; proof and
+    nodes: its search's, None and 0 without a point).  With a point, a
+    trial drops the signs of some forms and keeps the integrality of every
+    form, so its integer points are the system's: it is the status of
+    _search at the system's values of the kept slacks, on the system's
+    lattice with the directions that move no kept slack free
+    (_Matrix.trial).  Without one, the system is a Hermite contradiction,
+    which reads no sign: a trial keeps the integrality of some forms and no
+    sign, and is infeasible when the equalities and the kept forms' link
+    rows have no integer point (_particular on their _lattice).
 
     Two kinds of trial with a system point are decided without a search,
     each with the status its search would give.  The current proof, the
     system's or that of the last searched trial that was infeasible, covers
     the current core: its support is a subset of it, and no point of the
     system's lattice makes every form of the support non-negative.
-    (1) A trial that drops a form outside the support is infeasible when
-    the proof is an empty relaxation, which then holds for the trial too,
-    or when the trial's chain leaves no coordinate open: its integer points
-    are the system's, none of them is feasible, and a closed chain gives
-    the search no "unbounded" to return.  The core loses the form and the
-    proof stays, as it still covers the core.  (2) When the system's search
-    reached its DFS, its relaxation is non-empty, and so is every trial's,
-    which has fewer forms: a trial whose chain leaves a coordinate open is
-    unbounded and keeps its form.
+    (1) A trial that drops a form outside the support, and whose chain
+    leaves no coordinate open, is infeasible: its integer points are the
+    system's, none of them is feasible, and a closed chain gives the search
+    no "unbounded" to return.  The core loses the form and the proof stays,
+    as it still covers the core.  (2) When the system's search visited a
+    node, its relaxation is non-empty, and so is every trial's, which has
+    fewer forms: a trial whose chain leaves a coordinate open is unbounded
+    and keeps its form.
 
     A form whose slack no lattice coordinate moves (its row of u is zero on
     w) is fixed by the equalities: it is constant on their real solution
@@ -795,19 +794,17 @@ def _infeasible_core(
                 core = kept
         return [forms[j][1] for j in core], len(forms), 0
     live = [j for j, w_row in enumerate(matrix.lattice.slack_w) if any(w_row) or slacks[j] < 0]
-    # the system's search reached its DFS exactly when its proof is a tree
-    nonempty = not proof[1]
     core = tuple(live)
     searched = decided = 0
     for j in live:
         t = core.index(j)  # j stays in the core until its own trial
         kept = core[:t] + core[t + 1:]
         sub = matrix.trial(kept)
-        if not proof[0] >> j & 1 and (proof[1] or sub.open is None):
+        if not proof >> j & 1 and sub.open is None:
             decided += 1  # (1)
             core = kept
             continue
-        if nonempty and sub.open is not None:
+        if nodes and sub.open is not None:
             decided += 1  # (2)
             continue
         searched += 1
@@ -949,7 +946,7 @@ def report_aug_vectors(report: SolveReport, k: int, n: int) -> list[AugVector]:
     return [AugVector(k, n, v.entries) for v in report_raw_vectors(report, k, n)]
 
 
-def has_element_of_order(n: int, k: int, kind: str = "S") -> bool:
+def has_element_of_order(n: int, k: int, kind: str) -> bool:
     """Whether S_n (kind "S") or A_n (kind "A") has an element of order
     exactly k, for k in {q, 2p, pq}."""
     return any(element_order(ct) == k for ct in allowed_support(n, k, kind))

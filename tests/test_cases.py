@@ -1,5 +1,6 @@
 """Built-in cases against their frozen reports."""
 
+import functools
 import hashlib
 import inspect
 import json
@@ -83,6 +84,26 @@ def test_run_exclusion_rejects_a_repeated_row_group_name():
         run_exclusion("S", 11, 7, 5, thm32_rows(11, 5, names), groups, [])
     with pytest.raises(ValueError, match="^row group 'g' listed twice$"):
         solver.solve_order_pq(11, "S", 7, 5, [], [], groups)
+
+
+@pytest.mark.parametrize("stage_q, group", [
+    (("pi", "rho", "pi"), ("pi", "rho", "tau")),
+    (("pi", "rho", "tau"), ("pi", "tau", "pi")),
+], ids=["stage-q", "row-group"])
+def test_run_exclusion_rejects_a_repeated_row_before_any_stage(stage_q, group, monkeypatch):
+    # a repeated row would carry each of its forms twice; a row may recur
+    # in another row group, which solves other pairs
+    def unreached(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cases_mod, "solve_prime_order", unreached)
+    monkeypatch.setattr(cases_mod, "solve_order_pq", unreached)
+    groups = [
+        {"name": "g", "members": [], "rows_and_ells": thm32_rows(11, 35, ("pi", "rho", "tau"))},
+        {"name": "rest", "members": None, "rows_and_ells": thm32_rows(11, 35, group)},
+    ]
+    with pytest.raises(ValueError, match="^row 'pi' listed twice$"):
+        run_exclusion("S", 11, 7, 5, thm32_rows(11, 5, stage_q), groups, ["q-power-weighted-sum"])
 
 
 def test_s7_case_details():
@@ -278,16 +299,19 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # scratch and each a system's, as every core trial searches its
     # system's lattice, Fourier-Motzkin chains, one per lattice for its
     # systems' search, each the chain of the lattice's own w, and one per
-    # trial structure, the searches with a coordinate open (a recession
-    # ray) and those with free directions, and forward substitutions, one
-    # per system, as every core trial starts from its system's point.
+    # trial structure, the system chains with a coordinate open (a
+    # recession ray) and those with free directions, and forward
+    # substitutions, one per system, as every core trial starts from its
+    # system's point.  No search, the system's or a trial's, reads a chain
+    # with a coordinate open, and none is infeasible with an empty
+    # relaxation (0 nodes): every infeasible proof is a search tree.
     # Every core trial, searched or decided, is replayed: its status on its
     # structure and on the lattice from scratch of the system with the
     # dropped forms' link rows as equalities is infeasible exactly when the
     # core drops its form
     counts = Counter()
-    real_enumerate, real_search, real_lattice, real_shared, real_chain, real_particular = (
-        solver.enumerate_system, solver._search, solver._lattice, solver._shared_trial,
+    real_enumerate, real_search, real_lattice, real_system_chain, real_chain, real_particular = (
+        solver.enumerate_system, solver._search, solver._lattice, solver._Matrix.chain.func,
         solver._chain, solver._particular,
     )
     real_trial, real_core = solver._Matrix.trial, solver._infeasible_core
@@ -304,12 +328,14 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     def searching(lat, slacks, leaves=None):
         status, nodes, proof = real_search(lat, slacks, leaves)
         counts["solve nodes"] += nodes
+        counts["open searches"] += lat.open is not None
+        counts["empty proofs"] += status == "infeasible" and not nodes
         if leaves is None:
             counts["trials"] += 1
         return status, nodes, proof
 
-    def coring(system, matrix, slacks, proof):
-        names, searched, decided = real_core(system, matrix, slacks, proof)
+    def coring(system, matrix, slacks, proof, nodes):
+        names, searched, decided = real_core(system, matrix, slacks, proof, nodes)
         assert slacks is not None
         final = {j for j, (_, name) in enumerate(system.nonneg_integral) if name in names}
         w_rows = matrix.lattice.slack_w
@@ -335,14 +361,16 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         counts["lattices"] += 1
         return lat
 
-    def sharing(lat, kept):
-        chain = real_shared(lat, kept)
-        if len(kept) == len(lat.slack_w):
-            assert chain == scratch_search(lat, kept)
-            counts["system chains"] += 1
-            counts["open"] += chain.open is not None
-            counts["free"] += chain.nfree > 0
+    def system_chain(matrix):
+        chain = real_system_chain(matrix)
+        assert chain == scratch_search(matrix.lattice, range(len(matrix.lattice.slack_w)))
+        counts["system chains"] += 1
+        counts["open"] += chain.open is not None
+        counts["free"] += chain.nfree > 0
         return chain
+
+    system_chain_property = functools.cached_property(system_chain)
+    system_chain_property.__set_name__(solver._Matrix, "chain")
 
     def projecting(*args):
         counts["chains"] += 1
@@ -355,7 +383,7 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     monkeypatch.setattr(solver, "enumerate_system", enumerating)
     monkeypatch.setattr(solver, "_search", searching)
     monkeypatch.setattr(solver, "_lattice", building)
-    monkeypatch.setattr(solver, "_shared_trial", sharing)
+    monkeypatch.setattr(solver._Matrix, "chain", system_chain_property)
     monkeypatch.setattr(solver, "_chain", projecting)
     monkeypatch.setattr(solver, "_particular", substituting)
     monkeypatch.setattr(solver, "_infeasible_core", coring)
@@ -370,7 +398,7 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         "systems": 898, "system nodes": 6219, "solve nodes": 8891, "trials": 941,
         "stats trials": 941, "decided": 3755, "replayed": 4696,
         "lattices": 106, "system chains": 106, "chains": 477, "open": 0, "free": 9,
-        "particular": 898,
+        "particular": 898, "open searches": 0, "empty proofs": 0,
     }
 
 
@@ -382,7 +410,7 @@ def test_the_closed_chain_guard_of_a_decided_drop_changes_sweep_certificates(mon
     # other certificates: some sweep reports then differ from
     # bench/reference.json
     source = inspect.getsource(solver._infeasible_core)
-    mutant = source.replace("(proof[1] or sub.open is None)", "True")
+    mutant = source.replace(" and sub.open is None:", ":")
     assert mutant != source
     namespace = {}
     exec(compile(mutant, solver.__file__, "exec"), vars(solver), namespace)

@@ -126,6 +126,9 @@ def test_one_multiplier_chain_rows_are_their_slack_rows(drawn):
     sub = kept_matrix(solver._Matrix(rows, nvar, neq), kept)
     singles = [row for level, _ in sub.chain.bounds for row in level]
     assert all(coeffs == sub.lattice.slack_w[i] for coeffs, i, _ in singles)
+    # slack_w is column echelon, so a core trial's reduction with every
+    # form kept would change nothing: the system's search reads it as is
+    assert solver._shared_trial(sub.lattice, range(len(kept))) == sub.chain
 
 
 def chain_rows(chain):
@@ -162,7 +165,7 @@ def assert_chain_rows_evaluate_to_lam_k(chain, slacks):
     negative = [mask for level, _, lam, mask in rows if level is None and constant(lam) < 0]
     if negative:
         # the first negative row in the search's order is its proof
-        assert solver._search(chain, slacks) == ("infeasible", 0, (negative[0], True))
+        assert solver._search(chain, slacks) == ("infeasible", 0, negative[0])
     elif chain.open == 0:
         assert solver._search(chain, slacks) == ("unbounded", 0, None)
 
@@ -545,8 +548,9 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     assert report.certificate == public_deletion_filter(system) == ["b + c"]
     # "a" (form 0, fixed at 2) is dropped by no trial and kept by none;
     # "b + c" (fixed at -1) gets its trial and stays, and "b" is dropped.
-    # The system's proof is the empty relaxation of "b + c" alone, so the
-    # trial of "b", outside it, is decided without a search
+    # The system's proof reads "b + c" alone, and the trial of "b", outside
+    # it, keeps only "b + c", which no coordinate moves: its chain is
+    # closed, so it is decided without a search
     assert tried == [(2,), (1,)]
     assert searched == [solver._Trial]
     assert (report.stats["trials"], report.stats["decided"]) == (1, 1)
@@ -703,9 +707,9 @@ def test_form_parts_are_built_once_per_row_group(monkeypatch):
 
 
 def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
-    # one Hermite elimination per matrix, its one lattice, and one
-    # reduction of that lattice's kept slack rows for its systems' search
-    # and per distinct (rows, kept forms) core trial
+    # one Hermite elimination per matrix, its one lattice, whose slack rows
+    # its systems' search reads as they are, and one reduction of that
+    # lattice's kept slack rows per distinct (rows, kept forms) core trial
     hermite_calls = 0
     lattices, trials, matrices = set(), set(), []
     per_call = []
@@ -745,7 +749,7 @@ def test_lattices_are_shared_within_one_solve_order_pq_call_only(monkeypatch):
     _case_thm32(12, 11, 3)
     (calls, distinct, tried, shared), again = per_call
     assert distinct == shared == 1
-    assert 0 < calls == 2 * distinct + tried
+    assert 0 < calls == distinct + tried
     assert again == (calls, distinct, tried, shared)
 
 
@@ -790,8 +794,8 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
         builds.append(current)
         return real_shared(lat, kept)
 
-    def recording(system, matrix, slacks, proof):
-        core, searched, decided = real_core(system, matrix, slacks, proof)
+    def recording(system, matrix, slacks, proof, nodes):
+        core, searched, decided = real_core(system, matrix, slacks, proof, nodes)
         rows = solver._matrix(system).rows
         # a form that the equalities fix at a non-negative integer gets no
         # trial and no trial keeps it; the greedy filter's trial of each
@@ -817,14 +821,13 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
     monkeypatch.setattr(solver, "_infeasible_core", recording)
     monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
     run()
-    # each matrix's systems share one search of every form, and each
-    # (matrix, kept forms) structure a trial needs is built once, on its
-    # first trial, on its system's lattice, and never for the other trials
-    # that keep the same forms
-    assert builds.count(None) == matrices
-    assert Counter(filter(None, builds)) == Counter(set(tried))
+    # each (matrix, kept forms) structure a trial needs is built once, on
+    # its first trial, on its system's lattice, and never for the other
+    # trials that keep the same forms; the systems' own search is no trial
+    assert None not in builds
+    assert Counter(builds) == Counter(set(tried))
     assert (len({rows for rows, _ in tried}), len(builds), len(tried)) == (
-        matrices, matrices + structures, trials
+        matrices, structures, trials
     )
 
 
@@ -1164,17 +1167,102 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own():
     assert {"no point", "infeasible", "solutions", "unbounded"} <= set(seen)
 
 
+def empty_proof_system():
+    # a + b + c = 1 with 0 <= a <= -1, which no real a meets, and c = 0 from
+    # two forms.  The system's proof is the empty relaxation of "a" and
+    # "-a - 1" alone: the trial that drops "c" is outside it, and its chain
+    # leaves c open below, so it is searched, and infeasible at w_0's range
+    a, b, c = var("3.1", 7), var("3.2", 7), var("5.1", 7)
+    forms = [
+        (AffineForm.make({a: 1}, 0), "a"),
+        (AffineForm.make({a: -1}, -1), "-a - 1"),
+        (AffineForm.make({c: 1}, 0), "c"),
+        (AffineForm.make({c: -1}, 0), "-c"),
+    ]
+    return FeasibilitySystem.build([a, b, c], [], forms)
+
+
+def decided_core_case(system, seen):
+    """Enumerate the system and replay every core trial, decided or
+    searched, with the search the core would run, counting in `seen` each
+    trial's way and status, and each search of an open chain with an
+    empty-relaxation proof outside its form."""
+    kept_of, searched, cores = {}, [], []
+    real_trial, real_search, real_core = (
+        solver._Matrix.trial, solver._search, solver._infeasible_core
+    )
+
+    def trying(matrix, kept):
+        trial = real_trial(matrix, kept)
+        kept_of[id(trial)] = kept
+        return trial
+
+    def searching(lat, slacks, leaves=None):
+        if leaves is None:
+            searched.append(kept_of[id(lat)])
+        return real_search(lat, slacks, leaves)
+
+    def coring(system, matrix, slacks, proof, nodes):
+        result = real_core(system, matrix, slacks, proof, nodes)
+        cores.append((matrix, slacks, proof, nodes, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Matrix, "trial", trying)
+        mp.setattr(solver, "_search", searching)
+        mp.setattr(solver, "_infeasible_core", coring)
+        report = enumerate_system(system)
+    if report.status != "infeasible":
+        return
+    assert report.certificate == public_deletion_filter(system)
+    ((matrix, slacks, proof, nodes, (names, trials, decided)),) = cores
+    assert (report.stats["trials"], report.stats["decided"]) == (trials, decided)
+    forms = system.nonneg_integral
+    if slacks is None:
+        assert (searched, trials, decided) == ([], len(forms), 0)
+        seen["no point"] += 1
+        return
+    assert len(searched) == trials
+    final = {j for j, (_, name) in enumerate(forms) if name in names}
+    w_rows = matrix.lattice.slack_w
+    live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
+    core = tuple(live)
+    for j in live:
+        kept = tuple(i for i in core if i != j)
+        sub = real_trial(matrix, kept)
+        status, trial_nodes, found = real_search(sub, [slacks[i] for i in kept])
+        assert (status == "infeasible") == (j not in final)
+        way = "searched" if kept in searched else "decided"
+        seen[way, status] += 1
+        if not nodes and not proof >> j & 1 and sub.open is not None:
+            seen[way, "empty proof, open chain"] += 1
+        if status == "infeasible":
+            core = kept
+            if way == "searched":
+                proof, nodes = found, trial_nodes
+    assert trials + decided == len(live)
+
+
 def test_decided_core_trials_agree_with_their_searches():
     # the core decides a trial without a search (1) when the current proof
-    # does not read the dropped form and is an empty relaxation, or the
-    # trial's chain is closed, and (2) when the system's relaxation is
-    # non-empty and the trial's chain is open.  Each trial, decided or
+    # does not read the dropped form and the trial's chain is closed, and
+    # (2) when the system's relaxation is non-empty (its search visited a
+    # node) and the trial's chain is open.  Each trial, decided or
     # searched, is replayed with the search the core would run: it is
     # infeasible exactly when the core drops its form, so every certificate
     # is the greedy filter's over public solves.  The extra forms give
     # systems without a point (x0 + 1/2), whose trials are forward
-    # substitutions, and empty relaxations (-x0 - 7 in a box)
+    # substitutions, and empty relaxations (-x0 - 7 in a box).  A trial
+    # outside an empty-relaxation proof with an open chain is searched; the
+    # random systems may not draw one, so a hand-built system covers it
     seen = Counter()
+    decided_core_case(empty_proof_system(), seen)
+    # "a" and "-a - 1" stay, each trial of them unbounded; "c" goes
+    # infeasible by a search, and "-c" by (1)
+    assert seen == {
+        ("searched", "unbounded"): 2, ("searched", "infeasible"): 1,
+        ("searched", "empty proof, open chain"): 1, ("decided", "infeasible"): 1,
+    }
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
@@ -1182,61 +1270,15 @@ def test_decided_core_trials_agree_with_their_searches():
         st.sampled_from(["", "x0 + 1/2", "-x0 - 7"]),
     )
     def check(drawn, extra):
-        system = with_extra_form(drawn[0], extra)
-        kept_of, searched, cores = {}, [], []
-        real_trial, real_search, real_core = (
-            solver._Matrix.trial, solver._search, solver._infeasible_core
-        )
-
-        def trying(matrix, kept):
-            trial = real_trial(matrix, kept)
-            kept_of[id(trial)] = kept
-            return trial
-
-        def searching(lat, slacks, leaves=None):
-            if leaves is None:
-                searched.append(kept_of[id(lat)])
-            return real_search(lat, slacks, leaves)
-
-        def coring(system, matrix, slacks, proof):
-            result = real_core(system, matrix, slacks, proof)
-            cores.append((matrix, slacks, result))
-            return result
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver._Matrix, "trial", trying)
-            mp.setattr(solver, "_search", searching)
-            mp.setattr(solver, "_infeasible_core", coring)
-            report = enumerate_system(system)
-        if report.status != "infeasible":
-            return
-        assert report.certificate == public_deletion_filter(system)
-        ((matrix, slacks, (names, trials, decided)),) = cores
-        assert (report.stats["trials"], report.stats["decided"]) == (trials, decided)
-        forms = system.nonneg_integral
-        if slacks is None:
-            assert (searched, trials, decided) == ([], len(forms), 0)
-            seen["no point"] += 1
-            return
-        assert len(searched) == trials
-        final = {j for j, (_, name) in enumerate(forms) if name in names}
-        w_rows = matrix.lattice.slack_w
-        live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
-        core = tuple(live)
-        for j in live:
-            kept = tuple(i for i in core if i != j)
-            status = real_search(real_trial(matrix, kept), [slacks[i] for i in kept])[0]
-            assert (status == "infeasible") == (j not in final)
-            seen["searched" if kept in searched else "decided", status] += 1
-            if status == "infeasible":
-                core = kept
-        assert trials + decided == len(live)
+        decided_core_case(with_extra_form(drawn[0], extra), seen)
 
     check()
     assert {
         "no point", ("decided", "infeasible"), ("decided", "unbounded"),
         ("searched", "infeasible"), ("searched", "solutions"),
+        ("searched", "empty proof, open chain"),
     } <= set(seen)
+    assert ("decided", "empty proof, open chain") not in seen
 
 
 def parity_system():

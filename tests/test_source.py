@@ -183,14 +183,15 @@ def test_only_a_lattice_and_a_shared_trial_run_a_hermite_elimination():
 
 
 def test_only_a_search_record_projects_a_chain():
-    # the system's search (_Matrix.chain) and each core trial's are both
-    # _shared_trial of the matrix's lattice: a lattice projects no chain
+    # the system's search (_Matrix.chain) projects its lattice's slack rows
+    # as they are, and each core trial's (_shared_trial) the reduced rows
+    # of its kept slacks: a lattice projects no chain
     found = {
         path.name: names
         for path in sorted(PACKAGE.rglob("*.py"))
         if (names := referrers(path.read_text(), "_chain"))
     }
-    assert found == {"solver.py": ["_shared_trial"]}
+    assert found == {"solver.py": ["_shared_trial", "chain"]}
 
 
 def test_kind_comparisons_are_found():
