@@ -63,9 +63,12 @@ of those values with its traces.  Each distinct (form, constant) of the
 call is one AffineForm.  Its systems share one integer matrix, read off the
 first of them, so each contributes only its right-hand side, read off its
 forms' constants (_rhs).  The memos live as long as the call or its
-matrix: the systems share the matrix's lattice, search and ray (_Matrix),
-and their core trials one search per tuple of kept forms (_Matrix.trial),
-so a trial builds only when its kept forms are new.
+matrix: the systems share the matrix's lattice, search and ray (_Matrix)
+and the supports of its search's generators, and their core trials one
+answer per tuple of kept forms to whether its chain is closed
+(_Matrix.trial_closed) and one search per tuple of kept forms that a trial
+searches (_Matrix.trial), so a trial builds only when it is searched and
+its kept forms are new.
 
 The infeasible core is a greedy deletion filter: one trial per form, each
 the status of one search of the system without the sign of that form and
@@ -95,6 +98,11 @@ trial without a search: one that drops a form outside the proof is
 infeasible when the trial's chain leaves no coordinate open; and when the
 system's search visited a node, so that every trial's relaxation is
 non-empty, a trial whose chain leaves a coordinate open is unbounded.
+Whether a trial's chain is closed is read off the system's search, with
+no chain built: it is closed exactly when the supports of that search's
+generators (its rows with no coordinate and the lower/upper pairs of w_0)
+that lie inside the kept forms cover them (_infeasible_core), so a
+decided trial builds nothing.
 Each decision is the status the search would return, so every core is the
 greedy filter's.
 
@@ -466,11 +474,15 @@ class _Matrix:
     share, over nvar variables with the neq equalities first, and what
     their solves read, each built on its first use: the one _lattice and
     the search of every form (lattice, chain), an unbounded system's ray,
-    and the memo of the _shared_trial of each tuple of kept forms (trial)."""
+    the supports of that search's generators (generators), and two memos
+    per tuple of kept forms of a core trial: whether its chain is closed
+    (closed, read off the generators by trial_closed) and, for a trial that
+    is searched, its _shared_trial (trials, built by trial)."""
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], nvar: int, neq: int):
         self.rows, self.nvar, self.neq = rows, nvar, neq
         self.trials: dict[tuple[int, ...], _Trial] = {}
+        self.closed: dict[tuple[int, ...], bool] = {}
 
     @cached_property
     def lattice(self) -> _Lattice:
@@ -483,6 +495,21 @@ class _Matrix:
         column echelon on w already, so unreduced (unlike _shared_trial)."""
         lat = self.lattice
         return _Trial(lat.wdim, lat.nfree, *_chain(lat.slack_w, lat.wdim, range(len(lat.slack_w))))
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The distinct supports of the rows that generate the cone of the
+        multipliers lam >= 0 with lam . slack_w = 0: the chain's rows with
+        no coordinate, and each lower/upper pair of w_0's rows, which the
+        chain's last elimination, left to the search, would combine."""
+        chain = self.chain
+        supports = {mask for _, mask in chain.nonneg}
+        supports.update(row[-1] for row in chain.sums)
+        level = [row for part in chain.bounds[0] for row in part] if chain.wdim else []
+        upper = {row[-1] for row in level if row[0][0] < 0}
+        for lower in {row[-1] for row in level if row[0][0] > 0}:
+            supports.update(lower | mask for mask in upper)
+        return tuple(supports)
 
     @cached_property
     def ray(self) -> tuple[int, ...]:
@@ -503,6 +530,21 @@ class _Matrix:
         if trial is None:
             trial = self.trials[kept] = _shared_trial(self.lattice, kept)
         return trial
+
+    def trial_closed(self, kept: tuple[int, ...]) -> bool:
+        """Whether the chain of the core trial that keeps the forms in
+        `kept` leaves no coordinate open, decided on its first request
+        without building the trial: the supports of the generators that
+        lie inside the kept forms cover them (see _infeasible_core)."""
+        closed = self.closed.get(kept)
+        if closed is None:
+            mask = sum(1 << j for j in kept)
+            cover = 0
+            for support in self.generators:
+                if support & mask == support:
+                    cover |= support
+            closed = self.closed[kept] = cover == mask
+        return closed
 
 
 def _matrix(system: FeasibilitySystem) -> _Matrix:
@@ -762,7 +804,8 @@ def _infeasible_core(
     rows have no integer point (_particular on their _lattice).
 
     Two kinds of trial with a system point are decided without a search,
-    each with the status its search would give.  The current proof, the
+    each with the status its search would give, and build no structure:
+    only a searched trial calls _Matrix.trial.  The current proof, the
     system's or that of the last searched trial that was infeasible, covers
     the current core: its support is a subset of it, and no point of the
     system's lattice makes every form of the support non-negative.
@@ -773,7 +816,13 @@ def _infeasible_core(
     as it still covers the core.  (2) When the system's search visited a
     node, its relaxation is non-empty, and so is every trial's, which has
     fewer forms: a trial whose chain leaves a coordinate open is unbounded
-    and keeps its form.
+    and keeps its form.  Whether a trial's chain is closed comes from the
+    system's chain (_Matrix.trial_closed): FM keeps every extreme ray of
+    the cone of the multipliers lam >= 0 with lam . slack_w = 0, so the
+    generators whose supports lie inside the kept forms generate the lam
+    that vanish off them, and by Stiemke's lemma the kept rows leave no
+    direction open exactly when one such lam is positive on every kept
+    form, that is when those supports cover the kept forms.
 
     A form whose slack no lattice coordinate moves (its row of u is zero on
     w) is fixed by the equalities: it is constant on their real solution
@@ -799,16 +848,16 @@ def _infeasible_core(
     for j in live:
         t = core.index(j)  # j stays in the core until its own trial
         kept = core[:t] + core[t + 1:]
-        sub = matrix.trial(kept)
-        if not proof >> j & 1 and sub.open is None:
+        closed = matrix.trial_closed(kept)
+        if not proof >> j & 1 and closed:
             decided += 1  # (1)
             core = kept
             continue
-        if nodes and sub.open is not None:
+        if nodes and not closed:
             decided += 1  # (2)
             continue
         searched += 1
-        status, _, found = _search(sub, list(map(slacks.__getitem__, kept)))
+        status, _, found = _search(matrix.trial(kept), list(map(slacks.__getitem__, kept)))
         if status == "infeasible":
             core, proof = kept, found
     return [forms[j][1] for j in core], searched, decided

@@ -299,22 +299,29 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     # scratch and each a system's, as every core trial searches its
     # system's lattice, Fourier-Motzkin chains, one per lattice for its
     # systems' search, each the chain of the lattice's own w, and one per
-    # trial structure, the system chains with a coordinate open (a
-    # recession ray) and those with free directions, and forward
-    # substitutions, one per system, as every core trial starts from its
-    # system's point.  No search, the system's or a trial's, reads a chain
-    # with a coordinate open, and none is infeasible with an empty
-    # relaxation (0 nodes): every infeasible proof is a search tree.
+    # trial structure, which only a searched trial builds, Hermite
+    # eliminations, one per lattice and one per trial structure, the system
+    # chains with a coordinate open (a recession ray) and those with free
+    # directions, and forward substitutions, one per system, as every core
+    # trial starts from its system's point.  No search, the system's or a
+    # trial's, reads a chain with a coordinate open, and none is infeasible
+    # with an empty relaxation (0 nodes): every infeasible proof is a
+    # search tree.
     # Every core trial, searched or decided, is replayed: its status on its
     # structure and on the lattice from scratch of the system with the
     # dropped forms' link rows as equalities is infeasible exactly when the
-    # core drops its form
+    # core drops its form, and the core's answer to whether its chain is
+    # closed is that structure's.  The replay builds its own structures,
+    # which are not counted with the program's
     counts = Counter()
     real_enumerate, real_search, real_lattice, real_system_chain, real_chain, real_particular = (
         solver.enumerate_system, solver._search, solver._lattice, solver._Matrix.chain.func,
         solver._chain, solver._particular,
     )
-    real_trial, real_core = solver._Matrix.trial, solver._infeasible_core
+    real_shared, real_hermite, real_core = (
+        solver._shared_trial, solver._column_hermite, solver._infeasible_core
+    )
+    replaying = False
 
     def enumerating(system, matrix=None):
         report = real_enumerate(system, matrix)
@@ -335,8 +342,10 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         return status, nodes, proof
 
     def coring(system, matrix, slacks, proof, nodes):
+        nonlocal replaying
         names, searched, decided = real_core(system, matrix, slacks, proof, nodes)
         assert slacks is not None
+        replaying = True
         final = {j for j, (_, name) in enumerate(system.nonneg_integral) if name in names}
         w_rows = matrix.lattice.slack_w
         live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
@@ -344,13 +353,16 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         for j in live:
             kept = tuple(i for i in core if i != j)
             at_kept = [slacks[i] for i in kept]
-            status = real_search(real_trial(matrix, kept), at_kept)[0]
+            trial = real_shared(matrix.lattice, kept)
+            assert matrix.closed[kept] == (trial.open is None)
+            status = real_search(trial, at_kept)[0]
             own = sign_trial_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
             assert real_search(scratch_search(own, range(len(kept))), at_kept)[0] == status
             if status == "infeasible":
                 core = kept
         assert core == tuple(sorted(final))
         counts["replayed"] += len(live)
+        replaying = False
         return names, searched, decided
 
     def building(matrix, kept):
@@ -373,8 +385,16 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     system_chain_property.__set_name__(solver._Matrix, "chain")
 
     def projecting(*args):
-        counts["chains"] += 1
+        counts["chains"] += not replaying
         return real_chain(*args)
+
+    def sharing(lat, kept):
+        counts["trial structures"] += 1
+        return real_shared(lat, kept)
+
+    def eliminating(*args):
+        counts["eliminations"] += not replaying
+        return real_hermite(*args)
 
     def substituting(*args):
         counts["particular"] += 1
@@ -385,6 +405,8 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     monkeypatch.setattr(solver, "_lattice", building)
     monkeypatch.setattr(solver._Matrix, "chain", system_chain_property)
     monkeypatch.setattr(solver, "_chain", projecting)
+    monkeypatch.setattr(solver, "_shared_trial", sharing)
+    monkeypatch.setattr(solver, "_column_hermite", eliminating)
     monkeypatch.setattr(solver, "_particular", substituting)
     monkeypatch.setattr(solver, "_infeasible_core", coring)
     reference = json.loads((REPO / "bench" / "reference.json").read_text())["thm32-sweep"]
@@ -397,7 +419,8 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
     assert counts == {
         "systems": 898, "system nodes": 6219, "solve nodes": 8891, "trials": 941,
         "stats trials": 941, "decided": 3755, "replayed": 4696,
-        "lattices": 106, "system chains": 106, "chains": 477, "open": 0, "free": 9,
+        "lattices": 106, "system chains": 106, "trial structures": 108, "chains": 214,
+        "eliminations": 214, "open": 0, "free": 9,
         "particular": 898, "open searches": 0, "empty proofs": 0,
     }
 
@@ -410,7 +433,7 @@ def test_the_closed_chain_guard_of_a_decided_drop_changes_sweep_certificates(mon
     # other certificates: some sweep reports then differ from
     # bench/reference.json
     source = inspect.getsource(solver._infeasible_core)
-    mutant = source.replace(" and sub.open is None:", ":")
+    mutant = source.replace(" and closed:", ":")
     assert mutant != source
     namespace = {}
     exec(compile(mutant, solver.__file__, "exec"), vars(solver), namespace)

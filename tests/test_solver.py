@@ -4,6 +4,7 @@ import inspect
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -528,8 +529,14 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     lat = solver._matrix(system).lattice
     # the slack rows of u on the w coordinates
     assert [any(row) for row in lat.slack_w] == [False, False, True]
-    tried, searched = [], []
-    real_trial, real_search = solver._Matrix.trial, solver._search
+    asked, tried, searched = [], [], []
+    real_closed, real_trial, real_search = (
+        solver._Matrix.trial_closed, solver._Matrix.trial, solver._search
+    )
+
+    def asking(matrix, kept):
+        asked.append(kept)
+        return real_closed(matrix, kept)
 
     def trying(matrix, kept):
         tried.append(kept)
@@ -540,6 +547,7 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
             searched.append(type(lat))
         return real_search(lat, slacks, leaves)
 
+    monkeypatch.setattr(solver._Matrix, "trial_closed", asking)
     monkeypatch.setattr(solver._Matrix, "trial", trying)
     monkeypatch.setattr(solver, "_search", searching)
     report = enumerate_system(system)
@@ -550,8 +558,9 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     # "b + c" (fixed at -1) gets its trial and stays, and "b" is dropped.
     # The system's proof reads "b + c" alone, and the trial of "b", outside
     # it, keeps only "b + c", which no coordinate moves: its chain is
-    # closed, so it is decided without a search
-    assert tried == [(2,), (1,)]
+    # closed, so it is decided without a search and builds no structure
+    assert asked == [(2,), (1,)]
+    assert tried == [(2,)]
     assert searched == [solver._Trial]
     assert (report.stats["trials"], report.stats["decided"]) == (1, 1)
 
@@ -768,16 +777,17 @@ def test_thm32_12_11_3_pairs_visit_131_dfs_nodes(monkeypatch):
     assert (len(nodes), sum(nodes)) == (90, 131)
 
 
-@pytest.mark.parametrize("run, matrices, structures, trials", [
+@pytest.mark.parametrize("run, matrices, structures, searches, trials", [
     # the four pi forms of each of the 76 infeasible pairs get no trial
-    (lambda: _case_thm32(12, 11, 3), 1, 19, 608),
-    # three row groups: three matrices whose trials keep the same forms
-    (lambda: run_case("s13-3x11"), 3, 8, 38),
+    (lambda: _case_thm32(12, 11, 3), 1, 5, 111, 608),
+    # three row groups: three matrices whose trials keep the same forms,
+    # each decided without a search, so none builds a structure
+    (lambda: run_case("s13-3x11"), 3, 0, 0, 38),
 ], ids=["thm32-12-11-3", "s13-3x11"])
 def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
-    run, matrices, structures, trials, monkeypatch
+    run, matrices, structures, searches, trials, monkeypatch
 ):
-    builds, tried, current = [], [], None  # current: the trial being built
+    builds, requested, tried, current = [], [], [], None  # current: the trial being built
     real_shared, real_trial, real_core, real_pq = (
         solver._shared_trial, solver._Matrix.trial, solver._infeasible_core,
         cases_mod.solve_order_pq,
@@ -786,6 +796,7 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
     def trying(matrix, kept):
         nonlocal current
         current = (matrix.rows, kept)
+        requested.append(current)
         trial = real_trial(matrix, kept)
         current = None
         return trial
@@ -813,6 +824,7 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
 
     def measured(*args, **kwargs):
         builds.clear()
+        requested.clear()
         tried.clear()
         return real_pq(*args, **kwargs)
 
@@ -821,13 +833,16 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
     monkeypatch.setattr(solver, "_infeasible_core", recording)
     monkeypatch.setattr(cases_mod, "solve_order_pq", measured)
     run()
-    # each (matrix, kept forms) structure a trial needs is built once, on
-    # its first trial, on its system's lattice, and never for the other
-    # trials that keep the same forms; the systems' own search is no trial
+    # each (matrix, kept forms) structure a searched trial needs is built
+    # once, on its first search, on its system's lattice, and never for the
+    # other searches that keep the same forms; a decided trial, whose
+    # closedness its matrix's generators give, builds none, and the
+    # systems' own search is no trial
     assert None not in builds
-    assert Counter(builds) == Counter(set(tried))
-    assert (len({rows for rows, _ in tried}), len(builds), len(tried)) == (
-        matrices, structures, trials
+    assert Counter(builds) == Counter(set(requested))
+    assert set(requested) <= set(tried)
+    assert (len({rows for rows, _ in tried}), len(builds), len(requested), len(tried)) == (
+        matrices, structures, searches, trials
     )
 
 
@@ -1230,6 +1245,7 @@ def decided_core_case(system, seen):
     for j in live:
         kept = tuple(i for i in core if i != j)
         sub = real_trial(matrix, kept)
+        assert matrix.closed[kept] == (sub.open is None)
         status, trial_nodes, found = real_search(sub, [slacks[i] for i in kept])
         assert (status == "infeasible") == (j not in final)
         way = "searched" if kept in searched else "decided"
@@ -1279,6 +1295,58 @@ def test_decided_core_trials_agree_with_their_searches():
         ("searched", "empty proof, open chain"),
     } <= set(seen)
     assert ("decided", "empty proof, open chain") not in seen
+
+
+def closed_rule_case(system, seen):
+    """Check, for every tuple of kept forms of the system, that its
+    matrix's generator cover says a core trial's chain is closed exactly
+    when the trial's own structure leaves no coordinate open, counting in
+    `seen` what the system and its trials cover."""
+    matrix = solver._matrix(system)
+    lat = matrix.lattice
+    every = range(len(lat.slack_w))
+    for kept in (kept for r in range(len(every) + 1) for kept in combinations(every, r)):
+        trial = solver._shared_trial(lat, kept)
+        assert matrix.trial_closed(kept) == (trial.open is None)
+        seen["closed" if trial.open is None else "open"] += 1
+        if not kept:
+            seen["empty kept"] += 1
+        elif not trial.wdim:
+            seen["wdim 0"] += 1
+        if any(not any(lat.slack_w[j]) for j in kept):
+            seen["fixed form"] += 1
+    if lat.nfree:
+        seen["free directions"] += 1
+
+
+def test_a_trial_chain_is_closed_when_the_generators_inside_its_forms_cover_them():
+    # the system chain's rows with no coordinate and the lower/upper pairs
+    # of w_0 generate the cone of the multipliers lam >= 0 with
+    # lam . slack_w = 0, so the generators whose supports lie inside the
+    # kept forms generate its face of the lam that vanish off them; by
+    # Stiemke's lemma the kept rows leave no direction open exactly when
+    # some lam of that face is positive on every kept form.  The rule reads
+    # only the matrix, so systems without a point are checked too.  The
+    # hand-built systems cover free directions, forms that the equalities
+    # fix (a zero row of slack_w), trials with no coordinate and a closed
+    # chain that only a pair of w_0 covers
+    seen = Counter()
+    for builder in (
+        free_direction_system, fixed_forms_system, unique_point_system, three_leaf_system
+    ):
+        closed_rule_case(builder(), seen)
+    assert seen == {
+        "closed": 14, "open": 18, "empty kept": 4, "wdim 0": 6, "fixed form": 9,
+        "free directions": 1,
+    }
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(random_systems(max_vars=3, box=True), random_systems(max_vars=3, box=False)))
+    def check(drawn):
+        closed_rule_case(drawn[0], seen)
+
+    check()
+    assert set(seen) == {"closed", "open", "empty kept", "wdim 0", "fixed form", "free directions"}
 
 
 def parity_system():
@@ -1406,13 +1474,64 @@ def assert_chain_rows_combine_the_slack_rows(chain, slack_w, labels):
     assert all(len(idx) > 1 for idx in many + [idx for idx, _, _ in chain.sums])
 
 
+def one_chain_case(system, kept, z, seen):
+    """Check that the chain of the lattice of a system's kept forms solves
+    like the concrete chain of each point, at the system's right-hand side
+    and at the one of the point z, counting in `seen` each solve's way."""
+    matrix, rhs = solver._matrix(system), solver._rhs(system)
+    rows = matrix.rows
+    nvar, neq = len(system.variables), len(system.equalities)
+    sub = kept_matrix(matrix, kept)
+    lat = sub.lattice
+    assert_chain_rows_combine_the_slack_rows(sub.chain, lat.slack_w, range(len(kept)))
+    assert_chain_rows_combine_the_slack_rows(scratch_search(lat, kept), lat.slack_w, kept)
+    # a core trial's rows carry the bits of the forms it keeps
+    for *_, lam, mask in chain_rows(matrix.trial(kept)):
+        assert mask == sum(1 << kept[i] for i, _ in lam)
+    cols = [*range(nvar), *(nvar + j for j in kept)]
+    kept_rows = [*range(neq), *(neq + j for j in kept)]
+    other = [sum(rows[r][c] * x for c, x in zip(cols, z)) for r in kept_rows]
+    for b in ([rhs[r] for r in kept_rows], other):
+        y = solver._particular(lat, b)
+        slacks = None if y is None else solver._slack_values(lat, y)
+        if y is not None:
+            assert_chain_rows_evaluate_to_lam_k(sub.chain, slacks)
+        report, _ = solver._solve(sub, y, slacks, system.variables)
+        assert report == concrete_solve(lat, y, system.variables)
+        # a core trial reads only the status, and stops at its first point
+        if y is not None:
+            trial = concrete_solve(lat, y, system.variables, find_one=True)
+            assert solver._search(sub.chain, slacks)[:2] == (trial.status, trial.stats["nodes"])
+        if y is None:
+            seen["no integer point"] += 1
+        elif report.status == "infeasible" and report.stats["nodes"] == 0:
+            seen["empty relaxation"] += 1
+        else:
+            seen[report.status] += 1
+
+
 def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
     # a lattice's chain serves every right-hand side: at each point its
     # constants are lam . K, and the solve reports exactly what projecting
     # that point's own slack inequalities reported.  Each lattice is solved
     # at its system's point and at the point of another right-hand side;
-    # the extra form -x0 - 7 in a box |x0| <= 6 empties the relaxation
+    # the extra form -x0 - 7 in a box |x0| <= 6 empties the relaxation.
+    # One hand-built system per way, each with every form kept and solved
+    # again at the origin, covers every way whatever the random draws
     seen = Counter()
+    for builder, way in (
+        (congruence_infeasible_system, "no integer point"),
+        (empty_proof_system, "empty relaxation"),
+        (parity_system, "infeasible"),
+        (three_leaf_system, "solutions"),
+        (free_direction_system, "unbounded"),
+    ):
+        system = builder()
+        every = tuple(range(len(system.nonneg_integral)))
+        ways = Counter()
+        one_chain_case(system, every, [0] * (len(system.variables) + len(every)), ways)
+        assert way in ways
+        seen += ways
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
@@ -1427,38 +1546,11 @@ def test_one_chain_per_lattice_solves_like_the_concrete_chain_of_each_point():
             system = FeasibilitySystem(
                 system.variables, system.equalities, (*system.nonneg_integral, form)
             )
-        matrix, rhs = solver._matrix(system), solver._rhs(system)
-        rows = matrix.rows
-        nvar, neq, nform = len(system.variables), len(system.equalities), len(system.nonneg_integral)
+        nvar, nform = len(system.variables), len(system.nonneg_integral)
         kept = tuple(j for j in range(nform) if data.draw(st.booleans()))
-        sub = kept_matrix(matrix, kept)
-        lat = sub.lattice
-        assert_chain_rows_combine_the_slack_rows(sub.chain, lat.slack_w, range(len(kept)))
-        assert_chain_rows_combine_the_slack_rows(scratch_search(lat, kept), lat.slack_w, kept)
-        # a core trial's rows carry the bits of the forms it keeps
-        for *_, lam, mask in chain_rows(matrix.trial(kept)):
-            assert mask == sum(1 << kept[i] for i, _ in lam)
-        cols = [*range(nvar), *(nvar + j for j in kept)]
-        kept_rows = [*range(neq), *(neq + j for j in kept)]
-        z = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
-        other = [sum(rows[r][c] * x for c, x in zip(cols, z)) for r in kept_rows]
-        for b in ([rhs[r] for r in kept_rows], other):
-            y = solver._particular(lat, b)
-            slacks = None if y is None else solver._slack_values(lat, y)
-            if y is not None:
-                assert_chain_rows_evaluate_to_lam_k(sub.chain, slacks)
-            report, _ = solver._solve(sub, y, slacks, system.variables)
-            assert report == concrete_solve(lat, y, system.variables)
-            # a core trial reads only the status, and stops at its first point
-            if y is not None:
-                trial = concrete_solve(lat, y, system.variables, find_one=True)
-                assert solver._search(sub.chain, slacks)[:2] == (trial.status, trial.stats["nodes"])
-            if y is None:
-                seen["no integer point"] += 1
-            elif report.status == "infeasible" and report.stats["nodes"] == 0:
-                seen["empty relaxation"] += 1
-            else:
-                seen[report.status] += 1
+        size = nvar + len(kept)
+        z = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        one_chain_case(system, kept, z, seen)
 
     check()
     assert set(seen) == {"no integer point", "empty relaxation", "infeasible", "solutions", "unbounded"}
