@@ -8,7 +8,6 @@ is compared against a golden fixture by the ``verify-paper`` command.
 from __future__ import annotations
 
 import time
-from importlib import resources
 
 from .characters import character_value, degree, named_partition
 from .lemma_filters import filter_lemma_4_3, filter_order_q_powers
@@ -38,12 +37,15 @@ from .table_io import TableFile, parse_table
 
 
 def load_bundled_table(filename: str) -> TableFile:
+    from importlib import resources
+
     text = resources.files("sntorsion").joinpath("data/tables").joinpath(filename).read_text()
     return parse_table(text)
 
 
 def load_golden(case_id: str) -> dict:
     import json
+    from importlib import resources
 
     text = resources.files("sntorsion").joinpath("data/golden").joinpath(case_id + ".json").read_text()
     return json.loads(text)

@@ -11,10 +11,10 @@ exclusions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import isqrt
 from operator import itemgetter
+from typing import NamedTuple
 
 from .cyclotomic import ramanujan_sum
 from .partitions import (
@@ -180,17 +180,32 @@ def check_support(classes, n: int, k: int) -> None:
             raise ValueError(problem)
 
 
-@dataclass(frozen=True)
-class AugVector:
-    """Partial augmentations of a normalized unit of order k in Z S_n.
+class _AugFields(NamedTuple):
+    """The fields of an AugVector, which checks them before it is built."""
+
+    k: int
+    n: int
+    entries: tuple[tuple[Partition, int], ...]
+
+
+class AugVector(_AugFields):
+    """Partial augmentations of a normalized unit of order k in Z S_n: the
+    tuple (k, n, entries).
 
     Every vector is validated when it is built: its values sum to 1, each
     class passes check_support, whose verdict is computed once per
     (class, n, k), and no class is listed twice."""
 
-    k: int
-    n: int
-    entries: tuple[tuple[Partition, int], ...]
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int, entries: tuple[tuple[Partition, int], ...]) -> "AugVector":
+        total = sum(map(_value, entries))
+        if total != 1:
+            raise ValueError(f"partial augmentations sum to {total}, not 1")
+        check_support(map(_class, entries), n, k)
+        if len(dict(entries)) < len(entries):
+            raise ValueError("a class is listed twice")
+        return _AugFields.__new__(cls, k, n, entries)
 
     @staticmethod
     def make(k: int, n: int, entries: dict[Partition, int]) -> "AugVector":
@@ -198,15 +213,6 @@ class AugVector:
         for ct in items:
             element_order(ct)  # validates each class once (cached), before the sort
         return AugVector(k, n, _in_class_order(items.items()))
-
-    def __post_init__(self) -> None:
-        entries = self.entries
-        total = sum(map(_value, entries))
-        if total != 1:
-            raise ValueError(f"partial augmentations sum to {total}, not 1")
-        check_support(map(_class, entries), self.n, self.k)
-        if len(dict(entries)) < len(entries):
-            raise ValueError("a class is listed twice")
 
     def value(self, ct: Partition) -> int:
         element_order(ct)  # ValueError on a malformed cycle type
@@ -221,19 +227,43 @@ def forced_vector(n: int, s: int) -> AugVector:
     return AugVector.make(s, n, {prime_cycles(s, 1, n): 1})
 
 
-@dataclass(frozen=True)
 class CharacterRow:
     """Exact integer values of a rational-valued character on a list of
     classes: an ordinary character when modulus is None, a Brauer character
     modulo the prime modulus otherwise, which has no value on the classes
     of order divisible by it.  A row reaches a unit of order k when it has
-    a value on every class that can support such a unit."""
+    a value on every class that can support such a unit.
 
-    name: str
-    degree: int
-    modulus: int | None = None
-    values: tuple[tuple[Partition, int], ...] = ()
-    _by_class: dict[Partition, int] = field(init=False, compare=False, repr=False)
+    A row is immutable.  It compares and hashes as the tuple
+    (name, degree, modulus, values), and that hash is taken once, when the
+    row is built."""
+
+    __slots__ = ("name", "degree", "modulus", "values", "_by_class", "_hash")
+
+    def __init__(
+        self,
+        name: str,
+        degree: int,
+        modulus: int | None = None,
+        values: tuple[tuple[Partition, int], ...] = (),
+    ):
+        if modulus is not None and not is_prime(modulus):
+            raise ValueError(f"brauer modulus {modulus} is not prime")
+        for ct, v in values:
+            order = element_order(ct)
+            if order == 1 and v != degree:
+                raise ValueError(f"identity value {v} differs from degree {degree}")
+            if modulus is not None and order % modulus == 0:
+                raise ValueError(
+                    f"class {format_class(ct)} is {modulus}-singular in a brauer({modulus}) row"
+                )
+        by_class = dict(values)
+        if len(by_class) < len(values):
+            raise ValueError(f"row {name} lists a class twice")
+        fields = (name, degree, modulus, values)
+        # object.__setattr__ passes the row's own __setattr__, which refuses
+        for slot, value in zip(self.__slots__, (*fields, by_class, hash(fields))):
+            object.__setattr__(self, slot, value)
 
     @staticmethod
     def make(
@@ -243,21 +273,27 @@ class CharacterRow:
             element_order(ct)  # validates each class once (cached), before the sort
         return CharacterRow(name, degree, modulus, _in_class_order(values.items()))
 
-    def __post_init__(self) -> None:
-        if self.modulus is not None and not is_prime(self.modulus):
-            raise ValueError(f"brauer modulus {self.modulus} is not prime")
-        for ct, v in self.values:
-            order = element_order(ct)
-            if order == 1 and v != self.degree:
-                raise ValueError(f"identity value {v} differs from degree {self.degree}")
-            if self.modulus is not None and order % self.modulus == 0:
-                raise ValueError(
-                    f"class {format_class(ct)} is {self.modulus}-singular in a brauer({self.modulus}) row"
-                )
-        by_class = dict(self.values)
-        if len(by_class) < len(self.values):
-            raise ValueError(f"row {self.name} lists a class twice")
-        object.__setattr__(self, "_by_class", by_class)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.degree, self.modulus, self.values) == (
+            other.name, other.degree, other.modulus, other.values
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (
+            f"CharacterRow(name={self.name!r}, degree={self.degree!r}, "
+            f"modulus={self.modulus!r}, values={self.values!r})"
+        )
 
     def value(self, ct: Partition) -> int:
         # the keys of values are validated cycle types, so a hit needs no
@@ -276,8 +312,7 @@ def char_value_on_unit(row: CharacterRow, aug: AugVector) -> int:
     return sum(eps * row.value(ct) for ct, eps in aug.entries)
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(NamedTuple):
     """(sum of c * eps_C + constant) / den over the augmentation variables,
     one per class (cycle type), with integers c, constant and den > 0."""
 

@@ -10,7 +10,6 @@ reports are byte-comparable across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 
@@ -79,20 +78,41 @@ _WRITERS = {
 }
 
 
-@dataclass
 class CaseReport:
-    """Audit trail of one case run."""
+    """Audit trail of one case run: a mutable record, whose extras starts as
+    a new empty dict."""
 
-    case_id: str
-    kind: str  # "S" | "A"
-    n: int
-    p: int | None = None
-    q: int | None = None
-    verdict: str = ""
-    stage_q: dict | None = None
-    stage_pq: dict | None = None
-    extras: dict = field(default_factory=dict)
-    elapsed_s: float = 0.0
+    __slots__ = (
+        "case_id", "kind", "n", "p", "q", "verdict", "stage_q", "stage_pq", "extras", "elapsed_s"
+    )
+
+    def __init__(
+        self,
+        case_id: str,
+        kind: str,  # "S" | "A"
+        n: int,
+        p: int | None = None,
+        q: int | None = None,
+        verdict: str = "",
+        stage_q: dict | None = None,
+        stage_pq: dict | None = None,
+        extras: dict | None = None,
+        elapsed_s: float = 0.0,
+    ):
+        self.case_id, self.kind, self.n, self.p, self.q = case_id, kind, n, p, q
+        self.verdict, self.stage_q, self.stage_pq = verdict, stage_q, stage_pq
+        self.extras = {} if extras is None else extras
+        self.elapsed_s = elapsed_s
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, f) for f in names] == [getattr(other, f) for f in names]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def validate(self) -> None:
         if self.stage_q is not None:
@@ -177,7 +197,10 @@ class CaseReport:
 
 
 def first_divergence(expected: dict, actual: dict, path: str = "$") -> str | None:
-    """Locate the first differing field between two report dicts."""
+    """Locate the first differing field between two report dicts.  Two
+    values differ when their types differ, as json.loads reads them back:
+    1, 1.0 and true are three different values, whose report text
+    differs too, though Python compares them equal."""
     if isinstance(expected, dict) and isinstance(actual, dict):
         for key in sorted(set(expected) | set(actual)):
             if key not in expected:
@@ -196,6 +219,8 @@ def first_divergence(expected: dict, actual: dict, path: str = "$") -> str | Non
             if diff:
                 return diff
         return None
+    if type(expected) is not type(actual):
+        return f"{path}: {type(actual).__name__} {actual!r} != {type(expected).__name__} {expected!r}"
     if expected != actual:
         return f"{path}: {actual!r} != {expected!r}"
     return None

@@ -118,7 +118,6 @@ which is how the order-pq systems with few character rows are settled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from itertools import compress, repeat
@@ -434,8 +433,7 @@ def _recession_ray(bounds, var: int) -> tuple[int, ...]:
 # feasibility systems
 
 
-@dataclass(frozen=True)
-class FeasibilitySystem:
+class FeasibilitySystem(NamedTuple):
     """Affine-form constraints over an ordered set of augmentation variables."""
 
     variables: tuple[Partition, ...]
@@ -457,16 +455,35 @@ class FeasibilitySystem:
         )
 
 
-@dataclass
 class SolveReport:
-    """Outcome of an exact enumeration."""
+    """Outcome of an exact enumeration: a mutable record, each of whose
+    solutions, certificate and stats starts as a new empty list or dict."""
 
-    status: str  # "infeasible" | "solutions" | "unbounded"
-    variables: tuple[Partition, ...]
-    solutions: list[tuple[int, ...]] = field(default_factory=list)
-    certificate: list[str] = field(default_factory=list)
-    ray: tuple[int, ...] | None = None
-    stats: dict[str, int | float] = field(default_factory=dict)
+    __slots__ = ("status", "variables", "solutions", "certificate", "ray", "stats")
+
+    def __init__(
+        self,
+        status: str,  # "infeasible" | "solutions" | "unbounded"
+        variables: tuple[Partition, ...],
+        solutions: list[tuple[int, ...]] | None = None,
+        certificate: list[str] | None = None,
+        ray: tuple[int, ...] | None = None,
+        stats: dict[str, int | float] | None = None,
+    ):
+        self.status, self.variables, self.ray = status, variables, ray
+        self.solutions = [] if solutions is None else solutions
+        self.certificate = [] if certificate is None else certificate
+        self.stats = {} if stats is None else stats
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, f) for f in names] == [getattr(other, f) for f in names]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class _Matrix:
@@ -1013,8 +1030,7 @@ def _require_pi_hypotheses(n: int, p: int, q: int) -> None:
         raise ValueError("spectral equalities need n >= 7, p > n/2, q >= 3")
 
 
-@dataclass
-class PairResult:
+class PairResult(NamedTuple):
     q_candidate: AugVector
     p_candidate: AugVector
     group: str

@@ -33,7 +33,7 @@ name, and parse(serialize(t)) == t whenever t is already in that order.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import NAMED_CHARACTERS, character_value, degree, named_partition
 from . import luthar_passi
@@ -60,8 +60,7 @@ class TableError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class TableFile:
+class TableFile(NamedTuple):
     """A validated character table: group, modulus (None for an ordinary
     table), classes, rows."""
 

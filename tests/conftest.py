@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
@@ -83,7 +83,7 @@ def cleared_form(coeffs: dict[Partition, Fraction | int], constant: Fraction | i
     values = [Fraction(c) for c in (*coeffs.values(), constant)]
     den = lcm(*(c.denominator for c in values))
     *numerators, const = (int(c * den) for c in values)
-    return replace(AffineForm.make(dict(zip(coeffs, numerators)), const), den=den)
+    return AffineForm.make(dict(zip(coeffs, numerators)), const)._replace(den=den)
 
 
 def coeff(form: AffineForm, var: Partition) -> Fraction:

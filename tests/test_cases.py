@@ -469,17 +469,17 @@ def test_run_exclusion_builds_vectors_only_for_the_filter_survivors(monkeypatch)
     # the weighted-sum filter reads the order-q solutions' entries, called
     # once on all of them, and only its survivors become AugVectors
     built, filtered = [], []
-    real_check, real_filter = AugVector.__post_init__, cases_mod.FILTERS["q-power-weighted-sum"]
+    real_new, real_filter = AugVector.__new__, cases_mod.FILTERS["q-power-weighted-sum"]
 
-    def checking(vector):
-        built.append(vector)
-        real_check(vector)
+    def building(cls, k, n, entries):
+        built.append(real_new(cls, k, n, entries))
+        return built[-1]
 
     def filtering(n, p, q, candidates):
         filtered.append(len(candidates))
         return real_filter(n, p, q, candidates)
 
-    monkeypatch.setattr(AugVector, "__post_init__", checking)
+    monkeypatch.setattr(AugVector, "__new__", staticmethod(building))
     monkeypatch.setitem(cases_mod.FILTERS, "q-power-weighted-sum", filtering)
     report = _case_thm32(13, 11, 3)
     stage_q = report.stage_q

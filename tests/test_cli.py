@@ -286,15 +286,36 @@ def test_solve_checks_the_filter_hypotheses_before_any_stage(capsys):
         assert "hypotheses n >= 7, p > n/2, q >= 3 fail for (8, 7, 2)" in err
 
 
-def run_process(*argv, timeout, python_flags=()):
-    """The CLI in a fresh interpreter; TimeoutExpired fails the test."""
+def run_python(*args, timeout):
+    """A fresh interpreter with src on its path, run with args;
+    TimeoutExpired fails the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *python_flags, "-m", "sntorsion.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def run_process(*argv, timeout, python_flags=()):
+    """The CLI in a fresh interpreter; TimeoutExpired fails the test."""
+    return run_python(*python_flags, "-m", "sntorsion.cli", *argv, timeout=timeout)
+
+
+@pytest.mark.parametrize("python_flags, modules", [
+    ((), ["dataclasses", "inspect"]),
+    (("-S",), ["dataclasses", "inspect", "importlib.resources"]),
+])
+def test_the_cli_starts_without_dataclasses_or_inspect(python_flags, modules):
+    # the package's records are NamedTuples and slotted classes, so no
+    # start-up pays for dataclasses and the inspect, ast, dis and tokenize
+    # it loads; the bundled tables and goldens load importlib.resources
+    # when they are read.  Under -S no site start-up (a .pth file) can
+    # have loaded it first
+    code = f"import sys, sntorsion.cli; print([m for m in {modules!r} if m in sys.modules])"
+    proc = run_python(*python_flags, "-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_verify_paper_passes_with_asserts_stripped():

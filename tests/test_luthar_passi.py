@@ -40,6 +40,9 @@ from sntorsion.partitions import (
     parity,
     prime_cycles,
 )
+from sntorsion.reports import CaseReport
+from sntorsion.solver import FeasibilitySystem, SolveReport
+from sntorsion.table_io import TableFile
 
 
 def ordinary_row(name, n, k):
@@ -166,6 +169,102 @@ def test_character_row_rejects_a_repeated_class():
     c = prime_cycles(3, 1, 7)
     with pytest.raises(ValueError, match="^row r lists a class twice$"):
         CharacterRow("r", 7, None, ((c, 1), (c, 4)))
+
+
+# a class of order 3 and the identity of S_4, for small records
+C3, E = (3, 1), (1, 1, 1, 1)
+
+
+def frozen_records():
+    """One record of each frozen type, with the name of its first field, the
+    tuple of its compared fields and its repr."""
+    aug = AugVector.make(3, 4, {C3: 1})
+    row = CharacterRow.make("pi", 3, {E: 3, C3: 0})
+    form = AffineForm.make({C3: 2, E: 0}, -1)
+    augmentation = AffineForm(((C3, 1),), 0, 1)
+    row_text = "CharacterRow(name='pi', degree=3, modulus=None, values=(((3, 1), 0), ((1, 1, 1, 1), 3)))"
+    form_text = "AffineForm(coeffs=(((3, 1), 2),), constant=-1, den=1)"
+    return [
+        pytest.param(
+            aug, "k", (3, 4, ((C3, 1),)), "AugVector(k=3, n=4, entries=(((3, 1), 1),))",
+            id="AugVector",
+        ),
+        pytest.param(row, "name", ("pi", 3, None, ((C3, 0), (E, 3))), row_text, id="CharacterRow"),
+        pytest.param(form, "coeffs", (((C3, 2),), -1, 1), form_text, id="AffineForm"),
+        pytest.param(
+            FeasibilitySystem.build([C3], [], [(form, "f")]),
+            "variables",
+            ((C3,), ((augmentation, 1, "augmentation"),), ((form, "f"),)),
+            "FeasibilitySystem(variables=((3, 1),), equalities=((AffineForm(coeffs=(((3, 1), 1),), "
+            f"constant=0, den=1), 1, 'augmentation'),), nonneg_integral=(({form_text}, 'f'),))",
+            id="FeasibilitySystem",
+        ),
+        pytest.param(
+            TableFile("S", 4, None, (("1a", E), ("3a", C3)), (row,)),
+            "kind",
+            ("S", 4, None, (("1a", E), ("3a", C3)), (row,)),
+            "TableFile(kind='S', n=4, modulus=None, classes=(('1a', (1, 1, 1, 1)), "
+            f"('3a', (3, 1))), rows=({row_text},))",
+            id="TableFile",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("record, first, fields, text", frozen_records())
+def test_frozen_records_hash_as_their_fields_and_refuse_assignment(record, first, fields, text):
+    # a record hashes as the tuple of its compared fields, so every dict,
+    # set and memo that holds records iterates in the same order
+    assert hash(record) == hash(fields)
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, first, fields[0])
+    with pytest.raises(AttributeError):
+        delattr(record, first)
+
+
+def test_reports_compare_by_field_and_start_with_their_own_containers():
+    a, b = SolveReport("infeasible", (C3,)), SolveReport("infeasible", (C3,))
+    assert a == b
+    assert repr(a) == (
+        "SolveReport(status='infeasible', variables=((3, 1),), solutions=[], certificate=[], "
+        "ray=None, stats={})"
+    )
+    a.solutions.append((1,))
+    a.certificate.append("f")
+    a.stats["nodes"] = 1
+    assert (b.solutions, b.certificate, b.stats) == ([], [], {})
+    assert a != b
+    with pytest.raises(TypeError):
+        hash(b)
+    c, d = CaseReport("c", "S", 4), CaseReport("c", "S", 4)
+    assert c == d
+    assert repr(c) == (
+        "CaseReport(case_id='c', kind='S', n=4, p=None, q=None, verdict='', stage_q=None, "
+        "stage_pq=None, extras={}, elapsed_s=0.0)"
+    )
+    c.extras["x"] = 1
+    assert d.extras == {}
+    assert c != d
+    with pytest.raises(TypeError):
+        hash(d)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AugVector(3, 4, ((C3, 2),)), "partial augmentations sum to 2, not 1"),
+    (lambda: AugVector(3, 4, (((2, 2), 1),)), "class 2.2 (order 2) cannot support a unit of order 3"),
+    (lambda: AugVector(3, 4, ((E, 1),)), "class 1 (order 1) cannot support a unit of order 3"),
+    (lambda: AugVector(3, 4, ((C3, 2), (C3, -1))), "a class is listed twice"),
+    (lambda: CharacterRow("r", 3, 4), "brauer modulus 4 is not prime"),
+    (lambda: CharacterRow("r", 3, None, ((E, 2),)), "identity value 2 differs from degree 3"),
+    (lambda: CharacterRow("r", 3, 3, ((C3, 0),)), "class 3.1 is 3-singular in a brauer(3) row"),
+    (lambda: CharacterRow("r", 3, None, ((C3, 0), (C3, 1))), "row r lists a class twice"),
+])
+def test_direct_construction_validates(build, message):
+    # AugVector(k, n, entries) and CharacterRow(...) check what make checks;
+    # the checks are not asserts, so they hold under python -O as well
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_character_row_value_lookups():

@@ -106,6 +106,14 @@ def test_first_divergence_reports_missing_and_extra_fields():
     assert first_divergence([1, [2, 3]], [1, [2, 4]]) == "$[1][1]: 4 != 3"
 
 
+def test_first_divergence_reports_a_changed_type():
+    # Python compares 1 == True == 1.0, but a report's text tells them apart
+    assert first_divergence({"a": 1}, {"a": True}) == "$.a: bool True != int 1"
+    assert first_divergence({"a": [0, 2]}, {"a": [False, 2.0]}) == "$.a[0]: bool False != int 0"
+    assert first_divergence({"a": [0, 2]}, {"a": [0, 2.0]}) == "$.a[1]: float 2.0 != int 2"
+    assert first_divergence({"a": None}, {"a": []}) == "$.a: list [] != NoneType None"
+
+
 # report-shaped values: str-keyed dicts and lists, nested, possibly empty,
 # over strings with non-ASCII and control characters, bools, None, big
 # integers and finite floats

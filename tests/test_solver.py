@@ -2,7 +2,6 @@
 
 import inspect
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -1408,7 +1407,7 @@ def den_systems(draw):
     def form():
         coeffs = {v: draw(st.integers(-6, 6)) for v in variables}
         den = draw(st.sampled_from([1, 2, 6]))
-        return replace(AffineForm.make(coeffs, draw(st.integers(-6, 6))), den=den)
+        return AffineForm.make(coeffs, draw(st.integers(-6, 6)))._replace(den=den)
 
     forms = [(form(), f"f{j}") for j in range(draw(st.integers(1, 3)))]
     bound = draw(st.integers(0, 4))

@@ -236,6 +236,17 @@ def test_no_module_imports_fractions():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples and slotted classes: dataclasses would
+    # load inspect, ast, dis and tokenize on every start of the CLI
+    found = [
+        path.name
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if imports_module(path.read_text(), "dataclasses")
+    ]
+    assert found == []
+
+
 def test_unused_from_imports_are_found():
     source = "from math import gcd, lcm\nfrom os import path as p\nprint(gcd, p)\n"
     assert unused_from_imports(source) == ["lcm"]
