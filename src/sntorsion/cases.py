@@ -164,36 +164,24 @@ def run_exclusion(
 
     pairs = [(row, ell) for row, ells in stage_q_rows for ell in ells]
     s1 = solve_prime_order(n, kind, q, pairs)
+    stage_q = report.stage_q = {"order": q, "rows": _rows_json(stage_q_rows)}
     if s1.status == "unbounded":
         report.verdict = "undecided-unbounded"
-        report.stage_q = {
-            "order": q,
-            "rows": _rows_json(stage_q_rows),
-            "raw_count": None,
-            "unbounded_ray": list(s1.ray),
-        }
-        report.elapsed_s = time.monotonic() - t0
-        return report
-    # the filters read each solution's entries, and only their survivors
-    # become AugVectors
-    raw = report_raw_vectors(s1, q, n)
-    stage_q = {
-        "order": q,
-        "rows": _rows_json(stage_q_rows),
-        "raw_count": len(raw),
-        "filters": [],
-    }
-    for fname in filters:
-        raw = FILTERS[fname](n, p, q, raw)
-        stage_q["filters"].append({"name": fname, "count_after": len(raw)})
-    candidates = [AugVector(q, n, v.entries) for v in raw]
-    stage_q["survivors"] = [_aug_to_json(c) for c in candidates]
-    report.stage_q = stage_q
-
-    pi_row = ordinary_row("pi", n, p * q, kind) if use_pi_equalities else None
-    report.verdict, report.stage_pq = _stage_pq(
-        n, kind, p, q, candidates, p_candidates, stage_pq_groups, pi_row
-    )
+        stage_q.update(raw_count=None, unbounded_ray=list(s1.ray))
+    else:
+        # the filters read each solution's entries, and only their survivors
+        # become AugVectors
+        raw = report_raw_vectors(s1, q, n)
+        stage_q.update(raw_count=len(raw), filters=[])
+        for fname in filters:
+            raw = FILTERS[fname](n, p, q, raw)
+            stage_q["filters"].append({"name": fname, "count_after": len(raw)})
+        candidates = [AugVector(q, n, v.entries) for v in raw]
+        stage_q["survivors"] = [_aug_to_json(c) for c in candidates]
+        pi_row = ordinary_row("pi", n, p * q, kind) if use_pi_equalities else None
+        report.verdict, report.stage_pq = _stage_pq(
+            n, kind, p, q, candidates, p_candidates, stage_pq_groups, pi_row
+        )
     report.elapsed_s = time.monotonic() - t0
     report.validate()
     return report

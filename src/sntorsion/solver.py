@@ -23,15 +23,16 @@ eigenvalue multiplicities).  The solver is exact and self-contained:
 3. exact Fourier-Motzkin elimination of the slack inequalities, from the
    last w coordinate down, gives one projection chain per search, for
    every right-hand side at once (_chain): each row carries, in place of
-   its constant, its non-negative multiplier vector lam over the slack
-   rows, so a search reads the constant of each row as lam . K.  The chain
-   keeps its rows in the one form a search evaluates: a row with one
-   multiplier is a slack row i itself, with the constant K_i, and the
-   others are summed without a generator per row.  The chain's rows with no
-   coordinate left must be non-negative at K, and the first coordinate
-   must have a value (the last elimination, read off its range); then the
-   first coordinate the chain leaves open on one side, which reads no
-   constant, makes the relaxation unbounded, along the matrix's ray.
+   its constant, its non-negative multiplier vector lam over the forms, so
+   a search reads the constant of each row as lam . K.  The chain keeps its
+   rows in the one form a search evaluates: a row of a level with one
+   multiplier is the slack row of a form i itself, with the constant K_i,
+   and the others are summed without a generator per row.  The chain's
+   rows with no coordinate left must be non-negative at K, and the first
+   coordinate must have a value (the last elimination, read off its
+   range); then the first coordinate the chain leaves open on one side,
+   which reads no constant, makes the relaxation unbounded, along the
+   matrix's ray.
    Otherwise the depth-first enumeration, a loop over a stack of prefixes,
    fixes the coordinates from the first up and reads the integer range of
    each from the chain by floor division.  The range of the last
@@ -47,10 +48,18 @@ One path decides every lattice, a one-point lattice included: its chain is
 empty and its search visits the one leaf.  Steps 2 and 3 depend only on
 the integer matrix, not on the right-hand side: a _Lattice holds step 2,
 and a _Trial the chain of the forms whose signs a search keeps, which
-_search decides at slack values K, giving the status, the node count and
-an infeasible status's proof (see below).  Each system runs the forward
-substitution once, in enumerate_system; only one with a point reads its
-matrix's search of every form (_Matrix.chain).
+_search decides at its system's slack values K, giving the status, the
+node count and an infeasible status's proof (see below).  Each system runs
+the forward substitution once, in enumerate_system; only one with a point
+reads its matrix's search of every form (_Matrix.chain).
+
+Forms have one index space: form j is the system's j-th non-negative
+integer form, K_j its slack's value, and j the name of its multiplier in
+every chain that keeps it.  Every set of forms, a core, the forms a trial
+keeps, a proof, a row's or a generator's support, is the bitmask with bit
+j for form j.  So a chain row's support is the bitmask of its
+multipliers, and every search, the system's and each core trial's, reads
+the system's slack values K as they are.
 
 One function, _solve_level, makes the systems of every level: one row set
 over a list of lower levels, once for solve_prime_order and once per row
@@ -65,8 +74,8 @@ first of them, so each contributes only its right-hand side, read off its
 forms' constants (_rhs).  The memos live as long as the call or its
 matrix: the systems share the matrix's lattice, search and ray (_Matrix)
 and the supports of its search's generators, and their core trials one
-answer per tuple of kept forms to whether its chain is closed
-(_Matrix.trial_closed) and one search per tuple of kept forms that a trial
+answer per set of kept forms to whether its chain is closed
+(_Matrix.trial_closed) and one search per set of kept forms that a trial
 searches (_Matrix.trial), so a trial builds only when it is searched and
 its kept forms are new.
 
@@ -78,15 +87,16 @@ form's integrality: its integer points are those of the system's lattice,
 and a certificate names the forms whose non-negativity the proof needs.
 Such a trial eliminates no lattice of its own: one _column_hermite of the
 kept slacks' rows on the system's w frees the directions that move no kept
-slack, and _chain runs on the rest (_shared_trial); the system's point
-gives it the system's slack values.  A form that the equalities fix at a
-non-negative integer (no lattice coordinate moves its slack) can never be
-needed, so it gets no trial; in the Theorem-3.2 pair systems these are the
-mu_ell(pi) forms, which the pi equalities pin.  A system without an integer
-point is a Hermite contradiction, which no sign takes part in: its core is
-the greedy set of the forms whose integrality that contradiction needs,
-each trial one forward substitution on the lattice of the equalities and
-the kept forms' link rows.
+slack, and _chain runs on the rest (_shared_trial); its multipliers name
+the system's forms, so it is searched at the system's slack values.  A
+form that the equalities fix at a non-negative integer (no lattice
+coordinate moves its slack) can never be needed, so it gets no trial; in
+the Theorem-3.2 pair systems these are the mu_ell(pi) forms, which the pi
+equalities pin.  A system without an integer point is a Hermite
+contradiction, which no sign takes part in: its core is the greedy set of
+the forms whose integrality that contradiction needs, each trial one
+forward substitution on the lattice of the equalities and the kept forms'
+link rows.
 
 An infeasible search also returns its proof, the bitmask of the forms
 whose inequalities it read: each chain row carries the support of its
@@ -195,10 +205,15 @@ class _Lattice(NamedTuple):
     nfree: int  # the number of free directions v
 
 
-def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
+def _forms(mask: int) -> list[int]:
+    """The indices of the forms in a set of forms, a bitmask, in order."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def _lattice(matrix: _Matrix, kept: int) -> _Lattice:
     """One Hermite elimination of the rows of a _matrix that a solve
     keeps: the neq equality rows and the slack-link rows of the forms in
-    `kept`, over the nvar variables and those forms' slacks.
+    the set `kept`, over the nvar variables and those forms' slacks.
 
     Each column of the one eliminated matrix stacks the m kept rows over
     u, which starts as the identity and so records every column op.  The
@@ -213,9 +228,9 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
     and each slack row split once into its y part and its w part.  Each
     slack row is zero right of its pivot, so slack_w is column echelon.
     """
-    nvar, neq = matrix.nvar, matrix.neq
-    columns = [*range(nvar), *(nvar + j for j in kept)]
-    rows = [*matrix.rows[:neq], *(matrix.rows[neq + j] for j in kept)]
+    nvar, neq, forms = matrix.nvar, matrix.neq, _forms(kept)
+    columns = [*range(nvar), *(nvar + j for j in forms)]
+    rows = [*matrix.rows[:neq], *(matrix.rows[neq + j] for j in forms)]
     m, ncols = len(rows), len(columns)
     cols = []
     for k, c in enumerate(columns):
@@ -241,28 +256,29 @@ def _lattice(matrix: _Matrix, kept: tuple[int, ...]) -> _Lattice:
 
 class _Trial(NamedTuple):
     """What _search reads: the chain of the kept slacks over the wdim
-    coordinates w that move them, and the number of the other directions,
-    for a system (_Matrix.chain) or a core trial (_shared_trial)."""
+    coordinates w that move them, its multipliers named by form index, and
+    the number of the other directions, for a system (_Matrix.chain) or a
+    core trial (_shared_trial)."""
 
     wdim: int
     nfree: int
     bounds: tuple  # per level d, its rows that bound w_d: (singles (coeffs, i, support), sums)
-    nonneg: tuple[tuple[int, int], ...]  # the one-multiplier constant rows K_i >= 0: (i, support)
-    sums: tuple  # the others: (indices, multipliers, support)
+    constant: tuple  # the rows with no coordinate, lam . K >= 0: (indices, multipliers, support)
     open: int | None  # the first coordinate its level leaves open on one side
 
 
-def _shared_trial(lat: _Lattice, kept: tuple[int, ...]) -> _Trial:
-    """A core trial's search, which keeps the signs of the forms in `kept`
-    and the integrality of every form, so its integer points are those of
-    the lattice `lat`: the kept slacks' rows of slack_w, reduced by one
-    _column_hermite so that the pivot columns come first and the
+def _shared_trial(lat: _Lattice, kept: int) -> _Trial:
+    """A core trial's search, which keeps the signs of the forms in the set
+    `kept` and the integrality of every form, so its integer points are
+    those of the lattice `lat`: the kept slacks' rows of slack_w, reduced by
+    one _column_hermite so that the pivot columns come first and the
     directions that move no kept slack join the free ones, then the chain
     of the reduced rows on the pivot columns."""
-    cols = [list(col) for col in zip(*(lat.slack_w[j] for j in kept))]
-    wdim = len(_column_hermite(cols, range(len(kept))))
-    slack_w = list(zip(*cols[:wdim])) or [()] * len(kept)
-    return _Trial(wdim, lat.nfree + lat.wdim - wdim, *_chain(slack_w, wdim, kept))
+    forms = _forms(kept)
+    cols = [list(col) for col in zip(*(lat.slack_w[j] for j in forms))]
+    wdim = len(_column_hermite(cols, range(len(forms))))
+    slack_w = list(zip(*cols[:wdim])) or [()] * len(forms)
+    return _Trial(wdim, lat.nfree + lat.wdim - wdim, *_chain(slack_w, wdim, forms))
 
 
 def _particular(lat: _Lattice, rhs: list[int]) -> list[int] | None:
@@ -291,37 +307,35 @@ def _slack_values(lat: _Lattice, y: list[int]) -> list[int]:
 # Fourier-Motzkin on the slack rows of a lattice, for every right-hand side
 
 
-def _chain(slack_w, wdim: int, labels):
+def _chain(slack_w, wdim: int, forms):
     """One exact Fourier-Motzkin projection chain of the slack inequalities
-    slack_w[i] . w + K_i >= 0 of a lattice over its wdim coordinates w,
+    slack_w[t] . w + K_j >= 0 of a lattice over its wdim coordinates w, row
+    t being the slack of form j = forms[t] (in increasing order),
     eliminating from the last coordinate down, for every value K of the
-    kept slacks at once: the bounds, nonneg, sums and open of _Trial.
+    system's slacks at once: the bounds, constant and open of _Trial.
 
     Each row carries, in place of its constant, its multiplier vector lam
-    over the slack rows, as (slack index, multiplier) pairs in increasing
-    index: coeffs is exactly the sum of lam_i * slack_w[i], and its
-    constant at K is lam . K.  FM combines coefficients without reading
+    over the forms, as (form index, multiplier) pairs in increasing index:
+    coeffs is exactly the sum of lam_j times form j's row of slack_w, and
+    its constant at K is lam . K.  FM combines coefficients without reading
     constants, so at each K every row is a positive multiple of a row of
     the projection of the concrete inequalities, and the other way round:
     the two chains bound every coordinate by the same rationals, and they
     leave the same coordinates open, which reads no constant.  A row is
     divided by the gcd of its coefficients and multipliers, so it stays
-    integer.  Each kept row also carries its support, the bitmask of the
-    forms behind its multipliers: bit labels[i] for each slack index i of
-    lam, labels[i] being the system's index of the form of slack i.  A
-    point at which every form of the support is non-negative satisfies the
-    row.
+    integer.  Each kept row also carries its support, the bitmask of its
+    multipliers' form indices.  A point at which every form of the support
+    is non-negative satisfies the row.
 
     The rows are kept in the form the search evaluates at K: bounds[d]
     holds the rows of level d (over w_0..w_d) that bound w_d, as _interval
     reads no other (the rest pass down to level d - 1), those with one
     multiplier as (coeffs, i, support) and the others as (coeffs, indices,
-    multipliers, support).  A row with one multiplier is slack row i
-    itself, with multiplier 1: a combination of two rows has the indices of
-    both, and the two bound w_d from opposite sides, so they are never
-    multiples of one slack row.  A row with no coordinate left holds when
-    lam . K >= 0: with one multiplier, when K_i >= 0, so nonneg keeps
-    (i, support), and sums keeps the others as (indices, multipliers,
+    multipliers, support).  A row with one multiplier is the slack row of
+    form i itself, with multiplier 1: a combination of two rows has the
+    indices of both, and the two bound w_d from opposite sides, so they are
+    never multiples of one slack row.  A row with no coordinate left holds
+    when lam . K >= 0, and constant keeps each as (indices, multipliers,
     support).
 
     The last elimination, of w_0, is not run: each of its rows combines a
@@ -331,7 +345,7 @@ def _chain(slack_w, wdim: int, labels):
     """
     # each row is (coeffs, lam, support); a combination's support is the
     # union of its two rows'
-    slack_rows = [(w_row, ((i, 1),), 1 << j) for i, (w_row, j) in enumerate(zip(slack_w, labels))]
+    slack_rows = [(w_row, ((j, 1),), 1 << j) for w_row, j in zip(slack_w, forms)]
     rows = [row for row in slack_rows if any(row[0])]
     constant = {lam: mask for w_row, lam, mask in slack_rows if not any(w_row)}
     bounds = []
@@ -374,9 +388,8 @@ def _chain(slack_w, wdim: int, labels):
                 else:
                     constant[lam] = mask_p | mask_n
         rows = list(out)
-    nonneg = tuple((lam[0][0], mask) for lam, mask in constant.items() if len(lam) == 1)
-    sums = tuple((*zip(*lam), mask) for lam, mask in constant.items() if len(lam) > 1)
-    return tuple(reversed(bounds)), nonneg, sums, open_
+    constant = tuple((*zip(*lam), mask) for lam, mask in constant.items())
+    return tuple(reversed(bounds)), constant, open_
 
 
 def _interval(rows, d: int, prefix) -> tuple[tuple | None, tuple | None, int]:
@@ -492,19 +505,20 @@ class _Matrix:
     their solves read, each built on its first use: the one _lattice and
     the search of every form (lattice, chain), an unbounded system's ray,
     the supports of that search's generators (generators), and two memos
-    per tuple of kept forms of a core trial: whether its chain is closed
-    (closed, read off the generators by trial_closed) and, for a trial that
-    is searched, its _shared_trial (trials, built by trial)."""
+    keyed by the set of a core trial's kept forms, a bitmask: whether its
+    chain is closed (closed, read off the generators by trial_closed) and,
+    for a trial that is searched, its _shared_trial (trials, built by
+    trial)."""
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], nvar: int, neq: int):
         self.rows, self.nvar, self.neq = rows, nvar, neq
-        self.trials: dict[tuple[int, ...], _Trial] = {}
-        self.closed: dict[tuple[int, ...], bool] = {}
+        self.trials: dict[int, _Trial] = {}
+        self.closed: dict[int, bool] = {}
 
     @cached_property
     def lattice(self) -> _Lattice:
         """The lattice of every form."""
-        return _lattice(self, tuple(range(len(self.rows) - self.neq)))
+        return _lattice(self, (1 << len(self.rows) - self.neq) - 1)
 
     @cached_property
     def chain(self) -> _Trial:
@@ -520,8 +534,7 @@ class _Matrix:
         no coordinate, and each lower/upper pair of w_0's rows, which the
         chain's last elimination, left to the search, would combine."""
         chain = self.chain
-        supports = {mask for _, mask in chain.nonneg}
-        supports.update(row[-1] for row in chain.sums)
+        supports = {mask for *_, mask in chain.constant}
         level = [row for part in chain.bounds[0] for row in part] if chain.wdim else []
         upper = {row[-1] for row in level if row[0][0] < 0}
         for lower in {row[-1] for row in level if row[0][0] > 0}:
@@ -540,27 +553,26 @@ class _Matrix:
         g = gcd(*ray)
         return tuple(c // g for c in ray)
 
-    def trial(self, kept: tuple[int, ...]) -> _Trial:
-        """What a core trial that keeps the forms in `kept` searches at its
-        system's slack values, built on its first request."""
+    def trial(self, kept: int) -> _Trial:
+        """What a core trial that keeps the forms in the set `kept` searches
+        at its system's slack values, built on its first request."""
         trial = self.trials.get(kept)
         if trial is None:
             trial = self.trials[kept] = _shared_trial(self.lattice, kept)
         return trial
 
-    def trial_closed(self, kept: tuple[int, ...]) -> bool:
-        """Whether the chain of the core trial that keeps the forms in
-        `kept` leaves no coordinate open, decided on its first request
+    def trial_closed(self, kept: int) -> bool:
+        """Whether the chain of the core trial that keeps the forms in the
+        set `kept` leaves no coordinate open, decided on its first request
         without building the trial: the supports of the generators that
         lie inside the kept forms cover them (see _infeasible_core)."""
         closed = self.closed.get(kept)
         if closed is None:
-            mask = sum(1 << j for j in kept)
             cover = 0
             for support in self.generators:
-                if support & mask == support:
+                if support & kept == support:
                     cover |= support
-            closed = self.closed[kept] = cover == mask
+            closed = self.closed[kept] = cover == kept
         return closed
 
 
@@ -607,11 +619,12 @@ def _evaluated(bounds, slacks: list[int]) -> list[tuple[tuple[int, ...], int, in
 def _search(
     chain: _Trial, slacks: list[int], leaves: list | None = None
 ) -> tuple[str, int, int | None]:
-    """Decide a lattice at the values K of the chain's kept slacks at one
-    integer point: the status ("infeasible", "solutions" or "unbounded"),
-    the number of search nodes and, with "infeasible", the proof's
-    support, else None.  A system passes its _Matrix.chain, a core trial
-    its _Matrix.trial.
+    """Decide a lattice at its system's slack values K at one integer
+    point, a list indexed by form, of which the chain reads the forms it
+    keeps: the status ("infeasible", "solutions" or "unbounded"), the
+    number of search nodes and, with "infeasible", the proof's support,
+    else None.  A system passes its _Matrix.chain, a core trial its
+    _Matrix.trial, each with the same list.
 
     Every integer solution is that point plus u . (0, w, v), so each kept
     slack is K plus its row of u on w, and K only gives the chain its
@@ -638,10 +651,7 @@ def _search(
     # the relaxation is empty when a row with no coordinate is negative, or
     # when w_0 has no value: that is the last elimination, which _chain
     # leaves to this range
-    for i, mask in chain.nonneg:
-        if slacks[i] < 0:
-            return "infeasible", 0, mask
-    for idx, ms, mask in chain.sums:
+    for idx, ms, mask in chain.constant:
         if sum(map(mul, ms, map(slacks.__getitem__, idx))) < 0:
             return "infeasible", 0, mask
     wdim = chain.wdim
@@ -810,10 +820,12 @@ def _infeasible_core(
 
     `matrix`, `slacks`, `proof` and `nodes` are the system's (slacks: its
     slack values at its integer point, None when it has none; proof and
-    nodes: its search's, None and 0 without a point).  With a point, a
-    trial drops the signs of some forms and keeps the integrality of every
-    form, so its integer points are the system's: it is the status of
-    _search at the system's values of the kept slacks, on the system's
+    nodes: its search's, None and 0 without a point).  The core, each
+    trial's kept forms and each proof are sets of forms, bitmasks with bit
+    j for form j, and the certificate names the core's forms in form order.
+    With a point, a trial drops the signs of some forms and keeps the
+    integrality of every form, so its integer points are the system's: it
+    is the status of _search at the system's slack values, on the system's
     lattice with the directions that move no kept slack free
     (_Matrix.trial).  Without one, the system is a Hermite contradiction,
     which reads no sign: a trial keeps the integrality of some forms and no
@@ -853,31 +865,30 @@ def _infeasible_core(
     forms = system.nonneg_integral
     if slacks is None:
         rhs, neq = _rhs(system), matrix.neq
-        core = tuple(range(len(forms)))
+        core, searched, decided = (1 << len(forms)) - 1, len(forms), 0
         for j in range(len(forms)):
-            kept = tuple(i for i in core if i != j)
-            if _particular(_lattice(matrix, kept), rhs[:neq] + [rhs[neq + i] for i in kept]) is None:
+            kept = core ^ 1 << j  # j stays in the core until its own trial
+            kept_rhs = rhs[:neq] + [rhs[neq + i] for i in _forms(kept)]
+            if _particular(_lattice(matrix, kept), kept_rhs) is None:
                 core = kept
-        return [forms[j][1] for j in core], len(forms), 0
-    live = [j for j, w_row in enumerate(matrix.lattice.slack_w) if any(w_row) or slacks[j] < 0]
-    core = tuple(live)
-    searched = decided = 0
-    for j in live:
-        t = core.index(j)  # j stays in the core until its own trial
-        kept = core[:t] + core[t + 1:]
-        closed = matrix.trial_closed(kept)
-        if not proof >> j & 1 and closed:
-            decided += 1  # (1)
-            core = kept
-            continue
-        if nodes and not closed:
-            decided += 1  # (2)
-            continue
-        searched += 1
-        status, _, found = _search(matrix.trial(kept), list(map(slacks.__getitem__, kept)))
-        if status == "infeasible":
-            core, proof = kept, found
-    return [forms[j][1] for j in core], searched, decided
+    else:
+        live = [j for j, w_row in enumerate(matrix.lattice.slack_w) if any(w_row) or slacks[j] < 0]
+        core, searched, decided = sum(1 << j for j in live), 0, 0
+        for j in live:
+            kept = core ^ 1 << j
+            closed = matrix.trial_closed(kept)
+            if not proof >> j & 1 and closed:
+                decided += 1  # (1)
+                core = kept
+                continue
+            if nodes and not closed:
+                decided += 1  # (2)
+                continue
+            searched += 1
+            status, _, found = _search(matrix.trial(kept), slacks)
+            if status == "infeasible":
+                core, proof = kept, found
+    return [forms[j][1] for j in _forms(core)], searched, decided
 
 
 # ---------------------------------------------------------------------------

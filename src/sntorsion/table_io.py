@@ -116,11 +116,9 @@ def _check_modulus(modulus: int, n: int, line: int) -> None:
 def parse_table(text: str) -> TableFile:
     """Parse and fully validate a table-v1 stream."""
     kind = n = mode = modulus = None
-    classes: list[tuple[str, Partition]] = []
-    class_labels: dict[str, Partition] = {}
+    class_labels: dict[str, Partition] = {}  # in the order the classes are listed
     labels_of: dict[Partition, str] = {}  # each cycle type's label
-    row_degrees: dict[str, int] = {}
-    row_order: list[str] = []
+    row_degrees: dict[str, int] = {}  # in the order the rows are listed
     values: dict[str, dict[str, int]] = {}
     header_seen = False
 
@@ -188,7 +186,6 @@ def parse_table(text: str) -> TableFile:
                 raise TableError("singular-class", lineno, f"class {label} is {modulus}-singular")
             class_labels[label] = ct
             labels_of[ct] = label
-            classes.append((label, ct))
         elif directive == "row":
             if len(tokens) != 3:
                 raise TableError("bad-syntax", lineno, "expected: row <name> <degree>")
@@ -196,7 +193,6 @@ def parse_table(text: str) -> TableFile:
             if name in row_degrees:
                 raise TableError("duplicate-row", lineno, f"row {name!r} listed twice")
             row_degrees[name] = _int(tokens[2], lineno, "degree")
-            row_order.append(name)
             values[name] = {}
         elif directive == "value":
             if len(tokens) != 4:
@@ -224,24 +220,24 @@ def parse_table(text: str) -> TableFile:
         raise TableError("bad-group", None, "no group directive")
     if mode is None:
         raise TableError("bad-mode", None, "no mode directive")
-    if not classes:
+    if not class_labels:
         raise TableError("bad-class", None, "no classes listed")
 
     rows = []
-    for name in row_order:
+    for name, row_degree in row_degrees.items():
         row_values = {}
-        for label, ct in classes:
+        for label, ct in class_labels.items():
             if element_order(ct) == 1:
                 continue  # implicit: the degree
             if label not in values[name]:
                 raise TableError("missing-value", None, f"row {name!r} has no value at class {label!r}")
             row_values[ct] = values[name][label]
         try:
-            rows.append(CharacterRow.make(name, row_degrees[name], row_values, modulus))
+            rows.append(CharacterRow.make(name, row_degree, row_values, modulus))
         except ValueError as exc:
             raise TableError("bad-row", None, f"row {name!r}: {exc}") from None
 
-    return TableFile(kind, n, modulus, tuple(classes), tuple(rows))
+    return TableFile(kind, n, modulus, tuple(class_labels.items()), tuple(rows))
 
 
 def serialize_table(table: TableFile) -> str:

@@ -321,11 +321,23 @@ def scratch_lattice(rows, nvar: int, neq: int, kept: tuple[int, ...]) -> _Lattic
     )
 
 
-def scratch_search(lat: _Lattice, labels) -> _Trial:
+def scratch_search(lat: _Lattice, forms) -> _Trial:
     """What solver._search reads of a lattice that keeps every slack's
     sign: solver._chain of its slack rows on its own coordinates w, with
-    no reduction, as solver._Matrix.chain is for a matrix's lattice."""
-    return _Trial(lat.wdim, lat.nfree, *_chain(lat.slack_w, lat.wdim, labels))
+    no reduction, as solver._Matrix.chain is for a matrix's lattice; slack
+    row t is form forms[t]'s, which its multipliers name."""
+    return _Trial(lat.wdim, lat.nfree, *_chain(lat.slack_w, lat.wdim, forms))
+
+
+def mask_of(forms) -> int:
+    """The bitmask of form indices in which the solver writes a set of
+    forms."""
+    return sum(1 << j for j in forms)
+
+
+def forms_of(mask: int) -> tuple[int, ...]:
+    """The form indices of a solver's set of forms, in increasing order."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def kept_matrix(matrix: _Matrix, kept: tuple[int, ...]) -> _Matrix:

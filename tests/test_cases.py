@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import is_pair_system, scratch_lattice, scratch_search, sign_trial_lattice
+from conftest import (
+    forms_of, is_pair_system, mask_of, scratch_lattice, scratch_search, sign_trial_lattice,
+)
 
 import sntorsion.cases as cases_mod
 from sntorsion.cases import (
@@ -349,27 +351,28 @@ def test_thm32_sweep_reproduces_the_bench_reference(monkeypatch):
         final = {j for j, (_, name) in enumerate(system.nonneg_integral) if name in names}
         w_rows = matrix.lattice.slack_w
         live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
-        core = tuple(live)
+        core = mask_of(live)
         for j in live:
-            kept = tuple(i for i in core if i != j)
-            at_kept = [slacks[i] for i in kept]
+            kept = core & ~(1 << j)
             trial = real_shared(matrix.lattice, kept)
             assert matrix.closed[kept] == (trial.open is None)
-            status = real_search(trial, at_kept)[0]
-            own = sign_trial_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
-            assert real_search(scratch_search(own, range(len(kept))), at_kept)[0] == status
+            status = real_search(trial, slacks)[0]
+            forms = forms_of(kept)
+            own = sign_trial_lattice(matrix.rows, matrix.nvar, matrix.neq, forms)
+            at_kept = [slacks[i] for i in forms]
+            assert real_search(scratch_search(own, range(len(forms))), at_kept)[0] == status
             if status == "infeasible":
                 core = kept
-        assert core == tuple(sorted(final))
+        assert core == mask_of(final)
         counts["replayed"] += len(live)
         replaying = False
         return names, searched, decided
 
     def building(matrix, kept):
         lat = real_lattice(matrix, kept)
-        oracle = scratch_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
+        oracle = scratch_lattice(matrix.rows, matrix.nvar, matrix.neq, forms_of(kept))
         assert lat == oracle
-        assert len(kept) == len(matrix.rows) - matrix.neq
+        assert kept == mask_of(range(len(matrix.rows) - matrix.neq))
         counts["lattices"] += 1
         return lat
 

@@ -1,18 +1,20 @@
 """Exact integer enumeration: oracle equivalence, determinism, verdicts."""
 
 import inspect
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     HermiteSplit, affine_form, as_bounds, brute_force_solutions, cleared_form, coeff,
-    concrete_solve, eliminate, fm_chain, is_pair_system, kept_matrix, leafwise_solutions,
-    normalize, parse_class, pinned_recession_ray, row_major_lattice, scratch_search,
-    sign_trial_lattice, solutionwise_recheck,
+    concrete_solve, eliminate, fm_chain, forms_of, is_pair_system, kept_matrix,
+    leafwise_solutions, mask_of, normalize, parse_class, pinned_recession_ray, row_major_lattice,
+    scratch_search, sign_trial_lattice, solutionwise_recheck,
 )
 
 from sntorsion.characters import character_value, degree, named_partition
@@ -37,6 +39,9 @@ from sntorsion.solver import (
 )
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
 def ordinary_row(name, n, k):
     lam = named_partition(name, n)
     return CharacterRow.make(
@@ -55,7 +60,7 @@ def var(token, n):
 def solve_integer_system(rows, rhs, nvar):
     """All integer solutions of rows . x = rhs as (x0, kernel basis), or None,
     read off the solver's lattice with no slack columns."""
-    lat = solver._lattice(solver._Matrix(rows, nvar, len(rows)), ())
+    lat = solver._lattice(solver._Matrix(rows, nvar, len(rows)), 0)
     y = solver._particular(lat, rhs)
     if y is None:
         return None
@@ -101,7 +106,7 @@ def integer_matrices(draw):
 
 def lattice(rows, nvar, neq, kept):
     """The solver's lattice of the kept forms of a fresh matrix."""
-    return solver._lattice(solver._Matrix(rows, nvar, neq), kept)
+    return solver._lattice(solver._Matrix(rows, nvar, neq), mask_of(kept))
 
 
 def assert_matches_row_major(lat, rows, nvar, neq, kept):
@@ -128,22 +133,21 @@ def test_one_multiplier_chain_rows_are_their_slack_rows(drawn):
     assert all(coeffs == sub.lattice.slack_w[i] for coeffs, i, _ in singles)
     # slack_w is column echelon, so a core trial's reduction with every
     # form kept would change nothing: the system's search reads it as is
-    assert solver._shared_trial(sub.lattice, range(len(kept))) == sub.chain
+    assert solver._shared_trial(sub.lattice, mask_of(range(len(kept)))) == sub.chain
 
 
 def chain_rows(chain):
     """Every row of a search's chain as (level, coeffs, lam, support):
     level d for a row of bounds[d], None for a row with no coordinate, lam
-    its (slack index, multiplier) pairs and support its forms' bitmask; a
-    one-multiplier row keeps only its slack index, as its multiplier is
-    1."""
+    its (form index, multiplier) pairs and support its forms' bitmask; a
+    one-multiplier row of a level keeps only its form index, as its
+    multiplier is 1."""
     rows = []
     for d, (singles, sums) in enumerate(chain.bounds):
         rows += [(d, coeffs, ((i, 1),), mask) for coeffs, i, mask in singles]
         rows += [(d, coeffs, tuple(zip(idx, ms)), mask) for coeffs, idx, ms, mask in sums]
     zero = (0,) * chain.wdim
-    rows += [(None, zero, ((i, 1),), mask) for i, mask in chain.nonneg]
-    rows += [(None, zero, tuple(zip(idx, ms)), mask) for idx, ms, mask in chain.sums]
+    rows += [(None, zero, tuple(zip(idx, ms)), mask) for idx, ms, mask in chain.constant]
     return rows
 
 
@@ -210,7 +214,7 @@ def test_thm32_12_11_3_lattices_match_the_row_major_elimination(monkeypatch):
 
     def checked(matrix, kept):
         lat = real(matrix, kept)
-        assert_matches_row_major(lat, matrix.rows, matrix.nvar, matrix.neq, kept)
+        assert_matches_row_major(lat, matrix.rows, matrix.nvar, matrix.neq, forms_of(kept))
         built.append(kept)
         return lat
 
@@ -558,8 +562,8 @@ def test_the_core_gives_no_trial_to_a_form_fixed_at_a_nonnegative_integer(monkey
     # The system's proof reads "b + c" alone, and the trial of "b", outside
     # it, keeps only "b + c", which no coordinate moves: its chain is
     # closed, so it is decided without a search and builds no structure
-    assert asked == [(2,), (1,)]
-    assert tried == [(2,)]
+    assert asked == [mask_of((2,)), mask_of((1,))]
+    assert tried == [mask_of((2,))]
     assert searched == [solver._Trial]
     assert (report.stats["trials"], report.stats["decided"]) == (1, 1)
 
@@ -818,7 +822,7 @@ def test_core_trials_build_one_structure_per_matrix_and_kept_forms(
             if not fixed_at_a_nonnegative_integer(system, f)
         ]
         for i in live:
-            tried.append((rows, tuple(j for j in live if j > i or (j < i and j in final))))
+            tried.append((rows, mask_of(j for j in live if j > i or (j < i and j in final))))
         return core, searched, decided
 
     def measured(*args, **kwargs):
@@ -1093,10 +1097,10 @@ def test_a_shared_trial_frees_the_system_directions_that_move_no_kept_slack():
     lat = matrix.lattice
     slacks = solver._slack_values(lat, solver._particular(lat, solver._rhs(system)))
     kept = (2, 3)
-    trial = solver._shared_trial(lat, kept)
+    trial = solver._shared_trial(lat, mask_of(kept))
     assert (lat.wdim, lat.nfree, trial.wdim, trial.nfree) == (2, 1, 1, 2)
+    assert solver._search(trial, slacks)[0] == "infeasible"
     at_kept = [slacks[j] for j in kept]
-    assert solver._search(trial, at_kept)[0] == "infeasible"
     assert solver._search(kept_matrix(matrix, kept).chain, at_kept)[0] == "infeasible"
 
 
@@ -1165,8 +1169,9 @@ def test_core_trials_from_the_system_point_match_trials_from_their_own():
         assert calls["particular"] == 1
         # any kept forms, not only a core's
         kept = tuple(j for j in range(nform) if data.draw(st.booleans()))
-        at_kept = [solver._slack_values(matrix.lattice, y)[j] for j in kept]
-        status = solver._search(matrix.trial(kept), at_kept)[0]
+        slacks = solver._slack_values(matrix.lattice, y)
+        at_kept = [slacks[j] for j in kept]
+        status = solver._search(matrix.trial(mask_of(kept)), slacks)[0]
         own = sign_trial_lattice(matrix.rows, matrix.nvar, matrix.neq, kept)
         own_search = scratch_search(own, range(len(kept)))
         rhs, neq = solver._rhs(system), matrix.neq
@@ -1240,12 +1245,12 @@ def decided_core_case(system, seen):
     final = {j for j, (_, name) in enumerate(forms) if name in names}
     w_rows = matrix.lattice.slack_w
     live = [j for j, w_row in enumerate(w_rows) if any(w_row) or slacks[j] < 0]
-    core = tuple(live)
+    core = mask_of(live)
     for j in live:
-        kept = tuple(i for i in core if i != j)
+        kept = core & ~(1 << j)
         sub = real_trial(matrix, kept)
         assert matrix.closed[kept] == (sub.open is None)
-        status, trial_nodes, found = real_search(sub, [slacks[i] for i in kept])
+        status, trial_nodes, found = real_search(sub, slacks)
         assert (status == "infeasible") == (j not in final)
         way = "searched" if kept in searched else "decided"
         seen[way, status] += 1
@@ -1305,8 +1310,8 @@ def closed_rule_case(system, seen):
     lat = matrix.lattice
     every = range(len(lat.slack_w))
     for kept in (kept for r in range(len(every) + 1) for kept in combinations(every, r)):
-        trial = solver._shared_trial(lat, kept)
-        assert matrix.trial_closed(kept) == (trial.open is None)
+        trial = solver._shared_trial(lat, mask_of(kept))
+        assert matrix.trial_closed(mask_of(kept)) == (trial.open is None)
         seen["closed" if trial.open is None else "open"] += 1
         if not kept:
             seen["empty kept"] += 1
@@ -1346,6 +1351,67 @@ def test_a_trial_chain_is_closed_when_the_generators_inside_its_forms_cover_them
 
     check()
     assert set(seen) == {"closed", "open", "empty kept", "wdim 0", "fixed form", "free directions"}
+
+
+def check_chain_index_space(mp, seen):
+    """Patch the solver so that every _search checks that it reads its
+    system's own slack list, the one _slack_values gave at that system's
+    point, and that each row of every distinct chain it reads, the system's
+    or a core trial's, has as its support the bitmask of its multipliers'
+    form indices.  `seen` counts the chains and rows checked, by kind of
+    chain."""
+    real_values, real_search = solver._slack_values, solver._search
+    current, checked = [None], {}
+
+    def valuing(lat, y):
+        current[0] = real_values(lat, y)
+        return current[0]
+
+    def searching(chain, slacks, leaves=None):
+        assert slacks is current[0]
+        if id(chain) not in checked:
+            checked[id(chain)] = chain  # kept alive, so that no chain reuses its id
+            rows = chain_rows(chain)
+            for *_, lam, mask in rows:
+                assert mask == mask_of(i for i, _ in lam)
+            kind = "system" if leaves is not None else "trial"
+            seen[kind, "chains"] += 1
+            seen[kind, "rows"] += len(rows)
+        return real_search(chain, slacks, leaves)
+
+    mp.setattr(solver, "_slack_values", valuing)
+    mp.setattr(solver, "_search", searching)
+
+
+def test_chain_multipliers_name_forms_and_every_search_reads_its_systems_slacks():
+    # a chain row's multipliers are the indices of its forms, so its
+    # support is their bitmask, and every search, the system's and each
+    # core trial's, reads lam . K off the system's slack values K as they
+    # are.  The Theorem-3.2 sweep searches 106 system chains and 108 trial
+    # structures
+    seen = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        check_chain_index_space(mp, seen)
+        reference = json.loads((REPO / "bench" / "reference.json").read_text())["thm32-sweep"]
+        for key in reference:
+            _case_thm32(*(int(x) for x in key.split("-")[1:]))
+    assert seen == {
+        ("system", "chains"): 106, ("system", "rows"): 984,
+        ("trial", "chains"): 108, ("trial", "rows"): 637,
+    }
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.one_of(random_systems(max_vars=3, box=True), random_systems(max_vars=3, box=False)),
+        st.sampled_from(["", "x0 + 1/2", "-x0 - 7"]),
+    )
+    def check(drawn, extra):
+        with pytest.MonkeyPatch.context() as mp:
+            check_chain_index_space(mp, seen)
+            enumerate_system(with_extra_form(drawn[0], extra))
+
+    check()
+    assert seen["trial", "rows"] > 637
 
 
 def parity_system():
@@ -1393,8 +1459,8 @@ def test_a_core_trial_drops_the_sign_of_a_form_and_keeps_its_parity(monkeypatch)
     matrix = solver._matrix(system)
     lat = matrix.lattice
     slacks = solver._slack_values(lat, solver._particular(lat, solver._rhs(system)))
-    assert solver._search(matrix.trial((1, 2)), slacks[1:])[0] == "infeasible"
-    assert [solver._search(matrix.trial((j,)), [slacks[j]])[0] for j in (1, 2)] == ["unbounded"] * 2
+    assert solver._search(matrix.trial(mask_of((1, 2))), slacks)[0] == "infeasible"
+    assert [solver._search(matrix.trial(1 << j), slacks)[0] for j in (1, 2)] == ["unbounded"] * 2
 
 
 @st.composite
@@ -1450,27 +1516,31 @@ def test_a_certificate_names_the_signs_its_proof_needs_with_every_form_integral(
     assert {(True, True), (True, False), (False, True), (False, False)} <= set(seen)
 
 
-def assert_chain_rows_combine_the_slack_rows(chain, slack_w, labels):
+def assert_chain_rows_combine_the_slack_rows(chain, slack_w, forms):
     """Each chain row's coefficients are exactly its positive multipliers
-    times the slack rows on w: a row of level d bounds w_d and reads no
-    later coordinate, and a row with no coordinate is all zero.  Its
-    support has the bit of the form labels[i] of each multiplier's slack
-    index i, and no other.  The rows with one multiplier are kept apart
-    from the others."""
+    times the slack rows on w, slack row t being form forms[t]'s: a row of
+    level d bounds w_d and reads no later coordinate, and a row with no
+    coordinate is all zero.  Its multipliers name forms of `forms`, and its
+    support is the bitmask of their form indices.  A row with one
+    multiplier is a slack row itself, with multiplier 1, and a level keeps
+    those apart from the others."""
+    row_of = dict(zip(forms, slack_w))
 
     def combination(lam):
-        return tuple(sum(m * slack_w[i][j] for i, m in lam) for j in range(chain.wdim))
+        return tuple(sum(m * row_of[i][j] for i, m in lam) for j in range(chain.wdim))
 
     assert len(chain.bounds) == chain.wdim
     for d, coeffs, lam, mask in chain_rows(chain):
         assert lam and all(m > 0 for _, m in lam)
         assert [i for i, _ in lam] == sorted({i for i, _ in lam})
+        assert {i for i, _ in lam} <= set(forms)
         assert coeffs == combination(lam)
-        assert mask == sum(1 << labels[i] for i, _ in lam)
+        assert mask == mask_of(i for i, _ in lam)
+        assert len(lam) > 1 or lam[0][1] == 1
         if d is not None:
             assert coeffs[d] and not any(coeffs[d + 1:])
     many = [idx for _, sums in chain.bounds for _, idx, _, _ in sums]
-    assert all(len(idx) > 1 for idx in many + [idx for idx, _, _ in chain.sums])
+    assert all(len(idx) > 1 for idx in many)
 
 
 def one_chain_case(system, kept, z, seen):
@@ -1484,9 +1554,11 @@ def one_chain_case(system, kept, z, seen):
     lat = sub.lattice
     assert_chain_rows_combine_the_slack_rows(sub.chain, lat.slack_w, range(len(kept)))
     assert_chain_rows_combine_the_slack_rows(scratch_search(lat, kept), lat.slack_w, kept)
-    # a core trial's rows carry the bits of the forms it keeps
-    for *_, lam, mask in chain_rows(matrix.trial(kept)):
-        assert mask == sum(1 << kept[i] for i, _ in lam)
+    # a core trial's multipliers name the forms it keeps, and its rows
+    # carry their bits
+    for *_, lam, mask in chain_rows(matrix.trial(mask_of(kept))):
+        assert {i for i, _ in lam} <= set(kept)
+        assert mask == mask_of(i for i, _ in lam)
     cols = [*range(nvar), *(nvar + j for j in kept)]
     kept_rows = [*range(neq), *(neq + j for j in kept)]
     other = [sum(rows[r][c] * x for c, x in zip(cols, z)) for r in kept_rows]
